@@ -6,11 +6,11 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use ode_model::{ClassId, Schema, TriggerAction};
+use ode_model::{Binding, ClassId, Schema, Statement, TriggerAction};
 
 use crate::infer::{self, Scope};
 use crate::{
-    dedup, interfere, sat, Diagnostic, Severity, StmtKind, A002, A003, A005, A007, A009, A010, A201,
+    dedup, interfere, sat, Diagnostic, Severity, A002, A003, A005, A007, A009, A010, A201,
 };
 
 /// Analyze a just-defined class (and everything it inherits). Called by
@@ -268,17 +268,13 @@ fn check_trigger_cycles(
 /// only *add* to the cluster being iterated. A body that deletes from
 /// the iterated hierarchy could remove objects the fixpoint has not yet
 /// visited, so its termination and coverage guarantees evaporate.
-pub fn check_fixpoint_body(
-    schema: &Schema,
-    iterated: &str,
-    body: &StmtKind<'_>,
-) -> Vec<Diagnostic> {
+pub fn check_fixpoint_body(schema: &Schema, iterated: &str, body: &Statement) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let Ok(iter_id) = schema.id_of(iterated) else {
         return diags;
     };
-    if let StmtKind::Delete { bindings, .. } = body {
-        for (_, class, _) in bindings.iter() {
+    if let Statement::Delete(query) = body {
+        for Binding { cluster: class, .. } in &query.bindings {
             let Ok(target) = schema.id_of(class) else {
                 continue;
             };

@@ -10,9 +10,9 @@
 //! commit-time validation to the proven key ranges (DESIGN.md §14).
 
 use ode_model::range::{extract_field_ranges, extract_qualified_ranges, FieldRange, ValueRange};
-use ode_model::{Expr, Schema, Value};
+use ode_model::{Expr, QueryStmt, Schema, Statement, Value};
 
-use crate::{CatalogView, StmtKind};
+use crate::CatalogView;
 
 /// One cluster touched by a statement: the class (hence its extent
 /// heaps), how much of the hierarchy, the index that could answer it,
@@ -106,28 +106,24 @@ impl std::fmt::Display for Footprint {
     }
 }
 
-/// Infer the footprint of one statement. Sound by construction: ranges
-/// come from [`extract_field_ranges`], which only narrows on conjuncts
-/// the predicate implies; anything unanalyzable widens to whole-extent.
+/// Infer the footprint of one statement; `None` for statements without
+/// an analyzable access shape (DDL, trigger activation). Sound by
+/// construction: ranges come from [`extract_field_ranges`], which only
+/// narrows on conjuncts the predicate implies; anything unanalyzable
+/// widens to whole-extent.
 pub fn footprint_of(
     schema: &Schema,
     catalog: Option<&CatalogView>,
-    stmt: &StmtKind<'_>,
-) -> Footprint {
-    match stmt {
-        StmtKind::Query {
-            bindings, suchthat, ..
-        } => Footprint {
-            reads: read_accesses(schema, catalog, bindings, *suchthat),
+    stmt: &Statement,
+) -> Option<Footprint> {
+    Some(match stmt {
+        Statement::Forall(q) | Statement::Explain(q) => Footprint {
+            reads: read_accesses(schema, catalog, q),
             writes: Vec::new(),
         },
-        StmtKind::Update {
-            bindings,
-            suchthat,
-            assigns,
-        } => {
-            let reads = read_accesses(schema, catalog, bindings, *suchthat);
-            let mut write = reads.first().cloned().unwrap_or_default_access(bindings);
+        Statement::Update { target, assigns } => {
+            let reads = read_accesses(schema, catalog, target);
+            let mut write = reads[0].clone();
             write.fields = assigns.iter().map(|(f, _)| f.clone()).collect();
             write.fields.sort();
             write.fields.dedup();
@@ -141,17 +137,15 @@ pub fn footprint_of(
                 writes: vec![write],
             }
         }
-        StmtKind::Delete {
-            bindings, suchthat, ..
-        } => {
-            let reads = read_accesses(schema, catalog, bindings, *suchthat);
-            let write = reads.first().cloned().unwrap_or_default_access(bindings);
+        Statement::Delete(target) => {
+            let reads = read_accesses(schema, catalog, target);
+            let write = reads[0].clone();
             Footprint {
                 reads,
                 writes: vec![write],
             }
         }
-        StmtKind::Pnew { class, inits } => {
+        Statement::Pnew { class, inits } => {
             let mut ranges = Vec::new();
             let mut fields = Vec::new();
             for (field, expr) in inits.iter() {
@@ -176,33 +170,40 @@ pub fn footprint_of(
                 }],
             }
         }
-    }
+        Statement::Class(_)
+        | Statement::CreateCluster { .. }
+        | Statement::DestroyCluster { .. }
+        | Statement::CreateIndex { .. }
+        | Statement::Activate { .. }
+        | Statement::Deactivate { .. } => return None,
+    })
 }
 
-/// Per-binding read accesses for the query-shaped statements.
+/// Per-binding read accesses for the query-shaped statements (one per
+/// binding, so never empty).
 fn read_accesses(
     schema: &Schema,
     catalog: Option<&CatalogView>,
-    bindings: &[(String, String, bool)],
-    suchthat: Option<&Expr>,
+    query: &QueryStmt,
 ) -> Vec<ClusterAccess> {
-    let single = bindings.len() == 1;
-    bindings
+    let single = query.bindings.len() == 1;
+    query
+        .bindings
         .iter()
-        .map(|(var, class, deep)| {
-            let mut acc = ClusterAccess::read(class, *deep);
-            if let Some(pred) = suchthat {
+        .map(|b| {
+            let mut acc = ClusterAccess::read(&b.cluster, b.deep);
+            if let Some(pred) = &query.suchthat {
                 // In a join, a bare identifier could resolve against any
                 // binding — only `var.field` references are attributable.
                 acc.ranges = if single {
-                    extract_field_ranges(pred, Some(var))
+                    extract_field_ranges(pred, Some(&b.var))
                 } else {
-                    extract_qualified_ranges(pred, var)
+                    extract_qualified_ranges(pred, &b.var)
                 };
                 // The engine probes an index only over the deep extent
                 // (committed index entries summarize the hierarchy).
-                if *deep {
-                    if let (Some(cat), Ok(def)) = (catalog, schema.class_by_name(class)) {
+                if b.deep {
+                    if let (Some(cat), Ok(def)) = (catalog, schema.class_by_name(&b.cluster)) {
                         acc.index = acc
                             .ranges
                             .iter()
@@ -227,20 +228,5 @@ fn literal_value(e: &Expr) -> Option<Value> {
             _ => None,
         },
         _ => None,
-    }
-}
-
-/// Fallback write access when the read side produced nothing (unknown
-/// class): still name the class so interference stays conservative.
-trait OrDefaultAccess {
-    fn unwrap_or_default_access(self, bindings: &[(String, String, bool)]) -> ClusterAccess;
-}
-
-impl OrDefaultAccess for Option<ClusterAccess> {
-    fn unwrap_or_default_access(self, bindings: &[(String, String, bool)]) -> ClusterAccess {
-        self.unwrap_or_else(|| {
-            let (_, class, deep) = &bindings[0];
-            ClusterAccess::read(class, *deep)
-        })
     }
 }

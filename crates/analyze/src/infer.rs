@@ -9,7 +9,7 @@
 //! deliberately lenient where the evaluator is dynamic, so the analyzer
 //! only reports what is provably wrong.
 
-use ode_model::{BinOp, ClassId, Expr, Schema, Type, UnOp, Value};
+use ode_model::{BinOp, Binding, ClassId, Expr, Schema, Type, UnOp, Value};
 
 use crate::{Diagnostic, Severity, A001, A002, A003, A004, A005, A103};
 
@@ -151,13 +151,10 @@ impl<'a> Scope<'a> {
     /// A single-binding query evaluates its predicate with the candidate
     /// as `this`, so bare names may also be members; join predicates run
     /// without `this` — bare names must be loop variables.
-    pub(crate) fn for_bindings(
-        schema: &Schema,
-        bindings: &'a [(String, String, bool)],
-    ) -> Option<Scope<'a>> {
+    pub(crate) fn for_bindings(schema: &Schema, bindings: &'a [Binding]) -> Option<Scope<'a>> {
         let mut vars = Vec::with_capacity(bindings.len());
-        for (var, class, _) in bindings {
-            vars.push((var.as_str(), schema.id_of(class).ok()?));
+        for b in bindings {
+            vars.push((b.var.as_str(), schema.id_of(&b.cluster).ok()?));
         }
         let this_class = (bindings.len() == 1).then(|| vars[0].1);
         Some(Scope {

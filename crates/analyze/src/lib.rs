@@ -9,9 +9,9 @@
 //! `suchthat`/`by` typing, §3.2 fixpoint safety, §5 constraints, §6
 //! triggers).
 //!
-//! The crate deliberately depends only on `ode-model`: the engine
-//! (`ode-core`) parses its statement forms, lowers them to the
-//! plain-data [`StmtKind`] IR here, and supplies catalog facts (which
+//! The crate deliberately depends only on `ode-model`: every pass is a
+//! plain function over the [`Statement`] that `ode_model::parse_statement`
+//! produced, and the engine (`ode-core`) supplies catalog facts (which
 //! `(class, field)` pairs are indexed) as a [`CatalogView`]. That keeps
 //! the dependency arrow pointing the same way as the rest of the stack
 //! (model ← analyze ← core ← shell/server).
@@ -41,7 +41,7 @@ mod sat;
 use std::collections::HashSet;
 use std::fmt;
 
-use ode_model::{ClassId, Expr, Schema};
+use ode_model::{Binding, ClassId, Expr, QueryStmt, Schema, Statement};
 
 pub use ddl::{analyze_class, check_fixpoint_body};
 pub use footprint::{footprint_of, ClusterAccess, Footprint};
@@ -106,9 +106,8 @@ impl Diagnostic {
         }
     }
 
-    /// A001 for a class the schema does not know — the engine uses this
-    /// for `create cluster`-style statements it classifies itself.
-    pub fn unknown_class(class: &str, src: &str) -> Diagnostic {
+    /// A001 for a class the schema does not know.
+    pub(crate) fn unknown_class(class: &str, src: &str) -> Diagnostic {
         Diagnostic::new(A001, Severity::Error, format!("unknown class `{class}`"))
             .locate(src, class)
     }
@@ -121,7 +120,7 @@ impl Diagnostic {
     }
 
     /// A002 for a member the class does not declare.
-    pub fn unknown_member(class: &str, member: &str, src: &str) -> Diagnostic {
+    pub(crate) fn unknown_member(class: &str, member: &str, src: &str) -> Diagnostic {
         Diagnostic::new(
             A002,
             Severity::Error,
@@ -206,91 +205,69 @@ impl CatalogView {
     }
 }
 
-/// The analyzer's statement IR: a borrowed, plain-data view of a parsed
-/// statement. The engine lowers its own parse trees into this shape.
-#[derive(Debug)]
-pub enum StmtKind<'a> {
-    /// `forall v in cluster [only] (, w in cluster2 …) suchthat (…) by (…)`
-    /// — also the payload of `explain`.
-    Query {
-        /// `(variable, class, only)` per binding, join order preserved.
-        bindings: &'a [(String, String, bool)],
-        /// The `suchthat` predicate, if any.
-        suchthat: Option<&'a Expr>,
-        /// The `by` ordering key and descending flag, if any.
-        by: Option<(&'a Expr, bool)>,
-    },
-    /// `pnew class (field = expr, …)`.
-    Pnew {
-        /// Target class.
-        class: &'a str,
-        /// Field initializers.
-        inits: &'a [(String, Expr)],
-    },
-    /// `update v in cluster suchthat (…) set field = expr, …`.
-    Update {
-        /// `(variable, class, only)` bindings.
-        bindings: &'a [(String, String, bool)],
-        /// The `suchthat` predicate, if any.
-        suchthat: Option<&'a Expr>,
-        /// `set` assignments.
-        assigns: &'a [(String, Expr)],
-    },
-    /// `delete v in cluster suchthat (…)`.
-    Delete {
-        /// `(variable, class, only)` bindings.
-        bindings: &'a [(String, String, bool)],
-        /// The `suchthat` predicate, if any.
-        suchthat: Option<&'a Expr>,
-    },
-}
-
 // ------------------------------------------------------------ statements
 
-/// Analyze one statement against the schema and catalog. `src` is the
-/// statement's source text (used only for spans); `catalog` enables the
-/// index-awareness lints when present.
+/// Analyze one parsed statement against the schema and catalog. `src` is
+/// the statement's source text (used only for spans); `catalog` enables
+/// the index-awareness lints when present. Statements with no statically
+/// analyzable shape (`destroy cluster`, `activate`, `deactivate`) come
+/// back clean.
 pub fn analyze_stmt(
     schema: &Schema,
     catalog: Option<&CatalogView>,
     src: &str,
-    stmt: &StmtKind<'_>,
+    stmt: &Statement,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     match stmt {
-        StmtKind::Query {
-            bindings,
-            suchthat,
-            by,
-        } => {
-            analyze_query(
-                schema, catalog, src, bindings, *suchthat, *by, &mut diags, true,
-            );
+        Statement::Forall(q) | Statement::Explain(q) => {
+            analyze_query(schema, catalog, src, q, &mut diags, true);
         }
-        StmtKind::Pnew { class, inits } => {
+        Statement::Pnew { class, inits } => {
             analyze_pnew(schema, src, class, inits, &mut diags);
         }
-        StmtKind::Update {
-            bindings,
-            suchthat,
-            assigns,
-        } => {
-            analyze_query(
-                schema, catalog, src, bindings, *suchthat, None, &mut diags, false,
-            );
-            if let Some(scope) = infer::Scope::for_bindings(schema, bindings) {
-                for (field, expr) in assigns.iter() {
-                    check_assignment(schema, src, &scope, bindings, field, expr, &mut diags);
+        Statement::Update { target, assigns } => {
+            analyze_query(schema, catalog, src, target, &mut diags, false);
+            if let Some(scope) = infer::Scope::for_bindings(schema, &target.bindings) {
+                let class = &target.bindings[0].cluster;
+                for (field, expr) in assigns {
+                    check_assignment(schema, src, &scope, class, field, expr, &mut diags);
                 }
             }
         }
-        StmtKind::Delete {
-            bindings, suchthat, ..
-        } => {
-            analyze_query(
-                schema, catalog, src, bindings, *suchthat, None, &mut diags, false,
-            );
+        Statement::Delete(target) => {
+            analyze_query(schema, catalog, src, target, &mut diags, false);
         }
+        // DDL-time analysis (§5 constraints, §6 triggers): apply the
+        // definitions to a scratch copy of the schema, then run the
+        // schema-level passes on each new class. Definition errors (dup
+        // class, unknown base, bad field refs) are left for the real
+        // `define` to report with their original error type.
+        Statement::Class(builders) => {
+            let mut scratch = schema.clone();
+            for b in builders {
+                match scratch.define(b.clone()) {
+                    Ok(id) => diags.extend(analyze_class(&scratch, id)),
+                    Err(_) => break,
+                }
+            }
+            return diags;
+        }
+        Statement::CreateCluster { class } => {
+            if schema.class_by_name(class).is_err() {
+                diags.push(Diagnostic::unknown_class(class, src));
+            }
+        }
+        Statement::CreateIndex { class, field } => match schema.class_by_name(class) {
+            Err(_) => diags.push(Diagnostic::unknown_class(class, src)),
+            Ok(def) if def.field(field).is_err() => {
+                diags.push(Diagnostic::unknown_member(&def.name, field, src));
+            }
+            Ok(_) => {}
+        },
+        Statement::DestroyCluster { .. }
+        | Statement::Activate { .. }
+        | Statement::Deactivate { .. } => {}
     }
     dedup(diags)
 }
@@ -298,23 +275,18 @@ pub fn analyze_stmt(
 /// Shared analysis for the query-shaped statements (`forall`, `update`,
 /// `delete`): binding resolution, predicate typing, satisfiability,
 /// `by`-key orderability, and the unindexed-predicate lint.
-#[allow(clippy::too_many_arguments)]
 fn analyze_query(
     schema: &Schema,
     catalog: Option<&CatalogView>,
     src: &str,
-    bindings: &[(String, String, bool)],
-    suchthat: Option<&Expr>,
-    by: Option<(&Expr, bool)>,
+    query: &QueryStmt,
     diags: &mut Vec<Diagnostic>,
     lint_index: bool,
 ) {
-    for (_, class, _) in bindings {
-        if schema.class_by_name(class).is_err() {
-            diags.push(
-                Diagnostic::new(A001, Severity::Error, format!("unknown class `{class}`"))
-                    .locate(src, class),
-            );
+    let bindings = &query.bindings[..];
+    for b in bindings {
+        if schema.class_by_name(&b.cluster).is_err() {
+            diags.push(Diagnostic::unknown_class(&b.cluster, src));
         }
     }
     // Name/type resolution needs every binding resolved; bail out of the
@@ -322,7 +294,7 @@ fn analyze_query(
     let Some(scope) = infer::Scope::for_bindings(schema, bindings) else {
         return;
     };
-    if let Some(pred) = suchthat {
+    if let Some(pred) = &query.suchthat {
         let ty = infer::infer(schema, &scope, src, pred, diags);
         if !ty.is_boolish() {
             diags.push(Diagnostic::new(
@@ -341,7 +313,7 @@ fn analyze_query(
             }
         }
     }
-    if let Some((key, _)) = by {
+    if let Some((key, _)) = &query.by {
         let ty = infer::infer(schema, &scope, src, key, diags);
         if !ty.is_orderable() {
             diags.push(Diagnostic::new(
@@ -365,10 +337,7 @@ fn analyze_pnew(
     diags: &mut Vec<Diagnostic>,
 ) {
     let Ok(def) = schema.class_by_name(class) else {
-        diags.push(
-            Diagnostic::new(A001, Severity::Error, format!("unknown class `{class}`"))
-                .locate(src, class),
-        );
+        diags.push(Diagnostic::unknown_class(class, src));
         return;
     };
     // Initializers evaluate with no object in scope: bare identifiers
@@ -394,14 +363,7 @@ fn analyze_pnew(
                     );
                 }
             }
-            Err(_) => diags.push(
-                Diagnostic::new(
-                    A002,
-                    Severity::Error,
-                    format!("class `{class}` has no member `{field}`"),
-                )
-                .locate(src, field),
-            ),
+            Err(_) => diags.push(Diagnostic::unknown_member(class, field, src)),
         }
     }
 }
@@ -411,12 +373,11 @@ fn check_assignment(
     schema: &Schema,
     src: &str,
     scope: &infer::Scope<'_>,
-    bindings: &[(String, String, bool)],
+    class: &str,
     field: &str,
     expr: &Expr,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let (_, class, _) = &bindings[0];
     let Ok(def) = schema.class_by_name(class) else {
         return;
     };
@@ -438,14 +399,7 @@ fn check_assignment(
                 );
             }
         }
-        Err(_) => diags.push(
-            Diagnostic::new(
-                A002,
-                Severity::Error,
-                format!("class `{class}` has no member `{field}`"),
-            )
-            .locate(src, field),
-        ),
+        Err(_) => diags.push(Diagnostic::unknown_member(class, field, src)),
     }
 }
 
@@ -460,12 +414,13 @@ fn lint_unindexed(
     schema: &Schema,
     catalog: &CatalogView,
     src: &str,
-    bindings: &[(String, String, bool)],
+    bindings: &[Binding],
     pred: &Expr,
     diags: &mut Vec<Diagnostic>,
 ) {
     let single = bindings.len() == 1;
-    for (var, class, _) in bindings {
+    for b in bindings {
+        let (var, class) = (&b.var, &b.cluster);
         let Ok(def) = schema.class_by_name(class) else {
             continue;
         };

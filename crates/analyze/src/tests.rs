@@ -32,26 +32,52 @@ fn fixture() -> Schema {
     s
 }
 
-fn bindings(pairs: &[(&str, &str)]) -> Vec<(String, String, bool)> {
-    pairs
-        .iter()
-        .map(|(v, c)| (v.to_string(), c.to_string(), false))
-        .collect()
+fn binding(var: &str, cluster: &str, deep: bool) -> Binding {
+    Binding {
+        var: var.to_string(),
+        cluster: cluster.to_string(),
+        deep,
+    }
+}
+
+fn bindings(pairs: &[(&str, &str)]) -> Vec<Binding> {
+    pairs.iter().map(|(v, c)| binding(v, c, false)).collect()
+}
+
+fn query(bindings: &[Binding], suchthat: Option<&Expr>, by: Option<(&Expr, bool)>) -> QueryStmt {
+    QueryStmt {
+        bindings: bindings.to_vec(),
+        suchthat: suchthat.cloned(),
+        by: by.map(|(key, desc)| (key.clone(), desc)),
+    }
+}
+
+fn forall(bindings: &[Binding], suchthat: Option<&Expr>, by: Option<(&Expr, bool)>) -> Statement {
+    Statement::Forall(query(bindings, suchthat, by))
+}
+
+fn pnew(class: &str, inits: &[(String, Expr)]) -> Statement {
+    Statement::Pnew {
+        class: class.to_string(),
+        inits: inits.to_vec(),
+    }
+}
+
+fn update(bindings: &[Binding], suchthat: Option<&Expr>, assigns: &[(String, Expr)]) -> Statement {
+    Statement::Update {
+        target: query(bindings, suchthat, None),
+        assigns: assigns.to_vec(),
+    }
+}
+
+fn delete(bindings: &[Binding], suchthat: Option<&Expr>) -> Statement {
+    Statement::Delete(query(bindings, suchthat, None))
 }
 
 fn check_query(schema: &Schema, binds: &[(&str, &str)], suchthat: &str) -> Vec<Diagnostic> {
     let b = bindings(binds);
     let pred = parse_expr(suchthat).unwrap();
-    analyze_stmt(
-        schema,
-        None,
-        suchthat,
-        &StmtKind::Query {
-            bindings: &b,
-            suchthat: Some(&pred),
-            by: None,
-        },
-    )
+    analyze_stmt(schema, None, suchthat, &forall(&b, Some(&pred), None))
 }
 
 fn codes(diags: &[Diagnostic]) -> Vec<&'static str> {
@@ -83,16 +109,7 @@ fn clean_queries_produce_no_diagnostics() {
 fn unknown_class_is_a001() {
     let s = fixture();
     let b = bindings(&[("x", "nowhere")]);
-    let diags = analyze_stmt(
-        &s,
-        None,
-        "forall x in nowhere",
-        &StmtKind::Query {
-            bindings: &b,
-            suchthat: None,
-            by: None,
-        },
-    );
+    let diags = analyze_stmt(&s, None, "forall x in nowhere", &forall(&b, None, None));
     assert_eq!(codes(&diags), vec![A001]);
     assert!(diags[0].message.contains("unknown class"), "{diags:?}");
 }
@@ -191,26 +208,13 @@ fn unordered_by_key_is_a006() {
         &s,
         None,
         "forall s in stockitem by (supplies)",
-        &StmtKind::Query {
-            bindings: &b,
-            suchthat: None,
-            by: Some((&key, false)),
-        },
+        &forall(&b, None, Some((&key, false))),
     );
     assert_eq!(codes(&diags), vec![A006]);
     // Numeric and string keys are fine.
     for good in ["quantity", "name", "price + 1.0"] {
         let key = parse_expr(good).unwrap();
-        let diags = analyze_stmt(
-            &s,
-            None,
-            good,
-            &StmtKind::Query {
-                bindings: &b,
-                suchthat: None,
-                by: Some((&key, true)),
-            },
-        );
+        let diags = analyze_stmt(&s, None, good, &forall(&b, None, Some((&key, true))));
         assert!(diags.is_empty(), "{good}: {diags:?}");
     }
 }
@@ -223,10 +227,7 @@ fn pnew_checks_members_and_types() {
         &s,
         None,
         "pnew stockitem (ghost = 1)",
-        &StmtKind::Pnew {
-            class: "stockitem",
-            inits: &inits,
-        },
+        &pnew("stockitem", &inits),
     );
     assert_eq!(codes(&diags), vec![A002]);
 
@@ -235,10 +236,7 @@ fn pnew_checks_members_and_types() {
         &s,
         None,
         "pnew stockitem (quantity = \"many\")",
-        &StmtKind::Pnew {
-            class: "stockitem",
-            inits: &inits,
-        },
+        &pnew("stockitem", &inits),
     );
     assert_eq!(codes(&diags), vec![A007]);
 
@@ -248,10 +246,7 @@ fn pnew_checks_members_and_types() {
         &s,
         None,
         "pnew stockitem (price = 3)",
-        &StmtKind::Pnew {
-            class: "stockitem",
-            inits: &inits,
-        },
+        &pnew("stockitem", &inits),
     );
     assert!(diags.is_empty(), "{diags:?}");
 }
@@ -265,11 +260,7 @@ fn update_checks_assignments() {
         &s,
         None,
         "update s in stockitem set quantity = name",
-        &StmtKind::Update {
-            bindings: &b,
-            suchthat: None,
-            assigns: &assigns,
-        },
+        &update(&b, None, &assigns),
     );
     assert_eq!(codes(&diags), vec![A007]);
 }
@@ -304,11 +295,7 @@ fn unindexed_equality_is_a102_only_without_an_index() {
     let s = fixture();
     let b = bindings(&[("s", "stockitem")]);
     let pred = parse_expr("quantity == 7").unwrap();
-    let stmt = StmtKind::Query {
-        bindings: &b,
-        suchthat: Some(&pred),
-        by: None,
-    };
+    let stmt = forall(&b, Some(&pred), None);
     let empty = CatalogView::default();
     let diags = analyze_stmt(&s, Some(&empty), "quantity == 7", &stmt);
     assert_eq!(codes(&diags), vec![A102]);
@@ -468,31 +455,19 @@ fn trigger_condition_type_errors_are_a005() {
 fn fixpoint_body_may_add_but_not_delete() {
     let s = fixture();
     let b = bindings(&[("p", "person")]);
-    let del = StmtKind::Delete {
-        bindings: &b,
-        suchthat: None,
-    };
+    let del = delete(&b, None);
     let diags = check_fixpoint_body(&s, "person", &del);
     assert_eq!(codes(&diags), vec![A010]);
     // Deleting students still shrinks the deep person extent.
     let bs = bindings(&[("x", "student")]);
-    let del = StmtKind::Delete {
-        bindings: &bs,
-        suchthat: None,
-    };
+    let del = delete(&bs, None);
     assert_eq!(codes(&check_fixpoint_body(&s, "person", &del)), vec![A010]);
     // Deleting from an unrelated cluster is fine, as is inserting.
     let bb = bindings(&[("x", "building")]);
-    let del = StmtKind::Delete {
-        bindings: &bb,
-        suchthat: None,
-    };
+    let del = delete(&bb, None);
     assert!(check_fixpoint_body(&s, "person", &del).is_empty());
     let inits: Vec<(String, Expr)> = Vec::new();
-    let add = StmtKind::Pnew {
-        class: "person",
-        inits: &inits,
-    };
+    let add = pnew("person", &inits);
     assert!(check_fixpoint_body(&s, "person", &add).is_empty());
 }
 
@@ -522,15 +497,7 @@ fn update_footprint(schema: &Schema, binds: &[(&str, &str)], pred: &str, set: &s
             (f.trim().to_string(), parse_expr(e.trim()).unwrap())
         })
         .collect();
-    footprint_of(
-        schema,
-        None,
-        &StmtKind::Update {
-            bindings: &b,
-            suchthat: Some(&p),
-            assigns: &assigns,
-        },
-    )
+    footprint_of(schema, None, &update(&b, Some(&p), &assigns)).unwrap()
 }
 
 #[test]
@@ -538,15 +505,7 @@ fn query_footprint_is_read_only_with_predicate_ranges() {
     let s = fixture();
     let b = bindings(&[("s", "stockitem")]);
     let pred = parse_expr("quantity > 10 && quantity < 20 && name == \"dram\"").unwrap();
-    let fp = footprint_of(
-        &s,
-        None,
-        &StmtKind::Query {
-            bindings: &b,
-            suchthat: Some(&pred),
-            by: None,
-        },
-    );
+    let fp = footprint_of(&s, None, &forall(&b, Some(&pred), None)).unwrap();
     assert!(fp.read_only());
     assert_eq!(fp.reads.len(), 1);
     let acc = &fp.reads[0];
@@ -589,17 +548,9 @@ fn deep_binding_with_catalog_reports_the_probing_index() {
     let mut cat = CatalogView::default();
     cat.indexed
         .insert((s.id_of("stockitem").unwrap(), "quantity".to_string()));
-    let b = vec![("s".to_string(), "stockitem".to_string(), true)];
+    let b = vec![binding("s", "stockitem", true)];
     let pred = parse_expr("quantity == 7").unwrap();
-    let fp = footprint_of(
-        &s,
-        Some(&cat),
-        &StmtKind::Query {
-            bindings: &b,
-            suchthat: Some(&pred),
-            by: None,
-        },
-    );
+    let fp = footprint_of(&s, Some(&cat), &forall(&b, Some(&pred), None)).unwrap();
     assert_eq!(fp.reads[0].index.as_deref(), Some("quantity"));
 }
 
@@ -610,14 +561,7 @@ fn pnew_footprint_is_a_point_write() {
         ("name".to_string(), parse_expr("\"dram\"").unwrap()),
         ("quantity".to_string(), parse_expr("5").unwrap()),
     ];
-    let fp = footprint_of(
-        &s,
-        None,
-        &StmtKind::Pnew {
-            class: "stockitem",
-            inits: &inits,
-        },
-    );
+    let fp = footprint_of(&s, None, &pnew("stockitem", &inits)).unwrap();
     assert!(!fp.read_only());
     assert!(fp.reads.is_empty());
     let w = &fp.writes[0];
@@ -643,15 +587,7 @@ fn batch_interference_proves_disjoint_ranges_apart() {
     // A read overlapping a write interferes too.
     let b = bindings(&[("s", "stockitem")]);
     let pred = parse_expr("quantity == 5").unwrap();
-    let reader = footprint_of(
-        &s,
-        None,
-        &StmtKind::Query {
-            bindings: &b,
-            suchthat: Some(&pred),
-            by: None,
-        },
-    );
+    let reader = footprint_of(&s, None, &forall(&b, Some(&pred), None)).unwrap();
     assert_eq!(
         codes(&batch_interference(&[(1, lo), (2, reader.clone())])),
         vec![A301]
@@ -672,15 +608,7 @@ fn interference_never_trusts_ranges_on_assigned_fields() {
     let mover = update_footprint(&s, &[("s", "stockitem")], "quantity == 1", "quantity = 5");
     let b = bindings(&[("s", "stockitem")]);
     let pred = parse_expr("quantity == 5").unwrap();
-    let reader = footprint_of(
-        &s,
-        None,
-        &StmtKind::Query {
-            bindings: &b,
-            suchthat: Some(&pred),
-            by: None,
-        },
-    );
+    let reader = footprint_of(&s, None, &forall(&b, Some(&pred), None)).unwrap();
     assert_eq!(
         codes(&batch_interference(&[(1, mover), (2, reader)])),
         vec![A301]
@@ -692,11 +620,7 @@ fn join_equality_without_an_index_is_a102_per_binding() {
     let s = fixture();
     let b = bindings(&[("s", "stockitem"), ("p", "person")]);
     let pred = parse_expr("s.name == p.name").unwrap();
-    let stmt = StmtKind::Query {
-        bindings: &b,
-        suchthat: Some(&pred),
-        by: None,
-    };
+    let stmt = forall(&b, Some(&pred), None);
     let src = "s.name == p.name";
     let empty = CatalogView::default();
     let diags = analyze_stmt(&s, Some(&empty), src, &stmt);

@@ -1,282 +1,107 @@
 //! Bridge between the engine and the `ode-analyze` front-end (DESIGN.md
-//! §9): statement classification, catalog extraction, and the analysis
-//! gate that `Transaction::execute`/`ReadTransaction::execute` run
-//! before touching any data.
+//! §9): catalog extraction, telemetry, and the analysis gate that
+//! `Transaction::execute`/`ReadTransaction::execute` run before touching
+//! any data.
 //!
 //! O++ is a compiled language: the paper's compiler rejects unknown
 //! members, type mismatches, and ill-formed constraints before a program
 //! runs. This module restores that boundary for the statement surface —
-//! every statement class (DDL, DML, `forall`, `explain`) is analyzed
+//! every [`Statement`] (DDL, DML, `forall`, `explain`) is analyzed
 //! against the live schema and catalog *before* a write transaction is
 //! opened or a snapshot is taken, so a bad statement costs no gate
 //! acquisition, no iteration, and no rollback.
 
 use std::time::Instant;
 
-use ode_analyze::{
-    analyze_class, analyze_stmt, footprint_of, has_errors, CatalogView, Diagnostic, Footprint,
-    StmtKind,
-};
+use ode_analyze::{analyze_stmt, footprint_of, has_errors, CatalogView, Diagnostic, Footprint};
+use ode_model::{parse_statement, Statement};
 
 use crate::database::Database;
 use crate::error::{OdeError, Result};
-use crate::oql::{parse_delete, parse_pnew, parse_query, parse_update};
 
 impl Database {
-    /// Run static analysis on one statement without executing anything.
+    /// Parse one statement and run static analysis on it without
+    /// executing anything — [`parse_statement`] then
+    /// [`Database::analyze`]. Statements that do not parse return the
+    /// parse error unchanged.
+    pub fn analyze_statement(&self, src: &str) -> Result<Vec<Diagnostic>> {
+        Ok(self.analyze(&parse_statement(src)?, src))
+    }
+
+    /// Run static analysis on one parsed statement (`src` is its text,
+    /// used only for diagnostic spans).
     ///
     /// Returns every diagnostic the pass produced — warnings and errors
     /// alike; [`ode_analyze::has_errors`] tells them apart. Statements
-    /// that do not parse return the parse error unchanged (the executor
-    /// would report the identical error, so nothing is lost by not
-    /// wrapping it). Statements with no analyzable form (`activate`,
-    /// `deactivate`, …) come back clean.
+    /// with no analyzable form (`activate`, `deactivate`, …) come back
+    /// clean.
     ///
     /// Analysis runs against the committed schema and catalog under a
     /// read lock; no transaction is opened and no counters beyond the
     /// `analyze.*` family move.
-    pub fn analyze_statement(&self, src: &str) -> Result<Vec<Diagnostic>> {
+    pub fn analyze(&self, stmt: &Statement, src: &str) -> Vec<Diagnostic> {
         let start = Instant::now();
         let mut span = self.flight.span(ode_obs::SpanStage::Analyze, head_of(src));
-        let result = self.analyze_inner(src);
+        let diags = {
+            let inner = self.inner.read();
+            analyze_stmt(&inner.schema, Some(&catalog_view(&inner)), src, stmt)
+        };
         let tel = &self.tel.analyze;
         tel.passes.inc();
         tel.latency.record_ns(start.elapsed().as_nanos() as u64);
-        if let Ok(diags) = &result {
-            let errors = diags
-                .iter()
-                .filter(|d| d.severity == ode_analyze::Severity::Error)
-                .count();
-            if errors > 0 {
-                span.set_detail(format!("{} ({errors} errors)", head_of(src)));
-            }
-            for d in diags {
-                match d.severity {
-                    ode_analyze::Severity::Error => tel.errors.inc(),
-                    ode_analyze::Severity::Warning => tel.warnings.inc(),
+        let mut errors = 0;
+        for d in &diags {
+            match d.severity {
+                ode_analyze::Severity::Error => {
+                    errors += 1;
+                    tel.errors.inc();
                 }
+                ode_analyze::Severity::Warning => tel.warnings.inc(),
             }
         }
-        result
+        if errors > 0 {
+            span.set_detail(format!("{} ({errors} errors)", head_of(src)));
+        }
+        diags
     }
 
-    /// The gate the statement executors call: reject on error-severity
-    /// diagnostics, stay silent otherwise. Parse failures pass through so
-    /// the executor reports them with their original error type.
-    pub(crate) fn analysis_gate(&self, src: &str) -> Result<()> {
-        match self.analyze_statement(src) {
-            Ok(diags) if has_errors(&diags) => Err(OdeError::Analysis(diags)),
-            _ => Ok(()),
-        }
-    }
-
-    /// Compute the static access footprint of one statement (DESIGN.md
-    /// §14): the clusters it reads and writes, with the key-predicate
-    /// ranges and index the analyzer can prove. `None` for statements
-    /// without an analyzable shape (DDL, version ops, …). Parse errors
-    /// propagate so callers can distinguish "no footprint" from "not a
-    /// statement".
-    ///
-    /// A footprint with no writes is a *read-only proof*: the statement
-    /// cannot touch the write-txn machinery, so executors may run it on
-    /// the snapshot path.
-    pub fn statement_footprint(&self, src: &str) -> Result<Option<Footprint>> {
-        let trimmed = src.trim();
-        let stripped = match trimmed.strip_prefix("explain") {
-            Some(rest) if rest.starts_with(char::is_whitespace) => rest.trim_start(),
-            _ => trimmed,
-        };
-        let kind_of = |src: &str| -> Result<Option<(crate::oql::QueryStmt, OwnedStmt)>> {
-            if starts_with_kw(src, "pnew") {
-                let (class, inits) = parse_pnew(src)?;
-                return Ok(Some((
-                    crate::oql::QueryStmt {
-                        bindings: Vec::new(),
-                        suchthat: None,
-                        by: None,
-                    },
-                    OwnedStmt::Pnew { class, inits },
-                )));
-            }
-            if starts_with_kw(src, "update") {
-                let (query, assigns) = parse_update(src)?;
-                return Ok(Some((query, OwnedStmt::Update { assigns })));
-            }
-            if starts_with_kw(src, "delete") {
-                return Ok(Some((parse_delete(src)?, OwnedStmt::Delete)));
-            }
-            if starts_with_kw(src, "forall") || starts_with_kw(src, "for") {
-                return Ok(Some((parse_query(src)?, OwnedStmt::Query)));
-            }
-            Ok(None)
-        };
-        let Some((query, owned)) = kind_of(stripped)? else {
-            return Ok(None);
-        };
-        let inner = self.inner.read();
-        let cat = catalog_view(&inner);
-        let kind = match &owned {
-            OwnedStmt::Pnew { class, inits } => StmtKind::Pnew { class, inits },
-            OwnedStmt::Update { assigns } => StmtKind::Update {
-                bindings: &query.bindings,
-                suchthat: query.suchthat.as_ref(),
-                assigns,
-            },
-            OwnedStmt::Delete => StmtKind::Delete {
-                bindings: &query.bindings,
-                suchthat: query.suchthat.as_ref(),
-            },
-            OwnedStmt::Query => StmtKind::Query {
-                bindings: &query.bindings,
-                suchthat: query.suchthat.as_ref(),
-                by: query.by.as_ref().map(|(e, desc)| (e, *desc)),
-            },
-        };
-        let fp = footprint_of(&inner.schema, Some(&cat), &kind);
-        self.tel.analyze.footprints.inc();
-        if fp.read_only() {
-            self.tel.analyze.read_only_proofs.inc();
-        }
-        Ok(Some(fp))
-    }
-
-    fn analyze_inner(&self, src: &str) -> Result<Vec<Diagnostic>> {
-        let trimmed = src.trim();
-        let stripped = match trimmed.strip_prefix("explain") {
-            Some(rest) if rest.starts_with(char::is_whitespace) => rest.trim_start(),
-            _ => trimmed,
-        };
-        if starts_with_kw(stripped, "class") {
-            return self.analyze_ddl(stripped);
-        }
-        if let Some(rest) = strip_kw2(stripped, "create", "cluster") {
-            return Ok(self.check_class_exists(rest.trim(), src));
-        }
-        if let Some(rest) = strip_kw2(stripped, "create", "index") {
-            return Ok(self.check_index_target(rest.trim(), src));
-        }
-        if starts_with_kw(stripped, "pnew") {
-            let (class, inits) = parse_pnew(stripped)?;
-            let inner = self.inner.read();
-            return Ok(analyze_stmt(
-                &inner.schema,
-                Some(&catalog_view(&inner)),
-                src,
-                &StmtKind::Pnew {
-                    class: &class,
-                    inits: &inits,
-                },
-            ));
-        }
-        if starts_with_kw(stripped, "update") {
-            let (query, assigns) = parse_update(stripped)?;
-            let inner = self.inner.read();
-            return Ok(analyze_stmt(
-                &inner.schema,
-                Some(&catalog_view(&inner)),
-                src,
-                &StmtKind::Update {
-                    bindings: &query.bindings,
-                    suchthat: query.suchthat.as_ref(),
-                    assigns: &assigns,
-                },
-            ));
-        }
-        if starts_with_kw(stripped, "delete") {
-            let query = parse_delete(stripped)?;
-            let inner = self.inner.read();
-            return Ok(analyze_stmt(
-                &inner.schema,
-                Some(&catalog_view(&inner)),
-                src,
-                &StmtKind::Delete {
-                    bindings: &query.bindings,
-                    suchthat: query.suchthat.as_ref(),
-                },
-            ));
-        }
-        if starts_with_kw(stripped, "forall") || starts_with_kw(stripped, "for") {
-            let query = parse_query(stripped)?;
-            let inner = self.inner.read();
-            return Ok(analyze_stmt(
-                &inner.schema,
-                Some(&catalog_view(&inner)),
-                src,
-                &StmtKind::Query {
-                    bindings: &query.bindings,
-                    suchthat: query.suchthat.as_ref(),
-                    by: query.by.as_ref().map(|(e, desc)| (e, *desc)),
-                },
-            ));
-        }
-        // Version ops, trigger activation, and anything else without a
-        // statically analyzable shape: nothing to check here.
-        Ok(Vec::new())
-    }
-
-    /// DDL-time analysis (§5 constraints, §6 triggers): apply the
-    /// definitions to a scratch copy of the schema, then run the
-    /// schema-level passes on each new class. Definition errors (dup
-    /// class, unknown base, bad field refs) are left for the real
-    /// `define` to report with their original error type.
-    fn analyze_ddl(&self, src: &str) -> Result<Vec<Diagnostic>> {
-        let builders = ode_model::parse_classes(src)?;
-        let mut scratch = self.inner.read().schema.clone();
-        let mut diags = Vec::new();
-        for b in builders {
-            match scratch.define(b) {
-                Ok(id) => diags.extend(analyze_class(&scratch, id)),
-                Err(_) => break,
-            }
+    /// [`Database::analyze`], rejecting on error-severity diagnostics and
+    /// handing back the warnings otherwise.
+    pub fn gate(&self, stmt: &Statement, src: &str) -> Result<Vec<Diagnostic>> {
+        let diags = self.analyze(stmt, src);
+        if has_errors(&diags) {
+            return Err(OdeError::Analysis(diags));
         }
         Ok(diags)
     }
 
-    /// `create cluster <class>`: the class must be defined.
-    fn check_class_exists(&self, class: &str, src: &str) -> Vec<Diagnostic> {
-        if class.is_empty() || class.split_whitespace().count() != 1 {
-            return Vec::new(); // malformed: the executor reports usage
-        }
-        let inner = self.inner.read();
-        if inner.schema.class_by_name(class).is_err() {
-            return vec![unknown_class(class, src)];
-        }
-        Vec::new()
+    /// Parse one statement and compute its static access footprint —
+    /// [`parse_statement`] then [`Database::footprint`]. Parse errors
+    /// propagate so callers can distinguish "no footprint" from "not a
+    /// statement".
+    pub fn statement_footprint(&self, src: &str) -> Result<Option<Footprint>> {
+        Ok(self.footprint(&parse_statement(src)?))
     }
 
-    /// `create index <class> <field>`: class and member must exist.
-    fn check_index_target(&self, rest: &str, src: &str) -> Vec<Diagnostic> {
-        let parts: Vec<&str> = rest.split_whitespace().collect();
-        let [class, field] = parts.as_slice() else {
-            return Vec::new(); // malformed: the executor reports usage
+    /// Compute the static access footprint of one parsed statement
+    /// (DESIGN.md §14): the clusters it reads and writes, with the
+    /// key-predicate ranges and index the analyzer can prove. `None` for
+    /// statements without an analyzable shape (DDL, trigger activation).
+    ///
+    /// A footprint with no writes is a *read-only proof*: the statement
+    /// cannot touch the write-txn machinery, so executors may run it on
+    /// the snapshot path.
+    pub fn footprint(&self, stmt: &Statement) -> Option<Footprint> {
+        let fp = {
+            let inner = self.inner.read();
+            footprint_of(&inner.schema, Some(&catalog_view(&inner)), stmt)?
         };
-        let inner = self.inner.read();
-        let Ok(def) = inner.schema.class_by_name(class) else {
-            return vec![unknown_class(class, src)];
-        };
-        if def.field(field).is_err() {
-            return vec![Diagnostic::unknown_member(&def.name, field, src)];
+        self.tel.analyze.footprints.inc();
+        if fp.read_only() {
+            self.tel.analyze.read_only_proofs.inc();
         }
-        Vec::new()
+        Some(fp)
     }
-}
-
-/// Owned statement pieces backing the borrowed [`StmtKind`] that
-/// [`Database::statement_footprint`] hands the analyzer.
-enum OwnedStmt {
-    Pnew {
-        class: String,
-        inits: Vec<(String, ode_model::Expr)>,
-    },
-    Update {
-        assigns: Vec<(String, ode_model::Expr)>,
-    },
-    Delete,
-    Query,
-}
-
-fn unknown_class(class: &str, src: &str) -> Diagnostic {
-    Diagnostic::unknown_class(class, src)
 }
 
 /// First few words of a statement, for span details (bounded so one huge
@@ -295,25 +120,5 @@ fn head_of(src: &str) -> String {
 fn catalog_view(inner: &crate::database::DbInner) -> CatalogView {
     CatalogView {
         indexed: inner.indexes.keys().cloned().collect(),
-    }
-}
-
-/// Does `src` start with keyword `kw` followed by a word boundary?
-fn starts_with_kw(src: &str, kw: &str) -> bool {
-    src.strip_prefix(kw)
-        .is_some_and(|rest| rest.is_empty() || rest.starts_with(|c: char| !c.is_alphanumeric()))
-}
-
-/// Strip two leading keywords (`create cluster`, `create index`).
-fn strip_kw2<'a>(src: &'a str, a: &str, b: &str) -> Option<&'a str> {
-    let rest = src.strip_prefix(a)?;
-    if !rest.starts_with(char::is_whitespace) {
-        return None;
-    }
-    let rest = rest.trim_start().strip_prefix(b)?;
-    if rest.is_empty() || rest.starts_with(char::is_whitespace) {
-        Some(rest)
-    } else {
-        None
     }
 }

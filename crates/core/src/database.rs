@@ -27,11 +27,11 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use ode_model::encode::{decode_class, encode_class};
-use ode_model::{ClassBuilder, ClassId, FieldRange, ObjState, Oid, Schema, Value};
+use ode_model::{ClassBuilder, ClassId, FieldRange, ObjState, Oid, Schema, Statement, Value};
 use ode_obs::{
     EngineTelemetry, FlightRecorder, QueryProfile, SlowQueryLog, SpanStage, StorageSnapshot,
-    TelemetrySnapshot, TraceEvent, TracePhase, TraceScope, TraceSink, WorkStatRow, WorkloadStats,
-    DEFAULT_FLIGHT_CAPACITY, DEFAULT_SLOW_THRESHOLD_NS,
+    TelemetrySnapshot, WorkStatRow, WorkloadStats, DEFAULT_FLIGHT_CAPACITY,
+    DEFAULT_SLOW_THRESHOLD_NS,
 };
 use ode_storage::{CommitTicket, FileStore, MemStore, Store, StoreOp, StoreStats};
 
@@ -286,12 +286,9 @@ pub struct Database {
     /// Statements slower than the configured threshold, with their plans
     /// and per-stage span timings.
     pub(crate) slowlog: SlowQueryLog,
-    /// Optional span-event sink (tracing layer).
-    pub(crate) trace: RwLock<Option<TraceSink>>,
     /// Accumulated per-query-shape profiles, keyed by `target | strategy`.
     pub(crate) profiles: RwLock<HashMap<String, ProfileBucket>>,
     pub(crate) next_txn_serial: AtomicU64,
-    pub(crate) next_query_serial: AtomicU64,
 }
 
 impl Database {
@@ -441,10 +438,8 @@ impl Database {
             tel: EngineTelemetry::default(),
             flight,
             workstats,
-            trace: RwLock::new(None),
             profiles: RwLock::new(HashMap::new()),
             next_txn_serial: AtomicU64::new(1),
-            next_query_serial: AtomicU64::new(1),
         })
     }
 
@@ -475,30 +470,17 @@ impl Database {
     /// passes (§5 constraint contradictions, §6 trigger cycles, type
     /// checks) must come back clean before anything touches the catalog.
     pub fn define_class(&self, builder: ClassBuilder) -> Result<ClassId> {
-        {
-            let start = std::time::Instant::now();
-            let mut scratch = self.inner.read().schema.clone();
-            // Definition errors (duplicate class, unknown base, bad
-            // field refs) are reported by the real `define` below with
-            // their original error type; only analyzer findings reject
-            // here.
-            let diags = match scratch.define(builder.clone()) {
-                Ok(id) => ode_analyze::analyze_class(&scratch, id),
-                Err(_) => Vec::new(),
-            };
-            let tel = &self.tel.analyze;
-            tel.passes.inc();
-            tel.latency.record_ns(start.elapsed().as_nanos() as u64);
-            for d in &diags {
-                match d.severity {
-                    ode_analyze::Severity::Error => tel.errors.inc(),
-                    ode_analyze::Severity::Warning => tel.warnings.inc(),
-                }
-            }
-            if ode_analyze::has_errors(&diags) {
-                return Err(OdeError::Analysis(diags));
-            }
-        }
+        // Definition errors (duplicate class, unknown base, bad field
+        // refs) are reported by the real `define` below with their
+        // original error type; only analyzer findings reject here.
+        self.gate(&Statement::Class(vec![builder.clone()]), "")?;
+        self.define_class_unchecked(builder)
+    }
+
+    /// Define a class whose analysis the caller has already run
+    /// ([`Database::gate`] over the whole `class …` statement) — the
+    /// second half of [`Database::define_class`].
+    pub fn define_class_unchecked(&self, builder: ClassBuilder) -> Result<ClassId> {
         // DDL claims an epoch and stamps the schema (conflicting every
         // in-flight writer that began earlier), waits its publish turn,
         // and applies under the exclusive apply gate. The claimed epoch
@@ -1188,34 +1170,6 @@ impl Database {
             map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
-    }
-
-    /// Install (or with `None`, remove) a span-event sink. The sink is
-    /// invoked synchronously from the engine thread on transaction, query,
-    /// and trigger begin/end; it must be cheap and must not re-enter the
-    /// database.
-    pub fn set_trace_sink(&self, sink: Option<TraceSink>) {
-        *self.trace.write() = sink;
-    }
-
-    /// Emit a span event if a sink is installed. `detail` is deferred so
-    /// the common no-sink case allocates nothing.
-    pub(crate) fn trace_event(
-        &self,
-        scope: TraceScope,
-        phase: TracePhase,
-        id: u64,
-        detail: impl FnOnce() -> String,
-    ) {
-        let guard = self.trace.read();
-        if let Some(sink) = guard.as_ref() {
-            sink(&TraceEvent {
-                scope,
-                phase,
-                id,
-                detail: detail(),
-            });
-        }
     }
 
     // --------------------------------------------------- observability

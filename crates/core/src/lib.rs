@@ -41,7 +41,7 @@ pub use ode_obs as obs;
 
 /// Static-analysis diagnostics and footprints (re-export of
 /// `ode-analyze`).
-pub use ode_analyze::{batch_interference, Diagnostic, Footprint, Severity};
+pub use ode_analyze::{batch_interference, has_errors, Diagnostic, Footprint, Severity};
 
 pub use backup::DumpStats;
 pub use database::{
@@ -51,10 +51,10 @@ pub use database::{
 pub use error::{OdeError, Result};
 pub use obs::{
     render_spans, FlightRecorder, PlanStrategy, QueryProfile, SlowQuery, SlowQueryLog, SpanRecord,
-    SpanStage, TelemetrySnapshot, TraceEvent, TraceId, TracePhase, TraceScope, TraceSink,
-    WorkStatRow,
+    SpanStage, TelemetrySnapshot, TraceId, WorkStatRow,
 };
-pub use oql::{parse_query, ExecResult, QueryRows, QueryStmt};
+pub use ode_model::{parse_statement, Statement};
+pub use oql::{parse_query, Binding, ExecResult, QueryRows, QueryStmt};
 pub use query::{Forall, ForallJoin};
 pub use read::{ReadContext, ReadTransaction};
 pub use trigger::{CommitInfo, CommitNote, FiredTrigger, PendingEvent, TriggerFailure, TriggerId};
@@ -71,5 +71,5 @@ pub mod prelude {
     pub use crate::typed::{OdeInstance, Persistent};
     pub use ode_analyze::{Diagnostic, Severity};
     pub use ode_model::{ClassBuilder, Expr, ObjState, Oid, SetValue, Type, Value, VersionRef};
-    pub use ode_obs::{QueryProfile, TelemetrySnapshot, TraceEvent, TraceSink};
+    pub use ode_obs::{QueryProfile, TelemetrySnapshot};
 }

@@ -6,19 +6,13 @@
 //! for all x in cluster [suchthat (condition)] [by (expression)] statement
 //! ```
 //!
-//! This module parses that statement form (accepting both `forall` and
-//! `for all`) and executes it through the [`crate::query`] machinery, so a
-//! whole query can be written as one string:
+//! `ode_model::parse_statement` reads that form (and the DML/DDL around
+//! it) into one typed [`Statement`]; this module *executes* statements
+//! through the [`crate::query`] machinery. [`Transaction::run`] and
+//! [`ReadTransaction::run`] take the parsed statement and do no parsing
+//! and no analysis; the `execute(&str)` conveniences are parse → gate →
+//! run.
 //!
-//! ```text
-//! forall e in employee, d in department suchthat (e.deptno == d.dno)
-//! forall p in person suchthat (p is student && income > 1000) by (name) desc
-//! forall s in only stockitem suchthat (quantity < 10)
-//! ```
-//!
-//! * several `var in cluster` bindings make a join (§3.1),
-//! * `only` before the cluster name restricts to the exact class
-//!   (otherwise iteration covers the cluster hierarchy, §3.1.1),
 //! * in single-variable queries the variable is bound, so qualified
 //!   (`e.deptno`), bare (`deptno`), and `is`-test forms all work and
 //!   indexed conjuncts are planned through the secondary indexes,
@@ -29,24 +23,19 @@
 
 use std::collections::HashMap;
 
-use ode_model::{extract_field_ranges, parse_expr, Expr, FieldRange, ModelError, Oid};
+use ode_model::{
+    extract_field_ranges, parse_statement, EvalCtx, Expr, FieldRange, ModelError, Oid, Statement,
+    Value,
+};
 use ode_obs::QueryProfile;
+
+pub use ode_model::{Binding, QueryStmt};
 
 use crate::error::{OdeError, Result};
 use crate::query::{new_forall, new_forall_join};
 use crate::read::{ReadContext, ReadTransaction};
+use crate::trigger::TriggerId;
 use crate::txn::Transaction;
-
-/// A parsed query statement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryStmt {
-    /// `(variable, cluster, deep)` bindings, in order.
-    pub bindings: Vec<(String, String, bool)>,
-    /// The `suchthat` predicate.
-    pub suchthat: Option<Expr>,
-    /// The `by` key and descending flag (single-variable queries only).
-    pub by: Option<(Expr, bool)>,
-}
 
 /// The key ranges a DML statement's `suchthat` provably pins on its
 /// (single) loop variable — the write half of the footprint the analyzer
@@ -54,7 +43,7 @@ pub struct QueryStmt {
 /// sets depend on the other bindings.
 fn suchthat_ranges(stmt: &QueryStmt) -> Vec<FieldRange> {
     match (&stmt.bindings[..], &stmt.suchthat) {
-        ([(var, _, _)], Some(pred)) => extract_field_ranges(pred, Some(var.as_str())),
+        ([b], Some(pred)) => extract_field_ranges(pred, Some(b.var.as_str())),
         _ => Vec::new(),
     }
 }
@@ -102,208 +91,12 @@ impl QueryRows {
 
 /// Parse a `forall …` statement.
 pub fn parse_query(src: &str) -> Result<QueryStmt> {
-    let mut p = Lex { src, at: 0 };
-    // `forall` or `for all`.
-    let opener = p.eat_kw("forall") || (p.eat_kw("for") && p.eat_kw("all"));
-    if !opener {
-        return Err(p.err("expected `forall`"));
-    }
-    let mut bindings = Vec::new();
-    loop {
-        let var = p.ident()?;
-        if !p.eat_kw("in") {
-            return Err(p.err("expected `in` after the loop variable"));
-        }
-        let deep = !p.eat_kw("only");
-        let cluster = p.ident()?;
-        bindings.push((var, cluster, deep));
-        if !p.eat_sym(",") {
-            break;
-        }
-    }
-    let mut suchthat = None;
-    if p.eat_kw("suchthat") {
-        suchthat = Some(p.paren_expr()?);
-    }
-    let mut by = None;
-    if p.eat_kw("by") {
-        let key = p.paren_expr()?;
-        let desc = p.eat_kw("desc");
-        by = Some((key, desc));
-    }
-    p.skip_ws();
-    if !p.at_end() {
-        return Err(p.err(format!(
-            "unexpected trailing input `{}`",
-            p.rest().chars().take(16).collect::<String>()
-        )));
-    }
-    // Duplicate variable names would make bindings ambiguous.
-    for i in 0..bindings.len() {
-        for j in i + 1..bindings.len() {
-            if bindings[i].0 == bindings[j].0 {
-                return Err(OdeError::Usage(format!(
-                    "loop variable `{}` is bound twice",
-                    bindings[i].0
-                )));
-            }
-        }
-    }
-    Ok(QueryStmt {
-        bindings,
-        suchthat,
-        by,
-    })
-}
-
-struct Lex<'a> {
-    src: &'a str,
-    at: usize,
-}
-
-impl<'a> Lex<'a> {
-    fn rest(&self) -> &'a str {
-        &self.src[self.at..]
-    }
-
-    fn at_end(&self) -> bool {
-        self.rest().trim().is_empty()
-    }
-
-    fn err(&self, message: impl Into<String>) -> OdeError {
-        OdeError::Model(ModelError::Parse {
-            message: message.into(),
-            at: self.at,
-        })
-    }
-
-    fn skip_ws(&mut self) {
-        let rest = self.rest();
-        let trimmed = rest.trim_start();
-        self.at += rest.len() - trimmed.len();
-    }
-
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        self.skip_ws();
-        let rest = self.rest();
-        if let Some(tail) = rest.strip_prefix(kw) {
-            let after = tail.chars().next();
-            if !matches!(after, Some(c) if c.is_ascii_alphanumeric() || c == '_') {
-                self.at += kw.len();
-                return true;
-            }
-        }
-        false
-    }
-
-    fn eat_sym(&mut self, sym: &str) -> bool {
-        self.skip_ws();
-        if self.rest().starts_with(sym) {
-            self.at += sym.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        self.skip_ws();
-        let rest = self.rest();
-        let mut end = 0;
-        for (i, c) in rest.char_indices() {
-            if (i == 0 && (c.is_ascii_alphabetic() || c == '_'))
-                || (i > 0 && (c.is_ascii_alphanumeric() || c == '_'))
-            {
-                end = i + c.len_utf8();
-            } else {
-                break;
-            }
-        }
-        if end == 0 {
-            return Err(self.err(format!(
-                "expected an identifier, found `{}`",
-                rest.chars().take(12).collect::<String>()
-            )));
-        }
-        self.at += end;
-        Ok(rest[..end].to_string())
-    }
-
-    /// Capture raw text up to a top-level occurrence of any stop char
-    /// (respecting nested parens and string literals), leaving the stop
-    /// character unconsumed. End of input is also a valid stop.
-    fn take_until_any(&mut self, stops: &[char]) -> Result<String> {
-        self.skip_ws();
-        let rest = self.rest();
-        let mut depth = 0usize;
-        let mut in_str: Option<char> = None;
-        let mut end = rest.len();
-        for (i, c) in rest.char_indices() {
-            match in_str {
-                Some(q) => {
-                    if c == q {
-                        in_str = None;
-                    }
-                }
-                None => match c {
-                    '\'' | '"' => in_str = Some(c),
-                    '(' => depth += 1,
-                    ')' if depth > 0 => depth -= 1,
-                    _ if depth == 0 && stops.contains(&c) => {
-                        end = i;
-                        break;
-                    }
-                    _ => {}
-                },
-            }
-        }
-        let text = rest[..end].trim().to_string();
-        if text.is_empty() {
-            return Err(self.err("expected an expression"));
-        }
-        self.at += end;
-        Ok(text)
-    }
-
-    /// Parse a parenthesized expression, respecting nested parens and
-    /// string literals.
-    fn paren_expr(&mut self) -> Result<Expr> {
-        self.skip_ws();
-        if !self.eat_sym("(") {
-            return Err(self.err("expected `(`"));
-        }
-        let rest = self.rest();
-        let mut depth = 1usize;
-        let mut in_str: Option<char> = None;
-        let mut end = None;
-        for (i, c) in rest.char_indices() {
-            match in_str {
-                Some(q) => {
-                    if c == q {
-                        in_str = None;
-                    }
-                }
-                None => match c {
-                    '\'' | '"' => in_str = Some(c),
-                    '(' => depth += 1,
-                    ')' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = Some(i);
-                            break;
-                        }
-                    }
-                    _ => {}
-                },
-            }
-        }
-        let Some(end) = end else {
-            return Err(self.err("unbalanced parenthesis in clause"));
-        };
-        let text = &rest[..end];
-        let expr = parse_expr(text)?;
-        self.at += end + 1;
-        Ok(expr)
+    match parse_statement(src)? {
+        Statement::Forall(query) => Ok(query),
+        _ => Err(OdeError::Model(ModelError::Parse {
+            message: "expected `forall`".into(),
+            at: 0,
+        })),
     }
 }
 
@@ -313,7 +106,7 @@ impl<'db> Transaction<'db> {
     pub fn query(&mut self, src: &str) -> Result<QueryRows> {
         self.ensure_live()?;
         let stmt = parse_query(src)?;
-        self.run_stmt(stmt)
+        run_query(self, &stmt, &mut QueryProfile::default())
             .map_err(|e| with_statement_context(e, src))
     }
 
@@ -332,10 +125,6 @@ impl<'db> Transaction<'db> {
         Ok(maps.len())
     }
 
-    fn run_stmt(&mut self, stmt: QueryStmt) -> Result<QueryRows> {
-        run_stmt_ctx(self, stmt, &mut QueryProfile::default())
-    }
-
     /// Execute any statement — query or DML — returning what it produced.
     ///
     /// ```text
@@ -346,82 +135,93 @@ impl<'db> Transaction<'db> {
     /// delete s in stockitem suchthat (quantity == 0)        → Deleted(n)
     /// ```
     ///
-    /// DML runs inside this transaction: constraints apply per update
-    /// (§5), and trigger conditions are evaluated when the transaction
-    /// commits (§6).
+    /// Parse → gate → [`Transaction::run`]. The front-end runs first
+    /// (DESIGN.md §9): a statement the analyzer rejects does no
+    /// transaction work at all.
     pub fn execute(&mut self, src: &str) -> Result<ExecResult> {
         self.ensure_live()?;
-        // The front-end runs first (DESIGN.md §9): a statement the
-        // analyzer rejects does no transaction work at all.
-        self.db.analysis_gate(src)?;
-        self.execute_unchecked(src)
-            .map_err(|e| with_statement_context(e, src))
+        let stmt = parse_statement(src)?;
+        self.db.gate(&stmt, src)?;
+        self.run(&stmt).map_err(|e| with_statement_context(e, src))
     }
 
-    fn execute_unchecked(&mut self, src: &str) -> Result<ExecResult> {
-        let trimmed = src.trim_start();
-        if let Some(rest) = trimmed.strip_prefix("explain") {
-            if rest.starts_with(char::is_whitespace) {
-                let stmt = parse_query(rest)?;
-                let mut prof = QueryProfile::default();
-                run_stmt_ctx(self, stmt, &mut prof)?;
-                return Ok(ExecResult::Explain(prof));
+    /// Run one parsed (and, by the caller, analyzed) statement: no
+    /// parsing and no gating happen here.
+    ///
+    /// DML runs inside this transaction: constraints apply per update
+    /// (§5), and trigger conditions are evaluated when the transaction
+    /// commits (§6). DDL is not transactional — it runs on the
+    /// [`crate::Database`] — and is a usage error here.
+    pub fn run(&mut self, stmt: &Statement) -> Result<ExecResult> {
+        self.ensure_live()?;
+        match stmt {
+            Statement::Pnew { class, inits } => {
+                let values = self.eval_free(inits.iter().map(|(_, expr)| expr))?;
+                let pairs: Vec<(&str, Value)> = inits
+                    .iter()
+                    .map(|(field, _)| field.as_str())
+                    .zip(values)
+                    .collect();
+                Ok(ExecResult::Created(self.pnew(class, &pairs)?))
             }
-        }
-        if trimmed.starts_with("pnew") {
-            let (class, inits) = parse_pnew(src)?;
-            let mut pairs = Vec::new();
-            {
-                let inner = self.db.inner.read();
-                for (field, expr) in &inits {
-                    let v = ode_model::EvalCtx::new(&inner.schema).eval(expr)?;
-                    pairs.push((field.clone(), v));
+            Statement::Update { target, assigns } => {
+                let oids = self.dml_targets(target)?;
+                let n = oids.len();
+                for oid in oids {
+                    self.update(oid, |w| {
+                        for (field, expr) in assigns {
+                            // Assignments see the object's *pre-statement*
+                            // fields through the writer (left-to-right within
+                            // one object, as in a C++ body).
+                            let state = ObjStateView(w);
+                            let v = state.eval(expr)?;
+                            w.set(field, v)?;
+                        }
+                        Ok(())
+                    })?;
                 }
+                Ok(ExecResult::Updated(n))
             }
-            let init_refs: Vec<(&str, ode_model::Value)> =
-                pairs.iter().map(|(f, v)| (f.as_str(), v.clone())).collect();
-            let oid = self.pnew(&class, &init_refs)?;
-            return Ok(ExecResult::Created(oid));
-        }
-        if trimmed.starts_with("update") {
-            let (query, assigns) = parse_update(src)?;
-            let ranges = suchthat_ranges(&query);
-            let rows = self.run_stmt(query)?;
-            let oids = rows.oids()?;
-            let n = oids.len();
-            // Self-verifying note: commit re-checks that every written
-            // object really sat inside `ranges` and only the assigned
-            // fields moved, then stamps the heap with the ranges instead
-            // of a whole-heap stamp (narrowed validation, DESIGN.md §14).
-            self.note_ranged_write(oids.clone(), ranges);
-            for oid in oids {
-                self.update(oid, |w| {
-                    for (field, expr) in &assigns {
-                        // Assignments see the object's *pre-statement*
-                        // fields through the writer (left-to-right within
-                        // one object, as in a C++ body).
-                        let state = ObjStateView(w);
-                        let v = state.eval(expr)?;
-                        w.set(field, v)?;
-                    }
-                    Ok(())
-                })?;
+            Statement::Delete(target) => {
+                let oids = self.dml_targets(target)?;
+                let n = oids.len();
+                for oid in oids {
+                    self.pdelete(oid)?;
+                }
+                Ok(ExecResult::Deleted(n))
             }
-            return Ok(ExecResult::Updated(n));
-        }
-        if trimmed.starts_with("delete") {
-            let query = parse_delete(src)?;
-            let ranges = suchthat_ranges(&query);
-            let rows = self.run_stmt(query)?;
-            let oids = rows.oids()?;
-            let n = oids.len();
-            self.note_ranged_write(oids.clone(), ranges);
-            for oid in oids {
-                self.pdelete(oid)?;
+            Statement::Activate { trigger, oid, args } => {
+                let args = self.eval_free(args.iter())?;
+                Ok(ExecResult::Activated(
+                    self.activate_trigger(*oid, trigger, args)?,
+                ))
             }
-            return Ok(ExecResult::Deleted(n));
+            Statement::Deactivate { id } => {
+                self.deactivate_trigger(TriggerId(*id))?;
+                Ok(ExecResult::Deactivated(TriggerId(*id)))
+            }
+            _ => run_read(self, stmt),
         }
-        Ok(ExecResult::Rows(self.query(src)?))
+    }
+
+    /// Evaluate expressions with no object in scope (`pnew` initializers,
+    /// `activate` arguments).
+    fn eval_free<'e>(&self, exprs: impl Iterator<Item = &'e Expr>) -> Result<Vec<Value>> {
+        let inner = self.db.inner.read();
+        let ctx = EvalCtx::new(&inner.schema);
+        exprs.map(|e| Ok(ctx.eval(e)?)).collect()
+    }
+
+    /// The objects an `update`/`delete` touches, noted as a ranged write.
+    ///
+    /// Self-verifying note: commit re-checks that every written object
+    /// really sat inside the `suchthat` ranges and only the assigned
+    /// fields moved, then stamps the heap with the ranges instead of a
+    /// whole-heap stamp (narrowed validation, DESIGN.md §14).
+    fn dml_targets(&mut self, target: &QueryStmt) -> Result<Vec<Oid>> {
+        let oids = run_query(self, target, &mut QueryProfile::default())?.oids()?;
+        self.note_ranged_write(oids.clone(), suchthat_ranges(target));
+        Ok(oids)
     }
 }
 
@@ -430,62 +230,71 @@ impl ReadTransaction<'_> {
     /// materialize the qualifying bindings.
     pub fn query(&mut self, src: &str) -> Result<QueryRows> {
         let stmt = parse_query(src)?;
-        run_stmt_ctx(self, stmt, &mut QueryProfile::default())
+        run_query(self, &stmt, &mut QueryProfile::default())
             .map_err(|e| with_statement_context(e, src))
     }
 
-    /// Execute a read-only statement: `forall` queries and `explain`.
-    /// DML (`pnew`/`update … set`/`delete`) needs a write transaction —
-    /// requesting it here is a usage error, not a silent no-op.
+    /// Execute a read-only statement — parse → gate →
+    /// [`ReadTransaction::run`].
     pub fn execute(&mut self, src: &str) -> Result<ExecResult> {
-        // Front-end first, as in `Transaction::execute`.
-        self.db.analysis_gate(src)?;
-        let trimmed = src.trim_start();
-        if let Some(rest) = trimmed.strip_prefix("explain") {
-            if rest.starts_with(char::is_whitespace) {
-                let stmt = parse_query(rest)?;
-                let mut prof = QueryProfile::default();
-                run_stmt_ctx(self, stmt, &mut prof)?;
-                return Ok(ExecResult::Explain(prof));
-            }
+        let stmt = parse_statement(src)?;
+        self.db.gate(&stmt, src)?;
+        self.run(&stmt).map_err(|e| with_statement_context(e, src))
+    }
+
+    /// Run one parsed (and, by the caller, analyzed) read-only statement:
+    /// `forall` queries and `explain`. Anything else needs a write
+    /// transaction (or, for DDL, the database) — requesting it here is a
+    /// usage error, not a silent no-op.
+    pub fn run(&mut self, stmt: &Statement) -> Result<ExecResult> {
+        run_read(self, stmt)
+    }
+}
+
+/// The statements either transaction kind can run.
+fn run_read<C: ReadContext>(tx: &mut C, stmt: &Statement) -> Result<ExecResult> {
+    let mut prof = QueryProfile::default();
+    match stmt {
+        Statement::Forall(query) => Ok(ExecResult::Rows(run_query(tx, query, &mut prof)?)),
+        Statement::Explain(query) => {
+            run_query(tx, query, &mut prof)?;
+            Ok(ExecResult::Explain(prof))
         }
-        for kw in ["pnew", "update", "delete"] {
-            if trimmed.starts_with(kw) {
-                return Err(OdeError::Usage(format!(
-                    "`{kw}` mutates the database; a read transaction only runs `forall`/`explain`"
-                )));
-            }
-        }
-        Ok(ExecResult::Rows(self.query(src)?))
+        Statement::Class(_)
+        | Statement::CreateCluster { .. }
+        | Statement::DestroyCluster { .. }
+        | Statement::CreateIndex { .. } => Err(OdeError::Usage(
+            "DDL is not transactional; it runs on the Database".into(),
+        )),
+        _ => Err(OdeError::Usage(
+            "statement mutates the database; a read transaction only runs `forall`/`explain`"
+                .into(),
+        )),
     }
 }
 
 /// Execute a parsed query through either transaction kind, accumulating
 /// its execution profile — the engine behind `explain <query>`.
-fn run_stmt_ctx<C: ReadContext>(
+fn run_query<C: ReadContext>(
     tx: &mut C,
-    stmt: QueryStmt,
+    stmt: &QueryStmt,
     prof: &mut QueryProfile,
 ) -> Result<QueryRows> {
-    if stmt.bindings.len() == 1 {
-        let (var, cluster, deep) = stmt.bindings.into_iter().next().unwrap();
-        let mut q = new_forall(tx, &cluster)?.bind(&var);
-        if !deep {
+    let vars = stmt.bindings.iter().map(|b| b.var.clone()).collect();
+    if let [b] = &stmt.bindings[..] {
+        let mut q = new_forall(tx, &b.cluster)?.bind(&b.var);
+        if !b.deep {
             q = q.shallow();
         }
-        if let Some(pred) = stmt.suchthat {
-            q = q.suchthat_expr(pred);
+        if let Some(pred) = &stmt.suchthat {
+            q = q.suchthat_expr(pred.clone());
         }
-        if let Some((key, desc)) = stmt.by {
-            q = if desc {
-                q.by_desc(&key.to_string())?
-            } else {
-                q.by(&key.to_string())?
-            };
+        if let Some((key, desc)) = &stmt.by {
+            q = q.by_expr(key.clone(), *desc);
         }
         let oids = q.collect_oids_profiled(prof)?;
         return Ok(QueryRows {
-            vars: vec![var],
+            vars,
             rows: oids.into_iter().map(|o| vec![o]).collect(),
         });
     }
@@ -495,27 +304,23 @@ fn run_stmt_ctx<C: ReadContext>(
             "`by` is only supported on single-variable queries".into(),
         ));
     }
-    for (var, _, deep) in &stmt.bindings {
-        if !deep {
-            return Err(OdeError::Usage(format!(
-                "`only` on join variable `{var}` is not supported"
-            )));
-        }
+    if let Some(b) = stmt.bindings.iter().find(|b| !b.deep) {
+        return Err(OdeError::Usage(format!(
+            "`only` on join variable `{}` is not supported",
+            b.var
+        )));
     }
-    let vars: Vec<(&str, &str)> = stmt
+    let pairs: Vec<(&str, &str)> = stmt
         .bindings
         .iter()
-        .map(|(v, c, _)| (v.as_str(), c.as_str()))
+        .map(|b| (b.var.as_str(), b.cluster.as_str()))
         .collect();
-    let mut q = new_forall_join(tx, &vars)?;
-    if let Some(pred) = stmt.suchthat {
-        q = q.suchthat_expr(pred);
+    let mut q = new_forall_join(tx, &pairs)?;
+    if let Some(pred) = &stmt.suchthat {
+        q = q.suchthat_expr(pred.clone());
     }
     let rows = q.collect_profiled(prof)?;
-    Ok(QueryRows {
-        vars: stmt.bindings.into_iter().map(|(v, ..)| v).collect(),
-        rows,
-    })
+    Ok(QueryRows { vars, rows })
 }
 
 /// Helper: evaluate an expression against an in-progress [`ObjWriter`].
@@ -530,7 +335,7 @@ impl ObjStateView<'_, '_> {
     }
 }
 
-/// Result of [`Transaction::execute`].
+/// Result of [`Transaction::run`] / [`Transaction::execute`].
 #[derive(Debug, Clone)]
 pub enum ExecResult {
     /// A `forall` query's bindings.
@@ -543,115 +348,10 @@ pub enum ExecResult {
     Deleted(usize),
     /// `explain <query>`: the executed query's plan and profile.
     Explain(QueryProfile),
-}
-
-/// Parse `pnew <class> (field = expr, ...)`.
-pub(crate) fn parse_pnew(src: &str) -> Result<(String, Vec<(String, Expr)>)> {
-    let mut p = Lex { src, at: 0 };
-    if !p.eat_kw("pnew") {
-        return Err(p.err("expected `pnew`"));
-    }
-    let class = p.ident()?;
-    let mut inits = Vec::new();
-    p.skip_ws();
-    if p.eat_sym("(") {
-        p.skip_ws();
-        if !p.eat_sym(")") {
-            loop {
-                let field = p.ident()?;
-                if !p.eat_sym("=") {
-                    return Err(p.err("expected `=` in initializer"));
-                }
-                let expr_src = p.take_until_any(&[',', ')'])?;
-                inits.push((field, parse_expr(&expr_src)?));
-                if p.eat_sym(")") {
-                    break;
-                }
-                if !p.eat_sym(",") {
-                    return Err(p.err("expected `,` or `)` in initializer list"));
-                }
-            }
-        }
-    }
-    p.skip_ws();
-    if !p.at_end() {
-        return Err(p.err("unexpected trailing input after pnew"));
-    }
-    Ok((class, inits))
-}
-
-/// Parse `update <var> in <class> [suchthat (…)] set f = expr [, …]`.
-pub(crate) fn parse_update(src: &str) -> Result<(QueryStmt, Vec<(String, Expr)>)> {
-    let mut p = Lex { src, at: 0 };
-    if !p.eat_kw("update") {
-        return Err(p.err("expected `update`"));
-    }
-    let var = p.ident()?;
-    if !p.eat_kw("in") {
-        return Err(p.err("expected `in`"));
-    }
-    let deep = !p.eat_kw("only");
-    let cluster = p.ident()?;
-    let suchthat = if p.eat_kw("suchthat") {
-        Some(p.paren_expr()?)
-    } else {
-        None
-    };
-    if !p.eat_kw("set") {
-        return Err(p.err("expected `set`"));
-    }
-    let mut assigns = Vec::new();
-    loop {
-        let field = p.ident()?;
-        if !p.eat_sym("=") {
-            return Err(p.err("expected `=` in assignment"));
-        }
-        let expr_src = p.take_until_any(&[','])?;
-        assigns.push((field, parse_expr(&expr_src)?));
-        if !p.eat_sym(",") {
-            break;
-        }
-    }
-    p.skip_ws();
-    if !p.at_end() {
-        return Err(p.err("unexpected trailing input after assignments"));
-    }
-    Ok((
-        QueryStmt {
-            bindings: vec![(var, cluster, deep)],
-            suchthat,
-            by: None,
-        },
-        assigns,
-    ))
-}
-
-/// Parse `delete <var> in <class> [suchthat (…)]`.
-pub(crate) fn parse_delete(src: &str) -> Result<QueryStmt> {
-    let mut p = Lex { src, at: 0 };
-    if !p.eat_kw("delete") {
-        return Err(p.err("expected `delete`"));
-    }
-    let var = p.ident()?;
-    if !p.eat_kw("in") {
-        return Err(p.err("expected `in`"));
-    }
-    let deep = !p.eat_kw("only");
-    let cluster = p.ident()?;
-    let suchthat = if p.eat_kw("suchthat") {
-        Some(p.paren_expr()?)
-    } else {
-        None
-    };
-    p.skip_ws();
-    if !p.at_end() {
-        return Err(p.err("unexpected trailing input after delete"));
-    }
-    Ok(QueryStmt {
-        bindings: vec![(var, cluster, deep)],
-        suchthat,
-        by: None,
-    })
+    /// `activate` armed this trigger activation.
+    Activated(TriggerId),
+    /// `deactivate` disarmed this trigger activation.
+    Deactivated(TriggerId),
 }
 
 /// Annotate eval-time unbound-variable failures with the statement they
@@ -686,36 +386,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn statement_forms_parse() {
-        let q = parse_query("forall p in person").unwrap();
-        assert_eq!(q.bindings, vec![("p".into(), "person".into(), true)]);
-        assert!(q.suchthat.is_none() && q.by.is_none());
-
+    fn parse_query_reads_forall_only() {
         let q = parse_query("for all p in only person suchthat (age > 21) by (name) desc").unwrap();
-        assert_eq!(q.bindings, vec![("p".into(), "person".into(), false)]);
+        assert_eq!(q.bindings.len(), 1);
+        assert!(!q.bindings[0].deep);
         assert!(q.suchthat.is_some());
         assert!(matches!(q.by, Some((_, true))));
-
-        let q = parse_query("forall e in employee, d in department suchthat (e.deptno == d.dno)")
-            .unwrap();
-        assert_eq!(q.bindings.len(), 2);
+        for not_a_query in ["select * from person", "delete p in person"] {
+            assert!(matches!(
+                parse_query(not_a_query),
+                Err(OdeError::Model(ModelError::Parse { .. }))
+            ));
+        }
     }
 
+    /// The `by` key reaches the query builder as the parsed `Expr`: a key
+    /// holding a quoted string (with a `)` and an escape-worthy quote in
+    /// it) orders correctly without an `Expr: Display` → `parse_expr`
+    /// round trip.
     #[test]
-    fn parse_errors() {
-        assert!(parse_query("select * from person").is_err());
-        assert!(parse_query("forall in person").is_err());
-        assert!(parse_query("forall p person").is_err());
-        assert!(parse_query("forall p in person suchthat age > 1").is_err());
-        assert!(parse_query("forall p in person suchthat (age > 1").is_err());
-        assert!(parse_query("forall p in person trailing junk").is_err());
-        assert!(parse_query("forall p in a, p in b").is_err(), "dup var");
-    }
-
-    #[test]
-    fn nested_parens_and_strings_in_clauses() {
-        let q = parse_query(r#"forall p in person suchthat ((age + 1) * 2 > 4 && name != "a)b")"#)
-            .unwrap();
-        assert!(q.suchthat.is_some());
+    fn by_key_with_a_quoted_string_runs() {
+        let db = crate::Database::in_memory();
+        db.define_from_source("class tag { string name; }").unwrap();
+        db.create_cluster("tag").unwrap();
+        let mut tx = db.begin();
+        for name in ["b", "a", "c"] {
+            tx.execute(&format!(r#"pnew tag (name = "{name}")"#))
+                .unwrap();
+        }
+        let rows = match tx
+            .execute(r#"forall t in tag by (name + ") 'x'") desc"#)
+            .unwrap()
+        {
+            ExecResult::Rows(rows) => rows.oids().unwrap(),
+            other => panic!("{other:?}"),
+        };
+        let names: Vec<Value> = rows.iter().map(|o| tx.get(*o, "name").unwrap()).collect();
+        assert_eq!(
+            names,
+            vec![Value::from("c"), Value::from("b"), Value::from("a")]
+        );
     }
 }

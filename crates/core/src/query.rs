@@ -32,7 +32,7 @@ use std::ops::Bound;
 
 use ode_model::eval::EvalCtx;
 use ode_model::{extract_field_ranges, parse_expr, BinOp, ClassId, Expr, ObjState, Oid, Value};
-use ode_obs::{PlanStrategy, QueryProfile, SpanStage, TracePhase, TraceScope};
+use ode_obs::{PlanStrategy, QueryProfile, SpanStage};
 
 use crate::database::DbInner;
 use crate::error::{OdeError, Result};
@@ -360,15 +360,19 @@ impl<'t, C: ReadContext> Forall<'t, C> {
     }
 
     /// Order ascending by an expression (the `by` clause).
-    pub fn by(mut self, src: &str) -> Result<Self> {
-        self.by = Some((parse_expr(src)?, Dir::Asc));
-        Ok(self)
+    pub fn by(self, src: &str) -> Result<Self> {
+        Ok(self.by_expr(parse_expr(src)?, false))
     }
 
     /// Order descending by an expression.
-    pub fn by_desc(mut self, src: &str) -> Result<Self> {
-        self.by = Some((parse_expr(src)?, Dir::Desc));
-        Ok(self)
+    pub fn by_desc(self, src: &str) -> Result<Self> {
+        Ok(self.by_expr(parse_expr(src)?, true))
+    }
+
+    /// Order by a pre-built key expression, descending when `desc`.
+    pub fn by_expr(mut self, key: Expr, desc: bool) -> Self {
+        self.by = Some((key, if desc { Dir::Desc } else { Dir::Asc }));
+        self
     }
 
     /// Bind the loop variable's name: `forall p in person` makes `p`
@@ -693,12 +697,6 @@ fn candidates<C: ReadContext>(
     prof: &mut QueryProfile,
 ) -> Result<Vec<Oid>> {
     let db = tx.db();
-    let serial = db
-        .next_query_serial
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    db.trace_event(TraceScope::Query, TracePhase::Begin, serial, || {
-        class_name.to_string()
-    });
     let mut span = db.flight.span(SpanStage::Execute, class_name);
     let mut pass = QueryProfile {
         target: class_name.to_string(),
@@ -908,9 +906,6 @@ fn candidates<C: ReadContext>(
     pass.rows = result.len() as u64;
     publish_pass(db, &pass);
     span.set_detail(format!("{} via {}", pass.target, pass.strategy));
-    db.trace_event(TraceScope::Query, TracePhase::End, serial, || {
-        format!("{} via {}", pass.target, pass.strategy)
-    });
     prof.absorb(&pass);
     Ok(result)
 }
@@ -1058,17 +1053,11 @@ fn collect_join<C: ReadContext>(
     prof: &mut QueryProfile,
 ) -> Result<Vec<Vec<Oid>>> {
     let db = tx.db();
-    let serial = db
-        .next_query_serial
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let target = vars
         .iter()
         .map(|(_, c)| c.as_str())
         .collect::<Vec<_>>()
         .join(",");
-    db.trace_event(TraceScope::Query, TracePhase::Begin, serial, || {
-        target.clone()
-    });
     let mut span = db.flight.span(SpanStage::Execute, target.as_str());
     let mut pass = QueryProfile {
         target: target.clone(),
@@ -1240,9 +1229,6 @@ fn collect_join<C: ReadContext>(
     }
     db.record_query_pass(&pass);
     span.set_detail(format!("{target} via {}", pass.strategy));
-    db.trace_event(TraceScope::Query, TracePhase::End, serial, || {
-        format!("{target} via {}", pass.strategy)
-    });
     prof.absorb(&pass);
     Ok(out)
 }

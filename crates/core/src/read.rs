@@ -27,7 +27,7 @@
 use std::collections::HashSet;
 
 use ode_model::{ClassId, ModelError, ObjState, Oid, Resolver, Value, VersionNo, VersionRef};
-use ode_obs::{SpanGuard, SpanStage, TracePhase, TraceScope};
+use ode_obs::{SpanGuard, SpanStage};
 
 use crate::database::Database;
 use crate::error::{OdeError, Result};
@@ -171,7 +171,6 @@ pub struct ReadTransaction<'db> {
     /// `inner`, and this guard is taken before any `inner` access.
     _apply: parking_lot::RwLockReadGuard<'db, ()>,
     epoch: u64,
-    serial: u64,
     /// Flight-recorder span covering the snapshot's lifetime.
     _flight_span: SpanGuard,
 }
@@ -187,14 +186,10 @@ impl<'db> ReadTransaction<'db> {
         let flight_span = db
             .flight
             .span(SpanStage::Txn, format!("read txn#{serial} epoch={epoch}"));
-        db.trace_event(TraceScope::Transaction, TracePhase::Begin, serial, || {
-            format!("begin read epoch={epoch}")
-        });
         ReadTransaction {
             db,
             _apply: apply,
             epoch,
-            serial,
             _flight_span: flight_span,
         }
     }
@@ -392,16 +387,6 @@ impl<'db> ReadTransaction<'db> {
     /// The database this snapshot reads.
     pub fn database(&self) -> &'db Database {
         self.db
-    }
-}
-
-impl Drop for ReadTransaction<'_> {
-    fn drop(&mut self) {
-        let serial = self.serial;
-        self.db
-            .trace_event(TraceScope::Transaction, TracePhase::End, serial, || {
-                "end read".to_string()
-            });
     }
 }
 

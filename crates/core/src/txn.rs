@@ -29,7 +29,7 @@ use ode_model::{
     ClassId, FieldRange, ModelError, ObjState, Oid, Resolver, TriggerAction, Value, VersionNo,
     VersionRef,
 };
-use ode_obs::{SpanGuard, SpanStage, TracePhase, TraceScope};
+use ode_obs::{SpanGuard, SpanStage};
 use ode_storage::{RecordId, StoreOp};
 
 use crate::catalog::{CatalogRecord, CATALOG_HEAP};
@@ -289,7 +289,7 @@ impl<'db> Transaction<'db> {
         // No gate: writers run concurrently, validating at commit. The
         // registration pins this begin epoch for stamp pruning.
         let begin_epoch = db.register_txn();
-        let tx = Transaction {
+        Transaction {
             db,
             begin_epoch,
             read_set: parking_lot::Mutex::new(HashMap::new()),
@@ -309,12 +309,7 @@ impl<'db> Transaction<'db> {
             serial,
             flight_span,
             defer_constraints: false,
-        };
-        tx.db
-            .trace_event(TraceScope::Transaction, TracePhase::Begin, serial, || {
-                format!("begin depth={depth}")
-            });
-        tx
+        }
     }
 
     /// Defer constraint checking to commit time for the rest of this
@@ -371,11 +366,6 @@ impl<'db> Transaction<'db> {
                 AbortCause::Conflict => {}
                 AbortCause::Other => tel.aborted_other.inc(),
             }
-            let serial = self.serial;
-            self.db
-                .trace_event(TraceScope::Transaction, TracePhase::End, serial, || {
-                    detail.to_string()
-                });
         }
     }
 
@@ -892,9 +882,6 @@ impl<'db> Transaction<'db> {
             .add((outcome.firings.len() + outcome.events.len()) as u64);
         self.flight_span.set_detail(format!("txn#{serial} commit"));
         drop(self); // deregister before running actions (they begin anew)
-        db.trace_event(TraceScope::Transaction, TracePhase::End, serial, || {
-            "commit".to_string()
-        });
         if let Some(note) = &outcome.note {
             db.notify_commit(note);
         }
@@ -1630,10 +1617,6 @@ pub(crate) fn run_firings(
         });
         db.tel.triggers.firings.inc();
         db.tel.triggers.max_cascade_depth.observe(depth as u64 + 1);
-        let act_id = firing.activation.id;
-        db.trace_event(TraceScope::Trigger, TracePhase::Begin, act_id, || {
-            firing.activation.trigger.clone()
-        });
         let mut trigger_span = db
             .flight
             .span(SpanStage::Trigger, firing.activation.trigger.as_str());
@@ -1641,16 +1624,12 @@ pub(crate) fn run_firings(
             let mut tx = Transaction::new(db, depth + 1);
             apply_actions(&mut tx, &firing)?;
             let outcome = tx.do_commit()?;
-            let serial = tx.serial;
             drop(tx);
             db.tel.txn.committed.inc();
             db.tel
                 .triggers
                 .deferred_actions
                 .add(outcome.firings.len() as u64);
-            db.trace_event(TraceScope::Transaction, TracePhase::End, serial, || {
-                "commit".to_string()
-            });
             if let Some(note) = &outcome.note {
                 db.notify_commit(note);
             }
@@ -1674,13 +1653,6 @@ pub(crate) fn run_firings(
             if ok { "ok" } else { "failed" }
         ));
         drop(trigger_span);
-        db.trace_event(TraceScope::Trigger, TracePhase::End, act_id, || {
-            if ok {
-                "ok".to_string()
-            } else {
-                "failed".to_string()
-            }
-        });
     }
 }
 
@@ -1693,12 +1665,6 @@ pub(crate) fn run_firings(
 pub(crate) fn run_one_event(db: &Database, event: &PendingEvent) -> Result<Vec<PendingEvent>> {
     db.tel.triggers.firings.inc();
     db.tel.triggers.max_cascade_depth.observe(event.depth);
-    db.trace_event(
-        TraceScope::Trigger,
-        TracePhase::Begin,
-        event.activation,
-        || event.trigger.clone(),
-    );
     let mut trigger_span = db.flight.span(SpanStage::Trigger, event.trigger.as_str());
     let result: Result<Vec<PendingEvent>> = (|| {
         let mut tx = Transaction::new(db, event.depth as usize);
@@ -1719,16 +1685,12 @@ pub(crate) fn run_one_event(db: &Database, event: &PendingEvent) -> Result<Vec<P
         };
         apply_actions(&mut tx, &firing)?;
         let outcome = tx.do_commit()?;
-        let serial = tx.serial;
         drop(tx);
         db.tel.txn.committed.inc();
         db.tel
             .triggers
             .deferred_actions
             .add(outcome.events.len() as u64);
-        db.trace_event(TraceScope::Transaction, TracePhase::End, serial, || {
-            "commit".to_string()
-        });
         if let Some(note) = &outcome.note {
             db.notify_commit(note);
         }
@@ -1744,18 +1706,6 @@ pub(crate) fn run_one_event(db: &Database, event: &PendingEvent) -> Result<Vec<P
         if ok { "ok" } else { "failed" }
     ));
     drop(trigger_span);
-    db.trace_event(
-        TraceScope::Trigger,
-        TracePhase::End,
-        event.activation,
-        || {
-            if ok {
-                "ok".to_string()
-            } else {
-                "failed".to_string()
-            }
-        },
-    );
     result
 }
 

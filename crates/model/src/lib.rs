@@ -16,6 +16,8 @@
 //! * [`expr`] / [`parser`] / [`eval`] — the expression language standing in
 //!   for O++'s embedded C++ expressions: it powers `suchthat` and `by`
 //!   clauses (§3.1), constraint bodies (§5), and trigger conditions (§6),
+//! * [`stmt`] — the statement surface: one [`parse_statement`] turning a
+//!   line into the typed [`Statement`] every later phase works on,
 //! * [`encode`] — the binary catalog/object codec used by the engine.
 //!
 //! The engine built on top lives in `ode-core`.
@@ -30,6 +32,7 @@ pub mod oid;
 pub mod parser;
 pub mod range;
 pub mod schema;
+pub mod stmt;
 pub mod value;
 
 pub use class::{ClassBuilder, ClassDef, ClassId, FieldDef, TriggerAction, TriggerDecl};
@@ -41,4 +44,5 @@ pub use oid::{Oid, VersionNo, VersionRef};
 pub use parser::parse_expr;
 pub use range::{extract_field_ranges, extract_qualified_ranges, FieldRange, ValueRange};
 pub use schema::Schema;
+pub use stmt::{parse_statement, Binding, QueryStmt, Statement};
 pub use value::{ObjState, SetValue, Type, Value};

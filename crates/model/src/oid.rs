@@ -54,6 +54,29 @@ impl std::fmt::Display for Oid {
     }
 }
 
+/// Parses the `cluster:page.slot` form [`Oid`]'s `Display` prints.
+impl std::str::FromStr for Oid {
+    type Err = crate::ModelError;
+
+    fn from_str(spec: &str) -> crate::Result<Oid> {
+        let parsed = || {
+            let (cluster, rest) = spec.split_once(':')?;
+            let (page, slot) = rest.split_once('.')?;
+            Some(Oid {
+                cluster: cluster.parse().ok()?,
+                rid: RecordId {
+                    page: page.parse().ok()?,
+                    slot: slot.parse().ok()?,
+                },
+            })
+        };
+        parsed().ok_or_else(|| crate::ModelError::Parse {
+            message: format!("`{spec}` is not an oid (cluster:page.slot)"),
+            at: 0,
+        })
+    }
+}
+
 /// A *specific* reference (§4): one fixed version of one object. Unlike an
 /// [`Oid`], it does not track the object as new versions are created.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -107,6 +130,15 @@ mod tests {
         let oid = sample_oid();
         assert_eq!(Oid::from_bytes(&oid.to_bytes()), Some(oid));
         assert_eq!(Oid::from_bytes(&[0; 5]), None);
+    }
+
+    #[test]
+    fn oid_text_roundtrip() {
+        let oid = sample_oid();
+        assert_eq!(oid.to_string().parse::<Oid>().unwrap(), oid);
+        for bad in ["junk", "1:2", "a:b.c", ""] {
+            assert!(bad.parse::<Oid>().is_err(), "{bad}");
+        }
     }
 
     #[test]

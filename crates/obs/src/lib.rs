@@ -15,8 +15,6 @@
 //!   measurement and [`TelemetrySnapshot::to_json`] for reports,
 //! * [`QueryProfile`] — the per-query execution profile behind
 //!   `explain forall …`,
-//! * [`TraceEvent`]/[`TraceSink`] — begin/end span events for
-//!   transaction, query, and trigger scopes, delivered to a host callback,
 //! * [`flight`] — the always-on flight recorder: per-request [`TraceId`]s
 //!   and a bounded lock-free span ring dumped by `.trace` or on panic,
 //! * [`prom`] — Prometheus text-format exposition of every metric here,
@@ -41,7 +39,6 @@ pub use slowlog::{SlowQuery, SlowQueryLog, DEFAULT_SLOW_THRESHOLD_NS};
 pub use workstats::{WorkStat, WorkStatRow, WorkloadStats};
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 // ----------------------------------------------------------- primitives
 
@@ -1552,48 +1549,6 @@ impl QueryProfile {
         out
     }
 }
-
-// ---------------------------------------------------------------- trace
-
-/// Which engine scope a trace span belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceScope {
-    /// A transaction's lifetime (begin → commit/abort).
-    Transaction,
-    /// One query planning + candidate pass.
-    Query,
-    /// One trigger firing (weak-coupled action transaction).
-    Trigger,
-}
-
-/// Span boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TracePhase {
-    /// The scope opened.
-    Begin,
-    /// The scope closed.
-    End,
-}
-
-/// One span event delivered to a [`TraceSink`].
-#[derive(Debug, Clone)]
-pub struct TraceEvent {
-    /// Scope kind.
-    pub scope: TraceScope,
-    /// Begin or end.
-    pub phase: TracePhase,
-    /// Scope-local serial (transaction serial, query serial, activation
-    /// id) pairing each Begin with its End.
-    pub id: u64,
-    /// Human-oriented detail: outcome for transactions (`commit`,
-    /// `abort:constraint`…), class for queries, trigger name for triggers.
-    pub detail: String,
-}
-
-/// Host callback receiving trace events. Mirrors the engine's `CallbackFn`
-/// shape; installed per-database, invoked synchronously on the engine
-/// thread, so sinks must be cheap and must not call back into the engine.
-pub type TraceSink = Arc<dyn Fn(&TraceEvent) + Send + Sync>;
 
 #[cfg(test)]
 mod tests {

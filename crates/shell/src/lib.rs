@@ -21,14 +21,12 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
-use ode_core::batch_interference;
 use ode_core::obs::flight::{current_trace, set_trace};
 use ode_core::obs::{prom, render_spans, SlowQuery, SpanStage, TraceId};
 use ode_core::oql::{ExecResult, QueryRows};
 use ode_core::prelude::*;
-use ode_core::TriggerId;
+use ode_core::{batch_interference, has_errors, parse_statement, Footprint, Statement};
 use ode_model::{Oid, VersionRef};
-use ode_storage::RecordId;
 
 /// A live shell session over one (possibly shared) database. Sessions
 /// hold the database behind an [`Arc`], so any number of them — local
@@ -197,22 +195,7 @@ impl Session {
 
         let result = {
             let mut span = flight.span(SpanStage::Request, stmt_head(trimmed));
-            // Static analysis first (DESIGN.md §9): error-severity
-            // findings reject the statement *before* any transaction is
-            // opened or snapshot taken; warnings ride along and are
-            // printed above the statement's normal output.
-            let r = self.preflight(trimmed).and_then(|warnings| {
-                let out = self.run_statement(trimmed)?;
-                if warnings.is_empty() {
-                    return Ok(out);
-                }
-                let mut with_warnings = String::new();
-                for w in &warnings {
-                    let _ = writeln!(with_warnings, "{w}");
-                }
-                with_warnings.push_str(&out);
-                Ok(with_warnings)
-            });
+            let r = self.run_line(trimmed);
             if r.is_err() {
                 span.set_detail(format!("{} (error)", stmt_head(trimmed)));
             }
@@ -254,129 +237,62 @@ impl Session {
         result
     }
 
-    /// Run the analyzer on a statement about to execute. Errors become
-    /// [`OdeError::Analysis`]; warnings are returned for inline display;
-    /// parse failures pass silently so the executor reports them with
-    /// their original error type.
-    fn preflight(&self, stmt: &str) -> Result<Vec<Diagnostic>> {
-        match self.db.analyze_statement(stmt) {
-            Ok(diags) if diags.iter().any(|d| d.severity == Severity::Error) => {
-                Err(OdeError::Analysis(diags))
-            }
-            Ok(diags) => Ok(diags),
-            Err(_) => Ok(Vec::new()),
+    /// One statement, one pipeline (DESIGN.md §9): parse once, analyze
+    /// once, compute the footprint once, run. Error-severity findings
+    /// reject the statement *before* any transaction is opened or
+    /// snapshot taken; warnings ride along and are printed above the
+    /// statement's normal output.
+    fn run_line(&mut self, line: &str) -> Result<String> {
+        let stmt = parse_statement(line)?;
+        let warnings = self.db.gate(&stmt, line)?;
+        let footprint = self.db.footprint(&stmt);
+        let out = self.run(&stmt, footprint.as_ref())?;
+        if warnings.is_empty() {
+            return Ok(out);
         }
+        let mut with_warnings = String::new();
+        for w in &warnings {
+            let _ = writeln!(with_warnings, "{w}");
+        }
+        with_warnings.push_str(&out);
+        Ok(with_warnings)
     }
 
-    fn run_statement(&mut self, trimmed: &str) -> Result<String> {
-        if trimmed.starts_with("class") {
-            let ids = self.db.define_from_source(trimmed)?;
-            let names: Vec<String> = self.db.with_schema(|s| {
-                ids.iter()
-                    .map(|id| s.class(*id).map(|c| c.name.clone()))
-                    .collect::<ode_model::Result<_>>()
-            })?;
-            return Ok(format!("defined class(es): {}", names.join(", ")));
-        }
-        if let Some(rest) = trimmed.strip_prefix("create cluster") {
-            let name = rest.trim();
-            self.db.create_cluster(name)?;
-            return Ok(format!("cluster `{name}` ready"));
-        }
-        if let Some(rest) = trimmed.strip_prefix("destroy cluster") {
-            let name = rest.trim();
-            self.db.destroy_cluster(name)?;
-            return Ok(format!("cluster `{name}` destroyed"));
-        }
-        if let Some(rest) = trimmed.strip_prefix("create index") {
-            let parts: Vec<&str> = rest.split_whitespace().collect();
-            let (class, field) = match parts.as_slice() {
-                [class, field] => (*class, *field),
-                [spec] if spec.contains('.') => {
-                    let mut it = spec.splitn(2, '.');
-                    (it.next().unwrap(), it.next().unwrap())
-                }
-                _ => {
-                    return Err(OdeError::Usage(
-                        "usage: create index <class> <field>".into(),
-                    ))
-                }
-            };
-            self.db.create_index(class, field)?;
-            return Ok(format!("index on {class}.{field} ready"));
-        }
-        if let Some(rest) = trimmed.strip_prefix("activate") {
-            // `activate <trigger> on <oid> [(arg, ...)]`
-            let rest = rest.trim();
-            let (trigger, rest) = rest.split_once(char::is_whitespace).ok_or_else(|| {
-                OdeError::Usage("usage: activate <trigger> on <oid> (args)".into())
-            })?;
-            let rest = rest.trim();
-            let rest = rest
-                .strip_prefix("on")
-                .ok_or_else(|| OdeError::Usage("usage: activate <trigger> on <oid> (args)".into()))?
-                .trim();
-            let (oid_text, args_text) = match rest.split_once('(') {
-                Some((o, a)) => (o.trim(), Some(a.trim_end().trim_end_matches(')'))),
-                None => (rest, None),
-            };
-            let oid = parse_oid(oid_text)?;
-            let mut args = Vec::new();
-            if let Some(a) = args_text {
-                if !a.trim().is_empty() {
-                    let schema_args: ode_core::Result<Vec<Value>> = self.db.with_schema(|s| {
-                        a.split(',')
-                            .map(|piece| {
-                                let e = ode_model::parse_expr(piece.trim())?;
-                                Ok(ode_model::EvalCtx::new(s).eval(&e)?)
-                            })
-                            .collect()
-                    });
-                    args = schema_args?;
-                }
-            }
-            let mut tx = self.db.begin();
-            let tid = tx.activate_trigger(oid, trigger, args)?;
-            tx.commit()?;
-            return Ok(format!("activated {tid} ({trigger} on {oid})"));
-        }
-        if let Some(rest) = trimmed.strip_prefix("deactivate") {
-            let id_text = rest.trim().trim_start_matches("trigger#");
-            let id: u64 = id_text
-                .parse()
-                .map_err(|_| OdeError::Usage(format!("`{}` is not a trigger id", rest.trim())))?;
-            let mut tx = self.db.begin();
-            tx.deactivate_trigger(TriggerId(id))?;
-            tx.commit()?;
-            return Ok(format!("deactivated trigger#{id}"));
+    fn run(&mut self, stmt: &Statement, footprint: Option<&Footprint>) -> Result<String> {
+        if let Some(done) = apply_ddl(&self.db, stmt) {
+            return done;
         }
         // Statements the footprint pass proves read-only run on the
         // shared snapshot path, which skips the writer gate entirely so
         // any number of shell/server sessions can read concurrently
         // (DESIGN.md §8, §14).
-        if is_read_only(&self.db, trimmed) {
+        if footprint.is_some_and(Footprint::read_only) {
             let mut rtx = self.db.begin_read();
-            let result = rtx.execute(trimmed)?;
-            return match result {
+            return match rtx.run(stmt)? {
                 ExecResult::Rows(rows) => self.format_rows(&rtx, &rows),
-                ExecResult::Explain(prof) => Ok(format_explain_in(&self.db, trimmed, &prof)),
+                ExecResult::Explain(prof) => Ok(format_explain(&prof, footprint)),
                 _ => Err(OdeError::Usage(
                     "read-only statement produced a write result".into(),
                 )),
             };
         }
-        // DML, auto-committed.
+        // DML and trigger (de)activation, auto-committed.
         let mut tx = self.db.begin();
-        let result = tx.execute(trimmed)?;
-        let out = match result {
+        let mut out = match tx.run(stmt)? {
             ExecResult::Rows(rows) => self.format_rows(&tx, &rows)?,
             ExecResult::Created(oid) => format!("created {oid}"),
             ExecResult::Updated(n) => format!("updated {n} object(s)"),
             ExecResult::Deleted(n) => format!("deleted {n} object(s)"),
-            ExecResult::Explain(prof) => format_explain(&prof),
+            ExecResult::Explain(prof) => format_explain(&prof, footprint),
+            ExecResult::Activated(tid) => match stmt {
+                Statement::Activate { trigger, oid, .. } => {
+                    format!("activated {tid} ({trigger} on {oid})")
+                }
+                _ => format!("activated {tid}"),
+            },
+            ExecResult::Deactivated(tid) => format!("deactivated {tid}"),
         };
         let info = tx.commit()?;
-        let mut out = out;
         for f in &info.fired {
             let _ = writeln!(out);
             let _ = write!(out, "trigger `{}` fired on {}", f.trigger, f.oid);
@@ -978,7 +894,7 @@ pub fn check_source(file: &str, source: &str, report: &mut CheckReport) {
     report.files += 1;
     let mut pending = String::new();
     let mut start_line = 0usize;
-    let mut batch: Vec<(usize, ode_core::Footprint)> = Vec::new();
+    let mut batch: Vec<(usize, Footprint)> = Vec::new();
     for (idx, raw) in source.lines().enumerate() {
         let lineno = idx + 1;
         if !pending.is_empty() {
@@ -1031,98 +947,82 @@ fn check_statement(
     db: &Database,
     file: &str,
     line: usize,
-    stmt: &str,
+    src: &str,
     report: &mut CheckReport,
-    batch: &mut Vec<(usize, ode_core::Footprint)>,
+    batch: &mut Vec<(usize, Footprint)>,
 ) {
     report.statements += 1;
-    let trimmed = stmt.trim();
-    let diags = match db.analyze_statement(trimmed) {
-        Ok(d) => d,
-        Err(e) => vec![Diagnostic::parse_failure(e.to_string())],
+    let src = src.trim();
+    let diags = match parse_statement(src) {
+        Err(e) => vec![Diagnostic::parse_failure(OdeError::from(e).to_string())],
+        Ok(stmt) => {
+            let mut diags = db.analyze(&stmt, src);
+            if !has_errors(&diags) {
+                if let Some(fp) = db.footprint(&stmt) {
+                    report.footprints.push(CheckFootprint {
+                        file: file.to_string(),
+                        line,
+                        footprint: fp.to_string(),
+                        read_only: fp.read_only(),
+                    });
+                    batch.push((line, fp));
+                }
+                // Apply schema-shaping statements so the rest of the file
+                // resolves.
+                if let Some(Err(e)) = apply_ddl(db, &stmt) {
+                    diags.push(Diagnostic::parse_failure(e.to_string()));
+                }
+            }
+            diags
+        }
     };
-    let had_errors = diags.iter().any(|d| d.severity == Severity::Error);
-    for diag in diags {
-        report.findings.push(CheckFinding {
+    report
+        .findings
+        .extend(diags.into_iter().map(|diag| CheckFinding {
             file: file.to_string(),
             line,
             diag,
-        });
-    }
-    if had_errors {
-        return;
-    }
-    if let Ok(Some(fp)) = db.statement_footprint(trimmed) {
-        report.footprints.push(CheckFootprint {
-            file: file.to_string(),
-            line,
-            footprint: fp.to_string(),
-            read_only: fp.read_only(),
-        });
-        batch.push((line, fp));
-    }
-    // Apply schema-shaping statements so the rest of the file resolves.
-    let applied: Result<()> = if trimmed.starts_with("class") {
-        db.define_from_source(trimmed).map(|_| ())
-    } else if let Some(rest) = trimmed.strip_prefix("create cluster") {
-        db.create_cluster(rest.trim()).map(|_| ())
-    } else if let Some(rest) = trimmed.strip_prefix("destroy cluster") {
-        db.destroy_cluster(rest.trim())
-    } else if let Some(rest) = trimmed.strip_prefix("create index") {
-        let parts: Vec<&str> = rest.split_whitespace().collect();
-        match parts.as_slice() {
-            [class, field] => db.create_index(class, field).map(|_| ()),
-            _ => Ok(()), // malformed: already reported by analysis, or usage-level
-        }
-    } else {
-        Ok(())
-    };
-    if let Err(e) = applied {
-        report.findings.push(CheckFinding {
-            file: file.to_string(),
-            line,
-            diag: Diagnostic::parse_failure(e.to_string()),
-        });
-    }
+        }));
 }
 
-/// Would this statement leave the database unchanged? Decided by the
-/// analyzer's footprint when it can compute one — a footprint with no
-/// write accesses is a *proof* the statement cannot reach the write-txn
-/// machinery (DESIGN.md §14) — with the keyword head as the fallback for
-/// statements the pass cannot shape (so a parse error still surfaces
-/// from the path the user asked for). Proven statements route through
-/// [`Database::begin_read`] and never queue behind the writer gate.
-fn is_read_only(db: &Database, stmt: &str) -> bool {
-    if let Ok(Some(fp)) = db.statement_footprint(stmt) {
-        return fp.read_only();
-    }
-    let head = stmt
-        .split_whitespace()
-        .next()
-        .unwrap_or("")
-        .to_ascii_lowercase();
-    matches!(head.as_str(), "forall" | "for" | "explain")
+/// Apply an (already analyzed) DDL statement, returning the shell's
+/// confirmation line; `None` for statements that are not DDL.
+fn apply_ddl(db: &Database, stmt: &Statement) -> Option<Result<String>> {
+    Some(match stmt {
+        Statement::Class(builders) => builders
+            .iter()
+            .map(|b| {
+                let id = db.define_class_unchecked(b.clone())?;
+                db.with_schema(|s| Ok(s.class(id)?.name.clone()))
+            })
+            .collect::<Result<Vec<String>>>()
+            .map(|names| format!("defined class(es): {}", names.join(", "))),
+        Statement::CreateCluster { class } => db
+            .create_cluster(class)
+            .map(|_| format!("cluster `{class}` ready")),
+        Statement::DestroyCluster { class } => db
+            .destroy_cluster(class)
+            .map(|()| format!("cluster `{class}` destroyed")),
+        Statement::CreateIndex { class, field } => db
+            .create_index(class, field)
+            .map(|()| format!("index on {class}.{field} ready")),
+        _ => return None,
+    })
 }
 
-/// Render an `explain` profile as aligned `key value` lines.
-fn format_explain(prof: &QueryProfile) -> String {
+/// Render an `explain` profile as aligned `key value` lines, with the
+/// statement's static footprint appended: what the analyzer proved about
+/// the clusters, index, and key ranges the statement can touch, next to
+/// what the executor actually did.
+fn format_explain(prof: &QueryProfile, footprint: Option<&Footprint>) -> String {
     let mut out = String::new();
     for (k, v) in prof.rows() {
         let _ = writeln!(out, "{k:<24} {v}");
     }
-    out.trim_end().to_string()
-}
-
-/// `explain` output with the statement's static footprint appended: what
-/// the analyzer proved about the clusters, index, and key ranges the
-/// statement can touch, next to what the executor actually did.
-fn format_explain_in(db: &Database, stmt: &str, prof: &QueryProfile) -> String {
-    let mut out = format_explain(prof);
-    if let Ok(Some(fp)) = db.statement_footprint(stmt) {
-        let _ = write!(out, "\n{:<24} {}", "footprint", fp);
+    if let Some(fp) = footprint {
+        let _ = writeln!(out, "{:<24} {}", "footprint", fp);
     }
-    out
+    out.trim_end().to_string()
 }
 
 /// First ≤48 chars of a statement, for flight-recorder span details.
@@ -1157,16 +1057,8 @@ pub fn parse_trace_id(spec: &str) -> Result<TraceId> {
 
 /// Parse `cluster:page.slot` — the textual oid form the shell prints.
 pub fn parse_oid(spec: &str) -> Result<Oid> {
-    let bad = || OdeError::Usage(format!("`{spec}` is not an oid (cluster:page.slot)"));
-    let (cluster, rest) = spec.split_once(':').ok_or_else(bad)?;
-    let (page, slot) = rest.split_once('.').ok_or_else(bad)?;
-    Ok(Oid {
-        cluster: cluster.parse().map_err(|_| bad())?,
-        rid: RecordId {
-            page: page.parse().map_err(|_| bad())?,
-            slot: slot.parse().map_err(|_| bad())?,
-        },
-    })
+    spec.parse()
+        .map_err(|_| OdeError::Usage(format!("`{spec}` is not an oid (cluster:page.slot)")))
 }
 
 /// Are braces balanced (outside string literals)? Drives multi-line DDL.
@@ -1664,6 +1556,71 @@ mod tests {
         feed(&mut s, "create index item name");
         let out = feed(&mut s, "forall i in item suchthat (name == \"x\")");
         assert!(!out.contains("warning"), "{out}");
+    }
+
+    /// Parse once, analyze once, footprint at most once — per line, for
+    /// every statement class (DESIGN.md §9), pinned by the `analyze.*`
+    /// counters.
+    #[test]
+    fn one_analyzer_pass_and_one_footprint_per_line() {
+        let mut s = Session::in_memory();
+        for line in [
+            "class item { string name; int qty = 0; }",
+            "create cluster item",
+            "create index item qty",
+            r#"pnew item (name = "dram", qty = 5)"#,
+            "forall i in item suchthat (qty == 5)",
+            "forall i in item suchthat (qty > 1) by (name) desc",
+            "explain forall i in item suchthat (qty == 5)",
+            "update i in item suchthat (qty == 5) set qty = 6",
+            "delete i in item suchthat (qty == 6)",
+        ] {
+            let before = s.database().telemetry().analyze;
+            match s.eval_line(line) {
+                EvalResult::Output(_) => {}
+                other => panic!("{line}: {other:?}"),
+            }
+            let after = s.database().telemetry().analyze;
+            assert_eq!(after.passes - before.passes, 1, "{line}");
+            assert!(after.footprints - before.footprints <= 1, "{line}");
+        }
+    }
+
+    #[test]
+    fn create_cluster_keywords_take_any_whitespace() {
+        let mut s = Session::in_memory();
+        feed(&mut s, "class item { int qty = 0; }");
+        let out = feed(&mut s, "create  cluster\titem");
+        assert_eq!(out, "cluster `item` ready");
+        assert!(s.database().has_cluster("item"));
+    }
+
+    /// Both `create index` spellings are the same statement to the shell,
+    /// the analyzer and `--check`: the dotted form is applied, so a later
+    /// equality query is not falsely flagged as unindexed (A102).
+    #[test]
+    fn check_applies_dotted_create_index() {
+        let mut report = CheckReport::default();
+        check_source(
+            "inline.ode",
+            "class item { string name; int qty = 0; }\n\
+             create cluster item\n\
+             create index item.qty\n\
+             forall i in item suchthat (qty == 5)\n\
+             create index item.bogus\n",
+            &mut report,
+        );
+        let got: Vec<(usize, &str)> = report
+            .findings
+            .iter()
+            .map(|f| (f.line, f.diag.code))
+            .collect();
+        assert_eq!(got, vec![(5, "A002")], "{}", report.render_text());
+        assert!(
+            report.footprints[0].footprint.contains("via index(qty)"),
+            "{:?}",
+            report.footprints
+        );
     }
 
     fn corpus_path() -> String {

@@ -2,9 +2,8 @@
 //! (index probe vs deep extent scan), fixpoint round accounting, abort
 //! cause taxonomy, trace-span ordering, and the snapshot/delta/JSON API.
 
-use std::sync::{Arc, Mutex};
-
-use ode::core::{TracePhase, TraceScope};
+use ode::core::obs::flight::set_trace;
+use ode::core::SpanStage;
 use ode::model::SetValue;
 use ode::prelude::*;
 
@@ -205,21 +204,10 @@ fn trace_spans_nest_txn_query_and_trigger() {
     })
     .unwrap();
 
-    let events: Arc<Mutex<Vec<(TraceScope, TracePhase, String)>>> =
-        Arc::new(Mutex::new(Vec::new()));
-    let sink = {
-        let events = Arc::clone(&events);
-        Arc::new(move |e: &TraceEvent| {
-            events
-                .lock()
-                .unwrap()
-                .push((e.scope, e.phase, e.detail.clone()));
-        })
-    };
-    db.set_trace_sink(Some(sink));
-
-    // One transaction: a query finds the item, an update trips the trigger,
-    // commit fires the action in its own (traced) transaction.
+    // One traced transaction: a query finds the item, an update trips the
+    // trigger, commit fires the action in its own transaction.
+    let trace = db.flight().mint_trace();
+    let ctx = set_trace(trace);
     db.transaction(|tx| {
         let hit = tx
             .forall("stockitem")?
@@ -230,46 +218,40 @@ fn trace_spans_nest_txn_query_and_trigger() {
         Ok(())
     })
     .unwrap();
-    db.set_trace_sink(None);
+    drop(ctx);
 
-    let ev = events.lock().unwrap().clone();
-    let pos = |scope: TraceScope, phase: TracePhase, detail: &str| {
-        ev.iter()
-            .position(|(s, p, d)| *s == scope && *p == phase && d.contains(detail))
-            .unwrap_or_else(|| panic!("missing {scope:?}/{phase:?} `{detail}` in {ev:?}"))
+    let spans = db.flight().for_trace(trace);
+    let find = |stage: SpanStage, detail: &str, parent: Option<u64>| {
+        spans
+            .iter()
+            .find(|s| {
+                s.stage == stage
+                    && s.detail.contains(detail)
+                    && parent.is_none_or(|p| s.parent == p)
+            })
+            .unwrap_or_else(|| panic!("missing {stage} `{detail}` in {spans:?}"))
     };
+    let txn = find(SpanStage::Txn, "commit", Some(0));
+    let query = find(SpanStage::Execute, "stockitem", Some(txn.span_id));
+    let commit = find(SpanStage::Commit, "", Some(txn.span_id));
+    let trigger = find(SpanStage::Trigger, "reorder ok", None);
+    let inner = find(SpanStage::Txn, "txn#", Some(trigger.span_id));
 
-    let txn_begin = pos(TraceScope::Transaction, TracePhase::Begin, "begin");
-    let q_begin = pos(TraceScope::Query, TracePhase::Begin, "stockitem");
-    let q_end = pos(TraceScope::Query, TracePhase::End, "stockitem");
-    let txn_end = pos(TraceScope::Transaction, TracePhase::End, "commit");
-    let trig_begin = pos(TraceScope::Trigger, TracePhase::Begin, "reorder");
-    let trig_end = pos(TraceScope::Trigger, TracePhase::End, "ok");
+    // Query and commit spans nest inside their transaction, in that order;
+    // the trigger span opens only after the activating transaction
+    // committed (the paper's post-commit firing) and closes after its own
+    // inner transaction.
+    assert!(txn.start_ns <= query.start_ns && query.end_ns <= commit.start_ns);
+    assert!(commit.end_ns <= txn.end_ns && txn.end_ns <= trigger.start_ns);
+    assert!(trigger.start_ns <= inner.start_ns && inner.end_ns <= trigger.end_ns);
 
-    // Query span nests inside its transaction; the trigger span opens only
-    // after the activating transaction committed (the paper's post-commit
-    // firing) and closes after its own inner transaction.
-    assert!(txn_begin < q_begin && q_begin < q_end && q_end < txn_end);
-    assert!(txn_end < trig_begin && trig_begin < trig_end);
-    let inner_commit = ev
-        .iter()
-        .enumerate()
-        .filter(|(_, (s, p, d))| {
-            *s == TraceScope::Transaction && *p == TracePhase::End && d == "commit"
-        })
-        .map(|(i, _)| i)
-        .find(|&i| i > trig_begin)
-        .expect("trigger action runs in a traced transaction");
-    assert!(inner_commit < trig_end);
-
-    // Detaching the sink stops delivery.
-    let n = ev.len();
+    // Work outside the trace context stays out of this trace.
     db.transaction(|tx| {
         tx.set(oid, "quantity", 80i64)?;
         Ok(())
     })
     .unwrap();
-    assert_eq!(events.lock().unwrap().len(), n);
+    assert_eq!(db.flight().for_trace(trace).len(), spans.len());
 
     let d = db.telemetry();
     assert!(d.triggers.firings >= 1);
