@@ -9,10 +9,16 @@
 //! * [`LatencyHisto`] — a log₂-bucketed nanosecond histogram (commit
 //!   latency),
 //! * [`EngineTelemetry`] — the live counter tree, grouped by subsystem
-//!   (transactions, queries, versions, triggers),
+//!   (transactions, queries, versions, triggers, scheduler, analyzer),
 //! * [`TelemetrySnapshot`] — a plain-data copy (including substrate
 //!   counters) with [`TelemetrySnapshot::delta`] for before/after
-//!   measurement and [`TelemetrySnapshot::to_json`] for reports,
+//!   measurement and [`TelemetrySnapshot::to_json`] for reports.
+//!
+//! Every metric is declared once, in the `family!` tables below (field,
+//! kind, Prometheus HELP); the live and frozen structs, `snapshot`,
+//! `reset`, `delta`, `.stats` rows, JSON and Prometheus text all derive
+//! from that one line. The crate also holds:
+//!
 //! * [`QueryProfile`] — the per-query execution profile behind
 //!   `explain forall …`,
 //! * [`flight`] — the always-on flight recorder: per-request [`TraceId`]s
@@ -39,6 +45,8 @@ pub use slowlog::{SlowQuery, SlowQueryLog, DEFAULT_SLOW_THRESHOLD_NS};
 pub use workstats::{WorkStat, WorkStatRow, WorkloadStats};
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use prom::PromText;
 
 // ----------------------------------------------------------- primitives
 
@@ -261,1183 +269,475 @@ impl HistoSnapshot {
             ..*self
         }
     }
+}
 
+// --------------------------------------------------------- metric kinds
+
+/// The four metric kinds, one impl each: counter ([`Counter`]), level
+/// ([`Gauge`]), max ([`MaxGauge`]) and histo ([`LatencyHisto`]). These
+/// impls are the whole reset/delta/Prometheus rule set; the declaration
+/// tables below only name a kind per field.
+trait Metric {
+    /// Frozen value: `u64`, or [`HistoSnapshot`] for a histogram.
+    type Value;
+    /// Prometheus family-name suffix and `TYPE`.
+    const PROM: (&'static str, &'static str);
+    fn read(&self) -> Self::Value;
+    /// What `reset` does to this kind.
+    fn clear(&self);
+    /// What `delta` does to this kind.
+    fn delta(now: Self::Value, base: Self::Value) -> Self::Value;
+}
+
+impl Metric for Counter {
+    type Value = u64;
+    const PROM: (&'static str, &'static str) = ("_total", "counter");
+    fn read(&self) -> u64 {
+        self.get()
+    }
+    fn clear(&self) {
+        self.reset()
+    }
+    fn delta(now: u64, base: u64) -> u64 {
+        now.saturating_sub(base)
+    }
+}
+
+impl Metric for Gauge {
+    type Value = u64;
+    const PROM: (&'static str, &'static str) = ("", "gauge");
+    fn read(&self) -> u64 {
+        self.get()
+    }
+    /// A level mirrors live state (open connections, queued jobs, backoff
+    /// pressure); zeroing it would desynchronize the mirror.
+    fn clear(&self) {}
+    fn delta(now: u64, _: u64) -> u64 {
+        now
+    }
+}
+
+impl Metric for MaxGauge {
+    type Value = u64;
+    const PROM: (&'static str, &'static str) = ("", "gauge");
+    fn read(&self) -> u64 {
+        self.get()
+    }
+    fn clear(&self) {
+        self.reset()
+    }
+    fn delta(now: u64, _: u64) -> u64 {
+        now
+    }
+}
+
+impl Metric for LatencyHisto {
+    type Value = HistoSnapshot;
+    const PROM: (&'static str, &'static str) = ("_seconds", "summary");
+    fn read(&self) -> HistoSnapshot {
+        self.snapshot()
+    }
+    fn clear(&self) {
+        self.reset()
+    }
+    fn delta(now: HistoSnapshot, base: HistoSnapshot) -> HistoSnapshot {
+        now.delta(&base)
+    }
+}
+
+/// How a frozen value renders: a scalar inline, a histogram as a nested
+/// JSON object (after its family's scalars), `.count`/`.mean_us`/`.p99_us`
+/// rows and a Prometheus summary.
+trait Render {
+    fn nested(&self) -> bool;
+    fn json(&self, out: &mut String);
+    fn rows(&self, name: String, out: &mut Vec<(String, String)>);
+    fn prom(&self, p: &mut PromText, name: &str, kind: &str, help: &str, labels: &[(&str, &str)]);
+}
+
+impl Render for u64 {
+    fn nested(&self) -> bool {
+        false
+    }
+    fn json(&self, out: &mut String) {
+        out.push_str(&self.to_string());
+    }
+    fn rows(&self, name: String, out: &mut Vec<(String, String)>) {
+        out.push((name, self.to_string()));
+    }
+    fn prom(&self, p: &mut PromText, name: &str, kind: &str, help: &str, labels: &[(&str, &str)]) {
+        p.family(name, kind, help);
+        p.sample(name, labels, *self as f64);
+    }
+}
+
+impl Render for HistoSnapshot {
+    fn nested(&self) -> bool {
+        true
+    }
     fn json(&self, out: &mut String) {
         out.push_str(&format!(
             "{{\"count\":{},\"sum_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
             self.count, self.sum_ns, self.p50_ns, self.p99_ns, self.max_ns
         ));
     }
-}
-
-// -------------------------------------------------------- live counters
-
-/// Transaction-layer counters.
-#[derive(Debug, Default)]
-pub struct TxnTelemetry {
-    /// Transactions begun.
-    pub begun: Counter,
-    /// Transactions committed.
-    pub committed: Counter,
-    /// Rollbacks caused by a constraint violation (§5's abort semantics).
-    pub aborted_constraint: Counter,
-    /// Rollbacks from explicit `abort()`, drops, or non-constraint errors.
-    pub aborted_other: Counter,
-    /// Snapshot read transactions begun (`begin_read`): never queue at the
-    /// write gate.
-    pub read_txns: Counter,
-    /// Write transactions begun (`begin`): serialized behind the gate.
-    pub write_txns: Counter,
-    /// Wall-clock latency of `commit()` (pipeline + weak-coupled actions).
-    pub commit_latency: LatencyHisto,
-    /// Time spent waiting to acquire the write gate in `begin()`. A read
-    /// path that stays off the gate contributes nothing here — asserting
-    /// `gate_wait.count` stays flat under read traffic proves it.
-    pub gate_wait: LatencyHisto,
-    /// `store.release()` failures during rollback. A failed release leaks
-    /// the reserved slot until the next reopen reclaims it; the count makes
-    /// that leak observable instead of silently swallowed.
-    pub release_errors: Counter,
-    /// Store-commit attempts retried after a transient (retryable) storage
-    /// failure. The WAL rolls a failed group append back to a clean tail,
-    /// so the engine can re-issue the identical batch (DESIGN.md §10).
-    pub commit_retries: Counter,
-    /// Commits rejected by optimistic validation: another transaction
-    /// published a conflicting change after this one began (DESIGN.md
-    /// §13). These surface as retryable `WriteConflict` errors.
-    pub conflicts: Counter,
-    /// Extent scans recorded with an analyzer-proven predicate range
-    /// instead of a whole-heap entry (DESIGN.md §14). Ranged scans are
-    /// eligible for narrowed validation at commit.
-    pub ranged_scans: Counter,
-    /// Commit validations that passed only because every newer write to a
-    /// scanned heap was provably outside the scan's key range — each one
-    /// is a false conflict the footprint machinery eliminated.
-    pub narrowed_validations: Counter,
-    /// Footprint-overlap pressure: raised on each scan/extent conflict,
-    /// decayed on each successful claim. The retry loop shifts its
-    /// backoff further while this is high, so hot-heap contention drains
-    /// instead of thrashing.
-    pub conflict_pressure: Gauge,
-}
-
-/// Query-execution counters.
-#[derive(Debug, Default)]
-pub struct QueryTelemetry {
-    /// `forall` iterations started.
-    pub foralls: Counter,
-    /// Join (`forall_join`) queries started.
-    pub joins: Counter,
-    /// Cluster heaps enumerated by extent scans.
-    pub clusters_visited: Counter,
-    /// Objects materialized as candidates (scanned or probed).
-    pub objects_scanned: Counter,
-    /// `suchthat` predicate evaluations.
-    pub predicate_evals: Counter,
-    /// Index lookups/ranges that answered a conjunct.
-    pub index_probes: Counter,
-    /// Passes that fell back to enumerating a deep extent.
-    pub deep_extent_scans: Counter,
-    /// Fixpoint re-evaluation rounds (§3.2).
-    pub fixpoint_rounds: Counter,
-    /// Newly visited objects across all fixpoint rounds.
-    pub fixpoint_new_objects: Counter,
-    /// Write-set object states cloned while merging a transaction's
-    /// overlay into query results. Extent scans borrow overlay states in
-    /// place, so only index probes folding class-matching writes into
-    /// their (selectivity-sized) result contribute — this stays near zero
-    /// under scan-heavy load, proving scans no longer copy the write set.
-    pub overlay_clones: Counter,
-}
-
-/// Version-subsystem counters (§4).
-#[derive(Debug, Default)]
-pub struct VersionTelemetry {
-    /// `newversion` / `newversion_from` calls.
-    pub newversions: Counter,
-    /// Generic references resolved through a version anchor to the current
-    /// version's record (a chain follow).
-    pub generic_derefs: Counter,
-    /// Specific (pinned-version) dereferences.
-    pub specific_derefs: Counter,
-}
-
-/// Trigger-subsystem counters (§6).
-#[derive(Debug, Default)]
-pub struct TriggerTelemetry {
-    /// Trigger activations requested.
-    pub activations: Counter,
-    /// Trigger-condition evaluations at commit.
-    pub condition_evals: Counter,
-    /// Triggers fired (actions dispatched).
-    pub firings: Counter,
-    /// Fired actions whose own transaction failed (weak coupling records
-    /// these instead of propagating).
-    pub action_failures: Counter,
-    /// Firings deferred past the commit point (weak coupling, §6).
-    pub deferred_actions: Counter,
-    /// Firings refused because the cascade reached the configured depth
-    /// limit (each also counts as an `action_failures`).
-    pub cascade_exhausted: Counter,
-    /// Deepest trigger cascade observed.
-    pub max_cascade_depth: MaxGauge,
-}
-
-/// Decoupled-trigger-scheduler counters. Zero everywhere unless a
-/// scheduler is attached; then commits enqueue events and the worker pool
-/// drains them off the commit path.
-#[derive(Debug, Default)]
-pub struct SchedTelemetry {
-    /// Events durably enqueued by committing transactions.
-    pub enqueued: Counter,
-    /// Events whose action transaction ran to completion.
-    pub drained: Counter,
-    /// Action attempts re-queued after a transient failure.
-    pub retries: Counter,
-    /// Events abandoned to the dead-letter list after exhausting retries
-    /// (or failing permanently).
-    pub dead_letters: Counter,
-    /// Subscription-check jobs dropped because the queue was at capacity
-    /// (trigger events are never dropped — they are durable and bounded by
-    /// the backlog on disk, not the in-memory queue).
-    pub overflow_dropped: Counter,
-    /// Jobs currently sitting in the scheduler queue.
-    pub queue_depth: Gauge,
-    /// Trigger names currently suspended (manual or auto after repeated
-    /// failure).
-    pub suspended: Gauge,
-    /// Most jobs ever queued at once.
-    pub queue_high_water: MaxGauge,
-    /// Enqueue-to-dispatch latency: how far the drain lags the commits.
-    pub drain_lag: LatencyHisto,
-}
-
-/// Static-analyzer counters (the `ode-analyze` front-end pass that runs
-/// before any transaction is opened).
-#[derive(Debug, Default)]
-pub struct AnalyzeTelemetry {
-    /// Statements (and DDL batches) analyzed.
-    pub passes: Counter,
-    /// Error-severity diagnostics produced (statements rejected).
-    pub errors: Counter,
-    /// Warning-severity diagnostics produced (statement still ran).
-    pub warnings: Counter,
-    /// Wall-clock latency of one analysis pass — the overhead the
-    /// front-end adds to each statement, visible in `.stats`.
-    pub latency: LatencyHisto,
-    /// Statement footprints computed (the abstract-interpretation pass of
-    /// DESIGN.md §14).
-    pub footprints: Counter,
-    /// Statements proven read-only by their footprint: the engine runs
-    /// them on the snapshot path, skipping the write-txn machinery.
-    pub read_only_proofs: Counter,
-}
-
-/// Serving-layer counters (the `ode-server` network front-end). One
-/// instance lives in each server; connection and request paths increment
-/// it through relaxed atomics, and the `.server` control op snapshots it.
-#[derive(Debug, Default)]
-pub struct ServerTelemetry {
-    /// Connections admitted past the admission semaphore.
-    pub accepted: Counter,
-    /// Connections refused because the server was at `max_connections`.
-    pub rejected_admission: Counter,
-    /// Connections refused because the server was draining for shutdown.
-    pub rejected_shutdown: Counter,
-    /// Connections dropped during the protocol handshake (bad magic,
-    /// version mismatch, oversized or malformed first frame).
-    pub handshake_failures: Counter,
-    /// Requests executed (statements and control ops).
-    pub requests: Counter,
-    /// Requests answered with an engine error (constraint violation,
-    /// parse error, …) — the connection survives these.
-    pub engine_errors: Counter,
-    /// Requests whose execution exceeded the per-request budget and were
-    /// answered with a typed timeout error.
-    pub timed_out: Counter,
-    /// Wire bytes received (frame headers included).
-    pub bytes_in: Counter,
-    /// Wire bytes sent (frame headers included).
-    pub bytes_out: Counter,
-    /// Socket-configuration failures (nodelay, read/write timeouts) that
-    /// the connection loop survives but should not silently drop.
-    pub socket_errors: Counter,
-    /// Wall-clock latency of request execution.
-    pub request_latency: LatencyHisto,
-    /// Connections currently open.
-    pub active_connections: Gauge,
-    /// Most connections ever open at once.
-    pub max_concurrent: MaxGauge,
-    /// Live subscriptions currently registered across all connections.
-    pub subscriptions: Gauge,
-    /// Push frames written to subscriber connections.
-    pub pushes_sent: Counter,
-    /// Push frames dropped because a subscriber's outbox was full (slow
-    /// consumer) or its connection closed before the drain.
-    pub push_dropped: Counter,
-    /// Push frames currently buffered in per-connection outboxes.
-    pub push_outbox_depth: Gauge,
-}
-
-impl ServerTelemetry {
-    /// Copy the live counters into a plain-data snapshot.
-    pub fn snapshot(&self) -> ServerSnapshot {
-        ServerSnapshot {
-            accepted: self.accepted.get(),
-            rejected_admission: self.rejected_admission.get(),
-            rejected_shutdown: self.rejected_shutdown.get(),
-            handshake_failures: self.handshake_failures.get(),
-            requests: self.requests.get(),
-            engine_errors: self.engine_errors.get(),
-            timed_out: self.timed_out.get(),
-            bytes_in: self.bytes_in.get(),
-            bytes_out: self.bytes_out.get(),
-            socket_errors: self.socket_errors.get(),
-            request_latency: self.request_latency.snapshot(),
-            active_connections: self.active_connections.get(),
-            max_concurrent: self.max_concurrent.get(),
-            subscriptions: self.subscriptions.get(),
-            pushes_sent: self.pushes_sent.get(),
-            push_dropped: self.push_dropped.get(),
-            push_outbox_depth: self.push_outbox_depth.get(),
-        }
+    fn rows(&self, name: String, out: &mut Vec<(String, String)>) {
+        let us = |ns: u64| format!("{:.1}", ns as f64 / 1e3);
+        out.push((format!("{name}.count"), self.count.to_string()));
+        out.push((format!("{name}.mean_us"), us(self.mean_ns())));
+        out.push((format!("{name}.p99_us"), us(self.p99_ns)));
     }
-
-    /// Zero every server counter.
-    pub fn reset(&self) {
-        for c in [
-            &self.accepted,
-            &self.rejected_admission,
-            &self.rejected_shutdown,
-            &self.handshake_failures,
-            &self.requests,
-            &self.engine_errors,
-            &self.timed_out,
-            &self.bytes_in,
-            &self.bytes_out,
-            &self.socket_errors,
-            &self.pushes_sent,
-            &self.push_dropped,
-        ] {
-            c.reset();
-        }
-        self.request_latency.reset();
-        self.max_concurrent.reset();
-        // `active_connections`, `subscriptions`, and `push_outbox_depth`
-        // are live levels, not statistics: resetting them would
-        // desynchronize the counts they mirror.
+    fn prom(&self, p: &mut PromText, name: &str, kind: &str, help: &str, _: &[(&str, &str)]) {
+        p.family(name, kind, help);
+        p.sample(name, &[("quantile", "0.5")], self.p50_ns as f64 / 1e9);
+        p.sample(name, &[("quantile", "0.99")], self.p99_ns as f64 / 1e9);
+        p.sample(&format!("{name}_sum"), &[], self.sum_ns as f64 / 1e9);
+        p.sample(&format!("{name}_count"), &[], self.count as f64);
     }
 }
 
-/// Server counters, frozen.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerSnapshot {
-    /// See [`ServerTelemetry::accepted`].
-    pub accepted: u64,
-    /// See [`ServerTelemetry::rejected_admission`].
-    pub rejected_admission: u64,
-    /// See [`ServerTelemetry::rejected_shutdown`].
-    pub rejected_shutdown: u64,
-    /// See [`ServerTelemetry::handshake_failures`].
-    pub handshake_failures: u64,
-    /// See [`ServerTelemetry::requests`].
-    pub requests: u64,
-    /// See [`ServerTelemetry::engine_errors`].
-    pub engine_errors: u64,
-    /// See [`ServerTelemetry::timed_out`].
-    pub timed_out: u64,
-    /// See [`ServerTelemetry::bytes_in`].
-    pub bytes_in: u64,
-    /// See [`ServerTelemetry::bytes_out`].
-    pub bytes_out: u64,
-    /// See [`ServerTelemetry::socket_errors`].
-    pub socket_errors: u64,
-    /// See [`ServerTelemetry::request_latency`].
-    pub request_latency: HistoSnapshot,
-    /// See [`ServerTelemetry::active_connections`].
-    pub active_connections: u64,
-    /// See [`ServerTelemetry::max_concurrent`].
-    pub max_concurrent: u64,
-    /// See [`ServerTelemetry::subscriptions`].
-    pub subscriptions: u64,
-    /// See [`ServerTelemetry::pushes_sent`].
-    pub pushes_sent: u64,
-    /// See [`ServerTelemetry::push_dropped`].
-    pub push_dropped: u64,
-    /// See [`ServerTelemetry::push_outbox_depth`].
-    pub push_outbox_depth: u64,
-}
+// ---------------------------------------------------- declaration tables
 
-impl ServerSnapshot {
-    /// Field-wise `self - baseline` (saturating); levels
-    /// (`active_connections`, `max_concurrent`, quantiles) keep their
-    /// current values.
-    pub fn delta(&self, baseline: &ServerSnapshot) -> ServerSnapshot {
-        ServerSnapshot {
-            accepted: self.accepted.saturating_sub(baseline.accepted),
-            rejected_admission: self
-                .rejected_admission
-                .saturating_sub(baseline.rejected_admission),
-            rejected_shutdown: self
-                .rejected_shutdown
-                .saturating_sub(baseline.rejected_shutdown),
-            handshake_failures: self
-                .handshake_failures
-                .saturating_sub(baseline.handshake_failures),
-            requests: self.requests.saturating_sub(baseline.requests),
-            engine_errors: self.engine_errors.saturating_sub(baseline.engine_errors),
-            timed_out: self.timed_out.saturating_sub(baseline.timed_out),
-            bytes_in: self.bytes_in.saturating_sub(baseline.bytes_in),
-            bytes_out: self.bytes_out.saturating_sub(baseline.bytes_out),
-            socket_errors: self.socket_errors.saturating_sub(baseline.socket_errors),
-            request_latency: self.request_latency.delta(&baseline.request_latency),
-            pushes_sent: self.pushes_sent.saturating_sub(baseline.pushes_sent),
-            push_dropped: self.push_dropped.saturating_sub(baseline.push_dropped),
-            ..*self
-        }
-    }
-
-    /// Flat `(dotted-name, value)` rows for line-oriented display (the
-    /// shell's `.server` over the wire).
-    pub fn rows(&self) -> Vec<(String, String)> {
-        let mut out = Vec::with_capacity(16);
-        let mut push = |name: &str, v: u64| out.push((name.to_string(), v.to_string()));
-        push("server.accepted", self.accepted);
-        push("server.rejected_admission", self.rejected_admission);
-        push("server.rejected_shutdown", self.rejected_shutdown);
-        push("server.handshake_failures", self.handshake_failures);
-        push("server.requests", self.requests);
-        push("server.engine_errors", self.engine_errors);
-        push("server.timed_out", self.timed_out);
-        push("server.bytes_in", self.bytes_in);
-        push("server.bytes_out", self.bytes_out);
-        push("server.socket_errors", self.socket_errors);
-        push("server.active_connections", self.active_connections);
-        push("server.max_concurrent", self.max_concurrent);
-        push("server.subscriptions", self.subscriptions);
-        push("server.pushes_sent", self.pushes_sent);
-        push("server.push_dropped", self.push_dropped);
-        push("server.push_outbox_depth", self.push_outbox_depth);
-        push("server.request_latency.count", self.request_latency.count);
-        out.push((
-            "server.request_latency.mean_us".to_string(),
-            format!("{:.1}", self.request_latency.mean_ns() as f64 / 1e3),
-        ));
-        out.push((
-            "server.request_latency.p99_us".to_string(),
-            format!("{:.1}", self.request_latency.p99_ns as f64 / 1e3),
-        ));
-        out
-    }
-
-    /// Serialize as a stable JSON object (dependency-free, like
-    /// [`TelemetrySnapshot::to_json`]).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str(&format!(
-            "{{\"accepted\":{},\"rejected_admission\":{},\
-             \"rejected_shutdown\":{},\"handshake_failures\":{},\
-             \"requests\":{},\"engine_errors\":{},\"timed_out\":{},\
-             \"bytes_in\":{},\"bytes_out\":{},\"socket_errors\":{},\
-             \"active_connections\":{},\
-             \"max_concurrent\":{},\"subscriptions\":{},\
-             \"pushes_sent\":{},\"push_dropped\":{},\
-             \"push_outbox_depth\":{},\"request_latency\":",
-            self.accepted,
-            self.rejected_admission,
-            self.rejected_shutdown,
-            self.handshake_failures,
-            self.requests,
-            self.engine_errors,
-            self.timed_out,
-            self.bytes_in,
-            self.bytes_out,
-            self.socket_errors,
-            self.active_connections,
-            self.max_concurrent,
-            self.subscriptions,
-            self.pushes_sent,
-            self.push_dropped,
-            self.push_outbox_depth
-        ));
-        self.request_latency.json(&mut out);
-        out.push('}');
-        out
-    }
-}
-
-/// The engine's live counter tree. One instance lives in each `Database`;
-/// every layer increments it through relaxed atomics.
-#[derive(Debug, Default)]
-pub struct EngineTelemetry {
-    /// Transaction counters.
-    pub txn: TxnTelemetry,
-    /// Query-execution counters.
-    pub query: QueryTelemetry,
-    /// Version counters.
-    pub versions: VersionTelemetry,
-    /// Trigger counters.
-    pub triggers: TriggerTelemetry,
-    /// Decoupled-scheduler counters.
-    pub sched: SchedTelemetry,
-    /// Static-analyzer counters.
-    pub analyze: AnalyzeTelemetry,
-}
-
-impl EngineTelemetry {
-    /// Zero every engine counter (substrate counters reset separately).
-    pub fn reset(&self) {
-        let t = &self.txn;
-        for c in [
-            &t.begun,
-            &t.committed,
-            &t.aborted_constraint,
-            &t.aborted_other,
-            &t.read_txns,
-            &t.write_txns,
-            &t.release_errors,
-            &t.commit_retries,
-            &t.conflicts,
-            &t.ranged_scans,
-            &t.narrowed_validations,
-        ] {
-            c.reset();
-        }
-        // `conflict_pressure` is a live level fed back into retry backoff;
-        // zeroing it would erase real contention state.
-        t.commit_latency.reset();
-        t.gate_wait.reset();
-        let q = &self.query;
-        for c in [
-            &q.foralls,
-            &q.joins,
-            &q.clusters_visited,
-            &q.objects_scanned,
-            &q.predicate_evals,
-            &q.index_probes,
-            &q.deep_extent_scans,
-            &q.fixpoint_rounds,
-            &q.fixpoint_new_objects,
-            &q.overlay_clones,
-        ] {
-            c.reset();
-        }
-        let v = &self.versions;
-        for c in [&v.newversions, &v.generic_derefs, &v.specific_derefs] {
-            c.reset();
-        }
-        let g = &self.triggers;
-        for c in [
-            &g.activations,
-            &g.condition_evals,
-            &g.firings,
-            &g.action_failures,
-            &g.deferred_actions,
-            &g.cascade_exhausted,
-        ] {
-            c.reset();
-        }
-        g.max_cascade_depth.reset();
-        let sc = &self.sched;
-        for c in [
-            &sc.enqueued,
-            &sc.drained,
-            &sc.retries,
-            &sc.dead_letters,
-            &sc.overflow_dropped,
-        ] {
-            c.reset();
-        }
-        // Queue depth and suspensions are live levels that mirror
-        // scheduler state; zeroing them would desynchronize the mirror.
-        sc.queue_high_water.reset();
-        sc.drain_lag.reset();
-        let a = &self.analyze;
-        for c in [
-            &a.passes,
-            &a.errors,
-            &a.warnings,
-            &a.footprints,
-            &a.read_only_proofs,
-        ] {
-            c.reset();
-        }
-        a.latency.reset();
-    }
-
-    /// Copy the live counters (plus the given substrate counters) into a
-    /// plain-data snapshot.
-    pub fn snapshot(&self, storage: StorageSnapshot) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            storage,
-            txn: TxnSnapshot {
-                begun: self.txn.begun.get(),
-                committed: self.txn.committed.get(),
-                aborted_constraint: self.txn.aborted_constraint.get(),
-                aborted_other: self.txn.aborted_other.get(),
-                read_txns: self.txn.read_txns.get(),
-                write_txns: self.txn.write_txns.get(),
-                commit_latency: self.txn.commit_latency.snapshot(),
-                gate_wait: self.txn.gate_wait.snapshot(),
-                release_errors: self.txn.release_errors.get(),
-                commit_retries: self.txn.commit_retries.get(),
-                conflicts: self.txn.conflicts.get(),
-                ranged_scans: self.txn.ranged_scans.get(),
-                narrowed_validations: self.txn.narrowed_validations.get(),
-                conflict_pressure: self.txn.conflict_pressure.get(),
-            },
-            query: QuerySnapshot {
-                foralls: self.query.foralls.get(),
-                joins: self.query.joins.get(),
-                clusters_visited: self.query.clusters_visited.get(),
-                objects_scanned: self.query.objects_scanned.get(),
-                predicate_evals: self.query.predicate_evals.get(),
-                index_probes: self.query.index_probes.get(),
-                deep_extent_scans: self.query.deep_extent_scans.get(),
-                fixpoint_rounds: self.query.fixpoint_rounds.get(),
-                fixpoint_new_objects: self.query.fixpoint_new_objects.get(),
-                overlay_clones: self.query.overlay_clones.get(),
-            },
-            versions: VersionSnapshot {
-                newversions: self.versions.newversions.get(),
-                generic_derefs: self.versions.generic_derefs.get(),
-                specific_derefs: self.versions.specific_derefs.get(),
-            },
-            triggers: TriggerSnapshot {
-                activations: self.triggers.activations.get(),
-                condition_evals: self.triggers.condition_evals.get(),
-                firings: self.triggers.firings.get(),
-                action_failures: self.triggers.action_failures.get(),
-                deferred_actions: self.triggers.deferred_actions.get(),
-                cascade_exhausted: self.triggers.cascade_exhausted.get(),
-                max_cascade_depth: self.triggers.max_cascade_depth.get(),
-            },
-            sched: SchedSnapshot {
-                enqueued: self.sched.enqueued.get(),
-                drained: self.sched.drained.get(),
-                retries: self.sched.retries.get(),
-                dead_letters: self.sched.dead_letters.get(),
-                overflow_dropped: self.sched.overflow_dropped.get(),
-                queue_depth: self.sched.queue_depth.get(),
-                suspended: self.sched.suspended.get(),
-                queue_high_water: self.sched.queue_high_water.get(),
-                drain_lag: self.sched.drain_lag.snapshot(),
-            },
-            analyze: AnalyzeSnapshot {
-                passes: self.analyze.passes.get(),
-                errors: self.analyze.errors.get(),
-                warnings: self.analyze.warnings.get(),
-                latency: self.analyze.latency.snapshot(),
-                footprints: self.analyze.footprints.get(),
-                read_only_proofs: self.analyze.read_only_proofs.get(),
-            },
-        }
-    }
-}
-
-// ------------------------------------------------------------ snapshots
-
-/// Substrate (storage-layer) counters, flattened for snapshots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StorageSnapshot {
-    /// Buffer-pool page requests served from the pool.
-    pub pager_hits: u64,
-    /// Page requests that read the data file.
-    pub pager_misses: u64,
-    /// Frames evicted to make room.
-    pub pager_evictions: u64,
-    /// Dirty frames written back.
-    pub pager_writebacks: u64,
-    /// Record reads served by the store.
-    pub record_reads: u64,
-    /// Records written by commit batches.
-    pub record_writes: u64,
-    /// WAL commit groups appended.
-    pub wal_appends: u64,
-    /// WAL fsyncs issued.
-    pub wal_fsyncs: u64,
-    /// Bytes in the WAL since the last checkpoint.
-    pub wal_bytes: u64,
-    /// Committed store batches since open.
-    pub commits: u64,
-    /// WAL commit groups replayed during recovery at the last open.
-    pub replayed_groups: u64,
-    /// Faults injected by a fault-injection wrapper (zero in production;
-    /// nonzero only under the crash-torture harness, DESIGN.md §10).
-    pub faults_injected: u64,
-    /// Checkpoint attempts that failed (including the best-effort one in
-    /// `Drop`); each leaves the WAL intact, so durability is unharmed.
-    pub checkpoint_failures: u64,
-    /// Group-commit fsync cohorts: shared durability phases led by one
-    /// committer on behalf of everyone queued behind it (DESIGN.md §13).
-    pub commit_groups: u64,
-    /// Total commits that rode those cohorts; `commit_group_members /
-    /// commit_groups` is the mean cohort size (1.0 = no sharing).
-    pub commit_group_members: u64,
-}
-
-/// Transaction counters, frozen.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TxnSnapshot {
-    /// See [`TxnTelemetry::begun`].
-    pub begun: u64,
-    /// See [`TxnTelemetry::committed`].
-    pub committed: u64,
-    /// See [`TxnTelemetry::aborted_constraint`].
-    pub aborted_constraint: u64,
-    /// See [`TxnTelemetry::aborted_other`].
-    pub aborted_other: u64,
-    /// See [`TxnTelemetry::read_txns`].
-    pub read_txns: u64,
-    /// See [`TxnTelemetry::write_txns`].
-    pub write_txns: u64,
-    /// See [`TxnTelemetry::commit_latency`].
-    pub commit_latency: HistoSnapshot,
-    /// See [`TxnTelemetry::gate_wait`].
-    pub gate_wait: HistoSnapshot,
-    /// See [`TxnTelemetry::release_errors`].
-    pub release_errors: u64,
-    /// See [`TxnTelemetry::commit_retries`].
-    pub commit_retries: u64,
-    /// See [`TxnTelemetry::conflicts`].
-    pub conflicts: u64,
-    /// See [`TxnTelemetry::ranged_scans`].
-    pub ranged_scans: u64,
-    /// See [`TxnTelemetry::narrowed_validations`].
-    pub narrowed_validations: u64,
-    /// See [`TxnTelemetry::conflict_pressure`].
-    pub conflict_pressure: u64,
-}
-
-/// Query counters, frozen.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QuerySnapshot {
-    /// See [`QueryTelemetry::foralls`].
-    pub foralls: u64,
-    /// See [`QueryTelemetry::joins`].
-    pub joins: u64,
-    /// See [`QueryTelemetry::clusters_visited`].
-    pub clusters_visited: u64,
-    /// See [`QueryTelemetry::objects_scanned`].
-    pub objects_scanned: u64,
-    /// See [`QueryTelemetry::predicate_evals`].
-    pub predicate_evals: u64,
-    /// See [`QueryTelemetry::index_probes`].
-    pub index_probes: u64,
-    /// See [`QueryTelemetry::deep_extent_scans`].
-    pub deep_extent_scans: u64,
-    /// See [`QueryTelemetry::fixpoint_rounds`].
-    pub fixpoint_rounds: u64,
-    /// See [`QueryTelemetry::fixpoint_new_objects`].
-    pub fixpoint_new_objects: u64,
-    /// See [`QueryTelemetry::overlay_clones`].
-    pub overlay_clones: u64,
-}
-
-/// Version counters, frozen.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VersionSnapshot {
-    /// See [`VersionTelemetry::newversions`].
-    pub newversions: u64,
-    /// See [`VersionTelemetry::generic_derefs`].
-    pub generic_derefs: u64,
-    /// See [`VersionTelemetry::specific_derefs`].
-    pub specific_derefs: u64,
-}
-
-/// Trigger counters, frozen.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TriggerSnapshot {
-    /// See [`TriggerTelemetry::activations`].
-    pub activations: u64,
-    /// See [`TriggerTelemetry::condition_evals`].
-    pub condition_evals: u64,
-    /// See [`TriggerTelemetry::firings`].
-    pub firings: u64,
-    /// See [`TriggerTelemetry::action_failures`].
-    pub action_failures: u64,
-    /// See [`TriggerTelemetry::deferred_actions`].
-    pub deferred_actions: u64,
-    /// See [`TriggerTelemetry::cascade_exhausted`].
-    pub cascade_exhausted: u64,
-    /// See [`TriggerTelemetry::max_cascade_depth`].
-    pub max_cascade_depth: u64,
-}
-
-/// Scheduler counters, frozen.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedSnapshot {
-    /// See [`SchedTelemetry::enqueued`].
-    pub enqueued: u64,
-    /// See [`SchedTelemetry::drained`].
-    pub drained: u64,
-    /// See [`SchedTelemetry::retries`].
-    pub retries: u64,
-    /// See [`SchedTelemetry::dead_letters`].
-    pub dead_letters: u64,
-    /// See [`SchedTelemetry::overflow_dropped`].
-    pub overflow_dropped: u64,
-    /// See [`SchedTelemetry::queue_depth`].
-    pub queue_depth: u64,
-    /// See [`SchedTelemetry::suspended`].
-    pub suspended: u64,
-    /// See [`SchedTelemetry::queue_high_water`].
-    pub queue_high_water: u64,
-    /// See [`SchedTelemetry::drain_lag`].
-    pub drain_lag: HistoSnapshot,
-}
-
-/// Static-analyzer counters, frozen.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnalyzeSnapshot {
-    /// See [`AnalyzeTelemetry::passes`].
-    pub passes: u64,
-    /// See [`AnalyzeTelemetry::errors`].
-    pub errors: u64,
-    /// See [`AnalyzeTelemetry::warnings`].
-    pub warnings: u64,
-    /// See [`AnalyzeTelemetry::latency`].
-    pub latency: HistoSnapshot,
-    /// See [`AnalyzeTelemetry::footprints`].
-    pub footprints: u64,
-    /// See [`AnalyzeTelemetry::read_only_proofs`].
-    pub read_only_proofs: u64,
-}
-
-/// A full engine + substrate telemetry snapshot: plain data, comparable,
-/// subtractable, and serializable to JSON without any dependency.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TelemetrySnapshot {
-    /// Storage-layer counters.
-    pub storage: StorageSnapshot,
-    /// Transaction counters.
-    pub txn: TxnSnapshot,
-    /// Query counters.
-    pub query: QuerySnapshot,
-    /// Version counters.
-    pub versions: VersionSnapshot,
-    /// Trigger counters.
-    pub triggers: TriggerSnapshot,
-    /// Decoupled-scheduler counters.
-    pub sched: SchedSnapshot,
-    /// Static-analyzer counters.
-    pub analyze: AnalyzeSnapshot,
-}
-
-macro_rules! sub_fields {
-    ($self:expr, $base:expr; $($field:ident),+ $(,)?) => {
-        ($( $self.$field.saturating_sub($base.$field), )+)
+/// The frozen type of a kind.
+macro_rules! value_of {
+    (LatencyHisto) => {
+        HistoSnapshot
+    };
+    ($kind:ident) => {
+        u64
     };
 }
 
-impl TelemetrySnapshot {
-    /// Field-wise `self - baseline` (saturating). Gauges
-    /// (`max_cascade_depth`, `wal_bytes`, quantiles) keep their current
-    /// values: they are levels, not counts.
-    pub fn delta(&self, baseline: &TelemetrySnapshot) -> TelemetrySnapshot {
-        let s = &self.storage;
-        let b = &baseline.storage;
-        let (
-            pager_hits,
-            pager_misses,
-            pager_evictions,
-            pager_writebacks,
-            record_reads,
-            record_writes,
-            wal_appends,
-            wal_fsyncs,
-            commits,
-            faults_injected,
-            checkpoint_failures,
-            commit_groups,
-            commit_group_members,
-        ) = sub_fields!(s, b; pager_hits, pager_misses, pager_evictions,
-            pager_writebacks, record_reads, record_writes, wal_appends,
-            wal_fsyncs, commits, faults_injected, checkpoint_failures,
-            commit_groups, commit_group_members);
-        let storage = StorageSnapshot {
-            pager_hits,
-            pager_misses,
-            pager_evictions,
-            pager_writebacks,
-            record_reads,
-            record_writes,
-            wal_appends,
-            wal_fsyncs,
-            wal_bytes: s.wal_bytes,
-            commits,
-            // A level, not a count: recovery work from the last reopen.
-            replayed_groups: s.replayed_groups,
-            faults_injected,
-            checkpoint_failures,
-            commit_groups,
-            commit_group_members,
-        };
-        let t = &self.txn;
-        let bt = &baseline.txn;
-        let (
-            begun,
-            committed,
-            aborted_constraint,
-            aborted_other,
-            read_txns,
-            write_txns,
-            release_errors,
-            commit_retries,
-            conflicts,
-            ranged_scans,
-            narrowed_validations,
-        ) = sub_fields!(t, bt; begun, committed, aborted_constraint, aborted_other,
-                read_txns, write_txns, release_errors, commit_retries, conflicts,
-                ranged_scans, narrowed_validations);
-        let txn = TxnSnapshot {
-            begun,
-            committed,
-            aborted_constraint,
-            aborted_other,
-            read_txns,
-            write_txns,
-            commit_latency: t.commit_latency.delta(&bt.commit_latency),
-            gate_wait: t.gate_wait.delta(&bt.gate_wait),
-            release_errors,
-            commit_retries,
-            conflicts,
-            ranged_scans,
-            narrowed_validations,
-            // A level fed into backoff, not a count.
-            conflict_pressure: t.conflict_pressure,
-        };
-        let q = &self.query;
-        let bq = &baseline.query;
-        let (
-            foralls,
-            joins,
-            clusters_visited,
-            objects_scanned,
-            predicate_evals,
-            index_probes,
-            deep_extent_scans,
-            fixpoint_rounds,
-            fixpoint_new_objects,
-            overlay_clones,
-        ) = sub_fields!(q, bq; foralls, joins, clusters_visited,
-            objects_scanned, predicate_evals, index_probes,
-            deep_extent_scans, fixpoint_rounds, fixpoint_new_objects,
-            overlay_clones);
-        let query = QuerySnapshot {
-            foralls,
-            joins,
-            clusters_visited,
-            objects_scanned,
-            predicate_evals,
-            index_probes,
-            deep_extent_scans,
-            fixpoint_rounds,
-            fixpoint_new_objects,
-            overlay_clones,
-        };
-        let v = &self.versions;
-        let bv = &baseline.versions;
-        let (newversions, generic_derefs, specific_derefs) =
-            sub_fields!(v, bv; newversions, generic_derefs, specific_derefs);
-        let versions = VersionSnapshot {
-            newversions,
-            generic_derefs,
-            specific_derefs,
-        };
-        let g = &self.triggers;
-        let bg = &baseline.triggers;
-        let (
-            activations,
-            condition_evals,
-            firings,
-            action_failures,
-            deferred_actions,
-            cascade_exhausted,
-        ) = sub_fields!(g, bg; activations, condition_evals, firings,
-                action_failures, deferred_actions, cascade_exhausted);
-        let triggers = TriggerSnapshot {
-            activations,
-            condition_evals,
-            firings,
-            action_failures,
-            deferred_actions,
-            cascade_exhausted,
-            max_cascade_depth: g.max_cascade_depth,
-        };
-        let sc = &self.sched;
-        let bsc = &baseline.sched;
-        let (enqueued, drained, retries, dead_letters, overflow_dropped) =
-            sub_fields!(sc, bsc; enqueued, drained, retries, dead_letters, overflow_dropped);
-        let sched = SchedSnapshot {
-            enqueued,
-            drained,
-            retries,
-            dead_letters,
-            overflow_dropped,
-            // Levels, not counts.
-            queue_depth: sc.queue_depth,
-            suspended: sc.suspended,
-            queue_high_water: sc.queue_high_water,
-            drain_lag: sc.drain_lag.delta(&bsc.drain_lag),
-        };
-        let a = &self.analyze;
-        let ba = &baseline.analyze;
-        let (passes, errors, warnings, footprints, read_only_proofs) =
-            sub_fields!(a, ba; passes, errors, warnings, footprints, read_only_proofs);
-        let analyze = AnalyzeSnapshot {
-            passes,
-            errors,
-            warnings,
-            latency: a.latency.delta(&ba.latency),
-            footprints,
-            read_only_proofs,
-        };
-        TelemetrySnapshot {
-            storage,
-            txn,
-            query,
-            versions,
-            triggers,
-            sched,
-            analyze,
-        }
-    }
+/// One metric family from one table. Each entry is
+/// `field: Kind "Prometheus HELP" [row "name"] [label family(key = "value")];`
+/// and derives the live field, the frozen field, its `snapshot`, `reset`,
+/// `delta`, `.stats` rows, JSON and Prometheus rendering. Default names:
+/// row `<family>.<field>`, Prometheus `<prefix>_<field><kind suffix>`.
+/// `row` overrides the row name; `label` files the sample under
+/// `<prefix>_<family><suffix>{key="value"}`, whose HELP is the first
+/// entry's (later entries' HELP text only documents the field).
+macro_rules! family {
+    ($(#[$doc:meta])* $live:ident => $snap:ident { $($body:tt)* }) => {
+        family!(@live $(#[$doc])* $live $snap { $($body)* });
+        family!(@snap #[doc = concat!("[`", stringify!($live), "`], frozen.")] $snap { $($body)* });
+    };
+    ($(#[$doc:meta])* $snap:ident { $($body:tt)* }) => {
+        family!(@snap $(#[$doc])* $snap { $($body)* });
+    };
+    (@live $(#[$doc:meta])* $live:ident $snap:ident { $(
+        $(#[$fdoc:meta])* $f:ident: $kind:ident $help:literal
+        $(row $row:literal)? $(label $lf:ident($lk:ident = $lv:literal))?;
+    )* }) => {
+        $(#[$doc])*
+        #[derive(Debug, Default)]
+        pub struct $live { $( #[doc = $help] $(#[$fdoc])* pub $f: $kind, )* }
 
-    /// Flat `(dotted-name, value)` rows for line-oriented display (the
-    /// shell's `.stats`). Latency values are rendered in microseconds.
+        impl $live {
+            /// Copy the live metrics into a plain-data snapshot.
+            pub fn snapshot(&self) -> $snap {
+                $snap { $( $f: Metric::read(&self.$f), )* }
+            }
+
+            /// Zero every counter, maximum and histogram; levels keep
+            /// their value.
+            pub fn reset(&self) {
+                $( Metric::clear(&self.$f); )*
+            }
+        }
+    };
+    (@snap $(#[$doc:meta])* $snap:ident { $(
+        $(#[$fdoc:meta])* $f:ident: $kind:ident $help:literal
+        $(row $row:literal)? $(label $lf:ident($lk:ident = $lv:literal))?;
+    )* }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $snap { $( #[doc = $help] pub $f: value_of!($kind), )* }
+
+        impl $snap {
+            /// `self - baseline` by kind: counters and histogram counts
+            /// subtract (saturating), levels and maxima keep their value.
+            pub fn delta(&self, baseline: &$snap) -> $snap {
+                $snap { $( $f: <$kind as Metric>::delta(self.$f, baseline.$f), )* }
+            }
+
+            fn rows_into(&self, family: &str, out: &mut Vec<(String, String)>) {
+                $( self.$f.rows(family!(@row family $f $($row)?), out); )*
+            }
+
+            fn json_into(&self, out: &mut String) {
+                let mut sep = '{';
+                for nested in [false, true] {
+                    $( if self.$f.nested() == nested {
+                        out.push(sep);
+                        sep = ',';
+                        out.push_str(concat!("\"", stringify!($f), "\":"));
+                        self.$f.json(out);
+                    } )*
+                }
+                out.push('}');
+            }
+
+            fn prom_into(&self, prefix: &str, p: &mut PromText) {
+                $( family!(@prom p prefix self.$f, $kind $help $f $($lf $lk $lv)?); )*
+            }
+        }
+    };
+    (@row $family:ident $f:ident) => { format!("{}.{}", $family, stringify!($f)) };
+    (@row $family:ident $f:ident $row:literal) => { $row.to_string() };
+    (@prom $p:ident $prefix:ident $v:expr, $kind:ident $help:literal $f:ident) => {
+        family!(@prom_as $p $prefix $v, $kind $help $f [])
+    };
+    (@prom $p:ident $prefix:ident $v:expr, $kind:ident $help:literal $f:ident $lf:ident $lk:ident $lv:literal) => {
+        family!(@prom_as $p $prefix $v, $kind $help $lf [(stringify!($lk), $lv)])
+    };
+    (@prom_as $p:ident $prefix:ident $v:expr, $kind:ident $help:literal $name:ident $labels:tt) => {{
+        let (suffix, type_) = <$kind as Metric>::PROM;
+        let name = format!("{}_{}{}", $prefix, stringify!($name), suffix);
+        $v.prom($p, &name, type_, $help, &$labels)
+    }};
+}
+
+/// The engine-wide tree over the families: `family: Snapshot [(Live)]
+/// "prometheus_prefix";`. The family name is also its row prefix and JSON
+/// key; a family without a live struct (storage) is passed to
+/// `snapshot`.
+macro_rules! engine {
+    ($( #[doc = $doc:literal] $fam:ident: $snap:ident $(($live:ident))? $prom:literal; )*) => {
+        /// The engine's live counter tree. One instance lives in each
+        /// `Database`; every layer increments it through relaxed atomics.
+        #[derive(Debug, Default)]
+        pub struct EngineTelemetry { $($( #[doc = $doc] pub $fam: $live, )?)* }
+
+        /// A full engine + substrate telemetry snapshot: plain data,
+        /// comparable, subtractable, and serializable to JSON without any
+        /// dependency.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct TelemetrySnapshot { $( #[doc = $doc] pub $fam: $snap, )* }
+
+        impl EngineTelemetry {
+            /// Zero every engine statistic (levels keep their value;
+            /// substrate counters reset separately).
+            pub fn reset(&self) {
+                $($( $live::reset(&self.$fam); )?)*
+            }
+
+            /// Copy the live counters (plus the given substrate counters)
+            /// into a plain-data snapshot.
+            pub fn snapshot(&self, storage: StorageSnapshot) -> TelemetrySnapshot {
+                TelemetrySnapshot { storage, $($( $fam: $live::snapshot(&self.$fam), )?)* }
+            }
+        }
+
+        impl TelemetrySnapshot {
+            /// `self - baseline` by kind, family by family (see each
+            /// family's `delta`).
+            pub fn delta(&self, baseline: &TelemetrySnapshot) -> TelemetrySnapshot {
+                TelemetrySnapshot { $( $fam: self.$fam.delta(&baseline.$fam), )* }
+            }
+
+            /// Flat `(dotted-name, value)` rows for line-oriented display
+            /// (the shell's `.stats`). Latency values are in microseconds.
+            pub fn rows(&self) -> Vec<(String, String)> {
+                let mut out = Vec::with_capacity(96);
+                $( self.$fam.rows_into(stringify!($fam), &mut out); )*
+                out
+            }
+
+            /// Serialize as a stable JSON object, one nested object per
+            /// family (no external dependency).
+            pub fn to_json(&self) -> String {
+                let mut out = String::with_capacity(2048);
+                $(
+                    out.push_str(concat!(",\"", stringify!($fam), "\":"));
+                    self.$fam.json_into(&mut out);
+                )*
+                out.replace_range(..1, "{");
+                out.push('}');
+                out
+            }
+
+            fn prom_into(&self, p: &mut PromText) {
+                $( self.$fam.prom_into($prom, p); )*
+            }
+        }
+    };
+}
+
+engine! {
+    /// Storage-layer counters.
+    storage: StorageSnapshot "ode_storage";
+    /// Transaction counters.
+    txn: TxnSnapshot(TxnTelemetry) "ode_txn";
+    /// Query-execution counters.
+    query: QuerySnapshot(QueryTelemetry) "ode_query";
+    /// Version counters.
+    versions: VersionSnapshot(VersionTelemetry) "ode_version";
+    /// Trigger counters.
+    triggers: TriggerSnapshot(TriggerTelemetry) "ode_trigger";
+    /// Decoupled-scheduler counters.
+    sched: SchedSnapshot(SchedTelemetry) "ode_sched";
+    /// Static-analyzer counters.
+    analyze: AnalyzeSnapshot(AnalyzeTelemetry) "ode_analyze";
+}
+
+family! {
+    /// Substrate (storage-layer) counters, flattened for snapshots. The
+    /// store keeps the live values; `Database::telemetry` copies them in.
+    StorageSnapshot {
+        pager_hits: Counter "Buffer-pool page requests served from the pool";
+        pager_misses: Counter "Page requests that read the data file";
+        pager_evictions: Counter "Frames evicted to make room";
+        pager_writebacks: Counter "Dirty frames written back";
+        record_reads: Counter "Record reads served by the store";
+        record_writes: Counter "Records written by commit batches";
+        wal_appends: Counter "WAL commit groups appended";
+        wal_fsyncs: Counter "WAL fsyncs issued";
+        wal_bytes: Gauge "Bytes in the WAL since the last checkpoint";
+        commits: Counter "Committed store batches";
+        replayed_groups: Gauge "WAL commit groups replayed at the last open" row "recovery.replayed_groups";
+        faults_injected: Counter "Faults injected by a fault-injection wrapper";
+        checkpoint_failures: Counter "Checkpoint attempts that failed";
+        commit_groups: Counter "Group-commit fsync cohorts (one shared durability phase each)";
+        commit_group_members: Counter "Commits that rode a group-commit cohort";
+    }
+}
+
+family! {
+    /// Transaction-layer counters.
+    TxnTelemetry => TxnSnapshot {
+        begun: Counter "Transactions begun";
+        committed: Counter "Transactions committed";
+        /// Constraint-violation rollbacks (§5's abort semantics).
+        aborted_constraint: Counter "Transactions rolled back, by cause" label aborted(cause = "constraint");
+        aborted_other: Counter "Rollbacks from abort(), drops, or non-constraint errors" label aborted(cause = "other");
+        read_txns: Counter "Snapshot read transactions begun";
+        write_txns: Counter "Write transactions begun";
+        commit_latency: LatencyHisto "Wall-clock commit latency";
+        /// Flat under pure read traffic: the read path never takes the gate.
+        gate_wait: LatencyHisto "Write-gate acquisition wait";
+        release_errors: Counter "Reservation releases that failed during rollback";
+        commit_retries: Counter "Store-commit attempts retried after transient failures" row "commit.retries";
+        /// Surface as retryable `WriteConflict` errors (DESIGN.md §13).
+        conflicts: Counter "Commits rejected by optimistic validation (write conflicts)";
+        ranged_scans: Counter "Extent scans recorded with analyzer-proven key ranges";
+        /// Each one is a false conflict the footprint machinery eliminated.
+        narrowed_validations: Counter "Commit validations that passed via range-disjointness proofs";
+        /// Raised on each scan/extent conflict, decayed on each claim.
+        conflict_pressure: Gauge "Footprint-overlap pressure feeding adaptive retry backoff";
+    }
+}
+
+family! {
+    /// Query-execution counters.
+    QueryTelemetry => QuerySnapshot {
+        foralls: Counter "forall iterations started";
+        joins: Counter "Join queries started";
+        clusters_visited: Counter "Cluster heaps enumerated by extent scans";
+        objects_scanned: Counter "Objects materialized as candidates";
+        predicate_evals: Counter "suchthat predicate evaluations";
+        index_probes: Counter "Index lookups/ranges that answered a conjunct";
+        deep_extent_scans: Counter "Passes that enumerated a deep extent";
+        fixpoint_rounds: Counter "Fixpoint re-evaluation rounds";
+        fixpoint_new_objects: Counter "Newly visited objects across fixpoint rounds";
+        /// Extent scans borrow overlay states, so this stays near zero
+        /// under scan-heavy load.
+        overlay_clones: Counter "Write-set states cloned into query results (index-probe fold-in only)";
+    }
+}
+
+family! {
+    /// Version-subsystem counters (§4).
+    VersionTelemetry => VersionSnapshot {
+        newversions: Counter "newversion calls";
+        generic_derefs: Counter "Generic references resolved through a version anchor";
+        specific_derefs: Counter "Pinned-version dereferences";
+    }
+}
+
+family! {
+    /// Trigger-subsystem counters (§6).
+    TriggerTelemetry => TriggerSnapshot {
+        activations: Counter "Trigger activations requested";
+        condition_evals: Counter "Trigger-condition evaluations at commit";
+        firings: Counter "Triggers fired";
+        action_failures: Counter "Fired actions whose own transaction failed";
+        deferred_actions: Counter "Firings deferred past the commit point";
+        /// Each also counts as an `action_failures`.
+        cascade_exhausted: Counter "Firings refused at the cascade depth limit";
+        max_cascade_depth: MaxGauge "Deepest trigger cascade observed";
+    }
+}
+
+family! {
+    /// Decoupled-trigger-scheduler counters: zero unless a scheduler is
+    /// attached, which drains commit-enqueued events off the commit path.
+    SchedTelemetry => SchedSnapshot {
+        enqueued: Counter "Trigger events durably enqueued by commits";
+        drained: Counter "Events whose action transaction completed";
+        retries: Counter "Action attempts re-queued after transient failures";
+        dead_letters: Counter "Events abandoned after exhausting retries";
+        /// Trigger events are never dropped: they are durable.
+        overflow_dropped: Counter "Subscription checks dropped at queue capacity";
+        queue_depth: Gauge "Jobs currently queued in the scheduler";
+        suspended: Gauge "Trigger names currently suspended";
+        queue_high_water: MaxGauge "Most jobs ever queued at once";
+        drain_lag: LatencyHisto "Enqueue-to-dispatch latency of scheduled events";
+    }
+}
+
+family! {
+    /// Static-analyzer counters (the `ode-analyze` pass that runs before
+    /// any transaction is opened).
+    AnalyzeTelemetry => AnalyzeSnapshot {
+        passes: Counter "Statements analyzed";
+        errors: Counter "Statements rejected by the analyzer";
+        warnings: Counter "Analyzer warnings";
+        latency: LatencyHisto "Static-analysis pass latency";
+        /// The abstract-interpretation pass of DESIGN.md §14.
+        footprints: Counter "Statement footprints computed";
+        /// Run on the snapshot path, skipping the write-txn machinery.
+        read_only_proofs: Counter "Statements proven read-only by their footprint";
+    }
+}
+
+family! {
+    /// Serving-layer counters (the `ode-server` network front-end). One
+    /// instance lives in each server; the `.server` control op snapshots it.
+    ServerTelemetry => ServerSnapshot {
+        accepted: Counter "Connections admitted";
+        rejected_admission: Counter "Connections refused, by reason" label rejected(reason = "admission");
+        rejected_shutdown: Counter "Connections refused because the server was draining" label rejected(reason = "shutdown");
+        /// Bad magic, version mismatch, oversized or malformed first frame.
+        handshake_failures: Counter "Connections dropped during the handshake";
+        requests: Counter "Requests executed";
+        engine_errors: Counter "Requests answered with an engine error";
+        timed_out: Counter "Requests that exceeded the per-request budget";
+        bytes_in: Counter "Wire bytes, by direction" label bytes(direction = "in");
+        bytes_out: Counter "Wire bytes sent (frame headers included)" label bytes(direction = "out");
+        socket_errors: Counter "Socket-configuration failures survived";
+        request_latency: LatencyHisto "Request execution latency";
+        active_connections: Gauge "Connections currently open";
+        max_concurrent: MaxGauge "Most connections ever open at once";
+        subscriptions: Gauge "Live subscriptions currently registered";
+        pushes_sent: Counter "Push frames written to subscriber connections";
+        push_dropped: Counter "Push frames dropped at a full outbox or closed connection";
+        push_outbox_depth: Gauge "Push frames buffered in per-connection outboxes";
+    }
+}
+
+impl ServerSnapshot {
+    /// Flat `(dotted-name, value)` rows (the shell's `.server`).
     pub fn rows(&self) -> Vec<(String, String)> {
-        let mut out = Vec::with_capacity(40);
-        let mut push = |name: &str, v: u64| out.push((name.to_string(), v.to_string()));
-        let s = &self.storage;
-        push("storage.pager_hits", s.pager_hits);
-        push("storage.pager_misses", s.pager_misses);
-        push("storage.pager_evictions", s.pager_evictions);
-        push("storage.pager_writebacks", s.pager_writebacks);
-        push("storage.record_reads", s.record_reads);
-        push("storage.record_writes", s.record_writes);
-        push("storage.wal_appends", s.wal_appends);
-        push("storage.wal_fsyncs", s.wal_fsyncs);
-        push("storage.wal_bytes", s.wal_bytes);
-        push("storage.commits", s.commits);
-        push("storage.faults_injected", s.faults_injected);
-        push("storage.checkpoint_failures", s.checkpoint_failures);
-        push("storage.commit_groups", s.commit_groups);
-        push("storage.commit_group_members", s.commit_group_members);
-        push("recovery.replayed_groups", s.replayed_groups);
-        let t = &self.txn;
-        push("txn.begun", t.begun);
-        push("txn.committed", t.committed);
-        push("txn.aborted_constraint", t.aborted_constraint);
-        push("txn.aborted_other", t.aborted_other);
-        push("txn.read_txns", t.read_txns);
-        push("txn.write_txns", t.write_txns);
-        push("txn.release_errors", t.release_errors);
-        push("commit.retries", t.commit_retries);
-        push("txn.conflicts", t.conflicts);
-        push("txn.ranged_scans", t.ranged_scans);
-        push("txn.narrowed_validations", t.narrowed_validations);
-        push("txn.conflict_pressure", t.conflict_pressure);
-        push("txn.commit_latency.count", t.commit_latency.count);
-        let q = &self.query;
-        let lat = &self.txn.commit_latency;
-        out.push((
-            "txn.commit_latency.mean_us".to_string(),
-            format!("{:.1}", lat.mean_ns() as f64 / 1e3),
-        ));
-        out.push((
-            "txn.commit_latency.p99_us".to_string(),
-            format!("{:.1}", lat.p99_ns as f64 / 1e3),
-        ));
-        let gate = &self.txn.gate_wait;
-        out.push(("txn.gate_wait.count".to_string(), gate.count.to_string()));
-        out.push((
-            "txn.gate_wait.mean_us".to_string(),
-            format!("{:.1}", gate.mean_ns() as f64 / 1e3),
-        ));
-        out.push((
-            "txn.gate_wait.p99_us".to_string(),
-            format!("{:.1}", gate.p99_ns as f64 / 1e3),
-        ));
-        let mut push = |name: &str, v: u64| out.push((name.to_string(), v.to_string()));
-        push("query.foralls", q.foralls);
-        push("query.joins", q.joins);
-        push("query.clusters_visited", q.clusters_visited);
-        push("query.objects_scanned", q.objects_scanned);
-        push("query.predicate_evals", q.predicate_evals);
-        push("query.index_probes", q.index_probes);
-        push("query.deep_extent_scans", q.deep_extent_scans);
-        push("query.fixpoint_rounds", q.fixpoint_rounds);
-        push("query.fixpoint_new_objects", q.fixpoint_new_objects);
-        push("query.overlay_clones", q.overlay_clones);
-        let v = &self.versions;
-        push("versions.newversions", v.newversions);
-        push("versions.generic_derefs", v.generic_derefs);
-        push("versions.specific_derefs", v.specific_derefs);
-        let g = &self.triggers;
-        push("triggers.activations", g.activations);
-        push("triggers.condition_evals", g.condition_evals);
-        push("triggers.firings", g.firings);
-        push("triggers.action_failures", g.action_failures);
-        push("triggers.deferred_actions", g.deferred_actions);
-        push("triggers.cascade_exhausted", g.cascade_exhausted);
-        push("triggers.max_cascade_depth", g.max_cascade_depth);
-        let sc = &self.sched;
-        push("sched.enqueued", sc.enqueued);
-        push("sched.drained", sc.drained);
-        push("sched.retries", sc.retries);
-        push("sched.dead_letters", sc.dead_letters);
-        push("sched.overflow_dropped", sc.overflow_dropped);
-        push("sched.queue_depth", sc.queue_depth);
-        push("sched.suspended", sc.suspended);
-        push("sched.queue_high_water", sc.queue_high_water);
-        push("sched.drain_lag.count", sc.drain_lag.count);
-        out.push((
-            "sched.drain_lag.mean_us".to_string(),
-            format!("{:.1}", sc.drain_lag.mean_ns() as f64 / 1e3),
-        ));
-        out.push((
-            "sched.drain_lag.p99_us".to_string(),
-            format!("{:.1}", sc.drain_lag.p99_ns as f64 / 1e3),
-        ));
-        let mut push = |name: &str, v: u64| out.push((name.to_string(), v.to_string()));
-        let a = &self.analyze;
-        push("analyze.passes", a.passes);
-        push("analyze.errors", a.errors);
-        push("analyze.warnings", a.warnings);
-        push("analyze.footprints", a.footprints);
-        push("analyze.read_only_proofs", a.read_only_proofs);
-        push("analyze.latency.count", a.latency.count);
-        out.push((
-            "analyze.latency.mean_us".to_string(),
-            format!("{:.1}", a.latency.mean_ns() as f64 / 1e3),
-        ));
-        out.push((
-            "analyze.latency.p99_us".to_string(),
-            format!("{:.1}", a.latency.p99_ns as f64 / 1e3),
-        ));
+        let mut out = Vec::with_capacity(24);
+        self.rows_into("server", &mut out);
         out
     }
 
-    /// Serialize as a stable JSON object (no external dependency; every
-    /// value is an unsigned integer or a nested object).
+    /// Serialize as a stable JSON object (like
+    /// [`TelemetrySnapshot::to_json`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push('{');
-        let s = &self.storage;
-        out.push_str(&format!(
-            "\"storage\":{{\"pager_hits\":{},\"pager_misses\":{},\
-             \"pager_evictions\":{},\"pager_writebacks\":{},\
-             \"record_reads\":{},\"record_writes\":{},\"wal_appends\":{},\
-             \"wal_fsyncs\":{},\"wal_bytes\":{},\"commits\":{},\
-             \"replayed_groups\":{},\"faults_injected\":{},\
-             \"checkpoint_failures\":{},\"commit_groups\":{},\
-             \"commit_group_members\":{}}},",
-            s.pager_hits,
-            s.pager_misses,
-            s.pager_evictions,
-            s.pager_writebacks,
-            s.record_reads,
-            s.record_writes,
-            s.wal_appends,
-            s.wal_fsyncs,
-            s.wal_bytes,
-            s.commits,
-            s.replayed_groups,
-            s.faults_injected,
-            s.checkpoint_failures,
-            s.commit_groups,
-            s.commit_group_members
-        ));
-        let t = &self.txn;
-        out.push_str(&format!(
-            "\"txn\":{{\"begun\":{},\"committed\":{},\
-             \"aborted_constraint\":{},\"aborted_other\":{},\
-             \"read_txns\":{},\"write_txns\":{},\
-             \"release_errors\":{},\"commit_retries\":{},\
-             \"conflicts\":{},\"ranged_scans\":{},\
-             \"narrowed_validations\":{},\"conflict_pressure\":{},\
-             \"commit_latency\":",
-            t.begun,
-            t.committed,
-            t.aborted_constraint,
-            t.aborted_other,
-            t.read_txns,
-            t.write_txns,
-            t.release_errors,
-            t.commit_retries,
-            t.conflicts,
-            t.ranged_scans,
-            t.narrowed_validations,
-            t.conflict_pressure
-        ));
-        t.commit_latency.json(&mut out);
-        out.push_str(",\"gate_wait\":");
-        t.gate_wait.json(&mut out);
-        out.push_str("},");
-        let q = &self.query;
-        out.push_str(&format!(
-            "\"query\":{{\"foralls\":{},\"joins\":{},\"clusters_visited\":{},\
-             \"objects_scanned\":{},\"predicate_evals\":{},\
-             \"index_probes\":{},\"deep_extent_scans\":{},\
-             \"fixpoint_rounds\":{},\"fixpoint_new_objects\":{},\
-             \"overlay_clones\":{}}},",
-            q.foralls,
-            q.joins,
-            q.clusters_visited,
-            q.objects_scanned,
-            q.predicate_evals,
-            q.index_probes,
-            q.deep_extent_scans,
-            q.fixpoint_rounds,
-            q.fixpoint_new_objects,
-            q.overlay_clones
-        ));
-        let v = &self.versions;
-        out.push_str(&format!(
-            "\"versions\":{{\"newversions\":{},\"generic_derefs\":{},\
-             \"specific_derefs\":{}}},",
-            v.newversions, v.generic_derefs, v.specific_derefs
-        ));
-        let g = &self.triggers;
-        out.push_str(&format!(
-            "\"triggers\":{{\"activations\":{},\"condition_evals\":{},\
-             \"firings\":{},\"action_failures\":{},\"deferred_actions\":{},\
-             \"cascade_exhausted\":{},\"max_cascade_depth\":{}}}",
-            g.activations,
-            g.condition_evals,
-            g.firings,
-            g.action_failures,
-            g.deferred_actions,
-            g.cascade_exhausted,
-            g.max_cascade_depth
-        ));
-        let sc = &self.sched;
-        out.push_str(&format!(
-            ",\"sched\":{{\"enqueued\":{},\"drained\":{},\"retries\":{},\
-             \"dead_letters\":{},\"overflow_dropped\":{},\
-             \"queue_depth\":{},\"suspended\":{},\
-             \"queue_high_water\":{},\"drain_lag\":",
-            sc.enqueued,
-            sc.drained,
-            sc.retries,
-            sc.dead_letters,
-            sc.overflow_dropped,
-            sc.queue_depth,
-            sc.suspended,
-            sc.queue_high_water
-        ));
-        sc.drain_lag.json(&mut out);
-        out.push('}');
-        let a = &self.analyze;
-        out.push_str(&format!(
-            ",\"analyze\":{{\"passes\":{},\"errors\":{},\"warnings\":{},\
-             \"footprints\":{},\"read_only_proofs\":{},\"latency\":",
-            a.passes, a.errors, a.warnings, a.footprints, a.read_only_proofs
-        ));
-        a.latency.json(&mut out);
-        out.push('}');
-        out.push('}');
+        let mut out = String::with_capacity(512);
+        self.json_into(&mut out);
         out
     }
 }

@@ -1,15 +1,16 @@
 //! Prometheus text-format exposition (version 0.0.4).
 //!
-//! Renders every engine/server counter into metric families a standard
-//! scraper can ingest: counters as `*_total`, levels as gauges, and the
-//! log₂ latency histograms as summaries (count, sum, and the approximate
-//! p50/p99 the snapshot already carries). [`validate`] is a conservative
-//! self-check of the grammar — metric-name/label syntax, one `TYPE` line
-//! per family, numeric sample values — used by the CI smoke job and the
-//! integration tests.
+//! Renders every engine/server metric into families a standard scraper
+//! can ingest: counters as `*_total`, levels and maxima as gauges, and the
+//! log₂ latency histograms as `*_seconds` summaries (count, sum, and the
+//! approximate p50/p99 the snapshot already carries). Names and HELP text
+//! come from the declaration tables in the crate root. [`validate`] is a
+//! conservative self-check of the grammar — metric-name/label syntax, one
+//! `TYPE` line per family, numeric sample values — used by the CI smoke
+//! job and the integration tests.
 
 use crate::workstats::WorkStatRow;
-use crate::{HistoSnapshot, ServerSnapshot, TelemetrySnapshot};
+use crate::{ServerSnapshot, TelemetrySnapshot};
 
 /// Incrementally built exposition text with per-family bookkeeping.
 #[derive(Debug, Default)]
@@ -24,9 +25,14 @@ impl PromText {
         PromText::default()
     }
 
-    /// Open a family: emits `# HELP` and `# TYPE`. Panics (in tests) on
-    /// a duplicate family — the exposition format forbids them.
+    /// Open a family: emits `# HELP` and `# TYPE`. Re-opening the most
+    /// recent family is a no-op, so a labelled family's samples can be
+    /// added one at a time; any other duplicate panics (in tests) — the
+    /// exposition format forbids them.
     pub fn family(&mut self, name: &str, kind: &str, help: &str) {
+        if self.families.last().is_some_and(|f| f == name) {
+            return;
+        }
         debug_assert!(
             !self.families.iter().any(|f| f == name),
             "duplicate family {name}"
@@ -52,21 +58,6 @@ impl PromText {
         self.out.push_str(&format!(" {value}\n"));
     }
 
-    /// Shorthand: a single unlabeled counter/gauge sample.
-    fn single(&mut self, name: &str, kind: &str, help: &str, value: u64) {
-        self.family(name, kind, help);
-        self.sample(name, &[], value as f64);
-    }
-
-    /// A latency histogram as a Prometheus summary, in seconds.
-    fn summary(&mut self, name: &str, help: &str, h: &HistoSnapshot) {
-        self.family(name, "summary", help);
-        self.sample(name, &[("quantile", "0.5")], h.p50_ns as f64 / 1e9);
-        self.sample(name, &[("quantile", "0.99")], h.p99_ns as f64 / 1e9);
-        self.sample(&format!("{name}_sum"), &[], h.sum_ns as f64 / 1e9);
-        self.sample(&format!("{name}_count"), &[], h.count as f64);
-    }
-
     /// The finished exposition text.
     pub fn finish(self) -> String {
         self.out
@@ -88,545 +79,33 @@ pub fn render(
     spans_recorded: u64,
 ) -> String {
     let mut p = PromText::new();
-
-    let s = &engine.storage;
-    for (name, help, v) in [
-        (
-            "ode_storage_pager_hits_total",
-            "Buffer-pool page requests served from the pool",
-            s.pager_hits,
-        ),
-        (
-            "ode_storage_pager_misses_total",
-            "Page requests that read the data file",
-            s.pager_misses,
-        ),
-        (
-            "ode_storage_pager_evictions_total",
-            "Frames evicted to make room",
-            s.pager_evictions,
-        ),
-        (
-            "ode_storage_pager_writebacks_total",
-            "Dirty frames written back",
-            s.pager_writebacks,
-        ),
-        (
-            "ode_storage_record_reads_total",
-            "Record reads served by the store",
-            s.record_reads,
-        ),
-        (
-            "ode_storage_record_writes_total",
-            "Records written by commit batches",
-            s.record_writes,
-        ),
-        (
-            "ode_storage_wal_appends_total",
-            "WAL commit groups appended",
-            s.wal_appends,
-        ),
-        (
-            "ode_storage_wal_fsyncs_total",
-            "WAL fsyncs issued",
-            s.wal_fsyncs,
-        ),
-        (
-            "ode_storage_commits_total",
-            "Committed store batches",
-            s.commits,
-        ),
-        (
-            "ode_storage_faults_injected_total",
-            "Faults injected by a fault-injection wrapper",
-            s.faults_injected,
-        ),
-        (
-            "ode_storage_checkpoint_failures_total",
-            "Checkpoint attempts that failed",
-            s.checkpoint_failures,
-        ),
-        (
-            "ode_storage_commit_groups_total",
-            "Group-commit fsync cohorts (one shared durability phase each)",
-            s.commit_groups,
-        ),
-        (
-            "ode_storage_commit_group_members_total",
-            "Commits that rode a group-commit cohort",
-            s.commit_group_members,
-        ),
-    ] {
-        p.single(name, "counter", help, v);
-    }
-    p.single(
-        "ode_storage_wal_bytes",
-        "gauge",
-        "Bytes in the WAL since the last checkpoint",
-        s.wal_bytes,
-    );
-    p.single(
-        "ode_storage_replayed_groups",
-        "gauge",
-        "WAL commit groups replayed at the last open",
-        s.replayed_groups,
-    );
-
-    let t = &engine.txn;
-    for (name, help, v) in [
-        ("ode_txn_begun_total", "Transactions begun", t.begun),
-        (
-            "ode_txn_committed_total",
-            "Transactions committed",
-            t.committed,
-        ),
-        (
-            "ode_txn_read_txns_total",
-            "Snapshot read transactions begun",
-            t.read_txns,
-        ),
-        (
-            "ode_txn_write_txns_total",
-            "Write transactions begun",
-            t.write_txns,
-        ),
-        (
-            "ode_txn_release_errors_total",
-            "Reservation releases that failed during rollback",
-            t.release_errors,
-        ),
-        (
-            "ode_txn_commit_retries_total",
-            "Store-commit attempts retried after transient failures",
-            t.commit_retries,
-        ),
-        (
-            "ode_txn_conflicts_total",
-            "Commits rejected by optimistic validation (write conflicts)",
-            t.conflicts,
-        ),
-        (
-            "ode_txn_ranged_scans_total",
-            "Extent scans recorded with analyzer-proven key ranges",
-            t.ranged_scans,
-        ),
-        (
-            "ode_txn_narrowed_validations_total",
-            "Commit validations that passed via range-disjointness proofs",
-            t.narrowed_validations,
-        ),
-    ] {
-        p.single(name, "counter", help, v);
-    }
-    p.single(
-        "ode_txn_conflict_pressure",
-        "gauge",
-        "Footprint-overlap pressure feeding adaptive retry backoff",
-        t.conflict_pressure,
-    );
-    p.family(
-        "ode_txn_aborted_total",
-        "counter",
-        "Transactions rolled back, by cause",
-    );
-    p.sample(
-        "ode_txn_aborted_total",
-        &[("cause", "constraint")],
-        t.aborted_constraint as f64,
-    );
-    p.sample(
-        "ode_txn_aborted_total",
-        &[("cause", "other")],
-        t.aborted_other as f64,
-    );
-    p.summary(
-        "ode_txn_commit_latency_seconds",
-        "Wall-clock commit latency",
-        &t.commit_latency,
-    );
-    p.summary(
-        "ode_txn_gate_wait_seconds",
-        "Write-gate acquisition wait",
-        &t.gate_wait,
-    );
-
-    let q = &engine.query;
-    for (name, help, v) in [
-        (
-            "ode_query_foralls_total",
-            "forall iterations started",
-            q.foralls,
-        ),
-        ("ode_query_joins_total", "Join queries started", q.joins),
-        (
-            "ode_query_clusters_visited_total",
-            "Cluster heaps enumerated by extent scans",
-            q.clusters_visited,
-        ),
-        (
-            "ode_query_objects_scanned_total",
-            "Objects materialized as candidates",
-            q.objects_scanned,
-        ),
-        (
-            "ode_query_predicate_evals_total",
-            "suchthat predicate evaluations",
-            q.predicate_evals,
-        ),
-        (
-            "ode_query_index_probes_total",
-            "Index lookups/ranges that answered a conjunct",
-            q.index_probes,
-        ),
-        (
-            "ode_query_deep_extent_scans_total",
-            "Passes that enumerated a deep extent",
-            q.deep_extent_scans,
-        ),
-        (
-            "ode_query_fixpoint_rounds_total",
-            "Fixpoint re-evaluation rounds",
-            q.fixpoint_rounds,
-        ),
-        (
-            "ode_query_fixpoint_new_objects_total",
-            "Newly visited objects across fixpoint rounds",
-            q.fixpoint_new_objects,
-        ),
-        (
-            "ode_query_overlay_clones_total",
-            "Write-set states cloned into query results (index-probe fold-in only)",
-            q.overlay_clones,
-        ),
-    ] {
-        p.single(name, "counter", help, v);
-    }
-
-    let v = &engine.versions;
-    p.single(
-        "ode_version_newversions_total",
-        "counter",
-        "newversion calls",
-        v.newversions,
-    );
-    p.single(
-        "ode_version_generic_derefs_total",
-        "counter",
-        "Generic references resolved through a version anchor",
-        v.generic_derefs,
-    );
-    p.single(
-        "ode_version_specific_derefs_total",
-        "counter",
-        "Pinned-version dereferences",
-        v.specific_derefs,
-    );
-
-    let g = &engine.triggers;
-    for (name, help, val) in [
-        (
-            "ode_trigger_activations_total",
-            "Trigger activations requested",
-            g.activations,
-        ),
-        (
-            "ode_trigger_condition_evals_total",
-            "Trigger-condition evaluations at commit",
-            g.condition_evals,
-        ),
-        ("ode_trigger_firings_total", "Triggers fired", g.firings),
-        (
-            "ode_trigger_action_failures_total",
-            "Fired actions whose own transaction failed",
-            g.action_failures,
-        ),
-        (
-            "ode_trigger_deferred_actions_total",
-            "Firings deferred past the commit point",
-            g.deferred_actions,
-        ),
-        (
-            "ode_trigger_cascade_exhausted_total",
-            "Firings refused at the cascade depth limit",
-            g.cascade_exhausted,
-        ),
-    ] {
-        p.single(name, "counter", help, val);
-    }
-    p.single(
-        "ode_trigger_max_cascade_depth",
-        "gauge",
-        "Deepest trigger cascade observed",
-        g.max_cascade_depth,
-    );
-
-    let sc = &engine.sched;
-    for (name, help, val) in [
-        (
-            "ode_sched_enqueued_total",
-            "Trigger events durably enqueued by commits",
-            sc.enqueued,
-        ),
-        (
-            "ode_sched_drained_total",
-            "Events whose action transaction completed",
-            sc.drained,
-        ),
-        (
-            "ode_sched_retries_total",
-            "Action attempts re-queued after transient failures",
-            sc.retries,
-        ),
-        (
-            "ode_sched_dead_letters_total",
-            "Events abandoned after exhausting retries",
-            sc.dead_letters,
-        ),
-        (
-            "ode_sched_overflow_dropped_total",
-            "Subscription checks dropped at queue capacity",
-            sc.overflow_dropped,
-        ),
-    ] {
-        p.single(name, "counter", help, val);
-    }
-    p.single(
-        "ode_sched_queue_depth",
-        "gauge",
-        "Jobs currently queued in the scheduler",
-        sc.queue_depth,
-    );
-    p.single(
-        "ode_sched_suspended",
-        "gauge",
-        "Trigger names currently suspended",
-        sc.suspended,
-    );
-    p.single(
-        "ode_sched_queue_high_water",
-        "gauge",
-        "Most jobs ever queued at once",
-        sc.queue_high_water,
-    );
-    p.summary(
-        "ode_sched_drain_lag_seconds",
-        "Enqueue-to-dispatch latency of scheduled events",
-        &sc.drain_lag,
-    );
-
-    let a = &engine.analyze;
-    p.single(
-        "ode_analyze_passes_total",
-        "counter",
-        "Statements analyzed",
-        a.passes,
-    );
-    p.single(
-        "ode_analyze_errors_total",
-        "counter",
-        "Statements rejected by the analyzer",
-        a.errors,
-    );
-    p.single(
-        "ode_analyze_warnings_total",
-        "counter",
-        "Analyzer warnings",
-        a.warnings,
-    );
-    p.single(
-        "ode_analyze_footprints_total",
-        "counter",
-        "Statement footprints computed",
-        a.footprints,
-    );
-    p.single(
-        "ode_analyze_read_only_proofs_total",
-        "counter",
-        "Statements proven read-only by their footprint",
-        a.read_only_proofs,
-    );
-    p.summary(
-        "ode_analyze_latency_seconds",
-        "Static-analysis pass latency",
-        &a.latency,
-    );
-
+    engine.prom_into(&mut p);
     if let Some(sv) = server {
-        for (name, help, val) in [
-            (
-                "ode_server_accepted_total",
-                "Connections admitted",
-                sv.accepted,
-            ),
-            (
-                "ode_server_handshake_failures_total",
-                "Connections dropped during the handshake",
-                sv.handshake_failures,
-            ),
-            (
-                "ode_server_requests_total",
-                "Requests executed",
-                sv.requests,
-            ),
-            (
-                "ode_server_engine_errors_total",
-                "Requests answered with an engine error",
-                sv.engine_errors,
-            ),
-            (
-                "ode_server_timed_out_total",
-                "Requests that exceeded the per-request budget",
-                sv.timed_out,
-            ),
-            (
-                "ode_server_socket_errors_total",
-                "Socket-configuration failures survived",
-                sv.socket_errors,
-            ),
-            (
-                "ode_server_pushes_sent_total",
-                "Push frames written to subscriber connections",
-                sv.pushes_sent,
-            ),
-            (
-                "ode_server_push_dropped_total",
-                "Push frames dropped at a full outbox or closed connection",
-                sv.push_dropped,
-            ),
-        ] {
-            p.single(name, "counter", help, val);
-        }
-        p.family(
-            "ode_server_rejected_total",
-            "counter",
-            "Connections refused, by reason",
-        );
-        p.sample(
-            "ode_server_rejected_total",
-            &[("reason", "admission")],
-            sv.rejected_admission as f64,
-        );
-        p.sample(
-            "ode_server_rejected_total",
-            &[("reason", "shutdown")],
-            sv.rejected_shutdown as f64,
-        );
-        p.family(
-            "ode_server_bytes_total",
-            "counter",
-            "Wire bytes, by direction",
-        );
-        p.sample(
-            "ode_server_bytes_total",
-            &[("direction", "in")],
-            sv.bytes_in as f64,
-        );
-        p.sample(
-            "ode_server_bytes_total",
-            &[("direction", "out")],
-            sv.bytes_out as f64,
-        );
-        p.single(
-            "ode_server_active_connections",
-            "gauge",
-            "Connections currently open",
-            sv.active_connections,
-        );
-        p.single(
-            "ode_server_max_concurrent",
-            "gauge",
-            "Most connections ever open at once",
-            sv.max_concurrent,
-        );
-        p.single(
-            "ode_server_subscriptions",
-            "gauge",
-            "Live subscriptions currently registered",
-            sv.subscriptions,
-        );
-        p.single(
-            "ode_server_push_outbox_depth",
-            "gauge",
-            "Push frames buffered in per-connection outboxes",
-            sv.push_outbox_depth,
-        );
-        p.summary(
-            "ode_server_request_latency_seconds",
-            "Request execution latency",
-            &sv.request_latency,
-        );
+        sv.prom_into("ode_server", &mut p);
     }
-
-    // Workload statistics: one labeled family per counter kind. Keys are
+    // Workload statistics: one labelled family per counter kind. Keys are
     // `cluster:<class>` or `index:<class>.<field>`.
-    let clusters: Vec<&WorkStatRow> = workload
-        .iter()
-        .filter(|r| r.key.starts_with("cluster:"))
-        .collect();
-    let indexes: Vec<&WorkStatRow> = workload
-        .iter()
-        .filter(|r| r.key.starts_with("index:"))
-        .collect();
-    if !clusters.is_empty() {
-        p.family(
-            "ode_cluster_reads_total",
-            "counter",
-            "Objects read per cluster",
-        );
-        for r in &clusters {
-            p.sample(
-                "ode_cluster_reads_total",
-                &[("cluster", &r.key[8..])],
-                r.reads as f64,
-            );
-        }
-        p.family(
-            "ode_cluster_writes_total",
-            "counter",
-            "Records written per cluster",
-        );
-        for r in &clusters {
-            p.sample(
-                "ode_cluster_writes_total",
-                &[("cluster", &r.key[8..])],
-                r.writes as f64,
-            );
-        }
-        p.family(
-            "ode_cluster_scans_total",
-            "counter",
-            "Extent scans per cluster",
-        );
-        for r in &clusters {
-            p.sample(
-                "ode_cluster_scans_total",
-                &[("cluster", &r.key[8..])],
-                r.scans as f64,
-            );
+    type Field = fn(&WorkStatRow) -> u64;
+    let per_key: [(&str, &str, &str, Field); 4] = [
+        ("cluster", "reads", "Objects read per cluster", |r| r.reads),
+        ("cluster", "writes", "Records written per cluster", |r| {
+            r.writes
+        }),
+        ("cluster", "scans", "Extent scans per cluster", |r| r.scans),
+        ("index", "reads", "Probes answered per index", |r| r.reads),
+    ];
+    for (label, what, help, value) in per_key {
+        let name = format!("ode_{label}_{what}_total");
+        for r in workload {
+            if let Some(key) = r.key.strip_prefix(label).and_then(|k| k.strip_prefix(':')) {
+                p.family(&name, "counter", help);
+                p.sample(&name, &[(label, key)], value(r) as f64);
+            }
         }
     }
-    if !indexes.is_empty() {
-        p.family(
-            "ode_index_reads_total",
-            "counter",
-            "Probes answered per index",
-        );
-        for r in &indexes {
-            p.sample(
-                "ode_index_reads_total",
-                &[("index", &r.key[6..])],
-                r.reads as f64,
-            );
-        }
-    }
-
-    p.single(
-        "ode_trace_spans_recorded_total",
-        "counter",
-        "Spans written into the flight recorder",
-        spans_recorded,
-    );
-
+    let spans = "ode_trace_spans_recorded_total";
+    p.family(spans, "counter", "Spans written into the flight recorder");
+    p.sample(spans, &[], spans_recorded as f64);
     p.finish()
 }
 

@@ -106,19 +106,6 @@ impl WorkloadStats {
             stat.scans.reset();
         }
     }
-
-    /// Flat `(key, value)` rows for line-oriented display (`.stats`).
-    pub fn rows(&self) -> Vec<(String, String)> {
-        self.snapshot()
-            .into_iter()
-            .map(|r| {
-                (
-                    format!("workload.{}", r.key),
-                    format!("reads={} writes={} scans={}", r.reads, r.writes, r.scans),
-                )
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

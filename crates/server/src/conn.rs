@@ -7,7 +7,7 @@
 //! finishes the request it is executing (and flushes the response), then
 //! sends `Goodbye` and closes — no in-flight request is ever dropped.
 //!
-//! Subscriptions ride the same loop: a v3 client's `Subscribe` control
+//! Subscriptions ride the same loop: a client's `Subscribe` control
 //! op registers a predicate with the server's scheduler, whose sink
 //! encodes `Push` frames into this connection's bounded outbox. The
 //! outbox is flushed inside the poll loop *between* requests, so an
@@ -29,8 +29,7 @@ use ode_core::Database;
 use ode_sched::PushSink;
 use ode_shell::{EvalResult, Session};
 use ode_wire::protocol::{
-    negotiate, write_frame, ControlOp, ErrorKind, FrameReader, Request, Response,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    write_frame, ControlOp, ErrorKind, FrameReader, Request, Response, PROTOCOL_VERSION,
 };
 
 use crate::ServerState;
@@ -58,7 +57,6 @@ pub(crate) fn serve(stream: TcpStream, state: &Arc<ServerState>) {
         stream,
         reader: FrameReader::new(),
         state: Arc::clone(state),
-        version: 0,
         outbox: Arc::new(Mutex::new(VecDeque::new())),
         subs: Vec::new(),
     };
@@ -92,8 +90,6 @@ struct Conn {
     stream: TcpStream,
     reader: FrameReader,
     state: Arc<ServerState>,
-    /// Negotiated protocol version (0 until the handshake completes).
-    version: u16,
     /// Encoded `Push` frames awaiting a flush slot between requests.
     /// Shared with the scheduler sinks of this connection's
     /// subscriptions, which run on scheduler worker threads.
@@ -124,35 +120,26 @@ impl Conn {
                 return;
             }
         };
-        let negotiated = match Request::decode(&first) {
-            Ok(Request::Hello { version }) => match negotiate(version) {
-                Some(v) => v,
-                None => {
-                    tel.handshake_failures.inc();
-                    self.send_best_effort(&Response::Error {
-                        kind: ErrorKind::Protocol,
-                        message: format!(
-                            "server speaks protocol \
-                             v{MIN_PROTOCOL_VERSION}..=v{PROTOCOL_VERSION}, \
-                             client sent v{version}"
-                        ),
-                    });
-                    return;
-                }
-            },
-            _ => {
-                tel.handshake_failures.inc();
-                self.send_best_effort(&Response::Error {
-                    kind: ErrorKind::Protocol,
-                    message: "first frame must be Hello".into(),
-                });
-                return;
-            }
+        let refusal = match Request::decode(&first) {
+            Ok(Request::Hello {
+                version: PROTOCOL_VERSION,
+            }) => None,
+            Ok(Request::Hello { version }) => Some(format!(
+                "server speaks protocol v{PROTOCOL_VERSION}, client sent v{version}"
+            )),
+            _ => Some("first frame must be Hello".into()),
         };
-        self.version = negotiated;
+        if let Some(message) = refusal {
+            tel.handshake_failures.inc();
+            self.send_best_effort(&Response::Error {
+                kind: ErrorKind::Protocol,
+                message,
+            });
+            return;
+        }
         if self
             .send(&Response::Welcome {
-                version: negotiated,
+                version: PROTOCOL_VERSION,
             })
             .is_err()
         {
@@ -206,13 +193,6 @@ impl Conn {
                     return;
                 }
                 Request::Control(op) => self.control(op),
-                Request::Line(text) => match self.eval_line(&mut session, TraceId::NONE, &text) {
-                    Some(resp) => resp,
-                    None => {
-                        self.send_best_effort(&Response::Goodbye);
-                        return;
-                    }
-                },
                 Request::TracedLine { trace, text } => {
                     match self.eval_line(&mut session, TraceId(trace), &text) {
                         Some(resp) => resp,
@@ -229,8 +209,8 @@ impl Conn {
         }
     }
 
-    /// Evaluate one statement line under the given trace context (NONE
-    /// for a v1 `Line`). `None` means the session asked to exit.
+    /// Evaluate one statement line under the client's trace id. `None`
+    /// means the session asked to exit.
     fn eval_line(&mut self, session: &mut Session, trace: TraceId, text: &str) -> Option<Response> {
         let tel = &self.state.tel;
         // Install the client-minted trace id for this thread so every
@@ -276,15 +256,7 @@ impl Conn {
                 out.trim_end().to_string()
             }
             ControlOp::TelemetryJson => self.state.db.telemetry().to_json(),
-            ControlOp::Metrics => {
-                let db = &self.state.db;
-                ode_core::obs::prom::render(
-                    &db.telemetry(),
-                    Some(&self.state.tel.snapshot()),
-                    &db.workload_stats(),
-                    db.flight().recorded(),
-                )
-            }
+            ControlOp::Metrics => self.state.metrics_text(),
             ControlOp::Trace(id) => {
                 let trace = TraceId(id);
                 let spans = self.state.db.flight().for_trace(trace);
@@ -313,15 +285,6 @@ impl Conn {
     /// threads and only encodes + enqueues — socket writes stay on this
     /// connection's own thread.
     fn subscribe(&mut self, cluster: &str, predicate: &str) -> Response {
-        if self.version < 3 {
-            return Response::Error {
-                kind: ErrorKind::Protocol,
-                message: format!(
-                    "subscriptions require protocol v3 (session negotiated v{})",
-                    self.version
-                ),
-            };
-        }
         let state = Arc::clone(&self.state);
         let outbox = Arc::clone(&self.outbox);
         let sink: PushSink = Arc::new(move |m| {

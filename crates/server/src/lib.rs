@@ -21,7 +21,7 @@
 //! * **Decoupled triggers & live subscriptions** — the server attaches
 //!   an [`ode_sched::Scheduler`] to the engine, so trigger actions fired
 //!   by client commits run asynchronously on a worker pool instead of
-//!   inline in the committing request. A v3 client can register a
+//!   inline in the committing request. A client can register a
 //!   predicate over a cluster (`ControlOp::Subscribe`) and receive
 //!   unsolicited `Push` frames for matching commits, delivered through a
 //!   per-connection bounded outbox drained between requests (slow
@@ -146,6 +146,19 @@ impl ServerState {
 
     pub(crate) fn draining(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// The full Prometheus exposition — engine, serving layer, workload
+    /// statistics, flight-recorder volume — shared by the wire `Metrics`
+    /// control op and the HTTP `/metrics` listener.
+    pub(crate) fn metrics_text(&self) -> String {
+        let db = &self.db;
+        ode_core::obs::prom::render(
+            &db.telemetry(),
+            Some(&self.tel.snapshot()),
+            &db.workload_stats(),
+            db.flight().recorded(),
+        )
     }
 }
 

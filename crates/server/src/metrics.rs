@@ -77,13 +77,7 @@ fn serve_scrape(mut stream: TcpStream, state: &Arc<ServerState>) {
             "method not allowed\n".to_string(),
         )
     } else if path == "/metrics" || path.starts_with("/metrics?") {
-        let db = &state.db;
-        let body = ode_core::obs::prom::render(
-            &db.telemetry(),
-            Some(&state.tel.snapshot()),
-            &db.workload_stats(),
-            db.flight().recorded(),
-        );
+        let body = state.metrics_text();
         ("200 OK", "text/plain; version=0.0.4; charset=utf-8", body)
     } else {
         (

@@ -268,7 +268,7 @@ fn per_request_timeout_is_typed_and_nonfatal() {
 /// The handshake refuses other protocol versions with a typed error.
 #[test]
 fn protocol_version_mismatch_is_refused() {
-    use ode_wire::protocol::{read_frame, write_frame, Request, Response};
+    use ode_wire::protocol::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
 
     let db = seeded_db();
     let handle = Server::bind(db, quick_cfg(), "127.0.0.1:0").unwrap();
@@ -279,7 +279,10 @@ fn protocol_version_mismatch_is_refused() {
         Response::Error {
             kind: ode_wire::protocol::ErrorKind::Protocol,
             message,
-        } => assert!(message.contains("protocol v1"), "{message}"),
+        } => assert!(
+            message.contains(&format!("protocol v{PROTOCOL_VERSION}")),
+            "{message}"
+        ),
         other => panic!("expected protocol error, got {other:?}"),
     }
     drop(raw);

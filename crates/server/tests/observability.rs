@@ -1,18 +1,18 @@
 //! End-to-end observability over the wire: client-minted trace ids
 //! landing in the server's flight recorder, metrics exposition and
 //! slow-query retrieval via control ops, the HTTP `/metrics` listener,
-//! and version negotiation between v1-era and current endpoints.
+//! and refusal of any protocol version but the current one.
 
 use std::io::{Read as _, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use ode_core::obs::{prom, SpanStage, TraceId};
 use ode_core::Database;
-use ode_server::client::{Client, ClientError, RemoteLine};
+use ode_server::client::{Client, RemoteLine};
 use ode_server::{Server, ServerConfig};
-use ode_wire::protocol::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
+use ode_wire::protocol::{read_frame, write_frame, ErrorKind, Request, Response, PROTOCOL_VERSION};
 
 fn quick_cfg() -> ServerConfig {
     ServerConfig {
@@ -45,11 +45,6 @@ fn traced_request_spans_reach_the_server_flight_recorder() {
     let db = seeded_db();
     let handle = Server::bind(Arc::clone(&db), quick_cfg(), "127.0.0.1:0").unwrap();
     let mut c = Client::connect(handle.addr()).unwrap();
-    assert_eq!(
-        c.version(),
-        PROTOCOL_VERSION,
-        "fresh client+server should speak the current protocol"
-    );
 
     output(
         c.line(r#"pnew stockitem (name = "gear", quantity = 1)"#)
@@ -64,7 +59,7 @@ fn traced_request_spans_reach_the_server_flight_recorder() {
     assert!(out.contains("updated 1"), "{out}");
 
     let trace = TraceId(c.last_trace());
-    assert!(trace.is_traced(), "v2 client sent an untraced line");
+    assert!(trace.is_traced(), "client sent an untraced line");
     let spans = db.flight().for_trace(trace);
     assert!(!spans.is_empty(), "no spans for the client's trace");
 
@@ -221,80 +216,37 @@ fn http_metrics_endpoint_serves_exposition() {
     handle.shutdown();
 }
 
-/// Satellite: a v1 client (plain `Line` frames, no trace ids) works
-/// against a v2 server — the handshake settles on v1 and requests flow
-/// without any framing desync.
+/// There is one protocol version: a `Hello` from an older (v1) or a
+/// future client is refused with a well-framed typed error, then the
+/// connection closes — no negotiation, no desync.
 #[test]
-fn v1_client_negotiates_down_against_v2_server() {
+fn hello_with_any_other_version_is_refused() {
     let db = seeded_db();
     let handle = Server::bind(db, quick_cfg(), "127.0.0.1:0").unwrap();
-    let mut raw = TcpStream::connect(handle.addr()).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-
-    write_frame(&mut raw, &Request::Hello { version: 1 }.encode()).unwrap();
-    match Response::decode(&read_frame(&mut raw, 1 << 20).unwrap()).unwrap() {
-        Response::Welcome { version } => assert_eq!(version, 1),
-        other => panic!("expected Welcome, got {other:?}"),
+    for version in [1, PROTOCOL_VERSION + 1] {
+        let mut raw = TcpStream::connect(handle.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write_frame(&mut raw, &Request::Hello { version }.encode()).unwrap();
+        match Response::decode(&read_frame(&mut raw, 1 << 20).unwrap()).unwrap() {
+            Response::Error {
+                kind: ErrorKind::Protocol,
+                message,
+            } => {
+                assert!(
+                    message.contains(&format!("v{PROTOCOL_VERSION}")),
+                    "{message}"
+                );
+                assert!(message.contains(&format!("v{version}")), "{message}");
+            }
+            other => panic!("v{version}: expected a Protocol error, got {other:?}"),
+        }
+        assert!(
+            read_frame(&mut raw, 1 << 20).is_err(),
+            "v{version}: connection must close after the refusal"
+        );
     }
-    // Plain v1 lines still execute statements.
-    write_frame(
-        &mut raw,
-        &Request::Line("forall s in stockitem".into()).encode(),
-    )
-    .unwrap();
-    match Response::decode(&read_frame(&mut raw, 1 << 20).unwrap()).unwrap() {
-        Response::Output(out) => assert!(out.contains("0 row(s)"), "{out}"),
-        other => panic!("expected Output, got {other:?}"),
-    }
-    // Framing stays aligned: the very next frame round-trips too.
-    write_frame(&mut raw, &Request::Bye.encode()).unwrap();
-    match Response::decode(&read_frame(&mut raw, 1 << 20).unwrap()).unwrap() {
-        Response::Goodbye => {}
-        other => panic!("expected Goodbye, got {other:?}"),
-    }
+    assert_eq!(handle.server_stats().handshake_failures, 2);
+    // The current version is still welcomed.
+    Client::connect(handle.addr()).unwrap().bye().unwrap();
     handle.shutdown();
-}
-
-/// Satellite: a v2 client against a v1-era server degrades gracefully —
-/// it adopts v1, sends untraced `Line` frames, and reports a clean typed
-/// error (not a desync) for v2-only control ops.
-#[test]
-fn v2_client_degrades_against_v1_server() {
-    // A minimal stand-in for the previous release: answers any Hello
-    // with Welcome{1}, then serves exactly one Line and a Bye.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server = std::thread::spawn(move || {
-        let (mut s, _) = listener.accept().unwrap();
-        match Request::decode(&read_frame(&mut s, 1 << 20).unwrap()).unwrap() {
-            Request::Hello { version } => assert_eq!(version, PROTOCOL_VERSION),
-            other => panic!("expected Hello, got {other:?}"),
-        }
-        write_frame(&mut s, &Response::Welcome { version: 1 }.encode()).unwrap();
-        // The downgraded client must send a plain Line — a v1 server
-        // would fail to decode a TracedLine frame.
-        match Request::decode(&read_frame(&mut s, 1 << 20).unwrap()).unwrap() {
-            Request::Line(text) => assert_eq!(text, ".help"),
-            other => panic!("v2 frame sent to a v1 server: {other:?}"),
-        }
-        write_frame(&mut s, &Response::Output("ok".into()).encode()).unwrap();
-        match Request::decode(&read_frame(&mut s, 1 << 20).unwrap()).unwrap() {
-            Request::Bye => {}
-            other => panic!("expected Bye, got {other:?}"),
-        }
-        write_frame(&mut s, &Response::Goodbye.encode()).unwrap();
-    });
-
-    let mut c = Client::connect(addr).unwrap();
-    assert_eq!(c.version(), 1);
-    assert_eq!(output(c.line(".help").unwrap()), "ok");
-    assert_eq!(c.last_trace(), 0, "v1 sessions must not mint trace ids");
-    match c.metrics() {
-        Err(ClientError::Protocol(msg)) => {
-            assert!(msg.contains("v2"), "{msg}");
-        }
-        other => panic!("expected a typed protocol error, got {other:?}"),
-    }
-    c.bye().unwrap();
-    server.join().unwrap();
 }

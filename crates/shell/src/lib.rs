@@ -1119,6 +1119,7 @@ meta:
                                        a specific trace, or toggle recording)
   .slow [<threshold-ms>|clear]         slow-query log / set threshold
   .metrics                             Prometheus text exposition of all counters
+                                       (remote: the server's own counters too)
   .export <file>   .import <file>      whole-database dump / restore
   .help   .exit
 

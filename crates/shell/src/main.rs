@@ -204,12 +204,15 @@ fn remote_repl(addr: &str) -> i32 {
     let mut live_subs = 0usize;
     while let Some(line) = read_line(continuing, interactive) {
         let trimmed = line.trim();
-        // Client-side commands: `.server` aliases the serving-layer
-        // stats control op, and the subscription commands manage live
-        // push streams (the engine's `.stats` still works over the
-        // wire).
+        // Client-side commands: `.server` and `.metrics` alias the
+        // serving-layer stats and full-exposition control ops (the remote
+        // session alone cannot see the server's own counters), and the
+        // subscription commands manage live push streams (the engine's
+        // `.stats` still works over the wire).
         let result = if trimmed == ".server" {
             client.server_stats().map(RemoteLine::Output)
+        } else if trimmed == ".metrics" {
+            client.metrics().map(RemoteLine::Output)
         } else if let Some(rest) = trimmed.strip_prefix(".subscribe ") {
             let mut it = rest.trim().splitn(2, char::is_whitespace);
             match (it.next(), it.next()) {

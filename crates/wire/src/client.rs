@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use crate::protocol::{
     read_frame, write_frame, ControlOp, ErrorKind, Request, Response, MAX_FRAME_BYTES,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 
 /// Typed client-side failure.
@@ -133,7 +133,7 @@ impl RetryPolicy {
     }
 }
 
-/// An asynchronous subscription match delivered by the server (v3).
+/// An asynchronous subscription match delivered by the server.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PushEvent {
     /// The subscription that matched.
@@ -148,9 +148,7 @@ pub struct PushEvent {
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    /// The version negotiated at the handshake (≤ [`PROTOCOL_VERSION`]).
-    version: u16,
-    /// Trace-id minting state (v2 sessions trace every line).
+    /// Trace-id minting state (every line is traced).
     next_trace: u64,
     /// The trace id attached to the most recent [`Client::line`].
     last_trace: u64,
@@ -165,9 +163,8 @@ pub struct Client {
 impl Client {
     /// Connect and perform the protocol handshake. An admission-control
     /// rejection surfaces as [`ClientError::Rejected`], a draining server
-    /// as [`ClientError::ShuttingDown`]. The server answers with the
-    /// negotiated version — the lower of the two — which governs whether
-    /// lines carry trace ids and which control ops are available.
+    /// as [`ClientError::ShuttingDown`], a server speaking another
+    /// protocol version as [`ClientError::Protocol`].
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr).map_err(ClientError::from_io)?;
         stream.set_nodelay(true).ok();
@@ -180,7 +177,6 @@ impl Client {
             ^ ((std::process::id() as u64) << 32);
         let mut client = Client {
             stream,
-            version: PROTOCOL_VERSION,
             next_trace: seed | 1,
             last_trace: 0,
             pending_pushes: VecDeque::new(),
@@ -190,14 +186,11 @@ impl Client {
             version: PROTOCOL_VERSION,
         })?;
         match client.recv()? {
-            Response::Welcome { version }
-                if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) =>
-            {
-                client.version = version;
-                Ok(client)
-            }
+            Response::Welcome {
+                version: PROTOCOL_VERSION,
+            } => Ok(client),
             Response::Welcome { version } => Err(ClientError::Protocol(format!(
-                "server negotiated unsupported protocol v{version}, client v{PROTOCOL_VERSION}"
+                "server speaks protocol v{version}, client v{PROTOCOL_VERSION}"
             ))),
             Response::Error { kind, message } => Err(typed(kind, message)),
             other => Err(ClientError::Protocol(format!(
@@ -206,13 +199,8 @@ impl Client {
         }
     }
 
-    /// The protocol version negotiated at connect.
-    pub fn version(&self) -> u16 {
-        self.version
-    }
-
-    /// The trace id the most recent [`Client::line`] carried (0 on a v1
-    /// session, where lines travel untraced).
+    /// The trace id the most recent [`Client::line`] carried (0 before
+    /// the first line).
     pub fn last_trace(&self) -> u64 {
         self.last_trace
     }
@@ -227,23 +215,16 @@ impl Client {
             .map_err(ClientError::from_io)
     }
 
-    /// Send one shell input line and read its response. On a v2 session
-    /// the line carries a freshly minted trace id (readable afterwards
-    /// via [`Client::last_trace`]) so the server records its spans under
-    /// it; a v1 session sends the plain untraced frame.
+    /// Send one shell input line and read its response. The line carries
+    /// a freshly minted trace id (readable afterwards via
+    /// [`Client::last_trace`]) so the server records its spans under it.
     pub fn line(&mut self, text: &str) -> Result<RemoteLine, ClientError> {
-        let req = if self.version >= 2 {
-            self.last_trace = self.next_trace;
-            self.next_trace = self.next_trace.wrapping_add(2); // stays odd, never 0
-            Request::TracedLine {
-                trace: self.last_trace,
-                text: text.to_string(),
-            }
-        } else {
-            self.last_trace = 0;
-            Request::Line(text.to_string())
-        };
-        self.send(&req)?;
+        self.last_trace = self.next_trace;
+        self.next_trace = self.next_trace.wrapping_add(2); // stays odd, never 0
+        self.send(&Request::TracedLine {
+            trace: self.last_trace,
+            text: text.to_string(),
+        })?;
         match self.recv()? {
             Response::Output(out) => Ok(RemoteLine::Output(out)),
             Response::Continue => Ok(RemoteLine::Continue),
@@ -295,53 +276,27 @@ impl Client {
         self.control(ControlOp::TelemetryJson)
     }
 
-    /// Prometheus text-format metrics (v2 sessions only).
+    /// Prometheus text-format metrics: engine, serving layer and workload.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        self.require_v2("metrics")?;
         self.control(ControlOp::Metrics)
     }
 
     /// The rendered span tree of `trace` from the server's flight
-    /// recorder (v2 sessions only).
+    /// recorder.
     pub fn trace(&mut self, trace: u64) -> Result<String, ClientError> {
-        self.require_v2("trace retrieval")?;
         self.control(ControlOp::Trace(trace))
     }
 
-    /// The server's slow-query log, rendered (v2 sessions only).
+    /// The server's slow-query log, rendered.
     pub fn slow_log(&mut self) -> Result<String, ClientError> {
-        self.require_v2("slow-query log")?;
         self.control(ControlOp::SlowLog)
     }
 
-    fn require_v2(&self, what: &str) -> Result<(), ClientError> {
-        if self.version >= 2 {
-            Ok(())
-        } else {
-            Err(ClientError::Protocol(format!(
-                "{what} requires protocol v2; this session negotiated v{}",
-                self.version
-            )))
-        }
-    }
-
-    fn require_v3(&self, what: &str) -> Result<(), ClientError> {
-        if self.version >= 3 {
-            Ok(())
-        } else {
-            Err(ClientError::Protocol(format!(
-                "{what} requires protocol v3; this session negotiated v{}",
-                self.version
-            )))
-        }
-    }
-
-    /// Register a live subscription (v3 sessions only): `predicate` is
+    /// Register a live subscription: `predicate` is
     /// evaluated server-side against every object of `cluster` written by
     /// any commit; matches arrive asynchronously and are read with
     /// [`Client::next_push`]. Returns the subscription id.
     pub fn subscribe(&mut self, cluster: &str, predicate: &str) -> Result<u64, ClientError> {
-        self.require_v3("live subscriptions")?;
         let out = self.control(ControlOp::Subscribe {
             cluster: cluster.to_string(),
             predicate: predicate.to_string(),
@@ -351,10 +306,9 @@ impl Client {
         })
     }
 
-    /// Cancel a subscription (v3 sessions only). Pushes already in flight
-    /// may still be delivered afterwards.
+    /// Cancel a subscription. Pushes already in flight may still be
+    /// delivered afterwards.
     pub fn unsubscribe(&mut self, sub_id: u64) -> Result<(), ClientError> {
-        self.require_v3("live subscriptions")?;
         self.control(ControlOp::Unsubscribe(sub_id))?;
         Ok(())
     }
@@ -367,7 +321,6 @@ impl Client {
         if let Some(p) = self.pending_pushes.pop_front() {
             return Ok(Some(p));
         }
-        self.require_v3("live subscriptions")?;
         // Temporarily bound the read; the socket carries no other traffic
         // between requests, so anything that arrives is a push.
         self.stream
@@ -432,7 +385,7 @@ impl Client {
     }
 
     fn recv(&mut self) -> Result<Response, ClientError> {
-        // Pushes are the one unsolicited frame (v3): buffer any that
+        // Pushes are the one unsolicited frame: buffer any that
         // arrive ahead of the response we are actually waiting for.
         loop {
             let payload = read_frame(&mut self.stream, MAX_FRAME_BYTES).map_err(|e| {

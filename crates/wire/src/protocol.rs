@@ -6,48 +6,25 @@
 //! delimits them); integers are big-endian.
 //!
 //! A session opens with a handshake: the client's first frame must be
-//! [`Request::Hello`] carrying its protocol version, answered by
-//! [`Response::Welcome`] carrying the *negotiated* version (or a typed
+//! [`Request::Hello`] carrying [`PROTOCOL_VERSION`], answered by
+//! [`Response::Welcome`] with the same version (or a typed
 //! [`Response::Error`] — admission rejection, draining shutdown, version
-//! mismatch). The server accepts any client version in
-//! [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`] and answers with the
-//! lower of the two, so an older client keeps speaking its own revision
-//! and never sees frames it cannot decode; a client from the future is
-//! refused with a well-framed error rather than a desync. After the
+//! mismatch). There is exactly one protocol version: any other is refused
+//! with a well-framed `Protocol` error rather than a desync. After the
 //! handshake the client sends one request per frame and reads exactly
-//! one response per request, in order.
+//! one response per request, in order. Every line is a
+//! [`Request::TracedLine`] carrying a client-minted trace id for the
+//! flight recorder.
 //!
-//! v2 adds [`Request::TracedLine`] (a line carrying the client-minted
-//! trace id for the flight recorder) and the `Metrics` / `Trace` /
-//! `SlowLog` control ops.
-//!
-//! v3 adds live subscriptions: the `Subscribe` / `Unsubscribe` control
-//! ops and the asynchronous [`Response::Push`] frame. A push is the one
-//! frame a server may send *unsolicited*; it only ever appears on a
-//! session that negotiated v3 **and** subscribed, so the strict
-//! one-response-per-request reading of older clients is never violated.
-//! A v3 client must tolerate pushes interleaved before any response.
+//! The one exception to request/response order is [`Response::Push`]:
+//! after a `Subscribe` control op, a server may send pushes *unsolicited*,
+//! so a client must tolerate them interleaved before any response.
 
 use std::io::{self, Read, Write};
 
-/// Current protocol revision. Bumped on any frame change; see the module
-/// docs for the negotiation rule.
+/// The protocol revision, the only one a server accepts. Bumped on any
+/// frame change.
 pub const PROTOCOL_VERSION: u16 = 3;
-
-/// Oldest revision this build still serves (v1: untraced lines, the
-/// original three control ops).
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
-
-/// The version a server answering `Hello { version: client }` should
-/// speak for the rest of the session, or `None` when the client is
-/// outside the supported window and must be refused.
-pub fn negotiate(client: u16) -> Option<u16> {
-    if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&client) {
-        Some(client.min(PROTOCOL_VERSION))
-    } else {
-        None
-    }
-}
 
 /// Hard ceiling on any frame this crate will read (64 MiB) — a defense
 /// against garbage length prefixes, independent of the server's own
@@ -142,13 +119,13 @@ pub enum ControlOp {
     ServerStats,
     /// The full engine telemetry snapshot as JSON.
     TelemetryJson,
-    /// Prometheus text-format exposition of every metric (v2).
+    /// Prometheus text-format exposition of every metric.
     Metrics,
-    /// The span tree of one trace from the flight recorder (v2).
+    /// The span tree of one trace from the flight recorder.
     Trace(u64),
-    /// The slow-query log, rendered (v2).
+    /// The slow-query log, rendered.
     SlowLog,
-    /// Register a live subscription (v3): `predicate` is evaluated over
+    /// Register a live subscription: `predicate` is evaluated over
     /// every object of `cluster` (deep extent) written by any commit, and
     /// matches arrive asynchronously as [`Response::Push`] frames.
     /// Answered with [`Response::Output`] carrying the subscription id as
@@ -159,7 +136,7 @@ pub enum ControlOp {
         /// O++ boolean expression over the object's fields.
         predicate: String,
     },
-    /// Cancel a subscription by id (v3). Pushes already in flight may
+    /// Cancel a subscription by id. Pushes already in flight may
     /// still arrive after the acknowledgement.
     Unsubscribe(u64),
 }
@@ -173,10 +150,8 @@ pub enum Request {
         version: u16,
     },
     /// One shell input line (statement, meta-command, or a continuation
-    /// line of a multi-line class declaration).
-    Line(String),
-    /// A shell input line plus the client-minted trace id that the server
-    /// installs around its execution (v2; v1 peers never see this tag).
+    /// line of a multi-line class declaration) plus the client-minted
+    /// trace id that the server installs around its execution.
     TracedLine {
         /// The client-minted trace id (nonzero).
         trace: u64,
@@ -216,7 +191,7 @@ pub enum ErrorKind {
     /// survives and the request is safe to retry after a backoff
     /// (DESIGN.md §10).
     Unavailable,
-    /// A trigger cascade hit the engine's depth limit (v3). The
+    /// A trigger cascade hit the engine's depth limit. The
     /// triggering commit itself succeeded — weak coupling — but the
     /// over-limit tail of the cascade was cut and dead-lettered. The
     /// session continues; retrying will not help until the trigger graph
@@ -296,7 +271,7 @@ pub enum Response {
     /// The session is over (after [`Request::Bye`], a `.exit`, or a
     /// server drain); the server closes the connection after sending it.
     Goodbye,
-    /// An asynchronous subscription match (v3): a commit wrote an object
+    /// An asynchronous subscription match: a commit wrote an object
     /// of the subscribed cluster that satisfies the predicate. The only
     /// unsolicited frame in the protocol — it may arrive between a
     /// request and its response, and clients must buffer it.
@@ -311,7 +286,7 @@ pub enum Response {
 }
 
 const TAG_HELLO: u8 = 0x01;
-const TAG_LINE: u8 = 0x02;
+// 0x02 was the untraced line of protocol v1; it is no longer accepted.
 const TAG_CONTROL: u8 = 0x03;
 const TAG_BYE: u8 = 0x04;
 const TAG_TRACED_LINE: u8 = 0x05;
@@ -333,12 +308,6 @@ impl Request {
             Request::Hello { version } => {
                 let mut out = vec![TAG_HELLO];
                 out.extend_from_slice(&version.to_be_bytes());
-                out
-            }
-            Request::Line(text) => {
-                let mut out = Vec::with_capacity(1 + text.len());
-                out.push(TAG_LINE);
-                out.extend_from_slice(text.as_bytes());
                 out
             }
             Request::TracedLine { trace, text } => {
@@ -387,10 +356,6 @@ impl Request {
                 Ok(Request::Hello {
                     version: u16::from_be_bytes(bytes),
                 })
-            }
-            TAG_LINE => {
-                let text = std::str::from_utf8(rest).map_err(|_| bad("line is not UTF-8"))?;
-                Ok(Request::Line(text.to_string()))
             }
             TAG_TRACED_LINE => {
                 if rest.len() < 8 {
@@ -549,8 +514,6 @@ mod tests {
         roundtrip_req(Request::Hello {
             version: PROTOCOL_VERSION,
         });
-        roundtrip_req(Request::Line("forall s in stockitem".into()));
-        roundtrip_req(Request::Line(String::new()));
         roundtrip_req(Request::TracedLine {
             trace: 0xdead_beef_cafe,
             text: "update …".into(),
@@ -575,17 +538,6 @@ mod tests {
         }));
         roundtrip_req(Request::Control(ControlOp::Unsubscribe(7)));
         roundtrip_req(Request::Bye);
-    }
-
-    #[test]
-    fn negotiation_window() {
-        // A v1 client keeps speaking v1; a current client gets v3.
-        assert_eq!(negotiate(1), Some(1));
-        assert_eq!(negotiate(2), Some(2));
-        assert_eq!(negotiate(PROTOCOL_VERSION), Some(PROTOCOL_VERSION));
-        // A future client is refused, not silently downgraded.
-        assert_eq!(negotiate(PROTOCOL_VERSION + 1), None);
-        assert_eq!(negotiate(0), None);
     }
 
     #[test]
@@ -636,7 +588,11 @@ mod tests {
         assert!(Response::decode(&[TAG_ERROR]).is_err());
         assert!(Response::decode(&[TAG_ERROR, 99]).is_err());
         assert!(Response::decode(&[TAG_PUSH, 1, 2, 3]).is_err()); // short push
-        assert!(Request::decode(&[TAG_LINE, 0xc3]).is_err()); // invalid UTF-8
+        let mut bad_utf8 = vec![TAG_TRACED_LINE];
+        bad_utf8.extend_from_slice(&7u64.to_be_bytes());
+        bad_utf8.push(0xc3);
+        assert!(Request::decode(&bad_utf8).is_err()); // invalid UTF-8
+        assert!(Request::decode(&[0x02, b'x']).is_err()); // retired v1 line
     }
 
     #[test]
