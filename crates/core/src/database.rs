@@ -128,7 +128,8 @@ pub(crate) struct DbInner {
     /// Subject → activation ids.
     pub activations_by_oid: HashMap<Oid, Vec<u64>>,
     /// Fired-trigger events enqueued but not yet acknowledged by their
-    /// action transactions (decoupled mode only; always empty inline).
+    /// action transactions (inline mode drains its own before `commit`
+    /// returns).
     pub pending: HashMap<u64, PendingEvent>,
 }
 
@@ -264,10 +265,10 @@ pub struct Database {
     pub(crate) commit_epoch: AtomicU64,
     pub(crate) callbacks: RwLock<HashMap<String, CallbackFn>>,
     pub(crate) next_activation_id: AtomicU64,
-    /// Ids for durable pending-trigger events (decoupled firing).
+    /// Ids for durable pending-trigger events.
     pub(crate) next_event_id: AtomicU64,
-    /// When installed, commits enqueue fired-trigger events here instead of
-    /// running actions inline (weak coupling moves off the commit path).
+    /// When installed, commits hand their fired-trigger events here instead
+    /// of dispatching them inline (weak coupling moves off the commit path).
     pub(crate) firing_sink: RwLock<Option<FiringSink>>,
     /// When installed, notified with each published commit's write set
     /// (live subscriptions).
@@ -411,6 +412,10 @@ impl Database {
         }
         recovery_span.set_detail(format!("{replayed} catalog records"));
         drop(recovery_span);
+        // The recovered backlog is enqueued once, here; a scheduler attach
+        // queues it without counting it again.
+        let tel = EngineTelemetry::default();
+        tel.sched.enqueued.add(inner.pending.len() as u64);
 
         Ok(Database {
             store,
@@ -435,7 +440,7 @@ impl Database {
             sched_hook: RwLock::new(None),
             slowlog: SlowQueryLog::with_threshold_ns(config.slow_query_threshold_ns),
             config,
-            tel: EngineTelemetry::default(),
+            tel,
             flight,
             workstats,
             profiles: RwLock::new(HashMap::new()),
@@ -1273,15 +1278,16 @@ impl Database {
         self.next_activation_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    // ------------------------------------------------- decoupled firing
+    // ----------------------------------------------------------- firing
 
-    /// Install (or with `None`, remove) a fired-trigger event sink. While
-    /// a sink is installed the database runs in *decoupled* firing mode:
-    /// commits durably enqueue [`PendingEvent`]s (reported in
-    /// [`crate::CommitInfo::enqueued`]) and hand them to the sink instead
-    /// of running trigger actions inline, so commit latency no longer
-    /// includes action time. Without a sink, firing is inline exactly as
-    /// before.
+    /// Install (or with `None`, remove) a fired-trigger event sink. Every
+    /// commit durably enqueues one [`PendingEvent`] per firing. While a
+    /// sink is installed the database runs in *decoupled* firing mode:
+    /// commits hand the events to the sink (reported in
+    /// [`crate::CommitInfo::enqueued`]), so commit latency no longer
+    /// includes action time. Without a sink, the committing thread
+    /// dispatches them itself through [`Database::dispatch_firing`] before
+    /// `commit` returns (inline mode).
     pub fn set_firing_sink(&self, sink: Option<FiringSink>) {
         *self.firing_sink.write() = sink;
     }
@@ -1334,10 +1340,12 @@ impl Database {
     }
 
     /// Durably remove pending events without running them (dead-letter
-    /// path: the scheduler gave up on the action). Deletes the per-event
-    /// catalog records in one store batch under the apply gate alone, so
-    /// it is safe from a scheduler worker even while write transactions
-    /// run elsewhere (the scheduler owns each pending event exclusively).
+    /// path: the scheduler or an inline drain gave up on the action).
+    /// Deletes the per-event catalog records in one store batch under the
+    /// apply gate alone, so it is safe while write transactions run
+    /// elsewhere. A dispatch of the same event racing it still applies at
+    /// most once: its record delete is idempotent, and a record reused for
+    /// a new event fails the dispatch's validation.
     pub fn ack_pending(&self, ids: &[u64]) -> Result<()> {
         if ids.is_empty() {
             return Ok(());
@@ -1364,13 +1372,20 @@ impl Database {
         Ok(())
     }
 
-    /// Run one pending event's action in its own write transaction (the
-    /// scheduler's dispatch entry). Acknowledges the event durably in the
-    /// action's commit batch; returns the next-round events the action
-    /// enqueued (cascade). A cascade past the configured limit is refused
-    /// with a typed [`OdeError::TriggerCascade`] and the event is
-    /// acknowledged so it cannot replay forever.
+    /// Run one pending event's action in its own write transaction — the
+    /// only way an action runs, inline or from a scheduler. Acknowledges
+    /// the event durably in the action's commit batch; returns the
+    /// next-round events the action enqueued (cascade). An event that is
+    /// no longer pending (already applied or dead-lettered) is a no-op; of
+    /// two concurrent dispatches of one event exactly one applies, and the
+    /// other fails validation with a retryable [`OdeError::WriteConflict`].
+    /// A cascade past the configured limit is refused with a typed
+    /// [`OdeError::TriggerCascade`] and the event is acknowledged so it
+    /// cannot replay forever.
     pub fn dispatch_firing(&self, event: &PendingEvent) -> Result<Vec<PendingEvent>> {
+        if !self.inner.read().pending.contains_key(&event.id) {
+            return Ok(Vec::new());
+        }
         if event.depth as usize > self.config.trigger_cascade_limit {
             self.tel.triggers.action_failures.inc();
             self.tel.triggers.cascade_exhausted.inc();

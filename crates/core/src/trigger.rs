@@ -14,6 +14,11 @@
 //! * each firing spawns an **independent transaction** running the trigger
 //!   action after the triggering transaction commits ("weak coupling",
 //!   HiPAC) — if the triggering transaction aborts, nothing fires,
+//! * every firing is first a durable [`PendingEvent`], written in the
+//!   triggering commit's own batch; one dispatch path
+//!   ([`crate::Database::dispatch_firing`]) runs it and acknowledges it in
+//!   the action's batch — on the committing thread (inline, the default)
+//!   or on a scheduler installed as the firing sink (decoupled),
 //! * **once-only** triggers (the default) deactivate upon firing and must
 //!   be re-activated explicitly; **perpetual** triggers re-arm,
 //! * action transactions can fire further triggers; the engine bounds the
@@ -21,7 +26,7 @@
 //!   contact with a perpetual trigger whose action re-satisfies its own
 //!   condition).
 
-use ode_model::{ClassId, Oid, TriggerDecl, Value};
+use ode_model::{ClassId, Oid, Value};
 
 /// Handle returned by trigger activation; used for explicit deactivation
 /// (`trigger-id` in the paper).
@@ -47,16 +52,6 @@ pub struct Activation {
     pub args: Vec<Value>,
 }
 
-/// A firing scheduled by a committed transaction: everything needed to run
-/// the action independently.
-#[derive(Debug, Clone)]
-pub struct Firing {
-    /// The activation that fired.
-    pub activation: Activation,
-    /// Snapshot of the declaration (actions + params) at firing time.
-    pub decl: TriggerDecl,
-}
-
 /// One fired trigger, as reported in [`crate::CommitInfo`].
 #[derive(Debug, Clone)]
 pub struct FiredTrigger {
@@ -66,6 +61,16 @@ pub struct FiredTrigger {
     pub oid: Oid,
     /// Trigger name.
     pub trigger: String,
+}
+
+impl FiredTrigger {
+    pub(crate) fn of(event: &PendingEvent) -> FiredTrigger {
+        FiredTrigger {
+            id: TriggerId(event.activation),
+            oid: event.oid,
+            trigger: event.trigger.clone(),
+        }
+    }
 }
 
 /// A trigger action that failed. Weak coupling means the triggering
@@ -81,13 +86,12 @@ pub struct TriggerFailure {
     pub error: crate::error::OdeError,
 }
 
-/// A fired-trigger event handed to a decoupled scheduler instead of being
-/// run inline. Durable: the committing transaction writes the full pending
-/// set into the catalog in the *same* store batch that (for once-only
-/// triggers) deletes the activation, so a crash between commit and drain
-/// neither loses nor double-arms the firing. The event carries everything
-/// needed to run the action after reopen — the activation record may no
-/// longer exist.
+/// One firing, as a durable event. The committing transaction writes one
+/// pending record per event into the catalog in the *same* store batch
+/// that (for once-only triggers) deletes the activation, so a crash
+/// between commit and action neither loses nor double-arms the firing.
+/// The event carries everything needed to run the action after reopen —
+/// the activation record may no longer exist.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PendingEvent {
     /// Event id, unique database-wide (distinct from the activation id).
@@ -122,9 +126,10 @@ pub struct CommitInfo {
     pub fired: Vec<FiredTrigger>,
     /// Action transactions that failed (weak coupling: reported only).
     pub failures: Vec<TriggerFailure>,
-    /// Firings handed to the decoupled scheduler instead of run inline
-    /// (empty unless a firing sink is installed). Their actions run
-    /// asynchronously, after this commit returns.
+    /// Firings handed to the installed firing sink (decoupled mode; empty
+    /// otherwise). Their actions run asynchronously, after this commit
+    /// returns; without a sink they run before it returns and are listed
+    /// in `fired` instead.
     pub enqueued: Vec<FiredTrigger>,
 }
 

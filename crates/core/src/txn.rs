@@ -16,18 +16,22 @@
 //! 2. **Trigger conditions** (§6): evaluated "at the end of the
 //!    transaction" for every activation whose subject was written.
 //! 3. The write-set is materialized into one atomic store batch (objects,
-//!    version records, catalog records for trigger activations).
+//!    version records, catalog records for trigger activations, and one
+//!    durable pending event per firing).
 //! 4. In-memory indexes and the activation table are updated.
 //! 5. Fired trigger actions each run as an **independent transaction**
 //!    (weak coupling) — they start only after the commit, and an aborted
-//!    transaction fires nothing.
+//!    transaction fires nothing. Each pending event goes to the installed
+//!    firing sink or, without one, is dispatched on the committing thread
+//!    before `commit` returns; either way the action's own batch
+//!    acknowledges it.
 
 use std::collections::{HashMap, HashSet};
 
 use ode_model::eval::EvalCtx;
 use ode_model::{
-    ClassId, FieldRange, ModelError, ObjState, Oid, Resolver, TriggerAction, Value, VersionNo,
-    VersionRef,
+    ClassId, FieldRange, ModelError, ObjState, Oid, Resolver, TriggerAction, TriggerDecl, Value,
+    VersionNo, VersionRef,
 };
 use ode_obs::{SpanGuard, SpanStage};
 use ode_storage::{RecordId, StoreOp};
@@ -39,16 +43,13 @@ use crate::object::{
     decode_record, encode_anchor, encode_plain, encode_vrec, ObjRecord, VersionEntry, VersionTable,
 };
 use crate::trigger::{
-    Activation, CommitInfo, CommitNote, FiredTrigger, Firing, PendingEvent, TriggerFailure,
-    TriggerId,
+    Activation, CommitInfo, CommitNote, FiredTrigger, PendingEvent, TriggerFailure, TriggerId,
 };
 
 /// What `do_commit` hands back to the caller once the batch is published:
-/// firings to run inline (empty in decoupled mode), events already durably
-/// enqueued for the scheduler (empty inline), and the write note for an
-/// installed commit observer.
+/// the firings it durably enqueued, and the write note for an installed
+/// commit observer.
 pub(crate) struct CommitOutcome {
-    pub firings: Vec<Firing>,
     pub events: Vec<PendingEvent>,
     pub note: Option<CommitNote>,
 }
@@ -257,11 +258,12 @@ pub struct Transaction<'db> {
     pub(crate) deleted: HashMap<Oid, DeletedObj>,
     pending_activations: Vec<Activation>,
     pending_deactivations: Vec<u64>,
-    /// Pending-event ids this transaction acknowledges at commit (set by
-    /// the scheduler's dispatch: the action's own commit batch removes the
-    /// event from the durable pending record — exactly-once across
-    /// crashes).
-    ack_events: Vec<u64>,
+    /// Pending events (id, catalog record) this transaction acknowledges
+    /// at commit (set by dispatch: the action's own commit batch removes
+    /// the event from the durable pending record — exactly-once across
+    /// crashes). Each record is also in the read-set, so of two
+    /// concurrent dispatches of one event only one commits.
+    ack_events: Vec<(u64, RecordId)>,
     pub(crate) reserved: Vec<(u32, RecordId)>,
     aborted: bool,
     committed: bool,
@@ -852,11 +854,13 @@ impl<'db> Transaction<'db> {
 
     // ----------------------------------------------------------- commit
 
-    /// Commit. Inline mode: returns what fired (weak-coupled trigger
-    /// actions have already run by the time this returns). Decoupled mode
-    /// (a firing sink is installed): fired triggers are durably enqueued,
-    /// reported in [`CommitInfo::enqueued`], and their actions run
-    /// asynchronously — commit latency excludes action time.
+    /// Commit. Every firing is durably enqueued in the commit's batch.
+    /// Inline mode: the events are dispatched on this thread, cascades
+    /// depth-first, and the result reports what fired (weak-coupled
+    /// trigger actions have already run by the time this returns).
+    /// Decoupled mode (a firing sink is installed): the events go to the
+    /// sink, are reported in [`CommitInfo::enqueued`], and their actions
+    /// run asynchronously — commit latency excludes action time.
     pub fn commit(mut self) -> Result<CommitInfo> {
         let started = std::time::Instant::now();
         let outcome = match self.do_commit() {
@@ -873,13 +877,12 @@ impl<'db> Transaction<'db> {
             }
         };
         let db = self.db;
-        let depth = self.depth;
         let serial = self.serial;
         db.tel.txn.committed.inc();
         db.tel
             .triggers
             .deferred_actions
-            .add((outcome.firings.len() + outcome.events.len()) as u64);
+            .add(outcome.events.len() as u64);
         self.flight_span.set_detail(format!("txn#{serial} commit"));
         drop(self); // deregister before running actions (they begin anew)
         if let Some(note) = &outcome.note {
@@ -887,19 +890,15 @@ impl<'db> Transaction<'db> {
         }
         let mut info = CommitInfo::default();
         if !outcome.events.is_empty() {
-            for e in &outcome.events {
-                info.enqueued.push(FiredTrigger {
-                    id: TriggerId(e.activation),
-                    oid: e.oid,
-                    trigger: e.trigger.clone(),
-                });
-            }
-            db.tel.sched.enqueued.add(outcome.events.len() as u64);
-            if let Some(sink) = db.firing_sink() {
-                sink(outcome.events);
+            match db.firing_sink() {
+                Some(sink) => {
+                    info.enqueued = outcome.events.iter().map(FiredTrigger::of).collect();
+                    db.tel.sched.enqueued.add(outcome.events.len() as u64);
+                    sink(outcome.events);
+                }
+                None => drain_inline(db, outcome.events, &mut info),
             }
         }
-        run_firings(db, outcome.firings, depth, &mut info);
         db.tel
             .txn
             .commit_latency
@@ -1030,8 +1029,8 @@ impl<'db> Transaction<'db> {
         per_heap
     }
 
-    /// Steps 1–4 of the commit pipeline. Returns the firings to run (or,
-    /// in decoupled mode, the events durably enqueued in the batch).
+    /// Steps 1–4 of the commit pipeline. Returns the events durably
+    /// enqueued in the batch, one per firing.
     fn do_commit(&mut self) -> Result<CommitOutcome> {
         self.ensure_live()?;
 
@@ -1044,7 +1043,7 @@ impl<'db> Transaction<'db> {
         }
 
         // 2. Trigger-condition evaluation on touched objects.
-        let mut firings = self.evaluate_triggers()?;
+        let fired = self.evaluate_triggers()?;
 
         // Which activations stop existing: explicit deactivations, fired
         // once-only ones, and activations on deleted objects.
@@ -1052,15 +1051,15 @@ impl<'db> Transaction<'db> {
         let mut fired_pending: HashSet<u64> = HashSet::new();
         {
             let inner = self.db.inner.read();
-            for f in &firings {
+            for a in &fired {
                 let (_, decl) = inner
                     .schema
-                    .find_trigger(self.read(f.activation.oid)?.class, &f.activation.trigger)?;
+                    .find_trigger(self.read(a.oid)?.class, &a.trigger)?;
                 if !decl.perpetual {
-                    if inner.activations.contains_key(&f.activation.id) {
-                        kill_committed.push(f.activation.id);
+                    if inner.activations.contains_key(&a.id) {
+                        kill_committed.push(a.id);
                     } else {
-                        fired_pending.insert(f.activation.id);
+                        fired_pending.insert(a.id);
                     }
                 }
             }
@@ -1073,26 +1072,21 @@ impl<'db> Transaction<'db> {
         kill_committed.sort_unstable();
         kill_committed.dedup();
 
-        // Decoupled mode: convert the firings into durable pending events.
-        // The once-only kill logic above already ran off `firings`, so a
-        // once-only activation dies in the very batch that persists its
-        // event — a crash between commit and drain can neither lose the
-        // firing nor re-arm it.
-        let events: Vec<PendingEvent> = if self.db.firing_decoupled() {
-            firings
-                .drain(..)
-                .map(|f| PendingEvent {
-                    id: self.db.alloc_event_id(),
-                    activation: f.activation.id,
-                    oid: f.activation.oid,
-                    trigger: f.activation.trigger,
-                    args: f.activation.args,
-                    depth: self.depth as u64 + 1,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // Every firing becomes a durable pending event. The once-only kill
+        // logic above already ran off `fired`, so a once-only activation
+        // dies in the very batch that persists its event — a crash between
+        // commit and action can neither lose the firing nor re-arm it.
+        let events: Vec<PendingEvent> = fired
+            .into_iter()
+            .map(|a| PendingEvent {
+                id: self.db.alloc_event_id(),
+                activation: a.id,
+                oid: a.oid,
+                trigger: a.trigger,
+                args: a.args,
+                depth: self.depth as u64 + 1,
+            })
+            .collect();
 
         // 3. Materialize the batch.
         let collect_writes = self.db.has_commit_observer();
@@ -1170,39 +1164,30 @@ impl<'db> Transaction<'db> {
             }
         }
 
-        // 4. Decoupled firing: put one catalog record per event this commit
-        // enqueues and delete the records of events this (action)
-        // transaction acknowledges — all in this same batch, so the
-        // pending set moves atomically with the commit. Per-event records
-        // keep a trigger storm unbounded by the max record size. Safe to
-        // build outside the publish window: the scheduler owns each
-        // pending event exclusively while dispatching it, so no concurrent
-        // commit acknowledges the same ids.
-        let mut event_rids: Vec<(u64, RecordId)> = Vec::new();
-        let mut acked_ids: Vec<u64> = Vec::new();
-        if !events.is_empty() || !self.ack_events.is_empty() {
-            let inner = self.db.inner.read();
-            for id in &self.ack_events {
-                if let Some(&rid) = inner.catalog.pending_rids.get(id) {
-                    ops.push(StoreOp::Delete {
-                        heap: CATALOG_HEAP,
-                        rid,
-                    });
-                    acked_ids.push(*id);
-                }
-            }
-            drop(inner);
-            for e in &events {
-                let rec = CatalogRecord::Pending(e.clone()).encode();
-                let rid = self.db.store.reserve(CATALOG_HEAP, rec.len())?;
-                self.reserved.push((CATALOG_HEAP, rid));
-                ops.push(StoreOp::Put {
-                    heap: CATALOG_HEAP,
-                    rid,
-                    data: rec,
-                });
-                event_rids.push((e.id, rid));
-            }
+        // 4. Firing: put one catalog record per event this commit enqueues
+        // and delete the records of events this (action) transaction
+        // acknowledges — all in this same batch, so the pending set moves
+        // atomically with the commit. Per-event records keep a trigger
+        // storm unbounded by the max record size. An acknowledged record
+        // is in the read-set, so validation rejects this commit if another
+        // dispatch acknowledged the same event first.
+        for &(_, rid) in &self.ack_events {
+            ops.push(StoreOp::Delete {
+                heap: CATALOG_HEAP,
+                rid,
+            });
+        }
+        let mut event_rids: Vec<RecordId> = Vec::new();
+        for e in &events {
+            let rec = CatalogRecord::Pending(e.clone()).encode();
+            let rid = self.db.store.reserve(CATALOG_HEAP, rec.len())?;
+            self.reserved.push((CATALOG_HEAP, rid));
+            ops.push(StoreOp::Put {
+                heap: CATALOG_HEAP,
+                rid,
+                data: rec,
+            });
+            event_rids.push(rid);
         }
 
         // Read-only short-circuit: nothing to publish and nothing that can
@@ -1210,15 +1195,12 @@ impl<'db> Transaction<'db> {
         // epoch, touch no gate, skip validation. This gives a pure-read
         // `Database::transaction` call read-committed semantics; use
         // [`Database::begin_read`] for a full snapshot.
-        if ops.is_empty() && kill_committed.is_empty() && firings.is_empty() && events.is_empty() {
+        // (A firing always writes its pending record, so `ops` covers it.)
+        if ops.is_empty() && kill_committed.is_empty() {
             self.committed = true;
             let mut span = self.db.flight.span(SpanStage::Commit, "read-only");
             span.set_detail("read-only: no epoch claimed");
-            return Ok(CommitOutcome {
-                firings,
-                events,
-                note: None,
-            });
+            return Ok(CommitOutcome { events, note: None });
         }
 
         // 5. The optimistic commit pipeline (DESIGN.md §13): validate +
@@ -1376,12 +1358,12 @@ impl<'db> Transaction<'db> {
                 }
             }
         }
-        for id in &acked_ids {
+        for (id, _) in &self.ack_events {
             inner.catalog.pending_rids.remove(id);
             inner.pending.remove(id);
         }
-        for ((id, rid), e) in event_rids.iter().zip(events.iter()) {
-            inner.catalog.pending_rids.insert(*id, *rid);
+        for (rid, e) in event_rids.into_iter().zip(&events) {
+            inner.catalog.pending_rids.insert(e.id, rid);
             inner.pending.insert(e.id, e.clone());
         }
         drop(inner);
@@ -1399,11 +1381,7 @@ impl<'db> Transaction<'db> {
             turn_started.elapsed().as_micros()
         ));
 
-        Ok(CommitOutcome {
-            firings,
-            events,
-            note,
-        })
+        Ok(CommitOutcome { events, note })
     }
 
     /// Turn one write-set entry into store operations.
@@ -1484,11 +1462,12 @@ impl<'db> Transaction<'db> {
         Ok(())
     }
 
-    /// Evaluate trigger conditions for every touched object (§6).
-    fn evaluate_triggers(&self) -> Result<Vec<Firing>> {
+    /// Evaluate trigger conditions for every touched object (§6); returns
+    /// the activations that fired.
+    fn evaluate_triggers(&self) -> Result<Vec<Activation>> {
         let inner = self.db.inner.read();
         let mut firings = Vec::new();
-        let consider = |act: &Activation, firings: &mut Vec<Firing>| -> Result<()> {
+        let consider = |act: &Activation, firings: &mut Vec<Activation>| -> Result<()> {
             if self.pending_deactivations.contains(&act.id) {
                 return Ok(());
             }
@@ -1511,10 +1490,7 @@ impl<'db> Transaction<'db> {
                 .with_resolver(self);
             self.db.tel.triggers.condition_evals.inc();
             if ctx.eval_bool(&decl.condition)? {
-                firings.push(Firing {
-                    activation: act.clone(),
-                    decl: decl.clone(),
-                });
+                firings.push(act.clone());
             }
             Ok(())
         };
@@ -1534,7 +1510,7 @@ impl<'db> Transaction<'db> {
             consider(act, &mut firings)?;
         }
         // Deterministic firing order: by activation id.
-        firings.sort_by_key(|f| f.activation.id);
+        firings.sort_by_key(|a| a.id);
         Ok(firings)
     }
 
@@ -1582,110 +1558,75 @@ impl Resolver for Transaction<'_> {
     }
 }
 
-/// Run fired trigger actions, each in its own transaction (weak coupling),
-/// cascading up to the configured depth. Per weak coupling, failures are
-/// recorded in `info` rather than propagated: the triggering transaction
-/// has already committed.
-pub(crate) fn run_firings(
-    db: &Database,
-    firings: Vec<Firing>,
-    depth: usize,
-    info: &mut CommitInfo,
-) {
-    if firings.is_empty() {
-        return;
-    }
-    if depth >= db.config.trigger_cascade_limit {
-        for f in firings {
-            db.tel.triggers.action_failures.inc();
-            db.tel.triggers.cascade_exhausted.inc();
-            info.failures.push(TriggerFailure {
-                id: TriggerId(f.activation.id),
-                oid: f.activation.oid,
-                error: OdeError::TriggerCascade {
-                    limit: db.config.trigger_cascade_limit,
-                },
-            });
-        }
-        return;
-    }
-    for firing in firings {
-        info.fired.push(FiredTrigger {
-            id: TriggerId(firing.activation.id),
-            oid: firing.activation.oid,
-            trigger: firing.activation.trigger.clone(),
-        });
-        db.tel.triggers.firings.inc();
-        db.tel.triggers.max_cascade_depth.observe(depth as u64 + 1);
-        let mut trigger_span = db
-            .flight
-            .span(SpanStage::Trigger, firing.activation.trigger.as_str());
-        let result: Result<Vec<Firing>> = (|| {
-            let mut tx = Transaction::new(db, depth + 1);
-            apply_actions(&mut tx, &firing)?;
-            let outcome = tx.do_commit()?;
-            drop(tx);
-            db.tel.txn.committed.inc();
-            db.tel
-                .triggers
-                .deferred_actions
-                .add(outcome.firings.len() as u64);
-            if let Some(note) = &outcome.note {
-                db.notify_commit(note);
+/// Inline firing: dispatch `events` on the committing thread, each
+/// action's cascade depth-first right after it, recording what ran in
+/// `info.fired` and what failed (a cascade cut included) in
+/// `info.failures`. Per weak coupling, failures are reported rather than
+/// propagated — the triggering transaction has already committed — and
+/// not retried: a failed event is acknowledged.
+fn drain_inline(db: &Database, events: Vec<PendingEvent>, info: &mut CommitInfo) {
+    for event in events {
+        match db.dispatch_firing(&event) {
+            Ok(next) => {
+                info.fired.push(FiredTrigger::of(&event));
+                drain_inline(db, next, info);
             }
-            Ok(outcome.firings)
-        })();
-        let ok = result.is_ok();
-        match result {
-            Ok(next) => run_firings(db, next, depth + 1, info),
             Err(error) => {
-                db.tel.triggers.action_failures.inc();
+                if !matches!(error, OdeError::TriggerCascade { .. }) {
+                    info.fired.push(FiredTrigger::of(&event));
+                }
+                // An ack that fails leaves the event durable: the next
+                // scheduler attach runs it.
+                let _ = db.ack_pending(&[event.id]);
                 info.failures.push(TriggerFailure {
-                    id: TriggerId(firing.activation.id),
-                    oid: firing.activation.oid,
+                    id: TriggerId(event.activation),
+                    oid: event.oid,
                     error,
                 });
             }
         }
-        trigger_span.set_detail(format!(
-            "{} {}",
-            firing.activation.trigger,
-            if ok { "ok" } else { "failed" }
-        ));
-        drop(trigger_span);
     }
 }
 
 /// Run one durably enqueued event's action in its own write transaction —
-/// the decoupled scheduler's dispatch path ([`Database::dispatch_firing`]).
-/// The action's commit batch acknowledges the event (removes it from the
-/// catalog's pending record), so a crash at any point either replays the
-/// whole action or none of it — never half, never twice. Returns the
-/// next-round events the action itself enqueued (cascade).
+/// the one dispatch path ([`Database::dispatch_firing`]). The action's
+/// commit batch acknowledges the event (removes it from the catalog's
+/// pending record), so a crash at any point either replays the whole
+/// action or none of it — never half, never twice. An event no longer
+/// pending is a no-op. Returns the next-round events the action itself
+/// enqueued (cascade).
 pub(crate) fn run_one_event(db: &Database, event: &PendingEvent) -> Result<Vec<PendingEvent>> {
+    let mut trigger_span = db.flight.span(SpanStage::Trigger, event.trigger.as_str());
+    let mut tx = Transaction::new(db, event.depth as usize);
+    {
+        // Under the shared apply gate the epoch and the pending table
+        // agree, so the read-set stamp is exact, not conservative.
+        let _apply = db.apply_gate.read();
+        let observed = db.commit_epoch();
+        let Some(&rid) = db.inner.read().catalog.pending_rids.get(&event.id) else {
+            trigger_span.set_detail(format!("{} not pending", event.trigger));
+            return Ok(Vec::new());
+        };
+        let record = Oid {
+            cluster: CATALOG_HEAP,
+            rid,
+        };
+        tx.read_set.lock().insert(record, observed);
+        tx.ack_events.push((event.id, rid));
+    }
     db.tel.triggers.firings.inc();
     db.tel.triggers.max_cascade_depth.observe(event.depth);
-    let mut trigger_span = db.flight.span(SpanStage::Trigger, event.trigger.as_str());
-    let result: Result<Vec<PendingEvent>> = (|| {
-        let mut tx = Transaction::new(db, event.depth as usize);
-        tx.ack_events.push(event.id);
+    let result: Result<CommitOutcome> = (|| {
         let class = tx.read(event.oid)?.class;
         let decl = {
             let inner = db.inner.read();
             inner.schema.find_trigger(class, &event.trigger)?.1.clone()
         };
-        let firing = Firing {
-            activation: Activation {
-                id: event.activation,
-                oid: event.oid,
-                trigger: event.trigger.clone(),
-                args: event.args.clone(),
-            },
-            decl,
-        };
-        apply_actions(&mut tx, &firing)?;
-        let outcome = tx.do_commit()?;
-        drop(tx);
+        apply_actions(&mut tx, event, &decl)?;
+        tx.do_commit()
+    })();
+    drop(tx);
+    let result = result.map(|outcome| {
         db.tel.txn.committed.inc();
         db.tel
             .triggers
@@ -1694,8 +1635,8 @@ pub(crate) fn run_one_event(db: &Database, event: &PendingEvent) -> Result<Vec<P
         if let Some(note) = &outcome.note {
             db.notify_commit(note);
         }
-        Ok(outcome.events)
-    })();
+        outcome.events
+    });
     let ok = result.is_ok();
     if !ok {
         db.tel.triggers.action_failures.inc();
@@ -1709,17 +1650,17 @@ pub(crate) fn run_one_event(db: &Database, event: &PendingEvent) -> Result<Vec<P
     result
 }
 
-/// Execute one firing's actions inside `tx`.
-fn apply_actions(tx: &mut Transaction<'_>, firing: &Firing) -> Result<()> {
-    let oid = firing.activation.oid;
-    let params: HashMap<String, Value> = firing
-        .decl
+/// Execute one event's actions inside `tx`, with `decl` the trigger's
+/// declaration on the subject's class.
+fn apply_actions(tx: &mut Transaction<'_>, event: &PendingEvent, decl: &TriggerDecl) -> Result<()> {
+    let oid = event.oid;
+    let params: HashMap<String, Value> = decl
         .params
         .iter()
         .cloned()
-        .zip(firing.activation.args.iter().cloned())
+        .zip(event.args.iter().cloned())
         .collect();
-    for action in &firing.decl.actions {
+    for action in &decl.actions {
         match action {
             TriggerAction::Assign { field, expr, .. } => {
                 let state = tx.read(oid)?;
@@ -1735,7 +1676,7 @@ fn apply_actions(tx: &mut Transaction<'_>, firing: &Firing) -> Result<()> {
             }
             TriggerAction::Callback { name } => {
                 let cb = tx.db.callback(name)?;
-                cb(tx, oid, &firing.activation.args)?;
+                cb(tx, oid, &event.args)?;
             }
         }
     }

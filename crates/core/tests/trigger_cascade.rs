@@ -205,4 +205,6 @@ fn chain_longer_than_cascade_limit_is_cut_and_reported() {
             .any(|f| matches!(f.error, OdeError::TriggerCascade { limit: 4 })),
         "the cut is reported with the limit"
     );
+    // The cut event was acknowledged, not left to replay.
+    assert!(db.pending_events().is_empty());
 }

@@ -55,6 +55,8 @@ fn trigger_fires_when_condition_becomes_true_at_commit() {
     assert_eq!(info.fired.len(), 1);
     assert_eq!(info.fired[0].trigger, "reorder");
     assert!(info.failures.is_empty());
+    // The firing's durable event was acknowledged by the action's commit.
+    assert!(db.pending_events().is_empty());
     let tx = db.begin();
     assert_eq!(tx.get(oid, "on_order").unwrap(), Value::Int(100));
 }

@@ -1,13 +1,14 @@
 //! # ode-sched
 //!
 //! The decoupled trigger scheduler. §6's weak coupling already runs
-//! trigger actions *after* the triggering commit — but the seed engine
-//! still ran them inline on the committing thread, so a commit that armed
-//! a slow cascade paid the cascade's full latency. This crate moves the
-//! actions off the commit path entirely (HiPAC's decoupled mode):
+//! trigger actions *after* the triggering commit — but without a
+//! scheduler the engine dispatches them on the committing thread, so a
+//! commit that armed a slow cascade pays the cascade's full latency. This
+//! crate moves the actions off the commit path entirely (HiPAC's
+//! decoupled mode):
 //!
-//! * a committing transaction durably enqueues [`PendingEvent`]s (the
-//!   engine's firing sink) and returns immediately,
+//! * a committing transaction durably enqueues [`PendingEvent`]s, hands
+//!   them to the engine's firing sink and returns immediately,
 //! * a worker pool drains the queue, running each action in its own write
 //!   transaction via [`Database::dispatch_firing`] — once-only semantics
 //!   and the cascade bound are enforced by the engine, exactly-once across
@@ -22,8 +23,10 @@
 //!   for every object a commit writes, and matches are delivered to the
 //!   subscriber's push sink — the server turns them into wire Push frames.
 //!
-//! Attach with [`Scheduler::attach`]; detaching (drop) uninstalls the
-//! engine hooks and re-enables inline firing. With `workers: 0` nothing
+//! Actions run through the same [`Database::dispatch_firing`] either way;
+//! only the thread differs. Attach with [`Scheduler::attach`]; detaching
+//! (drop) uninstalls the engine hooks, so commits dispatch their own
+//! events on the committing thread again. With `workers: 0` nothing
 //! runs until [`Scheduler::drain_now`] — tests use this to simulate a
 //! crash between commit and drain.
 
@@ -522,9 +525,9 @@ impl SchedInner {
     }
 }
 
-/// The decoupled scheduler. Attaching installs the engine hooks (firing
-/// sink, commit observer, status hook), drains any backlog recovered from
-/// the durable pending record, and spawns the worker pool. Dropping the
+/// The decoupled scheduler. Attaching queues any backlog left in the
+/// durable pending record, installs the engine hooks (firing sink, commit
+/// observer, status hook), and spawns the worker pool. Dropping the
 /// scheduler detaches: hooks are uninstalled (firing goes back inline),
 /// workers are joined; an undrained backlog stays durable for the next
 /// attach.
@@ -553,6 +556,14 @@ impl Scheduler {
             next_seq: AtomicU64::new(1),
             detached: AtomicBool::new(false),
         });
+        // Backlog: events a previous process (or a detached scheduler) left
+        // pending. Recovery counted them as enqueued at open, and their own
+        // commits did before a detach, so they are queued uncounted. Taken
+        // before the sink goes in, so a commit landing in between is
+        // dispatched inline. One that published before the snapshot but
+        // reads the sink after it is queued twice (or dispatched inline
+        // beside its queued copy); `dispatch_firing` applies it once.
+        inner.enqueue_events(db.pending_events(), false);
         // Hooks hold Weak: the database must not keep its scheduler alive
         // (the scheduler holds the database).
         let sink_inner: Weak<SchedInner> = Arc::downgrade(&inner);
@@ -574,12 +585,6 @@ impl Scheduler {
                 .map(|s| s.status_rows())
                 .unwrap_or_default()
         })));
-        // Recovered backlog: events a previous process enqueued but never
-        // acknowledged. They were counted as enqueued by their own commits,
-        // so count them again here only in the queue gauge, not the
-        // enqueued counter... except after reopen the counter is fresh —
-        // count them so enqueued-drained still measures the backlog.
-        inner.enqueue_events(db.pending_events(), true);
         let sched = Arc::new(Scheduler {
             inner: Arc::clone(&inner),
             workers: Mutex::new(Vec::new()),

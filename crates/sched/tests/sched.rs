@@ -127,6 +127,10 @@ fn crash_between_commit_and_drain_is_exactly_once() {
         sched.drain_now();
         let tx = db.begin();
         assert_eq!(tx.get(oid, "on_order").unwrap(), Value::Int(100));
+        drop(tx);
+        // The recovered backlog counts as enqueued exactly once.
+        let tel = db.sched_telemetry();
+        assert_eq!((tel.enqueued.get(), tel.drained.get()), (1, 1));
     }
     {
         // And a third open finds a clean queue: the ack was durable too.
@@ -447,7 +451,12 @@ fn reattach_after_detach_keeps_working() {
     let db = Arc::new(Database::in_memory());
     inventory(&db);
     let oid = new_item(&db, "dram");
-    let first = Scheduler::attach(Arc::clone(&db), SchedConfig::default());
+    let left = new_item(&db, "sram");
+    // The first scheduler never drains: its one event is left pending.
+    let first = manual_sched(&db);
+    let mut tx = db.begin();
+    tx.set(left, "quantity", 5i64).unwrap();
+    assert_eq!(tx.commit().unwrap().enqueued.len(), 1);
     first.detach();
     let second = Scheduler::attach(Arc::clone(&db), SchedConfig::default());
     let mut tx = db.begin();
@@ -457,4 +466,89 @@ fn reattach_after_detach_keeps_working() {
     assert!(second.wait_idle(Duration::from_secs(10)));
     let tx = db.begin();
     assert_eq!(tx.get(oid, "on_order").unwrap(), Value::Int(100));
+    assert_eq!(tx.get(left, "on_order").unwrap(), Value::Int(100));
+    drop(tx);
+    // The backlog the second attach picked up was already counted by its
+    // own commit.
+    let tel = db.sched_telemetry();
+    assert_eq!((tel.enqueued.get(), tel.drained.get()), (2, 2));
+}
+
+#[test]
+fn dispatching_an_acknowledged_event_is_a_no_op() {
+    let db = Arc::new(Database::in_memory());
+    inventory(&db);
+    let oid = new_item(&db, "dram");
+    let _sched = manual_sched(&db);
+    let mut tx = db.begin();
+    tx.set(oid, "quantity", 5i64).unwrap();
+    tx.commit().unwrap();
+    let ev = db.pending_events().remove(0);
+    assert!(db.dispatch_firing(&ev).unwrap().is_empty());
+    assert!(db.dispatch_firing(&ev).unwrap().is_empty());
+    let tx = db.begin();
+    assert_eq!(tx.get(oid, "on_order").unwrap(), Value::Int(100));
+    drop(tx);
+    assert!(db.pending_events().is_empty());
+}
+
+#[test]
+fn concurrent_dispatches_of_one_event_apply_once() {
+    // The action only inserts a log object, so the two dispatches share
+    // no object: only the pending record itself can keep one of them from
+    // committing. Two threads dispatch every event at once; for each, one
+    // applies and the other is a no-op or loses validation with a
+    // retryable conflict.
+    let db = Arc::new(Database::in_memory());
+    inventory(&db);
+    db.define_class(ClassBuilder::new("stocklog").field("item", Type::Ref("stockitem".into())))
+        .unwrap();
+    db.create_cluster("stocklog").unwrap();
+    db.register_callback("notify", |tx, oid, _args| {
+        tx.pnew("stocklog", &[("item", Value::Ref(oid))])?;
+        Ok(())
+    });
+    let n = 64;
+    let oids: Vec<Oid> = db
+        .transaction(|tx| {
+            (0..n)
+                .map(|i| {
+                    let oid = tx.pnew("stockitem", &[("name", Value::from(format!("it{i}")))])?;
+                    tx.activate_trigger(oid, "low_stock", vec![Value::Int(50)])?;
+                    Ok(oid)
+                })
+                .collect()
+        })
+        .unwrap();
+    let _sched = manual_sched(&db);
+    let mut tx = db.begin();
+    for &oid in &oids {
+        tx.set(oid, "quantity", 5i64).unwrap();
+    }
+    tx.commit().unwrap();
+    let events = Arc::new(db.pending_events());
+    assert_eq!(events.len(), n);
+    let barrier = Arc::new(std::sync::Barrier::new(2));
+    let handles: Vec<_> = (0..2)
+        .map(|_| {
+            let (db, events, barrier) =
+                (Arc::clone(&db), Arc::clone(&events), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                for ev in events.iter() {
+                    barrier.wait();
+                    if let Err(e) = db.dispatch_firing(ev) {
+                        assert!(e.is_unavailable(), "{e}");
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let logged = db
+        .transaction(|tx| tx.forall("stocklog")?.collect_oids())
+        .unwrap();
+    assert_eq!(logged.len(), n, "each event applied exactly once");
+    assert!(db.pending_events().is_empty());
 }

@@ -240,6 +240,8 @@ fn failure_during_trigger_action_commit_is_reported_not_propagated() {
     assert_eq!(info.fired.len(), 1, "the trigger did fire");
     assert_eq!(info.failures.len(), 1, "its action's commit failed");
     assert!(matches!(info.failures[0].error, OdeError::Storage(_)));
+    // Reported, not retried: the failed event was acknowledged.
+    assert!(db.pending_events().is_empty());
     db.transaction(|tx| {
         // The triggering write persisted; the action's write did not.
         assert_eq!(tx.get(oid, "qty")?, Value::Int(1));
