@@ -31,7 +31,9 @@ use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 
 use ode_model::eval::EvalCtx;
-use ode_model::{extract_field_ranges, parse_expr, BinOp, ClassId, Expr, ObjState, Oid, Value};
+use ode_model::{
+    extract_field_ranges, parse_expr, BinOp, ClassId, Expr, ObjState, Oid, Resolver, Schema, Value,
+};
 use ode_obs::{PlanStrategy, QueryProfile, SpanStage};
 
 use crate::database::DbInner;
@@ -40,7 +42,7 @@ use crate::read::{ReadContext, ReadTransaction};
 
 /// A native predicate over object state (host-language filter).
 pub type FilterFn<'t> = Box<dyn FnMut(&ObjState) -> bool + 't>;
-use crate::txn::Transaction;
+use crate::txn::{OidHash, Transaction};
 
 /// Sort direction for `by` clauses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,15 +232,9 @@ impl<'db> Transaction<'db> {
             // Overlay tail: objects created by this transaction. Their
             // slots are reserved (invisible to committed scans) until
             // commit, so this is disjoint from the committed pass.
-            let heap_set: HashSet<u32> = heap_ids.iter().copied().collect();
-            for &oid in &self.write_order {
-                if !heap_set.contains(&oid.cluster) {
-                    continue;
-                }
-                if let Some(obj) = self.writes.get(&oid) {
-                    if obj.new && !visit(oid, &obj.state)? {
-                        return Ok(false);
-                    }
+            for (oid, obj) in self.writes.in_heaps(&heap_ids, 0) {
+                if obj.new && !visit(oid, &obj.state)? {
+                    return Ok(false);
                 }
             }
             Ok(true)
@@ -409,23 +405,15 @@ impl<'t, C: ReadContext> Forall<'t, C> {
             by,
             fixpoint,
             var,
-            mut filter,
+            filter,
         } = self;
         if fixpoint {
             return Err(OdeError::Usage(
                 "collect_oids is a snapshot; fixpoint iteration needs run()".into(),
             ));
         }
-        candidates(
-            &*tx,
-            &class_name,
-            deep,
-            &suchthat,
-            &by,
-            var.as_deref(),
-            &mut filter,
-            prof,
-        )
+        let mut pred = Predicate::new(&suchthat, &var, filter);
+        candidates(&*tx, &class_name, deep, &mut pred, &by, prof)
     }
 
     /// Count qualifying objects.
@@ -511,18 +499,17 @@ impl<'t, C: ReadContext> Forall<'t, C> {
             suchthat,
             by,
             var,
-            mut filter,
+            filter,
             ..
         } = self;
         let tx = &*tx;
+        let mut pred = Predicate::new(&suchthat, &var, filter);
         let oids = candidates(
             tx,
             &class_name,
             deep,
-            &suchthat,
+            &mut pred,
             &by,
-            var.as_deref(),
-            &mut filter,
             &mut QueryProfile::default(),
         )?;
         let inner = tx.db().inner.read();
@@ -563,7 +550,14 @@ impl<'t, 'db> Forall<'t, Transaction<'db>> {
 
     /// Like [`Forall::run`], additionally accumulating the execution
     /// profile into `prof`; fixpoint iterations record one round (and its
-    /// newly visited count) per re-evaluation pass.
+    /// newly visited count) per batch of objects visited.
+    ///
+    /// The fixpoint is semi-naive and insert-driven: the first round is
+    /// one full pass over the extent, and each later round tests only the
+    /// objects the previous round's bodies inserted into it — the
+    /// write set's slots since that round's mark. Committed objects and
+    /// earlier inserts are never re-read, so an object updated into
+    /// qualifying after its round is not visited.
     pub fn run_profiled(
         self,
         prof: &mut QueryProfile,
@@ -577,29 +571,20 @@ impl<'t, 'db> Forall<'t, Transaction<'db>> {
             by,
             fixpoint,
             var,
-            mut filter,
+            filter,
         } = self;
         if fixpoint && by.is_some() {
             return Err(OdeError::Usage(
                 "fixpoint iteration cannot be ordered with by()".into(),
             ));
         }
-        let mut visited: HashSet<Oid> = HashSet::new();
+        let mut pred = Predicate::new(&suchthat, &var, filter);
+        // The full pass sees every insert made before it; the first delta
+        // starts at the slot after them.
+        let mut mark = tx.writes.mark();
+        let mut batch = candidates(&*tx, &class_name, deep, &mut pred, &by, prof)?;
         let mut n = 0usize;
         loop {
-            let batch: Vec<Oid> = candidates(
-                &*tx,
-                &class_name,
-                deep,
-                &suchthat,
-                &by,
-                var.as_deref(),
-                &mut filter,
-                prof,
-            )?
-            .into_iter()
-            .filter(|oid| !visited.contains(oid))
-            .collect();
             if fixpoint && !batch.is_empty() {
                 prof.fixpoint_rounds += 1;
                 prof.fixpoint_new_by_round.push(batch.len() as u64);
@@ -610,7 +595,6 @@ impl<'t, 'db> Forall<'t, Transaction<'db>> {
                 return Ok(n);
             }
             for oid in batch {
-                visited.insert(oid);
                 // The body may have deleted this object in a previous step.
                 if !tx.exists(oid) {
                     continue;
@@ -621,7 +605,126 @@ impl<'t, 'db> Forall<'t, Transaction<'db>> {
             if !fixpoint {
                 return Ok(n);
             }
+            let since = std::mem::replace(&mut mark, tx.writes.mark());
+            batch = inserted_since(tx, &class_name, deep, since, &mut pred, prof)?;
         }
+    }
+}
+
+/// One semi-naive fixpoint round: the objects of the (deep or shallow)
+/// extent this transaction inserted at or after write-set slot `since`
+/// that pass the predicate, in creation order. Each slot examined counts
+/// as one object scanned, into `prof` and the global query counters.
+fn inserted_since(
+    tx: &Transaction<'_>,
+    class_name: &str,
+    deep: bool,
+    since: usize,
+    pred: &mut Predicate<'_, '_>,
+    prof: &mut QueryProfile,
+) -> Result<Vec<Oid>> {
+    let inner = tx.db.inner.read();
+    let class = inner.schema.id_of(class_name)?;
+    let heaps = crate::read::dedup_heaps(&inner.extent_heaps(class, deep));
+    let mut round = QueryProfile::default();
+    let mut out = Vec::new();
+    for (oid, obj) in tx.writes.in_heaps(&heaps, since) {
+        round.objects_scanned += 1;
+        // Shallow iteration drops subclass members; a committed object
+        // loaded for write is not an insert.
+        if !obj.new || (!deep && obj.state.class != class) {
+            continue;
+        }
+        // Only this transaction's private inserts are read, so an error
+        // here leaves no committed range to widen.
+        if pred.admits(&inner.schema, tx, oid, &obj.state, &mut round)? {
+            out.push(oid);
+        }
+    }
+    let q = &tx.db.tel.query;
+    q.objects_scanned.add(round.objects_scanned);
+    q.predicate_evals.add(round.predicate_evals);
+    prof.objects_scanned += round.objects_scanned;
+    prof.predicate_evals += round.predicate_evals;
+    Ok(out)
+}
+
+/// The per-object test of a query: `suchthat`, then the native filter,
+/// with the loop variable bound to the object under test.
+struct Predicate<'q, 't> {
+    suchthat: Option<&'q Expr>,
+    var: Option<&'q str>,
+    filter: Option<FilterFn<'t>>,
+    /// Variable bindings for evaluation: the loop variable, once bound.
+    env: HashMap<String, Value>,
+}
+
+impl<'q, 't> Predicate<'q, 't> {
+    fn new(
+        suchthat: &'q Option<Expr>,
+        var: &'q Option<String>,
+        filter: Option<FilterFn<'t>>,
+    ) -> Self {
+        Predicate {
+            suchthat: suchthat.as_ref(),
+            var: var.as_deref(),
+            filter,
+            env: HashMap::new(),
+        }
+    }
+
+    /// Bind the loop variable, if the query names one, to `oid`.
+    fn bind(&mut self, oid: Oid) {
+        if let Some(v) = self.var {
+            match self.env.get_mut(v) {
+                Some(slot) => *slot = Value::Ref(oid),
+                None => {
+                    self.env.insert(v.to_string(), Value::Ref(oid));
+                }
+            }
+        }
+    }
+
+    /// Does the object pass `suchthat` and the filter? Counts the
+    /// `suchthat` evaluation in `pass`.
+    fn admits(
+        &mut self,
+        schema: &Schema,
+        tx: &dyn Resolver,
+        oid: Oid,
+        state: &ObjState,
+        pass: &mut QueryProfile,
+    ) -> Result<bool> {
+        if let Some(expr) = self.suchthat {
+            self.bind(oid);
+            pass.predicate_evals += 1;
+            let ok = EvalCtx::new(schema)
+                .with_this(state)
+                .with_vars(&self.env)
+                .with_resolver(tx)
+                .eval_bool(expr)?;
+            if !ok {
+                return Ok(false);
+            }
+        }
+        Ok(self.filter.as_mut().is_none_or(|f| f(state)))
+    }
+
+    /// Evaluate a `by` key for the object.
+    fn key(
+        &mut self,
+        schema: &Schema,
+        tx: &dyn Resolver,
+        oid: Oid,
+        state: &ObjState,
+        key_expr: &Expr,
+    ) -> Result<Value> {
+        self.bind(oid);
+        Ok(EvalCtx::new(schema)
+            .with_this(state)
+            .with_vars(&self.env)
+            .with_resolver(tx)
+            .eval(key_expr)?)
     }
 }
 
@@ -685,15 +788,12 @@ impl<C: ReadContext> Drop for ScanHintGuard<'_, C> {
 /// Enumerate + filter + order the qualifying oids. One call is one *pass*:
 /// its work is accumulated into `prof` and the global query counters, and
 /// bracketed by a Query trace span. Generic over the transaction kind.
-#[allow(clippy::too_many_arguments)]
 fn candidates<C: ReadContext>(
     tx: &C,
     class_name: &str,
     deep: bool,
-    suchthat: &Option<Expr>,
+    pred: &mut Predicate<'_, '_>,
     by: &Option<(Expr, Dir)>,
-    var: Option<&str>,
-    filter: &mut Option<FilterFn<'_>>,
     prof: &mut QueryProfile,
 ) -> Result<Vec<Oid>> {
     let db = tx.db();
@@ -709,9 +809,8 @@ fn candidates<C: ReadContext>(
     // entries reflect *committed* data, so the transaction's own writes
     // are merged back in below.
     let indexed: Option<(String, Vec<Oid>)> = if deep {
-        suchthat
-            .as_ref()
-            .and_then(|e| index_candidates(&inner, class, e, var))
+        pred.suchthat
+            .and_then(|e| index_candidates(&inner, class, e, pred.var))
     } else {
         None
     };
@@ -723,9 +822,9 @@ fn candidates<C: ReadContext>(
     // validation at commit (DESIGN.md §14). The guard retires the hint on
     // every exit path, including `?` early returns — a stale hint would
     // mislabel the next scan.
-    let pred_ranges = suchthat
-        .as_ref()
-        .map(|p| extract_field_ranges(p, var))
+    let pred_ranges = pred
+        .suchthat
+        .map(|p| extract_field_ranges(p, pred.var))
         .unwrap_or_default();
     let _hint = ScanHintGuard::install(tx, pred_ranges);
 
@@ -764,9 +863,15 @@ fn candidates<C: ReadContext>(
                 .collect();
             tx.note_scan(&probe_heaps);
             let scanned_heaps = probe_heaps;
-            let seen: HashSet<Oid> = pairs.iter().map(|p| p.0).collect();
-            tx.for_each_overlay(&mut |oid, state| {
-                if seen.contains(&oid) || !inner.schema.is_subclass(state.class, class) {
+            // Built on the first class-matching write: writes to other
+            // heaps are never visited, so most probes build nothing.
+            let mut seen: Option<HashSet<Oid, OidHash>> = None;
+            tx.for_each_overlay(&scanned_heaps, &mut |oid, state| {
+                if !inner.schema.is_subclass(state.class, class) {
+                    return Ok(());
+                }
+                let seen = seen.get_or_insert_with(|| pairs.iter().map(|p| p.0).collect());
+                if seen.contains(&oid) {
                     return Ok(());
                 }
                 // The one place overlay states are cloned at all: the probe
@@ -777,53 +882,26 @@ fn candidates<C: ReadContext>(
                 Ok(())
             })?;
             pass.objects_scanned = pairs.len() as u64;
-            let mut env: HashMap<String, Value> = HashMap::new();
             for (oid, state) in pairs {
                 if !deep && state.class != class {
                     continue;
                 }
-                if let Some(pred) = suchthat {
-                    if let Some(v) = var {
-                        env.insert(v.to_string(), Value::Ref(oid));
-                    }
-                    pass.predicate_evals += 1;
-                    let ok = EvalCtx::new(&inner.schema)
-                        .with_this(&state)
-                        .with_vars(&env)
-                        .with_resolver(tx)
-                        .eval_bool(pred)
-                        .inspect_err(|_| {
-                            // Short-circuit evaluation means the error
-                            // itself can depend on rows outside the hinted
-                            // ranges; which rows mattered is unknowable, so
-                            // widen to whole heaps.
-                            tx.scan_widen(&scanned_heaps);
-                        })?;
-                    if !ok {
-                        continue;
-                    }
-                }
-                if let Some(f) = filter.as_mut() {
-                    if !f(&state) {
-                        continue;
-                    }
+                // Short-circuit evaluation means an error itself can depend
+                // on rows outside the hinted ranges; which rows mattered is
+                // unknowable, so an error widens to whole heaps — for a
+                // failed `by` key too, since it aborts an enumeration whose
+                // result the transaction may already have acted on.
+                let admitted = pred
+                    .admits(&inner.schema, tx, oid, &state, &mut pass)
+                    .inspect_err(|_| tx.scan_widen(&scanned_heaps))?;
+                if !admitted {
+                    continue;
                 }
                 match by {
                     Some((key_expr, _)) => {
-                        if let Some(v) = var {
-                            env.insert(v.to_string(), Value::Ref(oid));
-                        }
-                        let k = EvalCtx::new(&inner.schema)
-                            .with_this(&state)
-                            .with_vars(&env)
-                            .with_resolver(tx)
-                            .eval(key_expr)
-                            .inspect_err(|_| {
-                                // A failed `by` key still aborts an
-                                // enumeration whose result the transaction
-                                // may already have acted on.
-                                tx.scan_widen(&scanned_heaps);
-                            })?;
+                        let k = pred
+                            .key(&inner.schema, tx, oid, &state, key_expr)
+                            .inspect_err(|_| tx.scan_widen(&scanned_heaps))?;
                         keyed.push((k, oid));
                     }
                     None => plain.push(oid),
@@ -848,43 +926,18 @@ fn candidates<C: ReadContext>(
             // heaps not yet reached recorded no entry and promised
             // nothing.
             let inner = db.inner.read();
-            let mut env: HashMap<String, Value> = HashMap::new();
             tx.for_each_extent(class_name, deep, &mut |oid, state| {
                 pass.objects_scanned += 1;
                 // Shallow iteration drops subclass members.
                 if !deep && state.class != class {
                     return Ok(true);
                 }
-                if let Some(pred) = suchthat {
-                    if let Some(v) = var {
-                        env.insert(v.to_string(), Value::Ref(oid));
-                    }
-                    pass.predicate_evals += 1;
-                    let ok = EvalCtx::new(&inner.schema)
-                        .with_this(state)
-                        .with_vars(&env)
-                        .with_resolver(tx)
-                        .eval_bool(pred)?;
-                    if !ok {
-                        return Ok(true);
-                    }
-                }
-                if let Some(f) = filter.as_mut() {
-                    if !f(state) {
-                        return Ok(true);
-                    }
+                if !pred.admits(&inner.schema, tx, oid, state, &mut pass)? {
+                    return Ok(true);
                 }
                 match by {
                     Some((key_expr, _)) => {
-                        if let Some(v) = var {
-                            env.insert(v.to_string(), Value::Ref(oid));
-                        }
-                        let k = EvalCtx::new(&inner.schema)
-                            .with_this(state)
-                            .with_vars(&env)
-                            .with_resolver(tx)
-                            .eval(key_expr)?;
-                        keyed.push((k, oid));
+                        keyed.push((pred.key(&inner.schema, tx, oid, state, key_expr)?, oid));
                     }
                     None => plain.push(oid),
                 }
@@ -1083,8 +1136,13 @@ fn collect_join<C: ReadContext>(
             extents.push(Vec::new()); // probed: stays empty; else filled below
             if plans[d].is_some() {
                 let class = inner.schema.id_of(class_name)?;
+                let heaps: Vec<u32> = inner
+                    .extent_heaps(class, true)
+                    .iter()
+                    .map(|&(_, h)| h)
+                    .collect();
                 let mut overlay: Vec<Oid> = Vec::new();
-                tx.for_each_overlay(&mut |oid, state| {
+                tx.for_each_overlay(&heaps, &mut |oid, state| {
                     if !tx.is_deleted(oid) && inner.schema.is_subclass(state.class, class) {
                         overlay.push(oid);
                     }

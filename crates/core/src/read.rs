@@ -51,11 +51,16 @@ pub trait ReadContext: Resolver + Sized {
     /// Read an object's current state through this view.
     fn read_obj(&self, oid: Oid) -> Result<ObjState>;
 
-    /// Visit the write-set overlay: objects created or loaded-for-write by
-    /// this transaction, with their in-transaction states borrowed in
-    /// place (no clones — the visitor copies only what it keeps). Empty
-    /// for snapshots. Visit order is unspecified.
-    fn for_each_overlay(&self, visit: &mut dyn FnMut(Oid, &ObjState) -> Result<()>) -> Result<()>;
+    /// Visit the write-set overlay of `heaps`: objects in those heaps
+    /// created or loaded-for-write by this transaction, in creation order,
+    /// with their in-transaction states borrowed in place (no clones — the
+    /// visitor copies only what it keeps). Writes to other heaps cost
+    /// nothing. Empty for snapshots.
+    fn for_each_overlay(
+        &self,
+        heaps: &[u32],
+        visit: &mut dyn FnMut(Oid, &ObjState) -> Result<()>,
+    ) -> Result<()>;
 
     /// Is the object in this transaction's write-set?
     fn overlay_contains(&self, oid: Oid) -> bool;
@@ -116,8 +121,12 @@ impl ReadContext for Transaction<'_> {
         self.read(oid)
     }
 
-    fn for_each_overlay(&self, visit: &mut dyn FnMut(Oid, &ObjState) -> Result<()>) -> Result<()> {
-        for (&oid, obj) in &self.writes {
+    fn for_each_overlay(
+        &self,
+        heaps: &[u32],
+        visit: &mut dyn FnMut(Oid, &ObjState) -> Result<()>,
+    ) -> Result<()> {
+        for (oid, obj) in self.writes.in_heaps(heaps, 0) {
             visit(oid, &obj.state)?;
         }
         Ok(())
@@ -414,7 +423,11 @@ impl ReadContext for ReadTransaction<'_> {
         self.read(oid)
     }
 
-    fn for_each_overlay(&self, _visit: &mut dyn FnMut(Oid, &ObjState) -> Result<()>) -> Result<()> {
+    fn for_each_overlay(
+        &self,
+        _heaps: &[u32],
+        _visit: &mut dyn FnMut(Oid, &ObjState) -> Result<()>,
+    ) -> Result<()> {
         Ok(())
     }
 

@@ -27,6 +27,7 @@
 //!    acknowledges it.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use ode_model::eval::EvalCtx;
 use ode_model::{
@@ -114,6 +115,135 @@ pub(crate) struct TxnObj {
     pub vt: Option<TxnVersionTable>,
     /// Table structure changed (new versions, deletions, re-current).
     pub vt_dirty: bool,
+}
+
+/// Multiply-rotate hasher (the FxHash step) for engine-assigned keys: oids
+/// and heap ids. The engine allocates them, no client chooses them, so the
+/// flooding resistance SipHash pays for buys nothing here.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct OidHasher(u64);
+
+impl OidHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for OidHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+}
+
+/// Hasher state for maps keyed by oids or heap ids.
+pub(crate) type OidHash = BuildHasherDefault<OidHasher>;
+
+/// A transaction's write set: every object created or loaded for write, in
+/// creation order.
+///
+/// Each entry owns a stable *slot*: `pdelete` of an entry leaves a tombstone
+/// instead of shifting later slots, so a slot index is a durable mark
+/// ("everything written after this point") — the semi-naive fixpoint keeps
+/// one per round. Each heap keeps its own slot list, so a statement walks
+/// only the slots of the heaps it reads, in creation order, with no
+/// per-entry hash lookup.
+#[derive(Default)]
+pub(crate) struct WriteSet {
+    /// `(oid, entry)` in creation order; `None` is a deleted entry.
+    slots: Vec<(Oid, Option<TxnObj>)>,
+    /// Oid → its live slot.
+    index: HashMap<Oid, usize, OidHash>,
+    /// Heap → its slots, ascending (tombstones included).
+    by_heap: HashMap<u32, Vec<usize>, OidHash>,
+}
+
+impl WriteSet {
+    pub(crate) fn get(&self, oid: &Oid) -> Option<&TxnObj> {
+        self.index.get(oid).and_then(|&s| self.slots[s].1.as_ref())
+    }
+
+    pub(crate) fn get_mut(&mut self, oid: &Oid) -> Option<&mut TxnObj> {
+        self.index.get(oid).and_then(|&s| self.slots[s].1.as_mut())
+    }
+
+    pub(crate) fn contains_key(&self, oid: &Oid) -> bool {
+        self.index.contains_key(oid)
+    }
+
+    /// Append an entry for an oid not in the set.
+    fn insert(&mut self, oid: Oid, obj: TxnObj) {
+        let slot = self.slots.len();
+        self.slots.push((oid, Some(obj)));
+        let prev = self.index.insert(oid, slot);
+        debug_assert!(prev.is_none(), "{oid} is already in the write set");
+        self.by_heap.entry(oid.cluster).or_default().push(slot);
+    }
+
+    /// Take an entry out, leaving a tombstone in its slot.
+    fn remove(&mut self, oid: &Oid) -> Option<TxnObj> {
+        let slot = self.index.remove(oid)?;
+        self.slots[slot].1.take()
+    }
+
+    /// The slot the next entry will take: entries at or after it are the
+    /// ones written from now on.
+    pub(crate) fn mark(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Live entries in creation order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Oid, &TxnObj)> {
+        self.slots
+            .iter()
+            .filter_map(|(oid, obj)| obj.as_ref().map(|o| (*oid, o)))
+    }
+
+    /// Live entries of `heaps` in slots at or after `since`, in creation
+    /// order across the heaps. Visits nothing from any other heap.
+    pub(crate) fn in_heaps<'s>(
+        &'s self,
+        heaps: &[u32],
+        since: usize,
+    ) -> impl Iterator<Item = (Oid, &'s TxnObj)> + 's {
+        let mut runs: Vec<&'s [usize]> = Vec::new();
+        for (i, heap) in heaps.iter().enumerate() {
+            if heaps[..i].contains(heap) {
+                continue;
+            }
+            if let Some(list) = self.by_heap.get(heap) {
+                let run = &list[list.partition_point(|&s| s < since)..];
+                if !run.is_empty() {
+                    runs.push(run);
+                }
+            }
+        }
+        // Merge the heaps' ascending runs by slot: the smallest head next.
+        std::iter::from_fn(move || loop {
+            let (i, _) = runs.iter().enumerate().min_by_key(|(_, run)| run[0])?;
+            let slot = runs[i][0];
+            runs[i] = &runs[i][1..];
+            if runs[i].is_empty() {
+                runs.swap_remove(i);
+            }
+            if let (oid, Some(obj)) = &self.slots[slot] {
+                return Some((*oid, obj));
+            }
+        })
+    }
 }
 
 /// Tombstone for an object deleted this transaction.
@@ -253,9 +383,8 @@ pub struct Transaction<'db> {
     /// Ranged-write notes from `update`/`delete` statements, verified
     /// against the final write-set at commit (see [`WriteNote`]).
     ranged_writes: Vec<WriteNote>,
-    pub(crate) writes: HashMap<Oid, TxnObj>,
-    pub(crate) write_order: Vec<Oid>,
-    pub(crate) deleted: HashMap<Oid, DeletedObj>,
+    pub(crate) writes: WriteSet,
+    pub(crate) deleted: HashMap<Oid, DeletedObj, OidHash>,
     pending_activations: Vec<Activation>,
     pending_deactivations: Vec<u64>,
     /// Pending events (id, catalog record) this transaction acknowledges
@@ -298,9 +427,8 @@ impl<'db> Transaction<'db> {
             scan_set: parking_lot::Mutex::new(HashMap::new()),
             scan_ranges: parking_lot::Mutex::new(None),
             ranged_writes: Vec::new(),
-            writes: HashMap::new(),
-            write_order: Vec::new(),
-            deleted: HashMap::new(),
+            writes: WriteSet::default(),
+            deleted: HashMap::default(),
             pending_activations: Vec::new(),
             pending_deactivations: Vec::new(),
             ack_events: Vec::new(),
@@ -605,13 +733,7 @@ impl<'db> Transaction<'db> {
                 vt_dirty: false,
             },
         );
-        self.write_order.push(oid);
-        if !self.defer_constraints {
-            if let Err(e) = self.check_object_constraints(oid) {
-                self.mark_aborted_constraint();
-                return Err(e);
-            }
-        }
+        self.check_after_write(oid)?;
         Ok(oid)
     }
 
@@ -636,7 +758,19 @@ impl<'db> Transaction<'db> {
                 vt_dirty: false,
             },
         );
-        self.write_order.push(oid);
+        Ok(())
+    }
+
+    /// The eager half of §5: check the object just written against its
+    /// constraints, aborting the transaction on a violation. Deferred to
+    /// commit under [`Transaction::defer_constraints`].
+    fn check_after_write(&mut self, oid: Oid) -> Result<()> {
+        if !self.defer_constraints {
+            if let Err(e) = self.check_object_constraints(oid) {
+                self.mark_aborted_constraint();
+                return Err(e);
+            }
+        }
         Ok(())
     }
 
@@ -650,55 +784,58 @@ impl<'db> Transaction<'db> {
         oid: Oid,
         f: impl FnOnce(&mut ObjWriter<'_>) -> Result<()>,
     ) -> Result<()> {
+        // The closure may fail after a partial change, so it works on a
+        // copy that replaces the state only on success.
+        self.write_in_place(oid, |w| {
+            let mut work = w.state.clone();
+            f(&mut ObjWriter {
+                schema: w.schema,
+                state: &mut work,
+            })?;
+            *w.state = work;
+            Ok(())
+        })
+    }
+
+    /// Apply `f` to the object's working state directly, then check its
+    /// constraints as [`Transaction::update`] does. Only for writer
+    /// operations that check everything before they change anything, so
+    /// an error still leaves the object untouched — without a copy of it.
+    fn write_in_place<R>(
+        &mut self,
+        oid: Oid,
+        f: impl FnOnce(&mut ObjWriter<'_>) -> Result<R>,
+    ) -> Result<R> {
         self.load_for_write(oid)?;
-        {
+        let out = {
             let inner = self.db.inner.read();
             let obj = self.writes.get_mut(&oid).expect("just loaded");
-            let mut work = obj.state.clone();
-            {
-                let mut w = ObjWriter {
-                    schema: &inner.schema,
-                    state: &mut work,
-                };
-                f(&mut w)?;
-            }
-            obj.state = work;
+            let out = f(&mut ObjWriter {
+                schema: &inner.schema,
+                state: &mut obj.state,
+            })?;
             obj.dirty = true;
-        }
-        if !self.defer_constraints {
-            if let Err(e) = self.check_object_constraints(oid) {
-                self.mark_aborted_constraint();
-                return Err(e);
-            }
-        }
-        Ok(())
+            out
+        };
+        self.check_after_write(oid)?;
+        Ok(out)
     }
 
     /// Assign one field.
     pub fn set(&mut self, oid: Oid, field: &str, value: impl Into<Value>) -> Result<()> {
         let value = value.into();
-        self.update(oid, |w| w.set(field, value))
+        self.write_in_place(oid, |w| w.set(field, value))
     }
 
     /// Insert into a set-valued field (§2.6).
     pub fn set_insert(&mut self, oid: Oid, field: &str, value: impl Into<Value>) -> Result<bool> {
         let value = value.into();
-        let mut added = false;
-        self.update(oid, |w| {
-            added = w.set_insert(field, value)?;
-            Ok(())
-        })?;
-        Ok(added)
+        self.write_in_place(oid, |w| w.set_insert(field, value))
     }
 
     /// Remove from a set-valued field.
     pub fn set_remove(&mut self, oid: Oid, field: &str, value: &Value) -> Result<bool> {
-        let mut removed = false;
-        self.update(oid, |w| {
-            removed = w.set_remove(field, value)?;
-            Ok(())
-        })?;
-        Ok(removed)
+        self.write_in_place(oid, |w| w.set_remove(field, value))
     }
 
     /// Delete a persistent object — the paper's `pdelete` (§2.4). Deletes
@@ -710,7 +847,6 @@ impl<'db> Transaction<'db> {
             return Err(OdeError::NoSuchObject(format!("{oid} (already deleted)")));
         }
         if let Some(obj) = self.writes.remove(&oid) {
-            self.write_order.retain(|&o| o != oid);
             if obj.new {
                 // Never existed outside this transaction: release the
                 // reserved anchor and forget it entirely.
@@ -756,14 +892,18 @@ impl<'db> Transaction<'db> {
 
     /// Check every constraint applying to the object's class (§5).
     pub(crate) fn check_object_constraints(&self, oid: Oid) -> Result<()> {
+        let loaded;
         let state = match self.writes.get(&oid) {
-            Some(o) => o.state.clone(),
-            None => self.read(oid)?,
+            Some(o) => &o.state,
+            None => {
+                loaded = self.read(oid)?;
+                &loaded
+            }
         };
         let inner = self.db.inner.read();
         for (class_def, c) in inner.schema.all_constraints(state.class)? {
             let ctx = EvalCtx::new(&inner.schema)
-                .with_this(&state)
+                .with_this(state)
                 .with_resolver(self);
             let ok = ctx.eval_bool(&c.expr)?;
             if !ok {
@@ -1034,11 +1174,9 @@ impl<'db> Transaction<'db> {
     fn do_commit(&mut self) -> Result<CommitOutcome> {
         self.ensure_live()?;
 
-        // 1. Deferred constraint check over every written object.
-        for &oid in &self.write_order.clone() {
-            if self.deleted.contains_key(&oid) {
-                continue;
-            }
+        // 1. Deferred constraint check over every written object (a
+        // deleted object has left the write set).
+        for (oid, _) in self.writes.iter() {
             self.check_object_constraints(oid)?;
         }
 
@@ -1093,10 +1231,8 @@ impl<'db> Transaction<'db> {
         let mut obs_writes: Vec<(Oid, ode_model::ClassId)> = Vec::new();
         let mut ops: Vec<StoreOp> = Vec::new();
         let mut index_updates: Vec<(Oid, Option<ObjState>, Option<ObjState>)> = Vec::new();
-        for &oid in &self.write_order.clone() {
-            let obj = self.writes.get(&oid).expect("write order tracks writes");
-            let obj = obj.clone();
-            self.materialize_object(oid, &obj, &mut ops)?;
+        for (oid, obj) in self.writes.iter() {
+            Self::materialize_object(self.db, &mut self.reserved, oid, obj, &mut ops)?;
             if obj.dirty || obj.new {
                 if collect_writes {
                     obs_writes.push((oid, obj.state.class));
@@ -1216,14 +1352,10 @@ impl<'db> Transaction<'db> {
             .flight
             .span(SpanStage::Commit, format!("{} ops", ops.len()));
         let mut write_oids: Vec<Oid> = self
-            .write_order
+            .writes
             .iter()
-            .filter(|oid| {
-                self.writes
-                    .get(oid)
-                    .is_some_and(|o| o.dirty || o.new || o.vt_dirty)
-            })
-            .copied()
+            .filter(|(_, o)| o.dirty || o.new || o.vt_dirty)
+            .map(|(oid, _)| oid)
             .collect();
         write_oids.extend(self.deleted.keys().copied());
         let heap_ranges = self.verify_ranged_writes(&write_oids, &ops);
@@ -1384,8 +1516,15 @@ impl<'db> Transaction<'db> {
         Ok(CommitOutcome { events, note })
     }
 
-    /// Turn one write-set entry into store operations.
-    fn materialize_object(&mut self, oid: Oid, obj: &TxnObj, ops: &mut Vec<StoreOp>) -> Result<()> {
+    /// Turn one write-set entry into store operations, recording the
+    /// version-record slots it reserves in `reserved`.
+    fn materialize_object(
+        db: &Database,
+        reserved: &mut Vec<(u32, RecordId)>,
+        oid: Oid,
+        obj: &TxnObj,
+        ops: &mut Vec<StoreOp>,
+    ) -> Result<()> {
         match &obj.vt {
             None => {
                 if obj.dirty || obj.new {
@@ -1427,8 +1566,8 @@ impl<'db> Transaction<'db> {
                             let data_len = state_to_write
                                 .map(|s| encode_vrec(e.no, s).len())
                                 .unwrap_or(64);
-                            let rid = self.db.store.reserve(oid.cluster, data_len)?;
-                            self.reserved.push((oid.cluster, rid));
+                            let rid = db.store.reserve(oid.cluster, data_len)?;
+                            reserved.push((oid.cluster, rid));
                             anchor_dirty = true;
                             rid
                         }
@@ -1497,8 +1636,8 @@ impl<'db> Transaction<'db> {
         // Only activations whose subject was written can change outcome, so
         // the per-commit cost scales with the write-set, not with the total
         // number of activations in the database (figure F7's cold sweep).
-        for oid in &self.write_order {
-            if let Some(ids) = inner.activations_by_oid.get(oid) {
+        for (oid, _) in self.writes.iter() {
+            if let Some(ids) = inner.activations_by_oid.get(&oid) {
                 for id in ids {
                     if let Some(act) = inner.activations.get(id) {
                         consider(act, &mut firings)?;
@@ -1518,15 +1657,10 @@ impl<'db> Transaction<'db> {
 
     /// Objects written (created or modified) so far.
     pub fn touched(&self) -> Vec<Oid> {
-        self.write_order
+        self.writes
             .iter()
-            .filter(|oid| {
-                self.writes
-                    .get(oid)
-                    .map(|o| o.dirty || o.new)
-                    .unwrap_or(false)
-            })
-            .copied()
+            .filter(|(_, o)| o.dirty || o.new)
+            .map(|(oid, _)| oid)
             .collect()
     }
 

@@ -361,6 +361,71 @@ fn diamond_hierarchy_streams_each_object_exactly_once() {
 }
 
 #[test]
+fn index_probe_folds_in_own_hierarchy_writes_and_nothing_else() {
+    // An index probe on a base-class field answers from committed entries,
+    // then folds in the transaction's own writes to the hierarchy's heaps:
+    // inserts into subclass heaps and updates of committed members. A
+    // thousand writes with the same key in an unrelated heap stay out.
+    let db = Database::in_memory();
+    university(&db);
+    let (p, ..) = populate(&db);
+    db.define_class(ClassBuilder::new("ledger").field_default("base_income", Type::Int, 0))
+        .unwrap();
+    db.create_cluster("ledger").unwrap();
+    db.create_index("person", "base_income").unwrap();
+
+    let mut tx = db.begin();
+    for _ in 0..1000 {
+        tx.pnew("ledger", &[("base_income", Value::Int(777))])
+            .unwrap();
+    }
+    let ta = tx
+        .pnew(
+            "teaching_assistant",
+            &[
+                ("name", Value::from("tia")),
+                ("base_income", Value::Int(777)),
+            ],
+        )
+        .unwrap();
+    let st = tx
+        .pnew(
+            "student",
+            &[
+                ("name", Value::from("stu")),
+                ("base_income", Value::Int(777)),
+            ],
+        )
+        .unwrap();
+    tx.pnew("student", &[("base_income", Value::Int(1))])
+        .unwrap();
+    tx.set(p, "base_income", 777i64).unwrap();
+
+    let before = db.telemetry();
+    let mut prof = QueryProfile::default();
+    let mut hits = tx
+        .forall("person")
+        .unwrap()
+        .suchthat("base_income == 777")
+        .unwrap()
+        .collect_oids_profiled(&mut prof)
+        .unwrap();
+    let d = db.telemetry().delta(&before);
+    assert!(
+        matches!(prof.strategy, ode_core::PlanStrategy::IndexProbe { .. }),
+        "{}",
+        prof.strategy
+    );
+    hits.sort();
+    let mut expected = vec![p, ta, st];
+    expected.sort();
+    assert_eq!(hits, expected);
+    // Only the hierarchy's four written objects were folded in.
+    assert_eq!(d.query.overlay_clones, 4);
+    tx.abort();
+}
+
+#[test]
 fn early_break_consumer_stops_the_stream() {
     let db = Database::in_memory();
     university(&db);

@@ -566,6 +566,176 @@ fn fixpoint_terminates_when_no_new_objects() {
     .unwrap();
 }
 
+/// A `node { int n; }` class with an (empty) cluster.
+fn nodes(db: &Database) {
+    db.define_class(ClassBuilder::new("node").field_default("n", Type::Int, 0))
+        .unwrap();
+    db.create_cluster("node").unwrap();
+}
+
+fn n_of(tx: &Transaction<'_>, oid: Oid) -> i64 {
+    tx.get(oid, "n").unwrap().as_int().unwrap()
+}
+
+#[test]
+fn fixpoint_examines_each_insert_once() {
+    // A 200-link chain: each visit inserts the next link. Semi-naive
+    // evaluation tests each insert once; re-running the extent every
+    // round would scan about N²/2 objects.
+    let db = Database::in_memory();
+    nodes(&db);
+    let mut tx = db.begin();
+    tx.pnew("node", &[("n", Value::Int(0))]).unwrap();
+    let mut prof = QueryProfile::default();
+    let visited = tx
+        .forall("node")
+        .unwrap()
+        .fixpoint()
+        .run_profiled(&mut prof, |tx, oid| {
+            let n = tx.get(oid, "n")?.as_int()?;
+            if n + 1 < 200 {
+                tx.pnew("node", &[("n", Value::Int(n + 1))])?;
+            }
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(visited, 200);
+    assert_eq!(prof.objects_scanned, 200, "each link examined once");
+    assert_eq!(prof.fixpoint_rounds, 200);
+    assert_eq!(prof.fixpoint_new_by_round, vec![1; 200]);
+}
+
+#[test]
+fn suchthat_fixpoint_visits_only_qualifying_inserts() {
+    // Each visit inserts n+1 (odd, never qualifies) and n+2 (even).
+    let db = Database::in_memory();
+    nodes(&db);
+    let mut tx = db.begin();
+    tx.pnew("node", &[("n", Value::Int(0))]).unwrap();
+    let mut seen = Vec::new();
+    let mut prof = QueryProfile::default();
+    tx.forall("node")
+        .unwrap()
+        .suchthat("n % 2 == 0")
+        .unwrap()
+        .fixpoint()
+        .run_profiled(&mut prof, |tx, oid| {
+            let n = n_of(tx, oid);
+            seen.push(n);
+            if n < 10 {
+                tx.pnew("node", &[("n", Value::Int(n + 1))])?;
+                tx.pnew("node", &[("n", Value::Int(n + 2))])?;
+            }
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(seen, vec![0, 2, 4, 6, 8, 10]);
+    // One evaluation per object: the seed in the full pass, then each of
+    // the ten inserts in the round after its insertion.
+    assert_eq!(prof.predicate_evals, 11);
+}
+
+#[test]
+fn fixpoint_skips_inserts_deleted_before_their_visit() {
+    let db = Database::in_memory();
+    nodes(&db);
+    let mut tx = db.begin();
+    tx.pnew("node", &[("n", Value::Int(0))]).unwrap();
+    let mut seen = Vec::new();
+    let mut three = None;
+    let mut prof = QueryProfile::default();
+    tx.forall("node")
+        .unwrap()
+        .fixpoint()
+        .run_profiled(&mut prof, |tx, oid| {
+            let n = n_of(tx, oid);
+            seen.push(n);
+            match n {
+                0 => {
+                    // Deleted before its round is evaluated.
+                    let one = tx.pnew("node", &[("n", Value::Int(1))])?;
+                    tx.pnew("node", &[("n", Value::Int(2))])?;
+                    three = Some(tx.pnew("node", &[("n", Value::Int(3))])?);
+                    tx.pdelete(one)?;
+                }
+                // Deleted after its round is evaluated, before its visit.
+                2 => tx.pdelete(three.expect("inserted at 0"))?,
+                _ => {}
+            }
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(seen, vec![0, 2]);
+    assert_eq!(prof.fixpoint_new_by_round, vec![1, 2]);
+}
+
+#[test]
+fn shallow_fixpoint_skips_inserts_into_a_subclass() {
+    let db = Database::in_memory();
+    nodes(&db);
+    db.define_class(ClassBuilder::new("leaf").base("node"))
+        .unwrap();
+    db.create_cluster("leaf").unwrap();
+    for shallow in [true, false] {
+        let mut tx = db.begin();
+        tx.pnew("node", &[("n", Value::Int(0))]).unwrap();
+        let mut seen = Vec::new();
+        let forall = tx.forall("node").unwrap();
+        let forall = if shallow { forall.shallow() } else { forall };
+        forall
+            .fixpoint()
+            .run(|tx, oid| {
+                let n = n_of(tx, oid);
+                seen.push(n);
+                if n == 0 {
+                    tx.pnew("leaf", &[("n", Value::Int(1))])?;
+                    tx.pnew("node", &[("n", Value::Int(2))])?;
+                }
+                Ok(())
+            })
+            .unwrap();
+        let expected = if shallow { vec![0, 2] } else { vec![0, 1, 2] };
+        assert_eq!(seen, expected, "shallow = {shallow}");
+    }
+}
+
+#[test]
+fn fixpoint_does_not_revisit_updated_committed_objects() {
+    // The fixpoint is insert-driven: a committed object the body updates
+    // into qualifying is not picked up by a later round.
+    let db = Database::in_memory();
+    nodes(&db);
+    let (a, b) = db
+        .transaction(|tx| {
+            Ok((
+                tx.pnew("node", &[("n", Value::Int(1))])?,
+                tx.pnew("node", &[("n", Value::Int(0))])?,
+            ))
+        })
+        .unwrap();
+    let mut tx = db.begin();
+    let mut seen = Vec::new();
+    tx.forall("node")
+        .unwrap()
+        .suchthat("n == 1")
+        .unwrap()
+        .fixpoint()
+        .run(|tx, oid| {
+            seen.push(oid);
+            tx.set(b, "n", 1i64)
+        })
+        .unwrap();
+    assert_eq!(seen, vec![a]);
+    let now = tx
+        .forall("node")
+        .unwrap()
+        .suchthat("n == 1")
+        .unwrap()
+        .count()
+        .unwrap();
+    assert_eq!(now, 2, "b qualifies after the iteration");
+}
+
 // -------------------------------------------------------------------- sets
 
 #[test]
@@ -633,6 +803,73 @@ fn set_iteration_visits_elements_added_during_iteration() {
         Ok(())
     })
     .unwrap();
+}
+
+#[test]
+fn set_insert_into_a_non_set_field_leaves_the_object_unchanged() {
+    let db = Database::in_memory();
+    db.define_class(
+        ClassBuilder::new("holder")
+            .field_default("count", Type::Int, 7)
+            .field_default(
+                "nums",
+                Type::Set(Box::new(Type::Int)),
+                Value::Set(SetValue::new()),
+            ),
+    )
+    .unwrap();
+    db.create_cluster("holder").unwrap();
+    let h = db
+        .transaction(|tx| {
+            let h = tx.pnew("holder", &[])?;
+            tx.set_insert(h, "nums", 1i64)?;
+            Ok(h)
+        })
+        .unwrap();
+    let mut tx = db.begin();
+    let before = tx.read(h).unwrap();
+    assert!(tx.set_insert(h, "count", 2i64).is_err());
+    assert!(tx.set_remove(h, "count", &Value::Int(7)).is_err());
+    assert!(tx.set_insert(h, "missing", 2i64).is_err());
+    assert_eq!(tx.read(h).unwrap(), before);
+    // A type error is not a constraint violation: the transaction lives.
+    assert!(tx.set_insert(h, "nums", 2i64).unwrap());
+    tx.commit().unwrap();
+    let nums = db.transaction(|tx| tx.get(h, "nums")).unwrap();
+    assert_eq!(nums.as_set().unwrap().len(), 2);
+    assert_eq!(
+        db.transaction(|tx| tx.get(h, "count")).unwrap(),
+        Value::Int(7)
+    );
+}
+
+#[test]
+fn set_insert_violating_a_constraint_aborts_the_transaction() {
+    let db = Database::in_memory();
+    db.define_class(
+        ClassBuilder::new("holder")
+            .field_default(
+                "nums",
+                Type::Set(Box::new(Type::Int)),
+                Value::Set(SetValue::new()),
+            )
+            .constraint("!(13 in nums)"),
+    )
+    .unwrap();
+    db.create_cluster("holder").unwrap();
+    let h = db.transaction(|tx| tx.pnew("holder", &[])).unwrap();
+    let mut tx = db.begin();
+    assert!(tx.set_insert(h, "nums", 1i64).unwrap());
+    let err = tx.set_insert(h, "nums", 13i64).unwrap_err();
+    assert!(matches!(err, OdeError::ConstraintViolation { .. }), "{err}");
+    assert!(matches!(
+        tx.set_insert(h, "nums", 2i64),
+        Err(OdeError::TransactionAborted)
+    ));
+    assert!(tx.commit().is_err());
+    // Rolled back whole: not even the earlier insert survives.
+    let nums = db.transaction(|tx| tx.get(h, "nums")).unwrap();
+    assert!(nums.as_set().unwrap().is_empty());
 }
 
 #[test]

@@ -15,6 +15,7 @@
 //! short-circuit, `/` on two ints is integer division, ints promote to
 //! doubles in mixed arithmetic.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::error::{ModelError, Result};
@@ -180,16 +181,36 @@ impl<'a> EvalCtx<'a> {
     }
 
     fn resolve_ident(&self, name: &str) -> Result<Value> {
+        self.ident_ref(name).cloned()
+    }
+
+    /// The value an identifier names — a variable, else a field of
+    /// `this` — borrowed where it lives.
+    fn ident_ref(&self, name: &str) -> Result<&'a Value> {
         if let Some(v) = self.vars.and_then(|v| v.get(name)) {
-            return Ok(v.clone());
+            return Ok(v);
         }
         if let Some(this) = self.this {
             let def = self.schema.class(this.class)?;
             if let Ok(idx) = def.field_index(name) {
-                return Ok(this.fields[idx].clone());
+                return Ok(&this.fields[idx]);
             }
         }
         Err(ModelError::UnknownVar(name.to_string()))
+    }
+
+    /// Evaluate a binary operand, borrowing literals and identifiers in
+    /// place instead of cloning them (a string or set compared per
+    /// scanned object would otherwise be copied each time).
+    fn operand<'e>(&self, e: &'e Expr) -> Result<Cow<'e, Value>>
+    where
+        'a: 'e,
+    {
+        match e {
+            Expr::Lit(v) => Ok(Cow::Borrowed(v)),
+            Expr::Ident(name) => self.ident_ref(name).map(Cow::Borrowed),
+            _ => self.eval(e).map(Cow::Owned),
+        }
     }
 
     /// Evaluate an expression that must denote an object, dereferencing
@@ -243,13 +264,14 @@ impl<'a> EvalCtx<'a> {
             }
             _ => {}
         }
-        let lv = self.eval(l)?;
-        let rv = self.eval(r)?;
+        let lv = self.operand(l)?;
+        let rv = self.operand(r)?;
+        let (lv, rv) = (lv.as_ref(), rv.as_ref());
         match op {
             BinOp::Eq => Ok(Value::Bool(lv == rv)),
             BinOp::Ne => Ok(Value::Bool(lv != rv)),
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let ord = compare(&lv, &rv)?;
+                let ord = compare(lv, rv)?;
                 Ok(Value::Bool(match op {
                     BinOp::Lt => ord.is_lt(),
                     BinOp::Le => ord.is_le(),
@@ -257,18 +279,18 @@ impl<'a> EvalCtx<'a> {
                     _ => ord.is_ge(),
                 }))
             }
-            BinOp::In => match &rv {
-                Value::Set(s) => Ok(Value::Bool(s.contains(&lv))),
-                Value::Array(items) => Ok(Value::Bool(items.contains(&lv))),
+            BinOp::In => match rv {
+                Value::Set(s) => Ok(Value::Bool(s.contains(lv))),
+                Value::Array(items) => Ok(Value::Bool(items.contains(lv))),
                 other => Err(ModelError::Type(format!(
                     "`in` needs a set or array on the right, got {other}"
                 ))),
             },
-            BinOp::Add => match (&lv, &rv) {
+            BinOp::Add => match (lv, rv) {
                 (Value::Str(a), Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
-                _ => arith(op, &lv, &rv),
+                _ => arith(op, lv, rv),
             },
-            BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => arith(op, &lv, &rv),
+            BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => arith(op, lv, rv),
             BinOp::And | BinOp::Or => unreachable!("handled above"),
         }
     }
