@@ -9,8 +9,10 @@
 //! to find statically-guaranteed conflicts, and the engine narrows its
 //! commit-time validation to the proven key ranges (DESIGN.md §14).
 
-use ode_model::range::{extract_field_ranges, extract_qualified_ranges, FieldRange, ValueRange};
-use ode_model::{Expr, QueryStmt, Schema, Statement, Value};
+use ode_model::range::{
+    extract_field_ranges, extract_qualified_ranges, literal_of, probe_range, FieldRange, ValueRange,
+};
+use ode_model::{QueryStmt, Schema, Statement};
 
 use crate::CatalogView;
 
@@ -150,7 +152,7 @@ pub fn footprint_of(
             let mut fields = Vec::new();
             for (field, expr) in inits.iter() {
                 fields.push(field.clone());
-                if let Some(v) = literal_value(expr) {
+                if let Some(v) = literal_of(expr) {
                     ranges.push(FieldRange {
                         field: field.clone(),
                         range: ValueRange::point(v),
@@ -201,32 +203,16 @@ fn read_accesses(
                     extract_qualified_ranges(pred, &b.var)
                 };
                 // The engine probes an index only over the deep extent
-                // (committed index entries summarize the hierarchy).
+                // (committed index entries summarize the hierarchy), and
+                // picks it by the same rule as here.
                 if b.deep {
                     if let (Some(cat), Ok(def)) = (catalog, schema.class_by_name(&b.cluster)) {
-                        acc.index = acc
-                            .ranges
-                            .iter()
-                            .map(|r| r.field.as_str())
-                            .find(|f| cat.is_indexed(def.id, f))
-                            .map(str::to_string);
+                        acc.index = probe_range(&acc.ranges, |f| cat.is_indexed(def.id, f))
+                            .map(|r| r.field.clone());
                     }
                 }
             }
             acc
         })
         .collect()
-}
-
-/// A literal initializer value, for `pnew` point ranges.
-fn literal_value(e: &Expr) -> Option<Value> {
-    match e {
-        Expr::Lit(v) => Some(v.clone()),
-        Expr::Unary(ode_model::UnOp::Neg, inner) => match inner.as_ref() {
-            Expr::Lit(Value::Int(i)) => Some(Value::Int(-i)),
-            Expr::Lit(Value::Float(x)) => Some(Value::Float(-x)),
-            _ => None,
-        },
-        _ => None,
-    }
 }

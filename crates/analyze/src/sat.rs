@@ -13,22 +13,6 @@ use ode_model::{BinOp, ClassDef, Expr, Value};
 
 use crate::{Diagnostic, Severity, A008, A101};
 
-/// Split a predicate into its top-level `&&` conjuncts.
-pub(crate) fn conjuncts(expr: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        match e {
-            Expr::Binary(BinOp::And, l, r) => {
-                walk(l, out);
-                walk(r, out);
-            }
-            other => out.push(other),
-        }
-    }
-    walk(expr, &mut out);
-    out
-}
-
 /// A member reference a range constraint can attach to: a bare field
 /// name or a single `var.field` step. Keyed textually so `q` and `s.q`
 /// in the same predicate stay distinct.
@@ -179,7 +163,7 @@ fn range_conjunct(e: &Expr) -> Option<(String, BinOp, Value)> {
 fn first_contradiction<'a>(preds: impl Iterator<Item = &'a Expr>) -> Option<String> {
     let mut members: BTreeMap<String, Feasible> = BTreeMap::new();
     for pred in preds {
-        for c in conjuncts(pred) {
+        for c in pred.conjuncts() {
             if let Some((key, op, v)) = range_conjunct(c) {
                 let feasible = members.entry(key.clone()).or_default();
                 if !feasible.narrow(op, &v) {
@@ -233,7 +217,7 @@ pub(crate) fn check_constraints_satisfiable<'a>(
 /// looks for. `var` is the loop variable, `def` the binding's class.
 pub(crate) fn equality_members(pred: &Expr, var: &str, def: &ClassDef) -> Vec<String> {
     let mut out = Vec::new();
-    for c in conjuncts(pred) {
+    for c in pred.conjuncts() {
         if let Some((key, BinOp::Eq, _)) = range_conjunct(c) {
             let field = match key.split_once('.') {
                 Some((v, f)) if v == var => f.to_string(),
@@ -255,7 +239,7 @@ pub(crate) fn equality_members(pred: &Expr, var: &str, def: &ClassDef) -> Vec<St
 /// identifier could resolve against any binding.
 pub(crate) fn join_equality_members(pred: &Expr, var: &str, def: &ClassDef) -> Vec<String> {
     let mut out = Vec::new();
-    for c in conjuncts(pred) {
+    for c in pred.conjuncts() {
         let Expr::Binary(BinOp::Eq, l, r) = c else {
             continue;
         };

@@ -73,8 +73,21 @@ fn f2_selection() {
     let (ix_db, _) = workload::inventory_db(N, true);
     println!("| selectivity | full scan | index | speedup |");
     println!("|---|---|---|---|");
-    for &permille in &[1usize, 10, 100, 500] {
-        let pred = format!("quantity < {}", N * permille / 1000);
+    let mut rows: Vec<(String, String)> = [1usize, 10, 100, 500]
+        .iter()
+        .map(|&pm| {
+            let label = format!("{:.1}%", pm as f64 / 10.0);
+            (label, format!("quantity < {}", N * pm / 1000))
+        })
+        .collect();
+    // A two-sided range in the middle of the key space: the probe reads
+    // only its 1% slice, not everything above the lower bound.
+    let (lo, hi) = (N / 2, N / 2 + N / 100);
+    rows.push((
+        "1.0% two-sided".into(),
+        format!("quantity >= {lo} && quantity < {hi}"),
+    ));
+    for (label, pred) in rows {
         let s = time_us(5, || {
             scan_db
                 .transaction(|tx| tx.forall("stockitem")?.suchthat(&pred)?.count())
@@ -86,8 +99,7 @@ fn f2_selection() {
                 .unwrap();
         });
         println!(
-            "| {:.1}% | {} | {} | {:.1}× |",
-            permille as f64 / 10.0,
+            "| {label} | {} | {} | {:.1}× |",
             fmt_us(s),
             fmt_us(i),
             s / i

@@ -4,9 +4,14 @@
 //! query optimization"; this module is that advantage. An index is declared
 //! on `(class, field)` and covers the class's **deep extent** (the class
 //! and every class derived from it, mirroring cluster-hierarchy iteration).
-//! The forall planner uses an index when the `suchthat` predicate contains
-//! an equality or range conjunct on the indexed field (figure F2 measures
-//! the crossover against a full scan).
+//! The forall planner probes an index with the interval the `suchthat`
+//! predicate's conjuncts pin on the indexed field, bounded on one side or
+//! both (`k >= 100 && k < 110` reads ten keys, in either order);
+//! `ode_model::probe_range` picks the field (figure F2 measures the
+//! crossover against a full scan).
+//!
+//! Null keys are not indexed, so an interval with a `null` endpoint
+//! (`name == null`) is answered by a scan, never by a probe.
 //!
 //! Index *declarations* persist in the catalog; the entries themselves are
 //! rebuilt by a scan at open time, which keeps commit batches small and
@@ -15,7 +20,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound;
 
-use ode_model::{Oid, Value};
+use ode_model::{Oid, Value, ValueRange};
 
 /// An in-memory B-tree index over one field.
 #[derive(Debug, Default)]
@@ -57,10 +62,25 @@ impl BTreeIndex {
         self.map.get(key).cloned().unwrap_or_default()
     }
 
-    /// Entries in a range, in key order.
-    pub fn range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<Oid> {
+    /// Entries whose key lies in `range`, in key order. An empty interval
+    /// has none; it never reaches `BTreeMap::range`, which panics when the
+    /// bounds cross.
+    pub fn range(&self, range: &ValueRange) -> Vec<Oid> {
+        if range.is_empty() {
+            return Vec::new();
+        }
+        fn bound(b: &Option<(Value, bool)>) -> Bound<&Value> {
+            match b {
+                Some((v, true)) => Bound::Included(v),
+                Some((v, false)) => Bound::Excluded(v),
+                None => Bound::Unbounded,
+            }
+        }
         let mut out = Vec::new();
-        for (_, bucket) in self.map.range::<Value, _>((lo, hi)) {
+        for (_, bucket) in self
+            .map
+            .range::<Value, _>((bound(&range.lo), bound(&range.hi)))
+        {
             out.extend_from_slice(bucket);
         }
         out
@@ -133,13 +153,26 @@ mod tests {
         for i in 0..10 {
             ix.insert(Value::Int(i), oid(i as u32));
         }
-        let got = ix.range(
-            Bound::Included(&Value::Int(3)),
-            Bound::Excluded(&Value::Int(6)),
-        );
+        let range = |lo, hi| ValueRange { lo, hi };
+        let got = ix.range(&range(
+            Some((Value::Int(3), true)),
+            Some((Value::Int(6), false)),
+        ));
         assert_eq!(got, vec![oid(3), oid(4), oid(5)]);
-        let got = ix.range(Bound::Unbounded, Bound::Included(&Value::Int(1)));
+        let got = ix.range(&range(None, Some((Value::Int(1), true))));
         assert_eq!(got, vec![oid(0), oid(1)]);
+        // Crossed or touching-open bounds: empty, and no panic.
+        let got = ix.range(&range(
+            Some((Value::Int(6), false)),
+            Some((Value::Int(3), false)),
+        ));
+        assert!(got.is_empty());
+        let got = ix.range(&range(
+            Some((Value::Int(3), false)),
+            Some((Value::Int(3), false)),
+        ));
+        assert!(got.is_empty());
+        assert_eq!(ix.range(&ValueRange::point(Value::Int(4))), vec![oid(4)]);
     }
 
     #[test]

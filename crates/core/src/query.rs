@@ -8,9 +8,11 @@
 //!   extent of `person` includes students and faculty, which is what makes
 //!   the paper's `p is student` dispatch example meaningful. Use
 //!   [`Forall::shallow`] for the exact-class extent only.
-//! * [`Forall::suchthat`] takes the expression language; conjuncts over an
-//!   indexed field are satisfied from the index (§3.1's "used to advantage
-//!   in query optimization"), the rest are filtered.
+//! * [`Forall::suchthat`] takes the expression language; the interval its
+//!   conjuncts pin on one indexed field (picked by
+//!   [`ode_model::probe_range`]) is read from the index (§3.1's "used to
+//!   advantage in query optimization"), and the whole predicate is then
+//!   rechecked.
 //! * [`Forall::by`] orders by an expression, ascending or descending.
 //! * [`Forall::fixpoint`] also visits objects **added during the
 //!   iteration** (§3.2) — the least-fixpoint facility behind recursive
@@ -28,11 +30,11 @@
 //! bodies) exist only on the `Transaction` instantiation.
 
 use std::collections::{HashMap, HashSet};
-use std::ops::Bound;
 
 use ode_model::eval::EvalCtx;
 use ode_model::{
-    extract_field_ranges, parse_expr, BinOp, ClassId, Expr, ObjState, Oid, Resolver, Schema, Value,
+    extract_field_ranges, parse_expr, probe_range, BinOp, Expr, ObjState, Oid, Resolver, Schema,
+    Value,
 };
 use ode_obs::{PlanStrategy, QueryProfile, SpanStage};
 
@@ -269,71 +271,6 @@ impl<'db> ReadTransaction<'db> {
     ) -> Result<ForallJoin<'t, ReadTransaction<'db>>> {
         new_forall_join(self, vars)
     }
-}
-
-/// Try to answer an equality/range conjunct from an index. Returns the
-/// indexed field plus matching oids (which still must pass the full
-/// predicate), or `None` when no index applies.
-fn index_candidates(
-    inner: &DbInner,
-    class: ClassId,
-    expr: &Expr,
-    var: Option<&str>,
-) -> Option<(String, Vec<Oid>)> {
-    // Split top-level conjunction.
-    fn conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-        if let Expr::Binary(BinOp::And, l, r) = e {
-            conjuncts(l, out);
-            conjuncts(r, out);
-        } else {
-            out.push(e);
-        }
-    }
-    // A field reference is either a bare identifier or `v.field` where `v`
-    // is the bound loop variable.
-    let as_field = |e: &Expr| -> Option<String> {
-        match e {
-            Expr::Ident(f) => Some(f.clone()),
-            Expr::Path(base, f) => match (&**base, var) {
-                (Expr::Ident(v), Some(bound)) if v == bound => Some(f.clone()),
-                _ => None,
-            },
-            _ => None,
-        }
-    };
-    let mut cs = Vec::new();
-    conjuncts(expr, &mut cs);
-    for c in cs {
-        let Expr::Binary(op, l, r) = c else { continue };
-        // Normalize to  field <op> literal.
-        let (field, lit, op) = match (as_field(l), as_field(r), &**l, &**r) {
-            (Some(f), _, _, Expr::Lit(v)) => (f, v, *op),
-            (_, Some(f), Expr::Lit(v), _) => {
-                let flipped = match *op {
-                    BinOp::Lt => BinOp::Gt,
-                    BinOp::Le => BinOp::Ge,
-                    BinOp::Gt => BinOp::Lt,
-                    BinOp::Ge => BinOp::Le,
-                    other => other,
-                };
-                (f, v, flipped)
-            }
-            _ => continue,
-        };
-        let Some(ix) = inner.indexes.get(&(class, field.clone())) else {
-            continue;
-        };
-        let oids = match op {
-            BinOp::Eq => ix.lookup(lit),
-            BinOp::Lt => ix.range(Bound::Unbounded, Bound::Excluded(lit)),
-            BinOp::Le => ix.range(Bound::Unbounded, Bound::Included(lit)),
-            BinOp::Gt => ix.range(Bound::Excluded(lit), Bound::Unbounded),
-            BinOp::Ge => ix.range(Bound::Included(lit), Bound::Unbounded),
-            _ => continue,
-        };
-        return Some((field, oids));
-    }
-    None
 }
 
 impl<'t, C: ReadContext> Forall<'t, C> {
@@ -805,28 +742,34 @@ fn candidates<C: ReadContext>(
     let inner = db.inner.read();
     let class = inner.schema.id_of(class_name)?;
 
-    // Index plan: equality/range conjunct over an indexed field. Index
-    // entries reflect *committed* data, so the transaction's own writes
-    // are merged back in below.
+    // The key ranges the predicate provably pins, read once. They choose
+    // the index probe and give both its bounds, by the rule the footprint
+    // pass shares (`probe_range`); index entries reflect *committed*
+    // data, so the transaction's own writes are merged back in below.
+    let ranges = pred
+        .suchthat
+        .map(|p| extract_field_ranges(p, pred.var))
+        .unwrap_or_default();
     let indexed: Option<(String, Vec<Oid>)> = if deep {
-        pred.suchthat
-            .and_then(|e| index_candidates(&inner, class, e, pred.var))
+        probe_range(&ranges, |f| {
+            inner.indexes.contains_key(&(class, f.to_string()))
+        })
+        .map(|r| {
+            let ix = &inner.indexes[&(class, r.field.clone())];
+            (r.field.clone(), ix.range(&r.range))
+        })
     } else {
         None
     };
     drop(inner);
 
-    // Key ranges the predicate provably pins, announced before
-    // enumeration: a write transaction then records predicate-level scan
-    // entries instead of whole-heap ones, making it eligible for narrowed
-    // validation at commit (DESIGN.md §14). The guard retires the hint on
-    // every exit path, including `?` early returns — a stale hint would
-    // mislabel the next scan.
-    let pred_ranges = pred
-        .suchthat
-        .map(|p| extract_field_ranges(p, pred.var))
-        .unwrap_or_default();
-    let _hint = ScanHintGuard::install(tx, pred_ranges);
+    // The same ranges, announced before enumeration: a write transaction
+    // then records predicate-level scan entries instead of whole-heap
+    // ones, making it eligible for narrowed validation at commit
+    // (DESIGN.md §14). The guard retires the hint on every exit path,
+    // including `?` early returns — a stale hint would mislabel the next
+    // scan.
+    let _hint = ScanHintGuard::install(tx, ranges);
 
     // Result accumulators — O(qualifying rows), never O(extent). With a
     // `by` clause the sort key is evaluated as each object streams past
@@ -1040,16 +983,7 @@ fn build_probe_plans(
     let Some(pred) = suchthat else {
         return Ok(plans);
     };
-    fn conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-        if let Expr::Binary(BinOp::And, l, r) = e {
-            conjuncts(l, out);
-            conjuncts(r, out);
-        } else {
-            out.push(e);
-        }
-    }
-    let mut cs = Vec::new();
-    conjuncts(pred, &mut cs);
+    let cs = pred.conjuncts();
     for d in 1..vars.len() {
         let (var, class_name) = &vars[d];
         let Ok(class) = inner.schema.id_of(class_name) else {

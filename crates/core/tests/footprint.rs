@@ -210,6 +210,40 @@ fn read_only_proofs_classify_statements() {
     assert!(snap.analyze.read_only_proofs >= 2);
 }
 
+/// `explain`'s strategy row and the footprint's `via index(...)` come
+/// from the same rule, so they name the same index: a point before a
+/// one-sided range, and the field name between two points.
+#[test]
+fn explain_strategy_and_footprint_name_the_same_index() {
+    let db = Database::in_memory();
+    db.define_from_source("class part { string name; int weight; int sku; int quantity; }")
+        .unwrap();
+    db.create_cluster("part").unwrap();
+    for field in ["name", "weight", "sku", "quantity"] {
+        db.create_index("part", field).unwrap();
+    }
+    for (pred, field) in [
+        (r#"weight == 3 && name == "bolt""#, "name"),
+        ("sku == 7 && quantity > 10", "sku"),
+        ("quantity > 10 && sku == 7", "sku"),
+    ] {
+        let stmt = format!("explain forall p in part suchthat ({pred})");
+        let fp = db.statement_footprint(&stmt).unwrap().unwrap();
+        assert_eq!(fp.reads[0].index.as_deref(), Some(field), "{pred}");
+        let prof = match db.transaction(|tx| tx.execute(&stmt)).unwrap() {
+            ode_core::oql::ExecResult::Explain(prof) => prof,
+            other => panic!("unexpected result: {other:?}"),
+        };
+        assert_eq!(
+            prof.strategy,
+            ode_core::PlanStrategy::IndexProbe {
+                field: field.into()
+            },
+            "{pred}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -4,6 +4,7 @@
 
 use ode_core::prelude::*;
 use ode_model::SetValue;
+use proptest::prelude::*;
 
 fn inventory(db: &Database, n: i64) {
     db.define_class(
@@ -317,6 +318,154 @@ fn index_survives_reopen_via_rebuild() {
         tx.commit().unwrap();
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Null keys are never indexed, so `name == null` must not be answered
+/// from the index: with and without one it selects the same row.
+#[test]
+fn null_equality_matches_with_and_without_an_index() {
+    let rows = |indexed: bool| {
+        let db = Database::in_memory();
+        db.define_class(ClassBuilder::new("part").field("name", Type::Str))
+            .unwrap();
+        db.create_cluster("part").unwrap();
+        if indexed {
+            db.create_index("part", "name").unwrap();
+        }
+        db.transaction(|tx| {
+            tx.pnew("part", &[("name", Value::from("bolt"))])?;
+            tx.pnew("part", &[("name", Value::Null)])?;
+            Ok(())
+        })
+        .unwrap();
+        db.transaction(|tx| tx.query("forall p in part suchthat (name == null)"))
+            .unwrap()
+            .len()
+    };
+    assert_eq!(rows(false), 1);
+    assert_eq!(rows(true), 1);
+}
+
+/// `probe(id, a, b)` objects from `(id, a, b)` rows (`None` = null),
+/// with `a` and `b` both indexed when `indexed`.
+fn probe_db(rows: &[(i64, Option<i64>, Option<i64>)], indexed: bool) -> Database {
+    let db = Database::in_memory();
+    db.define_class(
+        ClassBuilder::new("probe")
+            .field("id", Type::Int)
+            .field("a", Type::Int)
+            .field("b", Type::Int),
+    )
+    .unwrap();
+    db.create_cluster("probe").unwrap();
+    let int = |x: Option<i64>| x.map_or(Value::Null, Value::Int);
+    db.transaction(|tx| {
+        for &(id, a, b) in rows {
+            tx.pnew(
+                "probe",
+                &[("id", Value::Int(id)), ("a", int(a)), ("b", int(b))],
+            )?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    if indexed {
+        db.create_index("probe", "a").unwrap();
+        db.create_index("probe", "b").unwrap();
+    }
+    db
+}
+
+/// The sorted `id`s a predicate selects, and the query's profile.
+fn select_ids(db: &Database, pred: &str) -> Result<(Vec<i64>, QueryProfile)> {
+    db.transaction(|tx| {
+        let mut prof = QueryProfile::default();
+        let oids = tx
+            .forall("probe")?
+            .suchthat(pred)?
+            .collect_oids_profiled(&mut prof)?;
+        let mut ids = oids
+            .into_iter()
+            .map(|o| Ok(tx.get(o, "id")?.as_int()?))
+            .collect::<Result<Vec<i64>>>()?;
+        ids.sort_unstable();
+        Ok((ids, prof))
+    })
+}
+
+/// A two-sided range probes both bounds, whichever conjunct comes
+/// first, and negative literals bound a probe like any other.
+#[test]
+fn two_sided_ranges_probe_both_bounds_in_either_order() {
+    let rows: Vec<_> = (-1000..1000).map(|k| (k, Some(k), Some(0))).collect();
+    let db = probe_db(&rows, true);
+    for pred in [
+        "a >= 100 && a < 110",
+        "a < 110 && a >= 100",
+        "110 > a && 100 <= a",
+    ] {
+        let (ids, prof) = select_ids(&db, pred).unwrap();
+        assert_eq!(ids, (100..110).collect::<Vec<_>>(), "{pred}");
+        assert_eq!(prof.objects_scanned, 10, "{pred}");
+    }
+    let (ids, prof) = select_ids(&db, "a > -3 && a < 5").unwrap();
+    assert_eq!(ids, (-2..5).collect::<Vec<_>>());
+    assert_eq!(
+        prof.strategy,
+        ode_core::PlanStrategy::IndexProbe { field: "a".into() }
+    );
+    assert_eq!(prof.objects_scanned, 7);
+    // A crossed interval probes nothing, and does not panic.
+    let (ids, prof) = select_ids(&db, "a > 10 && a < 5").unwrap();
+    assert!(ids.is_empty());
+    assert_eq!(prof.objects_scanned, 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Differential oracle: a conjunction of comparisons over two
+    /// indexed fields selects the same rows as the same conjunction
+    /// scanned without indexes, whenever the scan evaluates at all
+    /// (ordering against a null field or literal is an evaluation
+    /// error), and a probe never panics on crossed bounds.
+    #[test]
+    fn probes_select_what_scans_select(
+        values in prop::collection::vec((-6i64..7, -6i64..7), 1..24),
+        conjuncts in prop::collection::vec(
+            (0usize..2, 0usize..5, -6i64..8, 0usize..2),
+            1..4,
+        ),
+    ) {
+        // Every fifth `a` and every seventh `b` is null.
+        let rows: Vec<_> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, b))| {
+                (i as i64, (i % 5 != 4).then_some(a), (i % 7 != 6).then_some(b))
+            })
+            .collect();
+        let pred = conjuncts
+            .iter()
+            .map(|&(field, op, lit, flipped)| {
+                let field = ["a", "b"][field];
+                let op = ["==", "<", "<=", ">", ">="][op];
+                // 7 stands for a `null` literal.
+                let lit = if lit == 7 { "null".to_string() } else { lit.to_string() };
+                if flipped == 1 {
+                    format!("{lit} {op} {field}")
+                } else {
+                    format!("{field} {op} {lit}")
+                }
+            })
+            .collect::<Vec<_>>()
+            .join(" && ");
+        let probed = select_ids(&probe_db(&rows, true), &pred);
+        if let Ok((scanned, _)) = select_ids(&probe_db(&rows, false), &pred) {
+            let (probed, _) = probed.unwrap_or_else(|e| panic!("{pred}: {e}"));
+            prop_assert_eq!(probed, scanned, "{}", pred);
+        }
+    }
 }
 
 // ------------------------------------------------------------------ joins

@@ -127,6 +127,22 @@ impl Expr {
         Expr::Binary(op, Box::new(lhs), Box::new(rhs))
     }
 
+    /// The top-level `&&` conjuncts, left to right (just `self` when it
+    /// is not a conjunction).
+    pub fn conjuncts(&self) -> Vec<&Expr> {
+        let (mut out, mut stack) = (Vec::new(), vec![self]);
+        while let Some(e) = stack.pop() {
+            match e {
+                Expr::Binary(BinOp::And, l, r) => {
+                    stack.push(r);
+                    stack.push(l);
+                }
+                other => out.push(other),
+            }
+        }
+        out
+    }
+
     /// All identifiers this expression reads at the *top level* (not through
     /// paths) — used by the engine to detect which loop variables a join
     /// predicate mentions.

@@ -42,7 +42,9 @@ pub use eval::{EvalCtx, Resolver};
 pub use expr::{BinOp, Expr, UnOp};
 pub use oid::{Oid, VersionNo, VersionRef};
 pub use parser::parse_expr;
-pub use range::{extract_field_ranges, extract_qualified_ranges, FieldRange, ValueRange};
+pub use range::{
+    extract_field_ranges, extract_qualified_ranges, probe_range, FieldRange, ValueRange,
+};
 pub use schema::Schema;
 pub use stmt::{parse_statement, Binding, QueryStmt, Statement};
 pub use value::{ObjState, SetValue, Type, Value};

@@ -1,8 +1,10 @@
 //! Static value-range extraction: turn a predicate's top-level `&&`
 //! conjuncts of the shape `member op literal` into per-field intervals.
 //!
-//! This is the abstract domain the footprint analyzer (ode-analyze) and
-//! the commit validator (ode-core) share: a predicate `P` over a loop
+//! This is the abstract domain the footprint analyzer (ode-analyze), the
+//! query planner and the commit validator (ode-core) share, and
+//! [`probe_range`] is the one place an index probe is chosen from it: a
+//! predicate `P` over a loop
 //! variable implies, for every extracted [`FieldRange`] `f ∈ R`, that any
 //! object satisfying `P` has `f ∈ R`. The extraction is a sound
 //! over-approximation — conjuncts it cannot read (disjunctions, method
@@ -68,19 +70,31 @@ impl ValueRange {
         true
     }
 
+    /// Does the interval admit no value at all (`k > 10 && k < 5`)?
+    pub fn is_empty(&self) -> bool {
+        apart(&self.hi, &self.lo)
+    }
+
     /// Are the two intervals provably disjoint (no value in both)?
     pub fn disjoint(&self, other: &ValueRange) -> bool {
-        fn apart(hi: &Option<(Value, bool)>, lo: &Option<(Value, bool)>) -> bool {
-            match (hi, lo) {
-                (Some((h, h_incl)), Some((l, l_incl))) => match h.cmp(l) {
-                    std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Equal => !(*h_incl && *l_incl),
-                    std::cmp::Ordering::Greater => false,
-                },
-                _ => false,
-            }
-        }
         apart(&self.hi, &other.lo) || apart(&other.hi, &self.lo)
+    }
+
+    /// How an index probe ranks this interval: a point, then one bounded
+    /// on both sides, then a one-sided one.
+    fn probe_rank(&self) -> u8 {
+        match (&self.lo, &self.hi) {
+            (Some(lo), Some(hi)) if lo.1 && lo == hi => 0,
+            (Some(_), Some(_)) => 1,
+            _ => 2,
+        }
+    }
+
+    /// Is either endpoint `null`? Null keys are never indexed.
+    fn has_null_endpoint(&self) -> bool {
+        [&self.lo, &self.hi]
+            .into_iter()
+            .any(|b| b.as_ref().is_some_and(|(v, _)| v.is_null()))
     }
 
     /// Do the two intervals possibly share a value?
@@ -133,6 +147,19 @@ impl ValueRange {
     }
 }
 
+/// Does upper bound `hi` lie below lower bound `lo`, leaving no value
+/// between them?
+fn apart(hi: &Option<(Value, bool)>, lo: &Option<(Value, bool)>) -> bool {
+    match (hi, lo) {
+        (Some((h, h_incl)), Some((l, l_incl))) => match h.cmp(l) {
+            std::cmp::Ordering::Less => true,
+            std::cmp::Ordering::Equal => !(*h_incl && *l_incl),
+            std::cmp::Ordering::Greater => false,
+        },
+        _ => false,
+    }
+}
+
 impl std::fmt::Display for ValueRange {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.lo {
@@ -181,7 +208,7 @@ fn member_of<'a>(e: &'a Expr, var: Option<&str>) -> Option<&'a str> {
 }
 
 /// A literal operand, looking through unary negation of numbers.
-fn literal_of(e: &Expr) -> Option<Value> {
+pub fn literal_of(e: &Expr) -> Option<Value> {
     match e {
         Expr::Lit(v) => Some(v.clone()),
         Expr::Unary(UnOp::Neg, inner) => match inner.as_ref() {
@@ -231,34 +258,26 @@ fn extract_ranges(pred: &Expr, var: Option<&str>, allow_bare: bool) -> Vec<Field
             _ => None,
         }
     }
-    let mut stack = vec![pred];
-    while let Some(e) = stack.pop() {
-        match e {
-            Expr::Binary(BinOp::And, l, r) => {
-                stack.push(l);
-                stack.push(r);
-            }
-            Expr::Binary(op, l, r)
-                if matches!(
-                    op,
-                    BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-                ) =>
-            {
-                let (field, op, v) =
-                    if let (Some(f), Some(v)) = (member(l, var, allow_bare), literal_of(r)) {
-                        (f, *op, v)
-                    } else if let (Some(v), Some(f)) = (literal_of(l), member(r, var, allow_bare)) {
-                        (f, flip(*op), v)
-                    } else {
-                        continue;
-                    };
-                ranges
-                    .entry(field)
-                    .or_insert_with(ValueRange::full)
-                    .narrow(op, &v);
-            }
-            _ => {}
+    for c in pred.conjuncts() {
+        let Expr::Binary(op, l, r) = c else { continue };
+        if !matches!(
+            op,
+            BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
+        ) {
+            continue;
         }
+        let (field, op, v) = if let (Some(f), Some(v)) = (member(l, var, allow_bare), literal_of(r))
+        {
+            (f, *op, v)
+        } else if let (Some(v), Some(f)) = (literal_of(l), member(r, var, allow_bare)) {
+            (f, flip(*op), v)
+        } else {
+            continue;
+        };
+        ranges
+            .entry(field)
+            .or_insert_with(ValueRange::full)
+            .narrow(op, &v);
     }
     ranges
         .into_iter()
@@ -268,6 +287,23 @@ fn extract_ranges(pred: &Expr, var: Option<&str>, allow_bare: bool) -> Vec<Field
             range,
         })
         .collect()
+}
+
+/// The one rule choosing which extracted range an index probe answers a
+/// predicate from, shared by the query planner and the footprint pass:
+/// among ranges on fields `is_indexed` accepts, a point (equality) first,
+/// then a range bounded on both sides, then a one-sided one; ties go to
+/// the field name, the order [`extract_field_ranges`] returns. A range
+/// with a `null` endpoint is never probed, because null keys are not
+/// indexed.
+pub fn probe_range(
+    ranges: &[FieldRange],
+    mut is_indexed: impl FnMut(&str) -> bool,
+) -> Option<&FieldRange> {
+    ranges
+        .iter()
+        .filter(|r| !r.range.has_null_endpoint() && is_indexed(&r.field))
+        .min_by_key(|r| r.range.probe_rank())
 }
 
 #[cfg(test)]
@@ -352,7 +388,44 @@ mod tests {
     #[test]
     fn contradictory_ranges_stay_empty_and_disjoint_from_everything() {
         let r = ranges("k > 10 && k < 5", None).remove(0).range;
+        assert!(r.is_empty());
         assert!(!r.contains(&Value::Int(7)));
         assert!(r.disjoint(&ValueRange::point(Value::Int(7))));
+        assert!(ranges("k > 5 && k < 5", None)[0].range.is_empty());
+        assert!(ranges("k >= 5 && k < 5", None)[0].range.is_empty());
+        assert!(!ranges("k >= 5 && k <= 5", None)[0].range.is_empty());
+    }
+
+    fn probed(src: &str, indexed: &[&str]) -> Option<String> {
+        let r = ranges(src, None);
+        probe_range(&r, |f| indexed.contains(&f)).map(|r| r.field.clone())
+    }
+
+    #[test]
+    fn probe_prefers_points_then_two_sided_then_name_order() {
+        let all = ["sku", "quantity", "weight", "name", "k"];
+        assert_eq!(
+            probed("quantity > 10 && sku == 3", &all).as_deref(),
+            Some("sku")
+        );
+        assert_eq!(
+            probed("weight == 3 && name == \"bolt\"", &all).as_deref(),
+            Some("name")
+        );
+        assert_eq!(
+            probed("k < 3 && weight >= 1 && weight < 9", &all).as_deref(),
+            Some("weight")
+        );
+        assert_eq!(probed("k >= 5 && k <= 5", &all).as_deref(), Some("k"));
+        assert_eq!(probed("sku == 3", &["quantity"]), None);
+    }
+
+    #[test]
+    fn null_endpoints_are_never_probed() {
+        assert_eq!(probed("name == null", &["name"]), None);
+        assert_eq!(
+            probed("name == null && k > 2", &["name", "k"]).as_deref(),
+            Some("k")
+        );
     }
 }
