@@ -13,9 +13,8 @@
 //! throughput at 4 threads vs 1 (the acceptance bar); on smaller hosts
 //! the assertion is skipped but the numbers are still emitted.
 //!
-//! Output: a table on stderr and `BENCH_f11.json` at the repo root
-//! (override with `ODE_BENCH_OUT`). Set `ODE_BENCH_QUICK=1` for a
-//! seconds-long smoke run (CI).
+//! Output: a table on stderr and `BENCH_f11.json` at the repo root.
+//! Set `ODE_BENCH_QUICK=1` for a seconds-long smoke run (CI).
 //!
 //! History: PR 8 found the 8-thread `scan_speedup` collapsing to 0.17x
 //! at 100k objects (fine at 10k) because `extent_of` materialized the
@@ -30,12 +29,11 @@
 //! itself.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use ode_bench::workload;
+use ode_bench::{workload, Figure};
 use ode_core::prelude::*;
 use ode_storage::filestore::FileStoreOptions;
 
@@ -44,23 +42,19 @@ const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
 struct Config {
     objects: usize,
     window: Duration,
-    quick: bool,
 }
 
 impl Config {
-    fn from_env() -> Self {
-        let quick = std::env::var("ODE_BENCH_QUICK").is_ok_and(|v| v != "0");
-        if quick {
+    fn for_run(fig: &Figure) -> Self {
+        if fig.quick {
             Config {
                 objects: 10_000,
                 window: Duration::from_millis(250),
-                quick,
             }
         } else {
             Config {
                 objects: 100_000,
                 window: Duration::from_millis(1500),
-                quick,
             }
         }
     }
@@ -137,8 +131,9 @@ fn run(
 }
 
 fn main() {
-    let cfg = Config::from_env();
-    let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let fig = Figure::from_env("f11_concurrent_readers");
+    let cfg = Config::for_run(&fig);
+    let parallelism = fig.parallelism;
     eprintln!(
         "f11: {} objects, {:?} window per cell, host parallelism {}",
         cfg.objects, cfg.window, parallelism
@@ -182,31 +177,15 @@ fn main() {
         });
     }
 
-    let out = std::env::var("ODE_BENCH_OUT").map_or_else(
-        |_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_f11.json")
-        },
-        PathBuf::from,
-    );
     // Rates from the last committed run, so each row can record its
     // delta — the regression ledger the figure exists for.
-    let prev = prev_rates(&out);
+    let prev = prev_rates(&fig.out_path());
 
     let base_point = rows[0].point_ops_s;
     let base_scan = rows[0].scan_ops_s;
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"figure\": \"f11_concurrent_readers\",");
+    let mut json = fig.json_header();
     let _ = writeln!(json, "  \"objects\": {},", cfg.objects);
     let _ = writeln!(json, "  \"window_ms\": {},", cfg.window.as_millis());
-    let _ = writeln!(json, "  \"quick\": {},", cfg.quick);
-    let _ = writeln!(json, "  \"host_parallelism\": {parallelism},");
-    // Reader *scaling* measured on one hardware thread says nothing —
-    // every thread count time-slices the same core — so such runs are
-    // recorded but flagged non-credible.
-    let _ = writeln!(json, "  \"credible\": {},", parallelism >= 2);
     let _ = writeln!(json, "  \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -232,8 +211,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    std::fs::write(&out, &json).expect("write BENCH_f11.json");
-    eprintln!("f11: wrote {}", out.display());
+    fig.write(&json);
 
     // The bug this figure caught: materialized extents collapsed the
     // 8-thread aggregate scan rate to 0.17x of 1-thread at 100k objects.
@@ -241,7 +219,7 @@ fn main() {
     // near the 1-thread rate; 0.7x leaves room for scheduler noise while
     // still failing loudly if scans ever materialize again. Quick mode
     // (10k objects) never collapsed, so the gate is full-run-only.
-    if !cfg.quick {
+    if !fig.quick {
         let at8 = rows.iter().find(|r| r.threads == 8).expect("8-thread row");
         let scan_speedup = at8.scan_ops_s / base_scan;
         assert!(

@@ -10,52 +10,41 @@
 //! per-transaction, not per-object, so a scan's cost is dominated by the
 //! object walk and the recorder should disappear into it).
 //!
-//! Output: a table on stderr and `BENCH_f12.json` at the repo root
-//! (override with `ODE_BENCH_OUT`). Set `ODE_BENCH_QUICK=1` for a
-//! seconds-long smoke run (CI).
+//! Output: a table on stderr and `BENCH_f12.json` at the repo root.
+//! Set `ODE_BENCH_QUICK=1` for a seconds-long smoke run (CI).
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
-use ode_bench::workload;
+use ode_bench::{median, workload, Figure};
 
 struct Config {
     objects: usize,
     trials: usize,
-    quick: bool,
 }
 
 impl Config {
-    fn from_env() -> Self {
-        let quick = std::env::var("ODE_BENCH_QUICK").is_ok_and(|v| v != "0");
-        if quick {
+    fn for_run(fig: &Figure) -> Self {
+        if fig.quick {
             Config {
                 objects: 10_000,
                 trials: 15,
-                quick,
             }
         } else {
             Config {
                 objects: 50_000,
                 trials: 31,
-                quick,
             }
         }
     }
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn main() {
-    let cfg = Config::from_env();
-    let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let fig = Figure::from_env("f12_trace_overhead");
+    let cfg = Config::for_run(&fig);
     eprintln!(
         "f12: {} objects, {} interleaved trials per arm, host parallelism {}",
-        cfg.objects, cfg.trials, parallelism
+        cfg.objects, cfg.trials, fig.parallelism
     );
 
     let (db, _) = workload::inventory_db(cfg.objects, false);
@@ -90,34 +79,17 @@ fn main() {
     eprintln!("f12: recorder off {off:>10.1} µs/scan");
     eprintln!("f12: overhead ratio {ratio:.3}x");
 
-    // Scaling measurements from a single hardware thread are noise-bound
-    // and flagged non-credible across every BENCH_*.json in this repo;
-    // for this figure one core still yields a valid ratio (both arms run
-    // on the same thread), but keep the flag consistent.
-    let credible = parallelism >= 2;
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"figure\": \"f12_trace_overhead\",");
+    // One core still yields a valid ratio here (both arms run on the
+    // same thread), but the header's `credible` flag is kept consistent
+    // with the scaling figures.
+    let mut json = fig.json_header();
     let _ = writeln!(json, "  \"objects\": {},", cfg.objects);
     let _ = writeln!(json, "  \"trials\": {},", cfg.trials);
-    let _ = writeln!(json, "  \"quick\": {},", cfg.quick);
-    let _ = writeln!(json, "  \"host_parallelism\": {parallelism},");
-    let _ = writeln!(json, "  \"credible\": {credible},");
     let _ = writeln!(json, "  \"scan_us_recorder_on\": {on:.1},");
     let _ = writeln!(json, "  \"scan_us_recorder_off\": {off:.1},");
     let _ = writeln!(json, "  \"overhead_ratio\": {ratio:.4}");
     json.push_str("}\n");
-
-    let out = std::env::var("ODE_BENCH_OUT").map_or_else(
-        |_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_f12.json")
-        },
-        PathBuf::from,
-    );
-    std::fs::write(&out, &json).expect("write BENCH_f12.json");
-    eprintln!("f12: wrote {}", out.display());
+    fig.write(&json);
 
     assert!(
         ratio <= 1.05,

@@ -12,16 +12,15 @@
 //! The acceptance bar: with 100k armed non-matching triggers, p50 commit
 //! latency within 10% of the zero-trigger baseline.
 //!
-//! Output: a table on stderr and `BENCH_f13.json` at the repo root
-//! (override with `ODE_BENCH_OUT`). Set `ODE_BENCH_QUICK=1` for a
-//! seconds-long smoke run (CI) — same 100k top level, fewer trials.
+//! Output: a table on stderr and `BENCH_f13.json` at the repo root.
+//! Set `ODE_BENCH_QUICK=1` for a seconds-long smoke run (CI) — same 100k
+//! top level, fewer trials.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ode_bench::workload;
+use ode_bench::{median, workload, Figure};
 use ode_sched::{SchedConfig, Scheduler};
 
 const LEVELS: [usize; 4] = [0, 1, 1_000, 100_000];
@@ -29,39 +28,30 @@ const LEVELS: [usize; 4] = [0, 1, 1_000, 100_000];
 struct Config {
     commits: usize,
     warmup: usize,
-    quick: bool,
 }
 
 impl Config {
-    fn from_env() -> Self {
-        let quick = std::env::var("ODE_BENCH_QUICK").is_ok_and(|v| v != "0");
-        if quick {
+    fn for_run(fig: &Figure) -> Self {
+        if fig.quick {
             Config {
                 commits: 200,
                 warmup: 20,
-                quick,
             }
         } else {
             Config {
                 commits: 800,
                 warmup: 50,
-                quick,
             }
         }
     }
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn main() {
-    let cfg = Config::from_env();
-    let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let fig = Figure::from_env("f13_trigger_scale");
+    let cfg = Config::for_run(&fig);
     eprintln!(
         "f13: {} interleaved commits per level, levels {:?}, host parallelism {}",
-        cfg.commits, LEVELS, parallelism
+        cfg.commits, LEVELS, fig.parallelism
     );
 
     // One database per level, all built before any measurement so setup
@@ -117,14 +107,8 @@ fn main() {
         );
     }
 
-    let credible = parallelism >= 2;
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"figure\": \"f13_trigger_scale\",");
+    let mut json = fig.json_header();
     let _ = writeln!(json, "  \"commits_per_level\": {},", cfg.commits);
-    let _ = writeln!(json, "  \"quick\": {},", cfg.quick);
-    let _ = writeln!(json, "  \"host_parallelism\": {parallelism},");
-    let _ = writeln!(json, "  \"credible\": {credible},");
     json.push_str("  \"levels\": [\n");
     for (i, (&armed, &p50)) in LEVELS.iter().zip(&p50s).enumerate() {
         let _ = writeln!(
@@ -136,17 +120,7 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(json, "  \"ratio_100k_vs_baseline\": {ratio:.4}");
     json.push_str("}\n");
-
-    let out = std::env::var("ODE_BENCH_OUT").map_or_else(
-        |_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_f13.json")
-        },
-        PathBuf::from,
-    );
-    std::fs::write(&out, &json).expect("write BENCH_f13.json");
-    eprintln!("f13: wrote {}", out.display());
+    fig.write(&json);
 
     assert!(
         ratio <= 1.10,

@@ -24,9 +24,9 @@
 //! Per cell we report aggregate committed txns/sec, conflicts, retry
 //! count, narrowed validations, fsyncs-per-commit (group-commit
 //! effectiveness), and the mean cohort size. Output: a table on stderr
-//! and `BENCH_f14.json` at the repo root (override with
-//! `ODE_BENCH_OUT`); when a previous `BENCH_f14.json` exists, each row
-//! also records `prev_txn_per_sec`/`delta_pct` against it.
+//! and `BENCH_f14.json` at the repo root; when a previous
+//! `BENCH_f14.json` exists, each row also records
+//! `prev_txn_per_sec`/`delta_pct` against it.
 //! `ODE_BENCH_QUICK=1` shrinks the windows for CI.
 //!
 //! Credibility: writer *scaling* measured on one hardware thread is a
@@ -35,35 +35,15 @@
 //! lost-update correctness assertion always runs.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use ode_bench::workload;
+use ode_bench::{workload, Figure};
 use ode_core::prelude::*;
 use ode_storage::filestore::FileStoreOptions;
 
 const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
-
-struct Config {
-    window: Duration,
-    quick: bool,
-}
-
-impl Config {
-    fn from_env() -> Self {
-        let quick = std::env::var("ODE_BENCH_QUICK").is_ok_and(|v| v != "0");
-        Config {
-            window: if quick {
-                Duration::from_millis(200)
-            } else {
-                Duration::from_millis(1000)
-            },
-            quick,
-        }
-    }
-}
 
 struct Row {
     mode: &'static str,
@@ -316,17 +296,15 @@ fn range_cell(threads: usize, window: Duration) -> Row {
 }
 
 fn main() {
-    let cfg = Config::from_env();
-    let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
-    eprintln!(
-        "f14: {:?} window per cell, host parallelism {}",
-        cfg.window, parallelism
-    );
+    let fig = Figure::from_env("f14_writer_scaling");
+    let parallelism = fig.parallelism;
+    let window = Duration::from_millis(if fig.quick { 200 } else { 1000 });
+    eprintln!("f14: {window:?} window per cell, host parallelism {parallelism}");
 
     let mut rows = Vec::new();
     for &mode in &["disjoint_key", "hot_key", "disjoint_range"] {
         for &threads in THREAD_COUNTS {
-            let r = cell(mode, threads, cfg.window);
+            let r = cell(mode, threads, window);
             eprintln!(
                 "f14: {:<14} threads={:<2} {:>8.0} txn/s  conflicts={:<6} retries={:<6} narrowed={:<6} fsync/commit={:.2} cohort={:.2}",
                 r.mode, r.threads, r.ops_s, r.conflicts, r.retries, r.narrowed, r.fsyncs_per_commit, r.mean_cohort
@@ -341,25 +319,12 @@ fn main() {
             .expect("1-thread row")
             .ops_s
     };
-    let out = std::env::var("ODE_BENCH_OUT").map_or_else(
-        |_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_f14.json")
-        },
-        PathBuf::from,
-    );
     // Rates from the last committed run, so each row can record its
     // delta — the regression ledger the figure exists for.
-    let prev = prev_rates(&out);
+    let prev = prev_rates(&fig.out_path());
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"figure\": \"f14_writer_scaling\",");
-    let _ = writeln!(json, "  \"window_ms\": {},", cfg.window.as_millis());
-    let _ = writeln!(json, "  \"quick\": {},", cfg.quick);
-    let _ = writeln!(json, "  \"host_parallelism\": {parallelism},");
-    let _ = writeln!(json, "  \"credible\": {},", parallelism >= 2);
+    let mut json = fig.json_header();
+    let _ = writeln!(json, "  \"window_ms\": {},", window.as_millis());
     let _ = writeln!(json, "  \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -388,8 +353,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    std::fs::write(&out, &json).expect("write BENCH_f14.json");
-    eprintln!("f14: wrote {}", out.display());
+    fig.write(&json);
 
     // Scaling bar, gated on real parallelism: with ≥4 cores, 4 disjoint
     // writers sharing fsyncs must beat one writer paying a full fsync

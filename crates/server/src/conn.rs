@@ -147,7 +147,7 @@ impl Conn {
         }
 
         // ---------------------------------------------- request loop
-        let mut session = Session::with_shared(Arc::clone(&self.state.db));
+        let mut session = Session::remote(Arc::clone(&self.state.db));
         loop {
             let frame = match self.wait_for_frame() {
                 Wait::Frame(f) => f,

@@ -379,6 +379,45 @@ fn control_ops_and_shell_parity_over_the_wire() {
     handle.shutdown();
 }
 
+/// A client holds no credentials for the server host, so it cannot make
+/// the server read or write files there: `.export`, `.import` and
+/// `.check` are refused with a typed usage error, nothing is written, and
+/// the session survives.
+#[test]
+fn remote_sessions_refuse_server_side_file_commands() {
+    let handle = Server::bind(seeded_db(), quick_cfg(), "127.0.0.1:0").unwrap();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let dir = std::env::temp_dir().join(format!("ode-remote-files-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let dump = dir.join("dump.bin");
+    let script = dir.join("script.ode");
+    std::fs::write(&script, "forall s in stockitem\n").unwrap();
+
+    for cmd in [
+        format!(".export {}", dump.display()),
+        format!(".import {}", script.display()),
+        format!(".check {}", script.display()),
+    ] {
+        match c.line(&cmd) {
+            Err(ClientError::Engine(msg)) => {
+                assert!(msg.starts_with("usage error"), "{cmd}: {msg}");
+                assert!(msg.contains("server host"), "{cmd}: {msg}");
+            }
+            other => panic!("{cmd}: expected a typed usage error, got {other:?}"),
+        }
+    }
+    assert!(
+        !dump.exists(),
+        "a remote .export wrote a file on the server host"
+    );
+    let out = output(c.line(".classes").unwrap());
+    assert!(out.contains("stockitem"), "{out}");
+
+    c.bye().unwrap();
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Read-only requests (`forall`, `explain`, `.show`) go down the
 /// snapshot read path: they bump `read_txns` but never acquire the
 /// writer gate, so `write_txns` and the `gate_wait` sample count stay

@@ -41,6 +41,9 @@ pub struct Session {
     /// shows). Inherited from the wire frame when the server set a trace
     /// context, minted locally otherwise.
     last_trace: TraceId,
+    /// Built by the server for a remote client: its meta-commands run on
+    /// the server host, so the ones that name a file there are refused.
+    remote: bool,
 }
 
 /// Outcome of feeding one line to the session.
@@ -93,6 +96,18 @@ impl Session {
             pending: String::new(),
             done: false,
             last_trace: TraceId::NONE,
+            remote: false,
+        }
+    }
+
+    /// A session the server runs for one remote client. It refuses
+    /// `.export`, `.import` and `.check`: their file paths would be read
+    /// or written on the server host, on behalf of a client that holds no
+    /// credentials for it.
+    pub fn remote(db: Arc<Database>) -> Session {
+        Session {
+            remote: true,
+            ..Session::with_shared(db)
         }
     }
 
@@ -342,6 +357,12 @@ impl Session {
     fn meta(&mut self, cmd: &str) -> Result<String> {
         let mut parts = cmd.split_whitespace();
         let head = parts.next().unwrap_or("");
+        if self.remote && matches!(head, "export" | "import" | "check") {
+            return Err(OdeError::Usage(format!(
+                ".{head} reads or writes files on the server host and is refused \
+                 over a connection; run it in a local ode-shell"
+            )));
+        }
         match head {
             "help" => Ok(HELP.trim().to_string()),
             "classes" => {
@@ -1123,7 +1144,8 @@ meta:
   .export <file>   .import <file>      whole-database dump / restore
   .help   .exit
 
-remote sessions (ode-shell --connect) additionally understand:
+remote sessions (ode-shell --connect) refuse .export, .import and .check
+(their files would live on the server host) and additionally understand:
   .server                              serving-layer stats
   .subscribe <class> <predicate>       live-stream commits matching the
                                        predicate (printed as `push ...`)
