@@ -232,8 +232,6 @@ pub struct CatalogState {
     /// rid of the (single) workload-statistics record, if one has been
     /// checkpointed.
     pub stats_rid: Option<RecordId>,
-    /// pending-event id → rid of its event record.
-    pub pending_rids: HashMap<u64, RecordId>,
 }
 
 #[cfg(test)]

@@ -19,10 +19,11 @@
 //! same table and stamp `schema_stamp`, so every in-flight writer that
 //! began earlier conflicts and retries against the new schema.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
@@ -33,7 +34,7 @@ use ode_obs::{
     TelemetrySnapshot, WorkStatRow, WorkloadStats, DEFAULT_FLIGHT_CAPACITY,
     DEFAULT_SLOW_THRESHOLD_NS,
 };
-use ode_storage::{CommitTicket, FileStore, MemStore, Store, StoreOp, StoreStats};
+use ode_storage::{CommitTicket, FileStore, MemStore, RecordId, Store, StoreOp, StoreStats};
 
 use crate::catalog::{CatalogRecord, CatalogState, CATALOG_HEAP};
 use crate::error::{OdeError, Result};
@@ -45,12 +46,6 @@ use crate::txn::{ScanEntry, Transaction};
 
 /// Signature of a host callback invocable from trigger actions.
 pub type CallbackFn = Arc<dyn Fn(&mut Transaction<'_>, Oid, &[Value]) -> Result<()> + Send + Sync>;
-
-/// Sink receiving fired-trigger events from committing transactions when
-/// the database runs in decoupled-firing mode (a scheduler is attached).
-/// Invoked after the triggering commit has published, outside every engine
-/// lock; the events are already durable in the catalog's pending record.
-pub type FiringSink = Arc<dyn Fn(Vec<PendingEvent>) + Send + Sync>;
 
 /// Observer notified after each published write commit with the objects it
 /// wrote (live subscriptions). Invoked outside every engine lock; must be
@@ -127,10 +122,6 @@ pub(crate) struct DbInner {
     pub activations: HashMap<u64, Activation>,
     /// Subject → activation ids.
     pub activations_by_oid: HashMap<Oid, Vec<u64>>,
-    /// Fired-trigger events enqueued but not yet acknowledged by their
-    /// action transactions (inline mode drains its own before `commit`
-    /// returns).
-    pub pending: HashMap<u64, PendingEvent>,
 }
 
 impl DbInner {
@@ -146,6 +137,22 @@ impl DbInner {
             .filter_map(|c| self.clusters.get(&c).map(|&h| (c, h)))
             .collect()
     }
+}
+
+/// The trigger backlog (DESIGN.md §12): every durable pending event, each
+/// either *claimed* by the thread that will dispatch it or *ready*. An
+/// event leaves only with its catalog record — drained by its action's
+/// commit or dead-lettered by [`Database::ack_pending`] — so
+/// `sched.enqueued` = drained + dead letters + what is still here.
+#[derive(Default)]
+pub(crate) struct Backlog {
+    /// Event id → the event, its catalog record, when it became pending.
+    pub events: HashMap<u64, (PendingEvent, RecordId, Instant)>,
+    /// Ids of the unclaimed events, oldest first.
+    pub ready: BTreeSet<u64>,
+    /// A scheduler claims the ready events; otherwise committing threads
+    /// claim their own at birth and drain the rest (inline).
+    pub decoupled: bool,
 }
 
 /// Commit-time validation state for optimistic multi-writer concurrency
@@ -267,9 +274,12 @@ pub struct Database {
     pub(crate) next_activation_id: AtomicU64,
     /// Ids for durable pending-trigger events.
     pub(crate) next_event_id: AtomicU64,
-    /// When installed, commits hand their fired-trigger events here instead
-    /// of dispatching them inline (weak coupling moves off the commit path).
-    pub(crate) firing_sink: RwLock<Option<FiringSink>>,
+    /// The one trigger backlog. Taken last (after `apply_gate`, `inner`).
+    pub(crate) backlog: Mutex<Backlog>,
+    /// Set while inline mode has ready events: tells the next commit to
+    /// drain them at the cost of one relaxed load when clear. Only a hint;
+    /// the events themselves are read under the backlog lock.
+    pub(crate) inline_backlog: AtomicBool,
     /// When installed, notified with each published commit's write set
     /// (live subscriptions).
     pub(crate) commit_observer: RwLock<Option<CommitObserver>>,
@@ -338,8 +348,8 @@ impl Database {
             indexes: HashMap::new(),
             activations: HashMap::new(),
             activations_by_oid: HashMap::new(),
-            pending: HashMap::new(),
         };
+        let mut backlog = Backlog::default();
 
         // Replay the catalog in record-id order: classes are re-defined in
         // their original definition order, so base resolution always works.
@@ -399,8 +409,8 @@ impl Database {
                 }
                 CatalogRecord::Pending(e) => {
                     max_event = max_event.max(e.id);
-                    inner.catalog.pending_rids.insert(e.id, rid);
-                    inner.pending.insert(e.id, e);
+                    backlog.ready.insert(e.id);
+                    backlog.events.insert(e.id, (e, rid, Instant::now()));
                 }
             }
         }
@@ -412,10 +422,10 @@ impl Database {
         }
         recovery_span.set_detail(format!("{replayed} catalog records"));
         drop(recovery_span);
-        // The recovered backlog is enqueued once, here; a scheduler attach
-        // queues it without counting it again.
+        // The recovered backlog is counted once, here, and left ready for
+        // the first commit or a scheduler: callbacks register after open.
         let tel = EngineTelemetry::default();
-        tel.sched.enqueued.add(inner.pending.len() as u64);
+        tel.sched.enqueued.add(backlog.events.len() as u64);
 
         Ok(Database {
             store,
@@ -435,7 +445,8 @@ impl Database {
             callbacks: RwLock::new(HashMap::new()),
             next_activation_id: AtomicU64::new(max_activation + 1),
             next_event_id: AtomicU64::new(max_event + 1),
-            firing_sink: RwLock::new(None),
+            inline_backlog: AtomicBool::new(!backlog.ready.is_empty()),
+            backlog: Mutex::new(backlog),
             commit_observer: RwLock::new(None),
             sched_hook: RwLock::new(None),
             slowlog: SlowQueryLog::with_threshold_ns(config.slow_query_threshold_ns),
@@ -1280,21 +1291,106 @@ impl Database {
 
     // ----------------------------------------------------------- firing
 
-    /// Install (or with `None`, remove) a fired-trigger event sink. Every
-    /// commit durably enqueues one [`PendingEvent`] per firing. While a
-    /// sink is installed the database runs in *decoupled* firing mode:
-    /// commits hand the events to the sink (reported in
-    /// [`crate::CommitInfo::enqueued`]), so commit latency no longer
-    /// includes action time. Without a sink, the committing thread
-    /// dispatches them itself through [`Database::dispatch_firing`] before
-    /// `commit` returns (inline mode).
-    pub fn set_firing_sink(&self, sink: Option<FiringSink>) {
-        *self.firing_sink.write() = sink;
+    /// Switch the firing mode. Decoupled (a scheduler is attached):
+    /// commits leave their events ready for [`Database::claim_ready`] and
+    /// report them in [`crate::CommitInfo::enqueued`]. Inline (the
+    /// default): a committing thread claims its own events and dispatches
+    /// them before `commit` returns, then drains whatever else is ready.
+    /// Publishing commits hold the same lock, so no event straddles a
+    /// switch.
+    pub fn set_firing_decoupled(&self, decoupled: bool) {
+        self.with_backlog(|b| b.decoupled = decoupled);
     }
 
-    /// Is a firing sink installed (decoupled mode)?
+    /// Is the database in decoupled firing mode?
     pub fn firing_decoupled(&self) -> bool {
-        self.firing_sink.read().is_some()
+        self.backlog.lock().decoupled
+    }
+
+    /// Claim the oldest ready event: the caller now owns its dispatch or
+    /// its [`Database::release_events`].
+    pub fn claim_ready(&self) -> Option<PendingEvent> {
+        self.with_backlog(|b| b.ready.pop_first().map(|id| b.events[&id].0.clone()))
+    }
+
+    /// Hand claimed events back to the ready list; ids no longer pending
+    /// are skipped.
+    pub fn release_events(&self, ids: &[u64]) {
+        if !ids.is_empty() {
+            self.with_backlog(|b| {
+                let pending = ids.iter().filter(|id| b.events.contains_key(id));
+                b.ready.extend(pending.collect::<Vec<_>>());
+            });
+        }
+    }
+
+    /// The backlog's `(ready, claimed)` event counts.
+    pub fn backlog_counts(&self) -> (usize, usize) {
+        let b = self.backlog.lock();
+        (b.ready.len(), b.events.len() - b.ready.len())
+    }
+
+    /// Inline mode: claim everything ready — a backlog recovered at open or
+    /// released by a detaching scheduler.
+    pub(crate) fn claim_inline_backlog(&self) -> Vec<PendingEvent> {
+        if !self.inline_backlog.load(Ordering::Relaxed) {
+            return Vec::new();
+        }
+        self.with_backlog(|b| {
+            let ids = if b.decoupled {
+                BTreeSet::new()
+            } else {
+                std::mem::take(&mut b.ready)
+            };
+            ids.iter().map(|id| b.events[id].0.clone()).collect()
+        })
+    }
+
+    /// Publish one commit's backlog changes inside its publish window: the
+    /// events its batch acknowledged are drained, and the events it fired
+    /// (with their records) become pending — ready if decoupled, else
+    /// claimed by the committer. Returns whether it was decoupled.
+    pub(crate) fn publish_backlog(
+        &self,
+        acked: &[(u64, RecordId)],
+        fired: &[PendingEvent],
+        rids: Vec<RecordId>,
+    ) -> bool {
+        if acked.is_empty() && fired.is_empty() {
+            return false; // no lock for a commit that fires nothing
+        }
+        let tel = &self.tel.sched;
+        self.with_backlog(|b| {
+            for (id, _) in acked {
+                b.ready.remove(id);
+                if let Some((_, _, since)) = b.events.remove(id) {
+                    tel.drained.inc();
+                    tel.drain_lag.record_ns(since.elapsed().as_nanos() as u64);
+                }
+            }
+            let now = Instant::now();
+            for (e, rid) in fired.iter().zip(rids) {
+                b.events.insert(e.id, (e.clone(), rid, now));
+                if b.decoupled {
+                    b.ready.insert(e.id);
+                }
+            }
+            tel.enqueued.add(fired.len() as u64);
+            b.decoupled
+        })
+    }
+
+    /// Run `f` under the backlog lock, then refresh the ready gauges and
+    /// the inline-backlog hint.
+    pub(crate) fn with_backlog<R>(&self, f: impl FnOnce(&mut Backlog) -> R) -> R {
+        let mut b = self.backlog.lock();
+        let out = f(&mut b);
+        let ready = b.ready.len() as u64;
+        self.tel.sched.queue_depth.set(ready);
+        self.tel.sched.queue_high_water.observe(ready);
+        let hint = !b.decoupled && ready > 0;
+        self.inline_backlog.store(hint, Ordering::Relaxed);
+        out
     }
 
     /// Install (or remove) the commit observer notified with each
@@ -1313,12 +1409,11 @@ impl Database {
         self.sched_hook.read().as_ref().map(|f| f())
     }
 
-    /// Fired-trigger events enqueued but not yet acknowledged, in event-id
-    /// order. After a reopen this is the recovered backlog an attaching
-    /// scheduler must drain.
+    /// Fired-trigger events not yet acknowledged, claimed or ready, in
+    /// event-id order.
     pub fn pending_events(&self) -> Vec<PendingEvent> {
-        let inner = self.inner.read();
-        let mut out: Vec<PendingEvent> = inner.pending.values().cloned().collect();
+        let b = self.backlog.lock();
+        let mut out: Vec<PendingEvent> = b.events.values().map(|p| p.0.clone()).collect();
         out.sort_by_key(|e| e.id);
         out
     }
@@ -1340,42 +1435,44 @@ impl Database {
     }
 
     /// Durably remove pending events without running them (dead-letter
-    /// path: the scheduler or an inline drain gave up on the action).
+    /// path: the scheduler or an inline drain gave up on the action; each
+    /// one removed counts in `sched.dead_letters`).
     /// Deletes the per-event catalog records in one store batch under the
     /// apply gate alone, so it is safe while write transactions run
     /// elsewhere. A dispatch of the same event racing it still applies at
     /// most once: its record delete is idempotent, and a record reused for
     /// a new event fails the dispatch's validation.
     pub fn ack_pending(&self, ids: &[u64]) -> Result<()> {
-        if ids.is_empty() {
-            return Ok(());
-        }
         let _apply = self.apply_gate.write();
-        let mut inner = self.inner.write();
-        let mut ops = Vec::new();
-        for id in ids {
-            if let Some(&rid) = inner.catalog.pending_rids.get(id) {
-                ops.push(StoreOp::Delete {
-                    heap: CATALOG_HEAP,
-                    rid,
-                });
-            }
-        }
+        let ops: Vec<StoreOp> = {
+            let b = self.backlog.lock();
+            let rids = ids.iter().filter_map(|id| b.events.get(id).map(|p| p.1));
+            rids.map(|rid| StoreOp::Delete {
+                heap: CATALOG_HEAP,
+                rid,
+            })
+            .collect()
+        };
         if ops.is_empty() {
             return Ok(());
         }
         self.store.commit(ops)?;
-        for id in ids {
-            inner.catalog.pending_rids.remove(id);
-            inner.pending.remove(id);
-        }
+        self.with_backlog(|b| {
+            for id in ids {
+                b.ready.remove(id);
+                if b.events.remove(id).is_some() {
+                    self.tel.sched.dead_letters.inc();
+                }
+            }
+        });
         Ok(())
     }
 
     /// Run one pending event's action in its own write transaction — the
     /// only way an action runs, inline or from a scheduler. Acknowledges
-    /// the event durably in the action's commit batch; returns the
-    /// next-round events the action enqueued (cascade). An event that is
+    /// the event durably in the action's commit batch (`sched.drained`);
+    /// returns the next-round events the action fired if the caller
+    /// claimed them (inline mode). An event that is
     /// no longer pending (already applied or dead-lettered) is a no-op; of
     /// two concurrent dispatches of one event exactly one applies, and the
     /// other fails validation with a retryable [`OdeError::WriteConflict`].
@@ -1383,7 +1480,7 @@ impl Database {
     /// [`OdeError::TriggerCascade`] and the event is acknowledged so it
     /// cannot replay forever.
     pub fn dispatch_firing(&self, event: &PendingEvent) -> Result<Vec<PendingEvent>> {
-        if !self.inner.read().pending.contains_key(&event.id) {
+        if !self.backlog.lock().events.contains_key(&event.id) {
             return Ok(Vec::new());
         }
         if event.depth as usize > self.config.trigger_cascade_limit {
@@ -1397,20 +1494,16 @@ impl Database {
         crate::txn::run_one_event(self, event)
     }
 
-    /// Live scheduler counters (queue depth, drain lag, dead letters).
-    /// The attached scheduler increments these; snapshots flow out through
-    /// [`Database::telemetry`] like every other counter group.
+    /// Trigger-backlog counters (enqueued, drained, dead letters, ready
+    /// depth), counted by the engine in both firing modes; an attached
+    /// scheduler adds its retries and suspensions. Snapshots flow out
+    /// through [`Database::telemetry`] like every other counter group.
     pub fn sched_telemetry(&self) -> &ode_obs::SchedTelemetry {
         &self.tel.sched
     }
 
     pub(crate) fn alloc_event_id(&self) -> u64 {
         self.next_event_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Clone the installed firing sink, if any (commit path).
-    pub(crate) fn firing_sink(&self) -> Option<FiringSink> {
-        self.firing_sink.read().clone()
     }
 
     /// Notify the commit observer, if installed (commit path; called

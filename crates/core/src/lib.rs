@@ -45,7 +45,7 @@ pub use ode_analyze::{batch_interference, has_errors, Diagnostic, Footprint, Sev
 
 pub use backup::DumpStats;
 pub use database::{
-    CallbackFn, CommitObserver, Database, DbConfig, FiringSink, ProfileBucket, SchedStatusFn,
+    CallbackFn, CommitObserver, Database, DbConfig, ProfileBucket, SchedStatusFn,
     MAX_PROFILE_BUCKETS,
 };
 pub use error::{OdeError, Result};

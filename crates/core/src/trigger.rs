@@ -15,10 +15,13 @@
 //!   action after the triggering transaction commits ("weak coupling",
 //!   HiPAC) — if the triggering transaction aborts, nothing fires,
 //! * every firing is first a durable [`PendingEvent`], written in the
-//!   triggering commit's own batch; one dispatch path
+//!   triggering commit's own batch, and joins the engine's one backlog,
+//!   where it is either *claimed* or *ready*. One dispatch path
 //!   ([`crate::Database::dispatch_firing`]) runs it and acknowledges it in
-//!   the action's batch — on the committing thread (inline, the default)
-//!   or on a scheduler installed as the firing sink (decoupled),
+//!   the action's batch — on the committing thread, which claims its own
+//!   events at birth and then drains any ready backlog (inline, the
+//!   default), or on an attached scheduler's workers, which claim ready
+//!   events (decoupled),
 //! * **once-only** triggers (the default) deactivate upon firing and must
 //!   be re-activated explicitly; **perpetual** triggers re-arm,
 //! * action transactions can fire further triggers; the engine bounds the
@@ -109,27 +112,31 @@ pub struct PendingEvent {
 }
 
 /// What a committed transaction wrote, delivered to an installed commit
-/// observer (live subscriptions). Deletes are not reported: a subscription
-/// predicate cannot match an object that no longer exists.
+/// observer (live subscriptions, and a scheduler's wake-up). Deletes are
+/// not reported: a subscription predicate cannot match an object that no
+/// longer exists.
 #[derive(Debug, Clone)]
 pub struct CommitNote {
     /// Commit epoch the writes were published at.
     pub epoch: u64,
     /// Objects created or modified, with their dynamic classes.
     pub writes: Vec<(Oid, ClassId)>,
+    /// Trigger events the commit left ready to be claimed (decoupled mode).
+    pub ready: usize,
 }
 
 /// Summary returned by [`crate::Transaction::commit`].
 #[derive(Debug, Default)]
 pub struct CommitInfo {
-    /// Triggers fired by this transaction and its cascade, in firing order.
+    /// Triggers fired by this transaction and its cascade, in firing order,
+    /// then any ready backlog the commit drained (inline mode).
     pub fired: Vec<FiredTrigger>,
     /// Action transactions that failed (weak coupling: reported only).
     pub failures: Vec<TriggerFailure>,
-    /// Firings handed to the installed firing sink (decoupled mode; empty
-    /// otherwise). Their actions run asynchronously, after this commit
-    /// returns; without a sink they run before it returns and are listed
-    /// in `fired` instead.
+    /// Firings left ready for the attached scheduler (decoupled mode;
+    /// empty otherwise). Their actions run asynchronously, after this
+    /// commit returns; in inline mode they run before it returns and are
+    /// listed in `fired` instead.
     pub enqueued: Vec<FiredTrigger>,
 }
 

@@ -21,10 +21,10 @@
 //! 4. In-memory indexes and the activation table are updated.
 //! 5. Fired trigger actions each run as an **independent transaction**
 //!    (weak coupling) — they start only after the commit, and an aborted
-//!    transaction fires nothing. Each pending event goes to the installed
-//!    firing sink or, without one, is dispatched on the committing thread
-//!    before `commit` returns; either way the action's own batch
-//!    acknowledges it.
+//!    transaction fires nothing. Each pending event joins the engine's one
+//!    backlog: claimed by the committing thread and dispatched before
+//!    `commit` returns (inline), or left ready for an attached scheduler
+//!    (decoupled); either way the action's own batch acknowledges it.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -48,10 +48,13 @@ use crate::trigger::{
 };
 
 /// What `do_commit` hands back to the caller once the batch is published:
-/// the firings it durably enqueued, and the write note for an installed
-/// commit observer.
+/// the firings it durably enqueued, whether they were left ready for a
+/// scheduler (decoupled) rather than claimed by this thread, and the write
+/// note for an installed commit observer.
+#[derive(Default)]
 pub(crate) struct CommitOutcome {
     pub events: Vec<PendingEvent>,
+    pub decoupled: bool,
     pub note: Option<CommitNote>,
 }
 
@@ -997,10 +1000,11 @@ impl<'db> Transaction<'db> {
     /// Commit. Every firing is durably enqueued in the commit's batch.
     /// Inline mode: the events are dispatched on this thread, cascades
     /// depth-first, and the result reports what fired (weak-coupled
-    /// trigger actions have already run by the time this returns).
-    /// Decoupled mode (a firing sink is installed): the events go to the
-    /// sink, are reported in [`CommitInfo::enqueued`], and their actions
-    /// run asynchronously — commit latency excludes action time.
+    /// trigger actions have already run by the time this returns); then
+    /// any backlog found ready runs the same way. Decoupled mode (a
+    /// scheduler is attached): the events are left ready for it, are
+    /// reported in [`CommitInfo::enqueued`], and their actions run
+    /// asynchronously — commit latency excludes action time.
     pub fn commit(mut self) -> Result<CommitInfo> {
         let started = std::time::Instant::now();
         let outcome = match self.do_commit() {
@@ -1029,15 +1033,13 @@ impl<'db> Transaction<'db> {
             db.notify_commit(note);
         }
         let mut info = CommitInfo::default();
-        if !outcome.events.is_empty() {
-            match db.firing_sink() {
-                Some(sink) => {
-                    info.enqueued = outcome.events.iter().map(FiredTrigger::of).collect();
-                    db.tel.sched.enqueued.add(outcome.events.len() as u64);
-                    sink(outcome.events);
-                }
-                None => drain_inline(db, outcome.events, &mut info),
-            }
+        if outcome.decoupled {
+            info.enqueued = outcome.events.iter().map(FiredTrigger::of).collect();
+        } else {
+            drain_inline(db, outcome.events, &mut info);
+            // Then whatever else is ready: a backlog recovered at open or
+            // released by a detaching scheduler.
+            drain_inline(db, db.claim_inline_backlog(), &mut info);
         }
         db.tel
             .txn
@@ -1336,7 +1338,7 @@ impl<'db> Transaction<'db> {
             self.committed = true;
             let mut span = self.db.flight.span(SpanStage::Commit, "read-only");
             span.set_detail("read-only: no epoch claimed");
-            return Ok(CommitOutcome { events, note: None });
+            return Ok(CommitOutcome::default());
         }
 
         // 5. The optimistic commit pipeline (DESIGN.md §13): validate +
@@ -1490,18 +1492,14 @@ impl<'db> Transaction<'db> {
                 }
             }
         }
-        for (id, _) in &self.ack_events {
-            inner.catalog.pending_rids.remove(id);
-            inner.pending.remove(id);
-        }
-        for (rid, e) in event_rids.into_iter().zip(&events) {
-            inner.catalog.pending_rids.insert(e.id, rid);
-            inner.pending.insert(e.id, e.clone());
-        }
         drop(inner);
+        let decoupled = self
+            .db
+            .publish_backlog(&self.ack_events, &events, event_rids);
         let note = collect_writes.then_some(CommitNote {
             epoch,
             writes: obs_writes,
+            ready: if decoupled { events.len() } else { 0 },
         });
         // Publish while still holding the apply gate: the epoch advance is
         // ordered inside the publish window, so a snapshot's epoch always
@@ -1513,7 +1511,11 @@ impl<'db> Transaction<'db> {
             turn_started.elapsed().as_micros()
         ));
 
-        Ok(CommitOutcome { events, note })
+        Ok(CommitOutcome {
+            events,
+            decoupled,
+            note,
+        })
     }
 
     /// Turn one write-set entry into store operations, recording the
@@ -1709,9 +1711,11 @@ fn drain_inline(db: &Database, events: Vec<PendingEvent>, info: &mut CommitInfo)
                 if !matches!(error, OdeError::TriggerCascade { .. }) {
                     info.fired.push(FiredTrigger::of(&event));
                 }
-                // An ack that fails leaves the event durable: the next
-                // scheduler attach runs it.
-                let _ = db.ack_pending(&[event.id]);
+                // An ack that fails leaves the event pending: released, so
+                // the next inline commit or a scheduler retries it.
+                if db.ack_pending(&[event.id]).is_err() {
+                    db.release_events(&[event.id]);
+                }
                 info.failures.push(TriggerFailure {
                     id: TriggerId(event.activation),
                     oid: event.oid,
@@ -1728,7 +1732,7 @@ fn drain_inline(db: &Database, events: Vec<PendingEvent>, info: &mut CommitInfo)
 /// pending record), so a crash at any point either replays the whole
 /// action or none of it — never half, never twice. An event no longer
 /// pending is a no-op. Returns the next-round events the action itself
-/// enqueued (cascade).
+/// fired if this thread claimed them (inline mode; cascade).
 pub(crate) fn run_one_event(db: &Database, event: &PendingEvent) -> Result<Vec<PendingEvent>> {
     let mut trigger_span = db.flight.span(SpanStage::Trigger, event.trigger.as_str());
     let mut tx = Transaction::new(db, event.depth as usize);
@@ -1737,7 +1741,7 @@ pub(crate) fn run_one_event(db: &Database, event: &PendingEvent) -> Result<Vec<P
         // agree, so the read-set stamp is exact, not conservative.
         let _apply = db.apply_gate.read();
         let observed = db.commit_epoch();
-        let Some(&rid) = db.inner.read().catalog.pending_rids.get(&event.id) else {
+        let Some(rid) = db.backlog.lock().events.get(&event.id).map(|p| p.1) else {
             trigger_span.set_detail(format!("{} not pending", event.trigger));
             return Ok(Vec::new());
         };
@@ -1769,7 +1773,11 @@ pub(crate) fn run_one_event(db: &Database, event: &PendingEvent) -> Result<Vec<P
         if let Some(note) = &outcome.note {
             db.notify_commit(note);
         }
-        outcome.events
+        if outcome.decoupled {
+            Vec::new()
+        } else {
+            outcome.events
+        }
     });
     let ok = result.is_ok();
     if !ok {

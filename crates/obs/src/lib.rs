@@ -669,19 +669,21 @@ family! {
 }
 
 family! {
-    /// Decoupled-trigger-scheduler counters: zero unless a scheduler is
-    /// attached, which drains commit-enqueued events off the commit path.
+    /// Trigger-backlog counters, kept by the engine in both firing modes:
+    /// each pending event is counted once in `enqueued` and leaves as one
+    /// `drained` or `dead_letters`, so after a settle the two sides are
+    /// equal. `retries` and `suspended` move only with a scheduler attached.
     SchedTelemetry => SchedSnapshot {
-        enqueued: Counter "Trigger events durably enqueued by commits";
+        enqueued: Counter "Trigger events made pending (fired, or recovered at open)";
         drained: Counter "Events whose action transaction completed";
         retries: Counter "Action attempts re-queued after transient failures";
-        dead_letters: Counter "Events abandoned after exhausting retries";
+        dead_letters: Counter "Events acknowledged without their action completing";
         /// Trigger events are never dropped: they are durable.
         overflow_dropped: Counter "Subscription checks dropped at queue capacity";
-        queue_depth: Gauge "Jobs currently queued in the scheduler";
+        queue_depth: Gauge "Trigger events ready to be claimed";
         suspended: Gauge "Trigger names currently suspended";
-        queue_high_water: MaxGauge "Most jobs ever queued at once";
-        drain_lag: LatencyHisto "Enqueue-to-dispatch latency of scheduled events";
+        queue_high_water: MaxGauge "Most trigger events ever ready at once";
+        drain_lag: LatencyHisto "Pending-to-acknowledged latency of drained events";
     }
 }
 

@@ -7,31 +7,36 @@
 //! crate moves the actions off the commit path entirely (HiPAC's
 //! decoupled mode):
 //!
-//! * a committing transaction durably enqueues [`PendingEvent`]s, hands
-//!   them to the engine's firing sink and returns immediately,
-//! * a worker pool drains the queue, running each action in its own write
-//!   transaction via [`Database::dispatch_firing`] — once-only semantics
-//!   and the cascade bound are enforced by the engine, exactly-once across
-//!   crashes by the durable pending record,
-//! * transient failures retry with backoff; persistent ones dead-letter
+//! * the engine owns the one backlog: a committing transaction durably
+//!   enqueues [`PendingEvent`]s, leaves them *ready* and returns
+//!   immediately; [`Scheduler::attach`] only switches the engine to
+//!   decoupled firing, so there is no copy of the backlog to keep in step,
+//! * a worker pool claims ready events ([`Database::claim_ready`]) and runs
+//!   each action in its own write transaction via
+//!   [`Database::dispatch_firing`] — once-only semantics and the cascade
+//!   bound are enforced by the engine, exactly-once across crashes by the
+//!   durable pending record,
+//! * the scheduler keeps only policy over the events it claimed:
+//!   transient failures retry with backoff; persistent ones dead-letter
 //!   (the event is acknowledged so it cannot replay forever), and a
-//!   trigger that fails repeatedly is auto-suspended,
+//!   trigger that fails repeatedly is auto-suspended; a suspended
+//!   trigger's events park until resumed,
 //! * per-trigger delay turns an armed trigger into a *timed* firing: the
-//!   event sits in a timer heap until due,
-//! * **live subscriptions** ride the same queue: a registered predicate
+//!   claimed event sits in a timer heap until due,
+//! * **live subscriptions** ride the same workers: a registered predicate
 //!   over a cluster is re-evaluated (on a worker, against a snapshot)
 //!   for every object a commit writes, and matches are delivered to the
 //!   subscriber's push sink — the server turns them into wire Push frames.
 //!
-//! Actions run through the same [`Database::dispatch_firing`] either way;
-//! only the thread differs. Attach with [`Scheduler::attach`]; detaching
-//! (drop) uninstalls the engine hooks, so commits dispatch their own
-//! events on the committing thread again. With `workers: 0` nothing
-//! runs until [`Scheduler::drain_now`] — tests use this to simulate a
-//! crash between commit and drain.
+//! The engine's commit observer is the scheduler's only wake-up signal.
+//! Detaching (drop) releases every event the scheduler still holds back to
+//! the engine's ready list and switches it to inline firing, where the next
+//! commit drains them. With `workers: 0` nothing runs until
+//! [`Scheduler::drain_now`] — tests use this to simulate a crash between
+//! commit and drain.
 
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -42,37 +47,31 @@ use ode_model::eval::EvalCtx;
 use ode_model::{parse_expr, ClassId, Expr, Oid};
 use ode_obs::SpanStage;
 
-/// Tuning knobs for [`Scheduler::attach`].
+/// Subscription checks queued past this many are dropped (counted in
+/// `sched.overflow_dropped`). Trigger events are never dropped: they are
+/// durable, and their backlog lives in the engine.
+const SUB_QUEUE_CAPACITY: usize = 16 * 1024;
+/// Transient-failure retries per event before dead-lettering.
+const MAX_RETRIES: u32 = 3;
+/// Backoff between retries of one event.
+const RETRY_BACKOFF: Duration = Duration::from_millis(10);
+/// Most recent dead letters retained for inspection.
+const MAX_DEAD_LETTERS: usize = 256;
+/// Consecutive permanent failures of one trigger name before the scheduler
+/// auto-suspends it.
+pub const FAIL_SUSPEND_THRESHOLD: u32 = 5;
+
+/// Configuration for [`Scheduler::attach`].
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
-    /// Worker threads draining the queue. `0` = nothing runs until
+    /// Worker threads claiming ready events. `0` = nothing runs until
     /// [`Scheduler::drain_now`] (tests; simulated crashes).
     pub workers: usize,
-    /// Queue capacity for *subscription checks*. Checks past it are
-    /// dropped (counted in `sched.overflow_dropped`); trigger events are
-    /// never dropped — they are durable and their backlog lives on disk.
-    pub queue_capacity: usize,
-    /// Transient-failure retries per event before dead-lettering.
-    pub max_retries: u32,
-    /// Backoff between retries of one event.
-    pub retry_backoff: Duration,
-    /// Consecutive permanent failures of one trigger name before the
-    /// scheduler auto-suspends it (0 disables auto-suspension).
-    pub fail_suspend_threshold: u32,
-    /// Most recent dead letters retained for inspection.
-    pub max_dead_letters: usize,
 }
 
 impl Default for SchedConfig {
     fn default() -> Self {
-        SchedConfig {
-            workers: 2,
-            queue_capacity: 16 * 1024,
-            max_retries: 3,
-            retry_backoff: Duration::from_millis(10),
-            fail_suspend_threshold: 5,
-            max_dead_letters: 256,
-        }
+        SchedConfig { workers: 2 }
     }
 }
 
@@ -113,58 +112,42 @@ struct Subscription {
 }
 
 enum Job {
-    Action {
-        event: PendingEvent,
-        attempts: u32,
-        enqueued_at: Instant,
-    },
-    SubCheck {
-        sub_id: SubId,
-        oid: Oid,
-        epoch: u64,
-    },
+    Action { event: PendingEvent, attempts: u32 },
+    SubCheck { sub_id: SubId, oid: Oid, epoch: u64 },
 }
 
-struct TimedJob {
-    due: Instant,
-    seq: u64,
-    job: Job,
-}
-
-impl PartialEq for TimedJob {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for TimedJob {}
-impl PartialOrd for TimedJob {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimedJob {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest due is on top.
-        other
-            .due
-            .cmp(&self.due)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
+/// What the scheduler holds besides the engine's ready list: subscription
+/// checks and due timed jobs, the timer heap, and parked events. Every
+/// action job here is an event this scheduler claimed.
 #[derive(Default)]
 struct QueueState {
     queue: VecDeque<Job>,
-    timed: BinaryHeap<TimedJob>,
+    /// Timer heap: jobs keyed by (due, sequence number).
+    timed: BTreeMap<(Instant, u64), Job>,
     /// Actions parked because their trigger is suspended.
-    parked: Vec<Job>,
+    parked: Vec<PendingEvent>,
     in_flight: usize,
     shutdown: bool,
 }
 
+impl QueueState {
+    /// Ids of every event this scheduler holds without running it.
+    fn held_events(&self) -> Vec<u64> {
+        self.queue
+            .iter()
+            .chain(self.timed.values())
+            .filter_map(|job| match job {
+                Job::Action { event, .. } => Some(event.id),
+                Job::SubCheck { .. } => None,
+            })
+            .chain(self.parked.iter().map(|e| e.id))
+            .collect()
+    }
+}
+
 struct SchedInner {
     db: Arc<Database>,
-    config: SchedConfig,
+    workers: usize,
     state: Mutex<QueueState>,
     work_ready: Condvar,
     idle: Condvar,
@@ -177,131 +160,89 @@ struct SchedInner {
     dead: Mutex<VecDeque<DeadLetter>>,
     next_sub: AtomicU64,
     next_seq: AtomicU64,
-    detached: AtomicBool,
 }
 
 impl SchedInner {
-    fn seq(&self) -> u64 {
-        self.next_seq.fetch_add(1, Ordering::Relaxed)
+    fn enqueue_timed(&self, st: &mut QueueState, job: Job, due: Instant) {
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        st.timed.insert((due, seq), job);
     }
 
-    fn note_depth(&self, st: &QueueState) {
-        let tel = self.db.sched_telemetry();
-        let depth = (st.queue.len() + st.timed.len()) as u64;
-        tel.queue_depth.set(depth);
-        tel.queue_high_water.observe(depth);
-    }
-
-    /// Enqueue trigger events (from the commit sink, a cascade, or the
-    /// recovered backlog). Never drops: the durable pending record is the
-    /// true bound.
-    fn enqueue_events(&self, events: Vec<PendingEvent>, count_enqueued: bool) {
-        if events.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        let mut st = self.state.lock();
-        if st.shutdown {
-            return; // backlog survives in the pending record for reattach
-        }
-        if count_enqueued {
-            self.db.sched_telemetry().enqueued.add(events.len() as u64);
-        }
-        let delays = self.delays.read();
-        for event in events {
-            let delay = delays.get(&event.trigger).copied();
-            let job = Job::Action {
-                event,
-                attempts: 0,
-                enqueued_at: now,
-            };
-            match delay {
-                Some(d) if !d.is_zero() => {
-                    let seq = self.seq();
-                    st.timed.push(TimedJob {
-                        due: now + d,
-                        seq,
-                        job,
-                    });
-                }
-                _ => st.queue.push_back(job),
-            }
-        }
-        drop(delays);
-        self.note_depth(&st);
-        self.work_ready.notify_all();
-    }
-
-    fn enqueue_timed(&self, job: Job, due: Instant) {
-        let mut st = self.state.lock();
-        if st.shutdown {
-            return;
-        }
-        let seq = self.seq();
-        st.timed.push(TimedJob { due, seq, job });
-        self.note_depth(&st);
-        self.work_ready.notify_all();
-    }
-
-    /// Fan a committed write set out into subscription checks.
+    /// Commit observer: wake the workers for events the commit left ready,
+    /// and fan its write set out into subscription checks.
     fn observe_commit(&self, note: &ode_core::CommitNote) {
-        let subs = self.subs.read();
-        if subs.is_empty() {
-            return;
-        }
         let mut checks: Vec<Job> = Vec::new();
-        self.db.with_schema(|schema| {
-            for &(oid, class) in &note.writes {
-                for (&sub_id, sub) in subs.iter() {
-                    if schema.is_subclass(class, sub.class) {
-                        checks.push(Job::SubCheck {
-                            sub_id,
-                            oid,
-                            epoch: note.epoch,
-                        });
+        {
+            let subs = self.subs.read();
+            if !subs.is_empty() {
+                self.db.with_schema(|schema| {
+                    for &(oid, class) in &note.writes {
+                        for (&sub_id, sub) in subs.iter() {
+                            if schema.is_subclass(class, sub.class) {
+                                checks.push(Job::SubCheck {
+                                    sub_id,
+                                    oid,
+                                    epoch: note.epoch,
+                                });
+                            }
+                        }
                     }
-                }
+                });
             }
-        });
-        drop(subs);
-        if checks.is_empty() {
+        }
+        if checks.is_empty() && note.ready == 0 {
             return;
         }
         let mut st = self.state.lock();
         if st.shutdown {
             return;
         }
-        let tel = self.db.sched_telemetry();
         for job in checks {
-            if st.queue.len() >= self.config.queue_capacity {
-                tel.overflow_dropped.inc();
+            if st.queue.len() >= SUB_QUEUE_CAPACITY {
+                self.db.sched_telemetry().overflow_dropped.inc();
                 continue;
             }
             st.queue.push_back(job);
         }
-        self.note_depth(&st);
         self.work_ready.notify_all();
     }
 
-    /// Pull one runnable job, promoting due timed jobs first. Returns
-    /// `Err(next_due)` when only not-yet-due timed work remains.
-    fn next_job(st: &mut QueueState) -> std::result::Result<Option<Job>, Instant> {
+    /// Pull one runnable job: a queued one (due timed jobs are promoted
+    /// first), else a ready event claimed from the engine — a delayed
+    /// trigger's event goes to the timer heap instead. Claiming under the
+    /// state lock keeps every event visible to [`Scheduler::wait_idle`] as
+    /// either ready or in flight. Returns `Err(next_due)` when only
+    /// not-yet-due timed work remains.
+    fn next_job(&self, st: &mut QueueState) -> std::result::Result<Option<Job>, Instant> {
         let now = Instant::now();
-        while let Some(t) = st.timed.peek() {
-            if t.due <= now {
-                let t = st.timed.pop().expect("peeked");
-                st.queue.push_back(t.job);
-            } else {
-                break;
-            }
+        while st.timed.first_key_value().is_some_and(|(k, _)| k.0 <= now) {
+            let (_, job) = st.timed.pop_first().expect("checked");
+            st.queue.push_back(job);
         }
         if let Some(job) = st.queue.pop_front() {
             return Ok(Some(job));
         }
-        match st.timed.peek() {
-            Some(t) => Err(t.due),
+        while let Some(event) = self.db.claim_ready() {
+            let delay = self.delays.read().get(&event.trigger).copied();
+            let job = Job::Action { event, attempts: 0 };
+            match delay {
+                Some(d) => self.enqueue_timed(st, job, now + d),
+                None => return Ok(Some(job)),
+            }
+        }
+        match st.timed.first_key_value() {
+            Some(((due, _), _)) => Err(*due),
             None => Ok(None),
         }
+    }
+
+    /// Is there nothing left to run now or later, here or in the engine's
+    /// ready list? (Parked events wait for `resume` and do not count.)
+    fn is_idle(&self, st: &QueueState) -> bool {
+        st.queue.is_empty()
+            && st.timed.is_empty()
+            && st.in_flight == 0
+            && self.db.backlog_counts().0 == 0
     }
 
     fn worker_loop(self: &Arc<Self>) {
@@ -312,10 +253,9 @@ impl SchedInner {
                     if st.shutdown {
                         return;
                     }
-                    match Self::next_job(&mut st) {
+                    match self.next_job(&mut st) {
                         Ok(Some(job)) => {
                             st.in_flight += 1;
-                            self.note_depth(&st);
                             break job;
                         }
                         Ok(None) => {
@@ -325,72 +265,53 @@ impl SchedInner {
                             self.work_ready.wait(&mut st);
                         }
                         Err(due) => {
-                            let now = Instant::now();
-                            let wait = due.saturating_duration_since(now);
+                            let wait = due.saturating_duration_since(Instant::now());
                             self.work_ready.wait_for(&mut st, wait);
                         }
                     }
                 }
             };
             self.run_job(job);
-            let mut st = self.state.lock();
-            st.in_flight -= 1;
-            if st.in_flight == 0 && st.queue.is_empty() && st.timed.is_empty() {
-                self.idle.notify_all();
-            }
+            self.state.lock().in_flight -= 1;
         }
     }
 
     fn run_job(self: &Arc<Self>, job: Job) {
         match job {
-            Job::Action {
-                event,
-                attempts,
-                enqueued_at,
-            } => self.run_action(event, attempts, enqueued_at),
+            Job::Action { event, attempts } => self.run_action(event, attempts),
             Job::SubCheck { sub_id, oid, epoch } => self.run_sub_check(sub_id, oid, epoch),
         }
     }
 
-    fn run_action(self: &Arc<Self>, event: PendingEvent, attempts: u32, enqueued_at: Instant) {
-        // A suspended trigger parks its events; `resume` re-queues them.
+    fn run_action(self: &Arc<Self>, event: PendingEvent, attempts: u32) {
+        // A suspended trigger parks its events; `resume` releases them.
         if self.suspended.read().contains(&event.trigger) {
-            let mut st = self.state.lock();
-            st.parked.push(Job::Action {
-                event,
-                attempts,
-                enqueued_at,
-            });
+            self.state.lock().parked.push(event);
             return;
         }
-        let tel = self.db.sched_telemetry();
         let mut span = self
             .db
             .flight()
             .span(SpanStage::Sched, event.trigger.as_str());
         match self.db.dispatch_firing(&event) {
             Ok(next) => {
-                tel.drained.inc();
-                tel.drain_lag
-                    .record_ns(enqueued_at.elapsed().as_nanos() as u64);
                 self.failures.write().remove(&event.trigger);
-                span.set_detail(format!("{} ok, {} cascaded", event.trigger, next.len()));
-                // Cascade: the action's own commit persisted these in its
-                // batch; queue them like a commit sink would.
-                self.enqueue_events(next, true);
+                span.set_detail(format!("{} ok", event.trigger));
+                // Decoupled commits leave their cascade ready; anything
+                // claimed here (the engine went inline meanwhile) goes back.
+                let ids: Vec<u64> = next.iter().map(|e| e.id).collect();
+                self.db.release_events(&ids);
             }
-            Err(e) if e.is_unavailable() && attempts < self.config.max_retries => {
-                tel.retries.inc();
+            Err(e) if e.is_unavailable() && attempts < MAX_RETRIES => {
+                self.db.sched_telemetry().retries.inc();
                 span.set_detail(format!("{} retry #{}", event.trigger, attempts + 1));
-                let due = Instant::now() + self.config.retry_backoff;
-                self.enqueue_timed(
-                    Job::Action {
-                        event,
-                        attempts: attempts + 1,
-                        enqueued_at,
-                    },
-                    due,
-                );
+                let job = Job::Action {
+                    event,
+                    attempts: attempts + 1,
+                };
+                let mut st = self.state.lock();
+                self.enqueue_timed(&mut st, job, Instant::now() + RETRY_BACKOFF);
+                self.work_ready.notify_all();
             }
             Err(e) => {
                 span.set_detail(format!("{} dead-letter: {e}", event.trigger));
@@ -399,14 +320,14 @@ impl SchedInner {
         }
     }
 
-    /// Abandon an event: acknowledge it durably (unless the engine already
-    /// did — `ack_pending` is a no-op for unknown ids) and record why.
+    /// Abandon an event: acknowledge it durably (the engine counts the
+    /// dead letter; `ack_pending` is a no-op for an event it already
+    /// acknowledged) and record why.
     fn dead_letter(self: &Arc<Self>, event: PendingEvent, error: OdeError) {
-        let tel = self.db.sched_telemetry();
-        tel.dead_letters.inc();
         if let Err(ack_err) = self.db.ack_pending(&[event.id]) {
-            // The event stays pending; it will be retried after reopen.
+            // The event stays pending: release the claim so it is retried.
             // Record both errors so the operator sees the whole story.
+            self.db.release_events(&[event.id]);
             self.push_dead(DeadLetter {
                 event,
                 error: format!("{error} (ack failed: {ack_err})"),
@@ -415,12 +336,11 @@ impl SchedInner {
         }
         // Auto-suspension: a trigger that keeps failing permanently stops
         // burning workers until an operator resumes it.
-        let threshold = self.config.fail_suspend_threshold;
-        if threshold > 0 {
+        {
             let mut failures = self.failures.write();
             let n = failures.entry(event.trigger.clone()).or_insert(0);
             *n += 1;
-            if *n >= threshold {
+            if *n >= FAIL_SUSPEND_THRESHOLD {
                 failures.remove(&event.trigger);
                 drop(failures);
                 self.suspend(&event.trigger);
@@ -435,7 +355,7 @@ impl SchedInner {
     fn push_dead(&self, letter: DeadLetter) {
         let mut dead = self.dead.lock();
         dead.push_back(letter);
-        while dead.len() > self.config.max_dead_letters {
+        while dead.len() > MAX_DEAD_LETTERS {
             dead.pop_front();
         }
     }
@@ -474,63 +394,45 @@ impl SchedInner {
         }
         self.failures.write().remove(trigger);
         let mut st = self.state.lock();
-        let parked = std::mem::take(&mut st.parked);
-        for job in parked {
-            match &job {
-                Job::Action { event, .. } if event.trigger == trigger => {
-                    st.queue.push_back(job);
-                }
-                _ => st.parked.push(job),
-            }
-        }
-        self.note_depth(&st);
+        let (resumed, parked): (Vec<PendingEvent>, Vec<PendingEvent>) =
+            std::mem::take(&mut st.parked)
+                .into_iter()
+                .partition(|e| e.trigger == trigger);
+        st.parked = parked;
+        let ids: Vec<u64> = resumed.iter().map(|e| e.id).collect();
+        self.db.release_events(&ids);
         self.work_ready.notify_all();
     }
 
     fn status_rows(&self) -> Vec<(String, String)> {
+        let mut suspended: Vec<String> = self.suspended.read().iter().cloned().collect();
+        suspended.sort();
+        if suspended.is_empty() {
+            suspended.push("-".to_string());
+        }
         let st = self.state.lock();
-        let mut rows = vec![
-            ("sched.workers".to_string(), self.config.workers.to_string()),
-            ("sched.queue_depth".to_string(), st.queue.len().to_string()),
-            ("sched.timed".to_string(), st.timed.len().to_string()),
-            ("sched.parked".to_string(), st.parked.len().to_string()),
-            ("sched.in_flight".to_string(), st.in_flight.to_string()),
+        let rows = [
+            ("workers", self.workers.to_string()),
+            ("queue_depth", st.queue.len().to_string()),
+            ("timed", st.timed.len().to_string()),
+            ("parked", st.parked.len().to_string()),
+            ("in_flight", st.in_flight.to_string()),
+            ("suspended", suspended.join(",")),
+            ("dead_letters", self.dead.lock().len().to_string()),
+            ("subscriptions", self.subs.read().len().to_string()),
         ];
-        drop(st);
-        let suspended = self.suspended.read();
-        let mut names: Vec<&String> = suspended.iter().collect();
-        names.sort();
-        rows.push((
-            "sched.suspended".to_string(),
-            if names.is_empty() {
-                "-".to_string()
-            } else {
-                names
-                    .iter()
-                    .map(|s| s.as_str())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            },
-        ));
-        drop(suspended);
-        rows.push((
-            "sched.dead_letters".to_string(),
-            self.dead.lock().len().to_string(),
-        ));
-        rows.push((
-            "sched.subscriptions".to_string(),
-            self.subs.read().len().to_string(),
-        ));
-        rows
+        rows.into_iter()
+            .map(|(k, v)| (format!("sched.{k}"), v))
+            .collect()
     }
 }
 
-/// The decoupled scheduler. Attaching queues any backlog left in the
-/// durable pending record, installs the engine hooks (firing sink, commit
-/// observer, status hook), and spawns the worker pool. Dropping the
-/// scheduler detaches: hooks are uninstalled (firing goes back inline),
-/// workers are joined; an undrained backlog stays durable for the next
-/// attach.
+/// The decoupled scheduler. Attaching installs the engine hooks (commit
+/// observer, status hook), switches the engine to decoupled firing — so
+/// any ready backlog is simply claimed like fresh events — and spawns the
+/// worker pool. Dropping the scheduler detaches: workers are joined, every
+/// event the scheduler still holds goes back to the engine's ready list,
+/// firing goes back inline, and the hooks are uninstalled.
 pub struct Scheduler {
     inner: Arc<SchedInner>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -538,12 +440,12 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Attach a scheduler to `db` and switch the engine to decoupled
-    /// firing. Any backlog recovered at open (a crash between commit and
-    /// drain) is queued immediately.
+    /// firing. Its workers claim whatever is ready, a backlog recovered at
+    /// open (a crash between commit and drain) included.
     pub fn attach(db: Arc<Database>, config: SchedConfig) -> Arc<Scheduler> {
         let inner = Arc::new(SchedInner {
             db: Arc::clone(&db),
-            config: config.clone(),
+            workers: config.workers,
             state: Mutex::new(QueueState::default()),
             work_ready: Condvar::new(),
             idle: Condvar::new(),
@@ -554,24 +456,11 @@ impl Scheduler {
             dead: Mutex::new(VecDeque::new()),
             next_sub: AtomicU64::new(1),
             next_seq: AtomicU64::new(1),
-            detached: AtomicBool::new(false),
         });
-        // Backlog: events a previous process (or a detached scheduler) left
-        // pending. Recovery counted them as enqueued at open, and their own
-        // commits did before a detach, so they are queued uncounted. Taken
-        // before the sink goes in, so a commit landing in between is
-        // dispatched inline. One that published before the snapshot but
-        // reads the sink after it is queued twice (or dispatched inline
-        // beside its queued copy); `dispatch_firing` applies it once.
-        inner.enqueue_events(db.pending_events(), false);
         // Hooks hold Weak: the database must not keep its scheduler alive
-        // (the scheduler holds the database).
-        let sink_inner: Weak<SchedInner> = Arc::downgrade(&inner);
-        db.set_firing_sink(Some(Arc::new(move |events| {
-            if let Some(s) = sink_inner.upgrade() {
-                s.enqueue_events(events, false);
-            }
-        })));
+        // (the scheduler holds the database). The observer goes in before
+        // the mode switch, so every commit that leaves an event ready
+        // wakes the workers.
         let obs_inner: Weak<SchedInner> = Arc::downgrade(&inner);
         db.set_commit_observer(Some(Arc::new(move |note| {
             if let Some(s) = obs_inner.upgrade() {
@@ -585,6 +474,7 @@ impl Scheduler {
                 .map(|s| s.status_rows())
                 .unwrap_or_default()
         })));
+        db.set_firing_decoupled(true);
         let sched = Arc::new(Scheduler {
             inner: Arc::clone(&inner),
             workers: Mutex::new(Vec::new()),
@@ -669,13 +559,14 @@ impl Scheduler {
         self.inner.status_rows()
     }
 
-    /// Block until the queue is empty and no action is in flight, or the
-    /// timeout elapses. Returns whether the scheduler went idle.
+    /// Block until the engine's ready list, the queue and the timer heap
+    /// are empty and no job is in flight, or the timeout elapses. Returns
+    /// whether the scheduler went idle.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut st = self.inner.state.lock();
         loop {
-            if st.queue.is_empty() && st.timed.is_empty() && st.in_flight == 0 {
+            if self.inner.is_idle(&st) {
                 return true;
             }
             let now = Instant::now();
@@ -688,59 +579,54 @@ impl Scheduler {
         }
     }
 
-    /// Synchronously drain the queue on the caller's thread (for
-    /// `workers: 0` configurations). Sleeps through timer-heap waits; runs
-    /// until the queue, timer heap, and cascade tail are all empty.
+    /// Synchronously drain on the caller's thread (for `workers: 0`
+    /// configurations). Sleeps through timer-heap waits; runs until the
+    /// ready list, queue, timer heap, and cascade tail are all empty.
     pub fn drain_now(&self) {
         loop {
-            let job = {
+            let next = {
                 let mut st = self.inner.state.lock();
-                match SchedInner::next_job(&mut st) {
-                    Ok(Some(job)) => {
-                        st.in_flight += 1;
-                        Some(job)
-                    }
-                    Ok(None) => {
-                        if st.in_flight == 0 {
-                            self.inner.idle.notify_all();
-                        }
-                        return;
-                    }
-                    Err(due) => {
-                        drop(st);
-                        std::thread::sleep(due.saturating_duration_since(Instant::now()));
-                        None
-                    }
+                let next = self.inner.next_job(&mut st);
+                match next {
+                    Ok(Some(_)) => st.in_flight += 1,
+                    Ok(None) if st.in_flight == 0 => self.inner.idle.notify_all(),
+                    _ => {}
                 }
+                next
             };
-            if let Some(job) = job {
-                self.inner.run_job(job);
-                let mut st = self.inner.state.lock();
-                st.in_flight -= 1;
+            match next {
+                Ok(Some(job)) => {
+                    self.inner.run_job(job);
+                    self.inner.state.lock().in_flight -= 1;
+                }
+                Ok(None) => return,
+                Err(due) => std::thread::sleep(due.saturating_duration_since(Instant::now())),
             }
         }
     }
 
-    /// Uninstall the engine hooks and stop the workers. Called by `Drop`;
-    /// public so embedders can detach deterministically. An undrained
-    /// backlog stays durable in the pending record.
+    /// Stop the workers, hand every event this scheduler still holds
+    /// (queued, timed, parked) back to the engine's ready list, switch the
+    /// engine to inline firing — its next commit drains them — and
+    /// uninstall the hooks. Called by `Drop`; public so embedders can
+    /// detach deterministically.
     pub fn detach(&self) {
-        if self.inner.detached.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let db = &self.inner.db;
-        db.set_firing_sink(None);
-        db.set_commit_observer(None);
-        db.set_sched_status_hook(None);
         {
             let mut st = self.inner.state.lock();
-            st.shutdown = true;
+            if std::mem::replace(&mut st.shutdown, true) {
+                return;
+            }
             self.inner.work_ready.notify_all();
             self.inner.idle.notify_all();
         }
         for handle in self.workers.lock().drain(..) {
             let _ = handle.join();
         }
+        let db = &self.inner.db;
+        db.release_events(&self.inner.state.lock().held_events());
+        db.set_firing_decoupled(false);
+        db.set_commit_observer(None);
+        db.set_sched_status_hook(None);
     }
 }
 

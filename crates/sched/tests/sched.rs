@@ -1,14 +1,16 @@
 //! Integration tests for the decoupled trigger scheduler: decoupled
 //! firing, exactly-once delivery across a simulated crash, trigger storms,
 //! suspend/resume, dead-lettering with auto-suspension, timed (delayed)
-//! firing, cascades through the queue, and live subscriptions.
+//! firing, cascades through the queue, live subscriptions, and the one
+//! backlog the engine and the scheduler share (inline commits drain what a
+//! reopen or a detach left ready; every event is counted once).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ode_core::prelude::*;
-use ode_sched::{SchedConfig, Scheduler, SubMatch};
+use ode_sched::{SchedConfig, Scheduler, SubMatch, FAIL_SUSPEND_THRESHOLD};
 
 /// The paper's active-inventory schema (§6), same shape as the core
 /// trigger tests: a once-only reorder trigger and a perpetual callback
@@ -39,13 +41,27 @@ fn new_item(db: &Database, name: &str) -> Oid {
 }
 
 fn manual_sched(db: &Arc<Database>) -> Arc<Scheduler> {
-    Scheduler::attach(
-        Arc::clone(db),
-        SchedConfig {
-            workers: 0,
-            ..SchedConfig::default()
-        },
-    )
+    Scheduler::attach(Arc::clone(db), SchedConfig { workers: 0 })
+}
+
+/// After a settle every event the engine made pending left it exactly
+/// once: drained by its action's commit, or dead-lettered.
+fn assert_counted_once(db: &Database) {
+    let tel = db.sched_telemetry();
+    let (enqueued, drained, dead) = (
+        tel.enqueued.get(),
+        tel.drained.get(),
+        tel.dead_letters.get(),
+    );
+    assert_eq!(
+        enqueued,
+        drained + dead,
+        "enqueued {enqueued} != drained {drained} + dead letters {dead}"
+    );
+}
+
+fn on_order(db: &Database, oid: Oid) -> Value {
+    db.begin().get(oid, "on_order").unwrap()
 }
 
 #[test]
@@ -70,6 +86,7 @@ fn commit_enqueues_instead_of_running_inline() {
     // The durable event was acknowledged by the action's own commit.
     assert!(db.pending_events().is_empty());
     assert_eq!(db.sched_telemetry().drained.get(), 1);
+    assert_counted_once(&db);
 }
 
 #[test]
@@ -85,6 +102,10 @@ fn detach_restores_inline_firing() {
     let info = tx.commit().unwrap();
     assert_eq!(info.fired.len(), 1, "inline again after detach");
     assert!(info.enqueued.is_empty());
+    // Inline firings are counted like scheduled ones.
+    let tel = db.sched_telemetry();
+    assert_eq!((tel.enqueued.get(), tel.drained.get()), (1, 1));
+    assert_counted_once(&db);
 }
 
 #[test]
@@ -131,6 +152,7 @@ fn crash_between_commit_and_drain_is_exactly_once() {
         // The recovered backlog counts as enqueued exactly once.
         let tel = db.sched_telemetry();
         assert_eq!((tel.enqueued.get(), tel.drained.get()), (1, 1));
+        assert_counted_once(&db);
     }
     {
         // And a third open finds a clean queue: the ack was durable too.
@@ -167,13 +189,7 @@ fn trigger_storm_runs_every_action() {
                 .collect()
         })
         .unwrap();
-    let sched = Scheduler::attach(
-        Arc::clone(&db),
-        SchedConfig {
-            workers: 4,
-            ..SchedConfig::default()
-        },
-    );
+    let sched = Scheduler::attach(Arc::clone(&db), SchedConfig { workers: 4 });
     let mut tx = db.begin();
     for &oid in &oids {
         tx.set(oid, "quantity", 1i64).unwrap();
@@ -182,7 +198,9 @@ fn trigger_storm_runs_every_action() {
     assert_eq!(info.enqueued.len(), n);
 
     assert!(sched.wait_idle(Duration::from_secs(120)), "storm drained");
+    assert_eq!(db.sched_telemetry().enqueued.get() as usize, n);
     assert_eq!(db.sched_telemetry().drained.get() as usize, n);
+    assert_counted_once(&db);
     assert!(db.pending_events().is_empty());
     let tx = db.begin();
     for &oid in oids.iter().step_by((n / 50).max(1)) {
@@ -237,31 +255,30 @@ fn permanent_failures_dead_letter_and_auto_suspend() {
             Ok(oid)
         })
         .unwrap();
-    let sched = Scheduler::attach(
-        Arc::clone(&db),
-        SchedConfig {
-            workers: 0,
-            fail_suspend_threshold: 2,
-            ..SchedConfig::default()
-        },
-    );
-    for qty in [10i64, 9] {
+    let sched = manual_sched(&db);
+    let threshold = FAIL_SUSPEND_THRESHOLD as usize;
+    for qty in (0..threshold).map(|i| 40 - i as i64) {
         let mut tx = db.begin();
         tx.set(oid, "quantity", qty).unwrap();
         tx.commit().unwrap();
         sched.drain_now();
     }
     let letters = sched.dead_letters();
-    assert_eq!(letters.len(), 2);
+    assert_eq!(letters.len(), threshold);
     assert!(letters[0].error.contains("notify"), "{}", letters[0].error);
-    assert_eq!(db.sched_telemetry().dead_letters.get(), 2);
+    assert_eq!(db.sched_telemetry().dead_letters.get() as usize, threshold);
+    assert_counted_once(&db);
     // Threshold reached: now suspended, the next event parks instead.
     assert_eq!(db.sched_telemetry().suspended.get(), 1);
     let mut tx = db.begin();
     tx.set(oid, "quantity", 8i64).unwrap();
     tx.commit().unwrap();
     sched.drain_now();
-    assert_eq!(sched.dead_letters().len(), 2, "parked, not dead-lettered");
+    assert_eq!(
+        sched.dead_letters().len(),
+        threshold,
+        "parked, not dead-lettered"
+    );
     assert_eq!(db.pending_events().len(), 1);
     // Dead-lettered events were acknowledged: only the parked one is
     // pending, so a reopen would retry exactly that one.
@@ -472,6 +489,65 @@ fn reattach_after_detach_keeps_working() {
     // own commit.
     let tel = db.sched_telemetry();
     assert_eq!((tel.enqueued.get(), tel.drained.get()), (2, 2));
+    assert_counted_once(&db);
+}
+
+#[test]
+fn inline_commit_drains_a_recovered_backlog() {
+    // A reopen with one pending event and no scheduler: the first inline
+    // commit, though it fires nothing itself, runs the backlog once.
+    let dir = std::env::temp_dir().join(format!("ode-sched-inline-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let oid;
+    {
+        let db = Arc::new(Database::open(&dir).unwrap());
+        inventory(&db);
+        oid = new_item(&db, "dram");
+        let _sched = manual_sched(&db);
+        let mut tx = db.begin();
+        tx.set(oid, "quantity", 5i64).unwrap();
+        assert_eq!(tx.commit().unwrap().enqueued.len(), 1);
+        // "Crash" with the event still pending.
+    }
+    {
+        let db = Arc::new(Database::open(&dir).unwrap());
+        assert_eq!(db.pending_events().len(), 1);
+        assert_eq!(on_order(&db, oid), Value::Int(0), "not drained at open");
+        new_item(&db, "sram");
+        assert_eq!(on_order(&db, oid), Value::Int(100));
+        assert!(db.pending_events().is_empty());
+        let tel = db.sched_telemetry();
+        assert_eq!((tel.enqueued.get(), tel.drained.get()), (1, 1));
+        assert_counted_once(&db);
+        // Ran once: a later commit finds nothing left to run.
+        new_item(&db, "flash");
+        assert_eq!(on_order(&db, oid), Value::Int(100));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn detach_releases_parked_events_to_inline() {
+    let db = Arc::new(Database::in_memory());
+    inventory(&db);
+    let oid = new_item(&db, "dram");
+    let sched = manual_sched(&db);
+    sched.suspend("reorder");
+    let mut tx = db.begin();
+    tx.set(oid, "quantity", 5i64).unwrap();
+    tx.commit().unwrap();
+    sched.drain_now();
+    assert_eq!(db.backlog_counts(), (0, 1), "parked: claimed, not ready");
+    sched.detach();
+    assert_eq!(db.backlog_counts(), (1, 0), "released to ready");
+    // One inline commit that fires nothing runs the parked action…
+    new_item(&db, "sram");
+    assert_eq!(on_order(&db, oid), Value::Int(100));
+    assert!(db.pending_events().is_empty());
+    // …exactly once.
+    new_item(&db, "flash");
+    assert_eq!(on_order(&db, oid), Value::Int(100));
+    assert_counted_once(&db);
 }
 
 #[test]

@@ -313,7 +313,7 @@ impl Session {
             let _ = write!(out, "trigger `{}` fired on {}", f.trigger, f.oid);
         }
         // Decoupled mode (a scheduler is attached): the commit returned
-        // before the actions ran, so report what was handed off.
+        // before the actions ran, so report what it left ready.
         for f in &info.enqueued {
             let _ = writeln!(out);
             let _ = write!(out, "trigger `{}` enqueued on {}", f.trigger, f.oid);
@@ -482,10 +482,10 @@ impl Session {
                         let _ = writeln!(out, "  {trigger:<24} {count}");
                     }
                 }
-                let pending = self.db.pending_events().len();
+                let (ready, claimed) = self.db.backlog_counts();
                 let _ = writeln!(
                     out,
-                    "firing: {} ({pending} pending event(s))",
+                    "firing: {} ({ready} ready, {claimed} claimed)",
                     if self.db.firing_decoupled() {
                         "decoupled (scheduler attached)"
                     } else {
