@@ -36,16 +36,13 @@ impl Database {
     /// with no analyzable form (`activate`, `deactivate`, …) come back
     /// clean.
     ///
-    /// Analysis runs against the committed schema and catalog under a
-    /// read lock; no transaction is opened and no counters beyond the
-    /// `analyze.*` family move.
+    /// Analysis runs against a snapshot of the committed schema and
+    /// catalog, holding no lock; no transaction is opened and no counters
+    /// beyond the `analyze.*` family move.
     pub fn analyze(&self, stmt: &Statement, src: &str) -> Vec<Diagnostic> {
         let start = Instant::now();
         let mut span = self.flight.span(ode_obs::SpanStage::Analyze, head_of(src));
-        let diags = {
-            let inner = self.inner.read();
-            analyze_stmt(&inner.schema, Some(&catalog_view(&inner)), src, stmt)
-        };
+        let diags = analyze_stmt(&self.layout().schema, Some(&self.catalog_view()), src, stmt);
         let tel = &self.tel.analyze;
         tel.passes.inc();
         tel.latency.record_ns(start.elapsed().as_nanos() as u64);
@@ -92,15 +89,20 @@ impl Database {
     /// cannot touch the write-txn machinery, so executors may run it on
     /// the snapshot path.
     pub fn footprint(&self, stmt: &Statement) -> Option<Footprint> {
-        let fp = {
-            let inner = self.inner.read();
-            footprint_of(&inner.schema, Some(&catalog_view(&inner)), stmt)?
-        };
+        let fp = footprint_of(&self.layout().schema, Some(&self.catalog_view()), stmt)?;
         self.tel.analyze.footprints.inc();
         if fp.read_only() {
             self.tel.analyze.read_only_proofs.inc();
         }
         Some(fp)
+    }
+
+    /// The catalog facts the analyzer wants: which `(class, field)` pairs
+    /// have B-tree indexes.
+    fn catalog_view(&self) -> CatalogView {
+        CatalogView {
+            indexed: self.index_keys().into_iter().collect(),
+        }
     }
 }
 
@@ -113,12 +115,4 @@ fn head_of(src: &str) -> String {
         head.push('…');
     }
     head
-}
-
-/// Extract the catalog facts the analyzer wants: which `(class, field)`
-/// pairs have B-tree indexes.
-fn catalog_view(inner: &crate::database::DbInner) -> CatalogView {
-    CatalogView {
-        indexed: inner.indexes.keys().cloned().collect(),
-    }
 }

@@ -153,16 +153,17 @@ impl Database {
         // Shared apply gate: commits and DDL cannot publish while the
         // dump walks the store, but concurrent readers (and running write
         // transactions short of their publish window) proceed freely.
+        // Nothing changes the layout, indexes or activations meanwhile.
         let _apply = self.apply_gate.read();
-        let inner = self.inner.read();
+        let layout = self.layout();
         let mut w = Writer::new();
         w_str(&mut w, MAGIC);
 
         // 1. Classes, in definition order.
-        let classes = inner.schema.classes();
+        let classes = layout.schema.classes();
         w_u32(&mut w, classes.len() as u32);
         for def in classes {
-            let bytes = encode_class(&inner.schema, def)?;
+            let bytes = encode_class(&layout.schema, def)?;
             w_u32(&mut w, bytes.len() as u32);
             w.append_bytes(&bytes);
         }
@@ -170,7 +171,7 @@ impl Database {
         // 2. Clusters + indexes (by class name).
         let mut cluster_names: Vec<String> = Vec::new();
         for def in classes {
-            if inner.clusters.contains_key(&def.id) {
+            if layout.clusters.contains_key(&def.id) {
                 cluster_names.push(def.name.clone());
             }
         }
@@ -178,21 +179,7 @@ impl Database {
         for name in &cluster_names {
             w_str(&mut w, name);
         }
-        let index_pairs: Vec<(String, String)> = {
-            let mut v: Vec<(String, String)> = inner
-                .indexes
-                .keys()
-                .filter_map(|(class, field)| {
-                    inner
-                        .schema
-                        .class(*class)
-                        .ok()
-                        .map(|c| (c.name.clone(), field.clone()))
-                })
-                .collect();
-            v.sort();
-            v
-        };
+        let index_pairs = self.index_names();
         w_u32(&mut w, index_pairs.len() as u32);
         for (class, field) in &index_pairs {
             w_str(&mut w, class);
@@ -204,8 +191,8 @@ impl Database {
         let mut objects: Vec<(Oid, DumpObject)> = Vec::new();
         let mut ordinal_of: HashMap<Oid, u32> = HashMap::new();
         for name in &cluster_names {
-            let class = inner.schema.id_of(name)?;
-            let heap = *inner.clusters.get(&class).expect("cluster listed");
+            let class = layout.schema.id_of(name)?;
+            let heap = *layout.clusters.get(&class).expect("cluster listed");
             let mut raw: Vec<(RecordId, Vec<u8>)> = Vec::new();
             self.store.scan(heap, &mut |rid, bytes| {
                 if is_anchor(bytes) {
@@ -217,7 +204,7 @@ impl Database {
                 let oid = Oid { cluster: heap, rid };
                 let dump = match decode_record(&bytes)? {
                     ObjRecord::Plain(state) => DumpObject {
-                        class: inner.schema.class(state.class)?.name.clone(),
+                        class: layout.schema.class(state.class)?.name.clone(),
                         versions: None,
                         fields: state.fields,
                     },
@@ -235,7 +222,7 @@ impl Database {
                                 )));
                             };
                             if class_name.is_empty() {
-                                class_name = inner.schema.class(state.class)?.name.clone();
+                                class_name = layout.schema.class(state.class)?.name.clone();
                             }
                             if e.no == table.current {
                                 current_fields = state.fields.clone();
@@ -299,7 +286,7 @@ impl Database {
             }
         }
         // 4. Trigger activations.
-        let mut acts: Vec<_> = inner.activations.values().collect();
+        let mut acts: Vec<_> = self.inner.read().activations.values().cloned().collect();
         acts.sort_by_key(|a| a.id);
         let live_acts: Vec<_> = acts
             .iter()

@@ -18,20 +18,27 @@
 //! around its publish window. DDL operations claim an epoch through the
 //! same table and stamp `schema_stamp`, so every in-flight writer that
 //! began earlier conflicts and retries against the new schema.
+//!
+//! Lock discipline (DESIGN.md §8): every engine lock carries a [`rank`],
+//! and debug builds panic on an out-of-order or recursive acquisition.
+//! Statements read the schema and cluster map from an immutable
+//! [`Layout`] snapshot that DDL replaces whole, so `inner` is locked only
+//! in leaf sections that call nothing: an index probe, a catalog lookup,
+//! the swap itself.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock, RwLockWriteGuard};
 
 use ode_model::encode::{decode_class, encode_class};
 use ode_model::{ClassBuilder, ClassId, FieldRange, ObjState, Oid, Schema, Statement, Value};
 use ode_obs::{
     EngineTelemetry, FlightRecorder, QueryProfile, SlowQueryLog, SpanStage, StorageSnapshot,
-    TelemetrySnapshot, WorkStatRow, WorkloadStats, DEFAULT_FLIGHT_CAPACITY,
+    TelemetrySnapshot, WorkStat, WorkStatRow, WorkloadStats, DEFAULT_FLIGHT_CAPACITY,
     DEFAULT_SLOW_THRESHOLD_NS,
 };
 use ode_storage::{CommitTicket, FileStore, MemStore, RecordId, Store, StoreOp, StoreStats};
@@ -109,22 +116,56 @@ impl Default for DbConfig {
     }
 }
 
-pub(crate) struct DbInner {
+/// The engine's lock order. A thread takes ranked locks in increasing
+/// level only, and never one it already holds; debug builds check both on
+/// every acquisition. The publish window nests `apply_gate` → `inner`,
+/// `backlog`, `publish_lock`; the commit gate nests `active_txns` (stamp
+/// pruning). Every other acquisition is a leaf section.
+pub(crate) mod rank {
+    use parking_lot::Rank;
+
+    pub const COMMIT_GATE: Rank = Rank::new(1, "commit_gate");
+    pub const APPLY_GATE: Rank = Rank::new(2, "apply_gate");
+    pub const ACTIVE_TXNS: Rank = Rank::new(3, "active_txns");
+    pub const INNER: Rank = Rank::new(4, "inner");
+    pub const BACKLOG: Rank = Rank::new(5, "backlog");
+    pub const PUBLISH: Rank = Rank::new(6, "publish_lock");
+    pub const CALLBACKS: Rank = Rank::new(7, "callbacks");
+    pub const HOOKS: Rank = Rank::new(8, "hooks");
+    pub const PROFILES: Rank = Rank::new(9, "profiles");
+}
+
+/// The schema and the cluster map. Never mutated in place: DDL builds a
+/// new layout and swaps it in whole, so a statement reads one snapshot
+/// ([`Database::layout`]) for its whole run and holds no lock doing so.
+#[derive(Clone, Default)]
+pub(crate) struct Layout {
     pub schema: Schema,
     /// class → cluster heap (a cluster is a type extent, §2.5).
     pub clusters: HashMap<ClassId, u32>,
-    /// cluster heap → class.
-    pub class_of_cluster: HashMap<u32, ClassId>,
-    pub catalog: CatalogState,
-    /// (class, field) → index (covers the class's deep extent).
-    pub indexes: HashMap<(ClassId, String), BTreeIndex>,
-    /// Live trigger activations.
-    pub activations: HashMap<u64, Activation>,
-    /// Subject → activation ids.
-    pub activations_by_oid: HashMap<Oid, Vec<u64>>,
+    /// cluster heap → its cluster.
+    pub by_heap: HashMap<u32, Cluster>,
 }
 
-impl DbInner {
+/// One cluster: its class and, from its first committed write on, the
+/// class's workload counters (`cluster:<class>`), kept so a commit counts
+/// its writes without building a key.
+#[derive(Clone)]
+pub(crate) struct Cluster {
+    class: ClassId,
+    stats: OnceLock<Arc<WorkStat>>,
+}
+
+impl Cluster {
+    fn new(class: ClassId) -> Cluster {
+        Cluster {
+            class,
+            stats: OnceLock::new(),
+        }
+    }
+}
+
+impl Layout {
     /// Heaps making up the (deep or shallow) extent of `class`.
     pub fn extent_heaps(&self, class: ClassId, deep: bool) -> Vec<(ClassId, u32)> {
         let classes = if deep {
@@ -137,6 +178,24 @@ impl DbInner {
             .filter_map(|c| self.clusters.get(&c).map(|&h| (c, h)))
             .collect()
     }
+
+    /// Heap ids of the extent, each once, in first-occurrence order.
+    pub fn heap_ids(&self, class: ClassId, deep: bool) -> Vec<u32> {
+        crate::read::dedup_heaps(&self.extent_heaps(class, deep))
+    }
+}
+
+/// Mutable engine state. Changed only under the exclusive apply gate
+/// (publish windows, DDL, method registration), read in leaf sections.
+pub(crate) struct DbInner {
+    pub layout: Arc<Layout>,
+    pub catalog: CatalogState,
+    /// (class, field) → index (covers the class's deep extent).
+    pub indexes: HashMap<(ClassId, String), BTreeIndex>,
+    /// Live trigger activations.
+    pub activations: HashMap<u64, Activation>,
+    /// Subject → activation ids.
+    pub activations_by_oid: HashMap<Oid, Vec<u64>>,
 }
 
 /// The trigger backlog (DESIGN.md §12): every durable pending event, each
@@ -166,7 +225,7 @@ pub(crate) struct Backlog {
 /// conflict on.
 pub(crate) struct CommitTable {
     /// Highest epoch handed out. Epochs are claimed here (in WAL order)
-    /// and published later, in order, through `Database::publish_epoch`.
+    /// and published later, in order, by their [`EpochClaim`]s.
     last_claimed: u64,
     /// Epoch of the last DDL (schema/cluster/index change). Every write
     /// transaction validates against it, so DDL conflicts all in-flight
@@ -244,6 +303,40 @@ pub(crate) struct WriteSummary<'a> {
     pub heap_ranges: &'a HashMap<u32, Vec<RangedWrite>>,
 }
 
+/// An epoch claimed from the [`CommitTable`]. Epochs publish in claim
+/// order, so one that never published would stall every later committer
+/// behind it: a claim therefore publishes itself when dropped — after
+/// waiting its turn, on success, error and panic alike (DESIGN.md §13).
+pub(crate) struct EpochClaim<'db> {
+    db: &'db Database,
+    pub(crate) epoch: u64,
+    /// The exclusive apply gate, once the publish window is open.
+    window: Option<RwLockWriteGuard<'db, ()>>,
+}
+
+impl EpochClaim<'_> {
+    /// Wait until every earlier epoch has published, then take the apply
+    /// gate exclusively: the publish window, closed by the drop, which
+    /// publishes this epoch before it releases the gate.
+    pub(crate) fn open_window(mut self) -> Self {
+        self.db.wait_turn(self.epoch);
+        self.window = Some(self.db.apply_gate.write());
+        self
+    }
+}
+
+impl Drop for EpochClaim<'_> {
+    fn drop(&mut self) {
+        let db = self.db;
+        if self.window.is_none() {
+            db.wait_turn(self.epoch);
+        }
+        let _g = db.publish_lock.lock();
+        db.commit_epoch.store(self.epoch, Ordering::Release);
+        db.publish_cv.notify_all();
+    }
+}
+
 /// An Ode database: "a collection of persistent objects" (§2) plus the
 /// schema, clusters, indexes, and active triggers that govern them.
 pub struct Database {
@@ -264,8 +357,6 @@ pub struct Database {
     /// Apply gate: snapshot readers hold the shared side for their whole
     /// lifetime; a committing writer (or DDL) takes the exclusive side only
     /// around the publish window (store commit + in-memory index update).
-    /// Lock order is always `apply_gate` before `inner` — never the
-    /// reverse — which rules out ABBA deadlock between the two.
     pub(crate) apply_gate: RwLock<()>,
     /// Bumped once per published commit/DDL; lets snapshot readers detect
     /// staleness ([`ReadTransaction::is_stale`]).
@@ -274,7 +365,7 @@ pub struct Database {
     pub(crate) next_activation_id: AtomicU64,
     /// Ids for durable pending-trigger events.
     pub(crate) next_event_id: AtomicU64,
-    /// The one trigger backlog. Taken last (after `apply_gate`, `inner`).
+    /// The one trigger backlog.
     pub(crate) backlog: Mutex<Backlog>,
     /// Set while inline mode has ready events: tells the next commit to
     /// drain them at the cost of one relaxed load when clear. Only a hint;
@@ -340,10 +431,9 @@ impl Database {
                 )));
             }
         }
+        let mut layout = Layout::default();
         let mut inner = DbInner {
-            schema: Schema::new(),
-            clusters: HashMap::new(),
-            class_of_cluster: HashMap::new(),
+            layout: Arc::default(),
             catalog: CatalogState::default(),
             indexes: HashMap::new(),
             activations: HashMap::new(),
@@ -368,17 +458,17 @@ impl Database {
                 CatalogRecord::Class(class_bytes) => {
                     let builder = decode_class(&class_bytes)?;
                     let name = builder_name(&builder);
-                    inner.schema.define(builder)?;
+                    layout.schema.define(builder)?;
                     inner.catalog.class_rids.insert(name, rid);
                 }
                 CatalogRecord::Cluster { class_name, heap } => {
-                    let class = inner.schema.id_of(&class_name)?;
-                    inner.clusters.insert(class, heap);
-                    inner.class_of_cluster.insert(heap, class);
+                    let class = layout.schema.id_of(&class_name)?;
+                    layout.clusters.insert(class, heap);
+                    layout.by_heap.insert(heap, Cluster::new(class));
                     inner.catalog.cluster_rids.insert(class_name, rid);
                 }
                 CatalogRecord::Index { class_name, field } => {
-                    let class = inner.schema.id_of(&class_name)?;
+                    let class = layout.schema.id_of(&class_name)?;
                     index_decls.push((class, field.clone()));
                     inner.catalog.index_rids.insert((class_name, field), rid);
                 }
@@ -417,9 +507,10 @@ impl Database {
 
         // Rebuild indexes by scanning extents.
         for (class, field) in index_decls {
-            let ix = build_index(store.as_ref(), &inner, class, &field)?;
+            let ix = build_index(store.as_ref(), &layout, class, &field)?;
             inner.indexes.insert((class, field), ix);
         }
+        inner.layout = Arc::new(layout);
         recovery_span.set_detail(format!("{replayed} catalog records"));
         drop(recovery_span);
         // The recovered backlog is counted once, here, and left ready for
@@ -429,32 +520,35 @@ impl Database {
 
         Ok(Database {
             store,
-            inner: RwLock::new(inner),
-            commit_gate: Mutex::new(CommitTable {
-                last_claimed: 0,
-                schema_stamp: 0,
-                write_stamps: HashMap::new(),
-                heap_stamps: HashMap::new(),
-                killed_activations: HashMap::new(),
-            }),
-            active_txns: Mutex::new(BTreeMap::new()),
-            publish_lock: Mutex::new(()),
+            inner: RwLock::ranked(rank::INNER, inner),
+            commit_gate: Mutex::ranked(
+                rank::COMMIT_GATE,
+                CommitTable {
+                    last_claimed: 0,
+                    schema_stamp: 0,
+                    write_stamps: HashMap::new(),
+                    heap_stamps: HashMap::new(),
+                    killed_activations: HashMap::new(),
+                },
+            ),
+            active_txns: Mutex::ranked(rank::ACTIVE_TXNS, BTreeMap::new()),
+            publish_lock: Mutex::ranked(rank::PUBLISH, ()),
             publish_cv: Condvar::new(),
-            apply_gate: RwLock::new(()),
+            apply_gate: RwLock::ranked(rank::APPLY_GATE, ()),
             commit_epoch: AtomicU64::new(0),
-            callbacks: RwLock::new(HashMap::new()),
+            callbacks: RwLock::ranked(rank::CALLBACKS, HashMap::new()),
             next_activation_id: AtomicU64::new(max_activation + 1),
             next_event_id: AtomicU64::new(max_event + 1),
             inline_backlog: AtomicBool::new(!backlog.ready.is_empty()),
-            backlog: Mutex::new(backlog),
-            commit_observer: RwLock::new(None),
-            sched_hook: RwLock::new(None),
+            backlog: Mutex::ranked(rank::BACKLOG, backlog),
+            commit_observer: RwLock::ranked(rank::HOOKS, None),
+            sched_hook: RwLock::ranked(rank::HOOKS, None),
             slowlog: SlowQueryLog::with_threshold_ns(config.slow_query_threshold_ns),
             config,
             tel,
             flight,
             workstats,
-            profiles: RwLock::new(HashMap::new()),
+            profiles: RwLock::ranked(rank::PROFILES, HashMap::new()),
             next_txn_serial: AtomicU64::new(1),
         })
     }
@@ -498,87 +592,67 @@ impl Database {
     /// second half of [`Database::define_class`].
     pub fn define_class_unchecked(&self, builder: ClassBuilder) -> Result<ClassId> {
         // DDL claims an epoch and stamps the schema (conflicting every
-        // in-flight writer that began earlier), waits its publish turn,
-        // and applies under the exclusive apply gate. The claimed epoch
-        // is published even when the body fails — an unpublished epoch
-        // would stall every later committer (DESIGN.md §13).
-        let epoch = self.claim_schema_epoch();
-        self.wait_turn(epoch);
-        let _apply = self.apply_gate.write();
-        let result = (|| {
-            let mut inner = self.inner.write();
-            let name = builder_name(&builder);
-            let id = inner.schema.define(builder)?;
-            let def = inner.schema.class(id)?;
-            let bytes = encode_class(&inner.schema, def)?;
-            let rec = CatalogRecord::Class(bytes).encode();
-            let rid = self.store.reserve(CATALOG_HEAP, rec.len())?;
-            self.store.commit(vec![StoreOp::Put {
-                heap: CATALOG_HEAP,
-                rid,
-                data: rec,
-            }])?;
-            inner.catalog.class_rids.insert(name, rid);
-            Ok(id)
-        })();
-        self.publish_epoch(epoch);
-        result
+        // in-flight writer that began earlier), then runs in the claim's
+        // publish window. The claim publishes itself on every path out
+        // (DESIGN.md §13), and the new layout is swapped in only once the
+        // catalog record is durable, so a failed DDL leaves no trace.
+        let _window = self.claim_schema_epoch().open_window();
+        let mut layout = Layout::clone(&self.layout());
+        let name = builder_name(&builder);
+        let id = layout.schema.define(builder)?;
+        let bytes = encode_class(&layout.schema, layout.schema.class(id)?)?;
+        let rid = self.put_catalog(None, CatalogRecord::Class(bytes))?;
+        let mut inner = self.inner.write();
+        inner.layout = Arc::new(layout);
+        inner.catalog.class_rids.insert(name, rid);
+        Ok(id)
     }
 
     /// Create the cluster (type extent) for `class_name` — the paper's
     /// `create` macro (§2.5). Idempotent: re-creating returns the existing
     /// cluster.
     pub fn create_cluster(&self, class_name: &str) -> Result<u32> {
-        // Cheap pre-check keeps the idempotent re-create from claiming an
-        // epoch (the body re-checks under the exclusive gate).
-        {
-            let inner = self.inner.read();
-            let class = inner.schema.id_of(class_name)?;
-            if let Some(&heap) = inner.clusters.get(&class) {
-                return Ok(heap);
-            }
+        // Checked before and again inside the window: the idempotent
+        // re-create claims no epoch.
+        let existing = |layout: &Layout| -> Result<Option<u32>> {
+            let class = layout.schema.id_of(class_name)?;
+            Ok(layout.clusters.get(&class).copied())
+        };
+        if let Some(heap) = existing(&self.layout())? {
+            return Ok(heap);
         }
-        let epoch = self.claim_schema_epoch();
-        self.wait_turn(epoch);
-        let _apply = self.apply_gate.write();
-        let result = (|| {
-            let mut inner = self.inner.write();
-            let class = inner.schema.id_of(class_name)?;
-            if let Some(&heap) = inner.clusters.get(&class) {
-                return Ok(heap);
-            }
-            let heap = self.store.create_heap()?;
-            let rec = CatalogRecord::Cluster {
+        let _window = self.claim_schema_epoch().open_window();
+        let mut layout = Layout::clone(&self.layout());
+        if let Some(heap) = existing(&layout)? {
+            return Ok(heap);
+        }
+        let class = layout.schema.id_of(class_name)?;
+        let heap = self.store.create_heap()?;
+        let rid = self.put_catalog(
+            None,
+            CatalogRecord::Cluster {
                 class_name: class_name.to_string(),
                 heap,
-            }
-            .encode();
-            let rid = self.store.reserve(CATALOG_HEAP, rec.len())?;
-            self.store.commit(vec![StoreOp::Put {
-                heap: CATALOG_HEAP,
-                rid,
-                data: rec,
-            }])?;
-            inner.clusters.insert(class, heap);
-            inner.class_of_cluster.insert(heap, class);
-            inner
-                .catalog
-                .cluster_rids
-                .insert(class_name.to_string(), rid);
-            Ok(heap)
-        })();
-        self.publish_epoch(epoch);
-        result
+            },
+        )?;
+        layout.clusters.insert(class, heap);
+        layout.by_heap.insert(heap, Cluster::new(class));
+        let mut inner = self.inner.write();
+        inner.layout = Arc::new(layout);
+        inner
+            .catalog
+            .cluster_rids
+            .insert(class_name.to_string(), rid);
+        Ok(heap)
     }
 
     /// Does `class_name` have a cluster?
     pub fn has_cluster(&self, class_name: &str) -> bool {
-        let inner = self.inner.read();
-        inner
+        let layout = self.layout();
+        layout
             .schema
             .id_of(class_name)
-            .map(|c| inner.clusters.contains_key(&c))
-            .unwrap_or(false)
+            .is_ok_and(|c| layout.clusters.contains_key(&c))
     }
 
     /// Destroy a cluster and every object in it. Activations on its objects
@@ -586,113 +660,122 @@ impl Database {
     /// are left with dangling refs (dereferencing reports "no such
     /// object"), exactly like `pdelete` of an individual object.
     pub fn destroy_cluster(&self, class_name: &str) -> Result<()> {
-        let epoch = self.claim_schema_epoch();
-        self.wait_turn(epoch);
-        let _apply = self.apply_gate.write();
-        let result = self.destroy_cluster_body(class_name);
-        self.publish_epoch(epoch);
-        result
-    }
-
-    fn destroy_cluster_body(&self, class_name: &str) -> Result<()> {
-        let mut inner = self.inner.write();
-        let class = inner.schema.id_of(class_name)?;
-        let Some(&heap) = inner.clusters.get(&class) else {
+        let _window = self.claim_schema_epoch().open_window();
+        let mut layout = Layout::clone(&self.layout());
+        let class = layout.schema.id_of(class_name)?;
+        let Some(heap) = layout.clusters.remove(&class) else {
             return Err(OdeError::NoSuchCluster(class_name.to_string()));
         };
+        layout.by_heap.remove(&heap);
         // Catalog updates: drop the cluster record and activation records
-        // of subjects in this cluster.
-        let mut ops = Vec::new();
-        if let Some(rid) = inner.catalog.cluster_rids.remove(class_name) {
-            ops.push(StoreOp::Delete {
-                heap: CATALOG_HEAP,
-                rid,
-            });
-        }
-        let dead: Vec<u64> = inner
-            .activations
-            .values()
-            .filter(|a| a.oid.cluster == heap)
-            .map(|a| a.id)
-            .collect();
-        for id in &dead {
-            if let Some(rid) = inner.catalog.activation_rids.remove(id) {
-                ops.push(StoreOp::Delete {
+        // of subjects in this cluster. Nothing else changes `inner` while
+        // the window is open, so what is read here still holds at the swap.
+        let (dead, ops) = {
+            let inner = self.inner.read();
+            let dead: Vec<u64> = inner
+                .activations
+                .values()
+                .filter(|a| a.oid.cluster == heap)
+                .map(|a| a.id)
+                .collect();
+            let rids = inner.catalog.cluster_rids.get(class_name).into_iter();
+            let rids = rids.chain(
+                dead.iter()
+                    .filter_map(|id| inner.catalog.activation_rids.get(id)),
+            );
+            let ops: Vec<StoreOp> = rids
+                .map(|&rid| StoreOp::Delete {
                     heap: CATALOG_HEAP,
                     rid,
-                });
-            }
-        }
+                })
+                .collect();
+            (dead, ops)
+        };
         self.store.commit(ops)?;
         self.store.drop_heap(heap)?;
+        // Rebuild any index whose deep extent included this cluster.
+        let rebuild: Vec<(ClassId, String)> = self
+            .inner
+            .read()
+            .indexes
+            .keys()
+            .filter(|(c, _)| layout.schema.is_subclass(class, *c))
+            .cloned()
+            .collect();
+        let mut rebuilt = Vec::with_capacity(rebuild.len());
+        for key in rebuild {
+            let ix = build_index(self.store.as_ref(), &layout, key.0, &key.1)?;
+            rebuilt.push((key, ix));
+        }
+        let mut inner = self.inner.write();
+        inner.layout = Arc::new(layout);
+        inner.catalog.cluster_rids.remove(class_name);
         for id in dead {
+            inner.catalog.activation_rids.remove(&id);
             if let Some(a) = inner.activations.remove(&id) {
                 if let Some(v) = inner.activations_by_oid.get_mut(&a.oid) {
                     v.retain(|&x| x != id);
                 }
             }
         }
-        inner.clusters.remove(&class);
-        inner.class_of_cluster.remove(&heap);
-        // Rebuild any index whose deep extent included this cluster.
-        let rebuild: Vec<(ClassId, String)> = inner
-            .indexes
-            .keys()
-            .filter(|(c, _)| inner.schema.is_subclass(class, *c))
-            .cloned()
-            .collect();
-        for key in rebuild {
-            let ix = build_index(self.store.as_ref(), &inner, key.0, &key.1)?;
-            inner.indexes.insert(key, ix);
-        }
+        inner.indexes.extend(rebuilt);
         Ok(())
     }
 
     /// Declare (and build) a secondary index on `class_name.field`,
     /// covering the class's deep extent.
     pub fn create_index(&self, class_name: &str, field: &str) -> Result<()> {
-        // Pre-check outside the epoch claim: bad names fail cheaply and
-        // idempotent re-creates return without claiming.
-        {
-            let inner = self.inner.read();
-            let class = inner.schema.id_of(class_name)?;
-            inner.schema.class(class)?.field_index(field)?;
-            if inner.indexes.contains_key(&(class, field.to_string())) {
-                return Ok(());
-            }
+        // Checked before and again inside the window: bad names fail
+        // cheaply and idempotent re-creates claim no epoch.
+        let exists = |layout: &Layout| -> Result<bool> {
+            let class = layout.schema.id_of(class_name)?;
+            layout.schema.class(class)?.field_index(field)?;
+            Ok(self
+                .inner
+                .read()
+                .indexes
+                .contains_key(&(class, field.to_string())))
+        };
+        if exists(&self.layout())? {
+            return Ok(());
         }
-        let epoch = self.claim_schema_epoch();
-        self.wait_turn(epoch);
-        let _apply = self.apply_gate.write();
-        let result = (|| {
-            let mut inner = self.inner.write();
-            let class = inner.schema.id_of(class_name)?;
-            inner.schema.class(class)?.field_index(field)?;
-            let key = (class, field.to_string());
-            if inner.indexes.contains_key(&key) {
-                return Ok(());
-            }
-            let rec = CatalogRecord::Index {
+        let _window = self.claim_schema_epoch().open_window();
+        let layout = self.layout();
+        if exists(&layout)? {
+            return Ok(());
+        }
+        let class = layout.schema.id_of(class_name)?;
+        let rid = self.put_catalog(
+            None,
+            CatalogRecord::Index {
                 class_name: class_name.to_string(),
                 field: field.to_string(),
-            }
-            .encode();
-            let rid = self.store.reserve(CATALOG_HEAP, rec.len())?;
-            self.store.commit(vec![StoreOp::Put {
-                heap: CATALOG_HEAP,
-                rid,
-                data: rec,
-            }])?;
-            inner
-                .catalog
-                .index_rids
-                .insert((class_name.to_string(), field.to_string()), rid);
-            let ix = build_index(self.store.as_ref(), &inner, class, field)?;
-            inner.indexes.insert(key, ix);
-            Ok(())
-        })();
-        self.publish_epoch(epoch);
-        result
+            },
+        )?;
+        let ix = build_index(self.store.as_ref(), &layout, class, field)?;
+        let mut inner = self.inner.write();
+        inner
+            .catalog
+            .index_rids
+            .insert((class_name.to_string(), field.to_string()), rid);
+        inner.indexes.insert((class, field.to_string()), ix);
+        Ok(())
+    }
+
+    /// Write one catalog record in its own store batch — at `rid`, or at a
+    /// freshly reserved one — and return where it landed.
+    fn put_catalog(&self, rid: Option<RecordId>, rec: CatalogRecord) -> Result<RecordId> {
+        let data = rec.encode();
+        let rid = match rid {
+            Some(rid) => rid,
+            None => self.store.reserve(CATALOG_HEAP, data.len())?,
+        };
+        self.store.commit(vec![StoreOp::Put {
+            heap: CATALOG_HEAP,
+            rid,
+            data,
+        }])?;
+        Ok(rid)
     }
 
     /// Register an O++ member function as a Rust closure. Methods are code:
@@ -704,9 +787,13 @@ impl Database {
         method: &str,
         f: impl Fn(&ObjState, &[Value]) -> ode_model::Result<Value> + Send + Sync + 'static,
     ) -> Result<()> {
-        let mut inner = self.inner.write();
-        let class = inner.schema.id_of(class_name)?;
-        inner.schema.register_method(class, method, f);
+        // A new layout like any DDL, swapped under the exclusive apply gate
+        // so no snapshot reader sees the method appear mid-statement.
+        let _apply = self.apply_gate.write();
+        let mut layout = Layout::clone(&self.layout());
+        let class = layout.schema.id_of(class_name)?;
+        layout.schema.register_method(class, method, f);
+        self.inner.write().layout = Arc::new(layout);
         Ok(())
     }
 
@@ -737,7 +824,8 @@ impl Database {
     ///
     /// Caveat: do not commit a write transaction (or run DDL) on a thread
     /// that still holds an open `ReadTransaction` — the publish window
-    /// needs the apply gate exclusively and would self-deadlock.
+    /// needs the apply gate exclusively and would self-deadlock (a panic
+    /// in debug builds, which check lock order).
     pub fn begin_read(&self) -> ReadTransaction<'_> {
         ReadTransaction::new(self)
     }
@@ -790,7 +878,7 @@ impl Database {
         &self,
         w: &WriteSummary<'_>,
         ops: Vec<StoreOp>,
-    ) -> Result<(u64, CommitTicket)> {
+    ) -> Result<(EpochClaim<'_>, CommitTicket)> {
         let wait_start = std::time::Instant::now();
         let mut table = self.commit_gate.lock();
         self.tel
@@ -901,8 +989,8 @@ impl Database {
             }
         };
 
-        table.last_claimed += 1;
-        let epoch = table.last_claimed;
+        let claim = self.claim_epoch(&mut table);
+        let epoch = claim.epoch;
         // A successful claim drains contention pressure (see
         // `bump_pressure`); both run under the commit gate.
         self.tel.txn.conflict_pressure.dec();
@@ -951,7 +1039,7 @@ impl Database {
         if table.write_stamps.len() > STAMP_PRUNE_THRESHOLD {
             self.prune_stamps(&mut table);
         }
-        Ok((epoch, ticket))
+        Ok((claim, ticket))
     }
 
     /// Raise the footprint-overlap pressure gauge. Called (under the
@@ -992,29 +1080,30 @@ impl Database {
     /// Claim an epoch for a DDL operation and stamp the schema: every
     /// write transaction that began earlier will conflict at validation
     /// and retry against the new catalog.
-    pub(crate) fn claim_schema_epoch(&self) -> u64 {
+    pub(crate) fn claim_schema_epoch(&self) -> EpochClaim<'_> {
         let mut table = self.commit_gate.lock();
+        let claim = self.claim_epoch(&mut table);
+        table.schema_stamp = claim.epoch;
+        claim
+    }
+
+    /// Hand out the next epoch (under the commit gate).
+    fn claim_epoch(&self, table: &mut CommitTable) -> EpochClaim<'_> {
         table.last_claimed += 1;
-        table.schema_stamp = table.last_claimed;
-        table.last_claimed
+        EpochClaim {
+            db: self,
+            epoch: table.last_claimed,
+            window: None,
+        }
     }
 
     /// Block until every epoch before `epoch` has published. Claims are
     /// totally ordered, so exactly one thread waits for each value.
-    pub(crate) fn wait_turn(&self, epoch: u64) {
+    fn wait_turn(&self, epoch: u64) {
         let mut g = self.publish_lock.lock();
         while self.commit_epoch.load(Ordering::Acquire) != epoch - 1 {
             self.publish_cv.wait(&mut g);
         }
-    }
-
-    /// Publish `epoch` and wake waiting committers. Every claimed epoch
-    /// MUST eventually be published (even as a no-op after a failure), or
-    /// the publish sequence stalls behind the gap.
-    pub(crate) fn publish_epoch(&self, epoch: u64) {
-        let _g = self.publish_lock.lock();
-        self.commit_epoch.store(epoch, Ordering::Release);
-        self.publish_cv.notify_all();
     }
 
     /// Run `f` in a transaction: commit on `Ok`, abort on `Err`. A commit
@@ -1060,25 +1149,34 @@ impl Database {
 
     /// Names of all declared indexes, as `(class, field)` pairs.
     pub fn index_names(&self) -> Vec<(String, String)> {
-        let inner = self.inner.read();
-        let mut out: Vec<(String, String)> = inner
-            .indexes
-            .keys()
+        let layout = self.layout();
+        let mut out: Vec<(String, String)> = self
+            .index_keys()
+            .into_iter()
             .filter_map(|(class, field)| {
-                inner
-                    .schema
-                    .class(*class)
-                    .ok()
-                    .map(|c| (c.name.clone(), field.clone()))
+                let class = layout.schema.class(class).ok()?;
+                Some((class.name.clone(), field))
             })
             .collect();
         out.sort();
         out
     }
 
-    /// Schema snapshot accessor (read-only closure to avoid guard leaks).
+    /// The `(class, field)` pairs that have an index.
+    pub(crate) fn index_keys(&self) -> Vec<(ClassId, String)> {
+        self.inner.read().indexes.keys().cloned().collect()
+    }
+
+    /// The current schema and cluster map: an immutable snapshot, read
+    /// with no lock held however long the caller keeps it.
+    pub(crate) fn layout(&self) -> Arc<Layout> {
+        self.inner.read().layout.clone()
+    }
+
+    /// Run `f` over a snapshot of the schema (no engine lock is held
+    /// while it runs).
     pub fn with_schema<R>(&self, f: impl FnOnce(&Schema) -> R) -> R {
-        f(&self.inner.read().schema)
+        f(&self.layout().schema)
     }
 
     /// Test-only: the heap ids backing `class_name`'s (deep or shallow)
@@ -1086,21 +1184,16 @@ impl Database {
     /// entries back to the clusters the analyzer predicted.
     #[doc(hidden)]
     pub fn extent_heap_ids(&self, class_name: &str, deep: bool) -> Result<Vec<u32>> {
-        let inner = self.inner.read();
-        let class = inner.schema.id_of(class_name)?;
-        Ok(inner
-            .extent_heaps(class, deep)
-            .iter()
-            .map(|&(_, h)| h)
-            .collect())
+        let layout = self.layout();
+        Ok(layout.heap_ids(layout.schema.id_of(class_name)?, deep))
     }
 
     /// Number of objects in the (deep) extent of `class_name`.
     pub fn extent_size(&self, class_name: &str, deep: bool) -> Result<usize> {
-        let inner = self.inner.read();
-        let class = inner.schema.id_of(class_name)?;
+        let layout = self.layout();
+        let class = layout.schema.id_of(class_name)?;
         let mut n = 0usize;
-        for (_, heap) in inner.extent_heaps(class, deep) {
+        for (_, heap) in layout.extent_heaps(class, deep) {
             self.store.scan(heap, &mut |_, bytes| {
                 if is_anchor(bytes) {
                     n += 1;
@@ -1210,15 +1303,19 @@ impl Database {
         self.workstats.snapshot()
     }
 
-    /// Record a write of `n` objects against a cluster's workload
-    /// counters (commit pipeline).
-    pub(crate) fn note_cluster_writes(&self, class_name: &str, n: u64) {
-        if n > 0 {
-            self.workstats
-                .entry(&format!("cluster:{class_name}"))
-                .writes
-                .add(n);
-        }
+    /// Count `n` records a commit wrote into cluster `heap` (applied only
+    /// after the store commit succeeded).
+    pub(crate) fn note_cluster_writes(&self, layout: &Layout, heap: u32, n: u64) {
+        let Some(cluster) = layout.by_heap.get(&heap) else {
+            return;
+        };
+        let Ok(def) = layout.schema.class(cluster.class) else {
+            return;
+        };
+        let stats = cluster
+            .stats
+            .get_or_init(|| self.workstats.entry(&format!("cluster:{}", def.name)));
+        stats.writes.add(n);
     }
 
     /// Drop cached pages (benchmarks: cold-cache runs).
@@ -1262,18 +1359,9 @@ impl Database {
         // cannot observe this write mid-flight because it holds the apply
         // gate shared for its whole lifetime.
         let _apply = self.apply_gate.write();
-        let mut inner = self.inner.write();
-        let rec = CatalogRecord::Stats(rows).encode();
-        let rid = match inner.catalog.stats_rid {
-            Some(rid) => rid,
-            None => self.store.reserve(CATALOG_HEAP, rec.len())?,
-        };
-        self.store.commit(vec![StoreOp::Put {
-            heap: CATALOG_HEAP,
-            rid,
-            data: rec,
-        }])?;
-        inner.catalog.stats_rid = Some(rid);
+        let rid = self.inner.read().catalog.stats_rid;
+        let rid = self.put_catalog(rid, CatalogRecord::Stats(rows))?;
+        self.inner.write().catalog.stats_rid = Some(rid);
         Ok(())
     }
 
@@ -1406,7 +1494,8 @@ impl Database {
 
     /// Scheduler status rows, if a scheduler registered a hook.
     pub fn sched_status(&self) -> Option<Vec<(String, String)>> {
-        self.sched_hook.read().as_ref().map(|f| f())
+        let hook = self.sched_hook.read().clone();
+        hook.map(|f| f())
     }
 
     /// Fired-trigger events not yet acknowledged, claimed or ready, in
@@ -1509,8 +1598,8 @@ impl Database {
     /// Notify the commit observer, if installed (commit path; called
     /// outside every engine lock).
     pub(crate) fn notify_commit(&self, note: &CommitNote) {
-        let guard = self.commit_observer.read();
-        if let Some(obs) = guard.as_ref() {
+        let observer = self.commit_observer.read().clone();
+        if let Some(obs) = observer {
             obs(note);
         }
     }
@@ -1532,13 +1621,13 @@ fn builder_name(b: &ClassBuilder) -> String {
 /// Scan the deep extent of `class` and build a fresh index on `field`.
 fn build_index(
     store: &dyn Store,
-    inner: &DbInner,
+    layout: &Layout,
     class: ClassId,
     field: &str,
 ) -> Result<BTreeIndex> {
     let mut ix = BTreeIndex::new();
-    for (member_class, heap) in inner.extent_heaps(class, true) {
-        let def = inner.schema.class(member_class)?;
+    for (member_class, heap) in layout.extent_heaps(class, true) {
+        let def = layout.schema.class(member_class)?;
         let Ok(slot) = def.field_index(field) else {
             continue; // class lacks the field (possible for siblings)
         };
@@ -1574,4 +1663,28 @@ fn build_index(
         }
     }
     Ok(ix)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A claim publishes itself on every way out of its window, a panic
+    /// included, so later committers never wait behind its epoch.
+    #[test]
+    fn an_abandoned_claim_still_publishes() {
+        let db = Database::in_memory();
+        drop(db.claim_schema_epoch());
+        assert_eq!(db.commit_epoch(), 1, "dropped before its window opened");
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _window = db.claim_schema_epoch().open_window();
+            panic!("failure inside the publish window");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(db.commit_epoch(), 2, "published while unwinding");
+        db.define_from_source("class a { int x = 0; }").unwrap();
+        db.create_cluster("a").unwrap();
+        db.transaction(|tx| tx.pnew("a", &[]).map(|_| ())).unwrap();
+        assert_eq!(db.commit_epoch(), 5);
+    }
 }

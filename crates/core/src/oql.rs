@@ -207,8 +207,8 @@ impl<'db> Transaction<'db> {
     /// Evaluate expressions with no object in scope (`pnew` initializers,
     /// `activate` arguments).
     fn eval_free<'e>(&self, exprs: impl Iterator<Item = &'e Expr>) -> Result<Vec<Value>> {
-        let inner = self.db.inner.read();
-        let ctx = EvalCtx::new(&inner.schema);
+        let layout = self.db.layout();
+        let ctx = EvalCtx::new(&layout.schema);
         exprs.map(|e| Ok(ctx.eval(e)?)).collect()
     }
 

@@ -30,15 +30,16 @@
 //! bodies) exist only on the `Transaction` instantiation.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use ode_model::eval::EvalCtx;
 use ode_model::{
-    extract_field_ranges, parse_expr, probe_range, BinOp, Expr, ObjState, Oid, Resolver, Schema,
-    Value,
+    extract_field_ranges, parse_expr, probe_range, BinOp, ClassId, Expr, ObjState, Oid, Resolver,
+    Schema, Value,
 };
 use ode_obs::{PlanStrategy, QueryProfile, SpanStage};
 
-use crate::database::DbInner;
+use crate::database::Layout;
 use crate::error::{OdeError, Result};
 use crate::read::{ReadContext, ReadTransaction};
 
@@ -58,6 +59,8 @@ enum Dir {
 /// [`ReadTransaction`]).
 pub struct Forall<'t, C> {
     tx: &'t mut C,
+    /// The statement's schema and cluster map, read once at its start.
+    layout: Arc<Layout>,
     class_name: String,
     deep: bool,
     suchthat: Option<Expr>,
@@ -77,13 +80,12 @@ pub(crate) fn new_forall<'t, C: ReadContext>(
     class_name: &str,
 ) -> Result<Forall<'t, C>> {
     tx.db().tel.query.foralls.inc();
+    let layout = tx.db().layout();
     // Validate the class name early for a good error.
-    {
-        let inner = tx.db().inner.read();
-        inner.schema.id_of(class_name)?;
-    }
+    layout.schema.id_of(class_name)?;
     Ok(Forall {
         tx,
+        layout,
         class_name: class_name.to_string(),
         deep: true,
         suchthat: None,
@@ -104,14 +106,13 @@ pub(crate) fn new_forall_join<'t, C: ReadContext>(
             "forall_join needs at least one variable".into(),
         ));
     }
-    {
-        let inner = tx.db().inner.read();
-        for (_, class) in vars {
-            inner.schema.id_of(class)?;
-        }
+    let layout = tx.db().layout();
+    for (_, class) in vars {
+        layout.schema.id_of(class)?;
     }
     Ok(ForallJoin {
         tx,
+        layout,
         vars: vars
             .iter()
             .map(|(v, c)| (v.to_string(), c.to_string()))
@@ -147,11 +148,8 @@ impl<'db> Transaction<'db> {
         field: &str,
         mut f: impl FnMut(&mut Transaction<'db>, &Value) -> Result<()>,
     ) -> Result<usize> {
-        let slot = {
-            let state = self.read(oid)?;
-            let inner = self.db.inner.read();
-            inner.schema.class(state.class)?.field_index(field)?
-        };
+        let class = self.read(oid)?.class;
+        let slot = self.db.layout().schema.class(class)?.field_index(field)?;
         // The committed image cannot change under this transaction; load it
         // at most once. If the body writes the object, the write-set copy
         // is borrowed in place each step (no re-decode, no clone).
@@ -202,12 +200,10 @@ impl<'db> Transaction<'db> {
         deep: bool,
         visit: &mut dyn FnMut(Oid, &ObjState) -> Result<bool>,
     ) -> Result<()> {
-        let heaps = {
-            let inner = self.db.inner.read();
-            let class = inner.schema.id_of(class_name)?;
-            inner.extent_heaps(class, deep)
+        let heap_ids = {
+            let layout = self.db.layout();
+            layout.heap_ids(layout.schema.id_of(class_name)?, deep)
         };
-        let heap_ids = crate::read::dedup_heaps(&heaps);
         let mut noted: Vec<u32> = Vec::new();
         let outcome = (|| -> Result<bool> {
             for &heap in &heap_ids {
@@ -336,6 +332,7 @@ impl<'t, C: ReadContext> Forall<'t, C> {
     pub fn collect_oids_profiled(self, prof: &mut QueryProfile) -> Result<Vec<Oid>> {
         let Forall {
             tx,
+            layout,
             class_name,
             deep,
             suchthat,
@@ -350,7 +347,7 @@ impl<'t, C: ReadContext> Forall<'t, C> {
             ));
         }
         let mut pred = Predicate::new(&suchthat, &var, filter);
-        candidates(&*tx, &class_name, deep, &mut pred, &by, prof)
+        candidates(&*tx, &layout, &class_name, deep, &mut pred, &by, prof)
     }
 
     /// Count qualifying objects.
@@ -431,6 +428,7 @@ impl<'t, C: ReadContext> Forall<'t, C> {
         let proj = parse_expr(src)?;
         let Forall {
             tx,
+            layout,
             class_name,
             deep,
             suchthat,
@@ -443,13 +441,13 @@ impl<'t, C: ReadContext> Forall<'t, C> {
         let mut pred = Predicate::new(&suchthat, &var, filter);
         let oids = candidates(
             tx,
+            &layout,
             &class_name,
             deep,
             &mut pred,
             &by,
             &mut QueryProfile::default(),
         )?;
-        let inner = tx.db().inner.read();
         let mut out = Vec::with_capacity(oids.len());
         for oid in oids {
             let state = tx.read_obj(oid)?;
@@ -457,7 +455,7 @@ impl<'t, C: ReadContext> Forall<'t, C> {
             if let Some(v) = &var {
                 env.insert(v.clone(), Value::Ref(oid));
             }
-            let v = EvalCtx::new(&inner.schema)
+            let v = EvalCtx::new(&layout.schema)
                 .with_this(&state)
                 .with_vars(&env)
                 .with_resolver(tx)
@@ -502,6 +500,7 @@ impl<'t, 'db> Forall<'t, Transaction<'db>> {
     ) -> Result<usize> {
         let Forall {
             tx,
+            layout,
             class_name,
             deep,
             suchthat,
@@ -519,7 +518,7 @@ impl<'t, 'db> Forall<'t, Transaction<'db>> {
         // The full pass sees every insert made before it; the first delta
         // starts at the slot after them.
         let mut mark = tx.writes.mark();
-        let mut batch = candidates(&*tx, &class_name, deep, &mut pred, &by, prof)?;
+        let mut batch = candidates(&*tx, &layout, &class_name, deep, &mut pred, &by, prof)?;
         let mut n = 0usize;
         loop {
             if fixpoint && !batch.is_empty() {
@@ -543,7 +542,7 @@ impl<'t, 'db> Forall<'t, Transaction<'db>> {
                 return Ok(n);
             }
             let since = std::mem::replace(&mut mark, tx.writes.mark());
-            batch = inserted_since(tx, &class_name, deep, since, &mut pred, prof)?;
+            batch = inserted_since(tx, &layout, &class_name, deep, since, &mut pred, prof)?;
         }
     }
 }
@@ -554,15 +553,15 @@ impl<'t, 'db> Forall<'t, Transaction<'db>> {
 /// as one object scanned, into `prof` and the global query counters.
 fn inserted_since(
     tx: &Transaction<'_>,
+    layout: &Layout,
     class_name: &str,
     deep: bool,
     since: usize,
     pred: &mut Predicate<'_, '_>,
     prof: &mut QueryProfile,
 ) -> Result<Vec<Oid>> {
-    let inner = tx.db.inner.read();
-    let class = inner.schema.id_of(class_name)?;
-    let heaps = crate::read::dedup_heaps(&inner.extent_heaps(class, deep));
+    let class = layout.schema.id_of(class_name)?;
+    let heaps = layout.heap_ids(class, deep);
     let mut round = QueryProfile::default();
     let mut out = Vec::new();
     for (oid, obj) in tx.writes.in_heaps(&heaps, since) {
@@ -574,7 +573,7 @@ fn inserted_since(
         }
         // Only this transaction's private inserts are read, so an error
         // here leaves no committed range to widen.
-        if pred.admits(&inner.schema, tx, oid, &obj.state, &mut round)? {
+        if pred.admits(&layout.schema, tx, oid, &obj.state, &mut round)? {
             out.push(oid);
         }
     }
@@ -725,8 +724,13 @@ impl<C: ReadContext> Drop for ScanHintGuard<'_, C> {
 /// Enumerate + filter + order the qualifying oids. One call is one *pass*:
 /// its work is accumulated into `prof` and the global query counters, and
 /// bracketed by a Query trace span. Generic over the transaction kind.
+///
+/// No engine lock is held while predicates, sort keys or visitors run:
+/// they read `layout`, and the index probe copies its range out in a leaf
+/// section.
 fn candidates<C: ReadContext>(
     tx: &C,
+    layout: &Layout,
     class_name: &str,
     deep: bool,
     pred: &mut Predicate<'_, '_>,
@@ -734,13 +738,13 @@ fn candidates<C: ReadContext>(
     prof: &mut QueryProfile,
 ) -> Result<Vec<Oid>> {
     let db = tx.db();
+    let schema = &layout.schema;
     let mut span = db.flight.span(SpanStage::Execute, class_name);
     let mut pass = QueryProfile {
         target: class_name.to_string(),
         ..QueryProfile::default()
     };
-    let inner = db.inner.read();
-    let class = inner.schema.id_of(class_name)?;
+    let class = schema.id_of(class_name)?;
 
     // The key ranges the predicate provably pins, read once. They choose
     // the index probe and give both its bounds, by the rule the footprint
@@ -751,6 +755,7 @@ fn candidates<C: ReadContext>(
         .map(|p| extract_field_ranges(p, pred.var))
         .unwrap_or_default();
     let indexed: Option<(String, Vec<Oid>)> = if deep {
+        let inner = db.inner.read();
         probe_range(&ranges, |f| {
             inner.indexes.contains_key(&(class, f.to_string()))
         })
@@ -761,7 +766,6 @@ fn candidates<C: ReadContext>(
     } else {
         None
     };
-    drop(inner);
 
     // The same ranges, announced before enumeration: a write transaction
     // then records predicate-level scan entries instead of whole-heap
@@ -793,24 +797,18 @@ fn candidates<C: ReadContext>(
                     pairs.push((oid, state));
                 }
             }
-            // Objects written in this txn are missing from the committed
-            // index — fold in any written object of the right classes.
-            let inner = db.inner.read();
             // The probe answered from the committed deep extent: record the
             // backing heaps so commit-time validation catches phantoms the
             // same as an extent scan would.
-            let probe_heaps: Vec<u32> = inner
-                .extent_heaps(class, true)
-                .iter()
-                .map(|&(_, h)| h)
-                .collect();
-            tx.note_scan(&probe_heaps);
-            let scanned_heaps = probe_heaps;
+            let scanned_heaps = layout.heap_ids(class, true);
+            tx.note_scan(&scanned_heaps);
+            // Objects written in this txn are missing from the committed
+            // index — fold in any written object of the right classes.
             // Built on the first class-matching write: writes to other
             // heaps are never visited, so most probes build nothing.
             let mut seen: Option<HashSet<Oid, OidHash>> = None;
             tx.for_each_overlay(&scanned_heaps, &mut |oid, state| {
-                if !inner.schema.is_subclass(state.class, class) {
+                if !schema.is_subclass(state.class, class) {
                     return Ok(());
                 }
                 let seen = seen.get_or_insert_with(|| pairs.iter().map(|p| p.0).collect());
@@ -835,7 +833,7 @@ fn candidates<C: ReadContext>(
                 // failed `by` key too, since it aborts an enumeration whose
                 // result the transaction may already have acted on.
                 let admitted = pred
-                    .admits(&inner.schema, tx, oid, &state, &mut pass)
+                    .admits(schema, tx, oid, &state, &mut pass)
                     .inspect_err(|_| tx.scan_widen(&scanned_heaps))?;
                 if !admitted {
                     continue;
@@ -843,7 +841,7 @@ fn candidates<C: ReadContext>(
                 match by {
                     Some((key_expr, _)) => {
                         let k = pred
-                            .key(&inner.schema, tx, oid, &state, key_expr)
+                            .key(schema, tx, oid, &state, key_expr)
                             .inspect_err(|_| tx.scan_widen(&scanned_heaps))?;
                         keyed.push((k, oid));
                     }
@@ -857,10 +855,7 @@ fn candidates<C: ReadContext>(
             } else {
                 PlanStrategy::ShallowExtentScan
             };
-            pass.clusters_visited = {
-                let inner = db.inner.read();
-                inner.extent_heaps(class, deep).len() as u64
-            };
+            pass.clusters_visited = layout.extent_heaps(class, deep).len() as u64;
             // Predicate, filter and sort key all run *inside* the stream:
             // each decoded state lives only for its visit, so N concurrent
             // scans hold N pages, not N extents. Eval errors propagate out
@@ -868,19 +863,18 @@ fn candidates<C: ReadContext>(
             // noted so far to a whole-heap scan entry (DESIGN.md §14) —
             // heaps not yet reached recorded no entry and promised
             // nothing.
-            let inner = db.inner.read();
             tx.for_each_extent(class_name, deep, &mut |oid, state| {
                 pass.objects_scanned += 1;
                 // Shallow iteration drops subclass members.
                 if !deep && state.class != class {
                     return Ok(true);
                 }
-                if !pred.admits(&inner.schema, tx, oid, state, &mut pass)? {
+                if !pred.admits(schema, tx, oid, state, &mut pass)? {
                     return Ok(true);
                 }
                 match by {
                     Some((key_expr, _)) => {
-                        keyed.push((pred.key(&inner.schema, tx, oid, state, key_expr)?, oid));
+                        keyed.push((pred.key(schema, tx, oid, state, key_expr)?, oid));
                     }
                     None => plain.push(oid),
                 }
@@ -910,6 +904,8 @@ fn candidates<C: ReadContext>(
 /// transaction kind like [`Forall`].
 pub struct ForallJoin<'t, C> {
     tx: &'t mut C,
+    /// The statement's schema and cluster map, read once at its start.
+    layout: Arc<Layout>,
     vars: Vec<(String, String)>,
     suchthat: Option<Expr>,
 }
@@ -937,7 +933,7 @@ impl<C: ReadContext> ForallJoin<'_, C> {
     /// Like [`ForallJoin::collect`], additionally accumulating the join's
     /// execution profile into `prof`.
     pub fn collect_profiled(self, prof: &mut QueryProfile) -> Result<Vec<Vec<Oid>>> {
-        collect_join(&*self.tx, &self.vars, &self.suchthat, prof)
+        collect_join(&*self.tx, &self.layout, &self.vars, &self.suchthat, prof)
     }
 }
 
@@ -948,8 +944,19 @@ impl<'db> ForallJoin<'_, Transaction<'db>> {
         self,
         mut f: impl FnMut(&mut Transaction<'db>, &HashMap<String, Oid>) -> Result<()>,
     ) -> Result<usize> {
-        let ForallJoin { tx, vars, suchthat } = self;
-        let rows = collect_join(&*tx, &vars, &suchthat, &mut QueryProfile::default())?;
+        let ForallJoin {
+            tx,
+            layout,
+            vars,
+            suchthat,
+        } = self;
+        let rows = collect_join(
+            &*tx,
+            &layout,
+            &vars,
+            &suchthat,
+            &mut QueryProfile::default(),
+        )?;
         let names: Vec<String> = vars.into_iter().map(|(v, _)| v).collect();
         let mut n = 0usize;
         for row in rows {
@@ -975,7 +982,8 @@ struct ProbePlan {
 /// Find probe plans: one optional plan per variable (never the first —
 /// its loop is the outer driver).
 fn build_probe_plans(
-    inner: &DbInner,
+    schema: &Schema,
+    indexed: &[(ClassId, String)],
     vars: &[(String, String)],
     suchthat: &Option<Expr>,
 ) -> Result<Vec<Option<ProbePlan>>> {
@@ -986,7 +994,7 @@ fn build_probe_plans(
     let cs = pred.conjuncts();
     for d in 1..vars.len() {
         let (var, class_name) = &vars[d];
-        let Ok(class) = inner.schema.id_of(class_name) else {
+        let Ok(class) = schema.id_of(class_name) else {
             continue;
         };
         let earlier: Vec<&str> = vars[..d].iter().map(|(v, _)| v.as_str()).collect();
@@ -1011,7 +1019,7 @@ fn build_probe_plans(
                 if !rhs_vars.iter().all(|v| earlier.contains(v)) {
                     continue;
                 }
-                if !inner.indexes.contains_key(&(class, field.clone())) {
+                if !indexed.iter().any(|(c, f)| *c == class && f == field) {
                     continue;
                 }
                 plans[d] = Some(ProbePlan {
@@ -1035,6 +1043,7 @@ fn build_probe_plans(
 /// applied to joins.
 fn collect_join<C: ReadContext>(
     tx: &C,
+    layout: &Layout,
     vars: &[(String, String)],
     suchthat: &Option<Expr>,
     prof: &mut QueryProfile,
@@ -1051,9 +1060,8 @@ fn collect_join<C: ReadContext>(
         strategy: PlanStrategy::NestedLoopJoin,
         ..QueryProfile::default()
     };
-    let inner = db.inner.read();
-    let plans = build_probe_plans(&inner, vars, suchthat)?;
-    drop(inner);
+    let schema = &layout.schema;
+    let plans = build_probe_plans(schema, &db.index_keys(), vars, suchthat)?;
 
     // Enumerate extents only for non-probed variables — as *oid lists*
     // (the nested loop re-visits them once per outer binding, but decoded
@@ -1064,38 +1072,25 @@ fn collect_join<C: ReadContext>(
     // filter, never cloned.
     let mut extents: Vec<Vec<Oid>> = Vec::with_capacity(vars.len());
     let mut overlays: Vec<Vec<Oid>> = Vec::with_capacity(vars.len());
-    {
-        let inner = db.inner.read();
-        for (d, (_, class_name)) in vars.iter().enumerate() {
-            extents.push(Vec::new()); // probed: stays empty; else filled below
-            if plans[d].is_some() {
-                let class = inner.schema.id_of(class_name)?;
-                let heaps: Vec<u32> = inner
-                    .extent_heaps(class, true)
-                    .iter()
-                    .map(|&(_, h)| h)
-                    .collect();
-                let mut overlay: Vec<Oid> = Vec::new();
-                tx.for_each_overlay(&heaps, &mut |oid, state| {
-                    if !tx.is_deleted(oid) && inner.schema.is_subclass(state.class, class) {
-                        overlay.push(oid);
-                    }
-                    Ok(())
-                })?;
-                overlays.push(overlay);
-            } else {
-                overlays.push(Vec::new());
-            }
+    for (d, (_, class_name)) in vars.iter().enumerate() {
+        extents.push(Vec::new()); // probed: stays empty; else filled below
+        let mut overlay: Vec<Oid> = Vec::new();
+        if plans[d].is_some() {
+            let class = schema.id_of(class_name)?;
+            tx.for_each_overlay(&layout.heap_ids(class, true), &mut |oid, state| {
+                if !tx.is_deleted(oid) && schema.is_subclass(state.class, class) {
+                    overlay.push(oid);
+                }
+                Ok(())
+            })?;
         }
+        overlays.push(overlay);
     }
     let mut enumerated_vars = 0u64;
     for (d, (_, class_name)) in vars.iter().enumerate() {
         if plans[d].is_none() {
-            {
-                let inner = db.inner.read();
-                let class = inner.schema.id_of(class_name)?;
-                pass.clusters_visited += inner.extent_heaps(class, true).len() as u64;
-            }
+            let class = schema.id_of(class_name)?;
+            pass.clusters_visited += layout.extent_heaps(class, true).len() as u64;
             let mut oids = Vec::new();
             tx.for_each_extent(class_name, true, &mut |oid, _| {
                 oids.push(oid);
@@ -1106,14 +1101,13 @@ fn collect_join<C: ReadContext>(
         }
     }
 
-    let inner = db.inner.read();
     let mut out = Vec::new();
     let mut binding: Vec<Oid> = Vec::with_capacity(vars.len());
     let mut env: HashMap<String, Value> = HashMap::new();
     #[allow(clippy::too_many_arguments)]
     fn rec<C: ReadContext>(
         tx: &C,
-        inner: &DbInner,
+        schema: &Schema,
         vars: &[(String, String)],
         extents: &[Vec<Oid>],
         overlays: &[Vec<Oid>],
@@ -1125,7 +1119,6 @@ fn collect_join<C: ReadContext>(
         out: &mut Vec<Vec<Oid>>,
         pass: &mut QueryProfile,
     ) -> Result<()> {
-        let schema = &inner.schema;
         if depth == vars.len() {
             if let Some(pred) = suchthat {
                 pass.predicate_evals += 1;
@@ -1155,12 +1148,9 @@ fn collect_join<C: ReadContext>(
                     })?;
                     oids
                 } else {
-                    let ix = inner
-                        .indexes
-                        .get(&(class, plan.field.clone()))
-                        .expect("probe plan implies index");
                     pass.index_probes += 1;
-                    let mut oids = ix.lookup(&key);
+                    let mut oids =
+                        tx.db().inner.read().indexes[&(class, plan.field.clone())].lookup(&key);
                     oids.retain(|oid| !tx.is_deleted(*oid) && !tx.overlay_contains(*oid));
                     // Transaction-written objects re-checked by the leaf.
                     oids.extend_from_slice(&overlays[depth]);
@@ -1175,7 +1165,7 @@ fn collect_join<C: ReadContext>(
             env.insert(vars[depth].0.clone(), Value::Ref(oid));
             rec(
                 tx,
-                inner,
+                schema,
                 vars,
                 extents,
                 overlays,
@@ -1194,7 +1184,7 @@ fn collect_join<C: ReadContext>(
     }
     rec(
         tx,
-        &inner,
+        schema,
         vars,
         &extents,
         &overlays,
@@ -1206,7 +1196,6 @@ fn collect_join<C: ReadContext>(
         &mut out,
         &mut pass,
     )?;
-    drop(inner);
 
     pass.rows = out.len() as u64;
     let q = &db.tel.query;

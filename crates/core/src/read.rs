@@ -22,16 +22,15 @@
 //! **Caveat:** do not commit a write transaction, run DDL, or call
 //! [`Database::backup`]-style maintenance on a thread that still holds an
 //! open `ReadTransaction` — the publish window waits for all readers to
-//! drain, so that thread would wait on itself.
-
-use std::collections::HashSet;
+//! drain, so that thread would wait on itself (debug builds panic on the
+//! recursive apply-gate acquisition instead; DESIGN.md §8).
 
 use ode_model::{ClassId, ModelError, ObjState, Oid, Resolver, Value, VersionNo, VersionRef};
 use ode_obs::{SpanGuard, SpanStage};
 
 use crate::database::Database;
 use crate::error::{OdeError, Result};
-use crate::object::{decode_record, is_anchor, ObjRecord, NO_PARENT};
+use crate::object::{decode_record, is_anchor, ObjRecord, VersionTable, NO_PARENT};
 use crate::txn::Transaction;
 
 /// The read surface the query layer needs from a transaction-like view.
@@ -176,8 +175,7 @@ impl ReadContext for Transaction<'_> {
 /// [`epoch`]: ReadTransaction::epoch
 pub struct ReadTransaction<'db> {
     pub(crate) db: &'db Database,
-    /// Shared hold on the publish gate; lock order is `apply_gate` before
-    /// `inner`, and this guard is taken before any `inner` access.
+    /// Shared hold on the publish gate for the snapshot's lifetime.
     _apply: parking_lot::RwLockReadGuard<'db, ()>,
     epoch: u64,
     /// Flight-recorder span covering the snapshot's lifetime.
@@ -217,49 +215,22 @@ impl<'db> ReadTransaction<'db> {
         self.db.commit_epoch() != self.epoch
     }
 
-    /// Load the committed image of an object (current version for
-    /// versioned objects).
-    fn load_committed(&self, oid: Oid) -> Result<ObjState> {
-        let bytes = self
-            .db
-            .store
-            .read(oid.cluster, oid.rid)
-            .map_err(|_| OdeError::NoSuchObject(oid.to_string()))?;
-        match decode_record(&bytes)? {
-            ObjRecord::Plain(state) => Ok(state),
-            ObjRecord::Anchor(table) => {
-                self.db.tel.versions.generic_derefs.inc();
-                let vrid = table.current_rid()?;
-                match decode_record(&self.db.store.read(oid.cluster, vrid)?)? {
-                    ObjRecord::VersionRec { state, .. } => Ok(state),
-                    _ => Err(OdeError::Version(format!(
-                        "anchor {oid} points at a non-version record"
-                    ))),
-                }
-            }
-            ObjRecord::VersionRec { .. } => Err(OdeError::NoSuchObject(format!(
-                "{oid} is a version record, not an object"
-            ))),
-        }
-    }
-
     /// Does the object exist in this snapshot?
     pub fn exists(&self, oid: Oid) -> bool {
-        self.load_committed(oid).is_ok()
+        self.read(oid).is_ok()
     }
 
     /// Read an object's committed current state — dereferencing a
     /// *generic* reference (§4).
     pub fn read(&self, oid: Oid) -> Result<ObjState> {
-        self.load_committed(oid)
+        Ok(load_current(self.db, oid)?.0)
     }
 
     /// Read one field.
     pub fn get(&self, oid: Oid, field: &str) -> Result<Value> {
         let state = self.read(oid)?;
-        let inner = self.db.inner.read();
-        let def = inner.schema.class(state.class)?;
-        let i = def.field_index(field)?;
+        let layout = self.db.layout();
+        let i = layout.schema.class(state.class)?.field_index(field)?;
         Ok(state.fields[i].clone())
     }
 
@@ -272,16 +243,15 @@ impl<'db> ReadTransaction<'db> {
     /// subclass of) `class_name`?
     pub fn instance_of(&self, oid: Oid, class_name: &str) -> Result<bool> {
         let class = self.read(oid)?.class;
-        let inner = self.db.inner.read();
-        let target = inner.schema.id_of(class_name)?;
-        Ok(inner.schema.is_subclass(class, target))
+        let layout = self.db.layout();
+        let target = layout.schema.id_of(class_name)?;
+        Ok(layout.schema.is_subclass(class, target))
     }
 
     /// Call a registered method on the object.
     pub fn call(&self, oid: Oid, method: &str, args: &[Value]) -> Result<Value> {
         let state = self.read(oid)?;
-        let inner = self.db.inner.read();
-        let m = inner.schema.lookup_method(state.class, method)?;
+        let m = self.db.layout().schema.lookup_method(state.class, method)?;
         Ok(m(&state, args)?)
     }
 
@@ -289,29 +259,11 @@ impl<'db> ReadTransaction<'db> {
     pub fn read_version(&self, vref: VersionRef) -> Result<ObjState> {
         self.db.tel.versions.specific_derefs.inc();
         let oid = vref.oid;
-        let bytes = self
-            .db
-            .store
-            .read(oid.cluster, oid.rid)
-            .map_err(|_| OdeError::NoSuchObject(oid.to_string()))?;
-        match decode_record(&bytes)? {
-            ObjRecord::Plain(state) => {
-                if vref.version == 0 {
-                    Ok(state)
-                } else {
-                    Err(OdeError::Version(format!(
-                        "object {oid} has no version {}",
-                        vref.version
-                    )))
-                }
-            }
+        let missing = || OdeError::Version(format!("object {oid} has no version {}", vref.version));
+        match read_anchor(self.db, oid)? {
+            ObjRecord::Plain(state) if vref.version == 0 => Ok(state),
             ObjRecord::Anchor(table) => {
-                let Some(entry) = table.entry(vref.version) else {
-                    return Err(OdeError::Version(format!(
-                        "object {oid} has no version {}",
-                        vref.version
-                    )));
-                };
+                let entry = table.entry(vref.version).ok_or_else(missing)?;
                 match decode_record(&self.db.store.read(oid.cluster, entry.rid)?)? {
                     ObjRecord::VersionRec { no, state } if no == vref.version => Ok(state),
                     _ => Err(OdeError::Version(format!(
@@ -320,26 +272,16 @@ impl<'db> ReadTransaction<'db> {
                     ))),
                 }
             }
-            ObjRecord::VersionRec { .. } => Err(OdeError::NoSuchObject(format!(
-                "{oid} is a version record, not an object"
-            ))),
+            _ => Err(missing()),
         }
     }
 
     /// The current version number (0 for never-versioned objects).
     pub fn current_version(&self, oid: Oid) -> Result<VersionNo> {
-        let bytes = self
-            .db
-            .store
-            .read(oid.cluster, oid.rid)
-            .map_err(|_| OdeError::NoSuchObject(oid.to_string()))?;
-        match decode_record(&bytes)? {
-            ObjRecord::Plain(_) => Ok(0),
-            ObjRecord::Anchor(table) => Ok(table.current),
-            ObjRecord::VersionRec { .. } => Err(OdeError::NoSuchObject(format!(
-                "{oid} is a version record, not an object"
-            ))),
-        }
+        Ok(match read_anchor(self.db, oid)? {
+            ObjRecord::Anchor(table) => table.current,
+            _ => 0,
+        })
     }
 
     /// A *specific* reference to the object's current version.
@@ -352,44 +294,23 @@ impl<'db> ReadTransaction<'db> {
 
     /// All live version numbers, in creation order.
     pub fn versions(&self, oid: Oid) -> Result<Vec<VersionNo>> {
-        let bytes = self
-            .db
-            .store
-            .read(oid.cluster, oid.rid)
-            .map_err(|_| OdeError::NoSuchObject(oid.to_string()))?;
-        match decode_record(&bytes)? {
-            ObjRecord::Plain(_) => Ok(vec![0]),
-            ObjRecord::Anchor(table) => Ok(table.versions()),
-            ObjRecord::VersionRec { .. } => Err(OdeError::NoSuchObject(format!(
-                "{oid} is a version record, not an object"
-            ))),
-        }
+        Ok(match read_anchor(self.db, oid)? {
+            ObjRecord::Anchor(table) => table.versions(),
+            _ => vec![0],
+        })
     }
 
     /// The version this one was derived from (`None` for a root).
     pub fn parent_version(&self, vref: VersionRef) -> Result<Option<VersionNo>> {
         let oid = vref.oid;
-        let bytes = self
-            .db
-            .store
-            .read(oid.cluster, oid.rid)
-            .map_err(|_| OdeError::NoSuchObject(oid.to_string()))?;
         let missing = || OdeError::Version(format!("object {oid} has no version {}", vref.version));
-        match decode_record(&bytes)? {
-            ObjRecord::Plain(_) => {
-                if vref.version == 0 {
-                    Ok(None)
-                } else {
-                    Err(missing())
-                }
-            }
+        match read_anchor(self.db, oid)? {
             ObjRecord::Anchor(table) => {
                 let entry = table.entry(vref.version).ok_or_else(missing)?;
                 Ok((entry.parent != NO_PARENT).then_some(entry.parent))
             }
-            ObjRecord::VersionRec { .. } => Err(OdeError::NoSuchObject(format!(
-                "{oid} is a version record, not an object"
-            ))),
+            _ if vref.version == 0 => Ok(None),
+            _ => Err(missing()),
         }
     }
 
@@ -441,11 +362,9 @@ impl ReadContext for ReadTransaction<'_> {
         deep: bool,
         visit: &mut dyn FnMut(Oid, &ObjState) -> Result<bool>,
     ) -> Result<()> {
-        let inner = self.db.inner.read();
-        let class = inner.schema.id_of(class_name)?;
-        let heaps = inner.extent_heaps(class, deep);
-        drop(inner);
-        for heap in dedup_heaps(&heaps) {
+        let layout = self.db.layout();
+        let class = layout.schema.id_of(class_name)?;
+        for heap in layout.heap_ids(class, deep) {
             if !stream_committed_heap(self.db, heap, &mut |oid, state| visit(oid, state))? {
                 return Ok(());
             }
@@ -462,12 +381,55 @@ impl ReadContext for ReadTransaction<'_> {
 /// per object, reserved slots invisible to scans), so deduplicating the
 /// heap list deduplicates the extent.
 pub(crate) fn dedup_heaps(heaps: &[(ClassId, u32)]) -> Vec<u32> {
-    let mut seen = HashSet::new();
-    heaps
-        .iter()
-        .map(|&(_, h)| h)
-        .filter(|h| seen.insert(*h))
-        .collect()
+    // A hierarchy spans a handful of heaps: a linear check beats hashing.
+    let mut out: Vec<u32> = Vec::with_capacity(heaps.len());
+    for &(_, h) in heaps {
+        if !out.contains(&h) {
+            out.push(h);
+        }
+    }
+    out
+}
+
+/// The anchor record of `oid`: its state inline, or its version table. A
+/// version record is not an object.
+fn read_anchor(db: &Database, oid: Oid) -> Result<ObjRecord> {
+    let bytes = db
+        .store
+        .read(oid.cluster, oid.rid)
+        .map_err(|_| OdeError::NoSuchObject(oid.to_string()))?;
+    match decode_record(&bytes)? {
+        ObjRecord::VersionRec { .. } => Err(OdeError::NoSuchObject(format!(
+            "{oid} is a version record, not an object"
+        ))),
+        anchor => Ok(anchor),
+    }
+}
+
+/// The committed current state of `oid`, with its version table if it is
+/// versioned (a generic dereference, §4). The caller keeps commits from
+/// publishing meanwhile, so the anchor and version record are not torn.
+pub(crate) fn load_current(db: &Database, oid: Oid) -> Result<(ObjState, Option<VersionTable>)> {
+    let bytes = db
+        .store
+        .read(oid.cluster, oid.rid)
+        .map_err(|_| OdeError::NoSuchObject(oid.to_string()))?;
+    match decode_record(&bytes)? {
+        ObjRecord::Plain(state) => Ok((state, None)),
+        ObjRecord::Anchor(table) => {
+            db.tel.versions.generic_derefs.inc();
+            let vrid = table.current_rid()?;
+            match decode_record(&db.store.read(oid.cluster, vrid)?)? {
+                ObjRecord::VersionRec { state, .. } => Ok((state, Some(table))),
+                _ => Err(OdeError::Version(format!(
+                    "anchor {oid} points at a non-version record"
+                ))),
+            }
+        }
+        ObjRecord::VersionRec { .. } => Err(OdeError::NoSuchObject(format!(
+            "{oid} is a version record, not an object"
+        ))),
+    }
 }
 
 /// Stream one heap's committed objects in decoded form, page-at-a-time.

@@ -31,8 +31,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use ode_model::eval::EvalCtx;
 use ode_model::{
-    ClassId, FieldRange, ModelError, ObjState, Oid, Resolver, TriggerAction, TriggerDecl, Value,
-    VersionNo, VersionRef,
+    ClassId, FieldRange, ModelError, ObjState, Oid, Resolver, Schema, TriggerAction, TriggerDecl,
+    Value, VersionNo, VersionRef,
 };
 use ode_obs::{SpanGuard, SpanStage};
 use ode_storage::{RecordId, StoreOp};
@@ -40,9 +40,7 @@ use ode_storage::{RecordId, StoreOp};
 use crate::catalog::{CatalogRecord, CATALOG_HEAP};
 use crate::database::{Database, WriteSummary};
 use crate::error::{OdeError, Result};
-use crate::object::{
-    decode_record, encode_anchor, encode_plain, encode_vrec, ObjRecord, VersionEntry, VersionTable,
-};
+use crate::object::{encode_anchor, encode_plain, encode_vrec, VersionEntry, VersionTable};
 use crate::trigger::{
     Activation, CommitInfo, CommitNote, FiredTrigger, PendingEvent, TriggerFailure, TriggerId,
 };
@@ -527,27 +525,7 @@ impl<'db> Transaction<'db> {
         let observed = self.db.commit_epoch();
         self.read_set.lock().entry(oid).or_insert(observed);
         let _apply = self.db.apply_gate.read();
-        let bytes = self
-            .db
-            .store
-            .read(oid.cluster, oid.rid)
-            .map_err(|_| OdeError::NoSuchObject(oid.to_string()))?;
-        match decode_record(&bytes)? {
-            ObjRecord::Plain(state) => Ok((state, None)),
-            ObjRecord::Anchor(table) => {
-                self.db.tel.versions.generic_derefs.inc();
-                let vrid = table.current_rid()?;
-                match decode_record(&self.db.store.read(oid.cluster, vrid)?)? {
-                    ObjRecord::VersionRec { state, .. } => Ok((state, Some(table))),
-                    _ => Err(OdeError::Version(format!(
-                        "anchor {oid} points at a non-version record"
-                    ))),
-                }
-            }
-            ObjRecord::VersionRec { .. } => Err(OdeError::NoSuchObject(format!(
-                "{oid} is a version record, not an object"
-            ))),
-        }
+        crate::read::load_current(self.db, oid)
     }
 
     /// Record an extent scan over `heap` at the current publish epoch.
@@ -672,9 +650,8 @@ impl<'db> Transaction<'db> {
     /// Read one field.
     pub fn get(&self, oid: Oid, field: &str) -> Result<Value> {
         let state = self.read(oid)?;
-        let inner = self.db.inner.read();
-        let def = inner.schema.class(state.class)?;
-        let i = def.field_index(field)?;
+        let layout = self.db.layout();
+        let i = layout.schema.class(state.class)?.field_index(field)?;
         Ok(state.fields[i].clone())
     }
 
@@ -687,16 +664,15 @@ impl<'db> Transaction<'db> {
     /// subclass of) `class_name`?
     pub fn instance_of(&self, oid: Oid, class_name: &str) -> Result<bool> {
         let class = self.read(oid)?.class;
-        let inner = self.db.inner.read();
-        let target = inner.schema.id_of(class_name)?;
-        Ok(inner.schema.is_subclass(class, target))
+        let layout = self.db.layout();
+        let target = layout.schema.id_of(class_name)?;
+        Ok(layout.schema.is_subclass(class, target))
     }
 
     /// Call a registered method on the object.
     pub fn call(&self, oid: Oid, method: &str, args: &[Value]) -> Result<Value> {
         let state = self.read(oid)?;
-        let inner = self.db.inner.read();
-        let m = inner.schema.lookup_method(state.class, method)?;
+        let m = self.db.layout().schema.lookup_method(state.class, method)?;
         Ok(m(&state, args)?)
     }
 
@@ -709,14 +685,14 @@ impl<'db> Transaction<'db> {
     pub fn pnew(&mut self, class_name: &str, inits: &[(&str, Value)]) -> Result<Oid> {
         self.ensure_live()?;
         let (state, heap) = {
-            let inner = self.db.inner.read();
-            let class = inner.schema.id_of(class_name)?;
-            let Some(&heap) = inner.clusters.get(&class) else {
+            let layout = self.db.layout();
+            let class = layout.schema.id_of(class_name)?;
+            let Some(&heap) = layout.clusters.get(&class) else {
                 return Err(OdeError::NoSuchCluster(class_name.to_string()));
             };
-            let mut state = inner.schema.new_object(class)?;
+            let mut state = layout.schema.new_object(class)?;
             for (field, value) in inits {
-                let i = inner.schema.check_assign(class, field, value)?;
+                let i = layout.schema.check_assign(class, field, value)?;
                 state.fields[i] = value.clone();
             }
             (state, heap)
@@ -811,10 +787,10 @@ impl<'db> Transaction<'db> {
     ) -> Result<R> {
         self.load_for_write(oid)?;
         let out = {
-            let inner = self.db.inner.read();
+            let layout = self.db.layout();
             let obj = self.writes.get_mut(&oid).expect("just loaded");
             let out = f(&mut ObjWriter {
-                schema: &inner.schema,
+                schema: &layout.schema,
                 state: &mut obj.state,
             })?;
             obj.dirty = true;
@@ -903,9 +879,9 @@ impl<'db> Transaction<'db> {
                 &loaded
             }
         };
-        let inner = self.db.inner.read();
-        for (class_def, c) in inner.schema.all_constraints(state.class)? {
-            let ctx = EvalCtx::new(&inner.schema)
+        let layout = self.db.layout();
+        for (class_def, c) in layout.schema.all_constraints(state.class)? {
+            let ctx = EvalCtx::new(&layout.schema)
                 .with_this(state)
                 .with_resolver(self);
             let ok = ctx.eval_bool(&c.expr)?;
@@ -935,16 +911,13 @@ impl<'db> Transaction<'db> {
     ) -> Result<TriggerId> {
         self.ensure_live()?;
         let class = self.class_of(oid)?;
-        {
-            let inner = self.db.inner.read();
-            let (_, decl) = inner.schema.find_trigger(class, trigger)?;
-            if decl.params.len() != args.len() {
-                return Err(OdeError::Trigger(format!(
-                    "trigger `{trigger}` takes {} argument(s), got {}",
-                    decl.params.len(),
-                    args.len()
-                )));
-            }
+        let layout = self.db.layout();
+        let params = layout.schema.find_trigger(class, trigger)?.1.params.len();
+        if params != args.len() {
+            return Err(OdeError::Trigger(format!(
+                "trigger `{trigger}` takes {params} argument(s), got {}",
+                args.len()
+            )));
         }
         let id = self.db.alloc_activation_id();
         self.db.tel.triggers.activations.inc();
@@ -964,11 +937,9 @@ impl<'db> Transaction<'db> {
             self.pending_activations.remove(i);
             return Ok(());
         }
-        let inner = self.db.inner.read();
-        if !inner.activations.contains_key(&id.0) {
+        if !self.db.inner.read().activations.contains_key(&id.0) {
             return Err(OdeError::Trigger(format!("{id} is not active")));
         }
-        drop(inner);
         if !self.pending_deactivations.contains(&id.0) {
             self.pending_deactivations.push(id.0);
         }
@@ -1070,6 +1041,7 @@ impl<'db> Transaction<'db> {
     /// weaken validation, only decline to narrow it.
     fn verify_ranged_writes(
         &self,
+        schema: &Schema,
         write_oids: &[Oid],
         ops: &[StoreOp],
     ) -> HashMap<u32, Vec<crate::database::RangedWrite>> {
@@ -1077,7 +1049,6 @@ impl<'db> Transaction<'db> {
         if self.ranged_writes.is_empty() {
             return HashMap::new();
         }
-        let inner = self.db.inner.read();
         let mut per_heap: HashMap<u32, Vec<crate::database::RangedWrite>> = HashMap::new();
         let mut failed_heaps: HashSet<u32> = HashSet::new();
         let mut covered: HashSet<Oid> = HashSet::new();
@@ -1099,7 +1070,7 @@ impl<'db> Transaction<'db> {
                         if obj.state.class != pre.class {
                             return false;
                         }
-                        let Ok(def) = inner.schema.class(pre.class) else {
+                        let Ok(def) = schema.class(pre.class) else {
                             return false;
                         };
                         for fr in &note.ranges {
@@ -1122,7 +1093,7 @@ impl<'db> Transaction<'db> {
                         if !dead.version_rids.is_empty() {
                             return false;
                         }
-                        let Ok(def) = inner.schema.class(dead.pre_state.class) else {
+                        let Ok(def) = schema.class(dead.pre_state.class) else {
                             return false;
                         };
                         note.ranges.iter().all(|fr| {
@@ -1175,6 +1146,10 @@ impl<'db> Transaction<'db> {
     /// enqueued in the batch, one per firing.
     fn do_commit(&mut self) -> Result<CommitOutcome> {
         self.ensure_live()?;
+        // One layout for the whole commit. A DDL published after this
+        // transaction began fails its validation, so in the publish window
+        // this is still the current layout.
+        let layout = self.db.layout();
 
         // 1. Deferred constraint check over every written object (a
         // deleted object has left the write set).
@@ -1183,24 +1158,19 @@ impl<'db> Transaction<'db> {
         }
 
         // 2. Trigger-condition evaluation on touched objects.
-        let fired = self.evaluate_triggers()?;
+        let fired = self.evaluate_triggers(&layout.schema)?;
 
         // Which activations stop existing: explicit deactivations, fired
         // once-only ones, and activations on deleted objects.
         let mut kill_committed: Vec<u64> = self.pending_deactivations.clone();
         let mut fired_pending: HashSet<u64> = HashSet::new();
-        {
+        let kill_rids: Vec<RecordId> = {
             let inner = self.db.inner.read();
-            for a in &fired {
-                let (_, decl) = inner
-                    .schema
-                    .find_trigger(self.read(a.oid)?.class, &a.trigger)?;
-                if !decl.perpetual {
-                    if inner.activations.contains_key(&a.id) {
-                        kill_committed.push(a.id);
-                    } else {
-                        fired_pending.insert(a.id);
-                    }
+            for (a, _) in fired.iter().filter(|(_, perpetual)| !perpetual) {
+                if inner.activations.contains_key(&a.id) {
+                    kill_committed.push(a.id);
+                } else {
+                    fired_pending.insert(a.id);
                 }
             }
             for oid in self.deleted.keys() {
@@ -1208,9 +1178,12 @@ impl<'db> Transaction<'db> {
                     kill_committed.extend_from_slice(ids);
                 }
             }
-        }
-        kill_committed.sort_unstable();
-        kill_committed.dedup();
+            kill_committed.sort_unstable();
+            kill_committed.dedup();
+            let rids = kill_committed.iter();
+            rids.filter_map(|id| inner.catalog.activation_rids.get(id).copied())
+                .collect()
+        };
 
         // Every firing becomes a durable pending event. The once-only kill
         // logic above already ran off `fired`, so a once-only activation
@@ -1218,7 +1191,7 @@ impl<'db> Transaction<'db> {
         // commit and action can neither lose the firing nor re-arm it.
         let events: Vec<PendingEvent> = fired
             .into_iter()
-            .map(|a| PendingEvent {
+            .map(|(a, _)| PendingEvent {
                 id: self.db.alloc_event_id(),
                 activation: a.id,
                 oid: a.oid,
@@ -1278,16 +1251,11 @@ impl<'db> Transaction<'db> {
             });
             persisted_activations.push((a.clone(), rid));
         }
-        {
-            let inner = self.db.inner.read();
-            for id in &kill_committed {
-                if let Some(&rid) = inner.catalog.activation_rids.get(id) {
-                    ops.push(StoreOp::Delete {
-                        heap: CATALOG_HEAP,
-                        rid,
-                    });
-                }
-            }
+        for rid in kill_rids {
+            ops.push(StoreOp::Delete {
+                heap: CATALOG_HEAP,
+                rid,
+            });
         }
 
         // Workload write counters, keyed by destination cluster (applied
@@ -1360,8 +1328,8 @@ impl<'db> Transaction<'db> {
             .map(|(oid, _)| oid)
             .collect();
         write_oids.extend(self.deleted.keys().copied());
-        let heap_ranges = self.verify_ranged_writes(&write_oids, &ops);
-        let (epoch, ticket) = {
+        let heap_ranges = self.verify_ranged_writes(&layout.schema, &write_oids, &ops);
+        let (claim, ticket) = {
             let read_set = self.read_set.lock();
             let scan_set = self.scan_set.lock();
             let summary = WriteSummary {
@@ -1375,16 +1343,16 @@ impl<'db> Transaction<'db> {
             self.db.claim_commit(&summary, ops)?
         };
 
+        let epoch = claim.epoch;
+
         // Phase 2: durability, outside every lock — concurrent committers
         // share one fsync (group commit). A failure here is *in-doubt*:
         // the batch is in the WAL and may survive a crash even though this
-        // process cannot confirm it. Abandon the ticket, publish the
-        // claimed epoch as a no-op so the sequence cannot stall, and
-        // surface the storage error (transient → wire `Unavailable`).
+        // process cannot confirm it. Abandon the ticket and surface the
+        // storage error (transient → wire `Unavailable`); the claim
+        // publishes its epoch as a no-op, so the sequence cannot stall.
         if let Err(e) = self.db.store.commit_durable(&ticket) {
             self.db.store.commit_abandon(ticket);
-            self.db.wait_turn(epoch);
-            self.db.publish_epoch(epoch);
             return Err(e.into());
         }
 
@@ -1392,8 +1360,7 @@ impl<'db> Transaction<'db> {
         // validation/turn wait is surfaced in the commit span so the
         // slow-query log attributes contended commits correctly.
         let turn_started = std::time::Instant::now();
-        self.db.wait_turn(epoch);
-        let publish = self.db.apply_gate.write();
+        let window = claim.open_window();
         // Stores whose apply is the whole (idempotent) commit absorb
         // transient failures (ENOSPC, a flaky disk) through a bounded
         // retry, exactly like the pre-group-commit pipeline did. FileStore
@@ -1423,47 +1390,36 @@ impl<'db> Transaction<'db> {
                     attempt += 1;
                     self.db.tel.txn.commit_retries.inc();
                 }
-                Err(e) => {
-                    // Durable but not applied in this process: recovery
-                    // replays it. Publish so the epoch sequence moves on;
-                    // surface the failure as in-doubt.
-                    self.db.publish_epoch(epoch);
-                    drop(publish);
-                    return Err(e.into());
-                }
+                // Durable but not applied in this process: recovery replays
+                // it. The claim still publishes; surface it as in-doubt.
+                Err(e) => return Err(e.into()),
             }
         }
         self.committed = true;
 
+        let schema = &layout.schema;
         let mut inner = self.db.inner.write();
-        for (oid, old, new) in index_updates {
-            let keys: Vec<(ClassId, String)> = inner.indexes.keys().cloned().collect();
-            for key in keys {
-                let (ixclass, field) = &key;
+        for ((ixclass, field), ix) in inner.indexes.iter_mut() {
+            for (oid, old, new) in &index_updates {
                 let class = old
                     .as_ref()
                     .or(new.as_ref())
-                    .map(|s| s.class)
-                    .expect("one side present");
-                if !inner.schema.is_subclass(class, *ixclass) {
+                    .expect("one side present")
+                    .class;
+                if !schema.is_subclass(class, *ixclass) {
                     continue;
                 }
-                let slot = inner.schema.class(class)?.field_index(field)?;
-                let old_key = old.as_ref().map(|s| s.fields[slot].clone());
-                let new_key = new.as_ref().map(|s| s.fields[slot].clone());
+                let slot = schema.class(class)?.field_index(field)?;
+                let old_key = old.as_ref().map(|s| &s.fields[slot]);
+                let new_key = new.as_ref().map(|s| &s.fields[slot]);
                 if old_key == new_key {
                     continue;
                 }
-                let ix = inner.indexes.get_mut(&key).expect("key from keys()");
-                if let Some(k) = old_key {
-                    if !k.is_null() {
-                        ix.remove(&k, oid);
-                    }
+                if let Some(k) = old_key.filter(|k| !k.is_null()) {
+                    ix.remove(k, *oid);
                 }
-                if let Some(k) = new_key {
-                    if !k.is_null() {
-                        ix.insert(k, oid);
-                    }
+                if let Some(k) = new_key.filter(|k| !k.is_null()) {
+                    ix.insert(k.clone(), *oid);
                 }
             }
         }
@@ -1484,15 +1440,10 @@ impl<'db> Transaction<'db> {
                 }
             }
         }
-        for (heap, n) in per_heap {
-            if let Some(&class) = inner.class_of_cluster.get(&heap) {
-                if let Ok(def) = inner.schema.class(class) {
-                    let name = def.name.clone();
-                    self.db.note_cluster_writes(&name, n);
-                }
-            }
-        }
         drop(inner);
+        for (heap, n) in per_heap {
+            self.db.note_cluster_writes(&layout, heap, n);
+        }
         let decoupled = self
             .db
             .publish_backlog(&self.ack_events, &events, event_rids);
@@ -1501,11 +1452,10 @@ impl<'db> Transaction<'db> {
             writes: obs_writes,
             ready: if decoupled { events.len() } else { 0 },
         });
-        // Publish while still holding the apply gate: the epoch advance is
+        // Publish, then release the apply gate: the epoch advance is
         // ordered inside the publish window, so a snapshot's epoch always
         // names exactly the commits it can see.
-        self.db.publish_epoch(epoch);
-        drop(publish);
+        drop(window);
         commit_span.set_detail(format!(
             "published epoch {epoch} (turn wait {}us)",
             turn_started.elapsed().as_micros()
@@ -1604,54 +1554,51 @@ impl<'db> Transaction<'db> {
     }
 
     /// Evaluate trigger conditions for every touched object (§6); returns
-    /// the activations that fired.
-    fn evaluate_triggers(&self) -> Result<Vec<Activation>> {
-        let inner = self.db.inner.read();
+    /// the activations that fired, each with whether it is perpetual.
+    fn evaluate_triggers(&self, schema: &Schema) -> Result<Vec<(Activation, bool)>> {
+        // Only activations whose subject was written can change outcome, so
+        // the per-commit cost scales with the write-set, not with the total
+        // number of activations in the database (figure F7's cold sweep).
+        // They are copied out first: a condition may dereference objects.
+        let committed: Vec<Activation> = {
+            let inner = self.db.inner.read();
+            let ids = self
+                .writes
+                .iter()
+                .filter_map(|(oid, _)| inner.activations_by_oid.get(&oid))
+                .flatten();
+            ids.filter_map(|id| inner.activations.get(id).cloned())
+                .collect()
+        };
         let mut firings = Vec::new();
-        let consider = |act: &Activation, firings: &mut Vec<Activation>| -> Result<()> {
+        for act in committed.iter().chain(&self.pending_activations) {
             if self.pending_deactivations.contains(&act.id) {
-                return Ok(());
+                continue;
             }
             let Some(obj) = self.writes.get(&act.oid) else {
-                return Ok(());
+                continue;
             };
             if !(obj.dirty || obj.new) || self.deleted.contains_key(&act.oid) {
-                return Ok(());
+                continue;
             }
-            let (_, decl) = inner.schema.find_trigger(obj.state.class, &act.trigger)?;
+            let (_, decl) = schema.find_trigger(obj.state.class, &act.trigger)?;
             let params: HashMap<String, Value> = decl
                 .params
                 .iter()
                 .cloned()
                 .zip(act.args.iter().cloned())
                 .collect();
-            let ctx = EvalCtx::new(&inner.schema)
+            let ctx = EvalCtx::new(schema)
                 .with_this(&obj.state)
                 .with_params(&params)
                 .with_resolver(self);
             self.db.tel.triggers.condition_evals.inc();
             if ctx.eval_bool(&decl.condition)? {
-                firings.push(act.clone());
+                firings.push((act.clone(), decl.perpetual));
             }
-            Ok(())
-        };
-        // Only activations whose subject was written can change outcome, so
-        // the per-commit cost scales with the write-set, not with the total
-        // number of activations in the database (figure F7's cold sweep).
-        for (oid, _) in self.writes.iter() {
-            if let Some(ids) = inner.activations_by_oid.get(&oid) {
-                for id in ids {
-                    if let Some(act) = inner.activations.get(id) {
-                        consider(act, &mut firings)?;
-                    }
-                }
-            }
-        }
-        for act in &self.pending_activations {
-            consider(act, &mut firings)?;
         }
         // Deterministic firing order: by activation id.
-        firings.sort_by_key(|a| a.id);
+        firings.sort_by_key(|(a, _)| a.id);
         Ok(firings)
     }
 
@@ -1756,11 +1703,9 @@ pub(crate) fn run_one_event(db: &Database, event: &PendingEvent) -> Result<Vec<P
     db.tel.triggers.max_cascade_depth.observe(event.depth);
     let result: Result<CommitOutcome> = (|| {
         let class = tx.read(event.oid)?.class;
-        let decl = {
-            let inner = db.inner.read();
-            inner.schema.find_trigger(class, &event.trigger)?.1.clone()
-        };
-        apply_actions(&mut tx, event, &decl)?;
+        let layout = db.layout();
+        let (_, decl) = layout.schema.find_trigger(class, &event.trigger)?;
+        apply_actions(&mut tx, event, &layout.schema, decl)?;
         tx.do_commit()
     })();
     drop(tx);
@@ -1794,7 +1739,12 @@ pub(crate) fn run_one_event(db: &Database, event: &PendingEvent) -> Result<Vec<P
 
 /// Execute one event's actions inside `tx`, with `decl` the trigger's
 /// declaration on the subject's class.
-fn apply_actions(tx: &mut Transaction<'_>, event: &PendingEvent, decl: &TriggerDecl) -> Result<()> {
+fn apply_actions(
+    tx: &mut Transaction<'_>,
+    event: &PendingEvent,
+    schema: &Schema,
+    decl: &TriggerDecl,
+) -> Result<()> {
     let oid = event.oid;
     let params: HashMap<String, Value> = decl
         .params
@@ -1806,14 +1756,11 @@ fn apply_actions(tx: &mut Transaction<'_>, event: &PendingEvent, decl: &TriggerD
         match action {
             TriggerAction::Assign { field, expr, .. } => {
                 let state = tx.read(oid)?;
-                let value = {
-                    let inner = tx.db.inner.read();
-                    EvalCtx::new(&inner.schema)
-                        .with_this(&state)
-                        .with_params(&params)
-                        .with_resolver(tx)
-                        .eval(expr)?
-                };
+                let value = EvalCtx::new(schema)
+                    .with_this(&state)
+                    .with_params(&params)
+                    .with_resolver(tx)
+                    .eval(expr)?;
                 tx.set(oid, field, value)?;
             }
             TriggerAction::Callback { name } => {

@@ -106,8 +106,8 @@ impl<'db> Transaction<'db> {
     /// Typed read: materialize the object as its Rust type.
     pub fn fetch<T: OdeInstance>(&self, p: Persistent<T>) -> Result<T> {
         let state = self.read(p.oid)?;
-        let inner = self.db.inner.read();
-        let def = inner.schema.class(state.class)?;
+        let layout = self.db.layout();
+        let def = layout.schema.class(state.class)?;
         let get = |name: &str| -> Option<Value> {
             def.field_index(name).ok().map(|i| state.fields[i].clone())
         };

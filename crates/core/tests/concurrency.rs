@@ -369,3 +369,85 @@ fn write_skew_between_overlapping_transactions_is_rejected() {
     let snap = db.telemetry();
     assert!(snap.txn.conflicts >= 1, "conflict abort is counted");
 }
+
+/// A scan visitor parked mid-stream must not stall a commit on another
+/// thread, and must finish once released. The scanner's predicate
+/// dereferences a reference (a store read under the shared apply gate),
+/// and its native filter parks on the first object; meanwhile a second
+/// thread commits. An engine lock held across the visit (the scan's
+/// caller holding `inner`) parks the committer inside its publish window
+/// (apply gate held, waiting for `inner`), and the released scanner then
+/// blocks on the apply gate behind it: a deadlock the watchdog reports.
+#[test]
+fn parked_scan_visitor_does_not_block_a_concurrent_commit() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    const WATCHDOG: Duration = Duration::from_secs(10);
+
+    let db = Arc::new(Database::in_memory());
+    db.define_from_source("class owner { int n = 0; } class item { ref<owner> by; }")
+        .unwrap();
+    db.create_cluster("owner").unwrap();
+    db.create_cluster("item").unwrap();
+    let owner = db
+        .transaction(|tx| {
+            let o = tx.pnew("owner", &[])?;
+            for _ in 0..2 {
+                tx.pnew("item", &[("by", ode_core::prelude::Value::Ref(o))])?;
+            }
+            Ok(o)
+        })
+        .unwrap();
+
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (resume_tx, resume_rx) = mpsc::channel::<()>();
+    let (done_tx, done_rx) = mpsc::channel();
+    let scanner = {
+        let (db, done_tx) = (db.clone(), done_tx.clone());
+        std::thread::spawn(move || {
+            let mut tx = db.begin();
+            let mut first = true;
+            let seen = tx
+                .forall("item")
+                .unwrap()
+                .suchthat("by.n >= 0")
+                .unwrap()
+                .filter(move |_| {
+                    if std::mem::take(&mut first) {
+                        parked_tx.send(()).unwrap();
+                        resume_rx.recv().unwrap();
+                    }
+                    true
+                })
+                .count()
+                .unwrap();
+            done_tx.send("scanner").unwrap();
+            seen
+        })
+    };
+    parked_rx
+        .recv_timeout(WATCHDOG)
+        .expect("scanner reached its first object");
+
+    let committer = {
+        let db = db.clone();
+        std::thread::spawn(move || {
+            db.transaction(|tx| tx.set(owner, "n", 1i64)).unwrap();
+            done_tx.send("committer").unwrap();
+        })
+    };
+    // The commit needs nothing the parked scanner holds. Then the scanner
+    // resumes; if the commit is stuck, the scanner's next dereference
+    // queues behind it and neither finishes.
+    let committed = done_rx.recv_timeout(WATCHDOG);
+    resume_tx.send(()).unwrap();
+    let scanned = done_rx.recv_timeout(WATCHDOG);
+    assert_eq!(
+        committed,
+        Ok("committer"),
+        "the commit waited on the parked scan visitor"
+    );
+    assert_eq!(scanned, Ok("scanner"), "deadlock: the scan never finished");
+    assert_eq!(scanner.join().unwrap(), 2);
+    committer.join().unwrap();
+}

@@ -53,8 +53,9 @@ use ode_obs::SpanStage;
 const SUB_QUEUE_CAPACITY: usize = 16 * 1024;
 /// Transient-failure retries per event before dead-lettering.
 const MAX_RETRIES: u32 = 3;
-/// Backoff between retries of one event.
-const RETRY_BACKOFF: Duration = Duration::from_millis(10);
+/// Backoff between retries of one event: after a transient failure, and
+/// after a dead letter whose acknowledgement failed.
+pub const RETRY_BACKOFF: Duration = Duration::from_millis(10);
 /// Most recent dead letters retained for inspection.
 const MAX_DEAD_LETTERS: usize = 256;
 /// Consecutive permanent failures of one trigger name before the scheduler
@@ -305,33 +306,38 @@ impl SchedInner {
             Err(e) if e.is_unavailable() && attempts < MAX_RETRIES => {
                 self.db.sched_telemetry().retries.inc();
                 span.set_detail(format!("{} retry #{}", event.trigger, attempts + 1));
-                let job = Job::Action {
+                self.retry_later(Job::Action {
                     event,
                     attempts: attempts + 1,
-                };
-                let mut st = self.state.lock();
-                self.enqueue_timed(&mut st, job, Instant::now() + RETRY_BACKOFF);
-                self.work_ready.notify_all();
+                });
             }
             Err(e) => {
                 span.set_detail(format!("{} dead-letter: {e}", event.trigger));
-                self.dead_letter(event, e);
+                self.dead_letter(event, attempts, e);
             }
         }
+    }
+
+    /// Run `job` again once [`RETRY_BACKOFF`] has passed.
+    fn retry_later(&self, job: Job) {
+        let mut st = self.state.lock();
+        self.enqueue_timed(&mut st, job, Instant::now() + RETRY_BACKOFF);
+        self.work_ready.notify_all();
     }
 
     /// Abandon an event: acknowledge it durably (the engine counts the
     /// dead letter; `ack_pending` is a no-op for an event it already
     /// acknowledged) and record why.
-    fn dead_letter(self: &Arc<Self>, event: PendingEvent, error: OdeError) {
+    fn dead_letter(self: &Arc<Self>, event: PendingEvent, attempts: u32, error: OdeError) {
         if let Err(ack_err) = self.db.ack_pending(&[event.id]) {
-            // The event stays pending: release the claim so it is retried.
-            // Record both errors so the operator sees the whole story.
-            self.db.release_events(&[event.id]);
+            // The event stays pending and claimed: run it again after the
+            // backoff rather than spinning on a failing store. Record both
+            // errors so the operator sees the whole story.
             self.push_dead(DeadLetter {
-                event,
+                event: event.clone(),
                 error: format!("{error} (ack failed: {ack_err})"),
             });
+            self.retry_later(Job::Action { event, attempts });
             return;
         }
         // Auto-suspension: a trigger that keeps failing permanently stops

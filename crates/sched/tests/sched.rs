@@ -628,3 +628,44 @@ fn concurrent_dispatches_of_one_event_apply_once() {
     assert_eq!(logged.len(), n, "each event applied exactly once");
     assert!(db.pending_events().is_empty());
 }
+
+#[test]
+fn dead_letter_whose_ack_fails_retries_after_the_backoff() {
+    use ode_sched::RETRY_BACKOFF;
+    use ode_storage::{FailpointConfig, FailpointStore, FaultKind, MemStore};
+
+    let store = Arc::new(FailpointStore::new(
+        Arc::new(MemStore::new()),
+        FailpointConfig::disabled(7),
+    ));
+    let db = Arc::new(Database::from_store(store.clone(), DbConfig::default()).unwrap());
+    inventory(&db);
+    // "notify" is never registered, so the action fails permanently.
+    let oid = db
+        .transaction(|tx| {
+            let oid = tx.pnew("stockitem", &[("name", Value::from("dram"))])?;
+            tx.activate_trigger(oid, "low_stock", vec![Value::Int(50)])?;
+            Ok(oid)
+        })
+        .unwrap();
+    let sched = manual_sched(&db);
+    db.transaction(|tx| tx.set(oid, "quantity", 40i64)).unwrap();
+    // The next store commit is the dead letter's acknowledgement.
+    store.force(FaultKind::CommitPre);
+    let started = Instant::now();
+    sched.drain_now();
+    assert!(
+        started.elapsed() >= RETRY_BACKOFF,
+        "the failed acknowledgement was retried at once"
+    );
+    let letters = sched.dead_letters();
+    assert_eq!(letters.len(), 2, "the failed ack, then the real one");
+    assert!(
+        letters[0].error.contains("ack failed"),
+        "{}",
+        letters[0].error
+    );
+    assert!(db.pending_events().is_empty());
+    assert_eq!(db.sched_telemetry().dead_letters.get(), 1);
+    assert_counted_once(&db);
+}
