@@ -10,7 +10,7 @@
 //! concurrency out of scope (§1); we use optimistic multi-writer
 //! concurrency. Write transactions run fully in parallel, buffering
 //! writes locally and recording the epoch at which each read was served;
-//! commit validates the read set against the [`CommitTable`] inside a
+//! commit validates the read set against the `CommitTable` inside a
 //! short critical section, claims the next epoch, and publishes in epoch
 //! order. Readers are unchanged from §8: [`Database::begin_read`] hands
 //! out snapshot [`ReadTransaction`]s sharing the `apply_gate`
@@ -19,10 +19,10 @@
 //! same table and stamp `schema_stamp`, so every in-flight writer that
 //! began earlier conflicts and retries against the new schema.
 //!
-//! Lock discipline (DESIGN.md §8): every engine lock carries a [`rank`],
+//! Lock discipline (DESIGN.md §8): every engine lock carries a `rank`,
 //! and debug builds panic on an out-of-order or recursive acquisition.
 //! Statements read the schema and cluster map from an immutable
-//! [`Layout`] snapshot that DDL replaces whole, so `inner` is locked only
+//! `Layout` snapshot that DDL replaces whole, so `inner` is locked only
 //! in leaf sections that call nothing: an index probe, a catalog lookup,
 //! the swap itself.
 

@@ -20,7 +20,7 @@
 //! `forall`/join/aggregate machinery is written once.
 //!
 //! **Caveat:** do not commit a write transaction, run DDL, or call
-//! [`Database::backup`]-style maintenance on a thread that still holds an
+//! [`Database::checkpoint`]-style maintenance on a thread that still holds an
 //! open `ReadTransaction` — the publish window waits for all readers to
 //! drain, so that thread would wait on itself (debug builds panic on the
 //! recursive apply-gate acquisition instead; DESIGN.md §8).

@@ -5,7 +5,7 @@ use std::ops::Range;
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// Acceptable size arguments for [`vec`]: an exact length, `a..b`, or
+/// Acceptable size arguments for [`vec()`]: an exact length, `a..b`, or
 /// `a..=b`.
 pub trait IntoSizeRange {
     /// Inclusive `(min, max)` length bounds.

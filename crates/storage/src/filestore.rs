@@ -186,7 +186,7 @@ struct SyncShared {
 /// the page-visiting part of `scan` touch only pager shards, so concurrent
 /// readers on different pages never contend. Everything that mutates
 /// structure — WAL appends, commit apply, heap create/drop, reservations —
-/// serializes behind the single [`StoreState`] mutex, which keeps the
+/// serializes behind the single `StoreState` mutex, which keeps the
 /// WAL-before-data ordering proof exactly as simple as the old
 /// one-big-lock design.
 pub struct FileStore {

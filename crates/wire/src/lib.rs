@@ -7,11 +7,10 @@
 //! nothing so either side can use it without pulling in the engine.
 //!
 //! * [`protocol`] — length-prefixed frames and the typed
-//!   [`Request`](protocol::Request)/[`Response`](protocol::Response)
-//!   messages, with a version handshake,
-//! * [`client`] — a blocking [`Client`](client::Client) over a
-//!   `TcpStream`, returning typed [`ClientError`](client::ClientError)s
-//!   that distinguish transport failures from engine errors.
+//!   [`Request`]/[`Response`] messages, with a version handshake,
+//! * [`client`] — a blocking [`Client`] over a `TcpStream`, returning
+//!   typed [`ClientError`]s that distinguish transport failures from
+//!   engine errors.
 
 pub mod client;
 pub mod protocol;
