@@ -41,7 +41,9 @@ impl Database {
     /// beyond the `analyze.*` family move.
     pub fn analyze(&self, stmt: &Statement, src: &str) -> Vec<Diagnostic> {
         let start = Instant::now();
-        let mut span = self.flight.span(ode_obs::SpanStage::Analyze, head_of(src));
+        let mut span = self
+            .flight
+            .span(ode_obs::SpanStage::Analyze, statement_head(src));
         let diags = analyze_stmt(&self.layout().schema, Some(&self.catalog_view()), src, stmt);
         let tel = &self.tel.analyze;
         tel.passes.inc();
@@ -57,7 +59,7 @@ impl Database {
             }
         }
         if errors > 0 {
-            span.set_detail(format!("{} ({errors} errors)", head_of(src)));
+            span.set_detail(format!("{} ({errors} errors)", statement_head(src)));
         }
         diags
     }
@@ -108,7 +110,7 @@ impl Database {
 
 /// First few words of a statement, for span details (bounded so one huge
 /// statement cannot bloat the flight recorder).
-fn head_of(src: &str) -> String {
+pub fn statement_head(src: &str) -> String {
     let trimmed = src.trim();
     let mut head: String = trimmed.chars().take(48).collect();
     if head.len() < trimmed.len() {

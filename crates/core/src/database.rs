@@ -457,7 +457,7 @@ impl Database {
             match CatalogRecord::decode(&bytes)? {
                 CatalogRecord::Class(class_bytes) => {
                     let builder = decode_class(&class_bytes)?;
-                    let name = builder_name(&builder);
+                    let name = builder.name().to_string();
                     layout.schema.define(builder)?;
                     inner.catalog.class_rids.insert(name, rid);
                 }
@@ -590,7 +590,7 @@ impl Database {
     /// Define a class whose analysis the caller has already run
     /// ([`Database::gate`] over the whole `class …` statement) — the
     /// second half of [`Database::define_class`].
-    pub fn define_class_unchecked(&self, builder: ClassBuilder) -> Result<ClassId> {
+    pub(crate) fn define_class_unchecked(&self, builder: ClassBuilder) -> Result<ClassId> {
         // DDL claims an epoch and stamps the schema (conflicting every
         // in-flight writer that began earlier), then runs in the claim's
         // publish window. The claim publishes itself on every path out
@@ -598,7 +598,7 @@ impl Database {
         // catalog record is durable, so a failed DDL leaves no trace.
         let _window = self.claim_schema_epoch().open_window();
         let mut layout = Layout::clone(&self.layout());
-        let name = builder_name(&builder);
+        let name = builder.name().to_string();
         let id = layout.schema.define(builder)?;
         let bytes = encode_class(&layout.schema, layout.schema.class(id)?)?;
         let rid = self.put_catalog(None, CatalogRecord::Class(bytes))?;
@@ -1609,13 +1609,6 @@ impl Database {
     pub(crate) fn has_commit_observer(&self) -> bool {
         self.commit_observer.read().is_some()
     }
-}
-
-fn builder_name(b: &ClassBuilder) -> String {
-    // ClassBuilder keeps its name private to the model crate; recover it
-    // through Debug-free cloning: define() needs the builder whole, so we
-    // read the name before handing it over.
-    b.name().to_string()
 }
 
 /// Scan the deep extent of `class` and build a fresh index on `field`.

@@ -54,7 +54,7 @@ pub use obs::{
     SpanStage, TelemetrySnapshot, TraceId, WorkStatRow,
 };
 pub use ode_model::{parse_statement, Statement};
-pub use oql::{parse_query, Binding, ExecResult, QueryRows, QueryStmt};
+pub use oql::{parse_query, Binding, ExecResult, Executed, QueryRows, QueryStmt};
 pub use query::{Forall, ForallJoin};
 pub use read::{ReadContext, ReadTransaction};
 pub use trigger::{CommitInfo, CommitNote, FiredTrigger, PendingEvent, TriggerFailure, TriggerId};

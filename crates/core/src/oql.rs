@@ -8,10 +8,14 @@
 //!
 //! `ode_model::parse_statement` reads that form (and the DML/DDL around
 //! it) into one typed [`Statement`]; this module *executes* statements
-//! through the [`crate::query`] machinery. [`Transaction::run`] and
-//! [`ReadTransaction::run`] take the parsed statement and do no parsing
-//! and no analysis; the `execute(&str)` conveniences are parse → gate →
-//! run.
+//! through the [`crate::query`] machinery. [`Database::execute`] is the
+//! one statement executor: it runs a line end to end as its own
+//! transaction (parse → gate → footprint → route → run → commit) and is
+//! what the shell and server call. [`Database::run`],
+//! [`Transaction::run`] and [`ReadTransaction::run`] take the parsed
+//! statement and do no parsing and no analysis; the transactions'
+//! `execute(&str)` conveniences are parse → gate → run inside a
+//! transaction the caller owns.
 //!
 //! * in single-variable queries the variable is bound, so qualified
 //!   (`e.deptno`), bare (`deptno`), and `is`-test forms all work and
@@ -23,6 +27,7 @@
 
 use std::collections::HashMap;
 
+use ode_analyze::{Diagnostic, Footprint};
 use ode_model::{
     extract_field_ranges, parse_statement, EvalCtx, Expr, FieldRange, ModelError, Oid, Statement,
     Value,
@@ -31,10 +36,11 @@ use ode_obs::QueryProfile;
 
 pub use ode_model::{Binding, QueryStmt};
 
+use crate::database::Database;
 use crate::error::{OdeError, Result};
 use crate::query::{new_forall, new_forall_join};
 use crate::read::{ReadContext, ReadTransaction};
-use crate::trigger::TriggerId;
+use crate::trigger::{CommitInfo, TriggerId};
 use crate::txn::Transaction;
 
 /// The key ranges a DML statement's `suchthat` provably pins on its
@@ -192,9 +198,11 @@ impl<'db> Transaction<'db> {
             }
             Statement::Activate { trigger, oid, args } => {
                 let args = self.eval_free(args.iter())?;
-                Ok(ExecResult::Activated(
-                    self.activate_trigger(*oid, trigger, args)?,
-                ))
+                Ok(ExecResult::Activated {
+                    id: self.activate_trigger(*oid, trigger, args)?,
+                    trigger: trigger.clone(),
+                    oid: *oid,
+                })
             }
             Statement::Deactivate { id } => {
                 self.deactivate_trigger(TriggerId(*id))?;
@@ -260,10 +268,7 @@ fn run_read<C: ReadContext>(tx: &mut C, stmt: &Statement) -> Result<ExecResult> 
             run_query(tx, query, &mut prof)?;
             Ok(ExecResult::Explain(prof))
         }
-        Statement::Class(_)
-        | Statement::CreateCluster { .. }
-        | Statement::DestroyCluster { .. }
-        | Statement::CreateIndex { .. } => Err(OdeError::Usage(
+        stmt if stmt.is_ddl() => Err(OdeError::Usage(
             "DDL is not transactional; it runs on the Database".into(),
         )),
         _ => Err(OdeError::Usage(
@@ -335,7 +340,9 @@ impl ObjStateView<'_, '_> {
     }
 }
 
-/// Result of [`Transaction::run`] / [`Transaction::execute`].
+/// What one statement produced — the result of [`Database::execute`],
+/// [`Transaction::run`] and [`ReadTransaction::run`] (the transaction
+/// kinds never produce the DDL outcomes).
 #[derive(Debug, Clone)]
 pub enum ExecResult {
     /// A `forall` query's bindings.
@@ -349,9 +356,118 @@ pub enum ExecResult {
     /// `explain <query>`: the executed query's plan and profile.
     Explain(QueryProfile),
     /// `activate` armed this trigger activation.
-    Activated(TriggerId),
+    Activated {
+        /// The new activation.
+        id: TriggerId,
+        /// The trigger it arms.
+        trigger: String,
+        /// The object it is armed on.
+        oid: Oid,
+    },
     /// `deactivate` disarmed this trigger activation.
     Deactivated(TriggerId),
+    /// `class …` defined these classes, in declaration order.
+    Defined(Vec<String>),
+    /// `create cluster` made (or found) this class's cluster.
+    ClusterCreated(String),
+    /// `destroy cluster` dropped this class's cluster and its objects.
+    ClusterDestroyed(String),
+    /// `create index` built (or found) this index.
+    IndexCreated {
+        /// The indexed class.
+        class: String,
+        /// The indexed member.
+        field: String,
+    },
+}
+
+/// One statement run end to end by [`Database::execute`].
+pub struct Executed<'db> {
+    /// What the statement produced.
+    pub result: ExecResult,
+    /// The analyzer's warnings (errors reject the statement before it
+    /// runs); empty from [`Database::run`], which does not analyze.
+    pub warnings: Vec<Diagnostic>,
+    /// The footprint that routed the statement (`None` for DDL and
+    /// trigger (de)activation).
+    pub footprint: Option<Footprint>,
+    /// What the commit fired, for a statement run in a write transaction.
+    pub commit: Option<CommitInfo>,
+    /// For [`ExecResult::Rows`]: the snapshot that selected them, held so
+    /// they render from that state. No commit publishes while it is
+    /// open, so drop it before this thread runs another statement.
+    pub snapshot: Option<ReadTransaction<'db>>,
+}
+
+impl Database {
+    /// Run one statement as its own transaction (DESIGN.md §9): parse,
+    /// analyze once (errors reject it before any transaction work), then
+    /// [`Database::run`].
+    pub fn execute(&self, src: &str) -> Result<Executed<'_>> {
+        let stmt = parse_statement(src)?;
+        let warnings = self.gate(&stmt, src)?;
+        let mut done = self.run(&stmt)?;
+        done.warnings = warnings;
+        Ok(done)
+    }
+
+    /// The parsed-statement half of [`Database::execute`]: footprint →
+    /// route → run → commit, with no parsing and no analyzer pass. DDL
+    /// runs on the database; a statement whose footprint proves it
+    /// read-only (`forall`, `explain`) runs on a snapshot, past the
+    /// writer gate (DESIGN.md §8); the rest runs in a write transaction
+    /// and auto-commits.
+    pub fn run(&self, stmt: &Statement) -> Result<Executed<'_>> {
+        let footprint = self.footprint(stmt);
+        let (result, commit, snapshot) = if let Some(ddl) = self.run_ddl(stmt) {
+            (ddl?, None, None)
+        } else if footprint.as_ref().is_some_and(Footprint::read_only) {
+            let mut rtx = self.begin_read();
+            let result = rtx.run(stmt)?;
+            let keep = matches!(result, ExecResult::Rows(_));
+            (result, None, keep.then_some(rtx))
+        } else {
+            let mut tx = self.begin();
+            let result = tx.run(stmt)?;
+            (result, Some(tx.commit()?), None)
+        };
+        Ok(Executed {
+            result,
+            warnings: Vec::new(),
+            footprint,
+            commit,
+            snapshot,
+        })
+    }
+
+    /// Apply a DDL statement; `None` for any other statement.
+    fn run_ddl(&self, stmt: &Statement) -> Option<Result<ExecResult>> {
+        let done = match stmt {
+            Statement::Class(builders) => builders
+                .iter()
+                .map(|b| {
+                    self.define_class_unchecked(b.clone())
+                        .map(|_| b.name().to_string())
+                })
+                .collect::<Result<_>>()
+                .map(ExecResult::Defined),
+            Statement::CreateCluster { class } => self
+                .create_cluster(class)
+                .map(|_| ExecResult::ClusterCreated(class.clone())),
+            Statement::DestroyCluster { class } => self
+                .destroy_cluster(class)
+                .map(|()| ExecResult::ClusterDestroyed(class.clone())),
+            Statement::CreateIndex { class, field } => {
+                self.create_index(class, field)
+                    .map(|()| ExecResult::IndexCreated {
+                        class: class.clone(),
+                        field: field.clone(),
+                    })
+            }
+            _ => return None,
+        };
+        Some(done)
+    }
 }
 
 /// Annotate eval-time unbound-variable failures with the statement they

@@ -117,6 +117,21 @@ pub enum Statement {
     Delete(QueryStmt),
 }
 
+impl Statement {
+    /// Does the statement shape the schema or catalog (`class`,
+    /// `create cluster`, `destroy cluster`, `create index`)? Such
+    /// statements run on the database, not inside a transaction.
+    pub fn is_ddl(&self) -> bool {
+        matches!(
+            self,
+            Statement::Class(_)
+                | Statement::CreateCluster { .. }
+                | Statement::DestroyCluster { .. }
+                | Statement::CreateIndex { .. }
+        )
+    }
+}
+
 /// Parse one statement. The only place statement keywords are matched.
 pub fn parse_statement(src: &str) -> Result<Statement> {
     let mut p = Lex { src, at: 0 };

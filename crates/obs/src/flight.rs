@@ -275,6 +275,20 @@ impl FlightRecorder {
         out
     }
 
+    /// One trace's span tree as text ([`render_spans`]), or a line saying
+    /// the ring no longer (or never) held it — the reply to `.trace <id>`.
+    pub fn render_trace(&self, id: TraceId) -> String {
+        let spans = self.for_trace(id);
+        if spans.is_empty() {
+            return format!(
+                "no spans for trace {id} (ring holds {} of {} recorded)",
+                self.capacity(),
+                self.recorded()
+            );
+        }
+        render_spans(&spans)
+    }
+
     /// Trace ids still present in the ring, most recent first.
     pub fn recent_traces(&self, limit: usize) -> Vec<TraceId> {
         let mut spans = self.snapshot();

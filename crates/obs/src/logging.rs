@@ -71,7 +71,8 @@ pub fn enabled(l: LogLevel) -> bool {
     l <= level()
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Append `s` to `out` escaped for the inside of a JSON string literal.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

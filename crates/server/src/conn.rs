@@ -23,11 +23,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ode_core::obs::flight::set_trace;
-use ode_core::obs::{render_spans, TraceId};
-use ode_core::prelude::Oid;
-use ode_core::Database;
+use ode_core::obs::TraceId;
 use ode_sched::PushSink;
-use ode_shell::{EvalResult, Session};
+use ode_shell::{render_object, EvalResult, Session};
 use ode_wire::protocol::{
     write_frame, ControlOp, ErrorKind, FrameReader, Request, Response, PROTOCOL_VERSION,
 };
@@ -257,20 +255,7 @@ impl Conn {
             }
             ControlOp::TelemetryJson => self.state.db.telemetry().to_json(),
             ControlOp::Metrics => self.state.metrics_text(),
-            ControlOp::Trace(id) => {
-                let trace = TraceId(id);
-                let spans = self.state.db.flight().for_trace(trace);
-                if spans.is_empty() {
-                    let flight = self.state.db.flight();
-                    format!(
-                        "no spans for trace {trace} (ring holds {} of {} recorded)",
-                        flight.capacity(),
-                        flight.recorded()
-                    )
-                } else {
-                    render_spans(&spans)
-                }
-            }
+            ControlOp::Trace(id) => self.state.db.flight().render_trace(TraceId(id)),
             ControlOp::SlowLog => self.state.db.slow_log().render(),
             ControlOp::Subscribe { cluster, predicate } => {
                 return self.subscribe(&cluster, &predicate)
@@ -288,7 +273,12 @@ impl Conn {
         let state = Arc::clone(&self.state);
         let outbox = Arc::clone(&self.outbox);
         let sink: PushSink = Arc::new(move |m| {
-            let object = render_object(&state.db, m.oid);
+            // The object as `.show` prints it, or the bare oid if it
+            // vanished between the match and this snapshot read.
+            let object = state
+                .db
+                .read(|rtx| render_object(rtx, m.oid))
+                .unwrap_or_else(|_| m.oid.to_string());
             let payload = Response::Push {
                 sub_id: m.sub_id,
                 epoch: m.epoch,
@@ -430,28 +420,4 @@ fn error_kind(e: &ode_core::OdeError) -> ErrorKind {
         e if e.is_unavailable() => ErrorKind::Unavailable,
         _ => ErrorKind::Engine,
     }
-}
-
-/// Render a pushed object the way the shell prints one, so a remote
-/// subscriber sees the familiar `oid (Class) { field: value, … }`
-/// surface. Falls back to the bare oid when the object vanished between
-/// the match and this snapshot read.
-fn render_object(db: &Database, oid: Oid) -> String {
-    let rendered = db.read(|rtx| {
-        let state = rtx.read(oid)?;
-        rtx.database().with_schema(|schema| {
-            let def = schema.class(state.class)?;
-            let mut s = format!("{oid} ({})", def.name);
-            s.push_str(" { ");
-            for (i, f) in def.layout.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "{}: {}", f.name, state.fields[i]);
-            }
-            s.push_str(" }");
-            Ok(s)
-        })
-    });
-    rendered.unwrap_or_else(|_| oid.to_string())
 }

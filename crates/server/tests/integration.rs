@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use ode_core::Database;
+use ode_core::{Database, ExecResult};
 use ode_server::client::{Client, ClientError, RemoteLine};
 use ode_server::{Server, ServerConfig};
 
@@ -149,12 +149,13 @@ fn eight_concurrent_clients_admission_and_drain() {
 fn graceful_shutdown_preserves_in_flight_requests() {
     let db = seeded_db();
     {
-        let mut session = ode_shell::Session::with_shared(Arc::clone(&db));
         for i in 0..2000 {
-            let out = session.statement(&format!(
-                r#"pnew stockitem (name = "n{i}", quantity = {i})"#
-            ));
-            assert!(out.starts_with("created"), "{out}");
+            let done = db
+                .execute(&format!(
+                    r#"pnew stockitem (name = "n{i}", quantity = {i})"#
+                ))
+                .unwrap();
+            assert!(matches!(done.result, ExecResult::Created(_)));
         }
     }
     let handle = Server::bind(db, quick_cfg(), "127.0.0.1:0").unwrap();
@@ -510,11 +511,12 @@ fn subscriber_receives_push_without_polling() {
             .unwrap(),
     );
     // Then the matching one.
-    output(
+    let created = output(
         writer
             .line(r#"pnew stockitem (name = "scarce", quantity = 2)"#)
             .unwrap(),
     );
+    let oid = created.trim_start_matches("created ").to_string();
 
     // One blocking wait on the subscriber — no polling request loop —
     // must deliver the push for the matching commit.
@@ -526,6 +528,9 @@ fn subscriber_receives_push_without_polling() {
     assert!(push.epoch > 0);
     assert!(push.object.contains("scarce"), "{}", push.object);
     assert!(push.object.contains("stockitem"), "{}", push.object);
+    // Pushes and `.show` share one renderer.
+    let shown = output(writer.line(&format!(".show {oid}")).unwrap());
+    assert_eq!(push.object, shown);
 
     // No second push is owed: the quantity-900 row never matched.
     assert!(sub.next_push(Duration::from_millis(200)).unwrap().is_none());

@@ -3,9 +3,11 @@
 //! The interactive *environment* half of "Object Database and
 //! Environment": a REPL session over an Ode database. One statement per
 //! input (class declarations may span lines until their braces balance),
-//! each statement auto-committed as its own transaction — mirroring the
-//! paper's "any O++ program that interacts with the database is a single
-//! transaction" stance at statement granularity.
+//! each statement run by [`Database::execute`] as its own transaction —
+//! mirroring the paper's "any O++ program that interacts with the
+//! database is a single transaction" stance at statement granularity.
+//! The session assembles lines, answers meta-commands and renders
+//! results; the engine runs the statements.
 //!
 //! Supported input:
 //!
@@ -17,15 +19,18 @@
 //! * **meta commands** — `.help`, `.classes`, `.describe <class>`,
 //!   `.clusters`, `.indexes`, `.show <oid>`, `.versions <oid>`, `.exit`.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
+use ode_core::analyze::statement_head;
 use ode_core::obs::flight::{current_trace, set_trace};
+use ode_core::obs::logging::escape_into;
 use ode_core::obs::{prom, render_spans, SlowQuery, SpanStage, TraceId};
-use ode_core::oql::{ExecResult, QueryRows};
+use ode_core::oql::{ExecResult, Executed};
 use ode_core::prelude::*;
-use ode_core::{batch_interference, has_errors, parse_statement, Footprint, Statement};
+use ode_core::{batch_interference, has_errors, parse_statement, Footprint};
 use ode_model::{Oid, VersionRef};
 
 /// A live shell session over one (possibly shared) database. Sessions
@@ -34,7 +39,7 @@ use ode_model::{Oid, VersionRef};
 pub struct Session {
     db: Arc<Database>,
     /// Buffered partial input (multi-line class declarations).
-    pending: String,
+    lines: Assembler,
     /// Set by `.exit`.
     done: bool,
     /// Trace id of the most recent statement (what a bare `.trace`
@@ -46,20 +51,9 @@ pub struct Session {
     remote: bool,
 }
 
-/// Outcome of feeding one line to the session.
-#[derive(Debug, PartialEq, Eq)]
-pub enum LineResult {
-    /// Output to print.
-    Output(String),
-    /// The line was absorbed; more input is needed (unbalanced braces).
-    Continue,
-    /// `.exit` was requested.
-    Exit,
-}
-
-/// Outcome of feeding one line, with the engine error kept typed —
-/// `ode-server` maps [`EvalResult::Error`] to a typed wire error while
-/// [`LineResult`] flattens it into printable text.
+/// Outcome of feeding one line to a session. `ode-server` maps
+/// [`EvalResult::Error`] to a typed wire error; the REPL prints it as
+/// `error: …`.
 #[derive(Debug)]
 pub enum EvalResult {
     /// Output to print (possibly empty).
@@ -70,6 +64,52 @@ pub enum EvalResult {
     Continue,
     /// `.exit` was requested.
     Exit,
+}
+
+/// Joins input lines into statements the way the shell reads them:
+/// blank and `//` lines are skipped, and a `class` line is continued
+/// until its braces balance. The REPL and `.check` share it.
+#[derive(Default)]
+struct Assembler {
+    pending: String,
+}
+
+/// What one line gave the [`Assembler`].
+enum Assembled<'a> {
+    /// A blank or comment line outside any statement.
+    Blank,
+    /// The line was absorbed into an unfinished statement.
+    Continue,
+    /// A complete statement (or meta-command), untrimmed.
+    Statement(Cow<'a, str>),
+}
+
+impl Assembler {
+    /// Feed one line.
+    fn push<'a>(&mut self, line: &'a str) -> Assembled<'a> {
+        if !self.pending.is_empty() {
+            self.pending.push('\n');
+            self.pending.push_str(line);
+            if balanced(&self.pending) {
+                return Assembled::Statement(Cow::Owned(std::mem::take(&mut self.pending)));
+            }
+            return Assembled::Continue;
+        }
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with("//") {
+            return Assembled::Blank;
+        }
+        if trimmed.starts_with("class") && !balanced(trimmed) {
+            self.pending = line.to_string();
+            return Assembled::Continue;
+        }
+        Assembled::Statement(Cow::Borrowed(line))
+    }
+
+    /// Is a statement still waiting for more lines?
+    fn is_continuing(&self) -> bool {
+        !self.pending.is_empty()
+    }
 }
 
 impl Session {
@@ -93,7 +133,7 @@ impl Session {
     pub fn with_shared(db: Arc<Database>) -> Session {
         Session {
             db,
-            pending: String::new(),
+            lines: Assembler::default(),
             done: false,
             last_trace: TraceId::NONE,
             remote: false,
@@ -121,11 +161,6 @@ impl Session {
         &self.db
     }
 
-    /// Clone the shared handle to the underlying database.
-    pub fn shared_database(&self) -> Arc<Database> {
-        Arc::clone(&self.db)
-    }
-
     /// Has `.exit` been issued?
     pub fn finished(&self) -> bool {
         self.done
@@ -133,67 +168,34 @@ impl Session {
 
     /// Is the session waiting for more lines of a multi-line declaration?
     pub fn is_continuing(&self) -> bool {
-        !self.pending.is_empty()
+        self.lines.is_continuing()
     }
 
-    /// Feed one input line, flattening engine errors into printable
-    /// `error: …` text (the local REPL's behaviour).
-    pub fn line(&mut self, line: &str) -> LineResult {
-        match self.eval_line(line) {
-            EvalResult::Output(o) => LineResult::Output(o),
-            EvalResult::Error(e) => LineResult::Output(format!("error: {e}")),
-            EvalResult::Continue => LineResult::Continue,
-            EvalResult::Exit => LineResult::Exit,
-        }
-    }
-
-    /// Feed one input line, keeping engine errors typed.
+    /// Feed one input line: the session's single entry point.
     pub fn eval_line(&mut self, line: &str) -> EvalResult {
-        if !self.pending.is_empty() {
-            self.pending.push('\n');
-            self.pending.push_str(line);
-            if balanced(&self.pending) {
-                let stmt = std::mem::take(&mut self.pending);
-                return self.eval_statement(&stmt);
-            }
-            return EvalResult::Continue;
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with("//") {
-            return EvalResult::Output(String::new());
-        }
+        let stmt = match self.lines.push(line) {
+            Assembled::Blank => return EvalResult::Output(String::new()),
+            Assembled::Continue => return EvalResult::Continue,
+            Assembled::Statement(stmt) => stmt,
+        };
+        let trimmed = stmt.trim();
         if trimmed == ".exit" || trimmed == ".quit" {
             self.done = true;
             return EvalResult::Exit;
         }
-        if trimmed.starts_with("class") && !balanced(trimmed) {
-            self.pending = line.to_string();
-            return EvalResult::Continue;
-        }
-        self.eval_statement(line)
-    }
-
-    /// Execute one complete statement, keeping the engine error typed.
-    pub fn eval_statement(&mut self, stmt: &str) -> EvalResult {
-        match self.dispatch(stmt) {
+        let out = match trimmed.strip_prefix('.') {
+            Some(meta) => self.meta(meta),
+            None => self.statement(trimmed),
+        };
+        match out {
             Ok(out) => EvalResult::Output(out),
             Err(e) => EvalResult::Error(e),
         }
     }
 
-    /// Execute one complete statement, formatting output or error.
-    pub fn statement(&mut self, stmt: &str) -> String {
-        match self.dispatch(stmt) {
-            Ok(out) => out,
-            Err(e) => format!("error: {e}"),
-        }
-    }
-
-    fn dispatch(&mut self, stmt: &str) -> Result<String> {
-        let trimmed = stmt.trim();
-        if let Some(meta) = trimmed.strip_prefix('.') {
-            return self.meta(meta);
-        }
+    /// Execute and render one statement under a request span, offering
+    /// it to the slow-query log; rendering is part of the request.
+    fn statement(&mut self, stmt: &str) -> Result<String> {
         // Trace context: adopt the caller's trace (the server sets one
         // from the wire frame before dispatching) or mint a fresh one, so
         // every statement's spans are retrievable by id afterwards.
@@ -209,10 +211,10 @@ impl Session {
         let started = std::time::Instant::now();
 
         let result = {
-            let mut span = flight.span(SpanStage::Request, stmt_head(trimmed));
-            let r = self.run_line(trimmed);
+            let mut span = flight.span(SpanStage::Request, statement_head(stmt));
+            let r = self.db.execute(stmt).and_then(render);
             if r.is_err() {
-                span.set_detail(format!("{} (error)", stmt_head(trimmed)));
+                span.set_detail(format!("{} (error)", statement_head(stmt)));
             }
             r
         };
@@ -242,7 +244,7 @@ impl Session {
             }
             self.db.slow_log().offer(SlowQuery {
                 trace,
-                statement: trimmed.to_string(),
+                statement: stmt.to_string(),
                 total_ns,
                 plan,
                 stages,
@@ -250,108 +252,6 @@ impl Session {
             });
         }
         result
-    }
-
-    /// One statement, one pipeline (DESIGN.md §9): parse once, analyze
-    /// once, compute the footprint once, run. Error-severity findings
-    /// reject the statement *before* any transaction is opened or
-    /// snapshot taken; warnings ride along and are printed above the
-    /// statement's normal output.
-    fn run_line(&mut self, line: &str) -> Result<String> {
-        let stmt = parse_statement(line)?;
-        let warnings = self.db.gate(&stmt, line)?;
-        let footprint = self.db.footprint(&stmt);
-        let out = self.run(&stmt, footprint.as_ref())?;
-        if warnings.is_empty() {
-            return Ok(out);
-        }
-        let mut with_warnings = String::new();
-        for w in &warnings {
-            let _ = writeln!(with_warnings, "{w}");
-        }
-        with_warnings.push_str(&out);
-        Ok(with_warnings)
-    }
-
-    fn run(&mut self, stmt: &Statement, footprint: Option<&Footprint>) -> Result<String> {
-        if let Some(done) = apply_ddl(&self.db, stmt) {
-            return done;
-        }
-        // Statements the footprint pass proves read-only run on the
-        // shared snapshot path, which skips the writer gate entirely so
-        // any number of shell/server sessions can read concurrently
-        // (DESIGN.md §8, §14).
-        if footprint.is_some_and(Footprint::read_only) {
-            let mut rtx = self.db.begin_read();
-            return match rtx.run(stmt)? {
-                ExecResult::Rows(rows) => self.format_rows(&rtx, &rows),
-                ExecResult::Explain(prof) => Ok(format_explain(&prof, footprint)),
-                _ => Err(OdeError::Usage(
-                    "read-only statement produced a write result".into(),
-                )),
-            };
-        }
-        // DML and trigger (de)activation, auto-committed.
-        let mut tx = self.db.begin();
-        let mut out = match tx.run(stmt)? {
-            ExecResult::Rows(rows) => self.format_rows(&tx, &rows)?,
-            ExecResult::Created(oid) => format!("created {oid}"),
-            ExecResult::Updated(n) => format!("updated {n} object(s)"),
-            ExecResult::Deleted(n) => format!("deleted {n} object(s)"),
-            ExecResult::Explain(prof) => format_explain(&prof, footprint),
-            ExecResult::Activated(tid) => match stmt {
-                Statement::Activate { trigger, oid, .. } => {
-                    format!("activated {tid} ({trigger} on {oid})")
-                }
-                _ => format!("activated {tid}"),
-            },
-            ExecResult::Deactivated(tid) => format!("deactivated {tid}"),
-        };
-        let info = tx.commit()?;
-        for f in &info.fired {
-            let _ = writeln!(out);
-            let _ = write!(out, "trigger `{}` fired on {}", f.trigger, f.oid);
-        }
-        // Decoupled mode (a scheduler is attached): the commit returned
-        // before the actions ran, so report what it left ready.
-        for f in &info.enqueued {
-            let _ = writeln!(out);
-            let _ = write!(out, "trigger `{}` enqueued on {}", f.trigger, f.oid);
-        }
-        for fail in &info.failures {
-            let _ = writeln!(out);
-            let _ = write!(out, "trigger action failed on {}: {}", fail.oid, fail.error);
-        }
-        Ok(out)
-    }
-
-    fn format_rows<C: ReadContext>(&self, tx: &C, rows: &QueryRows) -> Result<String> {
-        let mut out = String::new();
-        for row in &rows.rows {
-            for (var, oid) in rows.vars.iter().zip(row.iter()) {
-                let line = self.format_object(tx, *oid)?;
-                let _ = writeln!(out, "{var} = {line}");
-            }
-        }
-        let _ = write!(out, "{} row(s)", rows.rows.len());
-        Ok(out)
-    }
-
-    fn format_object<C: ReadContext>(&self, tx: &C, oid: Oid) -> Result<String> {
-        let state = tx.read_obj(oid)?;
-        self.db.with_schema(|schema| -> Result<String> {
-            let def = schema.class(state.class)?;
-            let mut s = format!("{oid} ({})", def.name);
-            s.push_str(" { ");
-            for (i, f) in def.layout.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "{}: {}", f.name, state.fields[i]);
-            }
-            s.push_str(" }");
-            Ok(s)
-        })
     }
 
     fn meta(&mut self, cmd: &str) -> Result<String> {
@@ -524,10 +424,7 @@ impl Session {
                 let spec = parts
                     .next()
                     .ok_or_else(|| OdeError::Usage("usage: .show <cluster:page.slot>".into()))?;
-                let oid = parse_oid(spec)?;
-                let rtx = self.db.begin_read();
-                let line = self.format_object(&rtx, oid)?;
-                Ok(line)
+                render_object(&self.db.begin_read(), parse_oid(spec)?)
             }
             "stats" => match parts.next() {
                 Some("reset") => {
@@ -600,18 +497,7 @@ impl Session {
                     }
                     Ok(out.trim_end().to_string())
                 }
-                Some(spec) => {
-                    let id = parse_trace_id(spec)?;
-                    let spans = self.db.flight().for_trace(id);
-                    if spans.is_empty() {
-                        return Ok(format!(
-                            "no spans for trace {id} (ring holds {} of {} recorded)",
-                            self.db.flight().capacity(),
-                            self.db.flight().recorded()
-                        ));
-                    }
-                    Ok(render_spans(&spans))
-                }
+                Some(spec) => Ok(self.db.flight().render_trace(parse_trace_id(spec)?)),
             },
             "slow" => match parts.next() {
                 None => Ok(self.db.slow_log().render()),
@@ -701,6 +587,83 @@ impl Session {
             ))),
         }
     }
+}
+
+// ------------------------------------------------------------ rendering
+
+/// Render an executed statement: the analyzer's warnings, then the
+/// result, then what its commit fired. Rows render from the snapshot
+/// that selected them.
+fn render(done: Executed<'_>) -> Result<String> {
+    let mut out = String::new();
+    for w in &done.warnings {
+        let _ = writeln!(out, "{w}");
+    }
+    let reply = match &done.result {
+        ExecResult::Rows(rows) => {
+            let snapshot = done
+                .snapshot
+                .as_ref()
+                .expect("Database::execute returns rows with the snapshot that selected them");
+            for row in &rows.rows {
+                for (var, oid) in rows.vars.iter().zip(row.iter()) {
+                    let line = render_object(snapshot, *oid)?;
+                    let _ = writeln!(out, "{var} = {line}");
+                }
+            }
+            format!("{} row(s)", rows.rows.len())
+        }
+        ExecResult::Explain(prof) => format_explain(prof, done.footprint.as_ref()),
+        ExecResult::Created(oid) => format!("created {oid}"),
+        ExecResult::Updated(n) => format!("updated {n} object(s)"),
+        ExecResult::Deleted(n) => format!("deleted {n} object(s)"),
+        ExecResult::Activated { id, trigger, oid } => {
+            format!("activated {id} ({trigger} on {oid})")
+        }
+        ExecResult::Deactivated(id) => format!("deactivated {id}"),
+        ExecResult::Defined(names) => format!("defined class(es): {}", names.join(", ")),
+        ExecResult::ClusterCreated(class) => format!("cluster `{class}` ready"),
+        ExecResult::ClusterDestroyed(class) => format!("cluster `{class}` destroyed"),
+        ExecResult::IndexCreated { class, field } => format!("index on {class}.{field} ready"),
+    };
+    out.push_str(&reply);
+    if let Some(info) = &done.commit {
+        for f in &info.fired {
+            let _ = write!(out, "\ntrigger `{}` fired on {}", f.trigger, f.oid);
+        }
+        // Decoupled mode (a scheduler is attached): the commit returned
+        // before the actions ran, so report what it left ready.
+        for f in &info.enqueued {
+            let _ = write!(out, "\ntrigger `{}` enqueued on {}", f.trigger, f.oid);
+        }
+        for fail in &info.failures {
+            let _ = write!(
+                out,
+                "\ntrigger action failed on {}: {}",
+                fail.oid, fail.error
+            );
+        }
+    }
+    Ok(out)
+}
+
+/// Render one object as the shell prints it:
+/// `oid (class) { field: value, … }`.
+pub fn render_object<C: ReadContext>(tx: &C, oid: Oid) -> Result<String> {
+    let state = tx.read_obj(oid)?;
+    tx.db().with_schema(|schema| -> Result<String> {
+        let def = schema.class(state.class)?;
+        let mut s = format!("{oid} ({})", def.name);
+        s.push_str(" { ");
+        for (i, f) in def.layout.iter().enumerate() {
+            if i > 0 {
+                s.push_str(", ");
+            }
+            let _ = write!(s, "{}: {}", f.name, state.fields[i]);
+        }
+        s.push_str(" }");
+        Ok(s)
+    })
 }
 
 // ------------------------------------------------------------ batch lint
@@ -824,69 +787,42 @@ impl CheckReport {
             self.errors(),
             self.warnings()
         );
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"file\":\"{}\",\"line\":{},\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"}}",
-                json_escape(&f.file),
-                f.line,
-                f.diag.code,
-                f.diag.severity,
-                json_escape(&f.diag.message)
-            );
-        }
+        write_findings(&mut out, &self.findings);
         out.push_str("],\"footprints\":[");
         for (i, fp) in self.footprints.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"file\":\"{}\",\"line\":{},\"footprint\":\"{}\",\"read_only\":{}}}",
-                json_escape(&fp.file),
-                fp.line,
-                json_escape(&fp.footprint),
-                fp.read_only
-            );
+            out.push_str("{\"file\":\"");
+            escape_into(&mut out, &fp.file);
+            let _ = write!(out, "\",\"line\":{},\"footprint\":\"", fp.line);
+            escape_into(&mut out, &fp.footprint);
+            let _ = write!(out, "\",\"read_only\":{}}}", fp.read_only);
         }
         out.push_str("],\"interference\":[");
-        for (i, f) in self.interference.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"file\":\"{}\",\"line\":{},\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"}}",
-                json_escape(&f.file),
-                f.line,
-                f.diag.code,
-                f.diag.severity,
-                json_escape(&f.diag.message)
-            );
-        }
+        write_findings(&mut out, &self.interference);
         out.push_str("]}");
         out
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// The JSON objects of `findings`, comma-separated (see
+/// [`CheckReport::render_json`]).
+fn write_findings(out: &mut String, findings: &[CheckFinding]) {
+    for (i, f) in findings.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        out.push_str("{\"file\":\"");
+        escape_into(out, &f.file);
+        let _ = write!(
+            out,
+            "\",\"line\":{},\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"",
+            f.line, f.diag.code, f.diag.severity
+        );
+        escape_into(out, &f.diag.message);
+        out.push_str("\"}");
     }
-    out
 }
 
 /// Read and batch-lint each file into one [`CheckReport`]. `Err` only
@@ -913,30 +849,19 @@ pub fn check_files(paths: &[String]) -> std::result::Result<CheckReport, String>
 pub fn check_source(file: &str, source: &str, report: &mut CheckReport) {
     let db = Database::in_memory();
     report.files += 1;
-    let mut pending = String::new();
+    let mut lines = Assembler::default();
     let mut start_line = 0usize;
     let mut batch: Vec<(usize, Footprint)> = Vec::new();
     for (idx, raw) in source.lines().enumerate() {
-        let lineno = idx + 1;
-        if !pending.is_empty() {
-            pending.push('\n');
-            pending.push_str(raw);
-            if balanced(&pending) {
-                let stmt = std::mem::take(&mut pending);
+        if !lines.is_continuing() {
+            start_line = idx + 1;
+        }
+        match lines.push(raw) {
+            Assembled::Statement(stmt) if !stmt.trim().starts_with('.') => {
                 check_statement(&db, file, start_line, &stmt, report, &mut batch);
             }
-            continue;
+            _ => {}
         }
-        let trimmed = raw.trim();
-        if trimmed.is_empty() || trimmed.starts_with("//") || trimmed.starts_with('.') {
-            continue;
-        }
-        if trimmed.starts_with("class") && !balanced(trimmed) {
-            pending = raw.to_string();
-            start_line = lineno;
-            continue;
-        }
-        check_statement(&db, file, lineno, raw, report, &mut batch);
     }
     // A301 — the file's statements treated as a batch: every pair whose
     // footprints the interference pass cannot prove disjoint. Pairwise
@@ -952,7 +877,7 @@ pub fn check_source(file: &str, source: &str, report: &mut CheckReport) {
             }
         }
     }
-    if !pending.is_empty() {
+    if lines.is_continuing() {
         report.statements += 1;
         report.findings.push(CheckFinding {
             file: file.to_string(),
@@ -990,8 +915,10 @@ fn check_statement(
                 }
                 // Apply schema-shaping statements so the rest of the file
                 // resolves.
-                if let Some(Err(e)) = apply_ddl(db, &stmt) {
-                    diags.push(Diagnostic::parse_failure(e.to_string()));
+                if stmt.is_ddl() {
+                    if let Err(e) = db.run(&stmt) {
+                        diags.push(Diagnostic::parse_failure(e.to_string()));
+                    }
                 }
             }
             diags
@@ -1004,31 +931,6 @@ fn check_statement(
             line,
             diag,
         }));
-}
-
-/// Apply an (already analyzed) DDL statement, returning the shell's
-/// confirmation line; `None` for statements that are not DDL.
-fn apply_ddl(db: &Database, stmt: &Statement) -> Option<Result<String>> {
-    Some(match stmt {
-        Statement::Class(builders) => builders
-            .iter()
-            .map(|b| {
-                let id = db.define_class_unchecked(b.clone())?;
-                db.with_schema(|s| Ok(s.class(id)?.name.clone()))
-            })
-            .collect::<Result<Vec<String>>>()
-            .map(|names| format!("defined class(es): {}", names.join(", "))),
-        Statement::CreateCluster { class } => db
-            .create_cluster(class)
-            .map(|_| format!("cluster `{class}` ready")),
-        Statement::DestroyCluster { class } => db
-            .destroy_cluster(class)
-            .map(|()| format!("cluster `{class}` destroyed")),
-        Statement::CreateIndex { class, field } => db
-            .create_index(class, field)
-            .map(|()| format!("index on {class}.{field} ready")),
-        _ => return None,
-    })
 }
 
 /// Render an `explain` profile as aligned `key value` lines, with the
@@ -1044,15 +946,6 @@ fn format_explain(prof: &QueryProfile, footprint: Option<&Footprint>) -> String 
         let _ = writeln!(out, "{:<24} {}", "footprint", fp);
     }
     out.trim_end().to_string()
-}
-
-/// First ≤48 chars of a statement, for flight-recorder span details.
-fn stmt_head(stmt: &str) -> String {
-    let mut head: String = stmt.chars().take(48).collect();
-    if head.len() < stmt.len() {
-        head.push('…');
-    }
-    head
 }
 
 /// Parse a trace id as the shell prints it (`0x`-prefixed hex) or as
@@ -1162,10 +1055,11 @@ mod tests {
     use super::*;
 
     fn feed(s: &mut Session, line: &str) -> String {
-        match s.line(line) {
-            LineResult::Output(o) => o,
-            LineResult::Continue => String::new(),
-            LineResult::Exit => "<exit>".into(),
+        match s.eval_line(line) {
+            EvalResult::Output(o) => o,
+            EvalResult::Error(e) => format!("error: {e}"),
+            EvalResult::Continue => String::new(),
+            EvalResult::Exit => "<exit>".into(),
         }
     }
 
@@ -1173,12 +1067,15 @@ mod tests {
     fn full_session() {
         let mut s = Session::in_memory();
         // Multi-line DDL.
-        assert_eq!(s.line("class stockitem {"), LineResult::Continue);
+        assert!(matches!(
+            s.eval_line("class stockitem {"),
+            EvalResult::Continue
+        ));
         assert!(s.is_continuing());
-        assert_eq!(
-            s.line("    string name; int quantity = 0;"),
-            LineResult::Continue
-        );
+        assert!(matches!(
+            s.eval_line("    string name; int quantity = 0;"),
+            EvalResult::Continue
+        ));
         let out = feed(&mut s, "}");
         assert!(out.contains("defined class(es): stockitem"), "{out}");
         assert!(!s.is_continuing());
@@ -1202,7 +1099,7 @@ mod tests {
         let out = feed(&mut s, "delete s in stockitem");
         assert!(out.contains("deleted 1"), "{out}");
 
-        assert_eq!(s.line(".exit"), LineResult::Exit);
+        assert!(matches!(s.eval_line(".exit"), EvalResult::Exit));
         assert!(s.finished());
     }
 
@@ -1543,7 +1440,7 @@ mod tests {
         let before = s.database().telemetry();
         // A read-only query with an unknown member: rejected with a coded
         // diagnostic, and no snapshot was ever taken.
-        match s.eval_statement("forall i in item suchthat (missing > 3)") {
+        match s.eval_line("forall i in item suchthat (missing > 3)") {
             EvalResult::Error(OdeError::Analysis(diags)) => {
                 assert_eq!(diags.len(), 1, "{diags:?}");
                 assert_eq!(diags[0].code, "A002");
@@ -1552,7 +1449,7 @@ mod tests {
             other => panic!("expected analysis error, got {other:?}"),
         }
         // DML with a type mismatch: rejected before a write transaction.
-        match s.eval_statement("pnew item (qty = \"lots\")") {
+        match s.eval_line("pnew item (qty = \"lots\")") {
             EvalResult::Error(OdeError::Analysis(diags)) => {
                 assert_eq!(diags[0].code, "A007");
             }
@@ -1717,7 +1614,7 @@ mod tests {
         let mut s = Session::in_memory();
         // Errors: surfaced as a typed analysis error (scripted sessions
         // exit non-zero; servers answer the analysis wire kind).
-        match s.eval_statement(&format!(".check {}", corpus_path())) {
+        match s.eval_line(&format!(".check {}", corpus_path())) {
             EvalResult::Error(OdeError::Analysis(diags)) => {
                 assert!(diags.iter().any(|d| d.code == "A001"), "{diags:?}");
                 assert!(
