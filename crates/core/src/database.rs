@@ -46,7 +46,7 @@ use ode_storage::{CommitTicket, FileStore, MemStore, RecordId, Store, StoreOp, S
 use crate::catalog::{CatalogRecord, CatalogState, CATALOG_HEAP};
 use crate::error::{OdeError, Result};
 use crate::index::BTreeIndex;
-use crate::object::{decode_record, is_anchor, ObjRecord};
+use crate::object::is_anchor;
 use crate::read::ReadTransaction;
 use crate::trigger::{Activation, CommitNote, PendingEvent};
 use crate::txn::{ScanEntry, Transaction};
@@ -1303,19 +1303,46 @@ impl Database {
         self.workstats.snapshot()
     }
 
+    /// The workload counters of the cluster in `heap` (`cluster:<class>`),
+    /// registered on first use and then read through the layout's handle.
+    fn cluster_stats<'l>(&self, layout: &'l Layout, heap: u32) -> Option<&'l Arc<WorkStat>> {
+        let cluster = layout.by_heap.get(&heap)?;
+        let def = layout.schema.class(cluster.class).ok()?;
+        Some(
+            cluster
+                .stats
+                .get_or_init(|| self.workstats.entry(&format!("cluster:{}", def.name))),
+        )
+    }
+
     /// Count `n` records a commit wrote into cluster `heap` (applied only
     /// after the store commit succeeded).
     pub(crate) fn note_cluster_writes(&self, layout: &Layout, heap: u32, n: u64) {
-        let Some(cluster) = layout.by_heap.get(&heap) else {
-            return;
+        if let Some(stats) = self.cluster_stats(layout, heap) {
+            stats.writes.add(n);
+        }
+    }
+
+    /// Count one query pass over `class`'s extent that read `reads`
+    /// objects. A class with no cluster of its own has no cached handle
+    /// and is counted by key.
+    pub(crate) fn note_class_scan(&self, layout: &Layout, class: ClassId, reads: u64) {
+        let count = |stats: &WorkStat| {
+            stats.scans.inc();
+            stats.reads.add(reads);
         };
-        let Ok(def) = layout.schema.class(cluster.class) else {
-            return;
-        };
-        let stats = cluster
-            .stats
-            .get_or_init(|| self.workstats.entry(&format!("cluster:{}", def.name)));
-        stats.writes.add(n);
+        match layout.clusters.get(&class) {
+            Some(&heap) => {
+                if let Some(stats) = self.cluster_stats(layout, heap) {
+                    count(stats);
+                }
+            }
+            None => {
+                if let Ok(def) = layout.schema.class(class) {
+                    count(&self.workstats.entry(&format!("cluster:{}", def.name)));
+                }
+            }
+        }
     }
 
     /// Drop cached pages (benchmarks: cold-cache runs).
@@ -1624,36 +1651,14 @@ fn build_index(
         let Ok(slot) = def.field_index(field) else {
             continue; // class lacks the field (possible for siblings)
         };
-        let mut pairs = Vec::new();
-        store.scan(heap, &mut |rid, bytes| {
-            if is_anchor(bytes) {
-                pairs.push((rid, bytes.to_vec()));
-            }
-            Ok(true)
-        })?;
-        for (rid, bytes) in pairs {
-            let oid = Oid { cluster: heap, rid };
-            let state = match decode_record(&bytes)? {
-                ObjRecord::Plain(s) => s,
-                ObjRecord::Anchor(table) => {
-                    let vrid = table.current_rid()?;
-                    match decode_record(&store.read(heap, vrid)?)? {
-                        ObjRecord::VersionRec { state, .. } => state,
-                        _ => {
-                            return Err(OdeError::Version(format!(
-                                "anchor {oid} points at a non-version record"
-                            )))
-                        }
-                    }
-                }
-                ObjRecord::VersionRec { .. } => continue,
-            };
+        crate::read::stream_committed_heap(store, heap, &mut |oid, state| {
             if let Some(v) = state.fields.get(slot) {
                 if !v.is_null() {
                     ix.insert(v.clone(), oid);
                 }
             }
-        }
+            Ok(true)
+        })?;
     }
     Ok(ix)
 }

@@ -32,11 +32,11 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use ode_model::eval::EvalCtx;
 use ode_model::{
     extract_field_ranges, parse_expr, probe_range, BinOp, ClassId, Expr, ObjState, Oid, Resolver,
     Schema, Value,
 };
+use ode_model::{BoundVar, EvalCtx};
 use ode_obs::{PlanStrategy, QueryProfile, SpanStage};
 
 use crate::database::Layout;
@@ -212,8 +212,10 @@ impl<'db> Transaction<'db> {
                 // of the heap's pages are read (DESIGN.md §13).
                 self.note_extent_scan(heap);
                 noted.push(heap);
-                let complete =
-                    crate::read::stream_committed_heap(self.db, heap, &mut |oid, state| {
+                let complete = crate::read::stream_committed_heap(
+                    self.db.store.as_ref(),
+                    heap,
+                    &mut |oid, state| {
                         if self.deleted.contains_key(&oid) {
                             return Ok(true);
                         }
@@ -222,7 +224,8 @@ impl<'db> Transaction<'db> {
                             Some(obj) => visit(oid, &obj.state),
                             None => visit(oid, state),
                         }
-                    })?;
+                    },
+                )?;
                 if !complete {
                     return Ok(false);
                 }
@@ -451,16 +454,7 @@ impl<'t, C: ReadContext> Forall<'t, C> {
         let mut out = Vec::with_capacity(oids.len());
         for oid in oids {
             let state = tx.read_obj(oid)?;
-            let mut env = HashMap::new();
-            if let Some(v) = &var {
-                env.insert(v.clone(), Value::Ref(oid));
-            }
-            let v = EvalCtx::new(&layout.schema)
-                .with_this(&state)
-                .with_vars(&env)
-                .with_resolver(tx)
-                .eval(&proj)?;
-            out.push(v);
+            out.push(pred.eval(&layout.schema, tx, oid, &state, &proj)?);
         }
         Ok(out)
     }
@@ -591,8 +585,6 @@ struct Predicate<'q, 't> {
     suchthat: Option<&'q Expr>,
     var: Option<&'q str>,
     filter: Option<FilterFn<'t>>,
-    /// Variable bindings for evaluation: the loop variable, once bound.
-    env: HashMap<String, Value>,
 }
 
 impl<'q, 't> Predicate<'q, 't> {
@@ -605,19 +597,6 @@ impl<'q, 't> Predicate<'q, 't> {
             suchthat: suchthat.as_ref(),
             var: var.as_deref(),
             filter,
-            env: HashMap::new(),
-        }
-    }
-
-    /// Bind the loop variable, if the query names one, to `oid`.
-    fn bind(&mut self, oid: Oid) {
-        if let Some(v) = self.var {
-            match self.env.get_mut(v) {
-                Some(slot) => *slot = Value::Ref(oid),
-                None => {
-                    self.env.insert(v.to_string(), Value::Ref(oid));
-                }
-            }
         }
     }
 
@@ -632,41 +611,42 @@ impl<'q, 't> Predicate<'q, 't> {
         pass: &mut QueryProfile,
     ) -> Result<bool> {
         if let Some(expr) = self.suchthat {
-            self.bind(oid);
             pass.predicate_evals += 1;
-            let ok = EvalCtx::new(schema)
-                .with_this(state)
-                .with_vars(&self.env)
-                .with_resolver(tx)
-                .eval_bool(expr)?;
-            if !ok {
+            if !self.eval(schema, tx, oid, state, expr)?.as_bool()? {
                 return Ok(false);
             }
         }
         Ok(self.filter.as_mut().is_none_or(|f| f(state)))
     }
 
-    /// Evaluate a `by` key for the object.
-    fn key(
-        &mut self,
+    /// Evaluate `expr` over the object (a `by` key or a projection): its
+    /// fields are bare identifiers, and the loop variable, if the query
+    /// names one, is bound to it.
+    fn eval(
+        &self,
         schema: &Schema,
         tx: &dyn Resolver,
         oid: Oid,
         state: &ObjState,
-        key_expr: &Expr,
+        expr: &Expr,
     ) -> Result<Value> {
-        self.bind(oid);
+        let var = self.var.map(|name| BoundVar { name, oid, state });
         Ok(EvalCtx::new(schema)
             .with_this(state)
-            .with_vars(&self.env)
+            .with_bindings(var.as_slice())
             .with_resolver(tx)
-            .eval(key_expr)?)
+            .eval(expr)?)
     }
 }
 
-/// Publish one pass's profile into the database's global query counters
-/// and the accumulated per-shape profile buckets.
-fn publish_pass(db: &crate::database::Database, pass: &QueryProfile) {
+/// Publish one pass's profile over `class` into the database's global
+/// query counters and the accumulated per-shape profile buckets.
+fn publish_pass(
+    db: &crate::database::Database,
+    layout: &Layout,
+    class: ClassId,
+    pass: &QueryProfile,
+) {
     let q = &db.tel.query;
     q.clusters_visited.add(pass.clusters_visited);
     q.objects_scanned.add(pass.objects_scanned);
@@ -676,9 +656,7 @@ fn publish_pass(db: &crate::database::Database, pass: &QueryProfile) {
         q.deep_extent_scans.inc();
     }
     // Per-cluster / per-index workload counters (persisted at checkpoint).
-    let ws = db.workstats.entry(&format!("cluster:{}", pass.target));
-    ws.scans.inc();
-    ws.reads.add(pass.objects_scanned);
+    db.note_class_scan(layout, class, pass.objects_scanned);
     if let PlanStrategy::IndexProbe { field } = &pass.strategy {
         db.workstats
             .entry(&format!("index:{}.{}", pass.target, field))
@@ -785,69 +763,65 @@ fn candidates<C: ReadContext>(
         Some((field, oids)) => {
             pass.strategy = PlanStrategy::IndexProbe { field };
             pass.index_probes += 1;
-            let mut pairs = Vec::with_capacity(oids.len());
-            for oid in oids {
-                if tx.is_deleted(oid) {
-                    continue;
-                }
-                // An in-transaction write may have changed the key: the
-                // state read here is authoritative; the predicate is
-                // re-checked below either way.
-                if let Ok(state) = tx.read_obj(oid) {
-                    pairs.push((oid, state));
-                }
-            }
-            // The probe answered from the committed deep extent: record the
+            // The probe answers from the committed deep extent: record the
             // backing heaps so commit-time validation catches phantoms the
             // same as an extent scan would.
             let scanned_heaps = layout.heap_ids(class, true);
             tx.note_scan(&scanned_heaps);
-            // Objects written in this txn are missing from the committed
-            // index — fold in any written object of the right classes.
-            // Built on the first class-matching write: writes to other
-            // heaps are never visited, so most probes build nothing.
-            let mut seen: Option<HashSet<Oid, OidHash>> = None;
-            tx.for_each_overlay(&scanned_heaps, &mut |oid, state| {
-                if !schema.is_subclass(state.class, class) {
+            let mut visit = |oid: Oid, state: &ObjState| -> Result<()> {
+                pass.objects_scanned += 1;
+                if !pred.admits(schema, tx, oid, state, &mut pass)? {
                     return Ok(());
-                }
-                let seen = seen.get_or_insert_with(|| pairs.iter().map(|p| p.0).collect());
-                if seen.contains(&oid) {
-                    return Ok(());
-                }
-                // The one place overlay states are cloned at all: the probe
-                // result is O(selectivity), and only class-matching writes
-                // join it. Extent scans borrow overlay states in place.
-                db.tel.query.overlay_clones.inc();
-                pairs.push((oid, state.clone()));
-                Ok(())
-            })?;
-            pass.objects_scanned = pairs.len() as u64;
-            for (oid, state) in pairs {
-                if !deep && state.class != class {
-                    continue;
-                }
-                // Short-circuit evaluation means an error itself can depend
-                // on rows outside the hinted ranges; which rows mattered is
-                // unknowable, so an error widens to whole heaps — for a
-                // failed `by` key too, since it aborts an enumeration whose
-                // result the transaction may already have acted on.
-                let admitted = pred
-                    .admits(schema, tx, oid, &state, &mut pass)
-                    .inspect_err(|_| tx.scan_widen(&scanned_heaps))?;
-                if !admitted {
-                    continue;
                 }
                 match by {
                     Some((key_expr, _)) => {
-                        let k = pred
-                            .key(schema, tx, oid, &state, key_expr)
-                            .inspect_err(|_| tx.scan_widen(&scanned_heaps))?;
-                        keyed.push((k, oid));
+                        keyed.push((pred.eval(schema, tx, oid, state, key_expr)?, oid))
                     }
                     None => plain.push(oid),
                 }
-            }
+                Ok(())
+            };
+            let probed = (|| -> Result<()> {
+                for &oid in &oids {
+                    if tx.is_deleted(oid) {
+                        continue;
+                    }
+                    // An in-transaction write may have changed the key: the
+                    // state read here is authoritative, and the predicate
+                    // rechecks it. An entry deleted by a commit since the
+                    // index was copied is skipped (validation fails this
+                    // transaction if it matters); any other read error is
+                    // the statement's.
+                    match tx.read_obj(oid) {
+                        Ok(state) => visit(oid, &state)?,
+                        Err(OdeError::NoSuchObject(_)) => {}
+                        Err(e) => return Err(e),
+                    }
+                }
+                // Objects written in this txn are missing from the committed
+                // index — fold in any written object of the right classes,
+                // evaluated in place. The set of probed oids is built on the
+                // first class-matching write: writes to other heaps are never
+                // visited, so most probes build nothing.
+                let mut seen: Option<HashSet<Oid, OidHash>> = None;
+                tx.for_each_overlay(&scanned_heaps, &mut |oid, state| {
+                    if !schema.is_subclass(state.class, class) {
+                        return Ok(());
+                    }
+                    let seen = seen.get_or_insert_with(|| oids.iter().copied().collect());
+                    if seen.contains(&oid) {
+                        return Ok(());
+                    }
+                    db.tel.query.overlay_clones.inc();
+                    visit(oid, state)
+                })
+            })();
+            // Short-circuit evaluation means an error itself can depend on
+            // rows outside the hinted ranges; which rows mattered is
+            // unknowable, so an error widens to whole heaps — for a failed
+            // `by` key or read too, since it aborts an enumeration whose
+            // result the transaction may already have acted on.
+            probed.inspect_err(|_| tx.scan_widen(&scanned_heaps))?;
         }
         None => {
             pass.strategy = if deep {
@@ -874,7 +848,7 @@ fn candidates<C: ReadContext>(
                 }
                 match by {
                     Some((key_expr, _)) => {
-                        keyed.push((pred.key(schema, tx, oid, state, key_expr)?, oid));
+                        keyed.push((pred.eval(schema, tx, oid, state, key_expr)?, oid));
                     }
                     None => plain.push(oid),
                 }
@@ -894,7 +868,7 @@ fn candidates<C: ReadContext>(
     };
 
     pass.rows = result.len() as u64;
-    publish_pass(db, &pass);
+    publish_pass(db, layout, class, &pass);
     span.set_detail(format!("{} via {}", pass.target, pass.strategy));
     prof.absorb(&pass);
     Ok(result)
@@ -1037,10 +1011,9 @@ fn build_probe_plans(
 }
 
 /// Nested-loop join over the variables' (deep) extents, with the predicate
-/// evaluated under an environment binding each variable to its object.
-/// Inner variables whose join key is indexed are *probed* (index lookup
-/// per outer binding) rather than enumerated — §3.1's "query optimization"
-/// applied to joins.
+/// evaluated against each variable's object in hand. Inner variables whose
+/// join key is indexed are *probed* (index lookup per outer binding)
+/// rather than enumerated — §3.1's "query optimization" applied to joins.
 fn collect_join<C: ReadContext>(
     tx: &C,
     layout: &Layout,
@@ -1055,161 +1028,165 @@ fn collect_join<C: ReadContext>(
         .collect::<Vec<_>>()
         .join(",");
     let mut span = db.flight.span(SpanStage::Execute, target.as_str());
+    let schema = &layout.schema;
+    let plans = build_probe_plans(schema, &db.index_keys(), vars, suchthat)?;
+
+    // For probed variables, precompute the (small) overlay of
+    // transaction-written objects whose class fits — committed index
+    // entries cannot see those. Overlay states are borrowed during the
+    // filter, never cloned.
     let mut pass = QueryProfile {
         target: target.clone(),
         strategy: PlanStrategy::NestedLoopJoin,
         ..QueryProfile::default()
     };
-    let schema = &layout.schema;
-    let plans = build_probe_plans(schema, &db.index_keys(), vars, suchthat)?;
-
-    // Enumerate extents only for non-probed variables — as *oid lists*
-    // (the nested loop re-visits them once per outer binding, but decoded
-    // states are never retained; the leaf re-reads through the resolver).
-    // For probed variables, precompute the (small) overlay of
-    // transaction-written objects whose class fits — committed index
-    // entries cannot see those. Overlay states are borrowed during the
-    // filter, never cloned.
-    let mut extents: Vec<Vec<Oid>> = Vec::with_capacity(vars.len());
+    let mut enumerated_vars = 0u64;
     let mut overlays: Vec<Vec<Oid>> = Vec::with_capacity(vars.len());
+    let mut classes: Vec<ClassId> = Vec::with_capacity(vars.len());
     for (d, (_, class_name)) in vars.iter().enumerate() {
-        extents.push(Vec::new()); // probed: stays empty; else filled below
+        let class = schema.id_of(class_name)?;
         let mut overlay: Vec<Oid> = Vec::new();
         if plans[d].is_some() {
-            let class = schema.id_of(class_name)?;
             tx.for_each_overlay(&layout.heap_ids(class, true), &mut |oid, state| {
                 if !tx.is_deleted(oid) && schema.is_subclass(state.class, class) {
                     overlay.push(oid);
                 }
                 Ok(())
             })?;
-        }
-        overlays.push(overlay);
-    }
-    let mut enumerated_vars = 0u64;
-    for (d, (_, class_name)) in vars.iter().enumerate() {
-        if plans[d].is_none() {
-            let class = schema.id_of(class_name)?;
+        } else {
             pass.clusters_visited += layout.extent_heaps(class, true).len() as u64;
-            let mut oids = Vec::new();
-            tx.for_each_extent(class_name, true, &mut |oid, _| {
-                oids.push(oid);
-                Ok(true)
-            })?;
-            extents[d] = oids;
             enumerated_vars += 1;
         }
+        overlays.push(overlay);
+        classes.push(class);
     }
-
-    let mut out = Vec::new();
-    let mut binding: Vec<Oid> = Vec::with_capacity(vars.len());
-    let mut env: HashMap<String, Value> = HashMap::new();
-    #[allow(clippy::too_many_arguments)]
-    fn rec<C: ReadContext>(
-        tx: &C,
-        schema: &Schema,
-        vars: &[(String, String)],
-        extents: &[Vec<Oid>],
-        overlays: &[Vec<Oid>],
-        plans: &[Option<ProbePlan>],
-        suchthat: &Option<Expr>,
-        depth: usize,
-        binding: &mut Vec<Oid>,
-        env: &mut HashMap<String, Value>,
-        out: &mut Vec<Vec<Oid>>,
-        pass: &mut QueryProfile,
-    ) -> Result<()> {
-        if depth == vars.len() {
-            if let Some(pred) = suchthat {
-                pass.predicate_evals += 1;
-                let ctx = EvalCtx::new(schema).with_vars(env).with_resolver(tx);
-                if !ctx.eval_bool(pred)? {
-                    return Ok(());
-                }
-            }
-            out.push(binding.clone());
-            return Ok(());
-        }
-        // Candidate oids at this depth: probe or enumerate.
-        let oids: Vec<Oid> = match &plans[depth] {
-            Some(plan) => {
-                let class = schema.id_of(&vars[depth].1)?;
-                let key = EvalCtx::new(schema)
-                    .with_vars(env)
-                    .with_resolver(tx)
-                    .eval(&plan.key_expr)?;
-                if key.is_null() {
-                    // Null keys are not indexed; fall back to streaming
-                    // this variable's extent for this outer binding.
-                    let mut oids = Vec::new();
-                    tx.for_each_extent(&vars[depth].1, true, &mut |oid, _| {
-                        oids.push(oid);
-                        Ok(true)
-                    })?;
-                    oids
-                } else {
-                    pass.index_probes += 1;
-                    let mut oids =
-                        tx.db().inner.read().indexes[&(class, plan.field.clone())].lookup(&key);
-                    oids.retain(|oid| !tx.is_deleted(*oid) && !tx.overlay_contains(*oid));
-                    // Transaction-written objects re-checked by the leaf.
-                    oids.extend_from_slice(&overlays[depth]);
-                    oids
-                }
-            }
-            None => extents[depth].clone(),
-        };
-        pass.objects_scanned += oids.len() as u64;
-        for oid in oids {
-            binding.push(oid);
-            env.insert(vars[depth].0.clone(), Value::Ref(oid));
-            rec(
-                tx,
-                schema,
-                vars,
-                extents,
-                overlays,
-                plans,
-                suchthat,
-                depth + 1,
-                binding,
-                env,
-                out,
-                pass,
-            )?;
-            env.remove(&vars[depth].0);
-            binding.pop();
-        }
-        Ok(())
-    }
-    rec(
+    let mut join = JoinLoop {
         tx,
         schema,
         vars,
-        &extents,
-        &overlays,
-        &plans,
-        suchthat,
-        0,
-        &mut binding,
-        &mut env,
-        &mut out,
-        &mut pass,
-    )?;
+        classes: &classes,
+        plans: &plans,
+        overlays: &overlays,
+        suchthat: suchthat.as_ref(),
+        rows: Vec::new(),
+        pass,
+    };
+    join.level(0, &[])?;
+    let JoinLoop { rows, mut pass, .. } = join;
 
-    pass.rows = out.len() as u64;
+    pass.rows = rows.len() as u64;
     let q = &db.tel.query;
     q.clusters_visited.add(pass.clusters_visited);
     q.objects_scanned.add(pass.objects_scanned);
     q.predicate_evals.add(pass.predicate_evals);
     q.index_probes.add(pass.index_probes);
     q.deep_extent_scans.add(enumerated_vars);
-    for (_, class_name) in vars {
-        let ws = db.workstats.entry(&format!("cluster:{class_name}"));
-        ws.scans.inc();
+    for &class in &classes {
+        db.note_class_scan(layout, class, 0);
     }
     db.record_query_pass(&pass);
     span.set_detail(format!("{target} via {}", pass.strategy));
     prof.absorb(&pass);
-    Ok(out)
+    Ok(rows)
+}
+
+/// The nested loop of one join: a level per variable, each binding its
+/// variable to one candidate at a time with the outer variables' objects
+/// still in hand. An unprobed variable streams its extent again for every
+/// outer binding, so no level keeps a list of its members.
+struct JoinLoop<'j, C> {
+    tx: &'j C,
+    schema: &'j Schema,
+    vars: &'j [(String, String)],
+    classes: &'j [ClassId],
+    plans: &'j [Option<ProbePlan>],
+    overlays: &'j [Vec<Oid>],
+    suchthat: Option<&'j Expr>,
+    rows: Vec<Vec<Oid>>,
+    pass: QueryProfile,
+}
+
+impl<C: ReadContext> JoinLoop<'_, C> {
+    /// Bind variable `depth` to each of its candidates in turn, the
+    /// variables before it bound in `outer`, and descend.
+    fn level(&mut self, depth: usize, outer: &[BoundVar<'_>]) -> Result<()> {
+        if depth == self.vars.len() {
+            return self.leaf(outer);
+        }
+        let tx = self.tx;
+        let (name, class_name) = &self.vars[depth];
+        // The bindings passed down: `outer` plus this level's. One buffer
+        // per level call, refilled for every candidate.
+        let mut buf: Vec<BoundVar<'_>> = Vec::with_capacity(depth + 1);
+        let mut descend = |join: &mut Self, oid: Oid, state: &ObjState| -> Result<()> {
+            let mut bound = rebind(std::mem::take(&mut buf));
+            bound.extend_from_slice(outer);
+            bound.push(BoundVar { name, oid, state });
+            join.level(depth + 1, &bound)?;
+            buf = rebind(bound);
+            Ok(())
+        };
+        let key = match &self.plans[depth] {
+            Some(plan) => {
+                let key = EvalCtx::new(self.schema)
+                    .with_bindings(outer)
+                    .with_resolver(tx)
+                    .eval(&plan.key_expr)?;
+                // Null keys are not indexed: stream the extent instead.
+                (!key.is_null()).then_some((plan, key))
+            }
+            None => None,
+        };
+        let Some((plan, key)) = key else {
+            return tx.for_each_extent(class_name, true, &mut |oid, state| {
+                self.pass.objects_scanned += 1;
+                descend(self, oid, state)?;
+                Ok(true)
+            });
+        };
+        self.pass.index_probes += 1;
+        let mut oids =
+            tx.db().inner.read().indexes[&(self.classes[depth], plan.field.clone())].lookup(&key);
+        oids.retain(|oid| !tx.is_deleted(*oid) && !tx.overlay_contains(*oid));
+        // Transaction-written objects are re-checked by the leaf.
+        oids.extend_from_slice(&self.overlays[depth]);
+        self.pass.objects_scanned += oids.len() as u64;
+        for oid in oids {
+            // As in a single-variable probe, an entry a commit deleted
+            // since the index was copied is skipped.
+            match tx.read_obj(oid) {
+                Ok(state) => descend(self, oid, &state)?,
+                Err(OdeError::NoSuchObject(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Every variable is bound: keep the row if the predicate admits it.
+    fn leaf(&mut self, bound: &[BoundVar<'_>]) -> Result<()> {
+        if let Some(pred) = self.suchthat {
+            self.pass.predicate_evals += 1;
+            let admitted = EvalCtx::new(self.schema)
+                .with_bindings(bound)
+                .with_resolver(self.tx)
+                .eval_bool(pred)?;
+            if !admitted {
+                return Ok(());
+            }
+        }
+        self.rows.push(bound.iter().map(|b| b.oid).collect());
+        Ok(())
+    }
+}
+
+/// An empty vector of bindings that keeps `v`'s allocation: collecting an
+/// empty `vec::IntoIter` into a vector of the same layout reuses the buffer
+/// in place, and the new vector may hold bindings of another lifetime — a
+/// level refills one buffer with each candidate the stream lends it.
+fn rebind<'b>(mut v: Vec<BoundVar<'_>>) -> Vec<BoundVar<'b>> {
+    v.clear();
+    v.into_iter()
+        .map(|_| -> BoundVar<'b> { unreachable!("the vector is empty") })
+        .collect()
 }

@@ -25,12 +25,14 @@
 //! drain, so that thread would wait on itself (debug builds panic on the
 //! recursive apply-gate acquisition instead; DESIGN.md §8).
 
+use ode_model::encode::decode_object_into;
 use ode_model::{ClassId, ModelError, ObjState, Oid, Resolver, Value, VersionNo, VersionRef};
 use ode_obs::{SpanGuard, SpanStage};
+use ode_storage::{StorageError, Store};
 
 use crate::database::Database;
 use crate::error::{OdeError, Result};
-use crate::object::{decode_record, is_anchor, ObjRecord, VersionTable, NO_PARENT};
+use crate::object::{decode_record, is_anchor, ObjRecord, VersionTable, NO_PARENT, TAG_PLAIN};
 use crate::txn::Transaction;
 
 /// The read surface the query layer needs from a transaction-like view.
@@ -365,7 +367,7 @@ impl ReadContext for ReadTransaction<'_> {
         let layout = self.db.layout();
         let class = layout.schema.id_of(class_name)?;
         for heap in layout.heap_ids(class, deep) {
-            if !stream_committed_heap(self.db, heap, &mut |oid, state| visit(oid, state))? {
+            if !stream_committed_heap(self.db.store.as_ref(), heap, visit)? {
                 return Ok(());
             }
         }
@@ -391,13 +393,22 @@ pub(crate) fn dedup_heaps(heaps: &[(ClassId, u32)]) -> Vec<u32> {
     out
 }
 
+/// The bytes of `oid`'s anchor record. A record or heap the store does not
+/// have is no such object; any other store error (a failed read) is
+/// returned as it is.
+fn read_record(db: &Database, oid: Oid) -> Result<Vec<u8>> {
+    db.store.read(oid.cluster, oid.rid).map_err(|e| match e {
+        StorageError::NoSuchRecord { .. } | StorageError::NoSuchHeap(_) => {
+            OdeError::NoSuchObject(oid.to_string())
+        }
+        e => e.into(),
+    })
+}
+
 /// The anchor record of `oid`: its state inline, or its version table. A
 /// version record is not an object.
 fn read_anchor(db: &Database, oid: Oid) -> Result<ObjRecord> {
-    let bytes = db
-        .store
-        .read(oid.cluster, oid.rid)
-        .map_err(|_| OdeError::NoSuchObject(oid.to_string()))?;
+    let bytes = read_record(db, oid)?;
     match decode_record(&bytes)? {
         ObjRecord::VersionRec { .. } => Err(OdeError::NoSuchObject(format!(
             "{oid} is a version record, not an object"
@@ -410,10 +421,7 @@ fn read_anchor(db: &Database, oid: Oid) -> Result<ObjRecord> {
 /// versioned (a generic dereference, §4). The caller keeps commits from
 /// publishing meanwhile, so the anchor and version record are not torn.
 pub(crate) fn load_current(db: &Database, oid: Oid) -> Result<(ObjState, Option<VersionTable>)> {
-    let bytes = db
-        .store
-        .read(oid.cluster, oid.rid)
-        .map_err(|_| OdeError::NoSuchObject(oid.to_string()))?;
+    let bytes = read_record(db, oid)?;
     match decode_record(&bytes)? {
         ObjRecord::Plain(state) => Ok((state, None)),
         ObjRecord::Anchor(table) => {
@@ -435,56 +443,45 @@ pub(crate) fn load_current(db: &Database, oid: Oid) -> Result<(ObjState, Option<
 /// Stream one heap's committed objects in decoded form, page-at-a-time.
 ///
 /// This is the shared engine under both [`ReadContext::for_each_extent`]
-/// impls: the store's scan surfaces one page's records at a time (the
-/// page-residency bound), version-record bodies are skipped, and anchor
-/// records of versioned objects chase their current version via a store
-/// read *from inside the scan callback* — safe on every store since the
-/// buffer-pool split (PR 3): `FileStore` visits with no locks held,
+/// impls and index builds: the store's scan surfaces one page's records at
+/// a time (the page-residency bound), version-record bodies are skipped,
+/// and anchor records of versioned objects chase their current version via
+/// a store read *from inside the scan callback* — safe on every store since
+/// the buffer-pool split: `FileStore` visits with no locks held,
 /// `MemStore` copies out bounded chunks first, `FailpointStore` delegates.
+///
+/// Every plain anchor is decoded into one state reused for the whole heap
+/// ([`decode_object_into`]), so `visit` borrows a state that lives only
+/// for its call and a scan allocates nothing per object.
 ///
 /// Returns `Ok(false)` iff `visit` stopped the stream early. A `visit`
 /// error aborts the scan and is returned verbatim (it is stashed across
 /// the storage-error boundary, not wrapped).
 pub(crate) fn stream_committed_heap(
-    db: &Database,
+    store: &dyn Store,
     heap: u32,
     visit: &mut dyn FnMut(Oid, &ObjState) -> Result<bool>,
 ) -> Result<bool> {
     let mut stashed: Option<OdeError> = None;
     let mut stopped = false;
-    db.store.scan(heap, &mut |rid, bytes| {
+    let mut scratch = ObjState::new(ClassId(0), 0);
+    store.scan(heap, &mut |rid, bytes| {
         if !is_anchor(bytes) {
             return Ok(true); // version record body — not an extent member
         }
         let oid = Oid { cluster: heap, rid };
-        let decoded = (|| -> Result<Option<ObjState>> {
-            match decode_record(bytes)? {
-                ObjRecord::Plain(s) => Ok(Some(s)),
-                ObjRecord::Anchor(table) => {
-                    let vrid = table.current_rid()?;
-                    match decode_record(&db.store.read(heap, vrid)?)? {
-                        ObjRecord::VersionRec { state, .. } => Ok(Some(state)),
-                        _ => Err(OdeError::Version(format!(
-                            "anchor {oid} points at a non-version record"
-                        ))),
-                    }
-                }
-                ObjRecord::VersionRec { .. } => Ok(None),
+        let visited = match bytes.split_first() {
+            Some((&TAG_PLAIN, body)) => decode_object_into(body, &mut scratch)
+                .map_err(OdeError::from)
+                .and_then(|()| visit(oid, &scratch)),
+            _ => current_version(store, oid, bytes).and_then(|state| visit(oid, &state)),
+        };
+        match visited {
+            Ok(true) => Ok(true),
+            Ok(false) => {
+                stopped = true;
+                Ok(false)
             }
-        })();
-        match decoded {
-            Ok(Some(state)) => match visit(oid, &state) {
-                Ok(true) => Ok(true),
-                Ok(false) => {
-                    stopped = true;
-                    Ok(false)
-                }
-                Err(e) => {
-                    stashed = Some(e);
-                    Ok(false)
-                }
-            },
-            Ok(None) => Ok(true),
             Err(e) => {
                 stashed = Some(e);
                 Ok(false)
@@ -495,4 +492,19 @@ pub(crate) fn stream_committed_heap(
         return Err(e);
     }
     Ok(!stopped)
+}
+
+/// The current state of the versioned object whose anchor is `anchor`.
+fn current_version(store: &dyn Store, oid: Oid, anchor: &[u8]) -> Result<ObjState> {
+    let ObjRecord::Anchor(table) = decode_record(anchor)? else {
+        return Err(OdeError::Version(format!(
+            "{oid} is not a versioned anchor"
+        )));
+    };
+    match decode_record(&store.read(oid.cluster, table.current_rid()?)?)? {
+        ObjRecord::VersionRec { state, .. } => Ok(state),
+        _ => Err(OdeError::Version(format!(
+            "anchor {oid} points at a non-version record"
+        ))),
+    }
 }

@@ -78,3 +78,39 @@ fn permanent_errors_are_not_unavailable() {
         .expect_err("unknown class");
     assert!(!err.is_unavailable(), "{err}");
 }
+
+/// An indexed `forall` reads each hit through the store. A failed read is
+/// the statement's error, not a silently missing row; only an entry whose
+/// object is gone is skipped.
+#[test]
+fn failed_read_during_an_index_probe_is_an_error() {
+    let (db, fp) = faulty_db(2);
+    db.create_index("item", "n").unwrap();
+    db.transaction(|tx| {
+        for n in 0..10 {
+            tx.pnew("item", &[("n", (n % 2).into())])?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    let select = |db: &Database| {
+        db.begin_read()
+            .forall("item")?
+            .suchthat("n == 1")?
+            .collect_oids()
+    };
+    assert_eq!(select(&db).unwrap().len(), 5);
+
+    fp.force(FaultKind::Read);
+    let err = select(&db).expect_err("the injected read fault surfaces");
+    assert!(err.is_unavailable(), "{err}");
+    assert_eq!(fp.faults_injected(), 1);
+
+    // In a write transaction too, and the transaction stays usable.
+    fp.force(FaultKind::Read);
+    let err = db
+        .transaction(|tx| tx.forall("item")?.suchthat("n == 1")?.collect_oids())
+        .expect_err("the injected read fault surfaces");
+    assert!(err.is_unavailable(), "{err}");
+    assert_eq!(select(&db).unwrap().len(), 5);
+}

@@ -468,6 +468,185 @@ proptest! {
     }
 }
 
+/// One object of the `a`/`b` hierarchy in the model the in-transaction
+/// differential test keeps.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    id: i64,
+    is_b: bool,
+    f: i64,
+    x: i64,
+    y: i64,
+}
+
+/// The ids (and id pairs) a query selected, sorted.
+fn selected(tx: &mut Transaction<'_>, src: &str) -> Vec<Vec<i64>> {
+    let rows = tx.query(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+    let mut ids: Vec<Vec<i64>> = rows
+        .rows
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|&o| tx.get(o, "id").unwrap().as_int().unwrap())
+                .collect()
+        })
+        .collect();
+    ids.sort();
+    ids
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Differential oracle for loop variables read in hand: inside a
+    /// write transaction that inserted, updated and deleted objects of a
+    /// two-level hierarchy, `p is D && p.f > k`, the same test on bare
+    /// fields, and a two-variable join select what a model of the
+    /// transaction's view selects — with and without indexes on the
+    /// fields they compare.
+    #[test]
+    fn in_transaction_queries_match_the_model(
+        committed in prop::collection::vec((any::<bool>(), -3i64..4, 0i64..4, 0i64..4), 0..12),
+        ops in prop::collection::vec(
+            (0usize..3, 0usize..64, any::<bool>(), -3i64..4, 0i64..4, 0usize..3),
+            0..16,
+        ),
+        k in -3i64..4,
+        indexed in any::<bool>(),
+    ) {
+        let db = Database::in_memory();
+        db.define_from_source(
+            "class a { int id; int f; int x; int y; } class b : a { int g = 0; }",
+        )
+        .unwrap();
+        db.create_cluster("a").unwrap();
+        db.create_cluster("b").unwrap();
+        if indexed {
+            // `a.f` serves the single-variable probe, `b.y` the join's
+            // inner probe on `t`.
+            db.create_index("a", "f").unwrap();
+            db.create_index("b", "y").unwrap();
+        }
+        let pnew = |tx: &mut Transaction<'_>, r: Row| {
+            tx.pnew(
+                if r.is_b { "b" } else { "a" },
+                &[
+                    ("id", Value::Int(r.id)),
+                    ("f", Value::Int(r.f)),
+                    ("x", Value::Int(r.x)),
+                    ("y", Value::Int(r.y)),
+                ],
+            )
+        };
+        let mut live: Vec<(Oid, Row)> = Vec::new();
+        let mut next_id = 0;
+        let mut row = |is_b, f, x, y| {
+            next_id += 1;
+            Row { id: next_id, is_b, f, x, y }
+        };
+        let initial: Vec<Row> = committed.iter().map(|&(b, f, x, y)| row(b, f, x, y)).collect();
+        db.transaction(|tx| {
+            for &r in &initial {
+                live.push((pnew(tx, r)?, r));
+            }
+            Ok(())
+        })
+        .unwrap();
+
+        let mut tx = db.begin();
+        for &(kind, target, is_b, value, other, field) in &ops {
+            match kind {
+                0 => {
+                    let r = row(is_b, value, other, (value + other).rem_euclid(4));
+                    live.push((pnew(&mut tx, r).unwrap(), r));
+                }
+                _ if live.is_empty() => {}
+                1 => {
+                    let at = target % live.len();
+                    let (oid, r) = &mut live[at];
+                    let (name, slot) = match field {
+                        0 => ("f", &mut r.f),
+                        1 => ("x", &mut r.x),
+                        _ => ("y", &mut r.y),
+                    };
+                    *slot = value;
+                    tx.set(*oid, name, value).unwrap();
+                }
+                _ => {
+                    let (oid, _) = live.remove(target % live.len());
+                    tx.pdelete(oid).unwrap();
+                }
+            }
+        }
+
+        let mut want: Vec<Vec<i64>> = live
+            .iter()
+            .filter(|(_, r)| r.is_b && r.f > k)
+            .map(|(_, r)| vec![r.id])
+            .collect();
+        want.sort();
+        for src in [
+            format!("forall p in a suchthat (p is b && p.f > {k})"),
+            format!("forall p in a suchthat (p is b && f > {k})"),
+        ] {
+            prop_assert_eq!(selected(&mut tx, &src), want.clone(), "{}", src);
+        }
+        let mut pairs: Vec<Vec<i64>> = live
+            .iter()
+            .flat_map(|(_, s)| {
+                live.iter()
+                    .filter(move |(_, t)| t.is_b && s.x == t.y)
+                    .map(move |(_, t)| vec![s.id, t.id])
+            })
+            .collect();
+        pairs.sort();
+        let src = "forall s in a, t in b suchthat (s.x == t.y)";
+        prop_assert_eq!(selected(&mut tx, src), pairs, "{}", src);
+        tx.abort();
+    }
+}
+
+/// Binding a loop variable to the object in hand keeps evaluation's
+/// short-circuiting and its errors: a subclass-only field read on a
+/// base-class object fails, unless `is` guards it.
+#[test]
+fn in_hand_variables_keep_short_circuits_and_errors() {
+    let db = Database::in_memory();
+    db.define_from_source(
+        "class person { int income = 0; } class student : person { int stipend = 1; }",
+    )
+    .unwrap();
+    db.create_cluster("person").unwrap();
+    db.create_cluster("student").unwrap();
+    db.transaction(|tx| {
+        tx.pnew("person", &[])?;
+        tx.pnew("student", &[])?;
+        Ok(())
+    })
+    .unwrap();
+    let mut tx = db.begin_read();
+    let rows = |tx: &mut ode_core::ReadTransaction<'_>, src: &str| {
+        tx.query(src)
+            .map(|r| r.rows.len())
+            .map_err(|e| e.to_string())
+    };
+    assert_eq!(
+        rows(&mut tx, "forall p in person suchthat (false && ghost)"),
+        Ok(0)
+    );
+    let err = rows(&mut tx, "forall p in person suchthat (true && ghost)").unwrap_err();
+    assert!(err.contains("ghost"), "{err}");
+    assert_eq!(
+        rows(
+            &mut tx,
+            "forall p in person suchthat (p is student && p.stipend > 0)"
+        ),
+        Ok(1)
+    );
+    let err = rows(&mut tx, "forall p in person suchthat (p.stipend > 0)").unwrap_err();
+    assert!(err.contains("stipend"), "{err}");
+}
+
 // ------------------------------------------------------------------ joins
 
 fn company(db: &Database) {

@@ -1,0 +1,204 @@
+//! Allocation counts of the scan path: an extent scan decodes each object
+//! once into a reused state, and loop variables read that state in hand,
+//! so a scan allocates per statement and per row, not per object scanned.
+//!
+//! A counting global allocator tallies allocations per thread, so tests
+//! running in parallel do not see each other's.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ode_core::prelude::*;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // During thread teardown the counter may be gone; those allocations
+    // belong to no measured section.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees are this allocator's; the counter is
+// a const-initialized thread-local `Cell` with no destructor, which does
+// not allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded unchanged; see the impl comment.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded unchanged; see the impl comment.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: forwarded unchanged; see the impl comment.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged; see the impl comment.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations this thread made while `f` ran, and `f`'s result.
+fn allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Run `src` against a snapshot; the allocations it made, its row count
+/// and the objects it scanned.
+fn query(db: &Database, src: &str) -> (u64, usize, u64) {
+    let mut rtx = db.begin_read();
+    let scanned = db.telemetry().query.objects_scanned;
+    let (n, rows) = allocs(|| rtx.query(src).unwrap());
+    drop(rtx);
+    let scanned = db.telemetry().query.objects_scanned - scanned;
+    (n, rows.rows.len(), scanned)
+}
+
+#[test]
+fn unindexed_scan_allocates_per_statement_not_per_object() {
+    const ITEMS: i64 = 20_000;
+    let db = Database::in_memory();
+    db.define_from_source(
+        "class stockitem { string name; int quantity = 0; float price = 1.0; string supplier; }",
+    )
+    .unwrap();
+    db.create_cluster("stockitem").unwrap();
+    db.transaction(|tx| {
+        for i in 0..ITEMS {
+            tx.pnew(
+                "stockitem",
+                &[
+                    ("name", Value::from(format!("part-{i:07}"))),
+                    ("quantity", Value::Int(i)),
+                    ("price", Value::Float(0.5 + (i % 97) as f64)),
+                    ("supplier", Value::from(format!("supplier-{}", i % 5))),
+                ],
+            )?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    for src in [
+        r#"forall s in stockitem suchthat (name == "part-0012345")"#,
+        r#"forall s in stockitem suchthat (s.name == "part-0012345")"#,
+    ] {
+        let (n, rows, scanned) = query(&db, src);
+        assert_eq!((rows, scanned), (1, ITEMS as u64), "{src}");
+        assert!(
+            n * 100 < scanned,
+            "{src}: {n} allocations for {scanned} objects scanned"
+        );
+    }
+}
+
+#[test]
+fn hierarchy_scan_reads_the_object_in_hand() {
+    const PER_CLASS: i64 = 2_500;
+    let db = Database::in_memory();
+    db.define_from_source(
+        "class person { string name; int income = 0; }
+         class student : person { int stipend = 0; }
+         class faculty : person { int salary = 0; }
+         class teaching_assistant : student, faculty { }",
+    )
+    .unwrap();
+    const PEOPLE: [&str; 4] = ["person", "student", "faculty", "teaching_assistant"];
+    for class in PEOPLE {
+        db.create_cluster(class).unwrap();
+    }
+    db.transaction(|tx| {
+        for i in 0..4 * PER_CLASS {
+            tx.pnew(
+                PEOPLE[i as usize % 4],
+                &[
+                    ("name", Value::from(format!("p-{i}"))),
+                    ("income", Value::Int(i)),
+                ],
+            )?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    // Students and teaching assistants with an income above 9 990.
+    let (n, rows, scanned) = query(
+        &db,
+        "forall p in person suchthat (p is student && income > 9990)",
+    );
+    assert_eq!((rows, scanned), (5, 4 * PER_CLASS as u64));
+    assert!(
+        n * 100 < scanned,
+        "{n} allocations for {scanned} objects scanned"
+    );
+}
+
+#[test]
+fn join_allocates_per_outer_binding_and_row_not_per_pair() {
+    const DEPARTMENTS: i64 = 50;
+    const EMPLOYEES: i64 = 1_000;
+    let db = Database::in_memory();
+    db.define_from_source(
+        "class department { string dname; int dno; }
+         class employee { string ename; int deptno; int salary = 0; }",
+    )
+    .unwrap();
+    db.create_cluster("department").unwrap();
+    db.create_cluster("employee").unwrap();
+    db.transaction(|tx| {
+        for d in 0..DEPARTMENTS {
+            tx.pnew(
+                "department",
+                &[
+                    ("dname", Value::from(format!("dept-{d}"))),
+                    ("dno", Value::Int(d)),
+                ],
+            )?;
+        }
+        for e in 0..EMPLOYEES {
+            tx.pnew(
+                "employee",
+                &[
+                    ("ename", Value::from(format!("emp-{e}"))),
+                    ("deptno", Value::Int(e % DEPARTMENTS)),
+                    ("salary", Value::Int(e)),
+                ],
+            )?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    let pairs = (EMPLOYEES * DEPARTMENTS) as u64;
+    for (salary, expected_rows) in [(989, 10), (-1, EMPLOYEES as usize)] {
+        let (n, rows, scanned) = query(
+            &db,
+            &format!(
+                "forall e in employee, d in department \
+                 suchthat (e.deptno == d.dno && e.salary > {salary})"
+            ),
+        );
+        assert_eq!(rows, expected_rows);
+        assert_eq!(scanned, EMPLOYEES as u64 + pairs);
+        let budget = 12 * (EMPLOYEES as u64 + rows as u64);
+        assert!(
+            n <= budget && n * 4 < pairs,
+            "{n} allocations for {rows} rows of {pairs} pairs (budget {budget})"
+        );
+    }
+}

@@ -97,6 +97,7 @@ impl<'a> Reader<'a> {
         self.need(n)
     }
 
+    #[inline]
     fn need(&mut self, n: usize) -> Result<&'a [u8]> {
         let s = self
             .buf
@@ -106,34 +107,45 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    #[inline]
     fn u8(&mut self) -> Result<u8> {
         Ok(self.need(1)?[0])
     }
 
+    #[inline]
     fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.need(4)?.try_into().unwrap()))
     }
 
+    #[inline]
     fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.need(8)?.try_into().unwrap()))
     }
 
+    #[inline]
     fn i64(&mut self) -> Result<i64> {
         Ok(i64::from_le_bytes(self.need(8)?.try_into().unwrap()))
     }
 
+    #[inline]
     fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    #[inline]
     fn bool(&mut self) -> Result<bool> {
         Ok(self.u8()? != 0)
     }
 
-    fn str(&mut self) -> Result<String> {
+    #[inline]
+    fn str_ref(&mut self) -> Result<&'a str> {
         let n = self.u32()? as usize;
-        let s = self.need(n)?;
-        String::from_utf8(s.to_vec()).map_err(|_| ModelError::Decode("invalid utf-8 string".into()))
+        std::str::from_utf8(self.need(n)?)
+            .map_err(|_| ModelError::Decode("invalid utf-8 string".into()))
+    }
+
+    fn str(&mut self) -> Result<String> {
+        Ok(self.str_ref()?.to_owned())
     }
 }
 
@@ -196,7 +208,14 @@ pub fn write_value(w: &mut Writer, v: &Value) {
 
 /// Decode one value.
 pub fn read_value(r: &mut Reader) -> Result<Value> {
-    Ok(match r.u8()? {
+    let tag = r.u8()?;
+    read_tagged(r, tag)
+}
+
+/// Decode the rest of a value whose tag was read.
+#[inline]
+fn read_tagged(r: &mut Reader, tag: u8) -> Result<Value> {
+    Ok(match tag {
         V_NULL => Value::Null,
         V_BOOL => Value::Bool(r.bool()?),
         V_INT => Value::Int(r.i64()?),
@@ -227,6 +246,20 @@ pub fn read_value(r: &mut Reader) -> Result<Value> {
         }
         other => return Err(ModelError::Decode(format!("unknown value tag {other}"))),
     })
+}
+
+/// Decode one value into `slot`. A string decoded over a string keeps the
+/// slot's buffer; any other value replaces the slot.
+fn read_value_into(r: &mut Reader, slot: &mut Value) -> Result<()> {
+    match (r.u8()?, slot) {
+        (V_STR, Value::Str(s)) => {
+            let text = r.str_ref()?;
+            s.clear();
+            s.push_str(text);
+        }
+        (tag, slot) => *slot = read_tagged(r, tag)?,
+    }
+    Ok(())
 }
 
 /// Encode a value to a standalone byte vector.
@@ -262,6 +295,17 @@ pub fn encode_object(obj: &ObjState) -> Vec<u8> {
 
 /// Decode an object's state.
 pub fn decode_object(bytes: &[u8]) -> Result<ObjState> {
+    let mut state = ObjState::new(ClassId(0), 0);
+    decode_object_into(bytes, &mut state)?;
+    Ok(state)
+}
+
+/// Decode an object's state into `into`, reusing its field vector and the
+/// buffers of its string slots, so a scan that decodes every record into
+/// one state allocates only where a record outgrows the one before. Makes
+/// every check [`decode_object`] makes and fails with the same error; after
+/// an error `into` holds some valid but unspecified state.
+pub fn decode_object_into(bytes: &[u8], into: &mut ObjState) -> Result<()> {
     let mut r = Reader::new(bytes);
     let ver = r.u8()?;
     if ver != CODEC_VERSION {
@@ -269,16 +313,22 @@ pub fn decode_object(bytes: &[u8]) -> Result<ObjState> {
             "object codec version {ver} not supported"
         )));
     }
-    let class = ClassId(r.u32()?);
+    into.class = ClassId(r.u32()?);
     let n = r.u32()? as usize;
-    let mut fields = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        fields.push(read_value(&mut r)?);
+    let fields = &mut into.fields;
+    // The count is untrusted: reserve at most 64 Ki slots up front.
+    fields.reserve(n.min(1 << 16).saturating_sub(fields.len()));
+    for i in 0..n {
+        match fields.get_mut(i) {
+            Some(slot) => read_value_into(&mut r, slot)?,
+            None => fields.push(read_value(&mut r)?),
+        }
     }
+    fields.truncate(n);
     if !r.at_end() {
         return Err(ModelError::Decode("trailing bytes after object".into()));
     }
-    Ok(ObjState { class, fields })
+    Ok(())
 }
 
 // ---------------------------------------------------------------- types

@@ -5,8 +5,9 @@
 //! * the **schema** (for method dispatch, `is` tests, and field layouts),
 //! * an optional **current object** (`this`) — constraint bodies and
 //!   trigger conditions read its fields with bare identifiers,
-//! * **variables** — loop variables of a `forall` (each bound to an object
-//!   reference) or auxiliary bindings,
+//! * **loop variables** — the variables of a `forall`, each bound to the
+//!   object it ranges over ([`BoundVar`]): `v` is a reference to it, and
+//!   `v.f` and `v is C` read the state the scan already holds,
 //! * **parameters** — trigger activation arguments, written `$name`,
 //! * a **resolver** — the engine hook that dereferences object references
 //!   (generic refs follow the current version, §4).
@@ -50,12 +51,24 @@ impl Resolver for NoResolver {
     }
 }
 
+/// A loop variable bound to the object it ranges over (§3.1): its name,
+/// the object's identity, and the state the query already holds for it.
+#[derive(Debug, Clone, Copy)]
+pub struct BoundVar<'a> {
+    /// The variable's name.
+    pub name: &'a str,
+    /// The object the variable is bound to.
+    pub oid: Oid,
+    /// That object's state, as the view running the query sees it.
+    pub state: &'a ObjState,
+}
+
 /// Evaluation context. Build with [`EvalCtx::new`] and chain the `with_*`
 /// setters.
 pub struct EvalCtx<'a> {
     schema: &'a Schema,
     this: Option<&'a ObjState>,
-    vars: Option<&'a HashMap<String, Value>>,
+    vars: &'a [BoundVar<'a>],
     params: Option<&'a HashMap<String, Value>>,
     resolver: &'a dyn Resolver,
 }
@@ -66,7 +79,7 @@ impl<'a> EvalCtx<'a> {
         EvalCtx {
             schema,
             this: None,
-            vars: None,
+            vars: &[],
             params: None,
             resolver: &NoResolver,
         }
@@ -78,9 +91,10 @@ impl<'a> EvalCtx<'a> {
         self
     }
 
-    /// Bind loop variables / auxiliary bindings.
-    pub fn with_vars(mut self, vars: &'a HashMap<String, Value>) -> Self {
-        self.vars = Some(vars);
+    /// Bind loop variables. A later binding of a name shadows an earlier
+    /// one, and every binding shadows a field of `this` with its name.
+    pub fn with_bindings(mut self, vars: &'a [BoundVar<'a>]) -> Self {
+        self.vars = vars;
         self
     }
 
@@ -105,20 +119,20 @@ impl<'a> EvalCtx<'a> {
                 .and_then(|p| p.get(name))
                 .cloned()
                 .ok_or_else(|| ModelError::UnknownVar(format!("${name}"))),
-            Expr::Ident(name) => self.resolve_ident(name),
+            Expr::Ident(name) => Ok(self.ident(name)?.into_owned()),
             Expr::Path(base, field) => {
-                let obj = self.eval_to_object(base)?;
-                self.field_of(&obj, field)
+                let obj = self.object(base)?;
+                Ok(self.field_ref(&obj, field)?.clone())
             }
             Expr::Unary(op, e) => self.eval_unary(*op, e),
             Expr::Binary(op, l, r) => self.eval_binary(*op, l, r),
             Expr::Call { recv, name, args } => {
                 let argv: Vec<Value> = args.iter().map(|a| self.eval(a)).collect::<Result<_>>()?;
                 let obj = match recv {
-                    Some(r) => self.eval_to_object(r)?,
-                    None => self.this.cloned().ok_or_else(|| {
+                    Some(r) => self.object(r)?,
+                    None => Cow::Borrowed(self.this.ok_or_else(|| {
                         ModelError::Eval(format!("method `{name}` called with no current object"))
-                    })?,
+                    })?),
                 };
                 let m = self.schema.lookup_method(obj.class, name)?;
                 m(&obj, &argv)
@@ -159,6 +173,9 @@ impl<'a> EvalCtx<'a> {
             }
             Expr::Is(e, class_name) => {
                 let target = self.schema.id_of(class_name)?;
+                if let Some(state) = self.bound_state(e) {
+                    return Ok(Value::Bool(self.schema.is_subclass(state.class, target)));
+                }
                 let v = self.eval(e)?;
                 let class = match &v {
                     Value::Ref(oid) => self.resolver.deref_obj(*oid)?.class,
@@ -180,36 +197,60 @@ impl<'a> EvalCtx<'a> {
         self.eval(expr)?.as_bool()
     }
 
-    fn resolve_ident(&self, name: &str) -> Result<Value> {
-        self.ident_ref(name).cloned()
+    /// The innermost binding of loop variable `name`.
+    fn binding(&self, name: &str) -> Option<&'a BoundVar<'a>> {
+        self.vars.iter().rev().find(|b| b.name == name)
     }
 
-    /// The value an identifier names — a variable, else a field of
-    /// `this` — borrowed where it lives.
-    fn ident_ref(&self, name: &str) -> Result<&'a Value> {
-        if let Some(v) = self.vars.and_then(|v| v.get(name)) {
-            return Ok(v);
+    /// The state `expr` denotes if it names a loop variable: the object
+    /// in hand, read without a dereference.
+    fn bound_state(&self, expr: &Expr) -> Option<&'a ObjState> {
+        match expr {
+            Expr::Ident(name) => self.binding(name).map(|b| b.state),
+            _ => None,
+        }
+    }
+
+    /// The value an identifier names — a reference to a loop variable's
+    /// object, else a field of `this`, borrowed where it lives.
+    fn ident(&self, name: &str) -> Result<Cow<'a, Value>> {
+        if let Some(b) = self.binding(name) {
+            return Ok(Cow::Owned(Value::Ref(b.oid)));
         }
         if let Some(this) = self.this {
             let def = self.schema.class(this.class)?;
             if let Ok(idx) = def.field_index(name) {
-                return Ok(&this.fields[idx]);
+                return Ok(Cow::Borrowed(&this.fields[idx]));
             }
         }
         Err(ModelError::UnknownVar(name.to_string()))
     }
 
-    /// Evaluate a binary operand, borrowing literals and identifiers in
-    /// place instead of cloning them (a string or set compared per
-    /// scanned object would otherwise be copied each time).
+    /// Evaluate a binary operand, borrowing literals, identifiers and the
+    /// fields of loop variables in place instead of cloning them (a string
+    /// or set compared per scanned object would otherwise be copied each
+    /// time).
     fn operand<'e>(&self, e: &'e Expr) -> Result<Cow<'e, Value>>
     where
         'a: 'e,
     {
         match e {
             Expr::Lit(v) => Ok(Cow::Borrowed(v)),
-            Expr::Ident(name) => self.ident_ref(name).map(Cow::Borrowed),
+            Expr::Ident(name) => self.ident(name),
+            Expr::Path(base, field) => match self.bound_state(base) {
+                Some(state) => self.field_ref(state, field).map(Cow::Borrowed),
+                None => self.eval(e).map(Cow::Owned),
+            },
             _ => self.eval(e).map(Cow::Owned),
+        }
+    }
+
+    /// The object an expression denotes: a loop variable's state in hand,
+    /// else a Ref/VRef value dereferenced through the resolver.
+    fn object(&self, expr: &Expr) -> Result<Cow<'a, ObjState>> {
+        match self.bound_state(expr) {
+            Some(state) => Ok(Cow::Borrowed(state)),
+            None => self.eval_to_object(expr).map(Cow::Owned),
         }
     }
 
@@ -226,10 +267,10 @@ impl<'a> EvalCtx<'a> {
         }
     }
 
-    fn field_of(&self, obj: &ObjState, field: &str) -> Result<Value> {
+    fn field_ref<'o>(&self, obj: &'o ObjState, field: &str) -> Result<&'o Value> {
         let def = self.schema.class(obj.class)?;
         let idx = def.field_index(field)?;
-        Ok(obj.fields[idx].clone())
+        Ok(&obj.fields[idx])
     }
 
     fn eval_unary(&self, op: UnOp, e: &Expr) -> Result<Value> {
@@ -480,19 +521,47 @@ mod tests {
         assert!(EvalCtx::new(&s).with_this(&obj).eval(&e).is_err());
     }
 
+    fn oid(page: u32) -> Oid {
+        Oid {
+            cluster: 1,
+            rid: ode_storage::RecordId { page, slot: 0 },
+        }
+    }
+
     #[test]
     fn vars_shadow_fields() {
         let (s, id) = schema_with_item();
         let mut obj = s.new_object(id).unwrap();
         obj.fields[1] = Value::Int(1);
-        let vars: HashMap<String, Value> = [("quantity".to_string(), Value::Int(999))].into();
-        let e = parse_expr("quantity").unwrap();
-        let got = EvalCtx::new(&s)
-            .with_this(&obj)
-            .with_vars(&vars)
-            .eval(&e)
-            .unwrap();
-        assert_eq!(got, Value::Int(999));
+        let mut other = s.new_object(id).unwrap();
+        other.fields[1] = Value::Int(999);
+        let vars = [BoundVar {
+            name: "quantity",
+            oid: oid(7),
+            state: &other,
+        }];
+        let ctx = EvalCtx::new(&s).with_this(&obj).with_bindings(&vars);
+        assert_eq!(
+            ctx.eval(&parse_expr("quantity").unwrap()).unwrap(),
+            Value::Ref(oid(7))
+        );
+        assert_eq!(
+            ctx.eval(&parse_expr("quantity.quantity").unwrap()).unwrap(),
+            Value::Int(999)
+        );
+        // A later binding of the same name shadows an earlier one.
+        let inner = [
+            vars[0],
+            BoundVar {
+                oid: oid(8),
+                ..vars[0]
+            },
+        ];
+        let ctx = EvalCtx::new(&s).with_this(&obj).with_bindings(&inner);
+        assert_eq!(
+            ctx.eval(&parse_expr("quantity").unwrap()).unwrap(),
+            Value::Ref(oid(8))
+        );
     }
 
     #[test]
@@ -514,33 +583,115 @@ mod tests {
 
     #[test]
     fn membership_in_sets_and_arrays() {
-        let (s, id) = schema_with_item();
+        let (mut s, id) = schema_with_item();
+        let holder = s
+            .define(
+                ClassBuilder::new("holder")
+                    .field("supplies", Type::Set(Box::new(Type::Str)))
+                    .field("arr", Type::Array(Box::new(Type::Int))),
+            )
+            .unwrap();
         let obj = s.new_object(id).unwrap();
-        let vars: HashMap<String, Value> = [
-            (
-                "supplies".to_string(),
-                Value::Set(crate::value::SetValue::from_iter([
-                    Value::Str("dram".into()),
-                    Value::Str("cpu".into()),
-                ])),
-            ),
-            (
-                "arr".to_string(),
-                Value::Array(vec![Value::Int(1), Value::Int(2)]),
-            ),
-        ]
-        .into();
-        let ctx = EvalCtx::new(&s).with_this(&obj).with_vars(&vars);
+        let mut h = s.new_object(holder).unwrap();
+        h.fields[0] = Value::Set(crate::value::SetValue::from_iter([
+            Value::Str("dram".into()),
+            Value::Str("cpu".into()),
+        ]));
+        h.fields[1] = Value::Array(vec![Value::Int(1), Value::Int(2)]);
+        let vars = [BoundVar {
+            name: "h",
+            oid: oid(3),
+            state: &h,
+        }];
+        let ctx = EvalCtx::new(&s).with_this(&obj).with_bindings(&vars);
         assert_eq!(
-            ctx.eval(&parse_expr("'dram' in supplies").unwrap())
+            ctx.eval(&parse_expr("'dram' in h.supplies").unwrap())
                 .unwrap(),
             Value::Bool(true)
         );
         assert_eq!(
-            ctx.eval(&parse_expr("3 in arr").unwrap()).unwrap(),
+            ctx.eval(&parse_expr("3 in h.arr").unwrap()).unwrap(),
             Value::Bool(false)
         );
         assert!(ctx.eval(&parse_expr("1 in quantity").unwrap()).is_err());
+    }
+
+    /// Resolves the objects it was built with.
+    struct Objects(Vec<(Oid, ObjState)>);
+
+    impl Resolver for Objects {
+        fn deref_obj(&self, oid: Oid) -> Result<ObjState> {
+            self.0
+                .iter()
+                .find(|(o, _)| *o == oid)
+                .map(|(_, s)| s.clone())
+                .ok_or_else(|| ModelError::Eval(format!("no object {oid}")))
+        }
+
+        fn deref_version(&self, vref: VersionRef) -> Result<ObjState> {
+            Err(ModelError::Eval(format!("no version {vref}")))
+        }
+    }
+
+    /// A loop variable reads the object in hand exactly as a reference
+    /// stored in a field reads it through the resolver: same values, same
+    /// `is` answers, same errors, same short-circuiting.
+    #[test]
+    fn bound_variables_read_like_dereferenced_references() {
+        let mut s = Schema::new();
+        let person = s
+            .define(
+                ClassBuilder::new("person")
+                    .field("name", Type::Str)
+                    .field_default("income", Type::Int, 7),
+            )
+            .unwrap();
+        s.define(ClassBuilder::new("student").base("person").field_default(
+            "stipend",
+            Type::Int,
+            3,
+        ))
+        .unwrap();
+        let link = s
+            .define(ClassBuilder::new("link").field("p", Type::Ref("person".into())))
+            .unwrap();
+        let p = s.new_object(person).unwrap();
+        let mut this = s.new_object(link).unwrap();
+        this.fields[0] = Value::Ref(oid(5));
+        let objects = Objects(vec![(oid(5), p.clone())]);
+        let vars = [BoundVar {
+            name: "q",
+            oid: oid(5),
+            state: &p,
+        }];
+        let ctx = EvalCtx::new(&s)
+            .with_this(&this)
+            .with_bindings(&vars)
+            .with_resolver(&objects);
+        let eval = |src: &str| {
+            ctx.eval(&parse_expr(src).unwrap())
+                .map_err(|e| e.to_string())
+        };
+        for (in_hand, through_resolver) in [
+            ("q", "p"),
+            ("q.income + 1", "p.income + 1"),
+            ("q is student", "p is student"),
+            ("q is person", "p is person"),
+            // A subclass-only field read on a base-class object.
+            ("q.stipend", "p.stipend"),
+            ("q.stipend > 0", "p.stipend > 0"),
+            ("false && q.ghost", "false && p.ghost"),
+            ("true && q.ghost", "true && p.ghost"),
+            ("q is nosuchclass", "p is nosuchclass"),
+        ] {
+            assert_eq!(eval(in_hand), eval(through_resolver), "{in_hand}");
+        }
+        assert!(eval("q.stipend").is_err());
+        assert_eq!(eval("false && ghost"), Ok(Value::Bool(false)));
+        assert_eq!(
+            eval("true && ghost"),
+            Err(ModelError::UnknownVar("ghost".into()).to_string())
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod value;
 pub use class::{ClassBuilder, ClassDef, ClassId, FieldDef, TriggerAction, TriggerDecl};
 pub use ddl::parse_classes;
 pub use error::{ModelError, Result};
-pub use eval::{EvalCtx, Resolver};
+pub use eval::{BoundVar, EvalCtx, Resolver};
 pub use expr::{BinOp, Expr, UnOp};
 pub use oid::{Oid, VersionNo, VersionRef};
 pub use parser::parse_expr;

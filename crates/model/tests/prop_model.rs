@@ -4,8 +4,10 @@
 
 use proptest::prelude::*;
 
-use ode_model::encode::{decode_value, encode_value};
-use ode_model::{parse_expr, Oid, SetValue, Value, VersionRef};
+use ode_model::encode::{
+    decode_object, decode_object_into, decode_value, encode_object, encode_value,
+};
+use ode_model::{parse_expr, ClassId, ObjState, Oid, SetValue, Value, VersionRef};
 use ode_storage::RecordId;
 
 fn leaf_value() -> impl Strategy<Value = Value> {
@@ -113,6 +115,52 @@ proptest! {
         };
         let back_order: Vec<Value> = back.iter().cloned().collect();
         prop_assert_eq!(back_order, order);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Decoding into one reused state gives what a fresh decode gives,
+    /// whatever the previous record left in it — other classes, arities
+    /// and value kinds — and every truncated or corrupted record fails
+    /// with the same error.
+    #[test]
+    fn codec_decode_into_matches_decode_object(
+        records in prop::collection::vec(
+            (
+                0u32..4,
+                prop::collection::vec(value(), 0..6),
+                prop::collection::vec(0usize..4096, 3),
+                prop::collection::vec((0usize..4096, any::<u8>()), 3),
+            ),
+            1..8,
+        ),
+    ) {
+        let mut scratch = ObjState::new(ClassId(0), 0);
+        let mut decode_into = |bytes: &[u8]| {
+            decode_object_into(bytes, &mut scratch)
+                .map(|()| scratch.clone())
+                .map_err(|e| e.to_string())
+        };
+        let decode = |bytes: &[u8]| decode_object(bytes).map_err(|e| e.to_string());
+        for (class, fields, cuts, flips) in records {
+            let obj = ObjState { class: ClassId(class), fields };
+            let bytes = encode_object(&obj);
+            prop_assert_eq!(decode_into(&bytes), Ok(obj));
+            for cut in cuts {
+                let short = &bytes[..cut % bytes.len()];
+                prop_assert_eq!(decode_into(short), decode(short));
+            }
+            for (at, byte) in flips {
+                let mut bad = bytes.clone();
+                bad[at % bytes.len()] = byte;
+                prop_assert_eq!(decode_into(&bad), decode(&bad));
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            prop_assert_eq!(decode_into(&long), decode(&long));
+        }
     }
 }
 

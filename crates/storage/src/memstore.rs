@@ -187,11 +187,19 @@ impl Store for MemStore {
         // resumes after the last-visited rid), so scan residency is
         // O(chunk) rather than O(heap) — mirroring FileStore's
         // page-at-a-time bound — and the callback may still re-enter the
-        // store: no lock is held while it runs.
+        // store: no lock is held while it runs. Every chunk is copied into
+        // the same two buffers (the records' bytes back to back, and each
+        // record's rid and end offset), sized from a first pass over the
+        // chunk, so a scan allocates only when a chunk outgrows the ones
+        // before it — never per record, and never for an empty heap.
         const SCAN_CHUNK: usize = 128;
+        let mut bytes: Vec<u8> = Vec::new();
+        let mut records: Vec<(RecordId, usize)> = Vec::new();
         let mut resume_after: Option<RecordId> = None;
         loop {
-            let chunk: Vec<(RecordId, Vec<u8>)> = {
+            bytes.clear();
+            records.clear();
+            {
                 let g = self.inner.read();
                 let h = g.heaps.get(&heap).ok_or(StorageError::NoSuchHeap(heap))?;
                 let range = match resume_after {
@@ -200,22 +208,32 @@ impl Store for MemStore {
                         .records
                         .range((std::ops::Bound::Excluded(last), std::ops::Bound::Unbounded)),
                 };
-                range
+                let chunk = range
                     .filter_map(|(rid, rec)| match rec {
-                        Rec::Data(d) => Some((*rid, d.clone())),
+                        Rec::Data(d) => Some((*rid, d)),
                         Rec::Reserved => None,
                     })
-                    .take(SCAN_CHUNK)
-                    .collect()
-            };
-            let Some(&(last, _)) = chunk.last() else {
+                    .take(SCAN_CHUNK);
+                let (n, len) = chunk
+                    .clone()
+                    .fold((0, 0), |(n, len), (_, d)| (n + 1, len + d.len()));
+                records.reserve(n);
+                bytes.reserve(len);
+                for (rid, data) in chunk {
+                    bytes.extend_from_slice(data);
+                    records.push((rid, bytes.len()));
+                }
+            }
+            let Some(&(last, _)) = records.last() else {
                 return Ok(());
             };
             resume_after = Some(last);
-            for (rid, data) in chunk {
-                if !visit(rid, &data)? {
+            let mut start = 0;
+            for &(rid, end) in &records {
+                if !visit(rid, &bytes[start..end])? {
                     return Ok(());
                 }
+                start = end;
             }
         }
     }
