@@ -1,13 +1,15 @@
 //! Static type inference over [`Expr`] trees.
 //!
-//! Mirrors the evaluator's semantics (`ode-model`'s `eval.rs`) without
-//! touching objects: bare identifiers resolve loop variables first, then
-//! members of the context class; arithmetic works on numbers (ints
-//! coerce to doubles, `+` also concatenates strings); ordering compares
-//! numbers with numbers and strings with strings; `==`/`!=` accept any
-//! pair of *compatible* types. `Any`/`Null` absorb — inference is
-//! deliberately lenient where the evaluator is dynamic, so the analyzer
-//! only reports what is provably wrong.
+//! Name resolution has one home, `ode-model`'s binder (`bind.rs`): a
+//! bare identifier names the innermost loop variable of that name, else a
+//! member of the current object. This pass walks the same names with
+//! static types and touches no objects; it does not yet run on the
+//! binder's output. Arithmetic works on numbers (ints coerce to doubles,
+//! `+` also concatenates strings); ordering compares numbers with numbers
+//! and strings with strings; `==`/`!=` accept any pair of *compatible*
+//! types. `Any`/`Null` absorb — inference is deliberately lenient where
+//! the evaluator is dynamic, so the analyzer only reports what is
+//! provably wrong.
 
 use ode_model::{BinOp, Binding, ClassId, Expr, Schema, Type, UnOp, Value};
 

@@ -35,7 +35,9 @@ use std::time::Instant;
 use parking_lot::{Condvar, Mutex, RwLock, RwLockWriteGuard};
 
 use ode_model::encode::{decode_class, encode_class};
-use ode_model::{ClassBuilder, ClassId, FieldRange, ObjState, Oid, Schema, Statement, Value};
+use ode_model::{
+    ClassBuilder, ClassId, FieldRange, ObjState, Oid, Schema, SlotMask, Statement, Value,
+};
 use ode_obs::{
     EngineTelemetry, FlightRecorder, QueryProfile, SlowQueryLog, SpanStage, StorageSnapshot,
     TelemetrySnapshot, WorkStat, WorkStatRow, WorkloadStats, DEFAULT_FLIGHT_CAPACITY,
@@ -48,6 +50,7 @@ use crate::error::{OdeError, Result};
 use crate::index::BTreeIndex;
 use crate::object::is_anchor;
 use crate::read::ReadTransaction;
+use crate::rules::{LazyRules, Rules};
 use crate::trigger::{Activation, CommitNote, PendingEvent};
 use crate::txn::{ScanEntry, Transaction};
 
@@ -145,6 +148,8 @@ pub(crate) struct Layout {
     pub clusters: HashMap<ClassId, u32>,
     /// cluster heap → its cluster.
     pub by_heap: HashMap<u32, Cluster>,
+    /// The schema's constraints and trigger bodies, bound.
+    rules: LazyRules,
 }
 
 /// One cluster: its class and, from its first committed write on, the
@@ -182,6 +187,12 @@ impl Layout {
     /// Heap ids of the extent, each once, in first-occurrence order.
     pub fn heap_ids(&self, class: ClassId, deep: bool) -> Vec<u32> {
         crate::read::dedup_heaps(&self.extent_heaps(class, deep))
+    }
+
+    /// The schema's constraints and trigger bodies, bound once for this
+    /// layout.
+    pub fn rules(&self) -> &Rules {
+        self.rules.get(&self.schema)
     }
 }
 
@@ -1651,7 +1662,7 @@ fn build_index(
         let Ok(slot) = def.field_index(field) else {
             continue; // class lacks the field (possible for siblings)
         };
-        crate::read::stream_committed_heap(store, heap, &mut |oid, state| {
+        crate::read::stream_committed_heap(store, heap, &SlotMask::ALL, &mut |oid, state| {
             if let Some(v) = state.fields.get(slot) {
                 if !v.is_null() {
                     ix.insert(v.clone(), oid);

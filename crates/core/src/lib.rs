@@ -31,6 +31,7 @@ pub mod object;
 pub mod oql;
 pub mod query;
 pub mod read;
+mod rules;
 pub mod trigger;
 pub mod txn;
 pub mod typed;

@@ -141,30 +141,8 @@ pub fn decode_record(bytes: &[u8]) -> Result<ObjRecord> {
     match tag {
         TAG_PLAIN => Ok(ObjRecord::Plain(decode_object(rest)?)),
         TAG_VERSIONED => {
-            let u32_at = |i: usize| -> Result<u32> {
-                rest.get(i..i + 4)
-                    .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-                    .ok_or_else(|| ModelError::Decode("truncated anchor table".into()).into())
-            };
-            let current = u32_at(0)?;
-            let count = u32_at(4)? as usize;
-            let mut entries = Vec::with_capacity(count.min(1 << 16));
-            let mut at = 8;
-            for _ in 0..count {
-                let no = u32_at(at)?;
-                let rid = rest
-                    .get(at + 4..at + 10)
-                    .and_then(RecordId::from_bytes)
-                    .ok_or_else(|| {
-                        OdeError::from(ModelError::Decode("truncated anchor rid".into()))
-                    })?;
-                let parent = u32_at(at + 10)?;
-                entries.push(VersionEntry { no, rid, parent });
-                at += 14;
-            }
-            if at != rest.len() {
-                return Err(ModelError::Decode("trailing bytes after anchor".into()).into());
-            }
+            let mut entries = Vec::new();
+            let current = walk_table(rest, |_, e| entries.push(e))?;
             Ok(ObjRecord::Anchor(VersionTable { current, entries }))
         }
         TAG_VREC => {
@@ -179,6 +157,49 @@ pub fn decode_record(bytes: &[u8]) -> Result<ObjRecord> {
         }
         other => Err(ModelError::Decode(format!("unknown object tag {other}")).into()),
     }
+}
+
+/// Walk the version table in a versioned anchor's body (the bytes after
+/// its tag), handing the current version number and each entry to `f` in
+/// order, with every framing check [`decode_record`] makes. Returns the
+/// current version number.
+fn walk_table(rest: &[u8], mut f: impl FnMut(VersionNo, VersionEntry)) -> Result<VersionNo> {
+    let u32_at = |i: usize| -> Result<u32> {
+        rest.get(i..i + 4)
+            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
+            .ok_or_else(|| ModelError::Decode("truncated anchor table".into()).into())
+    };
+    let current = u32_at(0)?;
+    let count = u32_at(4)? as usize;
+    let mut at = 8;
+    for _ in 0..count {
+        let no = u32_at(at)?;
+        let rid = rest
+            .get(at + 4..at + 10)
+            .and_then(RecordId::from_bytes)
+            .ok_or_else(|| OdeError::from(ModelError::Decode("truncated anchor rid".into())))?;
+        let parent = u32_at(at + 10)?;
+        f(current, VersionEntry { no, rid, parent });
+        at += 14;
+    }
+    if at != rest.len() {
+        return Err(ModelError::Decode("trailing bytes after anchor".into()).into());
+    }
+    Ok(current)
+}
+
+/// The record id of the current version in a versioned anchor's table
+/// (the anchor's bytes after its tag), read without building the table:
+/// the checks and errors of [`decode_record`] and
+/// [`VersionTable::current_rid`].
+pub(crate) fn current_rid(table: &[u8]) -> Result<RecordId> {
+    let mut found = None;
+    walk_table(table, |current, e| {
+        if found.is_none() && e.no == current {
+            found = Some(e.rid);
+        }
+    })?;
+    found.ok_or_else(|| OdeError::Version("anchor table missing its current version".into()))
 }
 
 /// Is this record an object anchor (vs. a version record)? Used by cluster

@@ -29,8 +29,8 @@ use std::collections::HashMap;
 
 use ode_analyze::{Diagnostic, Footprint};
 use ode_model::{
-    extract_field_ranges, parse_statement, EvalCtx, Expr, FieldRange, ModelError, Oid, Statement,
-    Value,
+    bind, extract_field_ranges, parse_statement, BoundExpr, EvalCtx, Expr, FieldRange, Frame,
+    ModelError, Oid, Scope, Statement, Value,
 };
 use ode_obs::QueryProfile;
 
@@ -173,14 +173,30 @@ impl<'db> Transaction<'db> {
             Statement::Update { target, assigns } => {
                 let oids = self.dml_targets(target)?;
                 let n = oids.len();
+                // The assigned values are bound once, over the object.
+                let layout = self.db.layout();
+                let schema = &layout.schema;
+                let scope = Scope {
+                    vars: &[],
+                    this: true,
+                    params: &[],
+                };
+                let assigns: Vec<(&str, BoundExpr)> = assigns
+                    .iter()
+                    .map(|(field, expr)| (field.as_str(), bind(schema, &scope, expr)))
+                    .collect();
                 for oid in oids {
                     self.update(oid, |w| {
-                        for (field, expr) in assigns {
-                            // Assignments see the object's *pre-statement*
-                            // fields through the writer (left-to-right within
-                            // one object, as in a C++ body).
-                            let state = ObjStateView(w);
-                            let v = state.eval(expr)?;
+                        for (field, value) in &assigns {
+                            // Assignments see the object as the earlier
+                            // ones left it, through the writer
+                            // (left-to-right within one object, as in a
+                            // C++ body).
+                            let (_, state) = w.parts();
+                            let v = value.eval(&Frame {
+                                this: Some(state),
+                                ..Frame::new(schema)
+                            })?;
                             w.set(field, v)?;
                         }
                         Ok(())
@@ -326,18 +342,6 @@ fn run_query<C: ReadContext>(
     }
     let rows = q.collect_profiled(prof)?;
     Ok(QueryRows { vars, rows })
-}
-
-/// Helper: evaluate an expression against an in-progress [`ObjWriter`].
-struct ObjStateView<'a, 'b>(&'a crate::txn::ObjWriter<'b>);
-
-impl ObjStateView<'_, '_> {
-    fn eval(&self, expr: &Expr) -> Result<ode_model::Value> {
-        let (schema, state) = self.0.parts();
-        Ok(ode_model::EvalCtx::new(schema)
-            .with_this(state)
-            .eval(expr)?)
-    }
 }
 
 /// What one statement produced — the result of [`Database::execute`],

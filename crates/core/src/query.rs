@@ -33,10 +33,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use ode_model::{
-    extract_field_ranges, parse_expr, probe_range, BinOp, ClassId, Expr, ObjState, Oid, Resolver,
-    Schema, Value,
+    bind, extract_field_ranges, parse_expr, probe_range, BinOp, BoundExpr, BoundVar, ClassId, Expr,
+    Frame, ObjState, Oid, Resolver, Schema, Scope, SlotMask, Value,
 };
-use ode_model::{BoundVar, EvalCtx};
 use ode_obs::{PlanStrategy, QueryProfile, SpanStage};
 
 use crate::database::Layout;
@@ -198,6 +197,7 @@ impl<'db> Transaction<'db> {
         &self,
         class_name: &str,
         deep: bool,
+        mask: &SlotMask,
         visit: &mut dyn FnMut(Oid, &ObjState) -> Result<bool>,
     ) -> Result<()> {
         let heap_ids = {
@@ -215,6 +215,7 @@ impl<'db> Transaction<'db> {
                 let complete = crate::read::stream_committed_heap(
                     self.db.store.as_ref(),
                     heap,
+                    mask,
                     &mut |oid, state| {
                         if self.deleted.contains_key(&oid) {
                             return Ok(true);
@@ -349,8 +350,8 @@ impl<'t, C: ReadContext> Forall<'t, C> {
                 "collect_oids is a snapshot; fixpoint iteration needs run()".into(),
             ));
         }
-        let mut pred = Predicate::new(&suchthat, &var, filter);
-        candidates(&*tx, &layout, &class_name, deep, &mut pred, &by, prof)
+        let mut pred = Predicate::new(&layout.schema, &suchthat, &by, &var, filter);
+        candidates(&*tx, &layout, &class_name, deep, &mut pred, prof)
     }
 
     /// Count qualifying objects.
@@ -441,20 +442,20 @@ impl<'t, C: ReadContext> Forall<'t, C> {
             ..
         } = self;
         let tx = &*tx;
-        let mut pred = Predicate::new(&suchthat, &var, filter);
+        let mut pred = Predicate::new(&layout.schema, &suchthat, &by, &var, filter);
         let oids = candidates(
             tx,
             &layout,
             &class_name,
             deep,
             &mut pred,
-            &by,
             &mut QueryProfile::default(),
         )?;
+        let proj = bind_object(&layout.schema, var.as_deref(), &proj);
         let mut out = Vec::with_capacity(oids.len());
         for oid in oids {
             let state = tx.read_obj(oid)?;
-            out.push(pred.eval(&layout.schema, tx, oid, &state, &proj)?);
+            out.push(pred.eval(&proj, &layout.schema, tx, oid, &state)?);
         }
         Ok(out)
     }
@@ -508,11 +509,11 @@ impl<'t, 'db> Forall<'t, Transaction<'db>> {
                 "fixpoint iteration cannot be ordered with by()".into(),
             ));
         }
-        let mut pred = Predicate::new(&suchthat, &var, filter);
+        let mut pred = Predicate::new(&layout.schema, &suchthat, &by, &var, filter);
         // The full pass sees every insert made before it; the first delta
         // starts at the slot after them.
         let mut mark = tx.writes.mark();
-        let mut batch = candidates(&*tx, &layout, &class_name, deep, &mut pred, &by, prof)?;
+        let mut batch = candidates(&*tx, &layout, &class_name, deep, &mut pred, prof)?;
         let mut n = 0usize;
         loop {
             if fixpoint && !batch.is_empty() {
@@ -579,25 +580,55 @@ fn inserted_since(
     Ok(out)
 }
 
-/// The per-object test of a query: `suchthat`, then the native filter,
-/// with the loop variable bound to the object under test.
+/// The per-object work of a query, bound once per statement: the
+/// `suchthat` test, then the native filter, and the `by` key, each with the
+/// object as `this` and, when the query names its loop variable, as that
+/// variable too.
 struct Predicate<'q, 't> {
-    suchthat: Option<&'q Expr>,
+    /// The `suchthat` as written, for the key ranges it pins.
+    source: Option<&'q Expr>,
+    /// The loop variable's name, if the query names one.
     var: Option<&'q str>,
+    suchthat: Option<BoundExpr>,
+    /// The `by` key and its direction.
+    by: Option<(BoundExpr, Dir)>,
     filter: Option<FilterFn<'t>>,
 }
 
 impl<'q, 't> Predicate<'q, 't> {
     fn new(
+        schema: &Schema,
         suchthat: &'q Option<Expr>,
+        by: &Option<(Expr, Dir)>,
         var: &'q Option<String>,
         filter: Option<FilterFn<'t>>,
     ) -> Self {
+        let var = var.as_deref();
+        let bound = suchthat.as_ref().map(|e| bind_object(schema, var, e));
+        let by = by
+            .as_ref()
+            .map(|(e, dir)| (bind_object(schema, var, e), *dir));
         Predicate {
-            suchthat: suchthat.as_ref(),
-            var: var.as_deref(),
+            source: suchthat.as_ref(),
+            var,
+            suchthat: bound,
+            by,
             filter,
         }
+    }
+
+    /// The slots of a scanned object the `suchthat` and the `by` key read:
+    /// all of them when a native filter runs, since it sees the state.
+    fn mask(&self) -> SlotMask {
+        let mut mask = SlotMask::default();
+        if self.filter.is_some() {
+            mask.set_all();
+        }
+        let by = self.by.as_ref().map(|(e, _)| e);
+        for e in self.suchthat.iter().chain(by) {
+            e.read_slots(true, self.var.map(|_| 0), &mut mask);
+        }
+        mask
     }
 
     /// Does the object pass `suchthat` and the filter? Counts the
@@ -610,33 +641,65 @@ impl<'q, 't> Predicate<'q, 't> {
         state: &ObjState,
         pass: &mut QueryProfile,
     ) -> Result<bool> {
-        if let Some(expr) = self.suchthat {
+        if let Some(expr) = &self.suchthat {
             pass.predicate_evals += 1;
-            if !self.eval(schema, tx, oid, state, expr)?.as_bool()? {
+            if !self.run(schema, tx, oid, state, |f| expr.eval_bool(f))? {
                 return Ok(false);
             }
         }
         Ok(self.filter.as_mut().is_none_or(|f| f(state)))
     }
 
-    /// Evaluate `expr` over the object (a `by` key or a projection): its
-    /// fields are bare identifiers, and the loop variable, if the query
-    /// names one, is bound to it.
+    /// Evaluate `expr`, bound by [`bind_object`], over the object.
     fn eval(
+        &self,
+        expr: &BoundExpr,
+        schema: &Schema,
+        tx: &dyn Resolver,
+        oid: Oid,
+        state: &ObjState,
+    ) -> Result<Value> {
+        self.run(schema, tx, oid, state, |f| expr.eval(f))
+    }
+
+    /// Run `f` over the frame that binds the object as `this` and, when
+    /// the query names its loop variable, as that variable.
+    fn run<R>(
         &self,
         schema: &Schema,
         tx: &dyn Resolver,
         oid: Oid,
         state: &ObjState,
-        expr: &Expr,
-    ) -> Result<Value> {
-        let var = self.var.map(|name| BoundVar { name, oid, state });
-        Ok(EvalCtx::new(schema)
-            .with_this(state)
-            .with_bindings(var.as_slice())
-            .with_resolver(tx)
-            .eval(expr)?)
+        f: impl FnOnce(&Frame<'_>) -> ode_model::Result<R>,
+    ) -> Result<R> {
+        let var = BoundVar {
+            name: self.var.unwrap_or_default(),
+            oid,
+            state,
+        };
+        let vars = if self.var.is_some() {
+            std::slice::from_ref(&var)
+        } else {
+            &[]
+        };
+        Ok(f(&Frame {
+            this: Some(state),
+            vars,
+            resolver: tx,
+            ..Frame::new(schema)
+        })?)
     }
+}
+
+/// Bind an expression over one object: its fields are bare identifiers,
+/// and `var`, if the query names its loop variable, is bound to it.
+fn bind_object(schema: &Schema, var: Option<&str>, expr: &Expr) -> BoundExpr {
+    let scope = Scope {
+        vars: var.as_slice(),
+        this: true,
+        params: &[],
+    };
+    bind(schema, &scope, expr)
 }
 
 /// Publish one pass's profile over `class` into the database's global
@@ -712,7 +775,6 @@ fn candidates<C: ReadContext>(
     class_name: &str,
     deep: bool,
     pred: &mut Predicate<'_, '_>,
-    by: &Option<(Expr, Dir)>,
     prof: &mut QueryProfile,
 ) -> Result<Vec<Oid>> {
     let db = tx.db();
@@ -729,7 +791,7 @@ fn candidates<C: ReadContext>(
     // pass shares (`probe_range`); index entries reflect *committed*
     // data, so the transaction's own writes are merged back in below.
     let ranges = pred
-        .suchthat
+        .source
         .map(|p| extract_field_ranges(p, pred.var))
         .unwrap_or_default();
     let indexed: Option<(String, Vec<Oid>)> = if deep {
@@ -773,10 +835,8 @@ fn candidates<C: ReadContext>(
                 if !pred.admits(schema, tx, oid, state, &mut pass)? {
                     return Ok(());
                 }
-                match by {
-                    Some((key_expr, _)) => {
-                        keyed.push((pred.eval(schema, tx, oid, state, key_expr)?, oid))
-                    }
+                match &pred.by {
+                    Some((key, _)) => keyed.push((pred.eval(key, schema, tx, oid, state)?, oid)),
                     None => plain.push(oid),
                 }
                 Ok(())
@@ -837,7 +897,10 @@ fn candidates<C: ReadContext>(
             // noted so far to a whole-heap scan entry (DESIGN.md §14) —
             // heaps not yet reached recorded no entry and promised
             // nothing.
-            tx.for_each_extent(class_name, deep, &mut |oid, state| {
+            // Each committed record is decoded only as far as the
+            // predicate and the sort key read it.
+            let mask = pred.mask();
+            tx.for_each_extent_masked(class_name, deep, &mask, &mut |oid, state| {
                 pass.objects_scanned += 1;
                 // Shallow iteration drops subclass members.
                 if !deep && state.class != class {
@@ -846,10 +909,8 @@ fn candidates<C: ReadContext>(
                 if !pred.admits(schema, tx, oid, state, &mut pass)? {
                     return Ok(true);
                 }
-                match by {
-                    Some((key_expr, _)) => {
-                        keyed.push((pred.eval(schema, tx, oid, state, key_expr)?, oid));
-                    }
+                match &pred.by {
+                    Some((key, _)) => keyed.push((pred.eval(key, schema, tx, oid, state)?, oid)),
                     None => plain.push(oid),
                 }
                 Ok(true)
@@ -857,7 +918,7 @@ fn candidates<C: ReadContext>(
         }
     }
 
-    let result: Vec<Oid> = if let Some((_, dir)) = by {
+    let result: Vec<Oid> = if let Some((_, dir)) = &pred.by {
         keyed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         if *dir == Dir::Desc {
             keyed.reverse();
@@ -950,7 +1011,8 @@ impl<'db> ForallJoin<'_, Transaction<'db>> {
 /// *missed*, so the transaction's own writes are merged back in.
 struct ProbePlan {
     field: String,
-    key_expr: Expr,
+    /// The key, bound over the variables before the probed one.
+    key: BoundExpr,
 }
 
 /// Find probe plans: one optional plan per variable (never the first —
@@ -996,9 +1058,14 @@ fn build_probe_plans(
                 if !indexed.iter().any(|(c, f)| *c == class && f == field) {
                     continue;
                 }
+                let scope = Scope {
+                    vars: &earlier,
+                    this: false,
+                    params: &[],
+                };
                 plans[d] = Some(ProbePlan {
                     field: field.clone(),
-                    key_expr: rhs.clone(),
+                    key: bind(schema, &scope, rhs),
                 });
                 break;
             }
@@ -1014,6 +1081,8 @@ fn build_probe_plans(
 /// evaluated against each variable's object in hand. Inner variables whose
 /// join key is indexed are *probed* (index lookup per outer binding)
 /// rather than enumerated — §3.1's "query optimization" applied to joins.
+/// The predicate and the probe keys are bound once, and an enumerated
+/// variable's records are decoded only as far as they read them.
 fn collect_join<C: ReadContext>(
     tx: &C,
     layout: &Layout,
@@ -1060,6 +1129,24 @@ fn collect_join<C: ReadContext>(
         overlays.push(overlay);
         classes.push(class);
     }
+    let names: Vec<&str> = vars.iter().map(|(v, _)| v.as_str()).collect();
+    let scope = Scope {
+        vars: &names,
+        this: false,
+        params: &[],
+    };
+    let suchthat = suchthat.as_ref().map(|e| bind(schema, &scope, e));
+    // What the leaf and the deeper probe keys read of each variable.
+    let masks: Vec<SlotMask> = (0..vars.len())
+        .map(|d| {
+            let mut mask = SlotMask::default();
+            let keys = plans.iter().flatten().map(|p| &p.key);
+            for e in suchthat.iter().chain(keys) {
+                e.read_slots(false, Some(d), &mut mask);
+            }
+            mask
+        })
+        .collect();
     let mut join = JoinLoop {
         tx,
         schema,
@@ -1067,6 +1154,7 @@ fn collect_join<C: ReadContext>(
         classes: &classes,
         plans: &plans,
         overlays: &overlays,
+        masks: &masks,
         suchthat: suchthat.as_ref(),
         rows: Vec::new(),
         pass,
@@ -1101,7 +1189,9 @@ struct JoinLoop<'j, C> {
     classes: &'j [ClassId],
     plans: &'j [Option<ProbePlan>],
     overlays: &'j [Vec<Oid>],
-    suchthat: Option<&'j Expr>,
+    /// Per variable, the slots of its records the join reads.
+    masks: &'j [SlotMask],
+    suchthat: Option<&'j BoundExpr>,
     rows: Vec<Vec<Oid>>,
     pass: QueryProfile,
 }
@@ -1128,17 +1218,19 @@ impl<C: ReadContext> JoinLoop<'_, C> {
         };
         let key = match &self.plans[depth] {
             Some(plan) => {
-                let key = EvalCtx::new(self.schema)
-                    .with_bindings(outer)
-                    .with_resolver(tx)
-                    .eval(&plan.key_expr)?;
+                let key = plan.key.eval(&Frame {
+                    vars: outer,
+                    resolver: tx,
+                    ..Frame::new(self.schema)
+                })?;
                 // Null keys are not indexed: stream the extent instead.
                 (!key.is_null()).then_some((plan, key))
             }
             None => None,
         };
         let Some((plan, key)) = key else {
-            return tx.for_each_extent(class_name, true, &mut |oid, state| {
+            let mask = &self.masks[depth];
+            return tx.for_each_extent_masked(class_name, true, mask, &mut |oid, state| {
                 self.pass.objects_scanned += 1;
                 descend(self, oid, state)?;
                 Ok(true)
@@ -1167,10 +1259,11 @@ impl<C: ReadContext> JoinLoop<'_, C> {
     fn leaf(&mut self, bound: &[BoundVar<'_>]) -> Result<()> {
         if let Some(pred) = self.suchthat {
             self.pass.predicate_evals += 1;
-            let admitted = EvalCtx::new(self.schema)
-                .with_bindings(bound)
-                .with_resolver(self.tx)
-                .eval_bool(pred)?;
+            let admitted = pred.eval_bool(&Frame {
+                vars: bound,
+                resolver: self.tx,
+                ..Frame::new(self.schema)
+            })?;
             if !admitted {
                 return Ok(());
             }

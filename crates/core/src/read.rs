@@ -26,13 +26,18 @@
 //! recursive apply-gate acquisition instead; DESIGN.md §8).
 
 use ode_model::encode::decode_object_into;
-use ode_model::{ClassId, ModelError, ObjState, Oid, Resolver, Value, VersionNo, VersionRef};
+use ode_model::{
+    ClassId, ModelError, ObjState, Oid, Resolver, SlotMask, Value, VersionNo, VersionRef,
+};
 use ode_obs::{SpanGuard, SpanStage};
 use ode_storage::{StorageError, Store};
 
 use crate::database::Database;
 use crate::error::{OdeError, Result};
-use crate::object::{decode_record, is_anchor, ObjRecord, VersionTable, NO_PARENT, TAG_PLAIN};
+use crate::object::{
+    current_rid, decode_record, is_anchor, ObjRecord, VersionTable, NO_PARENT, TAG_PLAIN,
+    TAG_VERSIONED, TAG_VREC,
+};
 use crate::txn::Transaction;
 
 /// The read surface the query layer needs from a transaction-like view.
@@ -83,6 +88,19 @@ pub trait ReadContext: Resolver + Sized {
         &self,
         class_name: &str,
         deep: bool,
+        visit: &mut dyn FnMut(Oid, &ObjState) -> Result<bool>,
+    ) -> Result<()> {
+        self.for_each_extent_masked(class_name, deep, &SlotMask::ALL, visit)
+    }
+
+    /// [`ReadContext::for_each_extent`], decoding of each committed record
+    /// only the slots `mask` reads: every other slot of the visited state
+    /// is `Null`. Write-set states are visited whole.
+    fn for_each_extent_masked(
+        &self,
+        class_name: &str,
+        deep: bool,
+        mask: &SlotMask,
         visit: &mut dyn FnMut(Oid, &ObjState) -> Result<bool>,
     ) -> Result<()>;
 
@@ -137,13 +155,14 @@ impl ReadContext for Transaction<'_> {
         self.writes.contains_key(&oid)
     }
 
-    fn for_each_extent(
+    fn for_each_extent_masked(
         &self,
         class_name: &str,
         deep: bool,
+        mask: &SlotMask,
         visit: &mut dyn FnMut(Oid, &ObjState) -> Result<bool>,
     ) -> Result<()> {
-        self.stream_extent(class_name, deep, visit)
+        self.stream_extent(class_name, deep, mask, visit)
     }
 
     fn note_scan(&self, heaps: &[u32]) {
@@ -358,16 +377,17 @@ impl ReadContext for ReadTransaction<'_> {
         false
     }
 
-    fn for_each_extent(
+    fn for_each_extent_masked(
         &self,
         class_name: &str,
         deep: bool,
+        mask: &SlotMask,
         visit: &mut dyn FnMut(Oid, &ObjState) -> Result<bool>,
     ) -> Result<()> {
         let layout = self.db.layout();
         let class = layout.schema.id_of(class_name)?;
         for heap in layout.heap_ids(class, deep) {
-            if !stream_committed_heap(self.db.store.as_ref(), heap, visit)? {
+            if !stream_committed_heap(self.db.store.as_ref(), heap, mask, visit)? {
                 return Ok(());
             }
         }
@@ -450,9 +470,11 @@ pub(crate) fn load_current(db: &Database, oid: Oid) -> Result<(ObjState, Option<
 /// the buffer-pool split: `FileStore` visits with no locks held,
 /// `MemStore` copies out bounded chunks first, `FailpointStore` delegates.
 ///
-/// Every plain anchor is decoded into one state reused for the whole heap
-/// ([`decode_object_into`]), so `visit` borrows a state that lives only
-/// for its call and a scan allocates nothing per object.
+/// Every object is decoded into one state reused for the whole heap
+/// ([`decode_object_into`]), through `mask`: only the slots it reads are
+/// filled, the rest are `Null`. So `visit` borrows a state that lives only
+/// for its call, a scan allocates nothing per plain object, and a
+/// versioned one costs the read of its version record.
 ///
 /// Returns `Ok(false)` iff `visit` stopped the stream early. A `visit`
 /// error aborts the scan and is returned verbatim (it is stashed across
@@ -460,6 +482,7 @@ pub(crate) fn load_current(db: &Database, oid: Oid) -> Result<(ObjState, Option<
 pub(crate) fn stream_committed_heap(
     store: &dyn Store,
     heap: u32,
+    mask: &SlotMask,
     visit: &mut dyn FnMut(Oid, &ObjState) -> Result<bool>,
 ) -> Result<bool> {
     let mut stashed: Option<OdeError> = None;
@@ -470,13 +493,13 @@ pub(crate) fn stream_committed_heap(
             return Ok(true); // version record body — not an extent member
         }
         let oid = Oid { cluster: heap, rid };
-        let visited = match bytes.split_first() {
-            Some((&TAG_PLAIN, body)) => decode_object_into(body, &mut scratch)
-                .map_err(OdeError::from)
-                .and_then(|()| visit(oid, &scratch)),
-            _ => current_version(store, oid, bytes).and_then(|state| visit(oid, &state)),
+        let decoded = match bytes.split_first() {
+            Some((&TAG_PLAIN, body)) => {
+                decode_object_into(body, &mut scratch, mask).map_err(OdeError::from)
+            }
+            _ => current_version_into(store, oid, bytes, mask, &mut scratch),
         };
-        match visited {
+        match decoded.and_then(|()| visit(oid, &scratch)) {
             Ok(true) => Ok(true),
             Ok(false) => {
                 stopped = true;
@@ -494,17 +517,35 @@ pub(crate) fn stream_committed_heap(
     Ok(!stopped)
 }
 
-/// The current state of the versioned object whose anchor is `anchor`.
-fn current_version(store: &dyn Store, oid: Oid, anchor: &[u8]) -> Result<ObjState> {
-    let ObjRecord::Anchor(table) = decode_record(anchor)? else {
+/// Decode the current state of the versioned object whose anchor is
+/// `anchor` into `into`, through `mask`. Only the anchor's current record
+/// id is read from its table, and the version body is decoded in place, so
+/// the store read of the version record is the only allocation.
+fn current_version_into(
+    store: &dyn Store,
+    oid: Oid,
+    anchor: &[u8],
+    mask: &SlotMask,
+    into: &mut ObjState,
+) -> Result<()> {
+    let Some((&TAG_VERSIONED, table)) = anchor.split_first() else {
         return Err(OdeError::Version(format!(
             "{oid} is not a versioned anchor"
         )));
     };
-    match decode_record(&store.read(oid.cluster, table.current_rid()?)?)? {
-        ObjRecord::VersionRec { state, .. } => Ok(state),
-        _ => Err(OdeError::Version(format!(
-            "anchor {oid} points at a non-version record"
-        ))),
+    let record = store.read(oid.cluster, current_rid(table)?)?;
+    match record.split_first() {
+        // The tag, the version number, then the state.
+        Some((&TAG_VREC, rest)) if rest.len() >= 4 => {
+            Ok(decode_object_into(&rest[4..], into, mask)?)
+        }
+        // Not a version record: a malformed record fails as a full decode
+        // fails, a well-formed one of another kind is misplaced.
+        _ => {
+            decode_record(&record)?;
+            Err(OdeError::Version(format!(
+                "anchor {oid} points at a non-version record"
+            )))
+        }
     }
 }

@@ -29,18 +29,18 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use ode_model::eval::EvalCtx;
 use ode_model::{
-    ClassId, FieldRange, ModelError, ObjState, Oid, Resolver, Schema, TriggerAction, TriggerDecl,
-    Value, VersionNo, VersionRef,
+    ClassId, FieldRange, Frame, ModelError, ObjState, Oid, Resolver, Schema, TriggerAction,
+    TriggerDecl, Value, VersionNo, VersionRef,
 };
 use ode_obs::{SpanGuard, SpanStage};
 use ode_storage::{RecordId, StoreOp};
 
 use crate::catalog::{CatalogRecord, CATALOG_HEAP};
-use crate::database::{Database, WriteSummary};
+use crate::database::{Database, Layout, WriteSummary};
 use crate::error::{OdeError, Result};
 use crate::object::{encode_anchor, encode_plain, encode_vrec, VersionEntry, VersionTable};
+use crate::rules::BoundTrigger;
 use crate::trigger::{
     Activation, CommitInfo, CommitNote, FiredTrigger, PendingEvent, TriggerFailure, TriggerId,
 };
@@ -880,18 +880,24 @@ impl<'db> Transaction<'db> {
             }
         };
         let layout = self.db.layout();
-        for (class_def, c) in layout.schema.all_constraints(state.class)? {
-            let ctx = EvalCtx::new(&layout.schema)
-                .with_this(state)
-                .with_resolver(self);
-            let ok = ctx.eval_bool(&c.expr)?;
-            if !ok {
-                return Err(OdeError::ConstraintViolation {
-                    class: class_def.name.clone(),
-                    constraint: c.name.clone(),
-                    src: c.src.clone(),
-                    object: oid.to_string(),
-                });
+        let schema = &layout.schema;
+        let frame = Frame {
+            this: Some(state),
+            resolver: self,
+            ..Frame::new(schema)
+        };
+        // Own and inherited constraints, base-most first (§5).
+        for &cid in schema.class(state.class)?.linearization.iter().rev() {
+            let def = schema.class(cid)?;
+            for (c, bound) in def.constraints.iter().zip(layout.rules().constraints(cid)) {
+                if !bound.eval_bool(&frame)? {
+                    return Err(OdeError::ConstraintViolation {
+                        class: def.name.clone(),
+                        constraint: c.name.clone(),
+                        src: c.src.clone(),
+                        object: oid.to_string(),
+                    });
+                }
             }
         }
         Ok(())
@@ -1158,7 +1164,7 @@ impl<'db> Transaction<'db> {
         }
 
         // 2. Trigger-condition evaluation on touched objects.
-        let fired = self.evaluate_triggers(&layout.schema)?;
+        let fired = self.evaluate_triggers(&layout)?;
 
         // Which activations stop existing: explicit deactivations, fired
         // once-only ones, and activations on deleted objects.
@@ -1555,7 +1561,7 @@ impl<'db> Transaction<'db> {
 
     /// Evaluate trigger conditions for every touched object (§6); returns
     /// the activations that fired, each with whether it is perpetual.
-    fn evaluate_triggers(&self, schema: &Schema) -> Result<Vec<(Activation, bool)>> {
+    fn evaluate_triggers(&self, layout: &Layout) -> Result<Vec<(Activation, bool)>> {
         // Only activations whose subject was written can change outcome, so
         // the per-commit cost scales with the write-set, not with the total
         // number of activations in the database (figure F7's cold sweep).
@@ -1581,19 +1587,18 @@ impl<'db> Transaction<'db> {
             if !(obj.dirty || obj.new) || self.deleted.contains_key(&act.oid) {
                 continue;
             }
-            let (_, decl) = schema.find_trigger(obj.state.class, &act.trigger)?;
-            let params: HashMap<String, Value> = decl
-                .params
-                .iter()
-                .cloned()
-                .zip(act.args.iter().cloned())
-                .collect();
-            let ctx = EvalCtx::new(schema)
-                .with_this(&obj.state)
-                .with_params(&params)
-                .with_resolver(self);
+            let schema = &layout.schema;
+            let (decl, bound) = layout
+                .rules()
+                .trigger(schema, obj.state.class, &act.trigger)?;
+            let frame = Frame {
+                this: Some(&obj.state),
+                args: &act.args,
+                resolver: self,
+                ..Frame::new(schema)
+            };
             self.db.tel.triggers.condition_evals.inc();
-            if ctx.eval_bool(&decl.condition)? {
+            if bound.condition.eval_bool(&frame)? {
                 firings.push((act.clone(), decl.perpetual));
             }
         }
@@ -1704,8 +1709,10 @@ pub(crate) fn run_one_event(db: &Database, event: &PendingEvent) -> Result<Vec<P
     let result: Result<CommitOutcome> = (|| {
         let class = tx.read(event.oid)?.class;
         let layout = db.layout();
-        let (_, decl) = layout.schema.find_trigger(class, &event.trigger)?;
-        apply_actions(&mut tx, event, &layout.schema, decl)?;
+        let (decl, bound) = layout
+            .rules()
+            .trigger(&layout.schema, class, &event.trigger)?;
+        apply_actions(&mut tx, event, &layout.schema, decl, bound)?;
         tx.do_commit()
     })();
     drop(tx);
@@ -1738,32 +1745,31 @@ pub(crate) fn run_one_event(db: &Database, event: &PendingEvent) -> Result<Vec<P
 }
 
 /// Execute one event's actions inside `tx`, with `decl` the trigger's
-/// declaration on the subject's class.
+/// declaration on the subject's class and `bound` its bound form.
 fn apply_actions(
     tx: &mut Transaction<'_>,
     event: &PendingEvent,
     schema: &Schema,
     decl: &TriggerDecl,
+    bound: &BoundTrigger,
 ) -> Result<()> {
     let oid = event.oid;
-    let params: HashMap<String, Value> = decl
-        .params
-        .iter()
-        .cloned()
-        .zip(event.args.iter().cloned())
-        .collect();
-    for action in &decl.actions {
-        match action {
-            TriggerAction::Assign { field, expr, .. } => {
+    for (action, value) in decl.actions.iter().zip(&bound.actions) {
+        match (action, value) {
+            (TriggerAction::Assign { field, .. }, Some(value)) => {
                 let state = tx.read(oid)?;
-                let value = EvalCtx::new(schema)
-                    .with_this(&state)
-                    .with_params(&params)
-                    .with_resolver(tx)
-                    .eval(expr)?;
+                let value = value.eval(&Frame {
+                    this: Some(&state),
+                    args: &event.args,
+                    resolver: &*tx,
+                    ..Frame::new(schema)
+                })?;
                 tx.set(oid, field, value)?;
             }
-            TriggerAction::Callback { name } => {
+            (TriggerAction::Assign { .. }, None) => {
+                unreachable!("an Assign action binds its value")
+            }
+            (TriggerAction::Callback { name }, _) => {
                 let cb = tx.db.callback(name)?;
                 cb(tx, oid, &event.args)?;
             }

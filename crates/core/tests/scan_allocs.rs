@@ -1,6 +1,8 @@
 //! Allocation counts of the scan path: an extent scan decodes each object
 //! once into a reused state, and loop variables read that state in hand,
-//! so a scan allocates per statement and per row, not per object scanned.
+//! so a scan allocates per statement and per row, not per object scanned —
+//! except that a versioned object costs the store read of its current
+//! version record.
 //!
 //! A counting global allocator tallies allocations per thread, so tests
 //! running in parallel do not see each other's.
@@ -199,6 +201,44 @@ fn join_allocates_per_outer_binding_and_row_not_per_pair() {
         assert!(
             n <= budget && n * 4 < pairs,
             "{n} allocations for {rows} rows of {pairs} pairs (budget {budget})"
+        );
+    }
+}
+
+#[test]
+fn versioned_extent_allocates_only_the_version_record_read() {
+    const ITEMS: i64 = 5_000;
+    let db = Database::in_memory();
+    db.define_from_source("class doc { string title; int rev = 0; string body; }")
+        .unwrap();
+    db.create_cluster("doc").unwrap();
+    db.transaction(|tx| {
+        for i in 0..ITEMS {
+            let oid = tx.pnew(
+                "doc",
+                &[
+                    ("title", Value::from(format!("doc-{i:06}"))),
+                    ("body", Value::from(format!("text of document {i}"))),
+                ],
+            )?;
+            // Two versions, the current one updated: the anchor's table
+            // has more than one entry and the current is not the first.
+            tx.newversion(oid)?;
+            tx.set(oid, "rev", Value::Int(i))?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    for src in [
+        r#"forall d in doc suchthat (title == "doc-001234")"#,
+        "forall d in doc suchthat (d.rev == 1234)",
+    ] {
+        let (n, rows, scanned) = query(&db, src);
+        assert_eq!((rows, scanned), (1, ITEMS as u64), "{src}");
+        // One store read per object, and a per-statement remainder.
+        assert!(
+            n <= scanned + 100,
+            "{src}: {n} allocations for {scanned} versioned objects scanned"
         );
     }
 }

@@ -1,0 +1,462 @@
+//! The binder: an expression resolved once against a schema and a scope.
+//!
+//! O++ compiles a `suchthat` to C++ (§3.1), so its predicate reads member
+//! offsets. [`bind`] gives this reproduction the same shape: every name in
+//! an [`Expr`] is resolved once, before any object is seen, and
+//! [`crate::eval`] runs only the resulting [`BoundExpr`]. Binding
+//! resolves
+//!
+//! * a loop variable to its index in the scope (the innermost binding of a
+//!   name wins, and every binding shadows a field of `this`),
+//! * a field to a slot table indexed by [`ClassId`] over every class in
+//!   the schema — C3 layouts differ between subclasses, so the slot is
+//!   picked by the dynamic class of the object read,
+//! * `$param` to its position in the activation's arguments,
+//! * `is C` to the set of classes that are `C` or derive from it.
+//!
+//! A name or class that resolves to nothing binds to a node that raises
+//! the error evaluation has always raised for it, and only when it is
+//! evaluated, so `false && ghost` is still `false`.
+//!
+//! A bound expression also reports the slots it reads of the object a scan
+//! holds ([`BoundExpr::read_slots`]), as a [`SlotMask`]; the codec decodes
+//! only those slots ([`crate::encode::decode_object_into`]).
+
+use crate::class::ClassId;
+use crate::error::ModelError;
+use crate::expr::{BinOp, Expr, UnOp};
+use crate::schema::Schema;
+use crate::value::Value;
+
+/// The names an expression may mention besides the members of classes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Scope<'s> {
+    /// Loop variables, outermost first. At run time the frame binds the
+    /// variable at index `i` to the `i`th object of its `vars`.
+    pub vars: &'s [&'s str],
+    /// Does the frame hold a current object (`this`) whose fields bare
+    /// identifiers name?
+    pub this: bool,
+    /// Trigger parameter names, in the order of the activation's
+    /// arguments.
+    pub params: &'s [&'s str],
+}
+
+/// An expression with every name resolved. Build with [`bind`]; run with
+/// [`BoundExpr::eval`].
+#[derive(Debug, Clone)]
+pub struct BoundExpr {
+    pub(crate) root: Node,
+}
+
+/// One node of a bound expression.
+#[derive(Debug, Clone)]
+pub(crate) enum Node {
+    Lit(Value),
+    /// A loop variable: a reference to the object it is bound to.
+    Var(usize),
+    /// A bare identifier naming a field of `this`.
+    ThisField(Field),
+    /// `v.f` on a loop variable: read in the object in hand.
+    VarField(usize, Field),
+    /// `e.f` on any other object expression, dereferenced.
+    Path(Box<Node>, Field),
+    /// `$name`: the argument at this position.
+    Param(usize, String),
+    Unary(UnOp, Box<Node>),
+    Binary(BinOp, Box<Node>, Box<Node>),
+    Call {
+        recv: Recv,
+        name: String,
+        args: Vec<Node>,
+    },
+    Cond(Box<Node>, Box<Node>, Box<Node>),
+    Index(Box<Node>, Box<Node>),
+    /// `v is C` on a loop variable: the class of the object in hand.
+    VarIs(usize, Classes),
+    /// `e is C` on any other expression.
+    Is(Box<Node>, Classes),
+    /// A name that resolves to nothing: evaluating it raises this error.
+    Fail(ModelError),
+}
+
+/// The receiver of a method call.
+#[derive(Debug, Clone)]
+pub(crate) enum Recv {
+    This,
+    Var(usize),
+    Expr(Box<Node>),
+}
+
+/// Slot-table entry of a class that has no such member.
+const NO_SLOT: u32 = u32::MAX;
+
+/// A member name resolved to its slot in every class's layout.
+#[derive(Debug, Clone)]
+pub(crate) struct Field {
+    pub(crate) name: String,
+    /// Indexed by class id; [`NO_SLOT`] where the class lacks the member.
+    slots: Box<[u32]>,
+}
+
+impl Field {
+    fn new(schema: &Schema, name: &str) -> Field {
+        let slots = schema
+            .classes()
+            .iter()
+            .map(|c| {
+                c.layout
+                    .iter()
+                    .position(|f| f.name == name)
+                    .map_or(NO_SLOT, |i| i as u32)
+            })
+            .collect();
+        Field {
+            name: name.to_string(),
+            slots,
+        }
+    }
+
+    /// The member's slot in `class`; `None` if `class` has no such member
+    /// or is not in the schema.
+    #[inline]
+    pub(crate) fn slot(&self, class: ClassId) -> Option<usize> {
+        match self.slots.get(class.0 as usize) {
+            Some(&s) if s != NO_SLOT => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    /// Is `class` in the schema the slots were resolved against? If not,
+    /// the error naming it.
+    pub(crate) fn check_class(&self, class: ClassId) -> Result<(), ModelError> {
+        match self.slots.get(class.0 as usize) {
+            Some(_) => Ok(()),
+            None => Err(ModelError::UnknownClass(format!("{class}"))),
+        }
+    }
+}
+
+/// The right side of `is C`.
+#[derive(Debug, Clone)]
+pub(crate) enum Classes {
+    /// Indexed by class id: is the class `C` or derived from it?
+    Known(Box<[bool]>),
+    /// `C` names no class.
+    Unknown(String),
+}
+
+impl Classes {
+    fn new(schema: &Schema, name: &str) -> Classes {
+        match schema.id_of(name) {
+            Ok(target) => Classes::Known(
+                (0..schema.len())
+                    .map(|c| schema.is_subclass(ClassId(c as u32), target))
+                    .collect(),
+            ),
+            Err(_) => Classes::Unknown(name.to_string()),
+        }
+    }
+
+    /// The set, indexed by class id. An unknown `C` is an error whatever
+    /// the operand.
+    pub(crate) fn set(&self) -> Result<&[bool], ModelError> {
+        match self {
+            Classes::Known(set) => Ok(set),
+            Classes::Unknown(name) => Err(ModelError::UnknownClass(name.clone())),
+        }
+    }
+
+    /// Is `class` in the set?
+    pub(crate) fn contains(&self, class: ClassId) -> Result<bool, ModelError> {
+        Ok(self.set()?.get(class.0 as usize).copied().unwrap_or(false))
+    }
+}
+
+/// Resolve every name in `expr` against `schema` and `scope`.
+pub fn bind(schema: &Schema, scope: &Scope<'_>, expr: &Expr) -> BoundExpr {
+    BoundExpr {
+        root: Binder { schema, scope }.node(expr),
+    }
+}
+
+struct Binder<'b> {
+    schema: &'b Schema,
+    scope: &'b Scope<'b>,
+}
+
+impl Binder<'_> {
+    /// The innermost loop variable named `name`.
+    fn var(&self, name: &str) -> Option<usize> {
+        self.scope.vars.iter().rposition(|v| *v == name)
+    }
+
+    /// The loop variable `expr` names, if it is one.
+    fn var_of(&self, expr: &Expr) -> Option<usize> {
+        match expr {
+            Expr::Ident(name) => self.var(name),
+            _ => None,
+        }
+    }
+
+    fn boxed(&self, e: &Expr) -> Box<Node> {
+        Box::new(self.node(e))
+    }
+
+    fn node(&self, expr: &Expr) -> Node {
+        match expr {
+            Expr::Lit(v) => Node::Lit(v.clone()),
+            Expr::Ident(name) => match self.var(name) {
+                Some(i) => Node::Var(i),
+                None if self.scope.this => Node::ThisField(Field::new(self.schema, name)),
+                None => Node::Fail(ModelError::UnknownVar(name.clone())),
+            },
+            // A later parameter of the same name wins, as it did when the
+            // arguments were collected into a map.
+            Expr::Param(name) => match self.scope.params.iter().rposition(|p| p == name) {
+                Some(i) => Node::Param(i, name.clone()),
+                None => Node::Fail(ModelError::UnknownVar(format!("${name}"))),
+            },
+            Expr::Path(base, field) => {
+                let field = Field::new(self.schema, field);
+                match self.var_of(base) {
+                    Some(i) => Node::VarField(i, field),
+                    None => Node::Path(self.boxed(base), field),
+                }
+            }
+            Expr::Unary(op, e) => Node::Unary(*op, self.boxed(e)),
+            Expr::Binary(op, l, r) => Node::Binary(*op, self.boxed(l), self.boxed(r)),
+            Expr::Call { recv, name, args } => Node::Call {
+                recv: match recv {
+                    None => Recv::This,
+                    Some(r) => match self.var_of(r) {
+                        Some(i) => Recv::Var(i),
+                        None => Recv::Expr(self.boxed(r)),
+                    },
+                },
+                name: name.clone(),
+                args: args.iter().map(|a| self.node(a)).collect(),
+            },
+            Expr::Cond(c, a, b) => Node::Cond(self.boxed(c), self.boxed(a), self.boxed(b)),
+            Expr::Index(base, ix) => Node::Index(self.boxed(base), self.boxed(ix)),
+            Expr::Is(e, class) => {
+                let classes = Classes::new(self.schema, class);
+                match self.var_of(e) {
+                    Some(i) => Node::VarIs(i, classes),
+                    None => Node::Is(self.boxed(e), classes),
+                }
+            }
+        }
+    }
+}
+
+impl BoundExpr {
+    /// Add to `mask` the slots this expression reads of one object: the
+    /// frame's `this` when `this` is set, and loop variable `var` when
+    /// given (a single-variable query binds both to the scanned object). A
+    /// method called on that object reads all of it.
+    pub fn read_slots(&self, this: bool, var: Option<usize>, mask: &mut SlotMask) {
+        let subject = |i: &usize| var == Some(*i);
+        let mut stack = vec![&self.root];
+        while let Some(node) = stack.pop() {
+            match node {
+                Node::ThisField(f) if this => mask.insert_field(f),
+                Node::VarField(i, f) if subject(i) => mask.insert_field(f),
+                Node::Lit(_)
+                | Node::Var(_)
+                | Node::ThisField(_)
+                | Node::VarField(..)
+                | Node::Param(..)
+                | Node::VarIs(..)
+                | Node::Fail(_) => {}
+                Node::Path(e, _) | Node::Unary(_, e) | Node::Is(e, _) => stack.push(e),
+                Node::Binary(_, l, r) | Node::Index(l, r) => stack.extend([&**l, &**r]),
+                Node::Cond(c, a, b) => stack.extend([&**c, &**a, &**b]),
+                Node::Call { recv, args, .. } => {
+                    match recv {
+                        Recv::This if this => mask.set_all(),
+                        Recv::Var(i) if subject(i) => mask.set_all(),
+                        Recv::Expr(e) => stack.push(e),
+                        Recv::This | Recv::Var(_) => {}
+                    }
+                    stack.extend(args);
+                }
+            }
+        }
+    }
+}
+
+/// Which slots of an object a reader needs, per class. Decoding through a
+/// mask ([`crate::encode::decode_object_into`]) fills only these slots and
+/// leaves every other one `Null`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SlotMask {
+    /// Every slot of every class.
+    all: bool,
+    /// Indexed by class id, a bitset over the class's slots. Classes past
+    /// the end, and slots past a class's words, are not read.
+    classes: Vec<Vec<u64>>,
+}
+
+impl SlotMask {
+    /// Every slot of every class: a full decode.
+    pub const ALL: SlotMask = SlotMask {
+        all: true,
+        classes: Vec::new(),
+    };
+
+    /// Read every slot from now on.
+    pub fn set_all(&mut self) {
+        *self = SlotMask::ALL;
+    }
+
+    /// Read `slot` of objects of `class`.
+    pub fn insert(&mut self, class: ClassId, slot: usize) {
+        if self.all {
+            return;
+        }
+        let c = class.0 as usize;
+        if self.classes.len() <= c {
+            self.classes.resize_with(c + 1, Vec::new);
+        }
+        let words = &mut self.classes[c];
+        if words.len() <= slot / 64 {
+            words.resize(slot / 64 + 1, 0);
+        }
+        words[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// Read the member `field` names in every class that has it.
+    fn insert_field(&mut self, field: &Field) {
+        for (c, &s) in field.slots.iter().enumerate() {
+            if s != NO_SLOT {
+                self.insert(ClassId(c as u32), s as usize);
+            }
+        }
+    }
+
+    /// The bitset of `class`'s slots read, `None` when every slot is.
+    pub(crate) fn words(&self, class: ClassId) -> Option<&[u64]> {
+        if self.all {
+            return None;
+        }
+        Some(
+            self.classes
+                .get(class.0 as usize)
+                .map_or(&[], Vec::as_slice),
+        )
+    }
+
+    /// Is `slot` of objects of `class` read?
+    pub fn reads(&self, class: ClassId, slot: usize) -> bool {
+        self.words(class).is_none_or(|w| word_reads(w, slot))
+    }
+}
+
+/// Is bit `slot` set in `words`?
+#[inline]
+pub(crate) fn word_reads(words: &[u64], slot: usize) -> bool {
+    words
+        .get(slot / 64)
+        .is_some_and(|w| w >> (slot % 64) & 1 == 1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::class::ClassBuilder;
+    use crate::parser::parse_expr;
+    use crate::value::Type;
+
+    /// person { name, income }, student : person { stipend }, and a
+    /// diamond whose layout puts `name` at a different slot.
+    fn schema() -> Schema {
+        let mut s = Schema::new();
+        s.define(
+            ClassBuilder::new("person")
+                .field("name", Type::Str)
+                .field("income", Type::Int),
+        )
+        .unwrap();
+        s.define(
+            ClassBuilder::new("student")
+                .base("person")
+                .field("stipend", Type::Int),
+        )
+        .unwrap();
+        s.define(ClassBuilder::new("tagged").field("tag", Type::Str))
+            .unwrap();
+        s.define(
+            ClassBuilder::new("tagged_person")
+                .base("person")
+                .base("tagged"),
+        )
+        .unwrap();
+        s
+    }
+
+    fn mask_of(src: &str, vars: &[&str], this: bool, var: Option<usize>) -> SlotMask {
+        let s = schema();
+        let scope = Scope {
+            vars,
+            this,
+            params: &[],
+        };
+        let mut mask = SlotMask::default();
+        bind(&s, &scope, &parse_expr(src).unwrap()).read_slots(this, var, &mut mask);
+        mask
+    }
+
+    #[test]
+    fn a_field_reads_its_slot_in_every_class() {
+        let m = mask_of("name == 'x'", &["p"], true, Some(0));
+        let (person, tagged_person) = (ClassId(0), ClassId(3));
+        assert!(m.reads(person, 0) && !m.reads(person, 1));
+        // `tagged_person` lays out its last base's `tag` first.
+        assert!(!m.reads(tagged_person, 0) && m.reads(tagged_person, 1));
+        assert!(!m.reads(ClassId(2), 0), "`tagged` has no `name`");
+        assert_eq!(m, mask_of("p.name == 'x'", &["p"], true, Some(0)));
+    }
+
+    #[test]
+    fn class_tests_and_references_read_no_slot() {
+        for src in ["p is student", "p == p", "q.income > 0", "$n > 1"] {
+            assert_eq!(
+                mask_of(src, &["p", "q"], true, Some(0)),
+                SlotMask::default()
+            );
+        }
+    }
+
+    #[test]
+    fn a_method_on_the_subject_reads_everything() {
+        assert_eq!(mask_of("total() > 0", &["p"], true, Some(0)), SlotMask::ALL);
+        assert_eq!(
+            mask_of("p.total() > 0", &["p"], false, Some(0)),
+            SlotMask::ALL
+        );
+        assert_ne!(
+            mask_of("q.total() > 0", &["p", "q"], false, Some(0)),
+            SlotMask::ALL
+        );
+    }
+
+    #[test]
+    fn shadowing_binds_the_innermost_variable() {
+        // `p` at index 1 shadows index 0: only the scan of index 1 reads.
+        assert!(mask_of("p.income > 0", &["p", "p"], false, Some(0)) == SlotMask::default());
+        assert!(mask_of("p.income > 0", &["p", "p"], false, Some(1)).reads(ClassId(0), 1));
+    }
+
+    #[test]
+    fn all_and_wide_layouts() {
+        let mut m = mask_of("name == 'x' && income > 0", &[], true, None);
+        assert!(m.reads(ClassId(0), 0) && m.reads(ClassId(0), 1));
+        assert!(!m.reads(ClassId(1), 2));
+        m.set_all();
+        assert!(m.reads(ClassId(9), 99));
+        let mut wide = SlotMask::default();
+        wide.insert(ClassId(1), 130);
+        assert!(wide.reads(ClassId(1), 130) && !wide.reads(ClassId(1), 66));
+    }
+}

@@ -9,6 +9,7 @@
 //! decoding re-runs [`Schema::define`], so linearizations and layouts are
 //! always recomputed by the same checked code path that built them.
 
+use crate::bind::{word_reads, SlotMask};
 use crate::class::{ClassBuilder, ClassDef, TriggerAction};
 use crate::error::{ModelError, Result};
 use crate::oid::{Oid, VersionRef};
@@ -248,15 +249,19 @@ fn read_tagged(r: &mut Reader, tag: u8) -> Result<Value> {
     })
 }
 
-/// Decode one value into `slot`. A string decoded over a string keeps the
-/// slot's buffer; any other value replaces the slot.
-fn read_value_into(r: &mut Reader, slot: &mut Value) -> Result<()> {
-    match (r.u8()?, slot) {
+/// Decode the rest of a value whose tag was read into `slot`. A string
+/// decoded over a string keeps the slot's buffer, and the scalars a record
+/// holds most are written in place; any other value replaces the slot.
+#[inline]
+fn read_tagged_into(r: &mut Reader, tag: u8, slot: &mut Value) -> Result<()> {
+    match (tag, slot) {
         (V_STR, Value::Str(s)) => {
             let text = r.str_ref()?;
             s.clear();
             s.push_str(text);
         }
+        (V_INT, slot) => *slot = Value::Int(r.i64()?),
+        (V_FLOAT, slot) => *slot = Value::Float(r.f64()?),
         (tag, slot) => *slot = read_tagged(r, tag)?,
     }
     Ok(())
@@ -296,16 +301,19 @@ pub fn encode_object(obj: &ObjState) -> Vec<u8> {
 /// Decode an object's state.
 pub fn decode_object(bytes: &[u8]) -> Result<ObjState> {
     let mut state = ObjState::new(ClassId(0), 0);
-    decode_object_into(bytes, &mut state)?;
+    decode_object_into(bytes, &mut state, &SlotMask::ALL)?;
     Ok(state)
 }
 
-/// Decode an object's state into `into`, reusing its field vector and the
-/// buffers of its string slots, so a scan that decodes every record into
-/// one state allocates only where a record outgrows the one before. Makes
-/// every check [`decode_object`] makes and fails with the same error; after
-/// an error `into` holds some valid but unspecified state.
-pub fn decode_object_into(bytes: &[u8], into: &mut ObjState) -> Result<()> {
+/// Decode the slots of an object that `mask` reads into `into`, reusing its
+/// field vector and the buffers of its string slots, so a scan that decodes
+/// every record into one state allocates only where a record outgrows the
+/// one before. Every other slot is left `Null`; [`SlotMask::ALL`] is a full
+/// decode. A skipped slot is still checked — tags, lengths, UTF-8 and
+/// references — so every mask makes every check [`decode_object`] makes
+/// and fails with the same error; after an error `into` holds some valid
+/// but unspecified state.
+pub fn decode_object_into(bytes: &[u8], into: &mut ObjState, mask: &SlotMask) -> Result<()> {
     let mut r = Reader::new(bytes);
     let ver = r.u8()?;
     if ver != CODEC_VERSION {
@@ -314,19 +322,72 @@ pub fn decode_object_into(bytes: &[u8], into: &mut ObjState) -> Result<()> {
         )));
     }
     into.class = ClassId(r.u32()?);
+    let read = mask.words(into.class);
     let n = r.u32()? as usize;
     let fields = &mut into.fields;
     // The count is untrusted: reserve at most 64 Ki slots up front.
     fields.reserve(n.min(1 << 16).saturating_sub(fields.len()));
     for i in 0..n {
-        match fields.get_mut(i) {
-            Some(slot) => read_value_into(&mut r, slot)?,
-            None => fields.push(read_value(&mut r)?),
+        if fields.len() == i {
+            fields.push(Value::Null);
+        }
+        let slot = &mut fields[i];
+        let tag = r.u8()?;
+        if read.is_none_or(|w| word_reads(w, i)) {
+            read_tagged_into(&mut r, tag, slot)?;
+        } else {
+            skip_tagged(&mut r, tag)?;
+            if !slot.is_null() {
+                *slot = Value::Null;
+            }
         }
     }
     fields.truncate(n);
     if !r.at_end() {
         return Err(ModelError::Decode("trailing bytes after object".into()));
+    }
+    Ok(())
+}
+
+/// Step over one value, making every check [`read_value`] makes and
+/// building nothing.
+fn skip_value(r: &mut Reader) -> Result<()> {
+    let tag = r.u8()?;
+    skip_tagged(r, tag)
+}
+
+/// Step over the rest of a value whose tag was read.
+#[inline]
+fn skip_tagged(r: &mut Reader, tag: u8) -> Result<()> {
+    match tag {
+        V_NULL => {}
+        V_BOOL => {
+            r.need(1)?;
+        }
+        V_INT | V_FLOAT => {
+            r.need(8)?;
+        }
+        // Most text is ASCII, which is valid UTF-8 and is checked faster.
+        V_STR => {
+            let n = r.u32()? as usize;
+            let bytes = r.need(n)?;
+            if !bytes.is_ascii() && std::str::from_utf8(bytes).is_err() {
+                return Err(ModelError::Decode("invalid utf-8 string".into()));
+            }
+        }
+        V_REF => {
+            Oid::from_bytes(r.need(10)?).ok_or_else(|| ModelError::Decode("bad oid".into()))?;
+        }
+        V_VREF => {
+            VersionRef::from_bytes(r.need(14)?)
+                .ok_or_else(|| ModelError::Decode("bad version ref".into()))?;
+        }
+        V_ARRAY | V_SET => {
+            for _ in 0..r.u32()? {
+                skip_value(r)?;
+            }
+        }
+        other => return Err(ModelError::Decode(format!("unknown value tag {other}"))),
     }
     Ok(())
 }
@@ -569,6 +630,38 @@ mod tests {
         };
         let back = decode_object(&encode_object(&obj)).unwrap();
         assert_eq!(back, obj);
+    }
+
+    #[test]
+    fn masked_decode_fills_read_slots_and_checks_the_rest() {
+        let obj = ObjState {
+            class: ClassId(2),
+            fields: sample_values(),
+        };
+        let mut mask = SlotMask::default();
+        mask.insert(ClassId(2), 5);
+        mask.insert(ClassId(3), 0);
+        let mut into = ObjState::new(ClassId(0), 0);
+        decode_object_into(&encode_object(&obj), &mut into, &mask).unwrap();
+        for (i, v) in into.fields.iter().enumerate() {
+            let want = if i == 5 { &obj.fields[5] } else { &Value::Null };
+            assert_eq!(v, want, "slot {i}");
+        }
+        // A bad byte in a skipped string fails as a full decode fails.
+        let mut only_int = ObjState {
+            class: ClassId(2),
+            fields: vec![Value::Int(1), Value::Str("ab".into())],
+        };
+        let mut bad = encode_object(&only_int);
+        let last = bad.len() - 1;
+        bad[last] = 0xFF;
+        let mut mask = SlotMask::default();
+        mask.insert(ClassId(2), 0);
+        assert_eq!(
+            decode_object_into(&bad, &mut only_int, &mask),
+            decode_object(&bad).map(drop)
+        );
+        assert!(decode_object(&bad).is_err());
     }
 
     #[test]

@@ -1,16 +1,22 @@
-//! Expression evaluation.
+//! Expression evaluation: running a [`BoundExpr`].
 //!
-//! An [`EvalCtx`] supplies everything an expression may mention:
+//! [`mod@crate::bind`] resolves every name in an expression once; this module
+//! runs the result against a [`Frame`], which supplies what the names were
+//! bound to:
 //!
-//! * the **schema** (for method dispatch, `is` tests, and field layouts),
-//! * an optional **current object** (`this`) — constraint bodies and
-//!   trigger conditions read its fields with bare identifiers,
-//! * **loop variables** — the variables of a `forall`, each bound to the
-//!   object it ranges over ([`BoundVar`]): `v` is a reference to it, and
-//!   `v.f` and `v is C` read the state the scan already holds,
-//! * **parameters** — trigger activation arguments, written `$name`,
+//! * the **schema** (method dispatch, and the class names errors report),
+//! * an optional **current object** (`this`) — constraint bodies, trigger
+//!   conditions and single-variable queries read its fields by slot,
+//! * **loop variables** — the objects a `forall` binds, in the order of the
+//!   scope's names ([`BoundVar`]): `v` is a reference to one, and `v.f` and
+//!   `v is C` read the state the scan already holds,
+//! * **arguments** — the trigger activation's, read by `$name` position,
 //! * a **resolver** — the engine hook that dereferences object references
 //!   (generic refs follow the current version, §4).
+//!
+//! Nothing is looked up by name per object: a field read indexes its slot
+//! table by the object's class, and `is` indexes a precomputed class set.
+//! [`EvalCtx`] is the bind-then-run convenience for one-off evaluations.
 //!
 //! Semantics follow C++ where the paper leans on it: `&&`/`||`
 //! short-circuit, `/` on two ints is integer division, ints promote to
@@ -19,11 +25,17 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
+use crate::bind::{bind, BoundExpr, Field, Node, Recv, Scope};
 use crate::error::{ModelError, Result};
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::oid::{Oid, VersionRef};
 use crate::schema::Schema;
 use crate::value::{ObjState, Value};
+
+/// The evaluator's own result: the error boxed, so the result of a step
+/// that succeeds — nearly every one — is small enough to return in
+/// registers.
+type Run<T> = std::result::Result<T, Box<ModelError>>;
 
 /// Engine hook for dereferencing object references during evaluation.
 pub trait Resolver {
@@ -53,6 +65,8 @@ impl Resolver for NoResolver {
 
 /// A loop variable bound to the object it ranges over (§3.1): its name,
 /// the object's identity, and the state the query already holds for it.
+/// A [`Frame`] reads only the object; the name is for [`EvalCtx`], which
+/// binds by it.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundVar<'a> {
     /// The variable's name.
@@ -63,38 +77,77 @@ pub struct BoundVar<'a> {
     pub state: &'a ObjState,
 }
 
-/// Evaluation context. Build with [`EvalCtx::new`] and chain the `with_*`
-/// setters.
+/// What a [`BoundExpr`] runs against. It must match the [`Scope`] the
+/// expression was bound in: `vars[i]` is the scope's `i`th variable and
+/// `args[i]` its `i`th parameter. Start from [`Frame::new`] and fill the
+/// rest with struct-update syntax.
+#[derive(Clone, Copy)]
+pub struct Frame<'a> {
+    /// The schema the expression was bound against.
+    pub schema: &'a Schema,
+    /// The current object, if the scope has one.
+    pub this: Option<&'a ObjState>,
+    /// The loop variables' objects.
+    pub vars: &'a [BoundVar<'a>],
+    /// The trigger activation's arguments.
+    pub args: &'a [Value],
+    /// Dereferences object references.
+    pub resolver: &'a dyn Resolver,
+}
+
+impl<'a> Frame<'a> {
+    /// A frame with nothing bound and no database to dereference through.
+    pub fn new(schema: &'a Schema) -> Frame<'a> {
+        Frame {
+            schema,
+            this: None,
+            vars: &[],
+            args: &[],
+            resolver: &NoResolver,
+        }
+    }
+}
+
+impl BoundExpr {
+    /// Evaluate to a value.
+    pub fn eval(&self, frame: &Frame<'_>) -> Result<Value> {
+        frame.eval(&self.root).map_err(|e| *e)
+    }
+
+    /// Evaluate and require a boolean (suchthat / constraint / trigger).
+    pub fn eval_bool(&self, frame: &Frame<'_>) -> Result<bool> {
+        frame.test(&self.root).map_err(|e| *e)
+    }
+}
+
+/// Bind-then-run evaluation of one expression. Build with [`EvalCtx::new`]
+/// and chain the `with_*` setters. Each call binds again: code that
+/// evaluates one expression many times binds it once with
+/// [`crate::bind::bind`] and runs the [`BoundExpr`].
 pub struct EvalCtx<'a> {
-    schema: &'a Schema,
-    this: Option<&'a ObjState>,
-    vars: &'a [BoundVar<'a>],
+    frame: Frame<'a>,
     params: Option<&'a HashMap<String, Value>>,
-    resolver: &'a dyn Resolver,
 }
 
 impl<'a> EvalCtx<'a> {
     /// Minimal context: schema only.
     pub fn new(schema: &'a Schema) -> EvalCtx<'a> {
         EvalCtx {
-            schema,
-            this: None,
-            vars: &[],
+            frame: Frame::new(schema),
             params: None,
-            resolver: &NoResolver,
         }
     }
 
     /// Bind the current object (`this`).
     pub fn with_this(mut self, obj: &'a ObjState) -> Self {
-        self.this = Some(obj);
+        self.frame.this = Some(obj);
         self
     }
 
     /// Bind loop variables. A later binding of a name shadows an earlier
     /// one, and every binding shadows a field of `this` with its name.
     pub fn with_bindings(mut self, vars: &'a [BoundVar<'a>]) -> Self {
-        self.vars = vars;
+        self.frame.vars = vars;
         self
     }
 
@@ -106,45 +159,108 @@ impl<'a> EvalCtx<'a> {
 
     /// Attach the engine's reference resolver.
     pub fn with_resolver(mut self, r: &'a dyn Resolver) -> Self {
-        self.resolver = r;
+        self.frame.resolver = r;
         self
     }
 
-    /// Evaluate `expr` to a value.
+    /// Bind `expr` against this context's names and evaluate it.
     pub fn eval(&self, expr: &Expr) -> Result<Value> {
-        match expr {
-            Expr::Lit(v) => Ok(v.clone()),
-            Expr::Param(name) => self
-                .params
-                .and_then(|p| p.get(name))
-                .cloned()
-                .ok_or_else(|| ModelError::UnknownVar(format!("${name}"))),
-            Expr::Ident(name) => Ok(self.ident(name)?.into_owned()),
-            Expr::Path(base, field) => {
-                let obj = self.object(base)?;
-                Ok(self.field_ref(&obj, field)?.clone())
+        self.run(expr, BoundExpr::eval)
+    }
+
+    /// Evaluate and require a boolean (suchthat / constraint / trigger).
+    pub fn eval_bool(&self, expr: &Expr) -> Result<bool> {
+        self.run(expr, BoundExpr::eval_bool)
+    }
+
+    /// Bind `expr` against this context's names and run `f` on it.
+    fn run<R>(
+        &self,
+        expr: &Expr,
+        f: impl FnOnce(&BoundExpr, &Frame<'_>) -> Result<R>,
+    ) -> Result<R> {
+        let vars: Vec<&str> = self.frame.vars.iter().map(|b| b.name).collect();
+        let (params, args): (Vec<&str>, Vec<Value>) = self
+            .params
+            .into_iter()
+            .flatten()
+            .map(|(name, v)| (name.as_str(), v.clone()))
+            .unzip();
+        let scope = Scope {
+            vars: &vars,
+            this: self.frame.this.is_some(),
+            params: &params,
+        };
+        let frame = Frame {
+            args: &args,
+            ..self.frame
+        };
+        f(&bind(self.frame.schema, &scope, expr), &frame)
+    }
+}
+
+impl<'a> Frame<'a> {
+    /// Evaluate a node that must be a boolean. The shapes a predicate is
+    /// made of — connectives, comparisons, `is` on a loop variable — are
+    /// answered without building a [`Value`]; every other node is
+    /// evaluated and its value required to be a boolean, which is also what
+    /// the shapes answer, error for error.
+    fn test(&self, node: &Node) -> Run<bool> {
+        match node {
+            Node::Lit(Value::Bool(b)) => Ok(*b),
+            Node::Binary(BinOp::And, l, r) => Ok(self.test(l)? && self.test(r)?),
+            Node::Binary(BinOp::Or, l, r) => Ok(self.test(l)? || self.test(r)?),
+            Node::Binary(
+                op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
+                l,
+                r,
+            ) => {
+                let lv = self.operand(l)?;
+                let rv = self.operand(r)?;
+                relate(*op, &lv, &rv)
             }
-            Expr::Unary(op, e) => self.eval_unary(*op, e),
-            Expr::Binary(op, l, r) => self.eval_binary(*op, l, r),
-            Expr::Call { recv, name, args } => {
-                let argv: Vec<Value> = args.iter().map(|a| self.eval(a)).collect::<Result<_>>()?;
+            Node::VarIs(i, classes) => Ok(classes.contains(self.vars[*i].state.class)?),
+            _ => Ok(self.eval(node)?.as_bool()?),
+        }
+    }
+
+    fn eval(&self, node: &Node) -> Run<Value> {
+        match node {
+            Node::Lit(v) => Ok(v.clone()),
+            Node::Var(i) => Ok(Value::Ref(self.vars[*i].oid)),
+            Node::ThisField(f) => Ok(self.this_field(f)?.clone()),
+            Node::VarField(i, f) => Ok(self.field(self.vars[*i].state, f)?.clone()),
+            Node::Path(base, f) => {
+                let obj = self.deref(base)?;
+                Ok(self.field(&obj, f)?.clone())
+            }
+            Node::Param(i, name) => self
+                .args
+                .get(*i)
+                .cloned()
+                .ok_or_else(|| ModelError::UnknownVar(format!("${name}")).into()),
+            Node::Unary(op, e) => unary(*op, self.eval(e)?),
+            Node::Binary(op, l, r) => self.binary(*op, l, r),
+            Node::Call { recv, name, args } => {
+                let argv: Vec<Value> = args.iter().map(|a| self.eval(a)).collect::<Run<_>>()?;
                 let obj = match recv {
-                    Some(r) => self.object(r)?,
-                    None => Cow::Borrowed(self.this.ok_or_else(|| {
+                    Recv::This => Cow::Borrowed(self.this.ok_or_else(|| {
                         ModelError::Eval(format!("method `{name}` called with no current object"))
                     })?),
+                    Recv::Var(i) => Cow::Borrowed(self.vars[*i].state),
+                    Recv::Expr(e) => Cow::Owned(self.deref(e)?),
                 };
                 let m = self.schema.lookup_method(obj.class, name)?;
-                m(&obj, &argv)
+                Ok(m(&obj, &argv)?)
             }
-            Expr::Cond(c, a, b) => {
+            Node::Cond(c, a, b) => {
                 if self.eval(c)?.as_bool()? {
                     self.eval(a)
                 } else {
                     self.eval(b)
                 }
             }
-            Expr::Index(base, ix) => {
+            Node::Index(base, ix) => {
                 let container = self.eval(base)?;
                 let i = self.eval(ix)?.as_int()?;
                 match container {
@@ -156,6 +272,7 @@ impl<'a> EvalCtx<'a> {
                                 "array index {i} out of bounds (len {})",
                                 items.len()
                             ))
+                            .into()
                         })
                     }
                     Value::Str(s) => {
@@ -165,167 +282,114 @@ impl<'a> EvalCtx<'a> {
                             .nth(idx)
                             .map(|c| Value::Str(c.to_string()))
                             .ok_or_else(|| {
-                                ModelError::Eval(format!("string index {i} out of bounds"))
+                                ModelError::Eval(format!("string index {i} out of bounds")).into()
                             })
                     }
-                    other => Err(ModelError::Type(format!("cannot subscript {other}"))),
+                    other => Err(ModelError::Type(format!("cannot subscript {other}")).into()),
                 }
             }
-            Expr::Is(e, class_name) => {
-                let target = self.schema.id_of(class_name)?;
-                if let Some(state) = self.bound_state(e) {
-                    return Ok(Value::Bool(self.schema.is_subclass(state.class, target)));
-                }
-                let v = self.eval(e)?;
-                let class = match &v {
-                    Value::Ref(oid) => self.resolver.deref_obj(*oid)?.class,
-                    Value::VRef(vr) => self.resolver.deref_version(*vr)?.class,
+            Node::VarIs(i, classes) => {
+                Ok(Value::Bool(classes.contains(self.vars[*i].state.class)?))
+            }
+            Node::Is(e, classes) => {
+                // An unknown class fails before the operand is evaluated.
+                classes.set()?;
+                let class = match self.eval(e)? {
+                    Value::Ref(oid) => self.resolver.deref_obj(oid)?.class,
+                    Value::VRef(vr) => self.resolver.deref_version(vr)?.class,
                     Value::Null => return Ok(Value::Bool(false)),
                     other => {
                         return Err(ModelError::Type(format!(
                             "`is` needs an object reference, got {other}"
-                        )))
+                        ))
+                        .into())
                     }
                 };
-                Ok(Value::Bool(self.schema.is_subclass(class, target)))
+                Ok(Value::Bool(classes.contains(class)?))
             }
+            Node::Fail(e) => Err(Box::new(e.clone())),
         }
     }
 
-    /// Evaluate and require a boolean (suchthat / constraint / trigger).
-    pub fn eval_bool(&self, expr: &Expr) -> Result<bool> {
-        self.eval(expr)?.as_bool()
-    }
-
-    /// The innermost binding of loop variable `name`.
-    fn binding(&self, name: &str) -> Option<&'a BoundVar<'a>> {
-        self.vars.iter().rev().find(|b| b.name == name)
-    }
-
-    /// The state `expr` denotes if it names a loop variable: the object
-    /// in hand, read without a dereference.
-    fn bound_state(&self, expr: &Expr) -> Option<&'a ObjState> {
-        match expr {
-            Expr::Ident(name) => self.binding(name).map(|b| b.state),
-            _ => None,
-        }
-    }
-
-    /// The value an identifier names — a reference to a loop variable's
-    /// object, else a field of `this`, borrowed where it lives.
-    fn ident(&self, name: &str) -> Result<Cow<'a, Value>> {
-        if let Some(b) = self.binding(name) {
-            return Ok(Cow::Owned(Value::Ref(b.oid)));
-        }
-        if let Some(this) = self.this {
-            let def = self.schema.class(this.class)?;
-            if let Ok(idx) = def.field_index(name) {
-                return Ok(Cow::Borrowed(&this.fields[idx]));
-            }
-        }
-        Err(ModelError::UnknownVar(name.to_string()))
-    }
-
-    /// Evaluate a binary operand, borrowing literals, identifiers and the
-    /// fields of loop variables in place instead of cloning them (a string
-    /// or set compared per scanned object would otherwise be copied each
-    /// time).
-    fn operand<'e>(&self, e: &'e Expr) -> Result<Cow<'e, Value>>
-    where
-        'a: 'e,
-    {
-        match e {
-            Expr::Lit(v) => Ok(Cow::Borrowed(v)),
-            Expr::Ident(name) => self.ident(name),
-            Expr::Path(base, field) => match self.bound_state(base) {
-                Some(state) => self.field_ref(state, field).map(Cow::Borrowed),
-                None => self.eval(e).map(Cow::Owned),
+    /// A field of `this`, named by a bare identifier: a class without the
+    /// member leaves the name unbound.
+    #[inline]
+    fn this_field(&self, f: &Field) -> Run<&'a Value> {
+        match self.this {
+            Some(this) => match f.slot(this.class) {
+                Some(i) => Ok(&this.fields[i]),
+                None => {
+                    f.check_class(this.class)?;
+                    Err(ModelError::UnknownVar(f.name.clone()).into())
+                }
             },
-            _ => self.eval(e).map(Cow::Owned),
+            None => Err(ModelError::UnknownVar(f.name.clone()).into()),
         }
     }
 
-    /// The object an expression denotes: a loop variable's state in hand,
-    /// else a Ref/VRef value dereferenced through the resolver.
-    fn object(&self, expr: &Expr) -> Result<Cow<'a, ObjState>> {
-        match self.bound_state(expr) {
-            Some(state) => Ok(Cow::Borrowed(state)),
-            None => self.eval_to_object(expr).map(Cow::Owned),
+    /// Member `f` of `obj`, by the slot its dynamic class lays it out at.
+    #[inline]
+    fn field<'o>(&self, obj: &'o ObjState, f: &Field) -> Run<&'o Value> {
+        match f.slot(obj.class) {
+            Some(i) => Ok(&obj.fields[i]),
+            None => {
+                f.check_class(obj.class)?;
+                Err(ModelError::UnknownField {
+                    class: self.schema.class(obj.class)?.name.clone(),
+                    field: f.name.clone(),
+                }
+                .into())
+            }
         }
     }
 
     /// Evaluate an expression that must denote an object, dereferencing
     /// Ref/VRef values through the resolver.
-    fn eval_to_object(&self, expr: &Expr) -> Result<ObjState> {
-        match self.eval(expr)? {
-            Value::Ref(oid) => self.resolver.deref_obj(oid),
-            Value::VRef(vr) => self.resolver.deref_version(vr),
-            Value::Null => Err(ModelError::Eval("null dereference".into())),
-            other => Err(ModelError::Type(format!(
-                "expected an object reference, got {other}"
-            ))),
-        }
-    }
-
-    fn field_ref<'o>(&self, obj: &'o ObjState, field: &str) -> Result<&'o Value> {
-        let def = self.schema.class(obj.class)?;
-        let idx = def.field_index(field)?;
-        Ok(&obj.fields[idx])
-    }
-
-    fn eval_unary(&self, op: UnOp, e: &Expr) -> Result<Value> {
-        let v = self.eval(e)?;
-        match (op, v) {
-            (UnOp::Neg, Value::Int(i)) => {
-                Ok(Value::Int(i.checked_neg().ok_or_else(|| {
-                    ModelError::Eval("integer overflow in negation".into())
-                })?))
+    fn deref(&self, node: &Node) -> Run<ObjState> {
+        match self.eval(node)? {
+            Value::Ref(oid) => Ok(self.resolver.deref_obj(oid)?),
+            Value::VRef(vr) => Ok(self.resolver.deref_version(vr)?),
+            Value::Null => Err(ModelError::Eval("null dereference".into()).into()),
+            other => {
+                Err(ModelError::Type(format!("expected an object reference, got {other}")).into())
             }
-            (UnOp::Neg, Value::Float(x)) => Ok(Value::Float(-x)),
-            (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-            (UnOp::Neg, other) => Err(ModelError::Type(format!("cannot negate {other}"))),
-            (UnOp::Not, other) => Err(ModelError::Type(format!(
-                "`!` needs a boolean, got {other}"
-            ))),
         }
     }
 
-    fn eval_binary(&self, op: BinOp, l: &Expr, r: &Expr) -> Result<Value> {
+    /// Evaluate a binary operand, borrowing literals and the fields of the
+    /// objects in hand instead of cloning them (a string or set compared
+    /// per scanned object would otherwise be copied each time).
+    #[inline]
+    fn operand<'x>(&'x self, node: &'x Node) -> Run<Cow<'x, Value>> {
+        match node {
+            Node::Lit(v) => Ok(Cow::Borrowed(v)),
+            Node::ThisField(f) => self.this_field(f).map(Cow::Borrowed),
+            Node::VarField(i, f) => self.field(self.vars[*i].state, f).map(Cow::Borrowed),
+            _ => self.eval(node).map(Cow::Owned),
+        }
+    }
+
+    fn binary(&self, op: BinOp, l: &Node, r: &Node) -> Run<Value> {
         // Short-circuit logicals first.
         match op {
-            BinOp::And => {
-                return Ok(Value::Bool(
-                    self.eval(l)?.as_bool()? && self.eval(r)?.as_bool()?,
-                ))
-            }
-            BinOp::Or => {
-                return Ok(Value::Bool(
-                    self.eval(l)?.as_bool()? || self.eval(r)?.as_bool()?,
-                ))
-            }
+            BinOp::And => return Ok(Value::Bool(self.test(l)? && self.test(r)?)),
+            BinOp::Or => return Ok(Value::Bool(self.test(l)? || self.test(r)?)),
             _ => {}
         }
         let lv = self.operand(l)?;
         let rv = self.operand(r)?;
         let (lv, rv) = (lv.as_ref(), rv.as_ref());
         match op {
-            BinOp::Eq => Ok(Value::Bool(lv == rv)),
-            BinOp::Ne => Ok(Value::Bool(lv != rv)),
-            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let ord = compare(lv, rv)?;
-                Ok(Value::Bool(match op {
-                    BinOp::Lt => ord.is_lt(),
-                    BinOp::Le => ord.is_le(),
-                    BinOp::Gt => ord.is_gt(),
-                    _ => ord.is_ge(),
-                }))
+            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                relate(op, lv, rv).map(Value::Bool)
             }
             BinOp::In => match rv {
                 Value::Set(s) => Ok(Value::Bool(s.contains(lv))),
                 Value::Array(items) => Ok(Value::Bool(items.contains(lv))),
                 other => Err(ModelError::Type(format!(
                     "`in` needs a set or array on the right, got {other}"
-                ))),
+                ))
+                .into()),
             },
             BinOp::Add => match (lv, rv) {
                 (Value::Str(a), Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
@@ -337,18 +401,46 @@ impl<'a> EvalCtx<'a> {
     }
 }
 
-/// Ordered comparison: numbers compare across int/float; strings compare
-/// lexicographically; anything else is a type error (equality, by contrast,
-/// is defined for all values).
-fn compare(l: &Value, r: &Value) -> Result<std::cmp::Ordering> {
-    match (l, r) {
-        (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_))
-        | (Value::Str(_), Value::Str(_)) => Ok(l.cmp(r)),
-        _ => Err(ModelError::Type(format!("cannot order {l} against {r}"))),
+fn unary(op: UnOp, v: Value) -> Run<Value> {
+    match (op, v) {
+        (UnOp::Neg, Value::Int(i)) => match i.checked_neg() {
+            Some(n) => Ok(Value::Int(n)),
+            None => Err(ModelError::Eval("integer overflow in negation".into()).into()),
+        },
+        (UnOp::Neg, Value::Float(x)) => Ok(Value::Float(-x)),
+        (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
+        (UnOp::Neg, other) => Err(ModelError::Type(format!("cannot negate {other}")).into()),
+        (UnOp::Not, other) => {
+            Err(ModelError::Type(format!("`!` needs a boolean, got {other}")).into())
+        }
     }
 }
 
-fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
+/// Apply a comparison operator: equality is defined for all values, order
+/// only where [`compare`] defines it.
+fn relate(op: BinOp, l: &Value, r: &Value) -> Run<bool> {
+    Ok(match op {
+        BinOp::Eq => l == r,
+        BinOp::Ne => l != r,
+        BinOp::Lt => compare(l, r)?.is_lt(),
+        BinOp::Le => compare(l, r)?.is_le(),
+        BinOp::Gt => compare(l, r)?.is_gt(),
+        _ => compare(l, r)?.is_ge(),
+    })
+}
+
+/// Ordered comparison: numbers compare across int/float; strings compare
+/// lexicographically; anything else is a type error (equality, by contrast,
+/// is defined for all values).
+fn compare(l: &Value, r: &Value) -> Run<std::cmp::Ordering> {
+    match (l, r) {
+        (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_))
+        | (Value::Str(_), Value::Str(_)) => Ok(l.cmp(r)),
+        _ => Err(ModelError::Type(format!("cannot order {l} against {r}")).into()),
+    }
+}
+
+fn arith(op: BinOp, l: &Value, r: &Value) -> Run<Value> {
     match (l, r) {
         (Value::Int(a), Value::Int(b)) => {
             let a = *a;
@@ -359,20 +451,20 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
                 BinOp::Mul => a.checked_mul(b),
                 BinOp::Div => {
                     if b == 0 {
-                        return Err(ModelError::Eval("integer division by zero".into()));
+                        return Err(ModelError::Eval("integer division by zero".into()).into());
                     }
                     a.checked_div(b)
                 }
                 BinOp::Mod => {
                     if b == 0 {
-                        return Err(ModelError::Eval("integer modulo by zero".into()));
+                        return Err(ModelError::Eval("integer modulo by zero".into()).into());
                     }
                     a.checked_rem(b)
                 }
                 _ => unreachable!(),
             };
             out.map(Value::Int)
-                .ok_or_else(|| ModelError::Eval("integer overflow".into()))
+                .ok_or_else(|| ModelError::Eval("integer overflow".into()).into())
         }
         (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_)) => {
             let a = l.as_float()?;
@@ -382,15 +474,12 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
                 BinOp::Sub => a - b,
                 BinOp::Mul => a * b,
                 BinOp::Div => a / b,
-                BinOp::Mod => return Err(ModelError::Type("`%` needs integers".into())),
+                BinOp::Mod => return Err(ModelError::Type("`%` needs integers".into()).into()),
                 _ => unreachable!(),
             };
             Ok(Value::Float(out))
         }
-        _ => Err(ModelError::Type(format!(
-            "cannot apply `{}` to {l} and {r}",
-            op.symbol()
-        ))),
+        _ => Err(ModelError::Type(format!("cannot apply `{}` to {l} and {r}", op.symbol())).into()),
     }
 }
 

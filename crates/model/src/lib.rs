@@ -13,15 +13,18 @@
 //!   and *multiple inheritance* (§1), C3-linearized into a flat field
 //!   layout with shared diamond bases; constraints (§5) and trigger
 //!   declarations (§6) attach to classes,
-//! * [`expr`] / [`parser`] / [`eval`] — the expression language standing in
-//!   for O++'s embedded C++ expressions: it powers `suchthat` and `by`
-//!   clauses (§3.1), constraint bodies (§5), and trigger conditions (§6),
+//! * [`expr`] / [`parser`] / [`mod@bind`] / [`eval`] — the expression language
+//!   standing in for O++'s embedded C++ expressions: it powers `suchthat`
+//!   and `by` clauses (§3.1), constraint bodies (§5), and trigger
+//!   conditions (§6); an expression is bound once (names to slots) and the
+//!   bound form is what runs,
 //! * [`stmt`] — the statement surface: one [`parse_statement`] turning a
 //!   line into the typed [`Statement`] every later phase works on,
 //! * [`encode`] — the binary catalog/object codec used by the engine.
 //!
 //! The engine built on top lives in `ode-core`.
 
+pub mod bind;
 pub mod class;
 pub mod ddl;
 pub mod encode;
@@ -35,10 +38,11 @@ pub mod schema;
 pub mod stmt;
 pub mod value;
 
+pub use bind::{bind, BoundExpr, Scope, SlotMask};
 pub use class::{ClassBuilder, ClassDef, ClassId, FieldDef, TriggerAction, TriggerDecl};
 pub use ddl::parse_classes;
 pub use error::{ModelError, Result};
-pub use eval::{BoundVar, EvalCtx, Resolver};
+pub use eval::{BoundVar, EvalCtx, Frame, Resolver};
 pub use expr::{BinOp, Expr, UnOp};
 pub use oid::{Oid, VersionNo, VersionRef};
 pub use parser::parse_expr;
