@@ -151,10 +151,10 @@ fn hierarchy_scan_reads_the_object_in_hand() {
     );
 }
 
-#[test]
-fn join_allocates_per_outer_binding_and_row_not_per_pair() {
+/// 1 000 employees over 50 departments; employee `e` is in department
+/// `e % 50` and earns `e`.
+fn company() -> Database {
     const DEPARTMENTS: i64 = 50;
-    const EMPLOYEES: i64 = 1_000;
     let db = Database::in_memory();
     db.define_from_source(
         "class department { string dname; int dno; }
@@ -186,13 +186,24 @@ fn join_allocates_per_outer_binding_and_row_not_per_pair() {
         Ok(())
     })
     .unwrap();
-    let pairs = (EMPLOYEES * DEPARTMENTS) as u64;
+    db
+}
+
+const EMPLOYEES: i64 = 1_000;
+
+#[test]
+fn join_allocates_per_outer_binding_and_row_not_per_pair() {
+    let db = company();
+    let pairs = (EMPLOYEES * 50) as u64;
+    // The non-equi form of `e.deptno == d.dno` has no key, and its
+    // ordered comparisons may raise, so the salary test to their right is
+    // not pushed below them: every pair is streamed.
     for (salary, expected_rows) in [(989, 10), (-1, EMPLOYEES as usize)] {
         let (n, rows, scanned) = query(
             &db,
             &format!(
                 "forall e in employee, d in department \
-                 suchthat (e.deptno == d.dno && e.salary > {salary})"
+                 suchthat (e.deptno <= d.dno && e.deptno >= d.dno && e.salary > {salary})"
             ),
         );
         assert_eq!(rows, expected_rows);
@@ -203,6 +214,23 @@ fn join_allocates_per_outer_binding_and_row_not_per_pair() {
             "{n} allocations for {rows} rows of {pairs} pairs (budget {budget})"
         );
     }
+}
+
+#[test]
+fn hash_join_allocates_less_than_once_per_outer_object() {
+    let db = company();
+    // The salary test filters the employee stream; the 50 departments are
+    // hash-built once and probed by each of the 10 employees left.
+    let (n, rows, scanned) = query(
+        &db,
+        "forall e in employee, d in department \
+         suchthat (e.deptno == d.dno && e.salary > 989)",
+    );
+    assert_eq!((rows, scanned), (10, EMPLOYEES as u64 + 50));
+    assert!(
+        n < EMPLOYEES as u64,
+        "{n} allocations for {EMPLOYEES} employees joined"
+    );
 }
 
 #[test]

@@ -257,11 +257,53 @@ impl BoundExpr {
     /// method called on that object reads all of it.
     pub fn read_slots(&self, this: bool, var: Option<usize>, mask: &mut SlotMask) {
         let subject = |i: &usize| var == Some(*i);
+        self.walk(|node| match node {
+            Node::ThisField(f) if this => mask.insert_field(f),
+            Node::VarField(i, f) if subject(i) => mask.insert_field(f),
+            Node::Call {
+                recv: Recv::This, ..
+            } if this => mask.set_all(),
+            Node::Call {
+                recv: Recv::Var(i), ..
+            } if subject(i) => mask.set_all(),
+            _ => {}
+        });
+    }
+
+    /// The lowest and highest loop variable this expression reads of the
+    /// objects in hand (`v`, `v.f`, `v is C`, `v.m()`); `None` if it reads
+    /// none. A join evaluates a conjunct at the level of its highest.
+    pub fn var_span(&self) -> Option<(usize, usize)> {
+        let mut span: Option<(usize, usize)> = None;
+        self.walk(|node| {
+            let i = match node {
+                Node::Var(i) | Node::VarField(i, _) | Node::VarIs(i, _) => *i,
+                Node::Call {
+                    recv: Recv::Var(i), ..
+                } => *i,
+                _ => return,
+            };
+            span = Some(span.map_or((i, i), |(lo, hi)| (lo.min(i), hi.max(i))));
+        });
+        span
+    }
+
+    /// Can this expression, tested as a predicate, never raise? `classes[i]`
+    /// lists the classes loop variable `i` may be bound to. Total are `==`
+    /// and `!=` (equality is defined for all values) over literals, loop
+    /// variables and members every one of a variable's classes has; `v is
+    /// C` for a known `C`; `true` and `false`; and `!`, `&&` and `||` over
+    /// those. Ordered comparisons are not: `null` cannot be ordered.
+    pub fn is_total(&self, classes: &[Vec<ClassId>]) -> bool {
+        total_test(&self.root, classes)
+    }
+
+    /// Visit every node, parents before children.
+    fn walk<'n>(&'n self, mut visit: impl FnMut(&'n Node)) {
         let mut stack = vec![&self.root];
         while let Some(node) = stack.pop() {
+            visit(node);
             match node {
-                Node::ThisField(f) if this => mask.insert_field(f),
-                Node::VarField(i, f) if subject(i) => mask.insert_field(f),
                 Node::Lit(_)
                 | Node::Var(_)
                 | Node::ThisField(_)
@@ -273,16 +315,39 @@ impl BoundExpr {
                 Node::Binary(_, l, r) | Node::Index(l, r) => stack.extend([&**l, &**r]),
                 Node::Cond(c, a, b) => stack.extend([&**c, &**a, &**b]),
                 Node::Call { recv, args, .. } => {
-                    match recv {
-                        Recv::This if this => mask.set_all(),
-                        Recv::Var(i) if subject(i) => mask.set_all(),
-                        Recv::Expr(e) => stack.push(e),
-                        Recv::This | Recv::Var(_) => {}
+                    if let Recv::Expr(e) = recv {
+                        stack.push(e);
                     }
                     stack.extend(args);
                 }
             }
         }
+    }
+}
+
+/// [`BoundExpr::is_total`] for a node tested as a boolean.
+fn total_test(node: &Node, classes: &[Vec<ClassId>]) -> bool {
+    match node {
+        Node::Lit(Value::Bool(_)) | Node::VarIs(_, Classes::Known(_)) => true,
+        Node::Binary(BinOp::Eq | BinOp::Ne, l, r) => {
+            total_operand(l, classes) && total_operand(r, classes)
+        }
+        Node::Binary(BinOp::And | BinOp::Or, l, r) => {
+            total_test(l, classes) && total_test(r, classes)
+        }
+        Node::Unary(UnOp::Not, e) => total_test(e, classes),
+        _ => false,
+    }
+}
+
+/// Does this comparison operand evaluate without raising?
+fn total_operand(node: &Node, classes: &[Vec<ClassId>]) -> bool {
+    match node {
+        Node::Lit(_) | Node::Var(_) => true,
+        Node::VarField(i, f) => classes
+            .get(*i)
+            .is_some_and(|cs| cs.iter().all(|&c| f.slot(c).is_some())),
+        _ => false,
     }
 }
 
@@ -446,6 +511,35 @@ mod tests {
         // `p` at index 1 shadows index 0: only the scan of index 1 reads.
         assert!(mask_of("p.income > 0", &["p", "p"], false, Some(0)) == SlotMask::default());
         assert!(mask_of("p.income > 0", &["p", "p"], false, Some(1)).reads(ClassId(0), 1));
+    }
+
+    #[test]
+    fn var_spans_and_totality() {
+        let s = schema();
+        let scope = Scope {
+            vars: &["p", "q"],
+            this: false,
+            params: &[],
+        };
+        let bound = |src: &str| bind(&s, &scope, &parse_expr(src).unwrap());
+        assert_eq!(bound("p.income == 1").var_span(), Some((0, 0)));
+        assert_eq!(bound("p.name == q.name").var_span(), Some((0, 1)));
+        assert_eq!(
+            bound("q is student || q.total() > 0").var_span(),
+            Some((1, 1))
+        );
+        assert_eq!(bound("1 == 1 && ghost > 2").var_span(), None);
+        // Every person has `income`; only students have `stipend`.
+        let people = vec![ClassId(0), ClassId(1), ClassId(3)];
+        let both = [people.clone(), people];
+        let total = |src: &str| bound(src).is_total(&both);
+        assert!(total("p.income == q.income && !(p is student) || p != q"));
+        assert!(total("p.name != null && true"));
+        assert!(!total("p.stipend == 1"), "a person has no stipend");
+        assert!(bound("p.stipend == 1").is_total(&[vec![ClassId(1)]]));
+        assert!(!total("p.income > 1"), "null cannot be ordered");
+        assert!(!total("p is ghost"));
+        assert!(!total("p.income + 1 == 2"));
     }
 
     #[test]
