@@ -202,10 +202,11 @@ fn read_accesses(
                 } else {
                     extract_qualified_ranges(pred, &b.var)
                 };
-                // The engine probes an index only over the deep extent
-                // (committed index entries summarize the hierarchy), and
-                // picks it by the same rule as here.
-                if b.deep {
+                // The engine probes an index only for a single binding over
+                // the deep extent (committed index entries summarize the
+                // hierarchy), and picks it by the same rule as here. A join
+                // streams or hash-builds every binding's extent.
+                if single && b.deep {
                     if let (Some(cat), Ok(def)) = (catalog, schema.class_by_name(&b.cluster)) {
                         acc.index = probe_range(&acc.ranges, |f| cat.is_indexed(def.id, f))
                             .map(|r| r.field.clone());

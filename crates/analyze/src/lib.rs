@@ -403,13 +403,12 @@ fn check_assignment(
     }
 }
 
-/// A102: an equality conjunct on a member where no mentioned member of
-/// that binding is indexed — the binding will scan its extent. For a
-/// single binding any equality against a literal counts; in a join,
-/// each binding is checked separately and `a.k == b.owner`-style
-/// equalities count too (that is exactly the probe key an index join
-/// would want). Cross-referenced with `explain`'s plan strategy, which
-/// would show `deep extent scan` for the same statement.
+/// A102: a single-binding query with an equality conjunct against a
+/// literal on a member, where no such member is indexed — the query will
+/// scan its extent. Cross-referenced with `explain`'s plan strategy, which
+/// would show `deep extent scan` for the same statement. A join is not
+/// flagged: it hash-builds an inner binding on an equality key, index or
+/// not.
 fn lint_unindexed(
     schema: &Schema,
     catalog: &CatalogView,
@@ -418,45 +417,34 @@ fn lint_unindexed(
     pred: &Expr,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let single = bindings.len() == 1;
-    for b in bindings {
-        let (var, class) = (&b.var, &b.cluster);
-        let Ok(def) = schema.class_by_name(class) else {
-            continue;
-        };
-        let eq_members = if single {
-            sat::equality_members(pred, var, def)
-        } else {
-            sat::join_equality_members(pred, var, def)
-        };
-        if eq_members.is_empty() {
-            continue;
-        }
-        if eq_members
-            .iter()
-            .any(|f| catalog.is_indexed(def.id, f.as_str()))
-        {
-            continue;
-        }
-        let field = &eq_members[0];
-        let detail = if single {
-            "the query will scan the extent".to_string()
-        } else {
-            format!("the join will scan `{var}`'s extent per outer row")
-        };
-        diags.push(
-            Diagnostic::new(
-                A102,
-                Severity::Warning,
-                format!(
-                    "equality on `{class}.{field}` has no index; {detail} \
-                     (`explain` shows the plan, `create index {class} {field}` \
-                     would probe)"
-                ),
-            )
-            .locate(src, field),
-        );
+    let [b] = bindings else {
+        return;
+    };
+    let (var, class) = (&b.var, &b.cluster);
+    let Ok(def) = schema.class_by_name(class) else {
+        return;
+    };
+    let eq_members = sat::equality_members(pred, var, def);
+    if eq_members
+        .iter()
+        .any(|f| catalog.is_indexed(def.id, f.as_str()))
+    {
+        return;
     }
+    let Some(field) = eq_members.first() else {
+        return;
+    };
+    diags.push(
+        Diagnostic::new(
+            A102,
+            Severity::Warning,
+            format!(
+                "equality on `{class}.{field}` has no index; the query will scan the extent \
+                 (`explain` shows the plan, `create index {class} {field}` would probe)"
+            ),
+        )
+        .locate(src, field),
+    );
 }
 
 /// Drop exact-duplicate diagnostics (the same unresolved name reported

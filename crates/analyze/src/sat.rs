@@ -231,27 +231,3 @@ pub(crate) fn equality_members(pred: &Expr, var: &str, def: &ClassDef) -> Vec<St
     }
     out
 }
-
-/// Members of one *join* binding's class that appear in any equality
-/// conjunct — against a literal **or** another binding's member (the
-/// `a.k == b.owner` shape a hash/index join would probe on). Only the
-/// qualified `var.field` form is attributable in a join; a bare
-/// identifier could resolve against any binding.
-pub(crate) fn join_equality_members(pred: &Expr, var: &str, def: &ClassDef) -> Vec<String> {
-    let mut out = Vec::new();
-    for c in pred.conjuncts() {
-        let Expr::Binary(BinOp::Eq, l, r) = c else {
-            continue;
-        };
-        for side in [l.as_ref(), r.as_ref()] {
-            if let Expr::Path(base, field) = side {
-                if let Expr::Ident(v) = base.as_ref() {
-                    if v == var && def.field(field).is_ok() && !out.iter().any(|f| f == field) {
-                        out.push(field.clone());
-                    }
-                }
-            }
-        }
-    }
-    out
-}
