@@ -241,48 +241,55 @@ fn f3_join() {
     }
 }
 
+/// The F4 cluster fixpoint: the closure of `root`, grown in the `reached`
+/// cluster it iterates, testing membership per child with an unindexed
+/// `part == c` count. Returns the parts visited.
+fn cluster_fixpoint(db: &Database, root: &str) -> usize {
+    let mut tx = db.begin();
+    tx.pnew("reached", &[("part", Value::from(root))]).unwrap();
+    let seen = tx
+        .forall("reached")
+        .unwrap()
+        .fixpoint()
+        .run(|tx, row| {
+            let part = tx.get(row, "part")?.as_str()?.to_string();
+            let children = tx
+                .forall("usage")?
+                .suchthat(&format!("parent == \"{part}\""))?
+                .collect_values("child")?;
+            for child in children {
+                let c = child.as_str()?.to_string();
+                if tx
+                    .forall("reached")?
+                    .suchthat(&format!("part == \"{c}\""))?
+                    .count()?
+                    == 0
+                {
+                    tx.pnew("reached", &[("part", child)])?;
+                }
+            }
+            Ok(())
+        })
+        .unwrap();
+    tx.abort();
+    seen
+}
+
 fn f4_fixpoint() {
     println!("\n## F4 — fixpoint query evaluation (§3.2)\n");
     println!(
-        "| BOM (depth×fanout) | ode cluster fixpoint | ode set fixpoint | semi-naive | naive |"
+        "| BOM (depth×fanout) | ode cluster fixpoint | scanned / part | ode set fixpoint | semi-naive | naive |"
     );
-    println!("|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|");
     let mut deepest_gap = 0.0;
+    let mut scanned_per_part = Vec::new();
     for &(depth, fanout) in &[(8usize, 8usize), (32, 8), (64, 16)] {
         let (db, root, parts) = workload::bom_db(depth, fanout);
         let edges = workload::bom_edges(&db);
-        let cluster = time_us(3, || {
-            let mut tx = db.begin();
-            tx.pnew("reached", &[("part", Value::from(root.as_str()))])
-                .unwrap();
-            let mut seen = 0usize;
-            tx.forall("reached")
-                .unwrap()
-                .fixpoint()
-                .run(|tx, row| {
-                    seen += 1;
-                    let part = tx.get(row, "part")?.as_str()?.to_string();
-                    let children = tx
-                        .forall("usage")?
-                        .suchthat(&format!("parent == \"{part}\""))?
-                        .collect_values("child")?;
-                    for child in children {
-                        let c = child.as_str()?.to_string();
-                        if tx
-                            .forall("reached")?
-                            .suchthat(&format!("part == \"{c}\""))?
-                            .count()?
-                            == 0
-                        {
-                            tx.pnew("reached", &[("part", child)])?;
-                        }
-                    }
-                    Ok(())
-                })
-                .unwrap();
-            assert_eq!(seen, parts);
-            tx.abort();
-        });
+        let cluster = time_us(3, || assert_eq!(cluster_fixpoint(&db, &root), parts));
+        let (_, w) = work(&db, || cluster_fixpoint(&db, &root));
+        let per_part = w.query.objects_scanned as f64 / parts as f64;
+        scanned_per_part.push((parts, per_part));
         let set = time_us(3, || {
             let mut tx = db.begin();
             let wl = tx.pnew("worklist", &[]).unwrap();
@@ -335,7 +342,7 @@ fn f4_fixpoint() {
             assert_eq!(closure.len(), parts);
         });
         println!(
-            "| {depth}×{fanout} ({parts} parts) | {} | {} | {} | {} |",
+            "| {depth}×{fanout} ({parts} parts) | {} | {per_part:.1} | {} | {} | {} |",
             fmt_us(cluster),
             fmt_us(set),
             fmt_us(semi),
@@ -348,6 +355,16 @@ fn f4_fixpoint() {
         "F4",
         deepest_gap > 2.0,
         format!("at 64×16 naive takes over 2× semi-naive (measured {deepest_gap:.1}×)"),
+    );
+    let (small, large) = (scanned_per_part[0], scanned_per_part[2]);
+    check(
+        "F4",
+        large.1 <= 1.5 * small.1,
+        format!(
+            "the cluster fixpoint scans {:.1} objects per visited part at {} parts and {:.1} \
+             at {} parts: per-part work stays within 1.5× as the closure grows",
+            small.1, small.0, large.1, large.0
+        ),
     );
 }
 

@@ -39,15 +39,15 @@ use ode_model::{
     ClassBuilder, ClassId, FieldRange, ObjState, Oid, Schema, SlotMask, Statement, Value,
 };
 use ode_obs::{
-    EngineTelemetry, FlightRecorder, QueryProfile, SlowQueryLog, SpanStage, StorageSnapshot,
-    TelemetrySnapshot, WorkStat, WorkStatRow, WorkloadStats, DEFAULT_FLIGHT_CAPACITY,
-    DEFAULT_SLOW_THRESHOLD_NS,
+    EngineTelemetry, FlightRecorder, PlanStrategy, QueryProfile, SlowQueryLog, SpanStage,
+    StorageSnapshot, TelemetrySnapshot, WorkStat, WorkStatRow, WorkloadStats,
+    DEFAULT_FLIGHT_CAPACITY, DEFAULT_SLOW_THRESHOLD_NS,
 };
 use ode_storage::{CommitTicket, FileStore, MemStore, RecordId, Store, StoreOp, StoreStats};
 
 use crate::catalog::{CatalogRecord, CatalogState, CATALOG_HEAP};
 use crate::error::{OdeError, Result};
-use crate::index::BTreeIndex;
+use crate::index::{BTreeIndex, Indexes};
 use crate::object::is_anchor;
 use crate::read::ReadTransaction;
 use crate::rules::{LazyRules, Rules};
@@ -84,6 +84,9 @@ pub struct ProfileBucket {
     /// except `rows` which holds the last pass's value).
     pub profile: QueryProfile,
 }
+
+/// The accumulated profile buckets: target → each strategy's bucket.
+pub(crate) type ProfileShapes = HashMap<String, Vec<(PlanStrategy, Mutex<ProfileBucket>)>>;
 
 /// Tuning knobs.
 #[derive(Debug, Clone)]
@@ -150,6 +153,32 @@ pub(crate) struct Layout {
     pub by_heap: HashMap<u32, Cluster>,
     /// The schema's constraints and trigger bodies, bound.
     rules: LazyRules,
+    /// Each class's extents, worked out on first use.
+    extents: LazyExtents,
+}
+
+/// One class's deep or shallow extent in a layout.
+pub(crate) struct Extent {
+    /// The heaps it streams, each once, in first-occurrence order.
+    pub heaps: Vec<u32>,
+    /// The clusters of its classes (two classes sharing a heap count
+    /// twice).
+    pub clusters: u64,
+    /// The classes an object it streams may have: those clustered in
+    /// `heaps`, or the class alone for a shallow extent.
+    pub members: Vec<ClassId>,
+}
+
+/// Every class's `[shallow, deep]` extents, each computed on first use
+/// and then kept for the layout's life. A clone is empty: it belongs to a
+/// layout whose clusters may differ.
+#[derive(Default)]
+struct LazyExtents(OnceLock<Box<[[OnceLock<Extent>; 2]]>>);
+
+impl Clone for LazyExtents {
+    fn clone(&self) -> Self {
+        LazyExtents::default()
+    }
 }
 
 /// One cluster: its class and, from its first committed write on, the
@@ -184,9 +213,30 @@ impl Layout {
             .collect()
     }
 
-    /// Heap ids of the extent, each once, in first-occurrence order.
-    pub fn heap_ids(&self, class: ClassId, deep: bool) -> Vec<u32> {
-        crate::read::dedup_heaps(&self.extent_heaps(class, deep))
+    /// The (deep or shallow) extent of `class`, a class of this layout's
+    /// schema.
+    pub fn extent(&self, class: ClassId, deep: bool) -> &Extent {
+        let all = self.extents.0.get_or_init(|| {
+            let classes = self.schema.classes().len();
+            (0..classes).map(|_| Default::default()).collect()
+        });
+        all[class.0 as usize][usize::from(deep)].get_or_init(|| self.compute_extent(class, deep))
+    }
+
+    fn compute_extent(&self, class: ClassId, deep: bool) -> Extent {
+        let clustered = self.extent_heaps(class, deep);
+        let heaps = crate::read::dedup_heaps(&clustered);
+        let members = if deep {
+            let shared = self.clusters.iter().filter(|(_, h)| heaps.contains(h));
+            shared.map(|(&c, _)| c).collect()
+        } else {
+            vec![class]
+        };
+        Extent {
+            clusters: clustered.len() as u64,
+            heaps,
+            members,
+        }
     }
 
     /// The schema's constraints and trigger bodies, bound once for this
@@ -201,8 +251,8 @@ impl Layout {
 pub(crate) struct DbInner {
     pub layout: Arc<Layout>,
     pub catalog: CatalogState,
-    /// (class, field) → index (covers the class's deep extent).
-    pub indexes: HashMap<(ClassId, String), BTreeIndex>,
+    /// The indexes, each covering its class's deep extent.
+    pub indexes: Indexes,
     /// Live trigger activations.
     pub activations: HashMap<u64, Activation>,
     /// Subject → activation ids.
@@ -399,8 +449,10 @@ pub struct Database {
     /// Statements slower than the configured threshold, with their plans
     /// and per-stage span timings.
     pub(crate) slowlog: SlowQueryLog,
-    /// Accumulated per-query-shape profiles, keyed by `target | strategy`.
-    pub(crate) profiles: RwLock<HashMap<String, ProfileBucket>>,
+    /// Accumulated per-query-shape profiles, by target and then strategy.
+    /// A pass finds its bucket under the read lock and updates it under the
+    /// bucket's own; only a new shape takes the write lock.
+    pub(crate) profiles: RwLock<ProfileShapes>,
     pub(crate) next_txn_serial: AtomicU64,
 }
 
@@ -446,7 +498,7 @@ impl Database {
         let mut inner = DbInner {
             layout: Arc::default(),
             catalog: CatalogState::default(),
-            indexes: HashMap::new(),
+            indexes: Indexes::default(),
             activations: HashMap::new(),
             activations_by_oid: HashMap::new(),
         };
@@ -519,7 +571,7 @@ impl Database {
         // Rebuild indexes by scanning extents.
         for (class, field) in index_decls {
             let ix = build_index(store.as_ref(), &layout, class, &field)?;
-            inner.indexes.insert((class, field), ix);
+            inner.indexes.insert(class, field, ix);
         }
         inner.layout = Arc::new(layout);
         recovery_span.set_detail(format!("{replayed} catalog records"));
@@ -711,7 +763,7 @@ impl Database {
             .indexes
             .keys()
             .filter(|(c, _)| layout.schema.is_subclass(class, *c))
-            .cloned()
+            .map(|(c, f)| (c, f.to_string()))
             .collect();
         let mut rebuilt = Vec::with_capacity(rebuild.len());
         for key in rebuild {
@@ -729,7 +781,9 @@ impl Database {
                 }
             }
         }
-        inner.indexes.extend(rebuilt);
+        for ((class, field), ix) in rebuilt {
+            inner.indexes.insert(class, field, ix);
+        }
         Ok(())
     }
 
@@ -741,11 +795,7 @@ impl Database {
         let exists = |layout: &Layout| -> Result<bool> {
             let class = layout.schema.id_of(class_name)?;
             layout.schema.class(class)?.field_index(field)?;
-            Ok(self
-                .inner
-                .read()
-                .indexes
-                .contains_key(&(class, field.to_string())))
+            Ok(self.inner.read().indexes.get(class, field).is_some())
         };
         if exists(&self.layout())? {
             return Ok(());
@@ -769,7 +819,7 @@ impl Database {
             .catalog
             .index_rids
             .insert((class_name.to_string(), field.to_string()), rid);
-        inner.indexes.insert((class, field.to_string()), ix);
+        inner.indexes.insert(class, field.to_string(), ix);
         Ok(())
     }
 
@@ -1175,7 +1225,12 @@ impl Database {
 
     /// The `(class, field)` pairs that have an index.
     pub(crate) fn index_keys(&self) -> Vec<(ClassId, String)> {
-        self.inner.read().indexes.keys().cloned().collect()
+        let inner = self.inner.read();
+        inner
+            .indexes
+            .keys()
+            .map(|(c, f)| (c, f.to_string()))
+            .collect()
     }
 
     /// The current schema and cluster map: an immutable snapshot, read
@@ -1196,7 +1251,8 @@ impl Database {
     #[doc(hidden)]
     pub fn extent_heap_ids(&self, class_name: &str, deep: bool) -> Result<Vec<u32>> {
         let layout = self.layout();
-        Ok(layout.heap_ids(layout.schema.id_of(class_name)?, deep))
+        let class = layout.schema.id_of(class_name)?;
+        Ok(layout.extent(class, deep).heaps.clone())
     }
 
     /// Number of objects in the (deep) extent of `class_name`.
@@ -1263,31 +1319,46 @@ impl Database {
 
     /// Absorb one executed query pass into the per-shape profile buckets.
     pub(crate) fn record_query_pass(&self, pass: &QueryProfile) {
-        let key = format!("{} | {}", pass.target, pass.strategy);
-        let mut map = self.profiles.write();
-        if let Some(bucket) = map.get_mut(&key) {
+        let absorb = |bucket: &Mutex<ProfileBucket>| {
+            let mut bucket = bucket.lock();
             bucket.passes += 1;
             bucket.profile.absorb(pass);
+        };
+        let bucket = |map: &ProfileShapes| {
+            let shapes = map.get(pass.target.as_str())?;
+            let found = shapes.iter().find(|(s, _)| *s == pass.strategy);
+            found.map(|(_, bucket)| absorb(bucket))
+        };
+        if bucket(&self.profiles.read()).is_some() {
             return;
         }
-        if map.len() >= MAX_PROFILE_BUCKETS {
+        let mut map = self.profiles.write();
+        // Another pass may have added the shape since the read.
+        if bucket(&map).is_some() {
+            return;
+        }
+        if map.values().map(Vec::len).sum::<usize>() >= MAX_PROFILE_BUCKETS {
             return; // at capacity: existing buckets keep accumulating
         }
-        let mut bucket = ProfileBucket {
-            passes: 1,
-            ..ProfileBucket::default()
-        };
-        bucket.profile.absorb(pass);
-        map.insert(key, bucket);
+        let shapes = map.entry(pass.target.clone()).or_default();
+        shapes.push((pass.strategy.clone(), Mutex::new(ProfileBucket::default())));
+        absorb(&shapes[shapes.len() - 1].1);
     }
 
     /// Accumulated per-query-shape profiles since open (or the last
-    /// [`Database::reset_telemetry`]), sorted by shape key. Bounded at
-    /// [`MAX_PROFILE_BUCKETS`] distinct shapes.
+    /// [`Database::reset_telemetry`]), sorted by shape key
+    /// (`target | strategy`). Bounded at [`MAX_PROFILE_BUCKETS`] distinct
+    /// shapes.
     pub fn query_profiles(&self) -> Vec<(String, ProfileBucket)> {
         let map = self.profiles.read();
-        let mut out: Vec<(String, ProfileBucket)> =
-            map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        let mut out: Vec<(String, ProfileBucket)> = map
+            .iter()
+            .flat_map(|(target, shapes)| {
+                shapes.iter().map(move |(strategy, bucket)| {
+                    (format!("{target} | {strategy}"), bucket.lock().clone())
+                })
+            })
+            .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }

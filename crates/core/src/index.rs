@@ -17,10 +17,62 @@
 //! rebuilt by a scan at open time, which keeps commit batches small and
 //! recovery trivial (an acceptable trade documented in DESIGN.md).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
+use std::sync::{Arc, OnceLock};
 
-use ode_model::{Oid, Value, ValueRange};
+use ode_model::{ClassId, Oid, Value, ValueRange};
+use ode_obs::WorkStat;
+
+/// Every declared index, by class and then field, so a probe finds one by
+/// the field's name without building a key.
+#[derive(Default)]
+pub(crate) struct Indexes(HashMap<ClassId, Vec<FieldIndex>>);
+
+/// One declared index.
+pub(crate) struct FieldIndex {
+    pub field: String,
+    pub ix: BTreeIndex,
+    /// Its workload counters (`index:<class>.<field>`), registered by the
+    /// first probe and then read through this handle.
+    pub stats: OnceLock<Arc<WorkStat>>,
+}
+
+impl Indexes {
+    /// The index on `class`'s `field`, if one is declared.
+    pub fn get(&self, class: ClassId, field: &str) -> Option<&FieldIndex> {
+        self.0.get(&class)?.iter().find(|f| f.field == field)
+    }
+
+    /// Declare (or replace) the index on `class`'s `field`.
+    pub fn insert(&mut self, class: ClassId, field: String, ix: BTreeIndex) {
+        let fields = self.0.entry(class).or_default();
+        fields.retain(|f| f.field != field);
+        fields.push(FieldIndex {
+            field,
+            ix,
+            stats: OnceLock::new(),
+        });
+    }
+
+    /// Every `(class, field)` with an index.
+    pub fn keys(&self) -> impl Iterator<Item = (ClassId, &str)> {
+        let fields = self
+            .0
+            .iter()
+            .flat_map(|(&c, fs)| fs.iter().map(move |f| (c, f)));
+        fields.map(|(c, f)| (c, f.field.as_str()))
+    }
+
+    /// Every index, mutably, with its class and field.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (ClassId, &str, &mut BTreeIndex)> {
+        let fields = self
+            .0
+            .iter_mut()
+            .flat_map(|(&c, fs)| fs.iter_mut().map(move |f| (c, f)));
+        fields.map(|(c, f)| (c, f.field.as_str(), &mut f.ix))
+    }
+}
 
 /// An in-memory B-tree index over one field.
 #[derive(Debug, Default)]

@@ -23,6 +23,7 @@
 
 pub mod analyze;
 pub mod backup;
+mod bucket;
 pub mod catalog;
 pub mod database;
 pub mod error;

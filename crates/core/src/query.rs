@@ -32,8 +32,7 @@
 //! DESIGN.md §8). Mutating terminals ([`Forall::run`], fixpoints, join
 //! bodies) exist only on the `Transaction` instantiation.
 
-use std::borrow::Cow;
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -41,15 +40,16 @@ use ode_model::{
     bind, extract_field_ranges, parse_expr, probe_range, BinOp, BoundExpr, BoundVar, ClassId, Expr,
     Frame, ObjState, Oid, Resolver, Schema, Scope, SlotMask, Value,
 };
-use ode_obs::{JoinLevel, LevelAccess, PlanStrategy, QueryProfile, SpanStage};
+use ode_obs::{JoinLevel, LevelAccess, PlanStrategy, QueryProfile, SpanStage, WorkStat};
 
+use crate::bucket::{exact_key, Buckets};
 use crate::database::Layout;
 use crate::error::{OdeError, Result};
-use crate::read::{ReadContext, ReadTransaction};
+use crate::read::{ExtentScan, ReadContext, ReadTransaction};
 
 /// A native predicate over object state (host-language filter).
 pub type FilterFn<'t> = Box<dyn FnMut(&ObjState) -> bool + 't>;
-use crate::txn::{OidHash, Transaction};
+use crate::txn::{OidHash, Transaction, TxnObj};
 
 /// Sort direction for `by` clauses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,11 +184,13 @@ impl<'db> Transaction<'db> {
         }
     }
 
-    /// Stream the (deep or shallow) extent of a class as this transaction
-    /// sees it: the committed extent with the write-set overlaid in place
-    /// (overlay states are *borrowed*, never cloned), followed by objects
-    /// created by this transaction, in creation order. Nothing is
-    /// materialized — see [`ReadContext::for_each_extent`].
+    /// Stream the extent `scan` names as this transaction sees it: the
+    /// committed extent with the write-set overlaid in place (overlay
+    /// states are *borrowed*, never cloned), followed by objects created by
+    /// this transaction, in creation order — with a point key, only the
+    /// created objects its key map returns, the only ones that can pass
+    /// the predicate. Nothing is materialized — see
+    /// [`ReadContext::for_each_extent`].
     ///
     /// Phantom-protection bookkeeping brackets the iteration: each heap's
     /// scan entry is recorded (epoch observed) *before* that heap streams,
@@ -196,31 +198,26 @@ impl<'db> Transaction<'db> {
     /// transaction's validation. If the visitor stops early or errors, the
     /// recorded entries for every heap touched so far are widened to
     /// whole-heap (`note_scan_unbounded`): a partial iteration's outcome
-    /// depends on enumeration order, not just the hinted key ranges, so a
+    /// depends on enumeration order, not just the scan's key ranges, so a
     /// narrowed entry would be unsound (DESIGN.md §14).
     pub(crate) fn stream_extent(
         &self,
-        class_name: &str,
-        deep: bool,
-        mask: &SlotMask,
+        scan: &ExtentScan<'_>,
         visit: &mut dyn FnMut(Oid, &ObjState) -> Result<bool>,
     ) -> Result<()> {
-        let heap_ids = {
-            let layout = self.db.layout();
-            layout.heap_ids(layout.schema.id_of(class_name)?, deep)
-        };
-        let mut noted: Vec<u32> = Vec::new();
+        let heaps = scan.heaps();
+        let mut noted = 0;
         let outcome = (|| -> Result<bool> {
-            for &heap in &heap_ids {
+            for &heap in heaps {
                 // Phantom protection: validation compares this heap's last
                 // write stamp against the epoch observed here, before any
                 // of the heap's pages are read (DESIGN.md §13).
-                self.note_extent_scan(heap);
-                noted.push(heap);
+                self.note_extent_scan(heap, scan.ranges);
+                noted += 1;
                 let complete = crate::read::stream_committed_heap(
                     self.db.store.as_ref(),
                     heap,
-                    mask,
+                    scan.mask,
                     &mut |oid, state| {
                         if self.deleted.contains_key(&oid) {
                             return Ok(true);
@@ -239,24 +236,56 @@ impl<'db> Transaction<'db> {
             // Overlay tail: objects created by this transaction. Their
             // slots are reserved (invisible to committed scans) until
             // commit, so this is disjoint from the committed pass.
-            for (oid, obj) in self.writes.in_heaps(&heap_ids, 0) {
-                if obj.new && !visit(oid, &obj.state)? {
-                    return Ok(false);
+            self.overlay(scan, &mut |oid, obj| {
+                if obj.new {
+                    visit(oid, &obj.state)
+                } else {
+                    Ok(true)
                 }
-            }
-            Ok(true)
+            })
         })();
         match outcome {
             Ok(true) => Ok(()),
             Ok(false) => {
-                self.note_scan_unbounded(&noted);
+                self.note_scan_unbounded(&heaps[..noted]);
                 Ok(())
             }
             Err(e) => {
-                self.note_scan_unbounded(&noted);
+                self.note_scan_unbounded(&heaps[..noted]);
                 Err(e)
             }
         }
+    }
+
+    /// Visit this transaction's write-set entries in `scan`'s heaps, in
+    /// creation order, until `visit` returns false — with a point key, only
+    /// the entries its key map returns. Returns whether it ran to the end.
+    pub(crate) fn overlay(
+        &self,
+        scan: &ExtentScan<'_>,
+        visit: &mut dyn FnMut(Oid, &TxnObj) -> Result<bool>,
+    ) -> Result<bool> {
+        let heaps = scan.heaps();
+        match scan.key {
+            Some((field, key)) => {
+                let schema = &scan.layout.schema;
+                for slot in self.writes.keyed(schema, heaps, field, key) {
+                    if let Some((oid, obj)) = self.writes.at(slot as usize) {
+                        if !visit(oid, obj)? {
+                            return Ok(false);
+                        }
+                    }
+                }
+            }
+            None => {
+                for (oid, obj) in self.writes.in_heaps(heaps, 0) {
+                    if !visit(oid, obj)? {
+                        return Ok(false);
+                    }
+                }
+            }
+        }
+        Ok(true)
     }
 }
 
@@ -355,8 +384,8 @@ impl<'t, C: ReadContext> Forall<'t, C> {
                 "collect_oids is a snapshot; fixpoint iteration needs run()".into(),
             ));
         }
-        let mut pred = Predicate::new(&layout.schema, &suchthat, &by, &var, filter);
-        candidates(&*tx, &layout, &class_name, deep, &mut pred, prof)
+        let pred = Predicate::new(&layout.schema, &suchthat, &by, None, &var, filter);
+        candidates(&*tx, &layout, class_name, deep, &pred, prof, |oid, _| oid)
     }
 
     /// Count qualifying objects.
@@ -432,7 +461,10 @@ impl<'t, C: ReadContext> Forall<'t, C> {
     }
 
     /// Evaluate an expression for every qualifying object and collect the
-    /// results (a projection).
+    /// results (a projection). The projection is evaluated on each row as
+    /// the scan admits it, so each row is read once; its errors wait for
+    /// the scan to end, so a predicate error anywhere still wins, and
+    /// then the first projection error in row order.
     pub fn collect_values(self, src: &str) -> Result<Vec<Value>> {
         let proj = parse_expr(src)?;
         let Forall {
@@ -447,22 +479,18 @@ impl<'t, C: ReadContext> Forall<'t, C> {
             ..
         } = self;
         let tx = &*tx;
-        let mut pred = Predicate::new(&layout.schema, &suchthat, &by, &var, filter);
-        let oids = candidates(
+        let pred = Predicate::new(&layout.schema, &suchthat, &by, Some(&proj), &var, filter);
+        let project = pred.proj.as_ref().expect("bound with the predicate");
+        let rows = candidates(
             tx,
             &layout,
-            &class_name,
+            class_name,
             deep,
-            &mut pred,
+            &pred,
             &mut QueryProfile::default(),
+            |oid, state| pred.eval(project, &layout.schema, tx, oid, state),
         )?;
-        let proj = bind_object(&layout.schema, var.as_deref(), &proj);
-        let mut out = Vec::with_capacity(oids.len());
-        for oid in oids {
-            let state = tx.read_obj(oid)?;
-            out.push(pred.eval(&proj, &layout.schema, tx, oid, &state)?);
-        }
-        Ok(out)
+        rows.into_iter().collect()
     }
 }
 
@@ -514,11 +542,12 @@ impl<'t, 'db> Forall<'t, Transaction<'db>> {
                 "fixpoint iteration cannot be ordered with by()".into(),
             ));
         }
-        let mut pred = Predicate::new(&layout.schema, &suchthat, &by, &var, filter);
+        let class = layout.schema.id_of(&class_name)?;
+        let pred = Predicate::new(&layout.schema, &suchthat, &by, None, &var, filter);
         // The full pass sees every insert made before it; the first delta
         // starts at the slot after them.
         let mut mark = tx.writes.mark();
-        let mut batch = candidates(&*tx, &layout, &class_name, deep, &mut pred, prof)?;
+        let mut batch = candidates(&*tx, &layout, class_name, deep, &pred, prof, |oid, _| oid)?;
         let mut n = 0usize;
         loop {
             if fixpoint && !batch.is_empty() {
@@ -542,29 +571,28 @@ impl<'t, 'db> Forall<'t, Transaction<'db>> {
                 return Ok(n);
             }
             let since = std::mem::replace(&mut mark, tx.writes.mark());
-            batch = inserted_since(tx, &layout, &class_name, deep, since, &mut pred, prof)?;
+            batch = inserted_since(tx, &layout, class, deep, since, &pred, prof)?;
         }
     }
 }
 
-/// One semi-naive fixpoint round: the objects of the (deep or shallow)
-/// extent this transaction inserted at or after write-set slot `since`
-/// that pass the predicate, in creation order. Each slot examined counts
-/// as one object scanned, into `prof` and the global query counters.
+/// One semi-naive fixpoint round: the objects of `class`'s (deep or
+/// shallow) extent this transaction inserted at or after write-set slot
+/// `since` that pass the predicate, in creation order. Each slot examined
+/// counts as one object scanned, into `prof` and the global query counters.
 fn inserted_since(
     tx: &Transaction<'_>,
     layout: &Layout,
-    class_name: &str,
+    class: ClassId,
     deep: bool,
     since: usize,
-    pred: &mut Predicate<'_, '_>,
+    pred: &Predicate<'_, '_>,
     prof: &mut QueryProfile,
 ) -> Result<Vec<Oid>> {
-    let class = layout.schema.id_of(class_name)?;
-    let heaps = layout.heap_ids(class, deep);
+    let heaps = &layout.extent(class, deep).heaps;
     let mut round = QueryProfile::default();
     let mut out = Vec::new();
-    for (oid, obj) in tx.writes.in_heaps(&heaps, since) {
+    for (oid, obj) in tx.writes.in_heaps(heaps, since) {
         round.objects_scanned += 1;
         // Shallow iteration drops subclass members; a committed object
         // loaded for write is not an insert.
@@ -573,7 +601,13 @@ fn inserted_since(
         }
         // Only this transaction's private inserts are read, so an error
         // here leaves no committed range to widen.
-        if pred.admits(&layout.schema, tx, oid, &obj.state, &mut round)? {
+        if pred.admits(
+            &layout.schema,
+            tx,
+            oid,
+            &obj.state,
+            &mut round.predicate_evals,
+        )? {
             out.push(oid);
         }
     }
@@ -586,9 +620,9 @@ fn inserted_since(
 }
 
 /// The per-object work of a query, bound once per statement: the
-/// `suchthat` test, then the native filter, and the `by` key, each with the
-/// object as `this` and, when the query names its loop variable, as that
-/// variable too.
+/// `suchthat` test, then the native filter, the `by` key and the
+/// projection, each with the object as `this` and, when the query names
+/// its loop variable, as that variable too.
 struct Predicate<'q, 't> {
     /// The `suchthat` as written, for the key ranges it pins.
     source: Option<&'q Expr>,
@@ -597,7 +631,9 @@ struct Predicate<'q, 't> {
     suchthat: Option<BoundExpr>,
     /// The `by` key and its direction.
     by: Option<(BoundExpr, Dir)>,
-    filter: Option<FilterFn<'t>>,
+    /// The expression `collect_values` projects each row to.
+    proj: Option<BoundExpr>,
+    filter: Option<RefCell<FilterFn<'t>>>,
 }
 
 impl<'q, 't> Predicate<'q, 't> {
@@ -605,54 +641,59 @@ impl<'q, 't> Predicate<'q, 't> {
         schema: &Schema,
         suchthat: &'q Option<Expr>,
         by: &Option<(Expr, Dir)>,
+        proj: Option<&Expr>,
         var: &'q Option<String>,
         filter: Option<FilterFn<'t>>,
     ) -> Self {
         let var = var.as_deref();
-        let bound = suchthat.as_ref().map(|e| bind_object(schema, var, e));
-        let by = by
-            .as_ref()
-            .map(|(e, dir)| (bind_object(schema, var, e), *dir));
+        let bind = |e| bind_object(schema, var, e);
         Predicate {
             source: suchthat.as_ref(),
             var,
-            suchthat: bound,
-            by,
-            filter,
+            suchthat: suchthat.as_ref().map(bind),
+            by: by.as_ref().map(|(e, dir)| (bind(e), *dir)),
+            proj: proj.map(bind),
+            filter: filter.map(RefCell::new),
         }
     }
 
-    /// The slots of a scanned object the `suchthat` and the `by` key read:
-    /// all of them when a native filter runs, since it sees the state.
+    /// The loop variable's index in the frame, if the query names one.
+    fn var_index(&self) -> Option<usize> {
+        self.var.map(|_| 0)
+    }
+
+    /// The slots of a scanned object the `suchthat`, the `by` key and the
+    /// projection read: all of them when a native filter runs, since it
+    /// sees the state.
     fn mask(&self) -> SlotMask {
         let mut mask = SlotMask::default();
         if self.filter.is_some() {
             mask.set_all();
         }
         let by = self.by.as_ref().map(|(e, _)| e);
-        for e in self.suchthat.iter().chain(by) {
-            e.read_slots(true, self.var.map(|_| 0), &mut mask);
+        for e in self.suchthat.iter().chain(by).chain(&self.proj) {
+            e.read_slots(true, self.var_index(), &mut mask);
         }
         mask
     }
 
     /// Does the object pass `suchthat` and the filter? Counts the
-    /// `suchthat` evaluation in `pass`.
+    /// `suchthat` evaluation in `evals`.
     fn admits(
-        &mut self,
+        &self,
         schema: &Schema,
         tx: &dyn Resolver,
         oid: Oid,
         state: &ObjState,
-        pass: &mut QueryProfile,
+        evals: &mut u64,
     ) -> Result<bool> {
         if let Some(expr) = &self.suchthat {
-            pass.predicate_evals += 1;
+            *evals += 1;
             if !self.run(schema, tx, oid, state, |f| expr.eval_bool(f))? {
                 return Ok(false);
             }
         }
-        Ok(self.filter.as_mut().is_none_or(|f| f(state)))
+        Ok(self.filter.as_ref().is_none_or(|f| (f.borrow_mut())(state)))
     }
 
     /// Evaluate `expr`, bound by [`bind_object`], over the object.
@@ -708,12 +749,14 @@ fn bind_object(schema: &Schema, var: Option<&str>, expr: &Expr) -> BoundExpr {
 }
 
 /// Publish one pass's profile over `class` into the database's global
-/// query counters and the accumulated per-shape profile buckets.
+/// query counters, the class's (and the probed index's) workload counters
+/// and the accumulated per-shape profile buckets.
 fn publish_pass(
     db: &crate::database::Database,
     layout: &Layout,
     class: ClassId,
     pass: &QueryProfile,
+    index: Option<&WorkStat>,
 ) {
     let q = &db.tel.query;
     q.clusters_visited.add(pass.clusters_visited);
@@ -725,129 +768,162 @@ fn publish_pass(
     }
     // Per-cluster / per-index workload counters (persisted at checkpoint).
     db.note_class_scan(layout, class, pass.objects_scanned);
-    if let PlanStrategy::IndexProbe { field } = &pass.strategy {
-        db.workstats
-            .entry(&format!("index:{}.{}", pass.target, field))
-            .reads
-            .add(pass.index_probes.max(1));
+    if let Some(index) = index {
+        index.reads.add(pass.index_probes.max(1));
     }
     db.record_query_pass(pass);
 }
 
-/// RAII bracket around a statement-scoped scan-range hint
-/// ([`ReadContext::scan_hint`]): installs the hint if the predicate pinned
-/// any ranges, and retires it on drop — which covers *every* exit path out
-/// of an enumeration, including `?` returns from mid-stream predicate or
-/// sort-key evaluation errors. Before this guard the set/clear pairing was
-/// manual, and an error between the two leaked a stale hint that would
-/// mislabel the next scan's entries with the previous predicate's ranges.
-///
-/// Dropping after a widen (`note_scan_unbounded`) is harmless: widening
-/// already cleared the hint, and clearing twice is idempotent.
-struct ScanHintGuard<'a, C: ReadContext> {
-    tx: &'a C,
-    armed: bool,
-}
-
-impl<'a, C: ReadContext> ScanHintGuard<'a, C> {
-    fn install(tx: &'a C, ranges: Vec<ode_model::FieldRange>) -> Self {
-        let armed = !ranges.is_empty();
-        if armed {
-            tx.scan_hint(ranges);
-        }
-        ScanHintGuard { tx, armed }
-    }
-}
-
-impl<C: ReadContext> Drop for ScanHintGuard<'_, C> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.tx.scan_hint_clear();
-        }
-    }
-}
-
-/// Enumerate + filter + order the qualifying oids. One call is one *pass*:
-/// its work is accumulated into `prof` and the global query counters, and
-/// bracketed by a Query trace span. Generic over the transaction kind.
+/// Enumerate + filter + order the qualifying objects, keeping `row` of
+/// each. One call is one *pass*: its work is accumulated into `prof` and
+/// the global query counters, and bracketed by a Query trace span. Generic
+/// over the transaction kind.
 ///
 /// No engine lock is held while predicates, sort keys or visitors run:
 /// they read `layout`, and the index probe copies its range out in a leaf
 /// section.
-fn candidates<C: ReadContext>(
+fn candidates<C: ReadContext, R>(
     tx: &C,
     layout: &Layout,
-    class_name: &str,
+    class_name: String,
     deep: bool,
-    pred: &mut Predicate<'_, '_>,
+    pred: &Predicate<'_, '_>,
     prof: &mut QueryProfile,
-) -> Result<Vec<Oid>> {
+    row: impl FnMut(Oid, &ObjState) -> R,
+) -> Result<Vec<R>> {
     let db = tx.db();
-    let schema = &layout.schema;
-    let mut span = db.flight.span(SpanStage::Execute, class_name);
+    // The detail is written once, when the pass ends.
+    let mut span = db.flight.span(SpanStage::Execute, String::new());
     let mut pass = QueryProfile {
-        target: class_name.to_string(),
+        target: class_name,
         ..QueryProfile::default()
     };
-    let class = schema.id_of(class_name)?;
+    let result = (|| {
+        let class = layout.schema.id_of(&pass.target)?;
+        let (rows, index) = run_pass(tx, layout, class, deep, pred, &mut pass, row)?;
+        Ok((class, rows, index))
+    })();
+    let (class, rows, index) = match result {
+        Ok(done) => done,
+        Err(e) => {
+            span.set_detail(pass.target.clone());
+            return Err(e);
+        }
+    };
+    pass.rows = rows.len() as u64;
+    publish_pass(db, layout, class, &pass, index.as_deref());
+    span.set_detail(plan_detail(&pass));
+    prof.absorb_owned(pass);
+    Ok(rows)
+}
+
+/// A pass's span detail, `<target> via <strategy>`, in one allocation.
+fn plan_detail(pass: &QueryProfile) -> String {
+    use std::fmt::Write;
+    let mut detail = String::with_capacity(pass.target.len() + 64);
+    let _ = write!(detail, "{} via {}", pass.target, pass.strategy);
+    detail
+}
+
+/// A pass's rows, and the probed index's workload counters if it probed
+/// one.
+type PassRows<R> = (Vec<R>, Option<Arc<WorkStat>>);
+
+/// The work of one [`candidates`] pass, counted into `pass`.
+fn run_pass<C: ReadContext, R>(
+    tx: &C,
+    layout: &Layout,
+    class: ClassId,
+    deep: bool,
+    pred: &Predicate<'_, '_>,
+    pass: &mut QueryProfile,
+    mut row: impl FnMut(Oid, &ObjState) -> R,
+) -> Result<PassRows<R>> {
+    let db = tx.db();
+    let schema = &layout.schema;
+    let extent = layout.extent(class, deep);
 
     // The key ranges the predicate provably pins, read once. They choose
     // the index probe and give both its bounds, by the rule the footprint
     // pass shares (`probe_range`); index entries reflect *committed*
     // data, so the transaction's own writes are merged back in below.
-    let ranges = pred
+    // They are also recorded with a write transaction's scan entries,
+    // making it eligible for narrowed validation at commit (DESIGN.md
+    // §14).
+    let mut ranges = pred
         .source
         .map(|p| extract_field_ranges(p, pred.var))
         .unwrap_or_default();
-    let indexed: Option<(String, Vec<Oid>)> = if deep {
+    // The probed range's position (its field names the plan), the hits
+    // and the index's workload counters.
+    let probe: Option<(usize, Vec<Oid>, Arc<WorkStat>)> = if deep {
         let inner = db.inner.read();
-        probe_range(&ranges, |f| {
-            inner.indexes.contains_key(&(class, f.to_string()))
-        })
-        .map(|r| {
-            let ix = &inner.indexes[&(class, r.field.clone())];
-            (r.field.clone(), ix.range(&r.range))
+        probe_range(&ranges, |f| inner.indexes.get(class, f).is_some()).map(|r| {
+            let at = ranges.iter().position(|x| std::ptr::eq(x, r));
+            let ix = inner.indexes.get(class, &r.field).expect("just found");
+            let stats = ix.stats.get_or_init(|| {
+                db.workstats
+                    .entry(&format!("index:{}.{}", pass.target, r.field))
+            });
+            let at = at.expect("probe_range picks from the list");
+            (at, ix.ix.range(&r.range), Arc::clone(stats))
         })
     } else {
         None
     };
-
-    // The same ranges, announced before enumeration: a write transaction
-    // then records predicate-level scan entries instead of whole-heap
-    // ones, making it eligible for narrowed validation at commit
-    // (DESIGN.md §14). The guard retires the hint on every exit path,
-    // including `?` early returns — a stale hint would mislabel the next
-    // scan.
-    let _hint = ScanHintGuard::install(tx, ranges);
+    // A `field == constant` test with nothing that may raise before it:
+    // only write-set entries in that key's bucket can pass, so the overlay
+    // is read through a key map (DESIGN.md §8).
+    let point = pred.suchthat.as_ref().and_then(|e| {
+        let key = e.point_key(pred.var_index(), std::slice::from_ref(&extent.members));
+        key.filter(|(_, v)| exact_key(v))
+    });
+    // Each committed record is decoded only as far as the predicate, the
+    // sort key and the projection read it.
+    let mask = pred.mask();
+    let scan = ExtentScan {
+        layout,
+        class,
+        deep,
+        mask: &mask,
+        ranges: &ranges,
+        key: point.as_ref().map(|(f, v)| (*f, &**v)),
+    };
 
     // Result accumulators — O(qualifying rows), never O(extent). With a
     // `by` clause the sort key is evaluated as each object streams past
-    // and only (key, oid) is retained for the final sort.
-    let mut plain: Vec<Oid> = Vec::new();
-    let mut keyed: Vec<(Value, Oid)> = Vec::new();
+    // and only (key, oid, row) is retained for the final sort.
+    let mut plain: Vec<R> = Vec::new();
+    let mut keyed: Vec<(Value, Oid, R)> = Vec::new();
+    let (mut scanned, mut evals) = (0u64, 0u64);
+    let mut visit = |oid: Oid, state: &ObjState| -> Result<()> {
+        scanned += 1;
+        // Shallow iteration drops subclass members.
+        if !deep && state.class != class {
+            return Ok(());
+        }
+        if !pred.admits(schema, tx, oid, state, &mut evals)? {
+            return Ok(());
+        }
+        match &pred.by {
+            Some((key, _)) => {
+                let key = pred.eval(key, schema, tx, oid, state)?;
+                keyed.push((key, oid, row(oid, state)));
+            }
+            None => plain.push(row(oid, state)),
+        }
+        Ok(())
+    };
 
-    match indexed {
-        Some((field, oids)) => {
-            pass.strategy = PlanStrategy::IndexProbe { field };
-            pass.index_probes += 1;
+    match &probe {
+        Some((_, oids, _)) => {
             // The probe answers from the committed deep extent: record the
             // backing heaps so commit-time validation catches phantoms the
             // same as an extent scan would.
-            let scanned_heaps = layout.heap_ids(class, true);
-            tx.note_scan(&scanned_heaps);
-            let mut visit = |oid: Oid, state: &ObjState| -> Result<()> {
-                pass.objects_scanned += 1;
-                if !pred.admits(schema, tx, oid, state, &mut pass)? {
-                    return Ok(());
-                }
-                match &pred.by {
-                    Some((key, _)) => keyed.push((pred.eval(key, schema, tx, oid, state)?, oid)),
-                    None => plain.push(oid),
-                }
-                Ok(())
-            };
+            tx.note_scan(scan.heaps(), &ranges);
+            let mut state = ObjState::new(ClassId(0), 0);
             let probed = (|| -> Result<()> {
-                for &oid in &oids {
+                for &oid in oids {
                     if tx.is_deleted(oid) {
                         continue;
                     }
@@ -857,19 +933,20 @@ fn candidates<C: ReadContext>(
                     // index was copied is skipped (validation fails this
                     // transaction if it matters); any other read error is
                     // the statement's.
-                    match tx.read_obj(oid) {
-                        Ok(state) => visit(oid, &state)?,
+                    match tx.read_masked(oid, &mask, &mut state) {
+                        Ok(state) => visit(oid, state)?,
                         Err(OdeError::NoSuchObject(_)) => {}
                         Err(e) => return Err(e),
                     }
                 }
                 // Objects written in this txn are missing from the committed
                 // index — fold in any written object of the right classes,
-                // evaluated in place. The set of probed oids is built on the
-                // first class-matching write: writes to other heaps are never
-                // visited, so most probes build nothing.
+                // evaluated in place (with a point key, only its bucket).
+                // The set of probed oids is built on the first class-matching
+                // write: writes to other heaps are never visited, so most
+                // probes build nothing.
                 let mut seen: Option<HashSet<Oid, OidHash>> = None;
-                tx.for_each_overlay(&scanned_heaps, &mut |oid, state| {
+                tx.for_each_overlay(&scan, &mut |oid, state| {
                     if !schema.is_subclass(state.class, class) {
                         return Ok(());
                     }
@@ -882,19 +959,13 @@ fn candidates<C: ReadContext>(
                 })
             })();
             // Short-circuit evaluation means an error itself can depend on
-            // rows outside the hinted ranges; which rows mattered is
+            // rows outside the proven ranges; which rows mattered is
             // unknowable, so an error widens to whole heaps — for a failed
             // `by` key or read too, since it aborts an enumeration whose
             // result the transaction may already have acted on.
-            probed.inspect_err(|_| tx.scan_widen(&scanned_heaps))?;
+            probed.inspect_err(|_| tx.scan_widen(scan.heaps()))?;
         }
         None => {
-            pass.strategy = if deep {
-                PlanStrategy::DeepExtentScan
-            } else {
-                PlanStrategy::ShallowExtentScan
-            };
-            pass.clusters_visited = layout.extent_heaps(class, deep).len() as u64;
             // Predicate, filter and sort key all run *inside* the stream:
             // each decoded state lives only for its visit, so N concurrent
             // scans hold N pages, not N extents. Eval errors propagate out
@@ -902,42 +973,43 @@ fn candidates<C: ReadContext>(
             // noted so far to a whole-heap scan entry (DESIGN.md §14) —
             // heaps not yet reached recorded no entry and promised
             // nothing.
-            // Each committed record is decoded only as far as the
-            // predicate and the sort key read it.
-            let mask = pred.mask();
-            tx.for_each_extent_masked(class_name, deep, &mask, &mut |oid, state| {
-                pass.objects_scanned += 1;
-                // Shallow iteration drops subclass members.
-                if !deep && state.class != class {
-                    return Ok(true);
-                }
-                if !pred.admits(schema, tx, oid, state, &mut pass)? {
-                    return Ok(true);
-                }
-                match &pred.by {
-                    Some((key, _)) => keyed.push((pred.eval(key, schema, tx, oid, state)?, oid)),
-                    None => plain.push(oid),
-                }
+            tx.scan_extent(&scan, &mut |oid, state| {
+                visit(oid, state)?;
                 Ok(true)
             })?;
         }
     }
+    pass.objects_scanned += scanned;
+    pass.predicate_evals += evals;
+    let mut index = None;
+    pass.strategy = match probe {
+        Some((at, _, stats)) => {
+            pass.index_probes += 1;
+            index = Some(stats);
+            PlanStrategy::IndexProbe {
+                field: ranges.swap_remove(at).field,
+            }
+        }
+        None => {
+            pass.clusters_visited = extent.clusters;
+            if deep {
+                PlanStrategy::DeepExtentScan
+            } else {
+                PlanStrategy::ShallowExtentScan
+            }
+        }
+    };
 
-    let result: Vec<Oid> = if let Some((_, dir)) = &pred.by {
+    let rows = if let Some((_, dir)) = &pred.by {
         keyed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         if *dir == Dir::Desc {
             keyed.reverse();
         }
-        keyed.into_iter().map(|(_, oid)| oid).collect()
+        keyed.into_iter().map(|(_, _, row)| row).collect()
     } else {
         plain
     };
-
-    pass.rows = result.len() as u64;
-    publish_pass(db, layout, class, &pass);
-    span.set_detail(format!("{} via {}", pass.target, pass.strategy));
-    prof.absorb(&pass);
-    Ok(result)
+    Ok((rows, index))
 }
 
 /// A multi-variable `forall` (join query, §3.1), generic over the
@@ -1065,10 +1137,9 @@ struct HashLevel {
 struct HashTable {
     /// Members the build filters kept, in extent order.
     members: Vec<Member>,
-    /// Build-side value → indices into `members`, ascending.
-    buckets: HashMap<Value, Vec<u32>>,
-    /// Members without a usable key, merged into every probe.
-    unkeyed: Vec<u32>,
+    /// Indices into `members` by build-side value; a member without a
+    /// usable key is in every probe.
+    buckets: Buckets,
 }
 
 /// One member of a [`HashTable`]: its state decoded through the level's
@@ -1078,34 +1149,6 @@ struct Member {
     oid: Oid,
     state: ObjState,
     raised: usize,
-}
-
-impl HashTable {
-    /// The members whose key equals `key`, and the unkeyed ones, in
-    /// extent order.
-    fn probe(&self, key: &Value) -> Cow<'_, [u32]> {
-        let keyed = self.buckets.get(key).map_or(&[][..], Vec::as_slice);
-        if self.unkeyed.is_empty() {
-            return Cow::Borrowed(keyed);
-        }
-        let mut all = [keyed, self.unkeyed.as_slice()].concat();
-        all.sort_unstable();
-        Cow::Owned(all)
-    }
-}
-
-/// Can `v` key a hash bucket? `==` is an equivalence relation on these
-/// values, so one bucket holds every member equal to a probe. From ±2⁵³
-/// on, an int equals the float nearest it, and so do its neighbours, which
-/// differ from each other; arrays and sets compare their elements the
-/// same way.
-fn exact_key(v: &Value) -> bool {
-    match v {
-        Value::Int(i) => i.unsigned_abs() < 1 << 53,
-        Value::Float(x) => x.abs() < 9_007_199_254_740_992.0 || x.is_nan(),
-        Value::Array(_) | Value::Set(_) => false,
-        _ => true,
-    }
 }
 
 /// For `l == r`, the side that reads only variable `d` (the build side, as
@@ -1159,11 +1202,7 @@ fn plan_join(
     // heaps its deep extent streams.
     let bound_to: Vec<Vec<ClassId>> = classes
         .iter()
-        .map(|&c| {
-            let heaps = layout.heap_ids(c, true);
-            let clustered = layout.clusters.iter().filter(|(_, h)| heaps.contains(h));
-            clustered.map(|(&c, _)| c).collect()
-        })
+        .map(|&c| layout.extent(c, true).members.clone())
         .collect();
     let exprs = suchthat.map(Expr::conjuncts).unwrap_or_default();
     let conjuncts: Vec<BoundExpr> = exprs.iter().map(|e| bind_join(e)).collect();
@@ -1261,8 +1300,10 @@ fn collect_join<C: ReadContext>(
         .map(|(_, c)| c.as_str())
         .collect::<Vec<_>>()
         .join(",");
-    let mut span = db.flight.span(SpanStage::Execute, target.as_str());
-    let plan = plan_join(layout, vars, suchthat.as_ref())?;
+    // The detail is written once, when the join ends.
+    let mut span = db.flight.span(SpanStage::Execute, String::new());
+    let planned = plan_join(layout, vars, suchthat.as_ref());
+    let plan = planned.inspect_err(|_| span.set_detail(target.clone()))?;
     let hashed = plan.levels.iter().any(|l| l.hash.is_some());
     let mut pass = QueryProfile {
         target: target.clone(),
@@ -1274,17 +1315,18 @@ fn collect_join<C: ReadContext>(
         ..QueryProfile::default()
     };
     for level in &plan.levels {
-        pass.clusters_visited += layout.extent_heaps(level.class, true).len() as u64;
+        pass.clusters_visited += layout.extent(level.class, true).clusters;
     }
     let mut join = JoinLoop {
         tx,
-        schema: &layout.schema,
+        layout,
         vars,
         plan: &plan,
         rows: Vec::new(),
         pass,
     };
-    join.level(0, &[], usize::MAX)?;
+    let joined = join.level(0, &[], usize::MAX);
+    joined.inspect_err(|_| span.set_detail(target.clone()))?;
     let JoinLoop { rows, mut pass, .. } = join;
 
     pass.rows = rows.len() as u64;
@@ -1319,8 +1361,8 @@ fn collect_join<C: ReadContext>(
         db.note_class_scan(layout, level.class, 0);
     }
     db.record_query_pass(&pass);
-    span.set_detail(format!("{target} via {}", pass.strategy));
-    prof.absorb(&pass);
+    span.set_detail(plan_detail(&pass));
+    prof.absorb_owned(pass);
     Ok(rows)
 }
 
@@ -1339,7 +1381,7 @@ fn collect_join<C: ReadContext>(
 /// that raised streams its extent for that outer binding instead.
 struct JoinLoop<'j, C> {
     tx: &'j C,
-    schema: &'j Schema,
+    layout: &'j Layout,
     vars: &'j [(String, String)],
     plan: &'j JoinPlan,
     rows: Vec<Vec<Oid>>,
@@ -1382,7 +1424,7 @@ impl<'j, C: ReadContext> JoinLoop<'j, C> {
             if h.build_tests.last().is_some_and(|&j| j < raised) {
                 if let Some(key) = self.probe_key(h, outer) {
                     let table = self.table(depth, h)?;
-                    for &i in table.probe(&key).iter() {
+                    for &i in table.buckets.probe(&key).iter() {
                         let m = &table.members[i as usize];
                         descend(self, m.oid, &m.state, raised.min(m.raised), &h.pair_filters)?;
                     }
@@ -1390,8 +1432,7 @@ impl<'j, C: ReadContext> JoinLoop<'j, C> {
                 }
             }
         }
-        let class_name = &self.vars[depth].1;
-        tx.for_each_extent_masked(class_name, true, &level.mask, &mut |oid, state| {
+        tx.scan_extent(&self.extent(level), &mut |oid, state| {
             self.pass.objects_scanned += 1;
             descend(self, oid, state, raised, &level.filters)?;
             Ok(true)
@@ -1410,7 +1451,7 @@ impl<'j, C: ReadContext> JoinLoop<'j, C> {
         let frame = Frame {
             vars: bound,
             resolver: self.tx,
-            ..Frame::new(self.schema)
+            ..Frame::new(&self.layout.schema)
         };
         let mut tested = false;
         for &j in filters {
@@ -1437,9 +1478,24 @@ impl<'j, C: ReadContext> JoinLoop<'j, C> {
             .eval(&Frame {
                 vars: outer,
                 resolver: self.tx,
-                ..Frame::new(self.schema)
+                ..Frame::new(&self.layout.schema)
             })
             .ok()
+    }
+
+    /// The stream of `level`'s deep extent, decoded through its mask.
+    fn extent<'l>(&self, level: &'l Level) -> ExtentScan<'l>
+    where
+        'j: 'l,
+    {
+        ExtentScan {
+            layout: self.layout,
+            class: level.class,
+            deep: true,
+            mask: &level.mask,
+            ranges: &[],
+            key: None,
+        }
     }
 
     /// The table of hash-built level `depth`, built on first use: its
@@ -1453,8 +1509,7 @@ impl<'j, C: ReadContext> JoinLoop<'j, C> {
         let level = &plan.levels[depth];
         let mut table = HashTable {
             members: Vec::new(),
-            buckets: HashMap::new(),
-            unkeyed: Vec::new(),
+            buckets: Buckets::default(),
         };
         // The build reads only this level's variable: the outer slots of
         // its frame hold a placeholder.
@@ -1463,8 +1518,8 @@ impl<'j, C: ReadContext> JoinLoop<'j, C> {
         let mut tested = 0u64;
         let mut scanned = 0u64;
         let tx = self.tx;
-        let schema = self.schema;
-        tx.for_each_extent_masked(&self.vars[depth].1, true, &level.mask, &mut |oid, state| {
+        let schema = &self.layout.schema;
+        tx.scan_extent(&self.extent(level), &mut |oid, state| {
             scanned += 1;
             let mut vars = rebind(std::mem::take(&mut buf));
             let placeholder = BoundVar {
@@ -1513,10 +1568,7 @@ impl<'j, C: ReadContext> JoinLoop<'j, C> {
             tested += u64::from(filtered);
             if kept {
                 let i = table.members.len() as u32;
-                match key {
-                    Some(v) => table.buckets.entry(v).or_default().push(i),
-                    None => table.unkeyed.push(i),
-                }
+                table.buckets.insert(key, i);
                 table.members.push(Member {
                     oid,
                     state: state.clone(),
@@ -1538,7 +1590,7 @@ impl<'j, C: ReadContext> JoinLoop<'j, C> {
             let admitted = pred.eval_bool(&Frame {
                 vars: bound,
                 resolver: self.tx,
-                ..Frame::new(self.schema)
+                ..Frame::new(&self.layout.schema)
             })?;
             if !admitted {
                 return Ok(());
@@ -1558,4 +1610,47 @@ fn rebind<'b>(mut v: Vec<BoundVar<'_>>) -> Vec<BoundVar<'b>> {
     v.into_iter()
         .map(|_| -> BoundVar<'b> { unreachable!("the vector is empty") })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::database::Database;
+
+    /// A complete stream under proven ranges records a narrowed (ranged)
+    /// scan entry; a visitor that stops early widens it to a whole-heap
+    /// entry — a partial iteration's outcome depends on enumeration order,
+    /// so the ranges no longer bound what was observed (DESIGN.md §14).
+    #[test]
+    fn early_break_widens_scan_entries_to_whole_heap() {
+        let db = Database::in_memory();
+        db.define_from_source("class stockitem { string name; int quantity = 0; }")
+            .unwrap();
+        db.create_cluster("stockitem").unwrap();
+        db.transaction(|tx| {
+            for q in 1..=3 {
+                tx.pnew("stockitem", &[("quantity", Value::Int(q))])?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let ranges = extract_field_ranges(&parse_expr("quantity < 2").unwrap(), None);
+        assert!(!ranges.is_empty(), "predicate must pin a range");
+        let layout = db.layout();
+        for (go_on, ranged) in [(true, true), (false, false)] {
+            let tx = db.begin();
+            let scan = ExtentScan {
+                layout: &layout,
+                class: layout.schema.id_of("stockitem").unwrap(),
+                deep: true,
+                mask: &SlotMask::ALL,
+                ranges: &ranges,
+                key: None,
+            };
+            tx.scan_extent(&scan, &mut |_, _| Ok(go_on)).unwrap();
+            let scans = tx.observed_scans();
+            assert_eq!(scans.len(), 1);
+            assert_eq!(scans[0].1, ranged, "visitor continued: {go_on}");
+        }
+    }
 }

@@ -27,18 +27,47 @@
 
 use ode_model::encode::decode_object_into;
 use ode_model::{
-    ClassId, ModelError, ObjState, Oid, Resolver, SlotMask, Value, VersionNo, VersionRef,
+    ClassId, FieldRange, ModelError, ObjState, Oid, Resolver, SlotMask, Value, VersionNo,
+    VersionRef,
 };
 use ode_obs::{SpanGuard, SpanStage};
 use ode_storage::{StorageError, Store};
 
-use crate::database::Database;
+use crate::database::{Database, Layout};
 use crate::error::{OdeError, Result};
 use crate::object::{
     current_rid, decode_record, is_anchor, ObjRecord, VersionTable, NO_PARENT, TAG_PLAIN,
     TAG_VERSIONED, TAG_VREC,
 };
 use crate::txn::Transaction;
+
+/// What one statement streams of an extent, read against the layout the
+/// statement started with: the class's deep or shallow extent, each
+/// committed record decoded through a mask, with the key ranges and the
+/// point key the statement's predicate pins. The query layer builds it;
+/// [`ReadContext::for_each_extent`] builds the plain form.
+pub struct ExtentScan<'s> {
+    pub(crate) layout: &'s Layout,
+    pub(crate) class: ClassId,
+    pub(crate) deep: bool,
+    /// The slots of each committed record to decode.
+    pub(crate) mask: &'s SlotMask,
+    /// The key intervals the predicate proved (empty: none), recorded with
+    /// a write transaction's scan entries for narrowed validation
+    /// (DESIGN.md §14).
+    pub(crate) ranges: &'s [FieldRange],
+    /// `(field, value)` when an equality test lets a write transaction
+    /// read its overlay through a key map (DESIGN.md §8): only entries
+    /// whose `field` may equal `value` can pass the predicate.
+    pub(crate) key: Option<(&'s str, &'s Value)>,
+}
+
+impl ExtentScan<'_> {
+    /// The heaps the extent streams, each once.
+    pub(crate) fn heaps(&self) -> &[u32] {
+        &self.layout.extent(self.class, self.deep).heaps
+    }
+}
 
 /// The read surface the query layer needs from a transaction-like view.
 ///
@@ -57,19 +86,26 @@ pub trait ReadContext: Resolver + Sized {
     /// Read an object's current state through this view.
     fn read_obj(&self, oid: Oid) -> Result<ObjState>;
 
-    /// Visit the write-set overlay of `heaps`: objects in those heaps
-    /// created or loaded-for-write by this transaction, in creation order,
-    /// with their in-transaction states borrowed in place (no clones — the
-    /// visitor copies only what it keeps). Writes to other heaps cost
-    /// nothing. Empty for snapshots.
+    /// [`ReadContext::read_obj`], decoding a committed image into `into`
+    /// only as far as `mask` reads it (every other slot is `Null`); a
+    /// write-set state is lent whole. The read is recorded the same way.
+    fn read_masked<'s>(
+        &'s self,
+        oid: Oid,
+        mask: &SlotMask,
+        into: &'s mut ObjState,
+    ) -> Result<&'s ObjState>;
+
+    /// Visit the write-set overlay of `scan`'s heaps: objects in those
+    /// heaps created or loaded-for-write by this transaction, in creation
+    /// order, with their in-transaction states borrowed in place. With a
+    /// point key, only the entries its key map returns. Writes to other
+    /// heaps cost nothing. Empty for snapshots.
     fn for_each_overlay(
         &self,
-        heaps: &[u32],
+        scan: &ExtentScan<'_>,
         visit: &mut dyn FnMut(Oid, &ObjState) -> Result<()>,
     ) -> Result<()>;
-
-    /// Is the object in this transaction's write-set?
-    fn overlay_contains(&self, oid: Oid) -> bool;
 
     /// Stream the (deep or shallow) extent of a class as seen by this
     /// view: committed members plus, for write transactions, the overlay.
@@ -90,36 +126,34 @@ pub trait ReadContext: Resolver + Sized {
         deep: bool,
         visit: &mut dyn FnMut(Oid, &ObjState) -> Result<bool>,
     ) -> Result<()> {
-        self.for_each_extent_masked(class_name, deep, &SlotMask::ALL, visit)
+        let layout = self.db().layout();
+        let scan = ExtentScan {
+            layout: &layout,
+            class: layout.schema.id_of(class_name)?,
+            deep,
+            mask: &SlotMask::ALL,
+            ranges: &[],
+            key: None,
+        };
+        self.scan_extent(&scan, visit)
     }
 
-    /// [`ReadContext::for_each_extent`], decoding of each committed record
-    /// only the slots `mask` reads: every other slot of the visited state
-    /// is `Null`. Write-set states are visited whole.
-    fn for_each_extent_masked(
+    /// [`ReadContext::for_each_extent`] over the extent `scan` names:
+    /// committed records are decoded only as far as its mask reads them
+    /// (write-set states are visited whole), and a write transaction
+    /// records its scan entries with the scan's ranges.
+    fn scan_extent(
         &self,
-        class_name: &str,
-        deep: bool,
-        mask: &SlotMask,
+        scan: &ExtentScan<'_>,
         visit: &mut dyn FnMut(Oid, &ObjState) -> Result<bool>,
     ) -> Result<()>;
 
-    /// Record that a predicate was evaluated over the whole extent held in
-    /// `heaps` (phantom protection for write transactions, DESIGN.md §13).
-    /// Index probes call this too: the probe's answer depends on the same
-    /// committed extent the index summarizes. No-op for snapshots.
-    fn note_scan(&self, _heaps: &[u32]) {}
-
-    /// Announce the key ranges the upcoming scan's predicate pins, so a
-    /// write transaction can record predicate-level scan entries instead
-    /// of whole-heap ones (narrowed validation, DESIGN.md §14). No-op for
-    /// snapshots.
-    fn scan_hint(&self, _ranges: Vec<ode_model::FieldRange>) {}
-
-    /// Retire the hint installed by [`ReadContext::scan_hint`]. Must run
-    /// once the enumeration is over — a stale hint would mislabel the
-    /// next scan. No-op for snapshots.
-    fn scan_hint_clear(&self) {}
+    /// Record that a predicate pinning `ranges` (empty: none) was
+    /// evaluated over the whole extent held in `heaps` (phantom protection
+    /// for write transactions, DESIGN.md §13). Index probes call this: the
+    /// probe's answer depends on the same committed extent the index
+    /// summarizes. No-op for snapshots.
+    fn note_scan(&self, _heaps: &[u32], _ranges: &[FieldRange]) {}
 
     /// The scan over `heaps` depended on more than its recorded ranges
     /// (a predicate evaluation errored part-way, so which rows mattered
@@ -140,43 +174,47 @@ impl ReadContext for Transaction<'_> {
         self.read(oid)
     }
 
+    fn read_masked<'s>(
+        &'s self,
+        oid: Oid,
+        mask: &SlotMask,
+        into: &'s mut ObjState,
+    ) -> Result<&'s ObjState> {
+        self.ensure_live()?;
+        if self.deleted.contains_key(&oid) {
+            return Err(OdeError::NoSuchObject(format!("{oid} (deleted)")));
+        }
+        if let Some(obj) = self.writes.get(&oid) {
+            return Ok(&obj.state);
+        }
+        self.load_committed_into(oid, mask, into)?;
+        Ok(into)
+    }
+
     fn for_each_overlay(
         &self,
-        heaps: &[u32],
+        scan: &ExtentScan<'_>,
         visit: &mut dyn FnMut(Oid, &ObjState) -> Result<()>,
     ) -> Result<()> {
-        for (oid, obj) in self.writes.in_heaps(heaps, 0) {
+        self.overlay(scan, &mut |oid, obj| {
             visit(oid, &obj.state)?;
-        }
+            Ok(true)
+        })?;
         Ok(())
     }
 
-    fn overlay_contains(&self, oid: Oid) -> bool {
-        self.writes.contains_key(&oid)
-    }
-
-    fn for_each_extent_masked(
+    fn scan_extent(
         &self,
-        class_name: &str,
-        deep: bool,
-        mask: &SlotMask,
+        scan: &ExtentScan<'_>,
         visit: &mut dyn FnMut(Oid, &ObjState) -> Result<bool>,
     ) -> Result<()> {
-        self.stream_extent(class_name, deep, mask, visit)
+        self.stream_extent(scan, visit)
     }
 
-    fn note_scan(&self, heaps: &[u32]) {
+    fn note_scan(&self, heaps: &[u32], ranges: &[FieldRange]) {
         for &heap in heaps {
-            self.note_extent_scan(heap);
+            self.note_extent_scan(heap, ranges);
         }
-    }
-
-    fn scan_hint(&self, ranges: Vec<ode_model::FieldRange>) {
-        self.set_scan_ranges(ranges);
-    }
-
-    fn scan_hint_clear(&self) {
-        self.clear_scan_ranges();
     }
 
     fn scan_widen(&self, heaps: &[u32]) {
@@ -365,29 +403,31 @@ impl ReadContext for ReadTransaction<'_> {
         self.read(oid)
     }
 
+    fn read_masked<'s>(
+        &'s self,
+        oid: Oid,
+        mask: &SlotMask,
+        into: &'s mut ObjState,
+    ) -> Result<&'s ObjState> {
+        load_current_into(self.db, oid, mask, into)?;
+        Ok(into)
+    }
+
     fn for_each_overlay(
         &self,
-        _heaps: &[u32],
+        _scan: &ExtentScan<'_>,
         _visit: &mut dyn FnMut(Oid, &ObjState) -> Result<()>,
     ) -> Result<()> {
         Ok(())
     }
 
-    fn overlay_contains(&self, _oid: Oid) -> bool {
-        false
-    }
-
-    fn for_each_extent_masked(
+    fn scan_extent(
         &self,
-        class_name: &str,
-        deep: bool,
-        mask: &SlotMask,
+        scan: &ExtentScan<'_>,
         visit: &mut dyn FnMut(Oid, &ObjState) -> Result<bool>,
     ) -> Result<()> {
-        let layout = self.db.layout();
-        let class = layout.schema.id_of(class_name)?;
-        for heap in layout.heap_ids(class, deep) {
-            if !stream_committed_heap(self.db.store.as_ref(), heap, mask, visit)? {
+        for &heap in scan.heaps() {
+            if !stream_committed_heap(self.db.store.as_ref(), heap, scan.mask, visit)? {
                 return Ok(());
             }
         }
@@ -457,6 +497,31 @@ pub(crate) fn load_current(db: &Database, oid: Oid) -> Result<(ObjState, Option<
         ObjRecord::VersionRec { .. } => Err(OdeError::NoSuchObject(format!(
             "{oid} is a version record, not an object"
         ))),
+    }
+}
+
+/// [`load_current`]'s state decoded through `mask` into `into`: slots the
+/// mask skips are `Null`, and a versioned object costs the read of its
+/// current version record. Fails as [`load_current`] does.
+pub(crate) fn load_current_into(
+    db: &Database,
+    oid: Oid,
+    mask: &SlotMask,
+    into: &mut ObjState,
+) -> Result<()> {
+    let bytes = read_record(db, oid)?;
+    match bytes.split_first() {
+        Some((&TAG_PLAIN, body)) => Ok(decode_object_into(body, into, mask)?),
+        Some((&TAG_VERSIONED, _)) => {
+            db.tel.versions.generic_derefs.inc();
+            current_version_into(db.store.as_ref(), oid, &bytes, mask, into)
+        }
+        _ => {
+            decode_record(&bytes)?;
+            Err(OdeError::NoSuchObject(format!(
+                "{oid} is a version record, not an object"
+            )))
+        }
     }
 }
 

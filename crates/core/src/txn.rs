@@ -30,12 +30,13 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use ode_model::{
-    ClassId, FieldRange, Frame, ModelError, ObjState, Oid, Resolver, Schema, TriggerAction,
-    TriggerDecl, Value, VersionNo, VersionRef,
+    ClassId, FieldRange, Frame, ModelError, ObjState, Oid, Resolver, Schema, SlotMask,
+    TriggerAction, TriggerDecl, Value, VersionNo, VersionRef,
 };
 use ode_obs::{SpanGuard, SpanStage};
 use ode_storage::{RecordId, StoreOp};
 
+use crate::bucket::{exact_key, Buckets};
 use crate::catalog::{CatalogRecord, CATALOG_HEAP};
 use crate::database::{Database, Layout, WriteSummary};
 use crate::error::{OdeError, Result};
@@ -162,6 +163,13 @@ pub(crate) type OidHash = BuildHasherDefault<OidHasher>;
 /// one per round. Each heap keeps its own slot list, so a statement walks
 /// only the slots of the heaps it reads, in creation order, with no
 /// per-entry hash lookup.
+///
+/// An equality test on a field reads a *key map* instead of a heap's
+/// whole slot list: the heap's entries bucketed by that field's value,
+/// built by the first lookup on the (heap, field) and exact from then on.
+/// A lookup files the entries appended since the previous one and re-files
+/// the ones marked by [`WriteSet::get_mut`] and removals, so it costs the
+/// entries changed since then plus its bucket, never the whole write set.
 #[derive(Default)]
 pub(crate) struct WriteSet {
     /// `(oid, entry)` in creation order; `None` is a deleted entry.
@@ -170,6 +178,9 @@ pub(crate) struct WriteSet {
     index: HashMap<Oid, usize, OidHash>,
     /// Heap → its slots, ascending (tombstones included).
     by_heap: HashMap<u32, Vec<usize>, OidHash>,
+    /// One key map per (heap, field) a lookup has asked for. Lookups take
+    /// `&self`; the lock is held only while a lookup files and probes.
+    keys: parking_lot::Mutex<Vec<KeyMap>>,
 }
 
 impl WriteSet {
@@ -177,8 +188,12 @@ impl WriteSet {
         self.index.get(oid).and_then(|&s| self.slots[s].1.as_ref())
     }
 
+    /// The entry, for a change in place: the heap's key maps re-file it at
+    /// their next lookup.
     pub(crate) fn get_mut(&mut self, oid: &Oid) -> Option<&mut TxnObj> {
-        self.index.get(oid).and_then(|&s| self.slots[s].1.as_mut())
+        let &slot = self.index.get(oid)?;
+        self.mark_changed(oid.cluster, slot);
+        self.slots[slot].1.as_mut()
     }
 
     pub(crate) fn contains_key(&self, oid: &Oid) -> bool {
@@ -197,7 +212,26 @@ impl WriteSet {
     /// Take an entry out, leaving a tombstone in its slot.
     fn remove(&mut self, oid: &Oid) -> Option<TxnObj> {
         let slot = self.index.remove(oid)?;
+        self.mark_changed(oid.cluster, slot);
         self.slots[slot].1.take()
+    }
+
+    /// Have `heap`'s key maps re-file `slot` at their next lookup.
+    fn mark_changed(&mut self, heap: u32, slot: usize) {
+        let maps = self.keys.get_mut();
+        if !maps.iter().any(|m| m.heap == heap) {
+            return;
+        }
+        let Some(at) = self
+            .by_heap
+            .get(&heap)
+            .and_then(|list| list.binary_search(&slot).ok())
+        else {
+            return;
+        };
+        for map in maps.iter_mut().filter(|m| m.heap == heap) {
+            map.mark(at);
+        }
     }
 
     /// The slot the next entry will take: entries at or after it are the
@@ -211,6 +245,14 @@ impl WriteSet {
         self.slots
             .iter()
             .filter_map(|(oid, obj)| obj.as_ref().map(|o| (*oid, o)))
+    }
+
+    /// The live entry in `slot`, if any.
+    pub(crate) fn at(&self, slot: usize) -> Option<(Oid, &TxnObj)> {
+        match &self.slots[slot] {
+            (oid, Some(obj)) => Some((*oid, obj)),
+            (_, None) => None,
+        }
     }
 
     /// Live entries of `heaps` in slots at or after `since`, in creation
@@ -245,6 +287,148 @@ impl WriteSet {
             }
         })
     }
+
+    /// The slots of the live entries of `heaps` whose `field` may equal
+    /// `key` — those whose field equals it, and those without a usable
+    /// key ([`crate::bucket::exact_key`]), whose field is missing, or whose
+    /// class `schema` does not know — ascending, so in creation order.
+    /// `key` must be exact and `heaps` distinct.
+    pub(crate) fn keyed(
+        &self,
+        schema: &Schema,
+        heaps: &[u32],
+        field: &str,
+        key: &Value,
+    ) -> Vec<u32> {
+        debug_assert!(exact_key(key), "{key} cannot key a bucket");
+        let mut maps = self.keys.lock();
+        let mut out: Vec<u32> = Vec::new();
+        for &heap in heaps {
+            let Some(list) = self.by_heap.get(&heap) else {
+                continue;
+            };
+            let at = match maps.iter().position(|m| m.heap == heap && m.field == field) {
+                Some(at) => at,
+                None => {
+                    maps.push(KeyMap {
+                        heap,
+                        field: field.to_string(),
+                        buckets: Buckets::default(),
+                        filed: Vec::new(),
+                        dirty: Vec::new(),
+                        marked: Vec::new(),
+                    });
+                    maps.len() - 1
+                }
+            };
+            let map = &mut maps[at];
+            map.refresh(schema, list, &self.slots);
+            out.extend_from_slice(&map.buckets.probe(key));
+        }
+        if heaps.len() > 1 {
+            out.sort_unstable();
+        }
+        out
+    }
+}
+
+/// One heap's write-set entries filed by the value of one field: what an
+/// equality test on that field reads of the heap's writes. It holds one
+/// bucket position and one filed key per entry, and lives as long as its
+/// transaction.
+struct KeyMap {
+    heap: u32,
+    field: String,
+    /// The heap's slots by key.
+    buckets: Buckets,
+    /// What each entry is filed under, by its position in the heap's slot
+    /// list. Entries past the end are not filed yet.
+    filed: Vec<Filed>,
+    /// Whether each filed entry is in `marked`.
+    dirty: Vec<bool>,
+    /// Positions of the filed entries changed in place or removed since
+    /// the last lookup, each once.
+    marked: Vec<usize>,
+}
+
+/// Where a key map filed one entry.
+enum Filed {
+    Key(Value),
+    /// No usable key: in every lookup.
+    Unkeyed,
+    /// Removed: in no lookup.
+    Gone,
+}
+
+impl Filed {
+    /// The filing of `entry` by its `field`.
+    fn of(schema: &Schema, field: &str, entry: Option<&TxnObj>) -> Filed {
+        let Some(obj) = entry else {
+            return Filed::Gone;
+        };
+        let slot = schema
+            .class(obj.state.class)
+            .and_then(|def| def.field_index(field));
+        match slot.ok().and_then(|i| obj.state.fields.get(i)) {
+            Some(v) if exact_key(v) => Filed::Key(v.clone()),
+            _ => Filed::Unkeyed,
+        }
+    }
+
+    /// File `slot` as `self` in `buckets`.
+    fn file(&self, buckets: &mut Buckets, slot: u32) {
+        match self {
+            Filed::Key(v) => buckets.insert(Some(v.clone()), slot),
+            Filed::Unkeyed => buckets.insert(None, slot),
+            Filed::Gone => {}
+        }
+    }
+
+    /// Take `slot`, filed as `self`, out of `buckets`.
+    fn unfile(&self, buckets: &mut Buckets, slot: u32) {
+        match self {
+            Filed::Key(v) => buckets.remove(Some(v), slot),
+            Filed::Unkeyed => buckets.remove(None, slot),
+            Filed::Gone => {}
+        }
+    }
+}
+
+impl KeyMap {
+    /// Have the next lookup re-file the entry at position `at` of the
+    /// heap's slot list. An entry not filed yet is filed with the appended
+    /// ones, so only a filed entry is marked, and at most once.
+    fn mark(&mut self, at: usize) {
+        if let Some(dirty @ false) = self.dirty.get_mut(at) {
+            *dirty = true;
+            self.marked.push(at);
+        }
+    }
+
+    /// Re-file the marked entries and file the ones appended since the
+    /// last lookup. `list` is the heap's slot list, `slots` the write set's.
+    fn refresh(&mut self, schema: &Schema, list: &[usize], slots: &[(Oid, Option<TxnObj>)]) {
+        for at in self.marked.drain(..) {
+            let slot = list[at];
+            let new = Filed::of(schema, &self.field, slots[slot].1.as_ref());
+            let old = &mut self.filed[at];
+            old.unfile(&mut self.buckets, slot_u32(slot));
+            new.file(&mut self.buckets, slot_u32(slot));
+            *old = new;
+            self.dirty[at] = false;
+        }
+        while let Some(&slot) = list.get(self.filed.len()) {
+            let new = Filed::of(schema, &self.field, slots[slot].1.as_ref());
+            new.file(&mut self.buckets, slot_u32(slot));
+            self.filed.push(new);
+            self.dirty.push(false);
+        }
+    }
+}
+
+/// A write-set slot as a bucket position.
+fn slot_u32(slot: usize) -> u32 {
+    u32::try_from(slot).expect("a write set holds fewer than 2^32 entries")
 }
 
 /// Tombstone for an object deleted this transaction.
@@ -375,12 +559,6 @@ pub struct Transaction<'db> {
     /// Heap → scan entry at first extent scan (phantom protection; ranged
     /// entries narrow commit validation to the proven key intervals).
     scan_set: parking_lot::Mutex<HashMap<u32, ScanEntry>>,
-    /// Statement-scoped hint: predicate ranges proven for the scan the
-    /// query layer is about to run. Consulted by [`note_extent_scan`];
-    /// interior mutability because scans take `&self`.
-    ///
-    /// [`note_extent_scan`]: Transaction::note_extent_scan
-    scan_ranges: parking_lot::Mutex<Option<Vec<FieldRange>>>,
     /// Ranged-write notes from `update`/`delete` statements, verified
     /// against the final write-set at commit (see [`WriteNote`]).
     ranged_writes: Vec<WriteNote>,
@@ -426,7 +604,6 @@ impl<'db> Transaction<'db> {
             begin_epoch,
             read_set: parking_lot::Mutex::new(HashMap::new()),
             scan_set: parking_lot::Mutex::new(HashMap::new()),
-            scan_ranges: parking_lot::Mutex::new(None),
             ranged_writes: Vec::new(),
             writes: WriteSet::default(),
             deleted: HashMap::default(),
@@ -522,41 +699,60 @@ impl<'db> Transaction<'db> {
     /// so a versioned object's anchor and current-version records are
     /// never torn across a concurrent batch apply.
     pub(crate) fn load_committed(&self, oid: Oid) -> Result<(ObjState, Option<VersionTable>)> {
-        let observed = self.db.commit_epoch();
-        self.read_set.lock().entry(oid).or_insert(observed);
+        self.note_read(oid);
         let _apply = self.db.apply_gate.read();
         crate::read::load_current(self.db, oid)
+    }
+
+    /// [`Transaction::load_committed`]'s current state, decoded through
+    /// `mask` into `into`: slots the mask skips are `Null`.
+    pub(crate) fn load_committed_into(
+        &self,
+        oid: Oid,
+        mask: &SlotMask,
+        into: &mut ObjState,
+    ) -> Result<()> {
+        self.note_read(oid);
+        let _apply = self.db.apply_gate.read();
+        crate::read::load_current_into(self.db, oid, mask, into)
+    }
+
+    /// Record a read of `oid`'s committed image at the epoch observed now,
+    /// before the store read (first read wins).
+    fn note_read(&self, oid: Oid) {
+        let observed = self.db.commit_epoch();
+        self.read_set.lock().entry(oid).or_insert(observed);
     }
 
     /// Record an extent scan over `heap` at the current publish epoch.
     /// Phantom protection: commit-time validation compares this against
     /// the heap's write stamps.
     ///
-    /// When the statement-scoped range hint is set (the query layer
-    /// proved the predicate pins key intervals), the entry records those
-    /// ranges so validation can ignore provably disjoint writers. Merging
-    /// is monotone toward the conservative pole: the epoch only ever gets
-    /// *older* (first observation wins) and the ranges only ever get
-    /// *wider* — two different range sets, or ranged plus whole-heap,
-    /// collapse to whole-heap.
-    pub(crate) fn note_extent_scan(&self, heap: u32) {
+    /// `ranges` are the key intervals the statement's predicate proved
+    /// (empty: none); the entry records them so validation can ignore
+    /// provably disjoint writers. Merging is monotone toward the
+    /// conservative pole: the epoch only ever gets *older* (first
+    /// observation wins) and the ranges only ever get *wider* — two
+    /// different range sets, or ranged plus whole-heap, collapse to
+    /// whole-heap. The ranges are compared in place and copied only into a
+    /// new entry.
+    pub(crate) fn note_extent_scan(&self, heap: u32, ranges: &[FieldRange]) {
         let observed = self.db.commit_epoch();
-        let hint = self.scan_ranges.lock().clone();
-        let hint = hint.filter(|r| !r.is_empty());
         let mut set = self.scan_set.lock();
         match set.entry(heap) {
             std::collections::hash_map::Entry::Vacant(v) => {
-                if hint.is_some() {
+                let ranged = !ranges.is_empty();
+                if ranged {
                     self.db.tel.txn.ranged_scans.inc();
                 }
                 v.insert(ScanEntry {
                     epoch: observed,
-                    ranges: hint,
+                    ranges: ranged.then(|| ranges.to_vec()),
                 });
             }
             std::collections::hash_map::Entry::Occupied(mut o) => {
                 let e = o.get_mut();
-                if e.ranges.is_some() && e.ranges != hint {
+                if e.ranges.as_deref().is_some_and(|had| had != ranges) {
                     // Widen; the first-observed (older) epoch stays, which
                     // can only produce a false conflict, never a missed one.
                     e.ranges = None;
@@ -566,12 +762,11 @@ impl<'db> Transaction<'db> {
     }
 
     /// Force whole-heap scan entries for `heaps`, widening any ranged
-    /// entry already present, and drop the range hint. Called when a
-    /// statement errors mid-evaluation: with short-circuit `&&`, whether
-    /// the error fires can depend on rows *outside* the extracted ranges,
-    /// so only a whole-heap entry is sound.
+    /// entry already present. Called when a statement errors
+    /// mid-evaluation: with short-circuit `&&`, whether the error fires can
+    /// depend on rows *outside* the extracted ranges, so only a whole-heap
+    /// entry is sound.
     pub(crate) fn note_scan_unbounded(&self, heaps: &[u32]) {
-        *self.scan_ranges.lock() = None;
         let observed = self.db.commit_epoch();
         let mut set = self.scan_set.lock();
         for &heap in heaps {
@@ -582,20 +777,6 @@ impl<'db> Transaction<'db> {
                     ranges: None,
                 });
         }
-    }
-
-    /// Install the statement-scoped range hint for the scans the query
-    /// layer is about to run. The caller clears it (or widens via
-    /// [`note_scan_unbounded`]) when the enumeration ends.
-    ///
-    /// [`note_scan_unbounded`]: Transaction::note_scan_unbounded
-    pub(crate) fn set_scan_ranges(&self, ranges: Vec<FieldRange>) {
-        *self.scan_ranges.lock() = Some(ranges);
-    }
-
-    /// Drop the statement-scoped range hint.
-    pub(crate) fn clear_scan_ranges(&self) {
-        *self.scan_ranges.lock() = None;
     }
 
     /// Note that a ranged DML statement wrote `oids` with predicate-proven
@@ -1405,14 +1586,14 @@ impl<'db> Transaction<'db> {
 
         let schema = &layout.schema;
         let mut inner = self.db.inner.write();
-        for ((ixclass, field), ix) in inner.indexes.iter_mut() {
+        for (ixclass, field, ix) in inner.indexes.iter_mut() {
             for (oid, old, new) in &index_updates {
                 let class = old
                     .as_ref()
                     .or(new.as_ref())
                     .expect("one side present")
                     .class;
-                if !schema.is_subclass(class, *ixclass) {
+                if !schema.is_subclass(class, ixclass) {
                     continue;
                 }
                 let slot = schema.class(class)?.field_index(field)?;
@@ -1776,4 +1957,50 @@ fn apply_actions(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Updates that alternate between two entries mark each at most once
+    /// between lookups, so a key map's marks never outgrow its heap.
+    #[test]
+    fn alternating_updates_mark_each_entry_once() {
+        let db = Database::in_memory();
+        db.define_from_source("class item { int k = 0; }").unwrap();
+        let schema = &db.layout().schema;
+        let class = schema.id_of("item").unwrap();
+        let oid = |slot| Oid {
+            cluster: 7,
+            rid: RecordId { page: 1, slot },
+        };
+        let mut ws = WriteSet::default();
+        for slot in 0..2 {
+            let mut state = ObjState::new(class, 1);
+            state.fields[0] = Value::Int(1);
+            ws.insert(
+                oid(slot),
+                TxnObj {
+                    new: true,
+                    dirty: true,
+                    state,
+                    pre_state: None,
+                    vt: None,
+                    vt_dirty: false,
+                },
+            );
+        }
+        assert_eq!(ws.keyed(schema, &[7], "k", &Value::Int(1)), [0, 1]);
+        for round in 0..1_000 {
+            let target = oid(round % 2);
+            ws.get_mut(&target).unwrap().state.fields[0] = Value::Int(2);
+        }
+        assert_eq!(ws.keys.get_mut()[0].marked.len(), 2);
+        assert_eq!(ws.keyed(schema, &[7], "k", &Value::Int(2)), [0, 1]);
+        assert!(ws.keyed(schema, &[7], "k", &Value::Int(1)).is_empty());
+        assert!(ws.keys.get_mut()[0].marked.is_empty());
+        ws.remove(&oid(0));
+        assert_eq!(ws.keyed(schema, &[7], "k", &Value::Int(2)), [1]);
+    }
 }

@@ -192,3 +192,61 @@ fn paper_income_average_via_aggregates() {
     );
     tx.commit().unwrap();
 }
+
+/// A projection is read with its row, once: a concurrent commit that
+/// changes a projected field of a selected row still fails the reader's
+/// validation, whether the rows came from a scan or an index probe, and
+/// whether the writer wrote the row directly or through a ranged update.
+#[test]
+fn a_concurrent_write_to_a_projected_field_fails_validation() {
+    for (indexed, ranged_writer) in [(false, false), (false, true), (true, false), (true, true)] {
+        let db = Database::in_memory();
+        db.define_from_source("class usage { int parent; int child; } class log { int n; }")
+            .unwrap();
+        db.create_cluster("usage").unwrap();
+        db.create_cluster("log").unwrap();
+        if indexed {
+            db.create_index("usage", "parent").unwrap();
+        }
+        let row = db
+            .transaction(|tx| {
+                tx.pnew(
+                    "usage",
+                    &[("parent", Value::Int(4)), ("child", Value::Int(40))],
+                )?;
+                tx.pnew(
+                    "usage",
+                    &[("parent", Value::Int(5)), ("child", Value::Int(50))],
+                )
+            })
+            .unwrap();
+
+        let mut reader = db.begin();
+        let children = reader
+            .forall("usage")
+            .unwrap()
+            .suchthat("parent == 5")
+            .unwrap()
+            .collect_values("child")
+            .unwrap();
+        assert_eq!(children, [Value::Int(50)]);
+        // A write of its own, so the commit validates.
+        reader.pnew("log", &[("n", Value::Int(1))]).unwrap();
+
+        let mut writer = db.begin();
+        if ranged_writer {
+            writer
+                .execute("update u in usage suchthat (parent == 5) set child = 51")
+                .unwrap();
+        } else {
+            writer.set(row, "child", 51i64).unwrap();
+        }
+        writer.commit().unwrap();
+
+        let err = reader.commit().unwrap_err();
+        assert!(
+            matches!(err, OdeError::WriteConflict { .. }),
+            "indexed {indexed}, ranged writer {ranged_writer}: {err}"
+        );
+    }
+}

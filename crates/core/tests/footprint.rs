@@ -318,49 +318,6 @@ proptest! {
 // Scan-entry bracketing around streaming extents: hints and widening must
 // track the *iteration*, not a pre-collected vec (DESIGN.md §14).
 
-use ode_core::prelude::ReadContext;
-
-/// A complete hinted stream records a narrowed (ranged) entry; an early
-/// `break` from the consumer must widen it to a whole-heap entry — a
-/// partial iteration's outcome depends on enumeration order, so the
-/// ranges no longer bound what was observed.
-#[test]
-fn early_break_widens_scan_entries_to_whole_heap() {
-    let db = stock_db();
-    seed(&db, &[("a", 1), ("b", 2), ("c", 3)]);
-
-    let ranges =
-        ode_model::extract_field_ranges(&ode_model::parse_expr("quantity < 2").unwrap(), None);
-    assert!(!ranges.is_empty(), "predicate must pin a range");
-
-    // Full iteration under a hint → the entry stays narrowed.
-    {
-        let tx = db.begin();
-        tx.scan_hint(ranges.clone());
-        tx.for_each_extent("stockitem", true, &mut |_, _| Ok(true))
-            .unwrap();
-        tx.scan_hint_clear();
-        let scans = tx.observed_scans();
-        assert_eq!(scans.len(), 1);
-        assert!(scans[0].1, "complete hinted scan should record ranges");
-    }
-
-    // Early break under the same hint → whole-heap (unranged) entry.
-    {
-        let tx = db.begin();
-        tx.scan_hint(ranges);
-        tx.for_each_extent("stockitem", true, &mut |_, _| Ok(false))
-            .unwrap();
-        tx.scan_hint_clear();
-        let scans = tx.observed_scans();
-        assert_eq!(scans.len(), 1);
-        assert!(
-            !scans[0].1,
-            "an early-stopped scan must widen to a whole-heap entry"
-        );
-    }
-}
-
 /// A predicate that errors mid-stream aborts the enumeration; the heaps
 /// streamed so far must be widened, and the statement-scoped range hint
 /// must not leak into the *next* scan (the RAII guard regression).

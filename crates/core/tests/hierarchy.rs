@@ -420,8 +420,10 @@ fn index_probe_folds_in_own_hierarchy_writes_and_nothing_else() {
     let mut expected = vec![p, ta, st];
     expected.sort();
     assert_eq!(hits, expected);
-    // Only the hierarchy's four written objects were folded in.
-    assert_eq!(d.query.overlay_clones, 4);
+    // Only the hierarchy's writes in the key's bucket were folded in:
+    // the three written with 777, not the student written with 1 (nor
+    // the ledger's thousand).
+    assert_eq!(d.query.overlay_clones, 3);
     tx.abort();
 }
 
@@ -438,4 +440,23 @@ fn early_break_consumer_stops_the_stream() {
     })
     .unwrap();
     assert_eq!(visited, 2, "the stream must stop when the visitor says so");
+}
+
+/// A statement binds and scans against the layout it started with: a
+/// cluster created between building a `forall` and running it is not
+/// streamed by it, and the next statement streams it.
+#[test]
+fn a_statement_reads_the_layout_it_started_with() {
+    let db = Database::in_memory();
+    db.define_from_source("class person { int n = 0; } class student : person { }")
+        .unwrap();
+    db.create_cluster("person").unwrap();
+    db.transaction(|tx| tx.pnew("person", &[])).unwrap();
+    let mut tx = db.begin();
+    let statement = tx.forall("person").unwrap().suchthat("n == 0").unwrap();
+    db.create_cluster("student").unwrap();
+    db.transaction(|other| other.pnew("student", &[])).unwrap();
+    assert_eq!(statement.count().unwrap(), 1);
+    assert_eq!(tx.forall("person").unwrap().count().unwrap(), 2);
+    tx.abort();
 }

@@ -606,6 +606,152 @@ proptest! {
     }
 }
 
+/// The keys the point-key differential test stores and looks up: ints,
+/// an integral float equal to one of them, ±2⁵³ and its neighbour (where
+/// ints and floats stop being exact keys), strings and `null` — as a
+/// value and as the literal that names it.
+fn key(i: usize) -> (&'static str, Value) {
+    match i {
+        0 => ("0", Value::Int(0)),
+        1 => ("1", Value::Int(1)),
+        2 => ("1.0", Value::Float(1.0)),
+        3 => ("9007199254740992", Value::Int(1 << 53)),
+        4 => ("-9007199254740992", Value::Int(-(1 << 53))),
+        5 => ("9007199254740992.0", Value::Float(9_007_199_254_740_992.0)),
+        6 => ("9007199254740991", Value::Int((1 << 53) - 1)),
+        7 => ("\"1\"", Value::from("1")),
+        8 => ("\"a\"", Value::from("a")),
+        _ => ("null", Value::Null),
+    }
+}
+
+/// A statement's rows, in order, or its error.
+fn point_rows(
+    tx: &mut Transaction<'_>,
+    shallow: bool,
+    src: &str,
+) -> std::result::Result<Vec<Oid>, String> {
+    let q = tx.forall("a").unwrap().bind("p");
+    let q = if shallow { q.shallow() } else { q };
+    q.suchthat(src)
+        .and_then(|q| q.collect_oids())
+        .map_err(|e| e.to_string())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Differential oracle for write-set key maps: inside a write
+    /// transaction that inserts, updates, deletes and versions objects of
+    /// a two-level hierarchy, an equality statement that a key map serves
+    /// returns the same rows, in the same order, and the same first error
+    /// as a statement no key map serves — indexed and not, deep and
+    /// shallow, with a total or a raising conjunct left of the key, and
+    /// checked between the writes as well as after them. Unindexed, the
+    /// reference writes the key test `(k == c) || false`. Indexed, it must
+    /// probe the same range, since a probe returns committed rows in index
+    /// order and never evaluates rows outside its range: it prefixes the
+    /// statement with `p.id - p.id == 0`, which never raises but is not
+    /// provably total, so the fold-in walks every write.
+    #[test]
+    fn in_transaction_point_keys_match_the_walk(
+        committed in prop::collection::vec((any::<bool>(), 0usize..10, -1i64..3), 0..10),
+        ops in prop::collection::vec(
+            (0usize..6, 0usize..64, any::<bool>(), 0usize..10, -1i64..3),
+            0..24,
+        ),
+        consts in prop::collection::vec(0usize..10, 1..3),
+        indexed in any::<bool>(),
+    ) {
+        let db = Database::in_memory();
+        db.define_class(
+            ClassBuilder::new("a")
+                .field("id", Type::Int)
+                .field("k", Type::Any)
+                .field("x", Type::Int),
+        )
+        .unwrap();
+        db.define_class(ClassBuilder::new("b").base("a").field_default("g", Type::Int, 0))
+            .unwrap();
+        db.create_cluster("a").unwrap();
+        db.create_cluster("b").unwrap();
+        if indexed {
+            db.create_index("a", "k").unwrap();
+        }
+        let mut next_id = 0;
+        let mut pnew = |tx: &mut Transaction<'_>, is_b: bool, k: usize, x: i64| {
+            next_id += 1;
+            tx.pnew(
+                if is_b { "b" } else { "a" },
+                &[("id", Value::Int(next_id)), ("k", key(k).1), ("x", Value::Int(x))],
+            )
+        };
+        let mut live: Vec<Oid> = Vec::new();
+        db.transaction(|tx| {
+            for &(is_b, k, x) in &committed {
+                live.push(pnew(tx, is_b, k, x)?);
+            }
+            Ok(())
+        })
+        .unwrap();
+
+        // Each key test, and a total and a raising conjunct left of it
+        // (`1 / p.x` divides by zero on x == 0); a raising one right of it
+        // errors only inside the bucket.
+        let shapes = [
+            "{k}",
+            "p.x == 1 && {k}",
+            "1 / p.x == 1 && {k}",
+            "{k} && 1 / p.x > 0",
+        ];
+        let check = |tx: &mut Transaction<'_>| -> std::result::Result<(), TestCaseError> {
+            for &c in &consts {
+                let lit = key(c).0;
+                for (test, walk) in [
+                    (format!("p.k == {lit}"), format!("(p.k == {lit} || false)")),
+                    (format!("{lit} == k"), format!("({lit} == k || false)")),
+                ] {
+                    for shape in shapes {
+                        let served = shape.replace("{k}", &test);
+                        let reference = if indexed {
+                            format!("p.id - p.id == 0 && {served}")
+                        } else {
+                            shape.replace("{k}", &walk)
+                        };
+                        for shallow in [false, true] {
+                            prop_assert_eq!(
+                                point_rows(tx, shallow, &served),
+                                point_rows(tx, shallow, &reference),
+                                "{} (shallow: {})", served, shallow
+                            );
+                        }
+                    }
+                }
+            }
+            Ok(())
+        };
+
+        let mut tx = db.begin();
+        for &(kind, target, is_b, k, x) in &ops {
+            match kind {
+                0 => live.push(pnew(&mut tx, is_b, k, x).unwrap()),
+                5 => check(&mut tx)?,
+                _ if live.is_empty() => {}
+                1 => tx.set(live[target % live.len()], "k", key(k).1).unwrap(),
+                2 => tx.set(live[target % live.len()], "x", x).unwrap(),
+                3 => {
+                    tx.pdelete(live.remove(target % live.len())).unwrap();
+                }
+                _ => {
+                    tx.newversion(live[target % live.len()]).unwrap();
+                }
+            }
+        }
+        check(&mut tx)?;
+        tx.abort();
+    }
+}
+
 /// Binding a loop variable to the object in hand keeps evaluation's
 /// short-circuiting and its errors: a subclass-only field read on a
 /// base-class object fails, unless `is` guards it.

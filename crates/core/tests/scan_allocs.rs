@@ -270,3 +270,82 @@ fn versioned_extent_allocates_only_the_version_record_read() {
         );
     }
 }
+
+/// `usage(parent, child)` for `n` parents, one child each, indexed on
+/// `parent` when `indexed`.
+fn parts(n: i64, indexed: bool) -> Database {
+    let db = Database::in_memory();
+    db.define_from_source("class usage { int parent; int child; }")
+        .unwrap();
+    db.create_cluster("usage").unwrap();
+    if indexed {
+        db.create_index("usage", "parent").unwrap();
+    }
+    db.transaction(|tx| {
+        for i in 0..n {
+            tx.pnew(
+                "usage",
+                &[("parent", Value::Int(i)), ("child", Value::Int(i + n))],
+            )?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    db
+}
+
+/// Allocations of a pass from after its `suchthat()`, once the write
+/// transaction has run a statement of the same shape: a point statement
+/// pays for what it reads, not for bookkeeping.
+#[test]
+fn a_point_pass_in_a_write_transaction_allocates_little() {
+    let db = parts(1_000, true);
+    let mut tx = db.begin();
+    let warm = tx.forall("usage").unwrap().suchthat("parent == 7").unwrap();
+    assert_eq!(warm.collect_values("child").unwrap(), [Value::Int(1_007)]);
+    let q = tx
+        .forall("usage")
+        .unwrap()
+        .suchthat("parent == 500")
+        .unwrap();
+    let (oids, found) = allocs(|| q.collect_oids().unwrap());
+    assert_eq!(found.len(), 1);
+    let q = tx
+        .forall("usage")
+        .unwrap()
+        .suchthat("parent == 501")
+        .unwrap();
+    let (values, got) = allocs(|| q.collect_values("child").unwrap());
+    assert_eq!(got, [Value::Int(1_501)]);
+    assert!(oids <= 12, "{oids} allocations for a one-row probe");
+    // The row is read once: projecting it costs only the projection's
+    // own parse (its token list and identifier); binding it shares the
+    // schema's slot table.
+    assert!(
+        values <= oids + 2,
+        "{values} allocations projecting the row, {oids} selecting it"
+    );
+}
+
+/// An unindexed equality over a write transaction's inserts reads the
+/// key's bucket, not every insert.
+#[test]
+fn an_unindexed_point_count_reads_its_bucket() {
+    let db = parts(0, false);
+    let mut tx = db.begin();
+    for i in 0..1_000 {
+        tx.pnew("usage", &[("parent", Value::Int(i % 100))])
+            .unwrap();
+    }
+    let count = |tx: &mut Transaction<'_>, key: i64| {
+        let q = tx.forall("usage").unwrap();
+        let q = q.suchthat(&format!("parent == {key}")).unwrap();
+        let scanned = db.telemetry().query.objects_scanned;
+        let (n, count) = allocs(|| q.count().unwrap());
+        (n, count, db.telemetry().query.objects_scanned - scanned)
+    };
+    assert_eq!(count(&mut tx, 3).1, 10);
+    let (n, rows, scanned) = count(&mut tx, 42);
+    assert_eq!((rows, scanned), (10, 10));
+    assert!(n <= 12, "{n} allocations counting a bucket of 10");
+}

@@ -22,10 +22,13 @@
 //! holds ([`BoundExpr::read_slots`]), as a [`SlotMask`]; the codec decodes
 //! only those slots ([`crate::encode::decode_object_into`]).
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use crate::class::ClassId;
 use crate::error::ModelError;
 use crate::expr::{BinOp, Expr, UnOp};
-use crate::schema::Schema;
+use crate::schema::{Schema, NO_SLOT};
 use crate::value::Value;
 
 /// The names an expression may mention besides the members of classes.
@@ -88,32 +91,27 @@ pub(crate) enum Recv {
     Expr(Box<Node>),
 }
 
-/// Slot-table entry of a class that has no such member.
-const NO_SLOT: u32 = u32::MAX;
-
-/// A member name resolved to its slot in every class's layout.
+/// A member name resolved to its slot in every class's layout. The
+/// schema keeps the table of every member its classes have, so binding
+/// one shares it.
 #[derive(Debug, Clone)]
 pub(crate) struct Field {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     /// Indexed by class id; [`NO_SLOT`] where the class lacks the member.
-    slots: Box<[u32]>,
+    slots: Arc<[u32]>,
 }
 
 impl Field {
     fn new(schema: &Schema, name: &str) -> Field {
-        let slots = schema
-            .classes()
-            .iter()
-            .map(|c| {
-                c.layout
-                    .iter()
-                    .position(|f| f.name == name)
-                    .map_or(NO_SLOT, |i| i as u32)
-            })
-            .collect();
-        Field {
-            name: name.to_string(),
-            slots,
+        match schema.member(name) {
+            Some((name, slots)) => Field {
+                name: Arc::clone(name),
+                slots: Arc::clone(slots),
+            },
+            None => Field {
+                name: Arc::from(name),
+                slots: schema.slots_of(name),
+            },
         }
     }
 
@@ -298,10 +296,26 @@ impl BoundExpr {
         total_test(&self.root, classes)
     }
 
+    /// The equality that lets a scan skip every object but those equal to
+    /// a constant on one field: the first top-level `&&` conjunct of the
+    /// form `member == literal` (either way round, a literal being a
+    /// constant or a negated number) with only total conjuncts (see
+    /// [`BoundExpr::is_total`]) to its left. An object whose member does
+    /// not equal the literal fails the predicate without raising. A member
+    /// is a field of `this` or of loop variable `var`; `classes` is as for
+    /// `is_total`. Returns the member's name and the literal.
+    pub fn point_key(
+        &self,
+        var: Option<usize>,
+        classes: &[Vec<ClassId>],
+    ) -> Option<(&str, Cow<'_, Value>)> {
+        let mut blocked = false;
+        point_key(&self.root, var, classes, &mut blocked)
+    }
+
     /// Visit every node, parents before children.
     fn walk<'n>(&'n self, mut visit: impl FnMut(&'n Node)) {
-        let mut stack = vec![&self.root];
-        while let Some(node) = stack.pop() {
+        fn go<'n>(node: &'n Node, visit: &mut impl FnMut(&'n Node)) {
             visit(node);
             match node {
                 Node::Lit(_)
@@ -311,17 +325,27 @@ impl BoundExpr {
                 | Node::Param(..)
                 | Node::VarIs(..)
                 | Node::Fail(_) => {}
-                Node::Path(e, _) | Node::Unary(_, e) | Node::Is(e, _) => stack.push(e),
-                Node::Binary(_, l, r) | Node::Index(l, r) => stack.extend([&**l, &**r]),
-                Node::Cond(c, a, b) => stack.extend([&**c, &**a, &**b]),
+                Node::Path(e, _) | Node::Unary(_, e) | Node::Is(e, _) => go(e, visit),
+                Node::Binary(_, l, r) | Node::Index(l, r) => {
+                    go(l, visit);
+                    go(r, visit);
+                }
+                Node::Cond(c, a, b) => {
+                    go(c, visit);
+                    go(a, visit);
+                    go(b, visit);
+                }
                 Node::Call { recv, args, .. } => {
                     if let Recv::Expr(e) = recv {
-                        stack.push(e);
+                        go(e, visit);
                     }
-                    stack.extend(args);
+                    for arg in args {
+                        go(arg, visit);
+                    }
                 }
             }
         }
+        go(&self.root, &mut visit);
     }
 }
 
@@ -338,6 +362,46 @@ fn total_test(node: &Node, classes: &[Vec<ClassId>]) -> bool {
         Node::Unary(UnOp::Not, e) => total_test(e, classes),
         _ => false,
     }
+}
+
+/// [`BoundExpr::point_key`] over the `&&` chain rooted at `node`, left to
+/// right; `blocked` is set once a conjunct that may raise has been passed.
+fn point_key<'n>(
+    node: &'n Node,
+    var: Option<usize>,
+    classes: &[Vec<ClassId>],
+    blocked: &mut bool,
+) -> Option<(&'n str, Cow<'n, Value>)> {
+    if let Node::Binary(BinOp::And, l, r) = node {
+        return point_key(l, var, classes, blocked).or_else(|| point_key(r, var, classes, blocked));
+    }
+    if *blocked {
+        return None;
+    }
+    let member = |n: &'n Node| match n {
+        Node::ThisField(f) => Some(&*f.name),
+        Node::VarField(i, f) if var == Some(*i) => Some(&*f.name),
+        _ => None,
+    };
+    let literal = |n: &'n Node| match n {
+        Node::Lit(v) => Some(Cow::Borrowed(v)),
+        Node::Unary(UnOp::Neg, e) => match &**e {
+            Node::Lit(Value::Int(i)) => i.checked_neg().map(|i| Cow::Owned(Value::Int(i))),
+            Node::Lit(Value::Float(x)) => Some(Cow::Owned(Value::Float(-x))),
+            _ => None,
+        },
+        _ => None,
+    };
+    if let Node::Binary(BinOp::Eq, l, r) = node {
+        let key = [(l, r), (r, l)]
+            .into_iter()
+            .find_map(|(m, c)| Some((member(m)?, literal(c)?)));
+        if key.is_some() {
+            return key;
+        }
+    }
+    *blocked = !total_test(node, classes);
+    None
 }
 
 /// Does this comparison operand evaluate without raising?

@@ -320,10 +320,10 @@ impl<'a> Frame<'a> {
                 Some(i) => Ok(&this.fields[i]),
                 None => {
                     f.check_class(this.class)?;
-                    Err(ModelError::UnknownVar(f.name.clone()).into())
+                    Err(ModelError::UnknownVar(f.name.to_string()).into())
                 }
             },
-            None => Err(ModelError::UnknownVar(f.name.clone()).into()),
+            None => Err(ModelError::UnknownVar(f.name.to_string()).into()),
         }
     }
 
@@ -336,7 +336,7 @@ impl<'a> Frame<'a> {
                 f.check_class(obj.class)?;
                 Err(ModelError::UnknownField {
                     class: self.schema.class(obj.class)?.name.clone(),
-                    field: f.name.clone(),
+                    field: f.name.to_string(),
                 }
                 .into())
             }

@@ -307,12 +307,16 @@ impl Parser {
             .unwrap_or(self.src_len)
     }
 
+    /// Consume the current token. The parser never looks back, so a
+    /// consumed token is moved out rather than copied; the last one (the
+    /// end of input) stays for `peek`.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.at].0.clone();
         if self.at + 1 < self.tokens.len() {
             self.at += 1;
+            std::mem::replace(&mut self.tokens[self.at - 1].0, Token::Eof)
+        } else {
+            self.tokens[self.at].0.clone()
         }
-        t
     }
 
     fn error(&self, message: String) -> ModelError {

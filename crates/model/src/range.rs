@@ -250,21 +250,26 @@ pub fn extract_qualified_ranges(pred: &Expr, var: &str) -> Vec<FieldRange> {
 }
 
 fn extract_ranges(pred: &Expr, var: Option<&str>, allow_bare: bool) -> Vec<FieldRange> {
-    let mut ranges: std::collections::BTreeMap<&str, ValueRange> =
-        std::collections::BTreeMap::new();
     fn member<'a>(e: &'a Expr, var: Option<&str>, allow_bare: bool) -> Option<&'a str> {
         match member_of(e, var) {
             Some(f) if allow_bare || matches!(e, Expr::Path(..)) => Some(f),
             _ => None,
         }
     }
-    for c in pred.conjuncts() {
-        let Expr::Binary(op, l, r) = c else { continue };
+    /// Narrow `ranges` (sorted by field) by each top-level `&&` conjunct
+    /// of `e`, left to right.
+    fn narrow(e: &Expr, var: Option<&str>, allow_bare: bool, ranges: &mut Vec<FieldRange>) {
+        let Expr::Binary(op, l, r) = e else { return };
+        if *op == BinOp::And {
+            narrow(l, var, allow_bare, ranges);
+            narrow(r, var, allow_bare, ranges);
+            return;
+        }
         if !matches!(
             op,
             BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
         ) {
-            continue;
+            return;
         }
         let (field, op, v) = if let (Some(f), Some(v)) = (member(l, var, allow_bare), literal_of(r))
         {
@@ -272,21 +277,23 @@ fn extract_ranges(pred: &Expr, var: Option<&str>, allow_bare: bool) -> Vec<Field
         } else if let (Some(v), Some(f)) = (literal_of(l), member(r, var, allow_bare)) {
             (f, flip(*op), v)
         } else {
-            continue;
+            return;
         };
-        ranges
-            .entry(field)
-            .or_insert_with(ValueRange::full)
-            .narrow(op, &v);
+        let at = match ranges.binary_search_by(|r| r.field.as_str().cmp(field)) {
+            Ok(at) => at,
+            Err(at) => {
+                let range = ValueRange::full();
+                let field = field.to_string();
+                ranges.insert(at, FieldRange { field, range });
+                at
+            }
+        };
+        ranges[at].range.narrow(op, &v);
     }
+    let mut ranges = Vec::new();
+    narrow(pred, var, allow_bare, &mut ranges);
+    ranges.retain(|r| !r.range.is_full());
     ranges
-        .into_iter()
-        .filter(|(_, r)| !r.is_full())
-        .map(|(field, range)| FieldRange {
-            field: field.to_string(),
-            range,
-        })
-        .collect()
 }
 
 /// The one rule choosing which extracted range an index probe answers a

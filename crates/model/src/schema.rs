@@ -23,6 +23,9 @@ use crate::error::{ModelError, Result};
 use crate::parser::parse_expr;
 use crate::value::{ObjState, Value};
 
+/// Slot-table entry of a class that has no such member.
+pub(crate) const NO_SLOT: u32 = u32::MAX;
+
 /// Signature of a registered method (an O++ member function): receives the
 /// object's state and evaluated arguments, returns a value.
 pub type MethodFn = Arc<dyn Fn(&ObjState, &[Value]) -> Result<Value> + Send + Sync>;
@@ -35,6 +38,11 @@ pub struct Schema {
     /// Direct subclasses (inverse of `bases`).
     derived: HashMap<ClassId, Vec<ClassId>>,
     methods: HashMap<(ClassId, String), MethodFn>,
+    /// Each member name → its slot in every class's layout, indexed by
+    /// class id ([`NO_SLOT`] where a class lacks it): the table the binder
+    /// resolves a field to, built once per `define` rather than once per
+    /// bound expression.
+    members: HashMap<Arc<str>, Arc<[u32]>>,
 }
 
 impl std::fmt::Debug for Schema {
@@ -227,7 +235,35 @@ impl Schema {
         }
         self.by_name.insert(builder.name, id);
         self.classes.push(def);
+        self.members = self.member_slots();
         Ok(id)
+    }
+
+    /// Every member name with its slot table over the classes defined so
+    /// far.
+    fn member_slots(&self) -> HashMap<Arc<str>, Arc<[u32]>> {
+        let names: std::collections::BTreeSet<&str> = self
+            .classes
+            .iter()
+            .flat_map(|c| c.layout.iter().map(|f| f.name.as_str()))
+            .collect();
+        names
+            .into_iter()
+            .map(|name| (Arc::from(name), self.slots_of(name)))
+            .collect()
+    }
+
+    /// The slot of member `name` in every class's layout, indexed by class
+    /// id; [`NO_SLOT`] where a class has no such member.
+    pub(crate) fn slots_of(&self, name: &str) -> Arc<[u32]> {
+        let slot = |c: &ClassDef| c.layout.iter().position(|f| f.name == name);
+        let slots = self.classes.iter().map(slot);
+        slots.map(|s| s.map_or(NO_SLOT, |i| i as u32)).collect()
+    }
+
+    /// The name and slot table of member `name`, if some class has it.
+    pub(crate) fn member(&self, name: &str) -> Option<(&Arc<str>, &Arc<[u32]>)> {
+        self.members.get_key_value(name)
     }
 
     /// Bare identifiers in constraint/trigger expressions must name layout

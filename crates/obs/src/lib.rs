@@ -639,9 +639,10 @@ family! {
         deep_extent_scans: Counter "Passes that enumerated a deep extent";
         fixpoint_rounds: Counter "Fixpoint re-evaluation rounds";
         fixpoint_new_objects: Counter "Newly visited objects across fixpoint rounds";
-        /// Extent scans borrow overlay states, so this stays near zero
-        /// under scan-heavy load.
-        overlay_clones: Counter "Write-set states cloned into query results (index-probe fold-in only)";
+        /// Counts write-set entries an index probe tested besides its
+        /// hits (a point key reads only its key map's bucket); each is
+        /// borrowed in place, never cloned.
+        overlay_clones: Counter "Write-set entries folded into index-probe results";
     }
 }
 
@@ -869,6 +870,17 @@ impl QueryProfile {
         self.fixpoint_rounds += other.fixpoint_rounds;
         self.fixpoint_new_by_round
             .extend_from_slice(&other.fixpoint_new_by_round);
+    }
+
+    /// [`QueryProfile::absorb`] a pass the caller is done with: its target,
+    /// strategy and levels move in rather than being copied.
+    pub fn absorb_owned(&mut self, mut other: QueryProfile) {
+        if self.target.is_empty() {
+            self.target = std::mem::take(&mut other.target);
+            self.strategy = std::mem::take(&mut other.strategy);
+            self.levels = std::mem::take(&mut other.levels);
+        }
+        self.absorb(&other);
     }
 
     /// `(column, value)` rows for tabular display (`explain` output).

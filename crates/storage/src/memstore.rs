@@ -4,9 +4,11 @@
 //! reserve/commit protocol and stable record-id scan order — with plain
 //! maps behind a reader-writer lock, so concurrent readers share access
 //! just as they do on the striped file store. Record ids are synthesized
-//! from a per-heap counter.
+//! from a per-heap counter. A reserved slot is kept apart from the
+//! committed records, so a scan walks only what it returns, however many
+//! slots open transactions hold.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
@@ -15,15 +17,13 @@ use crate::error::{Result, StorageError};
 use crate::heap::{RecordId, MAX_PAYLOAD};
 use crate::store::{HeapId, Store, StoreOp, StoreStats};
 
-#[derive(Clone)]
-enum Rec {
-    Reserved,
-    Data(Vec<u8>),
-}
-
 #[derive(Default)]
 struct Heap {
-    records: BTreeMap<RecordId, Rec>,
+    /// Committed records, in the rid order scans return them.
+    records: BTreeMap<RecordId, Vec<u8>>,
+    /// Reserved slots no commit has written yet: unreadable, and not in
+    /// `records`, so scans never pass them.
+    reserved: HashSet<RecordId>,
     next: u64,
 }
 
@@ -99,7 +99,7 @@ impl Store for MemStore {
             .get_mut(&heap)
             .ok_or(StorageError::NoSuchHeap(heap))?;
         let rid = h.fresh_rid();
-        h.records.insert(rid, Rec::Reserved);
+        h.reserved.insert(rid);
         Ok(rid)
     }
 
@@ -109,14 +109,12 @@ impl Store for MemStore {
             .heaps
             .get_mut(&heap)
             .ok_or(StorageError::NoSuchHeap(heap))?;
-        match h.records.get(&rid) {
-            Some(Rec::Reserved) => {
-                h.records.remove(&rid);
-                Ok(())
-            }
-            _ => Err(StorageError::Internal(format!(
+        if h.reserved.remove(&rid) {
+            Ok(())
+        } else {
+            Err(StorageError::Internal(format!(
                 "release of non-reserved record {rid}"
-            ))),
+            )))
         }
     }
 
@@ -126,8 +124,8 @@ impl Store for MemStore {
         let g = self.inner.read();
         let h = g.heaps.get(&heap).ok_or(StorageError::NoSuchHeap(heap))?;
         match h.records.get(&rid) {
-            Some(Rec::Data(d)) => Ok(d.clone()),
-            _ => Err(StorageError::NoSuchRecord {
+            Some(d) => Ok(d.clone()),
+            None => Err(StorageError::NoSuchRecord {
                 heap,
                 page: rid.page,
                 slot: rid.slot,
@@ -166,10 +164,12 @@ impl Store for MemStore {
                     if linear >= h.next {
                         h.next = linear + 1;
                     }
-                    h.records.insert(rid, Rec::Data(data));
+                    h.reserved.remove(&rid);
+                    h.records.insert(rid, data);
                 }
                 StoreOp::Delete { heap, rid } => {
                     let h = g.heaps.get_mut(&heap).expect("validated");
+                    h.reserved.remove(&rid);
                     h.records.remove(&rid);
                 }
             }
@@ -208,12 +208,7 @@ impl Store for MemStore {
                         .records
                         .range((std::ops::Bound::Excluded(last), std::ops::Bound::Unbounded)),
                 };
-                let chunk = range
-                    .filter_map(|(rid, rec)| match rec {
-                        Rec::Data(d) => Some((*rid, d)),
-                        Rec::Reserved => None,
-                    })
-                    .take(SCAN_CHUNK);
+                let chunk = range.map(|(rid, d)| (*rid, d)).take(SCAN_CHUNK);
                 let (n, len) = chunk
                     .clone()
                     .fold((0, 0), |(n, len), (_, d)| (n + 1, len + d.len()));
@@ -330,6 +325,50 @@ mod tests {
             })
             .unwrap();
         assert_eq!(seen, vec![(a, b"a".to_vec()), (b, b"b".to_vec())]);
+    }
+
+    #[test]
+    fn scans_pass_no_reservation_and_see_committed_ones() {
+        let store = MemStore::new();
+        let heap = store.create_heap().unwrap();
+        let reserved: Vec<RecordId> = (0..1000).map(|_| store.reserve(heap, 8).unwrap()).collect();
+        let kept = store.reserve(heap, 8).unwrap();
+        store
+            .commit(vec![StoreOp::Put {
+                heap,
+                rid: kept,
+                data: b"k".to_vec(),
+            }])
+            .unwrap();
+        let scan = || {
+            let mut seen = Vec::new();
+            store
+                .scan(heap, &mut |rid, d| {
+                    seen.push((rid, d.to_vec()));
+                    Ok(true)
+                })
+                .unwrap();
+            seen
+        };
+        assert_eq!(scan(), vec![(kept, b"k".to_vec())]);
+        // A reservation stays unreadable and releasable until a commit
+        // writes it; then it is an ordinary record.
+        assert!(store.read(heap, reserved[0]).is_err());
+        store.release(heap, reserved[1]).unwrap();
+        assert!(store.release(heap, reserved[1]).is_err());
+        store
+            .commit(vec![StoreOp::Put {
+                heap,
+                rid: reserved[0],
+                data: b"r".to_vec(),
+            }])
+            .unwrap();
+        assert_eq!(store.read(heap, reserved[0]).unwrap(), b"r");
+        assert!(store.release(heap, reserved[0]).is_err());
+        assert_eq!(
+            scan(),
+            vec![(reserved[0], b"r".to_vec()), (kept, b"k".to_vec())]
+        );
     }
 
     #[test]
