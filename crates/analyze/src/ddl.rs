@@ -30,7 +30,7 @@ pub fn analyze_class(schema: &Schema, class: ClassId) -> Vec<Diagnostic> {
         return diags;
     };
     for (_, cons) in &constraints {
-        let scope = Scope::for_this(class, false);
+        let scope = Scope::for_this(class, None);
         let ty = infer::infer(schema, &scope, &cons.src, &cons.expr, &mut diags);
         if !ty.is_boolish() {
             diags.push(Diagnostic::new(
@@ -53,7 +53,7 @@ pub fn analyze_class(schema: &Schema, class: ClassId) -> Vec<Diagnostic> {
         return diags;
     };
     for (_, trig) in &triggers {
-        let scope = Scope::for_this(class, true);
+        let scope = Scope::for_this(class, Some(&trig.params));
         let ty = infer::infer(
             schema,
             &scope,

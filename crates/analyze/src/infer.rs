@@ -139,11 +139,12 @@ impl SType {
 
 /// Name-resolution context for one expression: the loop variables in
 /// scope, the implicit `this` class (single-binding queries, constraint
-/// and trigger bodies), and whether `$param`s are legal here.
+/// and trigger bodies), and the `$param`s declared here (`None` outside
+/// a trigger body).
 pub(crate) struct Scope<'a> {
     vars: Vec<(&'a str, ClassId)>,
     this_class: Option<ClassId>,
-    params_ok: bool,
+    params: Option<&'a [String]>,
 }
 
 impl<'a> Scope<'a> {
@@ -162,17 +163,18 @@ impl<'a> Scope<'a> {
         Some(Scope {
             vars,
             this_class,
-            params_ok: false,
+            params: None,
         })
     }
 
-    /// Scope with an implicit `this` of `class`: constraint expressions,
-    /// trigger conditions/actions (`params_ok` allows `$arg`s there).
-    pub(crate) fn for_this(class: ClassId, params_ok: bool) -> Scope<'a> {
+    /// Scope with an implicit `this` of `class`: constraint expressions
+    /// (`params` is `None`), trigger conditions/actions (`params` names
+    /// the trigger's declared `$arg`s).
+    pub(crate) fn for_this(class: ClassId, params: Option<&'a [String]>) -> Scope<'a> {
         Scope {
             vars: Vec::new(),
             this_class: Some(class),
-            params_ok,
+            params,
         }
     }
 
@@ -181,7 +183,7 @@ impl<'a> Scope<'a> {
         Scope {
             vars: Vec::new(),
             this_class: None,
-            params_ok: false,
+            params: None,
         }
     }
 
@@ -239,22 +241,16 @@ pub(crate) fn infer(
             SType::Any
         }
         Expr::Param(name) => {
-            if scope.params_ok {
-                SType::Any
-            } else {
-                diags.push(
-                    Diagnostic::new(
-                        A004,
-                        Severity::Error,
-                        format!(
-                            "activation parameter `${name}` is only available \
-                             in trigger bodies, not in queries"
-                        ),
-                    )
-                    .locate(src, name),
-                );
-                SType::Any
-            }
+            let message = match scope.params {
+                Some(params) if params.contains(name) => return SType::Any,
+                Some(_) => format!("`${name}` is not a parameter of this trigger"),
+                None => format!(
+                    "activation parameter `${name}` is only available \
+                     in trigger bodies, not in queries"
+                ),
+            };
+            diags.push(Diagnostic::new(A004, Severity::Error, message).locate(src, name));
+            SType::Any
         }
         Expr::Path(base, member) => {
             let base_ty = infer(schema, scope, src, base, diags);

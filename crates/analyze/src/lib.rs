@@ -41,7 +41,9 @@ mod sat;
 use std::collections::HashSet;
 use std::fmt;
 
-use ode_model::{Binding, ClassId, Expr, QueryStmt, Schema, Statement};
+use ode_model::{
+    extract_field_ranges, probe_range, Binding, ClassId, Expr, QueryStmt, Schema, Statement,
+};
 
 pub use ddl::{analyze_class, check_fixpoint_body};
 pub use footprint::{footprint_of, ClusterAccess, Footprint};
@@ -403,12 +405,13 @@ fn check_assignment(
     }
 }
 
-/// A102: a single-binding query with an equality conjunct against a
-/// literal on a member, where no such member is indexed — the query will
-/// scan its extent. Cross-referenced with `explain`'s plan strategy, which
-/// would show `deep extent scan` for the same statement. A join is not
-/// flagged: it hash-builds an inner binding on an equality key, index or
-/// not.
+/// A102: a single-binding query with an equality conjunct on a member
+/// whose plan is an extent scan: the binding is `only` (an index covers
+/// the deep extent, so a shallow query never probes one), or no extracted
+/// range is on an indexed member. The rule is the planner's own
+/// ([`probe_range`] over [`extract_field_ranges`]), so the lint fires
+/// exactly when `explain` shows an extent scan. A join is not flagged: it
+/// hash-builds an inner binding on an equality key, index or not.
 fn lint_unindexed(
     schema: &Schema,
     catalog: &CatalogView,
@@ -420,31 +423,32 @@ fn lint_unindexed(
     let [b] = bindings else {
         return;
     };
-    let (var, class) = (&b.var, &b.cluster);
-    let Ok(def) = schema.class_by_name(class) else {
+    let Ok(def) = schema.class_by_name(&b.cluster) else {
         return;
     };
-    let eq_members = sat::equality_members(pred, var, def);
-    if eq_members
+    let ranges = extract_field_ranges(pred, Some(&b.var));
+    let Some(eq) = ranges
         .iter()
-        .any(|f| catalog.is_indexed(def.id, f.as_str()))
-    {
+        .find(|r| r.range.is_probe_point() && def.field(&r.field).is_ok())
+    else {
+        return;
+    };
+    if b.deep && probe_range(&ranges, |f| catalog.is_indexed(def.id, f)).is_some() {
         return;
     }
-    let Some(field) = eq_members.first() else {
-        return;
-    };
-    diags.push(
-        Diagnostic::new(
-            A102,
-            Severity::Warning,
-            format!(
-                "equality on `{class}.{field}` has no index; the query will scan the extent \
-                 (`explain` shows the plan, `create index {class} {field}` would probe)"
-            ),
+    let (class, field) = (&b.cluster, &eq.field);
+    let message = if b.deep {
+        format!(
+            "equality on `{class}.{field}` has no index; the query will scan the extent \
+             (`explain` shows the plan, `create index {class} {field}` would probe)"
         )
-        .locate(src, field),
-    );
+    } else {
+        format!(
+            "equality on `{class}.{field}`: a query over `only {class}` never probes an \
+             index; it scans the extent (`explain` shows the plan)"
+        )
+    };
+    diags.push(Diagnostic::new(A102, Severity::Warning, message).locate(src, field));
 }
 
 /// Drop exact-duplicate diagnostics (the same unresolved name reported

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use ode_model::{BinOp, ClassDef, Expr, Value};
+use ode_model::{BinOp, Expr, Value};
 
 use crate::{Diagnostic, Severity, A008, A101};
 
@@ -210,24 +210,4 @@ pub(crate) fn check_constraints_satisfiable<'a>(
             ),
         ));
     }
-}
-
-/// Members of the (single) binding's class that appear in an equality
-/// conjunct against a literal — the index-worthy shape the A102 lint
-/// looks for. `var` is the loop variable, `def` the binding's class.
-pub(crate) fn equality_members(pred: &Expr, var: &str, def: &ClassDef) -> Vec<String> {
-    let mut out = Vec::new();
-    for c in pred.conjuncts() {
-        if let Some((key, BinOp::Eq, _)) = range_conjunct(c) {
-            let field = match key.split_once('.') {
-                Some((v, f)) if v == var => f.to_string(),
-                Some(_) => continue,
-                None => key,
-            };
-            if def.field(&field).is_ok() && !out.contains(&field) {
-                out.push(field);
-            }
-        }
-    }
-    out
 }

@@ -293,7 +293,7 @@ fn unsatisfiable_suchthat_is_a101() {
 #[test]
 fn unindexed_equality_is_a102_only_without_an_index() {
     let s = fixture();
-    let b = bindings(&[("s", "stockitem")]);
+    let b = [binding("s", "stockitem", true)];
     let pred = parse_expr("quantity == 7").unwrap();
     let stmt = forall(&b, Some(&pred), None);
     let empty = CatalogView::default();
@@ -307,6 +307,12 @@ fn unindexed_equality_is_a102_only_without_an_index() {
         .insert((s.id_of("stockitem").unwrap(), "quantity".to_string()));
     let diags = analyze_stmt(&s, Some(&indexed), "quantity == 7", &stmt);
     assert!(diags.is_empty(), "{diags:?}");
+
+    // An `only` query never probes an index, so it warns with one too.
+    let only = forall(&[binding("s", "stockitem", false)], Some(&pred), None);
+    let diags = analyze_stmt(&s, Some(&indexed), "quantity == 7", &only);
+    assert_eq!(codes(&diags), vec![A102]);
+    assert!(diags[0].message.contains("only stockitem"), "{diags:?}");
 
     // Without a catalog (pure schema checking) the lint is off.
     let diags = analyze_stmt(&s, None, "quantity == 7", &stmt);
@@ -418,6 +424,24 @@ fn self_resatisfying_perpetual_trigger_is_a201() {
         )
         .unwrap();
     assert!(analyze_class(&s, id).is_empty());
+}
+
+#[test]
+fn undeclared_trigger_param_is_a004() {
+    let mut s = Schema::new();
+    let id = s
+        .define(
+            ClassBuilder::new("stock")
+                .field_default("qty", Type::Int, 0i64)
+                .field_default("on_order", Type::Int, 0i64)
+                .trigger("low", &["n"], true, "qty < $ghost")
+                .action_assign("on_order", "$n + $other"),
+        )
+        .unwrap();
+    let diags = analyze_class(&s, id);
+    assert_eq!(codes(&diags), vec![A004, A004], "{diags:?}");
+    assert!(diags[0].message.contains("`$ghost`"), "{diags:?}");
+    assert!(diags[1].message.contains("`$other`"), "{diags:?}");
 }
 
 #[test]

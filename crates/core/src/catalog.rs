@@ -9,7 +9,6 @@
 
 use ode_model::encode::{read_value, write_value, Reader, Writer};
 use ode_model::{ModelError, Oid, Value};
-use ode_obs::WorkStatRow;
 use ode_storage::RecordId;
 use std::collections::HashMap;
 
@@ -23,6 +22,8 @@ const K_CLASS: u8 = 1;
 const K_CLUSTER: u8 = 2;
 const K_INDEX: u8 = 3;
 const K_ACTIVATION: u8 = 4;
+/// Retired: older stores kept workload counters under this tag. Replay
+/// skips such a record, and the tag is never reused.
 const K_STATS: u8 = 5;
 const K_PENDING: u8 = 6;
 
@@ -56,11 +57,6 @@ pub enum CatalogRecord {
         /// Activation arguments, bound to the declaration's parameters.
         args: Vec<Value>,
     },
-    /// Accumulated workload statistics (per-cluster / per-index read,
-    /// write, and scan counters), written at checkpoint time so the
-    /// counters survive restarts. At most one lives in the catalog; it is
-    /// updated in place (same rid) on every checkpoint.
-    Stats(Vec<WorkStatRow>),
     /// One fired-trigger event awaiting the decoupled scheduler. Each
     /// event is its own record (a 100k-trigger storm must not be bounded
     /// by the max record size): enqueueing puts the record and
@@ -108,18 +104,6 @@ impl CatalogRecord {
                 out.extend_from_slice(&w.finish());
                 out
             }
-            CatalogRecord::Stats(rows) => {
-                let mut out = vec![K_STATS];
-                write_value(&mut w, &Value::Int(rows.len() as i64));
-                for row in rows {
-                    write_value(&mut w, &Value::Str(row.key.clone()));
-                    write_value(&mut w, &Value::Int(row.reads as i64));
-                    write_value(&mut w, &Value::Int(row.writes as i64));
-                    write_value(&mut w, &Value::Int(row.scans as i64));
-                }
-                out.extend_from_slice(&w.finish());
-                out
-            }
             CatalogRecord::Pending(e) => {
                 let mut out = vec![K_PENDING];
                 write_value(&mut w, &Value::Int(e.id as i64));
@@ -134,8 +118,9 @@ impl CatalogRecord {
         }
     }
 
-    /// Deserialize from the catalog heap.
-    pub fn decode(bytes: &[u8]) -> Result<CatalogRecord> {
+    /// Deserialize from the catalog heap. A record of a retired kind is
+    /// `None`: replay passes over it.
+    pub fn decode(bytes: &[u8]) -> Result<Option<CatalogRecord>> {
         let Some((&kind, rest)) = bytes.split_first() else {
             return Err(ModelError::Decode("empty catalog record".into()).into());
         };
@@ -173,23 +158,7 @@ impl CatalogRecord {
                     args,
                 }
             }
-            K_STATS => {
-                let count = read_value(&mut r)?.as_int()? as usize;
-                let mut rows = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let key = read_value(&mut r)?.as_str()?.to_string();
-                    let reads = read_value(&mut r)?.as_int()? as u64;
-                    let writes = read_value(&mut r)?.as_int()? as u64;
-                    let scans = read_value(&mut r)?.as_int()? as u64;
-                    rows.push(WorkStatRow {
-                        key,
-                        reads,
-                        writes,
-                        scans,
-                    });
-                }
-                CatalogRecord::Stats(rows)
-            }
+            K_STATS => return Ok(None),
             K_PENDING => {
                 let id = read_value(&mut r)?.as_int()? as u64;
                 let activation = read_value(&mut r)?.as_int()? as u64;
@@ -213,7 +182,7 @@ impl CatalogRecord {
             }
             other => return Err(ModelError::Decode(format!("unknown catalog kind {other}")).into()),
         };
-        Ok(rec)
+        Ok(Some(rec))
     }
 }
 
@@ -229,9 +198,6 @@ pub struct CatalogState {
     pub index_rids: HashMap<(String, String), RecordId>,
     /// activation id → rid of the activation record.
     pub activation_rids: HashMap<u64, RecordId>,
-    /// rid of the (single) workload-statistics record, if one has been
-    /// checkpointed.
-    pub stats_rid: Option<RecordId>,
 }
 
 #[cfg(test)]
@@ -264,21 +230,6 @@ mod tests {
                 trigger: "reorder".into(),
                 args: vec![Value::Int(10), Value::Str("rush".into())],
             },
-            CatalogRecord::Stats(vec![
-                WorkStatRow {
-                    key: "cluster:stockitem".into(),
-                    reads: 100,
-                    writes: 20,
-                    scans: 3,
-                },
-                WorkStatRow {
-                    key: "index:stockitem.supplier".into(),
-                    reads: 7,
-                    writes: 0,
-                    scans: 0,
-                },
-            ]),
-            CatalogRecord::Stats(Vec::new()),
             CatalogRecord::Pending(PendingEvent {
                 id: 12,
                 activation: 99,
@@ -298,8 +249,23 @@ mod tests {
         ];
         for rec in records {
             let bytes = rec.encode();
-            assert_eq!(CatalogRecord::decode(&bytes).unwrap(), rec);
+            assert_eq!(CatalogRecord::decode(&bytes).unwrap(), Some(rec));
         }
+    }
+
+    #[test]
+    fn retired_stats_record_decodes_to_nothing() {
+        // An older store's workload-statistics record: a row count, then
+        // (key, reads, writes, scans) per row.
+        let mut w = Writer::new();
+        write_value(&mut w, &Value::Int(1));
+        write_value(&mut w, &Value::Str("cluster:stockitem".into()));
+        for n in [100, 20, 3] {
+            write_value(&mut w, &Value::Int(n));
+        }
+        let mut bytes = vec![K_STATS];
+        bytes.extend_from_slice(&w.finish());
+        assert_eq!(CatalogRecord::decode(&bytes).unwrap(), None);
     }
 
     #[test]

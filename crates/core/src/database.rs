@@ -40,8 +40,7 @@ use ode_model::{
 };
 use ode_obs::{
     EngineTelemetry, FlightRecorder, PlanStrategy, QueryProfile, SlowQueryLog, SpanStage,
-    StorageSnapshot, TelemetrySnapshot, WorkStat, WorkStatRow, WorkloadStats,
-    DEFAULT_FLIGHT_CAPACITY, DEFAULT_SLOW_THRESHOLD_NS,
+    StorageSnapshot, TelemetrySnapshot, DEFAULT_FLIGHT_CAPACITY, DEFAULT_SLOW_THRESHOLD_NS,
 };
 use ode_storage::{CommitTicket, FileStore, MemStore, RecordId, Store, StoreOp, StoreStats};
 
@@ -149,8 +148,6 @@ pub(crate) struct Layout {
     pub schema: Schema,
     /// class → cluster heap (a cluster is a type extent, §2.5).
     pub clusters: HashMap<ClassId, u32>,
-    /// cluster heap → its cluster.
-    pub by_heap: HashMap<u32, Cluster>,
     /// The schema's constraints and trigger bodies, bound.
     rules: LazyRules,
     /// Each class's extents, worked out on first use.
@@ -178,24 +175,6 @@ struct LazyExtents(OnceLock<Box<[[OnceLock<Extent>; 2]]>>);
 impl Clone for LazyExtents {
     fn clone(&self) -> Self {
         LazyExtents::default()
-    }
-}
-
-/// One cluster: its class and, from its first committed write on, the
-/// class's workload counters (`cluster:<class>`), kept so a commit counts
-/// its writes without building a key.
-#[derive(Clone)]
-pub(crate) struct Cluster {
-    class: ClassId,
-    stats: OnceLock<Arc<WorkStat>>,
-}
-
-impl Cluster {
-    fn new(class: ClassId) -> Cluster {
-        Cluster {
-            class,
-            stats: OnceLock::new(),
-        }
     }
 }
 
@@ -443,9 +422,6 @@ pub struct Database {
     /// Always-on flight recorder: the last N structured spans, ring-
     /// buffered in bounded memory, dumpable on panic or via `.trace`.
     pub(crate) flight: Arc<FlightRecorder>,
-    /// Per-cluster / per-index read/write/scan counters, persisted into
-    /// the catalog at checkpoint time.
-    pub(crate) workstats: WorkloadStats,
     /// Statements slower than the configured threshold, with their plans
     /// and per-stage span timings.
     pub(crate) slowlog: SlowQueryLog,
@@ -482,7 +458,6 @@ impl Database {
     /// Build a database over any store implementation.
     pub fn from_store(store: Arc<dyn Store>, config: DbConfig) -> Result<Database> {
         let flight = Arc::new(FlightRecorder::with_capacity(config.flight_capacity));
-        let workstats = WorkloadStats::new();
         // Recovery runs before any request exists, so its span belongs to
         // the background (zero) trace.
         let mut recovery_span = flight.span(SpanStage::Recovery, "catalog replay");
@@ -517,7 +492,10 @@ impl Database {
         let mut replayed = 0usize;
         for (rid, bytes) in records {
             replayed += 1;
-            match CatalogRecord::decode(&bytes)? {
+            let Some(record) = CatalogRecord::decode(&bytes)? else {
+                continue;
+            };
+            match record {
                 CatalogRecord::Class(class_bytes) => {
                     let builder = decode_class(&class_bytes)?;
                     let name = builder.name().to_string();
@@ -527,7 +505,6 @@ impl Database {
                 CatalogRecord::Cluster { class_name, heap } => {
                     let class = layout.schema.id_of(&class_name)?;
                     layout.clusters.insert(class, heap);
-                    layout.by_heap.insert(heap, Cluster::new(class));
                     inner.catalog.cluster_rids.insert(class_name, rid);
                 }
                 CatalogRecord::Index { class_name, field } => {
@@ -553,12 +530,6 @@ impl Database {
                     );
                     inner.activations_by_oid.entry(oid).or_default().push(id);
                     inner.catalog.activation_rids.insert(id, rid);
-                }
-                CatalogRecord::Stats(rows) => {
-                    for row in &rows {
-                        workstats.absorb(row);
-                    }
-                    inner.catalog.stats_rid = Some(rid);
                 }
                 CatalogRecord::Pending(e) => {
                     max_event = max_event.max(e.id);
@@ -610,7 +581,6 @@ impl Database {
             config,
             tel,
             flight,
-            workstats,
             profiles: RwLock::ranked(rank::PROFILES, HashMap::new()),
             next_txn_serial: AtomicU64::new(1),
         })
@@ -664,7 +634,7 @@ impl Database {
         let name = builder.name().to_string();
         let id = layout.schema.define(builder)?;
         let bytes = encode_class(&layout.schema, layout.schema.class(id)?)?;
-        let rid = self.put_catalog(None, CatalogRecord::Class(bytes))?;
+        let rid = self.put_catalog(CatalogRecord::Class(bytes))?;
         let mut inner = self.inner.write();
         inner.layout = Arc::new(layout);
         inner.catalog.class_rids.insert(name, rid);
@@ -691,15 +661,11 @@ impl Database {
         }
         let class = layout.schema.id_of(class_name)?;
         let heap = self.store.create_heap()?;
-        let rid = self.put_catalog(
-            None,
-            CatalogRecord::Cluster {
-                class_name: class_name.to_string(),
-                heap,
-            },
-        )?;
+        let rid = self.put_catalog(CatalogRecord::Cluster {
+            class_name: class_name.to_string(),
+            heap,
+        })?;
         layout.clusters.insert(class, heap);
-        layout.by_heap.insert(heap, Cluster::new(class));
         let mut inner = self.inner.write();
         inner.layout = Arc::new(layout);
         inner
@@ -729,7 +695,6 @@ impl Database {
         let Some(heap) = layout.clusters.remove(&class) else {
             return Err(OdeError::NoSuchCluster(class_name.to_string()));
         };
-        layout.by_heap.remove(&heap);
         // Catalog updates: drop the cluster record and activation records
         // of subjects in this cluster. Nothing else changes `inner` while
         // the window is open, so what is read here still holds at the swap.
@@ -806,13 +771,10 @@ impl Database {
             return Ok(());
         }
         let class = layout.schema.id_of(class_name)?;
-        let rid = self.put_catalog(
-            None,
-            CatalogRecord::Index {
-                class_name: class_name.to_string(),
-                field: field.to_string(),
-            },
-        )?;
+        let rid = self.put_catalog(CatalogRecord::Index {
+            class_name: class_name.to_string(),
+            field: field.to_string(),
+        })?;
         let ix = build_index(self.store.as_ref(), &layout, class, field)?;
         let mut inner = self.inner.write();
         inner
@@ -823,14 +785,11 @@ impl Database {
         Ok(())
     }
 
-    /// Write one catalog record in its own store batch — at `rid`, or at a
-    /// freshly reserved one — and return where it landed.
-    fn put_catalog(&self, rid: Option<RecordId>, rec: CatalogRecord) -> Result<RecordId> {
+    /// Write one catalog record in its own store batch at a freshly
+    /// reserved rid, and return where it landed.
+    fn put_catalog(&self, rec: CatalogRecord) -> Result<RecordId> {
         let data = rec.encode();
-        let rid = match rid {
-            Some(rid) => rid,
-            None => self.store.reserve(CATALOG_HEAP, data.len())?,
-        };
+        let rid = self.store.reserve(CATALOG_HEAP, data.len())?;
         self.store.commit(vec![StoreOp::Put {
             heap: CATALOG_HEAP,
             rid,
@@ -1378,62 +1337,12 @@ impl Database {
         &self.slowlog
     }
 
-    /// Accumulated per-cluster / per-index workload counters, sorted by
-    /// key (`cluster:<class>` / `index:<class>.<field>`). Persisted into
-    /// the catalog at every checkpoint, so they survive restarts.
-    pub fn workload_stats(&self) -> Vec<WorkStatRow> {
-        self.workstats.snapshot()
-    }
-
-    /// The workload counters of the cluster in `heap` (`cluster:<class>`),
-    /// registered on first use and then read through the layout's handle.
-    fn cluster_stats<'l>(&self, layout: &'l Layout, heap: u32) -> Option<&'l Arc<WorkStat>> {
-        let cluster = layout.by_heap.get(&heap)?;
-        let def = layout.schema.class(cluster.class).ok()?;
-        Some(
-            cluster
-                .stats
-                .get_or_init(|| self.workstats.entry(&format!("cluster:{}", def.name))),
-        )
-    }
-
-    /// Count `n` records a commit wrote into cluster `heap` (applied only
-    /// after the store commit succeeded).
-    pub(crate) fn note_cluster_writes(&self, layout: &Layout, heap: u32, n: u64) {
-        if let Some(stats) = self.cluster_stats(layout, heap) {
-            stats.writes.add(n);
-        }
-    }
-
-    /// Count one query pass over `class`'s extent that read `reads`
-    /// objects. A class with no cluster of its own has no cached handle
-    /// and is counted by key.
-    pub(crate) fn note_class_scan(&self, layout: &Layout, class: ClassId, reads: u64) {
-        let count = |stats: &WorkStat| {
-            stats.scans.inc();
-            stats.reads.add(reads);
-        };
-        match layout.clusters.get(&class) {
-            Some(&heap) => {
-                if let Some(stats) = self.cluster_stats(layout, heap) {
-                    count(stats);
-                }
-            }
-            None => {
-                if let Ok(def) = layout.schema.class(class) {
-                    count(&self.workstats.entry(&format!("cluster:{}", def.name)));
-                }
-            }
-        }
-    }
-
     /// Drop cached pages (benchmarks: cold-cache runs).
     pub fn clear_cache(&self) -> Result<()> {
         Ok(self.store.clear_cache()?)
     }
 
-    /// Flush everything and truncate the WAL. Also persists the workload
-    /// statistics counters into the catalog so they survive restarts.
+    /// Flush everything and truncate the WAL.
     ///
     /// Safe to call concurrently with committing writers: the single-writer
     /// era skipped the transaction gate here, and the multi-writer pipeline
@@ -1449,29 +1358,7 @@ impl Database {
     ///
     /// [`FileStore`]: ode_storage::FileStore
     pub fn checkpoint(&self) -> Result<()> {
-        self.persist_workload_stats()?;
         Ok(self.store.checkpoint()?)
-    }
-
-    /// Write the accumulated workload counters into the catalog's single
-    /// stats record (reserving its rid on first use, updating in place
-    /// thereafter). A no-op when no counter has ever moved.
-    fn persist_workload_stats(&self) -> Result<()> {
-        let rows = self.workstats.snapshot();
-        if rows.is_empty() {
-            return Ok(());
-        }
-        // The apply-gate write lock alone excludes commit publish windows
-        // and DDL, which is all this single-record store commit needs. No
-        // epoch is claimed or bumped: epochs move only through the ordered
-        // claim/publish sequence (DESIGN.md §13), and a snapshot reader
-        // cannot observe this write mid-flight because it holds the apply
-        // gate shared for its whole lifetime.
-        let _apply = self.apply_gate.write();
-        let rid = self.inner.read().catalog.stats_rid;
-        let rid = self.put_catalog(rid, CatalogRecord::Stats(rows))?;
-        self.inner.write().catalog.stats_rid = Some(rid);
-        Ok(())
     }
 
     pub(crate) fn callback(&self, name: &str) -> Result<CallbackFn> {

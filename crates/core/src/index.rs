@@ -19,10 +19,8 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
-use std::sync::{Arc, OnceLock};
 
 use ode_model::{ClassId, Oid, Value, ValueRange};
-use ode_obs::WorkStat;
 
 /// Every declared index, by class and then field, so a probe finds one by
 /// the field's name without building a key.
@@ -33,9 +31,6 @@ pub(crate) struct Indexes(HashMap<ClassId, Vec<FieldIndex>>);
 pub(crate) struct FieldIndex {
     pub field: String,
     pub ix: BTreeIndex,
-    /// Its workload counters (`index:<class>.<field>`), registered by the
-    /// first probe and then read through this handle.
-    pub stats: OnceLock<Arc<WorkStat>>,
 }
 
 impl Indexes {
@@ -48,11 +43,7 @@ impl Indexes {
     pub fn insert(&mut self, class: ClassId, field: String, ix: BTreeIndex) {
         let fields = self.0.entry(class).or_default();
         fields.retain(|f| f.field != field);
-        fields.push(FieldIndex {
-            field,
-            ix,
-            stats: OnceLock::new(),
-        });
+        fields.push(FieldIndex { field, ix });
     }
 
     /// Every `(class, field)` with an index.

@@ -53,7 +53,7 @@ pub use database::{
 pub use error::{OdeError, Result};
 pub use obs::{
     render_spans, FlightRecorder, JoinLevel, LevelAccess, PlanStrategy, QueryProfile, SlowQuery,
-    SlowQueryLog, SpanRecord, SpanStage, TelemetrySnapshot, TraceId, WorkStatRow,
+    SlowQueryLog, SpanRecord, SpanStage, TelemetrySnapshot, TraceId,
 };
 pub use ode_model::{parse_statement, Statement};
 pub use oql::{parse_query, Binding, ExecResult, Executed, QueryRows, QueryStmt};

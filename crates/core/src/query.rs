@@ -40,7 +40,7 @@ use ode_model::{
     bind, extract_field_ranges, parse_expr, probe_range, BinOp, BoundExpr, BoundVar, ClassId, Expr,
     Frame, ObjState, Oid, Resolver, Schema, Scope, SlotMask, Value,
 };
-use ode_obs::{JoinLevel, LevelAccess, PlanStrategy, QueryProfile, SpanStage, WorkStat};
+use ode_obs::{JoinLevel, LevelAccess, PlanStrategy, QueryProfile, SpanStage};
 
 use crate::bucket::{exact_key, Buckets};
 use crate::database::Layout;
@@ -748,16 +748,9 @@ fn bind_object(schema: &Schema, var: Option<&str>, expr: &Expr) -> BoundExpr {
     bind(schema, &scope, expr)
 }
 
-/// Publish one pass's profile over `class` into the database's global
-/// query counters, the class's (and the probed index's) workload counters
+/// Publish one pass's profile into the database's global query counters
 /// and the accumulated per-shape profile buckets.
-fn publish_pass(
-    db: &crate::database::Database,
-    layout: &Layout,
-    class: ClassId,
-    pass: &QueryProfile,
-    index: Option<&WorkStat>,
-) {
+fn publish_pass(db: &crate::database::Database, pass: &QueryProfile) {
     let q = &db.tel.query;
     q.clusters_visited.add(pass.clusters_visited);
     q.objects_scanned.add(pass.objects_scanned);
@@ -765,11 +758,6 @@ fn publish_pass(
     q.index_probes.add(pass.index_probes);
     if pass.strategy == PlanStrategy::DeepExtentScan {
         q.deep_extent_scans.inc();
-    }
-    // Per-cluster / per-index workload counters (persisted at checkpoint).
-    db.note_class_scan(layout, class, pass.objects_scanned);
-    if let Some(index) = index {
-        index.reads.add(pass.index_probes.max(1));
     }
     db.record_query_pass(pass);
 }
@@ -800,18 +788,17 @@ fn candidates<C: ReadContext, R>(
     };
     let result = (|| {
         let class = layout.schema.id_of(&pass.target)?;
-        let (rows, index) = run_pass(tx, layout, class, deep, pred, &mut pass, row)?;
-        Ok((class, rows, index))
+        run_pass(tx, layout, class, deep, pred, &mut pass, row)
     })();
-    let (class, rows, index) = match result {
-        Ok(done) => done,
+    let rows = match result {
+        Ok(rows) => rows,
         Err(e) => {
             span.set_detail(pass.target.clone());
             return Err(e);
         }
     };
     pass.rows = rows.len() as u64;
-    publish_pass(db, layout, class, &pass, index.as_deref());
+    publish_pass(db, &pass);
     span.set_detail(plan_detail(&pass));
     prof.absorb_owned(pass);
     Ok(rows)
@@ -825,10 +812,6 @@ fn plan_detail(pass: &QueryProfile) -> String {
     detail
 }
 
-/// A pass's rows, and the probed index's workload counters if it probed
-/// one.
-type PassRows<R> = (Vec<R>, Option<Arc<WorkStat>>);
-
 /// The work of one [`candidates`] pass, counted into `pass`.
 fn run_pass<C: ReadContext, R>(
     tx: &C,
@@ -838,7 +821,7 @@ fn run_pass<C: ReadContext, R>(
     pred: &Predicate<'_, '_>,
     pass: &mut QueryProfile,
     mut row: impl FnMut(Oid, &ObjState) -> R,
-) -> Result<PassRows<R>> {
+) -> Result<Vec<R>> {
     let db = tx.db();
     let schema = &layout.schema;
     let extent = layout.extent(class, deep);
@@ -854,19 +837,14 @@ fn run_pass<C: ReadContext, R>(
         .source
         .map(|p| extract_field_ranges(p, pred.var))
         .unwrap_or_default();
-    // The probed range's position (its field names the plan), the hits
-    // and the index's workload counters.
-    let probe: Option<(usize, Vec<Oid>, Arc<WorkStat>)> = if deep {
+    // The probed range's position (its field names the plan) and the hits.
+    let probe: Option<(usize, Vec<Oid>)> = if deep {
         let inner = db.inner.read();
         probe_range(&ranges, |f| inner.indexes.get(class, f).is_some()).map(|r| {
             let at = ranges.iter().position(|x| std::ptr::eq(x, r));
             let ix = inner.indexes.get(class, &r.field).expect("just found");
-            let stats = ix.stats.get_or_init(|| {
-                db.workstats
-                    .entry(&format!("index:{}.{}", pass.target, r.field))
-            });
             let at = at.expect("probe_range picks from the list");
-            (at, ix.ix.range(&r.range), Arc::clone(stats))
+            (at, ix.ix.range(&r.range))
         })
     } else {
         None
@@ -916,7 +894,7 @@ fn run_pass<C: ReadContext, R>(
     };
 
     match &probe {
-        Some((_, oids, _)) => {
+        Some((_, oids)) => {
             // The probe answers from the committed deep extent: record the
             // backing heaps so commit-time validation catches phantoms the
             // same as an extent scan would.
@@ -981,11 +959,9 @@ fn run_pass<C: ReadContext, R>(
     }
     pass.objects_scanned += scanned;
     pass.predicate_evals += evals;
-    let mut index = None;
     pass.strategy = match probe {
-        Some((at, _, stats)) => {
+        Some((at, _)) => {
             pass.index_probes += 1;
-            index = Some(stats);
             PlanStrategy::IndexProbe {
                 field: ranges.swap_remove(at).field,
             }
@@ -1009,7 +985,7 @@ fn run_pass<C: ReadContext, R>(
     } else {
         plain
     };
-    Ok((rows, index))
+    Ok(rows)
 }
 
 /// A multi-variable `forall` (join query, §3.1), generic over the
@@ -1357,9 +1333,6 @@ fn collect_join<C: ReadContext>(
     q.objects_scanned.add(pass.objects_scanned);
     q.predicate_evals.add(pass.predicate_evals);
     q.deep_extent_scans.add(plan.levels.len() as u64);
-    for level in &plan.levels {
-        db.note_class_scan(layout, level.class, 0);
-    }
     db.record_query_pass(&pass);
     span.set_detail(plan_detail(&pass));
     prof.absorb_owned(pass);

@@ -1445,18 +1445,6 @@ impl<'db> Transaction<'db> {
             });
         }
 
-        // Workload write counters, keyed by destination cluster (applied
-        // only after the store commit succeeds).
-        let mut per_heap: HashMap<u32, u64> = HashMap::new();
-        for op in &ops {
-            let heap = match op {
-                StoreOp::Put { heap, .. } | StoreOp::Delete { heap, .. } => *heap,
-            };
-            if heap != CATALOG_HEAP {
-                *per_heap.entry(heap).or_default() += 1;
-            }
-        }
-
         // 4. Firing: put one catalog record per event this commit enqueues
         // and delete the records of events this (action) transaction
         // acknowledges — all in this same batch, so the pending set moves
@@ -1628,9 +1616,6 @@ impl<'db> Transaction<'db> {
             }
         }
         drop(inner);
-        for (heap, n) in per_heap {
-            self.db.note_cluster_writes(&layout, heap, n);
-        }
         let decoupled = self
             .db
             .publish_backlog(&self.ack_events, &events, event_rids);

@@ -6,6 +6,7 @@
 
 use ode_core::oql::ExecResult;
 use ode_core::prelude::*;
+use ode_core::PlanStrategy;
 
 fn db() -> Database {
     let db = Database::in_memory();
@@ -129,4 +130,51 @@ fn eval_time_unknown_var_names_the_statement() {
         "{e:?}"
     );
     tx.commit().unwrap();
+}
+
+/// A102 warns exactly when a query has an equality conjunct and `explain`
+/// shows an extent scan: the lint and the planner read a `suchthat` by
+/// the same rule, for deep and `only` bindings alike.
+#[test]
+fn unindexed_lint_follows_the_plan() {
+    // (predicate, has an equality conjunct)
+    let preds = [
+        ("qty == 7", true),
+        ("qty > 2 && qty < 9", false),
+        ("qty == -5", true),
+        ("s.name == \"a\" && s.qty > 5", true),
+    ];
+    let mut warned = [0usize; 2];
+    for index in [None, Some("qty"), Some("name")] {
+        let db = Database::in_memory();
+        db.define_from_source("class item { string name; int qty = 0; }")
+            .unwrap();
+        db.create_cluster("item").unwrap();
+        if let Some(field) = index {
+            db.create_index("item", field).unwrap();
+        }
+        for (pred, has_eq) in preds {
+            for only in ["", "only "] {
+                let stmt = format!("explain forall s in {only}item suchthat ({pred})");
+                let diags = db.analyze_statement(&stmt).unwrap();
+                let a102 = diags.iter().any(|d| d.code == "A102");
+                let strategy = match db.begin_read().execute(&stmt) {
+                    Ok(ExecResult::Explain(prof)) => prof.strategy,
+                    other => panic!("{stmt}: {other:?}"),
+                };
+                let scan = matches!(
+                    strategy,
+                    PlanStrategy::DeepExtentScan | PlanStrategy::ShallowExtentScan
+                );
+                assert_eq!(
+                    a102,
+                    has_eq && scan,
+                    "{stmt} with index {index:?}: plan {strategy}, diagnostics {diags:?}"
+                );
+                warned[usize::from(a102)] += 1;
+            }
+        }
+    }
+    // Both outcomes occur, so the agreement above is not vacuous.
+    assert!(warned[0] > 0 && warned[1] > 0, "{warned:?}");
 }

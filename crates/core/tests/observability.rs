@@ -1,5 +1,4 @@
-//! Engine-side observability: flight-recorder spans, per-cluster
-//! workload statistics (including persistence across reopen), and the
+//! Engine-side observability: flight-recorder spans and the
 //! trace-context plumbing the wire protocol rides on.
 
 use ode_core::obs::{current_trace, set_trace, SpanStage, TraceId};
@@ -75,67 +74,4 @@ fn background_work_stays_out_of_foreign_traces() {
         traced.is_empty(),
         "untraced work minted a trace: {traced:?}"
     );
-}
-
-#[test]
-fn workload_stats_accumulate_and_persist() {
-    let dir = std::env::temp_dir().join(format!("ode-core-workstats-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    {
-        let db = Database::open(&dir).unwrap();
-        inventory(&db);
-        db.read(|tx| tx.forall("stockitem")?.count()).unwrap();
-        let rows = db.workload_stats();
-        let item = rows
-            .iter()
-            .find(|r| r.key == "cluster:stockitem")
-            .expect("cluster counters exist");
-        assert!(item.scans >= 1, "{item:?}");
-        assert!(item.reads >= 10, "{item:?}");
-        assert!(item.writes >= 10, "{item:?}");
-        // Checkpoint persists the counters into the catalog.
-        db.checkpoint().unwrap();
-    }
-    {
-        let db = Database::open(&dir).unwrap();
-        let rows = db.workload_stats();
-        let item = rows
-            .iter()
-            .find(|r| r.key == "cluster:stockitem")
-            .expect("counters survived reopen");
-        let (reads0, scans0) = (item.reads, item.writes);
-        assert!(item.scans >= 1 && item.reads >= 10, "{item:?}");
-        // Counters keep accumulating on top of the absorbed baseline, and
-        // a second checkpoint updates the same record in place.
-        db.read(|tx| tx.forall("stockitem")?.count()).unwrap();
-        db.checkpoint().unwrap();
-        db.checkpoint().unwrap();
-        let rows = db.workload_stats();
-        let item = rows.iter().find(|r| r.key == "cluster:stockitem").unwrap();
-        assert!(item.reads > reads0 || item.writes >= scans0, "{item:?}");
-    }
-    {
-        // A third open still decodes a single stats record cleanly.
-        let db = Database::open(&dir).unwrap();
-        assert!(db
-            .workload_stats()
-            .iter()
-            .any(|r| r.key == "cluster:stockitem"));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn index_probe_counts_into_index_stats() {
-    let db = Database::in_memory();
-    inventory(&db);
-    db.create_index("stockitem", "quantity").unwrap();
-    db.read(|tx| tx.forall("stockitem")?.suchthat("quantity == 7")?.count())
-        .unwrap();
-    let rows = db.workload_stats();
-    let ix = rows
-        .iter()
-        .find(|r| r.key == "index:stockitem.quantity")
-        .expect("index counters exist: {rows:?}");
-    assert!(ix.reads >= 1, "{ix:?}");
 }

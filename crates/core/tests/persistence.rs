@@ -283,6 +283,56 @@ fn durability_across_reopen() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Older stores kept workload counters in a catalog record of kind 5. A
+/// store holding one still opens: replay passes over the record and
+/// everything around it comes back.
+#[test]
+fn retired_stats_record_replays_past() {
+    use ode_core::catalog::CATALOG_HEAP;
+    use ode_model::encode::{write_value, Writer};
+    use ode_storage::{FileStore, Store, StoreOp};
+
+    let dir = std::env::temp_dir().join(format!("ode-core-retired-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let oid;
+    {
+        let db = Database::open(&dir).unwrap();
+        define_stockitem(&db);
+        db.create_cluster("stockitem").unwrap();
+        oid = db.transaction(|tx| Ok(new_dram(tx))).unwrap();
+    }
+    {
+        // The record as the older engine encoded it: the kind byte, a row
+        // count, then (key, reads, writes, scans) per row.
+        let mut w = Writer::new();
+        write_value(&mut w, &Value::Int(1));
+        write_value(&mut w, &Value::from("cluster:stockitem"));
+        for n in [10, 1, 2] {
+            write_value(&mut w, &Value::Int(n));
+        }
+        let mut data = vec![5u8];
+        data.extend_from_slice(&w.finish());
+        let store = FileStore::open(&dir).unwrap();
+        let rid = store.reserve(CATALOG_HEAP, data.len()).unwrap();
+        let heap = CATALOG_HEAP;
+        store
+            .commit(vec![StoreOp::Put { heap, rid, data }])
+            .unwrap();
+        store.checkpoint().unwrap();
+    }
+    for _ in 0..2 {
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(db.extent_size("stockitem", true).unwrap(), 1);
+        let tx = db.begin();
+        assert_eq!(tx.get(oid, "name").unwrap(), Value::from("512 dram"));
+        drop(tx);
+        // New catalog records land after the retired one and replay too.
+        db.create_index("stockitem", "quantity").unwrap();
+        db.checkpoint().unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn atomic_multi_object_commit() {
     let db = Database::in_memory();

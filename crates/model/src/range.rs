@@ -90,6 +90,12 @@ impl ValueRange {
         }
     }
 
+    /// Is the interval one non-null value: an equality an index could
+    /// answer with a point probe?
+    pub fn is_probe_point(&self) -> bool {
+        self.probe_rank() == 0 && !self.has_null_endpoint()
+    }
+
     /// Is either endpoint `null`? Null keys are never indexed.
     fn has_null_endpoint(&self) -> bool {
         [&self.lo, &self.hi]

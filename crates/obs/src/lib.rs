@@ -25,9 +25,10 @@
 //!   and a bounded lock-free span ring dumped by `.trace` or on panic,
 //! * [`prom`] — Prometheus text-format exposition of every metric here,
 //! * [`logging`] — level-filtered structured JSON logging,
-//! * [`slowlog`] — the bounded slow-query log with captured plans,
-//! * [`workstats`] — per-cluster/per-index read/write/scan statistics,
-//!   persisted into the catalog as the future optimizer's substrate.
+//! * [`slowlog`] — the bounded slow-query log with captured plans.
+//!
+//! Per-class query work (passes, objects scanned, index probes) is
+//! recorded once, in the per-(target, strategy) [`QueryProfile`] buckets.
 //!
 //! The crate is dependency-free so every layer of the workspace can use it.
 
@@ -35,14 +36,12 @@ pub mod flight;
 pub mod logging;
 pub mod prom;
 pub mod slowlog;
-pub mod workstats;
 
 pub use flight::{
     current_trace, render_spans, set_trace, FlightRecorder, SpanGuard, SpanRecord, SpanStage,
     TraceCtx, TraceId, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use slowlog::{SlowQuery, SlowQueryLog, DEFAULT_SLOW_THRESHOLD_NS};
-pub use workstats::{WorkStat, WorkStatRow, WorkloadStats};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

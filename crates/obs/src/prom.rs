@@ -9,7 +9,6 @@
 //! `TYPE` line per family, numeric sample values — used by the CI smoke
 //! job and the integration tests.
 
-use crate::workstats::WorkStatRow;
 use crate::{ServerSnapshot, TelemetrySnapshot};
 
 /// Incrementally built exposition text with per-family bookkeeping.
@@ -71,37 +70,16 @@ fn escape_label(v: &str) -> String {
 }
 
 /// Render the full exposition: engine telemetry, optional serving-layer
-/// telemetry, workload statistics, and flight-recorder volume.
+/// telemetry, and flight-recorder volume.
 pub fn render(
     engine: &TelemetrySnapshot,
     server: Option<&ServerSnapshot>,
-    workload: &[WorkStatRow],
     spans_recorded: u64,
 ) -> String {
     let mut p = PromText::new();
     engine.prom_into(&mut p);
     if let Some(sv) = server {
         sv.prom_into("ode_server", &mut p);
-    }
-    // Workload statistics: one labelled family per counter kind. Keys are
-    // `cluster:<class>` or `index:<class>.<field>`.
-    type Field = fn(&WorkStatRow) -> u64;
-    let per_key: [(&str, &str, &str, Field); 4] = [
-        ("cluster", "reads", "Objects read per cluster", |r| r.reads),
-        ("cluster", "writes", "Records written per cluster", |r| {
-            r.writes
-        }),
-        ("cluster", "scans", "Extent scans per cluster", |r| r.scans),
-        ("index", "reads", "Probes answered per index", |r| r.reads),
-    ];
-    for (label, what, help, value) in per_key {
-        let name = format!("ode_{label}_{what}_total");
-        for r in workload {
-            if let Some(key) = r.key.strip_prefix(label).and_then(|k| k.strip_prefix(':')) {
-                p.family(&name, "counter", help);
-                p.sample(&name, &[(label, key)], value(r) as f64);
-            }
-        }
     }
     let spans = "ode_trace_spans_recorded_total";
     p.family(spans, "counter", "Spans written into the flight recorder");
@@ -230,22 +208,6 @@ mod tests {
     use super::*;
     use crate::{EngineTelemetry, ServerTelemetry, StorageSnapshot};
 
-    fn sample_workload() -> Vec<WorkStatRow> {
-        vec![
-            WorkStatRow {
-                key: "cluster:stockitem".into(),
-                reads: 10,
-                writes: 3,
-                scans: 2,
-            },
-            WorkStatRow {
-                key: "index:stockitem.quantity".into(),
-                reads: 4,
-                ..WorkStatRow::default()
-            },
-        ]
-    }
-
     #[test]
     fn render_validates_and_covers_families() {
         let tel = EngineTelemetry::default();
@@ -253,7 +215,7 @@ mod tests {
         tel.txn.commit_latency.record_ns(12_000);
         let engine = tel.snapshot(StorageSnapshot::default());
         let server = ServerTelemetry::default().snapshot();
-        let text = render(&engine, Some(&server), &sample_workload(), 7);
+        let text = render(&engine, Some(&server), 7);
         validate(&text).unwrap();
         for family in [
             "ode_txn_begun_total 2",
@@ -265,8 +227,6 @@ mod tests {
             "ode_trigger_cascade_exhausted_total",
             "ode_server_subscriptions",
             "ode_server_pushes_sent_total",
-            "ode_cluster_reads_total{cluster=\"stockitem\"} 10",
-            "ode_index_reads_total{index=\"stockitem.quantity\"} 4",
             "ode_trace_spans_recorded_total 7",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
@@ -276,7 +236,7 @@ mod tests {
     #[test]
     fn render_without_server_still_validates() {
         let engine = EngineTelemetry::default().snapshot(StorageSnapshot::default());
-        let text = render(&engine, None, &[], 0);
+        let text = render(&engine, None, 0);
         validate(&text).unwrap();
         assert!(!text.contains("ode_server_"));
     }

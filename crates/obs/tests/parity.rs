@@ -8,7 +8,7 @@
 
 use std::path::PathBuf;
 
-use ode_obs::{prom, EngineTelemetry, LatencyHisto, ServerTelemetry, StorageSnapshot, WorkStatRow};
+use ode_obs::{prom, EngineTelemetry, LatencyHisto, ServerTelemetry, StorageSnapshot};
 
 /// Strictly increasing values, so every field gets its own.
 struct Seq(u64);
@@ -132,22 +132,6 @@ fn fill_server(t: &ServerTelemetry, s: &mut Seq) {
     t.push_outbox_depth.set(s.next());
 }
 
-fn workload() -> Vec<WorkStatRow> {
-    vec![
-        WorkStatRow {
-            key: "cluster:stockitem".into(),
-            reads: 10,
-            writes: 3,
-            scans: 2,
-        },
-        WorkStatRow {
-            key: "index:stockitem.quantity".into(),
-            reads: 4,
-            ..WorkStatRow::default()
-        },
-    ]
-}
-
 /// Compare `actual` with `tests/golden/<name>`, or rewrite the file when
 /// `ODE_BLESS` is set.
 fn golden(name: &str, actual: &str) {
@@ -195,7 +179,7 @@ fn every_rendering_matches_its_golden_text() {
     golden("server.json", &server.to_json());
     golden("engine.rows", &row_set(engine.rows()));
     golden("server.rows", &row_set(server.rows()));
-    let text = prom::render(&engine, Some(&server), &workload(), 4242);
+    let text = prom::render(&engine, Some(&server), 4242);
     prom::validate(&text).unwrap();
     golden("metrics.prom", &line_multiset(&text));
 

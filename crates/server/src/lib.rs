@@ -148,15 +148,14 @@ impl ServerState {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// The full Prometheus exposition — engine, serving layer, workload
-    /// statistics, flight-recorder volume — shared by the wire `Metrics`
-    /// control op and the HTTP `/metrics` listener.
+    /// The full Prometheus exposition — engine, serving layer,
+    /// flight-recorder volume — shared by the wire `Metrics` control op
+    /// and the HTTP `/metrics` listener.
     pub(crate) fn metrics_text(&self) -> String {
         let db = &self.db;
         ode_core::obs::prom::render(
             &db.telemetry(),
             Some(&self.tel.snapshot()),
-            &db.workload_stats(),
             db.flight().recorded(),
         )
     }

@@ -103,7 +103,7 @@ fn traced_request_spans_reach_the_server_flight_recorder() {
 }
 
 /// The `Metrics` control op renders a parseable Prometheus exposition,
-/// and per-cluster workload counters move when a scripted workload runs.
+/// and the engine's query counters move when a scripted workload runs.
 #[test]
 fn metrics_exposition_and_workload_counters_over_the_wire() {
     let db = seeded_db();
@@ -135,19 +135,19 @@ fn metrics_exposition_and_workload_counters_over_the_wire() {
         "ode_txn_committed_total",
         "ode_storage_record_reads_total",
         "ode_server_requests_total",
-        "ode_cluster_scans_total",
+        "ode_query_deep_extent_scans_total",
     ] {
         assert!(after.contains(family), "missing {family} in exposition");
     }
     let scans = |exp: &str| -> u64 {
         exp.lines()
-            .find(|l| l.starts_with("ode_cluster_scans_total") && l.contains("stockitem"))
+            .find(|l| l.starts_with("ode_query_deep_extent_scans_total "))
             .and_then(|l| l.rsplit(' ').next()?.parse().ok())
             .unwrap_or(0)
     };
     assert!(
         scans(&after) >= scans(&before) + 3,
-        "cluster scan counter did not move: before={} after={}",
+        "deep extent scan counter did not move: before={} after={}",
         scans(&before),
         scans(&after)
     );

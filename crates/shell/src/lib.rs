@@ -515,13 +515,7 @@ impl Session {
             },
             "metrics" => {
                 let engine = self.db.telemetry();
-                let workload = self.db.workload_stats();
-                Ok(prom::render(
-                    &engine,
-                    None,
-                    &workload,
-                    self.db.flight().recorded(),
-                ))
+                Ok(prom::render(&engine, None, self.db.flight().recorded()))
             }
             "check" => {
                 let mut json = false;
@@ -1306,7 +1300,7 @@ mod tests {
         // `.metrics` renders valid Prometheus exposition text.
         let out = feed(&mut s, ".metrics");
         assert!(out.contains("ode_txn_committed_total"), "{out}");
-        assert!(out.contains("ode_cluster_reads_total"), "{out}");
+        assert!(out.contains("ode_query_objects_scanned_total"), "{out}");
         prom::validate(&out).unwrap();
 
         // The recorder can be toggled off (and back on).
@@ -1599,13 +1593,14 @@ mod tests {
             (36, "A008"), // contradiction with inherited constraint
             (37, "A009"), // perpetual trigger cycle (warning)
             (38, "A201"), // trigger re-satisfies its own condition (warning)
-            (41, "A101"), // unsatisfiable suchthat (warning)
-            (42, "A102"), // unindexed equality (warning)
-            (43, "A103"), // is-test outside hierarchy (warning)
-            (46, "A000"), // statement does not parse
+            (39, "A004"), // trigger condition reads an undeclared $param
+            (42, "A101"), // unsatisfiable suchthat (warning)
+            (43, "A102"), // unindexed equality (warning)
+            (44, "A103"), // is-test outside hierarchy (warning)
+            (47, "A000"), // statement does not parse
         ];
         assert_eq!(got, expected, "{}", report.render_text());
-        assert_eq!(report.errors(), 19);
+        assert_eq!(report.errors(), 20);
         assert_eq!(report.warnings(), 5);
     }
 
