@@ -132,20 +132,22 @@ fn main() {
                 Err(e) if e.is_unavailable() => {
                     aborted += 1;
                     match fp.take_last_fault() {
-                        // Not durable: the WAL tail was rolled back. A failed
-                        // group-commit fsync lands here too — the abandoned
-                        // batch was never applied, so its heap slot may be
-                        // reused by a later acked commit (whose replay wins by
-                        // WAL order); no presence/value claim survives the
-                        // abandonment, only "the acked reuser is intact",
-                        // which invariant 1 already checks.
+                        // No claim to check. `CommitPre` failed at prepare,
+                        // before anything was logged. A failed group-commit
+                        // fsync left its batch logged but never applied, and
+                        // abandoned: its heap slot may be reused by a later
+                        // acked commit (whose replay wins by WAL order), so no
+                        // presence/value claim survives the abandonment, only
+                        // "the acked reuser is intact", which invariant 1
+                        // already checks.
                         Some(FaultKind::CommitPre)
                         | Some(FaultKind::Release)
                         | Some(FaultKind::GroupSync)
                         | None => {}
-                        // Durable-side ack loss (fault fires after the batch
-                        // fully applied): the next reopen must see it either
-                        // fully present with our value or fully absent.
+                        // Ack loss fires after `commit_apply` fully applied
+                        // the durable batch, and an apply is never retried:
+                        // the next reopen must see it either fully present
+                        // with our value or fully absent.
                         Some(FaultKind::CommitAckLoss) => {
                             let oid = created.expect("ack loss happens after pnew");
                             in_doubt.push((oid, n));

@@ -92,9 +92,10 @@ pub(crate) type ProfileShapes = HashMap<String, Vec<(PlanStrategy, Mutex<Profile
 pub struct DbConfig {
     /// Maximum trigger cascade depth before the engine gives up.
     pub trigger_cascade_limit: usize,
-    /// How many times a transient store-commit failure is retried before
-    /// the transaction aborts. Safe because the WAL rolls a failed group
-    /// append back to a clean tail (DESIGN.md §10); 0 disables retries.
+    /// How many times a transient failure to prepare (log) a commit is
+    /// retried before the transaction aborts. Safe because the WAL rolls a
+    /// failed group append back to a clean tail (DESIGN.md §10); nothing
+    /// after the append is retried. 0 disables retries.
     pub commit_retries: usize,
     /// How many times [`Database::transaction`] re-runs a closure whose
     /// commit lost optimistic validation ([`OdeError::WriteConflict`],

@@ -1536,40 +1536,9 @@ impl<'db> Transaction<'db> {
         // slow-query log attributes contended commits correctly.
         let turn_started = std::time::Instant::now();
         let window = claim.open_window();
-        // Stores whose apply is the whole (idempotent) commit absorb
-        // transient failures (ENOSPC, a flaky disk) through a bounded
-        // retry, exactly like the pre-group-commit pipeline did. FileStore
-        // opts out: its batch is already durable, so recovery replays it.
-        let max_retries = if self.db.store.commit_apply_retryable() {
-            self.db.config.commit_retries
-        } else {
-            0
-        };
-        let mut ticket = Some(ticket);
-        let mut attempt = 0usize;
-        loop {
-            // Clone only while a retry remains; the last attempt moves.
-            let t = if attempt < max_retries {
-                ticket
-                    .as_ref()
-                    .expect("ticket kept while retries remain")
-                    .clone()
-            } else {
-                ticket
-                    .take()
-                    .expect("ticket moved only on the final attempt")
-            };
-            match self.db.store.commit_apply(t) {
-                Ok(()) => break,
-                Err(e) if e.is_transient() && attempt < max_retries => {
-                    attempt += 1;
-                    self.db.tel.txn.commit_retries.inc();
-                }
-                // Durable but not applied in this process: recovery replays
-                // it. The claim still publishes; surface it as in-doubt.
-                Err(e) => return Err(e.into()),
-            }
-        }
+        // The batch is durable, so an apply error is in doubt, never
+        // retried: recovery replays the batch. The claim still publishes.
+        self.db.store.commit_apply(ticket)?;
         self.committed = true;
 
         let schema = &layout.schema;

@@ -3,7 +3,7 @@
 //! atomicity/durability.
 
 use ode_core::prelude::*;
-use ode_core::OdeError;
+use ode_core::{ExecResult, OdeError};
 
 /// The paper's running example (§2.3): the stockitem class.
 fn define_stockitem(db: &Database) {
@@ -330,6 +330,44 @@ fn retired_stats_record_replays_past() {
         db.create_index("stockitem", "quantity").unwrap();
         db.checkpoint().unwrap();
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A record over the storage limit fails its whole commit, on either
+/// store: the store refuses the batch before logging it, so no write of
+/// the transaction is visible, and a crash leaves nothing that replay
+/// would trip on.
+#[test]
+fn an_oversized_record_fails_its_whole_commit() {
+    fn rows(db: &Database) -> usize {
+        let done = db.execute("forall d in doc").unwrap();
+        let ExecResult::Rows(rows) = &done.result else {
+            panic!("forall returns rows");
+        };
+        rows.rows.len()
+    }
+    fn fails_whole(db: &Database) {
+        db.define_from_source("class doc { string body; }").unwrap();
+        db.create_cluster("doc").unwrap();
+        let mut tx = db.begin();
+        tx.pnew("doc", &[("body", Value::from("small"))]).unwrap();
+        tx.pnew("doc", &[("body", Value::from("x".repeat(9_000)))])
+            .unwrap();
+        let err = tx.commit().unwrap_err();
+        assert!(!err.is_unavailable(), "not transient: {err}");
+        assert_eq!(rows(db), 0, "no write of the failed commit is visible");
+    }
+
+    fails_whole(&Database::in_memory());
+
+    let dir = std::env::temp_dir().join(format!("ode-core-oversized-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Database::open(&dir).unwrap();
+    fails_whole(&db);
+    std::mem::forget(db); // crash: no close-path checkpoint
+    let db = Database::open(&dir).expect("reopen after the failed commit");
+    assert_eq!(rows(&db), 0);
+    drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }
 

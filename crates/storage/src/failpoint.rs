@@ -1,10 +1,12 @@
 //! Deterministic fault injection at the [`Store`] boundary.
 //!
 //! [`FailpointStore`] wraps any store and injects typed, seed-driven
-//! faults at every I/O-shaped operation: commit failures before the WAL
-//! append (ENOSPC, a dying disk), acknowledgement loss *after* a durable
-//! append (the in-doubt window every durable system has), checkpoint
-//! failures, release failures on the abort path, and read failures. The
+//! faults at every I/O-shaped operation, one site per commit phase —
+//! prepare failures before the WAL append (ENOSPC, a dying disk), group
+//! fsync failures, and acknowledgement loss *after* a durable apply (the
+//! in-doubt window every durable system has) — plus checkpoint failures,
+//! release failures on the abort path, and read failures. Every commit
+//! runs the phases, so [`Store::commit`] meets all three commit sites. The
 //! schedule is a pure function of the seed, so a failing torture run
 //! replays exactly from its seed (DESIGN.md §10).
 //!
@@ -24,12 +26,12 @@ use crate::store::{CommitTicket, HeapId, Store, StoreOp, StoreStats};
 /// Which failpoint fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// `commit` failed before anything reached the inner store: the batch
-    /// is definitely not durable and definitely not visible.
+    /// `commit_prepare` failed before anything reached the inner store:
+    /// the batch is definitely not durable and definitely not visible.
     CommitPre,
-    /// The inner `commit` succeeded — the batch IS durable — but the
-    /// acknowledgement was "lost" and an error returned instead. The
-    /// batch is in doubt from the caller's point of view.
+    /// The inner `commit_apply` succeeded — the batch IS durable and
+    /// applied — but the acknowledgement was "lost" and an error returned
+    /// instead. The batch is in doubt from the caller's point of view.
     CommitAckLoss,
     /// The group-commit fsync window failed (`commit_durable`): the batch
     /// is appended to the WAL but its durability was never confirmed, and
@@ -69,9 +71,10 @@ impl FaultKind {
 pub struct FailpointConfig {
     /// Seed for the deterministic fault schedule.
     pub seed: u64,
-    /// 1-in-N chance a `commit` fails before reaching the inner store.
+    /// 1-in-N chance a `commit_prepare` fails before reaching the inner
+    /// store.
     pub commit_pre: u32,
-    /// 1-in-N chance a `commit` succeeds durably but reports an error.
+    /// 1-in-N chance a `commit_apply` succeeds but reports an error.
     pub commit_ack_loss: u32,
     /// 1-in-N chance a `commit_durable` (group-commit fsync) fails.
     pub group_sync: u32,
@@ -171,9 +174,9 @@ impl FailpointStore {
     }
 
     /// The most recent injected fault, cleared on read. After a failed
-    /// `commit`, this tells the caller whether the batch is definitely
+    /// commit, this tells the caller whether the batch is definitely
     /// absent ([`FaultKind::CommitPre`]) or in doubt
-    /// ([`FaultKind::CommitAckLoss`]).
+    /// ([`FaultKind::CommitAckLoss`], [`FaultKind::GroupSync`]).
     pub fn take_last_fault(&self) -> Option<FaultKind> {
         self.last.lock().take()
     }
@@ -229,23 +232,9 @@ impl Store for FailpointStore {
         self.inner.read(heap, rid)
     }
 
-    fn commit(&self, ops: Vec<StoreOp>) -> Result<()> {
-        if self.fires(FaultKind::CommitPre, self.cfg.commit_pre) {
-            return Err(self.inject(FaultKind::CommitPre));
-        }
-        // Decide ack loss *before* the inner commit so the schedule stays
-        // a pure function of the seed, independent of inner outcomes.
-        let ack_loss = self.fires(FaultKind::CommitAckLoss, self.cfg.commit_ack_loss);
-        self.inner.commit(ops)?;
-        if ack_loss {
-            return Err(self.inject(FaultKind::CommitAckLoss));
-        }
-        Ok(())
-    }
-
     fn commit_prepare(&self, ops: Vec<StoreOp>) -> Result<CommitTicket> {
-        // Same fault as the legacy path's pre-append failure: nothing was
-        // logged, the batch is definitely absent, the caller may retry.
+        // A pre-append failure: nothing was logged, the batch is
+        // definitely absent, the caller may retry.
         if self.fires(FaultKind::CommitPre, self.cfg.commit_pre) {
             return Err(self.inject(FaultKind::CommitPre));
         }
@@ -262,8 +251,9 @@ impl Store for FailpointStore {
     }
 
     fn commit_apply(&self, ticket: CommitTicket) -> Result<()> {
-        // Ack loss after the batch is durable and applied, mirroring the
-        // legacy commit path (decided first for schedule purity).
+        // Ack loss after the batch is durable and applied (decided first,
+        // so the schedule stays a pure function of the seed, independent
+        // of inner outcomes).
         let ack_loss = self.fires(FaultKind::CommitAckLoss, self.cfg.commit_ack_loss);
         self.inner.commit_apply(ticket)?;
         if ack_loss {
@@ -274,10 +264,6 @@ impl Store for FailpointStore {
 
     fn commit_abandon(&self, ticket: CommitTicket) {
         self.inner.commit_abandon(ticket);
-    }
-
-    fn commit_apply_retryable(&self) -> bool {
-        self.inner.commit_apply_retryable()
     }
 
     fn scan(
@@ -302,10 +288,6 @@ impl Store for FailpointStore {
         }
     }
 
-    fn pager_shard_stats(&self) -> Vec<crate::pager::PagerStats> {
-        self.inner.pager_shard_stats()
-    }
-
     fn reset_stats(&self) {
         self.faults.store(0, Ordering::Relaxed);
         self.inner.reset_stats();
@@ -313,10 +295,6 @@ impl Store for FailpointStore {
 
     fn clear_cache(&self) -> Result<()> {
         self.inner.clear_cache()
-    }
-
-    fn set_sync(&self, sync: bool) {
-        self.inner.set_sync(sync);
     }
 }
 

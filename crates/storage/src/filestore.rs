@@ -19,8 +19,8 @@ use parking_lot::{Condvar, Mutex};
 use crate::error::{Result, StorageError};
 use crate::heap::{HeapManager, RecordId};
 use crate::page::{Page, PageType};
-use crate::pager::{Pager, PagerStats};
-use crate::store::{CommitTicket, HeapId, Store, StoreOp, StoreStats};
+use crate::pager::Pager;
+use crate::store::{check_batch, CommitTicket, HeapId, Store, StoreOp, StoreStats};
 use crate::wal::{Wal, WalOp};
 
 /// Store-level magic in the meta record.
@@ -463,48 +463,12 @@ impl Store for FileStore {
         HeapManager::read_record(&self.pager, heap, rid)
     }
 
-    fn commit(&self, ops: Vec<StoreOp>) -> Result<()> {
-        let mut g = self.state.lock();
-        let wal_ops: Vec<WalOp> = ops
-            .iter()
-            .map(|op| match op {
-                StoreOp::Put { heap, rid, data } => WalOp::Put {
-                    heap: *heap,
-                    rid: *rid,
-                    data: data.clone(),
-                },
-                StoreOp::Delete { heap, rid } => WalOp::Delete {
-                    heap: *heap,
-                    rid: *rid,
-                },
-            })
-            .collect();
-        // Log first (the durability point), then apply to pages. The data
-        // file can never get ahead of the log because pages are only
-        // written back after this append returns. Holding the structural
-        // lock across append + apply keeps the batch atomic with respect
-        // to every other mutation.
-        let sync = g.sync;
-        g.wal.append_commit(&wal_ops, sync)?;
-        for op in &wal_ops {
-            if matches!(op, WalOp::Put { .. }) {
-                self.record_writes.fetch_add(1, Ordering::Relaxed);
-            }
-            g.apply_op(&self.pager, op)?;
-        }
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        // The batch is durable once the WAL append returned: a failed
-        // checkpoint here must not fail the commit (the caller would treat
-        // a durable batch as lost). The WAL stays intact, so the next
-        // checkpoint — or recovery — finishes the job.
-        if g.maybe_checkpoint(&self.pager).is_err() {
-            self.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
     fn commit_prepare(&self, ops: Vec<StoreOp>) -> Result<CommitTicket> {
         let mut g = self.state.lock();
+        // Refuse before logging: a batch that apply would refuse must never
+        // reach the WAL, where it would half-apply now and fail every
+        // replay after a crash.
+        check_batch(&ops, |heap| g.heaps.has_heap(heap))?;
         let wal_ops: Vec<WalOp> = ops
             .iter()
             .map(|op| match op {
@@ -608,10 +572,6 @@ impl Store for FileStore {
         self.finish_apply(&mut g);
     }
 
-    fn commit_apply_retryable(&self) -> bool {
-        false // apply bookkeeping is once-only; recovery replays instead
-    }
-
     fn scan(
         &self,
         heap: HeapId,
@@ -650,10 +610,6 @@ impl Store for FileStore {
         }
     }
 
-    fn pager_shard_stats(&self) -> Vec<PagerStats> {
-        self.pager.stats_per_shard()
-    }
-
     fn reset_stats(&self) {
         let mut g = self.state.lock();
         self.pager.reset_stats();
@@ -666,10 +622,6 @@ impl Store for FileStore {
 
     fn clear_cache(&self) -> Result<()> {
         self.pager.clear_cache()
-    }
-
-    fn set_sync(&self, sync: bool) {
-        self.state.lock().sync = sync;
     }
 }
 

@@ -14,8 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::RwLock;
 
 use crate::error::{Result, StorageError};
-use crate::heap::{RecordId, MAX_PAYLOAD};
-use crate::store::{HeapId, Store, StoreOp, StoreStats};
+use crate::heap::RecordId;
+use crate::store::{check_batch, CommitTicket, HeapId, Store, StoreOp, StoreStats};
 
 #[derive(Default)]
 struct Heap {
@@ -43,6 +43,14 @@ impl Heap {
 struct Inner {
     heaps: BTreeMap<HeapId, Heap>,
     next_heap: HeapId,
+}
+
+impl Inner {
+    fn heap_mut(&mut self, heap: HeapId) -> Result<&mut Heap> {
+        self.heaps
+            .get_mut(&heap)
+            .ok_or(StorageError::NoSuchHeap(heap))
+    }
 }
 
 /// Volatile store: everything is lost on drop. Useful for unit tests and
@@ -94,10 +102,7 @@ impl Store for MemStore {
 
     fn reserve(&self, heap: HeapId, _size_hint: usize) -> Result<RecordId> {
         let mut g = self.inner.write();
-        let h = g
-            .heaps
-            .get_mut(&heap)
-            .ok_or(StorageError::NoSuchHeap(heap))?;
+        let h = g.heap_mut(heap)?;
         let rid = h.fresh_rid();
         h.reserved.insert(rid);
         Ok(rid)
@@ -105,10 +110,7 @@ impl Store for MemStore {
 
     fn release(&self, heap: HeapId, rid: RecordId) -> Result<()> {
         let mut g = self.inner.write();
-        let h = g
-            .heaps
-            .get_mut(&heap)
-            .ok_or(StorageError::NoSuchHeap(heap))?;
+        let h = g.heap_mut(heap)?;
         if h.reserved.remove(&rid) {
             Ok(())
         } else {
@@ -133,32 +135,22 @@ impl Store for MemStore {
         }
     }
 
-    fn commit(&self, ops: Vec<StoreOp>) -> Result<()> {
+    fn commit_prepare(&self, ops: Vec<StoreOp>) -> Result<CommitTicket> {
+        // Nothing to log: the check is the whole prepare, and it keeps the
+        // batch all-or-nothing, with the same record-size limit as the
+        // durable store so programs behave identically on both.
+        let g = self.inner.read();
+        check_batch(&ops, |heap| g.heaps.contains_key(&heap))?;
+        Ok(CommitTicket { seq: 0, ops })
+    }
+
+    fn commit_apply(&self, ticket: CommitTicket) -> Result<()> {
         let mut g = self.inner.write();
-        // Validate first so the batch is all-or-nothing even in memory.
-        // Enforce the same record-size limit as the durable store so
-        // programs behave identically on both.
-        for op in &ops {
-            let heap = match op {
-                StoreOp::Put { heap, .. } | StoreOp::Delete { heap, .. } => *heap,
-            };
-            if !g.heaps.contains_key(&heap) {
-                return Err(StorageError::NoSuchHeap(heap));
-            }
-            if let StoreOp::Put { data, .. } = op {
-                if data.len() > MAX_PAYLOAD {
-                    return Err(StorageError::RecordTooLarge {
-                        size: data.len(),
-                        max: MAX_PAYLOAD,
-                    });
-                }
-            }
-        }
-        for op in ops {
+        for op in ticket.ops {
             match op {
                 StoreOp::Put { heap, rid, data } => {
                     self.record_writes.fetch_add(1, Ordering::Relaxed);
-                    let h = g.heaps.get_mut(&heap).expect("validated");
+                    let h = g.heap_mut(heap)?;
                     // Keep the id allocator ahead of replay-style puts.
                     let linear = (rid.page.saturating_sub(1)) as u64 * 64 + rid.slot as u64;
                     if linear >= h.next {
@@ -168,7 +160,7 @@ impl Store for MemStore {
                     h.records.insert(rid, data);
                 }
                 StoreOp::Delete { heap, rid } => {
-                    let h = g.heaps.get_mut(&heap).expect("validated");
+                    let h = g.heap_mut(heap)?;
                     h.reserved.remove(&rid);
                     h.records.remove(&rid);
                 }
@@ -254,8 +246,6 @@ impl Store for MemStore {
     fn clear_cache(&self) -> Result<()> {
         Ok(())
     }
-
-    fn set_sync(&self, _sync: bool) {}
 }
 
 #[cfg(test)]

@@ -3,13 +3,20 @@
 //! A store is a set of *heaps* (one per Ode cluster plus one for the
 //! catalog) holding byte records with stable [`RecordId`]s. The engine's
 //! transaction layer keeps uncommitted changes in its own write-set and
-//! funnels them into a single atomic [`Store::commit`] batch; the only
-//! pre-commit side effect is [`Store::reserve`], which pins a record id so
-//! newly created objects have their identity immediately (paper §2: the id
-//! returned by `pnew`).
+//! funnels them into one atomic batch; the only pre-commit side effect is
+//! [`Store::reserve`], which pins a record id so newly created objects
+//! have their identity immediately (paper §2: the id returned by `pnew`).
+//!
+//! A batch commits through one protocol, in three phases:
+//! [`Store::commit_prepare`] checks the batch and logs it,
+//! [`Store::commit_durable`] makes it durable, and [`Store::commit_apply`]
+//! makes it visible ([`Store::commit_abandon`] instead, if durability
+//! failed). A batch the store would refuse is refused at prepare, before
+//! anything is logged. [`Store::commit`] runs the three phases back to
+//! back for callers outside the engine's commit pipeline.
 
-use crate::error::Result;
-use crate::heap::RecordId;
+use crate::error::{Result, StorageError};
+use crate::heap::{RecordId, MAX_PAYLOAD};
 use crate::pager::PagerStats;
 
 /// Identifies a heap (an Ode cluster's extent, or the catalog).
@@ -72,7 +79,7 @@ pub struct StoreStats {
 /// ticket just carries the ops; [`crate::FileStore`] stamps `seq` with the
 /// WAL group sequence so followers can wait for a leader's fsync to cover
 /// them.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CommitTicket {
     /// WAL group sequence (0 for stores without a WAL).
     pub seq: u64,
@@ -111,20 +118,26 @@ pub trait Store: Send + Sync {
     /// Read a committed record.
     fn read(&self, heap: HeapId, rid: RecordId) -> Result<Vec<u8>>;
 
-    /// Atomically apply a batch: either every op becomes durable or none.
-    fn commit(&self, ops: Vec<StoreOp>) -> Result<()>;
-
-    /// Phase 1 of the three-phase commit used by the multi-writer engine
-    /// (DESIGN.md §13): append the batch to the log *without* waiting for
-    /// durability. Called inside the engine's commit gate, so WAL order
-    /// matches epoch order. On error nothing was logged and the commit may
-    /// be retried.
-    ///
-    /// The default (for stores without a WAL) just wraps the ops in a
-    /// ticket; [`Store::commit_apply`] does all the work.
-    fn commit_prepare(&self, ops: Vec<StoreOp>) -> Result<CommitTicket> {
-        Ok(CommitTicket { seq: 0, ops })
+    /// Commit a batch through the three phases; on success every op is
+    /// durable and visible. An error from prepare leaves nothing logged;
+    /// an error after it leaves the batch in doubt, exactly as in the
+    /// engine's pipeline (DESIGN.md §10).
+    fn commit(&self, ops: Vec<StoreOp>) -> Result<()> {
+        let ticket = self.commit_prepare(ops)?;
+        if let Err(e) = self.commit_durable(&ticket) {
+            self.commit_abandon(ticket);
+            return Err(e);
+        }
+        self.commit_apply(ticket)
     }
+
+    /// Phase 1 (DESIGN.md §13): check the batch — every heap exists and
+    /// every payload fits a record — and append it to the log *without*
+    /// waiting for durability. Called inside the engine's commit gate, so
+    /// WAL order matches epoch order. On error nothing was logged: a batch
+    /// that fails the check is refused for good, and a transient append
+    /// failure may be retried.
+    fn commit_prepare(&self, ops: Vec<StoreOp>) -> Result<CommitTicket>;
 
     /// Phase 2: make the prepared batch durable. Runs *outside* the
     /// engine's locks; concurrent callers share one fsync via leader/
@@ -136,18 +149,8 @@ pub trait Store: Send + Sync {
 
     /// Phase 3: apply the batch to the live pages/heaps. Called under the
     /// engine's apply gate so snapshot readers never observe a torn batch.
-    fn commit_apply(&self, ticket: CommitTicket) -> Result<()> {
-        self.commit(ticket.ops)
-    }
-
-    /// May the engine re-issue [`Store::commit_apply`] with a clone of the
-    /// same ticket after a transient failure? True for stores whose apply
-    /// *is* the whole (idempotent) commit — the default path. `false` for
-    /// [`crate::FileStore`], whose apply bookkeeping is once-only: a
-    /// durable-but-unapplied batch there is replayed by recovery instead.
-    fn commit_apply_retryable(&self) -> bool {
-        true
-    }
+    /// An error here comes after the batch is durable: it is in doubt.
+    fn commit_apply(&self, ticket: CommitTicket) -> Result<()>;
 
     /// Abandon a prepared batch whose durability failed: releases any
     /// bookkeeping (e.g. the checkpoint barrier) without applying. The
@@ -169,21 +172,34 @@ pub trait Store: Send + Sync {
     /// Substrate counters.
     fn stats(&self) -> StoreStats;
 
-    /// Per-shard buffer-pool counters (index = shard number); empty for
-    /// stores without a buffer pool. Skewed shards reveal striping hot
-    /// spots that the pool-wide totals in [`Store::stats`] hide.
-    fn pager_shard_stats(&self) -> Vec<PagerStats> {
-        Vec::new()
-    }
-
     /// Reset counters (benches measure deltas).
     fn reset_stats(&self);
 
     /// Drop cached pages (benches: force cold-cache reads). No-op for the
     /// in-memory store.
     fn clear_cache(&self) -> Result<()>;
+}
 
-    /// Toggle fsync-per-commit. Defaults to on for durable stores; benches
-    /// that characterize the non-durable path may disable it.
-    fn set_sync(&self, sync: bool);
+/// The checks every store makes at [`Store::commit_prepare`], under the
+/// lock it already holds: each op names an existing heap, and each payload
+/// fits a record ([`MAX_PAYLOAD`]). A batch that fails them is never
+/// logged, so it can be neither durable nor half-applied.
+pub(crate) fn check_batch(ops: &[StoreOp], has_heap: impl Fn(HeapId) -> bool) -> Result<()> {
+    for op in ops {
+        let heap = match op {
+            StoreOp::Put { heap, .. } | StoreOp::Delete { heap, .. } => *heap,
+        };
+        if !has_heap(heap) {
+            return Err(StorageError::NoSuchHeap(heap));
+        }
+        if let StoreOp::Put { data, .. } = op {
+            if data.len() > MAX_PAYLOAD {
+                return Err(StorageError::RecordTooLarge {
+                    size: data.len(),
+                    max: MAX_PAYLOAD,
+                });
+            }
+        }
+    }
+    Ok(())
 }

@@ -9,7 +9,8 @@
 //!
 //! 1. every acknowledged commit is readable with its exact bytes,
 //! 2. no unacknowledged write is visible (ack-lost batches are in doubt,
-//!    but must land all-or-nothing),
+//!    but must land all-or-nothing; a batch abandoned after a failed
+//!    group fsync leaves its keys unclaimed, DESIGN.md §13),
 //! 3. replay and a full scan never panic — a corrupt tail stops replay
 //!    cleanly.
 //!
@@ -61,6 +62,18 @@ struct Model {
     /// Batches whose commit returned an error *after* the durable append
     /// (ack loss). Each must resolve all-or-nothing at the next reopen.
     in_doubt: Vec<Vec<DoubtOp>>,
+    /// Keys of batches abandoned after a failed group fsync. The batch
+    /// sits in the WAL unapplied, so recovery may or may not replay it:
+    /// its keys carry no claim, and invariant 2 skips them until a later
+    /// acknowledged write reuses them.
+    abandoned: HashSet<Key>,
+}
+
+impl Model {
+    fn ack(&mut self, key: Key, bytes: Vec<u8>) {
+        self.abandoned.remove(&key);
+        self.acked.insert(key, bytes);
+    }
 }
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -127,7 +140,7 @@ fn mutilate_wal_tail(dir: &Path, rng: &mut Rng) {
 /// Resolve every in-doubt batch against the reopened store: each must be
 /// fully present or fully absent. Folds landed batches into `acked`.
 fn resolve_in_doubt(store: &FailpointStore, model: &mut Model) {
-    for batch in model.in_doubt.drain(..) {
+    for batch in std::mem::take(&mut model.in_doubt) {
         let first = &batch[0];
         let landed = match store.inner().read(first.key.0, first.key.1) {
             Ok(bytes) => {
@@ -164,14 +177,14 @@ fn resolve_in_doubt(store: &FailpointStore, model: &mut Model) {
         }
         if landed {
             for op in batch {
-                model.acked.insert(op.key, op.new);
+                model.ack(op.key, op.new);
             }
         }
     }
 }
 
 /// Invariants 1 and 2: the reopened store holds exactly the acknowledged
-/// records — nothing lost, nothing extra.
+/// records — nothing lost, nothing extra — apart from abandoned keys.
 fn check_state(store: &FailpointStore, heaps: &[HeapId], model: &Model) {
     for (key, want) in &model.acked {
         let got = store
@@ -190,6 +203,7 @@ fn check_state(store: &FailpointStore, heaps: &[HeapId], model: &Model) {
             })
             .expect("invariant 3: post-recovery scan failed");
     }
+    seen.retain(|key, _| !model.abandoned.contains(key));
     for (key, bytes) in &seen {
         assert_eq!(
             model.acked.get(key),
@@ -222,6 +236,7 @@ fn randomized_crash_reopen_cycles_preserve_invariants() {
     let mut model = Model::default();
     let mut total_faults = 0u64;
     let mut total_replayed = 0u64;
+    let mut total_abandoned = 0u64;
 
     // Cycle 0 creates the heaps; they persist in the meta page after that.
     let mut heaps: Vec<HeapId> = Vec::new();
@@ -288,7 +303,7 @@ fn randomized_crash_reopen_cycles_preserve_invariants() {
             match store.commit(ops) {
                 Ok(()) => {
                     for op in doubt {
-                        model.acked.insert(op.key, op.new);
+                        model.ack(op.key, op.new);
                     }
                 }
                 Err(_) => match store.take_last_fault() {
@@ -299,6 +314,13 @@ fn randomized_crash_reopen_cycles_preserve_invariants() {
                     Some(FaultKind::CommitAckLoss) => {
                         frozen.extend(doubt.iter().map(|d| d.key));
                         model.in_doubt.push(doubt);
+                    }
+                    Some(FaultKind::GroupSync) => {
+                        for op in doubt {
+                            model.acked.remove(&op.key);
+                            model.abandoned.insert(op.key);
+                        }
+                        total_abandoned += 1;
                     }
                     other => panic!("commit failed without a commit fault: {other:?}"),
                 },
@@ -337,9 +359,13 @@ fn randomized_crash_reopen_cycles_preserve_invariants() {
         total_replayed > 0,
         "no WAL group was ever replayed — crashes were not crashes"
     );
+    assert!(
+        total_abandoned > 0,
+        "no group fsync ever failed — the abandoned-batch path went untested"
+    );
     println!(
         "crash-torture: {cycles} cycles, {} acked records, {total_faults} faults injected, \
-         {total_replayed} groups replayed",
+         {total_abandoned} batches abandoned, {total_replayed} groups replayed",
         model.acked.len()
     );
     drop(store);

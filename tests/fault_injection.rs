@@ -7,11 +7,12 @@ use std::sync::Arc;
 
 use ode::core::{Database, DbConfig};
 use ode::prelude::*;
-use ode::storage::{HeapId, MemStore, Store, StoreOp, StoreStats};
+use ode::storage::{CommitTicket, HeapId, MemStore, Store, StoreOp, StoreStats};
 use ode_storage::{RecordId, StorageError};
 
-/// Wraps a store; when armed, the next `commit` fails (before reaching the
-/// inner store, like a full disk or an I/O error at the WAL append).
+/// Wraps a store; when armed, the next `commit_prepare` fails (before
+/// reaching the inner store, like a full disk or an I/O error at the WAL
+/// append). `commits` counts the batches applied.
 struct FaultStore {
     inner: MemStore,
     fail_next_commit: AtomicBool,
@@ -51,15 +52,18 @@ impl Store for FaultStore {
     fn read(&self, heap: HeapId, rid: RecordId) -> ode_storage::Result<Vec<u8>> {
         self.inner.read(heap, rid)
     }
-    fn commit(&self, ops: Vec<StoreOp>) -> ode_storage::Result<()> {
+    fn commit_prepare(&self, ops: Vec<StoreOp>) -> ode_storage::Result<CommitTicket> {
         if self.fail_next_commit.swap(false, Ordering::SeqCst) {
             return Err(StorageError::io(
                 "append wal record",
                 std::io::Error::new(std::io::ErrorKind::StorageFull, "disk full (injected)"),
             ));
         }
+        self.inner.commit_prepare(ops)
+    }
+    fn commit_apply(&self, ticket: CommitTicket) -> ode_storage::Result<()> {
         self.commits.fetch_add(1, Ordering::SeqCst);
-        self.inner.commit(ops)
+        self.inner.commit_apply(ticket)
     }
     fn scan(
         &self,
@@ -79,9 +83,6 @@ impl Store for FaultStore {
     }
     fn clear_cache(&self) -> ode_storage::Result<()> {
         self.inner.clear_cache()
-    }
-    fn set_sync(&self, sync: bool) {
-        self.inner.set_sync(sync)
     }
 }
 
