@@ -17,7 +17,6 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io::Read;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -365,7 +364,6 @@ impl Conn {
     /// server starts draining.
     fn wait_for_frame(&mut self) -> Wait {
         let deadline = Instant::now() + self.state.cfg.idle_timeout;
-        let mut chunk = [0u8; 4096];
         loop {
             match self.reader.next_frame(self.state.cfg.max_request_bytes) {
                 Ok(Some(frame)) => return Wait::Frame(frame),
@@ -383,12 +381,9 @@ impl Conn {
             if Instant::now() > deadline {
                 return Wait::Idle;
             }
-            match self.stream.read(&mut chunk) {
+            match self.reader.read_from(&mut self.stream) {
                 Ok(0) => return Wait::Closed,
-                Ok(n) => {
-                    self.state.tel.bytes_in.add(n as u64);
-                    self.reader.push(&chunk[..n]);
-                }
+                Ok(n) => self.state.tel.bytes_in.add(n as u64),
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut
@@ -399,9 +394,9 @@ impl Conn {
     }
 
     fn send(&mut self, resp: &Response) -> std::io::Result<()> {
-        let payload = resp.encode();
-        self.state.tel.bytes_out.add(payload.len() as u64 + 4);
-        write_frame(&mut self.stream, &payload)
+        let frame = resp.frame();
+        self.state.tel.bytes_out.add(frame.wire_len() as u64);
+        frame.write_to(&mut self.stream)
     }
 
     fn send_best_effort(&mut self, resp: &Response) {

@@ -41,7 +41,6 @@
 //!   rejected-at-admission, timed-out, bytes in/out, request-latency
 //!   histogram), surfaced over the wire via the `.server` control op.
 
-use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -51,7 +50,7 @@ use std::time::{Duration, Instant};
 use ode_core::Database;
 use ode_obs::{ServerSnapshot, ServerTelemetry};
 use ode_sched::{SchedConfig, Scheduler};
-use ode_wire::protocol::{write_frame, ErrorKind, Response};
+use ode_wire::protocol::{ErrorKind, Response};
 
 mod conn;
 mod metrics;
@@ -284,13 +283,12 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
 /// Best-effort typed refusal of a connection that never got a session.
 fn refuse(mut stream: TcpStream, kind: ErrorKind, message: &str) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let payload = Response::Error {
+    let _ = Response::Error {
         kind,
         message: message.to_string(),
     }
-    .encode();
-    let _ = write_frame(&mut stream, &payload);
-    let _ = stream.flush();
+    .frame()
+    .write_to(&mut stream);
 }
 
 /// What [`ServerHandle::shutdown`] observed while draining.

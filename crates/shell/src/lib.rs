@@ -31,7 +31,7 @@ use ode_core::obs::{prom, render_spans, SlowQuery, SpanStage, TraceId};
 use ode_core::oql::{ExecResult, Executed};
 use ode_core::prelude::*;
 use ode_core::{batch_interference, has_errors, parse_statement, Footprint};
-use ode_model::{Oid, VersionRef};
+use ode_model::{ClassId, Oid, Schema, SlotMask, VersionRef};
 
 /// A live shell session over one (possibly shared) database. Sessions
 /// hold the database behind an [`Arc`], so any number of them — local
@@ -599,12 +599,19 @@ fn render(done: Executed<'_>) -> Result<String> {
                 .snapshot
                 .as_ref()
                 .expect("Database::execute returns rows with the snapshot that selected them");
-            for row in &rows.rows {
-                for (var, oid) in rows.vars.iter().zip(row.iter()) {
-                    let line = render_object(snapshot, *oid)?;
-                    let _ = writeln!(out, "{var} = {line}");
+            // One schema snapshot and one decoded state serve every row.
+            let mut state = ObjState::new(ClassId(0), 0);
+            snapshot.db().with_schema(|schema| -> Result<()> {
+                for row in &rows.rows {
+                    for (var, &oid) in rows.vars.iter().zip(row) {
+                        let obj = snapshot.read_masked(oid, &SlotMask::ALL, &mut state)?;
+                        let _ = write!(out, "{var} = ");
+                        write_object(&mut out, schema, oid, obj)?;
+                        out.push('\n');
+                    }
                 }
-            }
+                Ok(())
+            })?;
             format!("{} row(s)", rows.rows.len())
         }
         ExecResult::Explain(prof) => format_explain(prof, done.footprint.as_ref()),
@@ -645,19 +652,24 @@ fn render(done: Executed<'_>) -> Result<String> {
 /// `oid (class) { field: value, … }`.
 pub fn render_object<C: ReadContext>(tx: &C, oid: Oid) -> Result<String> {
     let state = tx.read_obj(oid)?;
-    tx.db().with_schema(|schema| -> Result<String> {
-        let def = schema.class(state.class)?;
-        let mut s = format!("{oid} ({})", def.name);
-        s.push_str(" { ");
-        for (i, f) in def.layout.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "{}: {}", f.name, state.fields[i]);
+    let mut s = String::new();
+    tx.db()
+        .with_schema(|schema| write_object(&mut s, schema, oid, &state))?;
+    Ok(s)
+}
+
+/// Append `state`, the object `oid`, to `out` as [`render_object`] prints it.
+fn write_object(out: &mut String, schema: &Schema, oid: Oid, state: &ObjState) -> Result<()> {
+    let def = schema.class(state.class)?;
+    let _ = write!(out, "{oid} ({}) {{ ", def.name);
+    for (i, f) in def.layout.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
         }
-        s.push_str(" }");
-        Ok(s)
-    })
+        let _ = write!(out, "{}: {}", f.name, state.fields[i]);
+    }
+    out.push_str(" }");
+    Ok(())
 }
 
 // ------------------------------------------------------------ batch lint

@@ -12,8 +12,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::protocol::{
-    read_frame, write_frame, ControlOp, ErrorKind, Request, Response, MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
+    ControlOp, ErrorKind, Frame, FrameReader, Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 
 /// Typed client-side failure.
@@ -148,6 +147,9 @@ pub struct PushEvent {
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
+    /// Assembles the server's frames; bytes of a frame cut short by a
+    /// read timeout stay here for the next read.
+    reader: FrameReader,
     /// Trace-id minting state (every line is traced).
     next_trace: u64,
     /// The trace id attached to the most recent [`Client::line`].
@@ -177,14 +179,18 @@ impl Client {
             ^ ((std::process::id() as u64) << 32);
         let mut client = Client {
             stream,
+            reader: FrameReader::new(),
             next_trace: seed | 1,
             last_trace: 0,
             pending_pushes: VecDeque::new(),
             io_timeout: None,
         };
-        client.send(&Request::Hello {
-            version: PROTOCOL_VERSION,
-        })?;
+        client.send(
+            Request::Hello {
+                version: PROTOCOL_VERSION,
+            }
+            .frame(),
+        )?;
         match client.recv()? {
             Response::Welcome {
                 version: PROTOCOL_VERSION,
@@ -221,10 +227,7 @@ impl Client {
     pub fn line(&mut self, text: &str) -> Result<RemoteLine, ClientError> {
         self.last_trace = self.next_trace;
         self.next_trace = self.next_trace.wrapping_add(2); // stays odd, never 0
-        self.send(&Request::TracedLine {
-            trace: self.last_trace,
-            text: text.to_string(),
-        })?;
+        self.send(Frame::traced_line(self.last_trace, text))?;
         match self.recv()? {
             Response::Output(out) => Ok(RemoteLine::Output(out)),
             Response::Continue => Ok(RemoteLine::Continue),
@@ -314,9 +317,11 @@ impl Client {
     }
 
     /// The next subscription push: a buffered one if any arrived
-    /// interleaved with request/response traffic, otherwise block up to
-    /// `wait` for the server to send one. `Ok(None)` means the wait
-    /// elapsed without a push — no polling request is ever sent.
+    /// interleaved with request/response traffic, otherwise wait for the
+    /// server to send one, each socket read bounded by `wait`. `Ok(None)`
+    /// means a read timed out without a whole push — no polling request
+    /// is ever sent, and the part of a push already received is kept for
+    /// the next call.
     pub fn next_push(&mut self, wait: Duration) -> Result<Option<PushEvent>, ClientError> {
         if let Some(p) = self.pending_pushes.pop_front() {
             return Ok(Some(p));
@@ -326,21 +331,17 @@ impl Client {
         self.stream
             .set_read_timeout(Some(wait.max(Duration::from_millis(1))))
             .map_err(ClientError::from_io)?;
-        let result = read_frame(&mut self.stream, MAX_FRAME_BYTES);
+        let result = self.reader.read_frame(&mut self.stream, MAX_FRAME_BYTES);
         self.stream
             .set_read_timeout(self.io_timeout)
             .map_err(ClientError::from_io)?;
         let payload = match result {
-            Ok(p) => p,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 return Ok(None)
             }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                return Err(ClientError::Protocol(e.to_string()))
-            }
-            Err(e) => return Err(ClientError::from_io(e)),
+            other => other.map_err(frame_error)?,
         };
         match Response::decode(&payload).map_err(|e| ClientError::Protocol(e.to_string()))? {
             Response::Push {
@@ -360,7 +361,7 @@ impl Client {
 
     /// Orderly goodbye; consumes the client.
     pub fn bye(mut self) -> Result<(), ClientError> {
-        self.send(&Request::Bye)?;
+        self.send(Request::Bye.frame())?;
         match self.recv()? {
             Response::Goodbye => Ok(()),
             other => Err(ClientError::Protocol(format!(
@@ -370,7 +371,7 @@ impl Client {
     }
 
     fn control(&mut self, op: ControlOp) -> Result<String, ClientError> {
-        self.send(&Request::Control(op))?;
+        self.send(Request::Control(op).frame())?;
         match self.recv()? {
             Response::Output(out) => Ok(out),
             Response::Error { kind, message } => Err(typed(kind, message)),
@@ -380,21 +381,20 @@ impl Client {
         }
     }
 
-    fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, &req.encode()).map_err(ClientError::from_io)
+    fn send(&mut self, frame: Frame<'_>) -> Result<(), ClientError> {
+        frame
+            .write_to(&mut self.stream)
+            .map_err(ClientError::from_io)
     }
 
     fn recv(&mut self) -> Result<Response, ClientError> {
         // Pushes are the one unsolicited frame: buffer any that
         // arrive ahead of the response we are actually waiting for.
         loop {
-            let payload = read_frame(&mut self.stream, MAX_FRAME_BYTES).map_err(|e| {
-                if e.kind() == io::ErrorKind::InvalidData {
-                    ClientError::Protocol(e.to_string())
-                } else {
-                    ClientError::from_io(e)
-                }
-            })?;
+            let payload = self
+                .reader
+                .read_frame(&mut self.stream, MAX_FRAME_BYTES)
+                .map_err(frame_error)?;
             match Response::decode(&payload).map_err(|e| ClientError::Protocol(e.to_string()))? {
                 Response::Push {
                     sub_id,
@@ -408,6 +408,16 @@ impl Client {
                 other => return Ok(other),
             }
         }
+    }
+}
+
+/// A failed frame read: a bad frame is the peer's protocol violation,
+/// anything else a transport failure.
+fn frame_error(e: io::Error) -> ClientError {
+    if e.kind() == io::ErrorKind::InvalidData {
+        ClientError::Protocol(e.to_string())
+    } else {
+        ClientError::from_io(e)
     }
 }
 
@@ -481,6 +491,53 @@ mod tests {
         ] {
             assert!(!e.is_retryable(), "{e}");
         }
+    }
+
+    #[test]
+    fn next_push_keeps_a_push_cut_by_its_wait() {
+        use crate::protocol::{read_frame, write_frame};
+        use std::io::Write;
+        use std::net::TcpListener;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let push = Response::Push {
+            sub_id: 7,
+            epoch: 42,
+            object: "2:2.0 (stockitem) { name: \"dram\" }".into(),
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &push.encode()).unwrap();
+        let (resume, paused) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            read_frame(&mut sock, MAX_FRAME_BYTES).unwrap(); // Hello
+            let welcome = Response::Welcome {
+                version: PROTOCOL_VERSION,
+            };
+            write_frame(&mut sock, &welcome.encode()).unwrap();
+            // The push in two parts; the second waits until the client's
+            // first wait has expired.
+            sock.write_all(&wire[..10]).unwrap();
+            paused.recv().unwrap();
+            sock.write_all(&wire[10..]).unwrap();
+            // Hold the socket open until the client hangs up.
+            let _ = read_frame(&mut sock, MAX_FRAME_BYTES);
+        });
+        let mut client = Client::connect(addr).unwrap();
+        assert_eq!(client.next_push(Duration::from_millis(50)).unwrap(), None);
+        resume.send(()).unwrap();
+        let got = client.next_push(Duration::from_secs(5)).unwrap();
+        assert_eq!(
+            got,
+            Some(PushEvent {
+                sub_id: 7,
+                epoch: 42,
+                object: "2:2.0 (stockitem) { name: \"dram\" }".into(),
+            })
+        );
+        drop(client);
+        server.join().unwrap();
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! after a `Subscribe` control op, a server may send pushes *unsolicited*,
 //! so a client must tolerate them interleaved before any response.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// The protocol revision, the only one a server accepts. Bumped on any
 /// frame change.
@@ -33,16 +33,23 @@ pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 
 // ----------------------------------------------------------- raw frames
 
-/// Write one frame: `u32` BE payload length, then the payload.
+/// Write one frame: `u32` BE payload length, then the payload, in one
+/// vectored write (see [`Frame`]).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = payload.len() as u32;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    Frame {
+        head: [0; HEAD_MAX],
+        head_len: 0,
+        body: [payload, &[]],
+    }
+    .write_to(w)
 }
 
 /// Read one frame (blocking). `max_len` bounds the accepted payload
 /// size; an oversized or truncated frame is an `InvalidData` error.
+///
+/// It reads the header and the payload separately, so it suits a reader
+/// that holds whole frames (a byte slice); a socket is read through a
+/// [`FrameReader`], which takes a frame in one read when it has arrived.
 pub fn read_frame(r: &mut impl Read, max_len: u32) -> io::Result<Vec<u8>> {
     let mut hdr = [0u8; 4];
     r.read_exact(&mut hdr)?;
@@ -58,13 +65,134 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-/// An incremental frame assembler for non-blocking readers: push raw
-/// bytes as they arrive, pop complete frames as they become available.
-/// (The server reads sockets with a short timeout so it can poll its
-/// shutdown flag; `read_exact` cannot resume across such timeouts.)
+/// The longest fixed-width head of any message: a push's tag and two ids.
+const HEAD_MAX: usize = 17;
+
+/// One message as it goes on the wire, borrowed from the message: a head
+/// (the tag and the fixed-width fields) and at most two variable-length
+/// body slices (a string, or a subscription's cluster and predicate).
+///
+/// [`Frame::write_to`] sends the length prefix, the head and the body in
+/// one vectored write and copies no body byte. Both ends set
+/// `TCP_NODELAY`, so a frame written in two calls crossed loopback as two
+/// segments and woke its reader twice (DESIGN.md §7).
+#[derive(Debug)]
+pub struct Frame<'a> {
+    head: [u8; HEAD_MAX],
+    head_len: usize,
+    body: [&'a [u8]; 2],
+}
+
+impl<'a> Frame<'a> {
+    fn new(tag: u8) -> Frame<'a> {
+        let mut head = [0; HEAD_MAX];
+        head[0] = tag;
+        Frame {
+            head,
+            head_len: 1,
+            body: [&[], &[]],
+        }
+    }
+
+    /// Append fixed-width bytes to the head.
+    fn put(mut self, bytes: &[u8]) -> Frame<'a> {
+        self.head[self.head_len..self.head_len + bytes.len()].copy_from_slice(bytes);
+        self.head_len += bytes.len();
+        self
+    }
+
+    /// Append a body slice (at most two per frame). An empty slice adds
+    /// no byte, so the first empty slot may take the next one.
+    fn body(mut self, bytes: &'a [u8]) -> Frame<'a> {
+        let free = usize::from(!self.body[0].is_empty());
+        debug_assert!(
+            self.body[free].is_empty(),
+            "a frame has at most two body slices"
+        );
+        self.body[free] = bytes;
+        self
+    }
+
+    /// A [`Request::TracedLine`] frame borrowing its text.
+    pub fn traced_line(trace: u64, text: &'a str) -> Frame<'a> {
+        Frame::new(TAG_TRACED_LINE)
+            .put(&trace.to_be_bytes())
+            .body(text.as_bytes())
+    }
+
+    fn payload_len(&self) -> usize {
+        self.head_len + self.body[0].len() + self.body[1].len()
+    }
+
+    /// Bytes the frame takes on the wire, length prefix included.
+    pub fn wire_len(&self) -> usize {
+        4 + self.payload_len()
+    }
+
+    /// The frame's payload, copied into one buffer.
+    fn payload(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.payload_len());
+        out.extend_from_slice(&self.head[..self.head_len]);
+        out.extend_from_slice(self.body[0]);
+        out.extend_from_slice(self.body[1]);
+        out
+    }
+
+    /// Write the frame in one `write_vectored` call, looping only when
+    /// the writer takes part of it or is interrupted, then flush.
+    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        let len = u32::try_from(self.payload_len()).map_err(|_| {
+            io::Error::new(io::ErrorKind::InvalidInput, "frame payload exceeds 4 GiB")
+        })?;
+        let prefix = len.to_be_bytes();
+        let mut slices = [
+            IoSlice::new(&prefix),
+            IoSlice::new(&self.head[..self.head_len]),
+            IoSlice::new(self.body[0]),
+            IoSlice::new(self.body[1]),
+        ];
+        let mut bufs = &mut slices[..];
+        while !bufs.is_empty() {
+            match w.write_vectored(bufs) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::WriteZero,
+                        "failed to write whole frame",
+                    ))
+                }
+                Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        w.flush()
+    }
+}
+
+/// Bytes a [`FrameReader`] asks a read for when it does not yet know
+/// the frame's length, or the frame lacks fewer.
+const READ_MIN: usize = 4096;
+
+/// The most a [`FrameReader`] asks one read for, however long the frame.
+const READ_MAX: usize = 1 << 20;
+
+/// The most buffer a [`FrameReader`] keeps between frames. A buffer grown
+/// for a larger frame is given back once that frame is popped, so an idle
+/// connection does not hold its largest reply.
+const READ_KEEP: usize = 64 << 10;
+
+/// An incremental frame assembler, the one both ends read sockets with:
+/// read raw bytes as they arrive, pop complete frames as they become
+/// available. Bytes of a frame not yet complete stay buffered
+/// across a read that times out, so a reader may wait in short slices
+/// (the server polls its shutdown flag; a client bounds its wait for a
+/// push) without losing its place in the stream.
 #[derive(Debug, Default)]
 pub struct FrameReader {
+    /// Received bytes are `buf[..filled]`; the rest is zeroed room the
+    /// next read fills.
     buf: Vec<u8>,
+    filled: usize,
 }
 
 impl FrameReader {
@@ -73,19 +201,54 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    /// Append newly received bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+    /// One `read` from `r` straight into the buffer, asking for what the
+    /// pending frame still lacks (so a frame that has arrived is usually
+    /// taken whole), at least 4 KiB and at most 1 MiB. Returns the byte
+    /// count, 0 at end of stream. A read error leaves the buffered bytes
+    /// in place.
+    pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        let lacking = self
+            .declared_len()
+            .map_or(0, |len| (4 + len as usize).saturating_sub(self.filled));
+        let room = self.filled + lacking.clamp(READ_MIN, READ_MAX);
+        if self.buf.len() < room {
+            self.buf.resize(room, 0);
+        }
+        let n = r.read(&mut self.buf[self.filled..])?;
+        self.filled += n;
+        Ok(n)
+    }
+
+    /// Block until a complete frame is assembled, reading from `r` as
+    /// needed. An error (a read timeout included) keeps the bytes read so
+    /// far, so a later call resumes the same frame; end of stream is
+    /// `UnexpectedEof`.
+    pub fn read_frame(&mut self, r: &mut impl Read, max_len: u32) -> io::Result<Vec<u8>> {
+        loop {
+            if let Some(frame) = self.next_frame(max_len)? {
+                return Ok(frame);
+            }
+            match self.read_from(r) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed mid-frame",
+                    ))
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// Pop the next complete frame, if one has fully arrived. Returns an
     /// error if the pending frame's declared length exceeds `max_len`
     /// (the connection is then unrecoverable — framing is lost).
     pub fn next_frame(&mut self, max_len: u32) -> io::Result<Option<Vec<u8>>> {
-        if self.buf.len() < 4 {
+        let Some(len) = self.declared_len() else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
+        };
         if len > max_len.min(MAX_FRAME_BYTES) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -93,17 +256,28 @@ impl FrameReader {
             ));
         }
         let total = 4 + len as usize;
-        if self.buf.len() < total {
+        if self.filled < total {
             return Ok(None);
         }
         let payload = self.buf[4..total].to_vec();
-        self.buf.drain(..total);
+        self.buf.copy_within(total..self.filled, 0);
+        self.filled -= total;
+        if self.buf.len() > READ_KEEP {
+            self.buf.truncate(self.filled.max(READ_MIN));
+            self.buf.shrink_to_fit();
+        }
         Ok(Some(payload))
     }
 
     /// Bytes buffered but not yet consumed as frames.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
+        self.filled
+    }
+
+    /// The pending frame's payload length, once its header has arrived.
+    fn declared_len(&self) -> Option<u32> {
+        let hdr = self.buf.get(..4).filter(|_| self.filled >= 4)?;
+        Some(u32::from_be_bytes(hdr.try_into().unwrap()))
     }
 }
 
@@ -304,44 +478,32 @@ fn bad(msg: impl Into<String>) -> io::Error {
 impl Request {
     /// Encode into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
+        self.frame().payload()
+    }
+
+    /// The request's frame, borrowing its strings.
+    pub fn frame(&self) -> Frame<'_> {
         match self {
-            Request::Hello { version } => {
-                let mut out = vec![TAG_HELLO];
-                out.extend_from_slice(&version.to_be_bytes());
-                out
+            Request::Hello { version } => Frame::new(TAG_HELLO).put(&version.to_be_bytes()),
+            Request::TracedLine { trace, text } => Frame::traced_line(*trace, text),
+            Request::Control(op) => {
+                let ctl = Frame::new(TAG_CONTROL);
+                match op {
+                    ControlOp::Ping => ctl.put(&[1]),
+                    ControlOp::ServerStats => ctl.put(&[2]),
+                    ControlOp::TelemetryJson => ctl.put(&[3]),
+                    ControlOp::Metrics => ctl.put(&[4]),
+                    ControlOp::Trace(id) => ctl.put(&[5]).put(&id.to_be_bytes()),
+                    ControlOp::SlowLog => ctl.put(&[6]),
+                    ControlOp::Subscribe { cluster, predicate } => ctl
+                        .put(&[7])
+                        .put(&(cluster.len() as u16).to_be_bytes())
+                        .body(cluster.as_bytes())
+                        .body(predicate.as_bytes()),
+                    ControlOp::Unsubscribe(id) => ctl.put(&[8]).put(&id.to_be_bytes()),
+                }
             }
-            Request::TracedLine { trace, text } => {
-                let mut out = Vec::with_capacity(9 + text.len());
-                out.push(TAG_TRACED_LINE);
-                out.extend_from_slice(&trace.to_be_bytes());
-                out.extend_from_slice(text.as_bytes());
-                out
-            }
-            Request::Control(op) => match op {
-                ControlOp::Ping => vec![TAG_CONTROL, 1],
-                ControlOp::ServerStats => vec![TAG_CONTROL, 2],
-                ControlOp::TelemetryJson => vec![TAG_CONTROL, 3],
-                ControlOp::Metrics => vec![TAG_CONTROL, 4],
-                ControlOp::Trace(id) => {
-                    let mut out = vec![TAG_CONTROL, 5];
-                    out.extend_from_slice(&id.to_be_bytes());
-                    out
-                }
-                ControlOp::SlowLog => vec![TAG_CONTROL, 6],
-                ControlOp::Subscribe { cluster, predicate } => {
-                    let mut out = vec![TAG_CONTROL, 7];
-                    out.extend_from_slice(&(cluster.len() as u16).to_be_bytes());
-                    out.extend_from_slice(cluster.as_bytes());
-                    out.extend_from_slice(predicate.as_bytes());
-                    out
-                }
-                ControlOp::Unsubscribe(id) => {
-                    let mut out = vec![TAG_CONTROL, 8];
-                    out.extend_from_slice(&id.to_be_bytes());
-                    out
-                }
-            },
-            Request::Bye => vec![TAG_BYE],
+            Request::Bye => Frame::new(TAG_BYE),
         }
     }
 
@@ -410,39 +572,27 @@ impl Request {
 impl Response {
     /// Encode into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
+        self.frame().payload()
+    }
+
+    /// The response's frame, borrowing its strings.
+    pub fn frame(&self) -> Frame<'_> {
         match self {
-            Response::Welcome { version } => {
-                let mut out = vec![TAG_WELCOME];
-                out.extend_from_slice(&version.to_be_bytes());
-                out
-            }
-            Response::Output(text) => {
-                let mut out = Vec::with_capacity(1 + text.len());
-                out.push(TAG_OUTPUT);
-                out.extend_from_slice(text.as_bytes());
-                out
-            }
-            Response::Continue => vec![TAG_CONTINUE],
-            Response::Error { kind, message } => {
-                let mut out = Vec::with_capacity(2 + message.len());
-                out.push(TAG_ERROR);
-                out.push(kind.to_byte());
-                out.extend_from_slice(message.as_bytes());
-                out
-            }
-            Response::Goodbye => vec![TAG_GOODBYE],
+            Response::Welcome { version } => Frame::new(TAG_WELCOME).put(&version.to_be_bytes()),
+            Response::Output(text) => Frame::new(TAG_OUTPUT).body(text.as_bytes()),
+            Response::Continue => Frame::new(TAG_CONTINUE),
+            Response::Error { kind, message } => Frame::new(TAG_ERROR)
+                .put(&[kind.to_byte()])
+                .body(message.as_bytes()),
+            Response::Goodbye => Frame::new(TAG_GOODBYE),
             Response::Push {
                 sub_id,
                 epoch,
                 object,
-            } => {
-                let mut out = Vec::with_capacity(17 + object.len());
-                out.push(TAG_PUSH);
-                out.extend_from_slice(&sub_id.to_be_bytes());
-                out.extend_from_slice(&epoch.to_be_bytes());
-                out.extend_from_slice(object.as_bytes());
-                out
-            }
+            } => Frame::new(TAG_PUSH)
+                .put(&sub_id.to_be_bytes())
+                .put(&epoch.to_be_bytes())
+                .body(object.as_bytes()),
         }
     }
 
@@ -623,7 +773,7 @@ mod tests {
         // Feed a byte at a time; frames pop exactly when complete.
         let mut got = Vec::new();
         for &b in &wire {
-            fr.push(&[b]);
+            assert_eq!(fr.read_from(&mut &[b][..]).unwrap(), 1);
             while let Some(frame) = fr.next_frame(1024).unwrap() {
                 got.push(frame);
             }
@@ -632,10 +782,171 @@ mod tests {
         assert_eq!(fr.pending_bytes(), 0);
     }
 
+    /// A writer that records each call and accepts at most `per_call`
+    /// bytes of it, across slices.
+    struct Recorder {
+        bytes: Vec<u8>,
+        calls: usize,
+        per_call: usize,
+    }
+
+    impl Recorder {
+        fn new(per_call: usize) -> Recorder {
+            Recorder {
+                bytes: Vec::new(),
+                calls: 0,
+                per_call,
+            }
+        }
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.per_call;
+            for b in bufs {
+                let n = b.len().min(room);
+                self.bytes.extend_from_slice(&b[..n]);
+                room -= n;
+            }
+            Ok(self.per_call - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_be_bytes().to_vec();
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn one_write_call_per_frame() {
+        let mut w = Recorder::new(usize::MAX);
+        write_frame(&mut w, b"hello").unwrap();
+        assert_eq!((w.calls, w.bytes.clone()), (1, framed(b"hello")));
+
+        let reply = Response::Output("1 row(s)".into());
+        let mut w = Recorder::new(usize::MAX);
+        reply.frame().write_to(&mut w).unwrap();
+        assert_eq!((w.calls, w.bytes), (1, framed(&reply.encode())));
+    }
+
+    #[test]
+    fn partial_writes_yield_the_same_frame_bytes() {
+        let requests = [
+            Request::TracedLine {
+                trace: 9,
+                text: "forall s in stockitem".into(),
+            },
+            Request::Control(ControlOp::Subscribe {
+                cluster: "stockitem".into(),
+                predicate: "quantity < 20".into(),
+            }),
+            Request::Control(ControlOp::Subscribe {
+                cluster: String::new(),
+                predicate: "p".into(),
+            }),
+        ];
+        let responses = [
+            Response::Output("x = 2:2.0 (stockitem) { }".into()),
+            Response::Push {
+                sub_id: 1,
+                epoch: 2,
+                object: "obj".into(),
+            },
+            Response::Goodbye,
+        ];
+        let frames = requests
+            .iter()
+            .map(Request::frame)
+            .chain(responses.iter().map(Response::frame))
+            .chain([Frame::traced_line(9, "forall s in stockitem")]);
+        for frame in frames {
+            let mut whole = Recorder::new(usize::MAX);
+            frame.write_to(&mut whole).unwrap();
+            assert_eq!(whole.calls, 1);
+            assert_eq!(whole.bytes, framed(&frame.payload()));
+            assert_eq!(whole.bytes.len(), frame.wire_len());
+            let mut trickle = Recorder::new(3);
+            frame.write_to(&mut trickle).unwrap();
+            assert_eq!(trickle.bytes, whole.bytes);
+            assert_eq!(trickle.calls, whole.bytes.len().div_ceil(3));
+        }
+        let mut trickle = Recorder::new(3);
+        write_frame(&mut trickle, b"defgh").unwrap();
+        assert_eq!(trickle.bytes, framed(b"defgh"));
+    }
+
+    #[test]
+    fn frame_reader_reads_and_resumes_across_errors() {
+        use std::collections::VecDeque;
+
+        /// Hands out its script one step per read: bytes, or an error.
+        struct Script(VecDeque<io::Result<Vec<u8>>>);
+        impl Read for Script {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                match self.0.pop_front() {
+                    Some(Ok(bytes)) => {
+                        buf[..bytes.len()].copy_from_slice(&bytes);
+                        Ok(bytes.len())
+                    }
+                    Some(Err(e)) => Err(e),
+                    None => Ok(0),
+                }
+            }
+        }
+
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"abc").unwrap();
+        write_frame(&mut wire, b"defgh").unwrap();
+        let timeout = || Err(io::Error::from(io::ErrorKind::WouldBlock));
+        let mut r = Script(VecDeque::from([
+            Ok(wire[..6].to_vec()),
+            timeout(),
+            Err(io::Error::from(io::ErrorKind::Interrupted)),
+            Ok(wire[6..].to_vec()),
+        ]));
+        let mut fr = FrameReader::new();
+        let err = fr.read_frame(&mut r, 1024).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(fr.pending_bytes(), 6);
+        assert_eq!(fr.read_frame(&mut r, 1024).unwrap(), b"abc");
+        assert_eq!(fr.read_frame(&mut r, 1024).unwrap(), b"defgh");
+        assert_eq!(fr.pending_bytes(), 0);
+        let eof = fr.read_frame(&mut r, 1024).unwrap_err();
+        assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn frame_reader_gives_back_a_buffer_grown_for_a_large_frame() {
+        let big = vec![7u8; READ_KEEP + 1];
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &big).unwrap();
+        write_frame(&mut wire, b"abc").unwrap();
+        let mut r = &wire[..];
+        let mut fr = FrameReader::new();
+        while fr.read_from(&mut r).unwrap() > 0 {}
+        assert_eq!(fr.next_frame(u32::MAX).unwrap().unwrap(), big);
+        assert!(fr.buf.len() <= READ_KEEP);
+        assert_eq!(fr.pending_bytes(), 7);
+        assert_eq!(fr.next_frame(u32::MAX).unwrap().unwrap(), b"abc");
+        // Small frames leave the buffer's room in place for the next read.
+        assert_eq!(fr.buf.len(), READ_MIN);
+        assert_eq!(fr.pending_bytes(), 0);
+    }
+
     #[test]
     fn frame_reader_rejects_oversize_header() {
         let mut fr = FrameReader::new();
-        fr.push(&u32::to_be_bytes(1 << 20));
+        fr.read_from(&mut &u32::to_be_bytes(1 << 20)[..]).unwrap();
         assert!(fr.next_frame(1024).is_err());
     }
 }
