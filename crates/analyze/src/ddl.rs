@@ -4,13 +4,17 @@
 //! checks over constraint and trigger expressions, and the §3.2
 //! fixpoint-safety check.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 
-use ode_model::{Binding, ClassId, Schema, Statement, TriggerAction};
+use ode_model::{
+    extract_field_ranges, BinOp, Binding, ClassId, Expr, Schema, Statement, TriggerAction,
+};
 
 use crate::infer::{self, Scope};
+use crate::interfere::TriggerMembers;
 use crate::{
-    dedup, interfere, sat, Diagnostic, Severity, A002, A003, A005, A007, A009, A010, A201,
+    contradiction, dedup, interfere, Diagnostic, Severity, A002, A003, A005, A007, A008, A009,
+    A010, A201,
 };
 
 /// Analyze a just-defined class (and everything it inherits). Called by
@@ -44,7 +48,23 @@ pub fn analyze_class(schema: &Schema, class: ClassId) -> Vec<Diagnostic> {
             ));
         }
     }
-    sat::check_constraints_satisfiable(&name, constraints.iter().map(|(_, c)| &c.expr), &mut diags);
+    let all = constraints
+        .iter()
+        .map(|(_, c)| c.expr.clone())
+        .reduce(|a, b| Expr::Binary(BinOp::And, Box::new(a), Box::new(b)));
+    if let Some(all) = all {
+        let ranges = extract_field_ranges(&all, None);
+        if let Some(field) = contradiction(&all, None, true, &ranges) {
+            diags.push(Diagnostic::new(
+                A008,
+                Severity::Error,
+                format!(
+                    "constraints on class `{name}` are contradictory: no value \
+                     of `{field}` can satisfy the class and its superclasses"
+                ),
+            ));
+        }
+    }
 
     // §6 — triggers: conditions are boolean predicates over the members
     // (activation parameters allowed), actions assign type-correct
@@ -104,33 +124,30 @@ pub fn analyze_class(schema: &Schema, class: ClassId) -> Vec<Diagnostic> {
             }
         }
     }
-    check_trigger_cycles(&name, &triggers, &mut diags);
-    // A302 — write-skew-prone pairs: unlike the cycle check, this covers
-    // *all* triggers (a once-only trigger still races a concurrent one
-    // under decoupled firing). Footprints here are member sets: the
-    // condition's free identifiers are its read set, `Assign` targets
-    // the write set.
-    let trigger_footprints: Vec<(String, bool, BTreeSet<String>, BTreeSet<String>)> = triggers
+    // Each trigger's footprint as member sets, built once for the cycle
+    // check and A302: the condition's free identifiers are its read set,
+    // `Assign` targets the write set.
+    let footprints: Vec<TriggerMembers<'_>> = triggers
         .iter()
-        .map(|(_, t)| {
-            let reads = t
-                .condition
-                .free_idents()
-                .into_iter()
-                .map(str::to_string)
-                .collect();
-            let writes = t
+        .map(|(_, t)| TriggerMembers {
+            name: &t.name,
+            perpetual: t.perpetual,
+            reads: t.condition.free_idents().into_iter().collect(),
+            writes: t
                 .actions
                 .iter()
                 .filter_map(|a| match a {
-                    TriggerAction::Assign { field, .. } => Some(field.clone()),
+                    TriggerAction::Assign { field, .. } => Some(field.as_str()),
                     TriggerAction::Callback { .. } => None,
                 })
-                .collect();
-            (t.name.clone(), t.perpetual, reads, writes)
+                .collect(),
         })
         .collect();
-    diags.extend(interfere::trigger_write_skew(&trigger_footprints));
+    check_trigger_cycles(&name, &footprints, &mut diags);
+    // A302 — write-skew-prone pairs: unlike the cycle check, this covers
+    // *all* triggers (a once-only trigger still races a concurrent one
+    // under decoupled firing).
+    diags.extend(interfere::trigger_write_skew(&footprints));
     // Methods are registered at runtime *after* the class is defined
     // (registration needs the class to exist), so an unknown method in a
     // constraint or trigger at DDL time is not evidence of an error —
@@ -158,40 +175,15 @@ pub fn analyze_class(schema: &Schema, class: ClassId) -> Vec<Diagnostic> {
 /// whether the condition eventually goes false (`n < 5` with `n = n + 1`
 /// is a self-loop that terminates), and the engine bounds runaway
 /// cascades at runtime anyway (the trigger cascade depth limit).
-fn check_trigger_cycles(
-    class: &str,
-    triggers: &[(&ode_model::ClassDef, &ode_model::TriggerDecl)],
-    diags: &mut Vec<Diagnostic>,
-) {
-    let perpetual: Vec<_> = triggers.iter().filter(|(_, t)| t.perpetual).collect();
+fn check_trigger_cycles(class: &str, triggers: &[TriggerMembers<'_>], diags: &mut Vec<Diagnostic>) {
+    let perpetual: Vec<&TriggerMembers<'_>> = triggers.iter().filter(|t| t.perpetual).collect();
     if perpetual.is_empty() {
         return;
     }
-    let reads: Vec<HashSet<&str>> = perpetual
-        .iter()
-        .map(|(_, t)| t.condition.free_idents().into_iter().collect())
-        .collect();
-    let writes: Vec<HashSet<&str>> = perpetual
-        .iter()
-        .map(|(_, t)| {
-            t.actions
-                .iter()
-                .filter_map(|a| match a {
-                    TriggerAction::Assign { field, .. } => Some(field.as_str()),
-                    TriggerAction::Callback { .. } => None,
-                })
-                .collect()
-        })
-        .collect();
     let n = perpetual.len();
-    for i in 0..n {
-        let mut overlap: Vec<&str> = writes[i]
-            .iter()
-            .filter(|f| reads[i].contains(*f))
-            .copied()
-            .collect();
+    for t in &perpetual {
+        let overlap: Vec<&str> = t.writes.intersection(&t.reads).copied().collect();
         if !overlap.is_empty() {
-            overlap.sort_unstable();
             diags.push(Diagnostic::new(
                 A201,
                 Severity::Warning,
@@ -200,7 +192,7 @@ fn check_trigger_cycles(
                      which its own condition reads — each firing can \
                      re-satisfy the condition and fire again (bounded only \
                      by the runtime cascade limit)",
-                    perpetual[i].1.name,
+                    t.name,
                     overlap.join("`, `"),
                 ),
             ));
@@ -209,7 +201,7 @@ fn check_trigger_cycles(
     let edges: Vec<Vec<usize>> = (0..n)
         .map(|i| {
             (0..n)
-                .filter(|&j| j != i && writes[i].iter().any(|f| reads[j].contains(f)))
+                .filter(|&j| j != i && !perpetual[i].writes.is_disjoint(&perpetual[j].reads))
                 .collect()
         })
         .collect();
@@ -231,8 +223,8 @@ fn check_trigger_cycles(
                         let names: Vec<&str> = path
                             .iter()
                             .skip_while(|&&p| p != to)
-                            .map(|&p| perpetual[p].1.name.as_str())
-                            .chain(std::iter::once(perpetual[to].1.name.as_str()))
+                            .map(|&p| perpetual[p].name)
+                            .chain(std::iter::once(perpetual[to].name))
                             .collect();
                         diags.push(Diagnostic::new(
                             A009,

@@ -182,8 +182,9 @@ pub fn footprint_of(
 }
 
 /// Per-binding read accesses for the query-shaped statements (one per
-/// binding, so never empty).
-fn read_accesses(
+/// binding, so never empty). The analyzer's A101 and A102 lints read
+/// them too.
+pub(crate) fn read_accesses(
     schema: &Schema,
     catalog: Option<&CatalogView>,
     query: &QueryStmt,

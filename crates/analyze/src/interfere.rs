@@ -100,30 +100,37 @@ pub fn batch_interference(stmts: &[(usize, Footprint)]) -> Vec<Diagnostic> {
     diags
 }
 
-/// A302 over a class's triggers: `(name, perpetual, members-read-by-
-/// condition, members-written-by-actions)` per trigger; every pair that
-/// reads the other's writes *in both directions* is write-skew-prone
-/// under decoupled firing. Pairs where both triggers are perpetual are
-/// skipped: a mutual read/write crossing between perpetual triggers is
-/// a two-trigger cycle, which the A009 cycle check already reports.
-pub(crate) fn trigger_write_skew(
-    triggers: &[(String, bool, BTreeSet<String>, BTreeSet<String>)],
-) -> Vec<Diagnostic> {
+/// One trigger's footprint as member sets: the members its condition
+/// reads and the members its `Assign` actions write.
+pub(crate) struct TriggerMembers<'a> {
+    pub(crate) name: &'a str,
+    pub(crate) perpetual: bool,
+    pub(crate) reads: BTreeSet<&'a str>,
+    pub(crate) writes: BTreeSet<&'a str>,
+}
+
+/// A302 over a class's triggers: every pair that reads the other's
+/// writes *in both directions* is write-skew-prone under decoupled
+/// firing. Pairs where both triggers are perpetual are skipped: a mutual
+/// read/write crossing between perpetual triggers is a two-trigger cycle,
+/// which the A009 cycle check already reports.
+pub(crate) fn trigger_write_skew(triggers: &[TriggerMembers<'_>]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    for (i, (name_a, perp_a, reads_a, writes_a)) in triggers.iter().enumerate() {
-        for (name_b, perp_b, reads_b, writes_b) in triggers.iter().skip(i + 1) {
-            if *perp_a && *perp_b {
+    for (i, a) in triggers.iter().enumerate() {
+        for b in triggers.iter().skip(i + 1) {
+            if a.perpetual && b.perpetual {
                 continue;
             }
-            let a_reads_b: Vec<&String> = reads_a.intersection(writes_b).collect();
-            let b_reads_a: Vec<&String> = reads_b.intersection(writes_a).collect();
+            let a_reads_b: Vec<&str> = a.reads.intersection(&b.writes).copied().collect();
+            let b_reads_a: Vec<&str> = b.reads.intersection(&a.writes).copied().collect();
             if !a_reads_b.is_empty() && !b_reads_a.is_empty() {
-                let fmt = |xs: &[&String]| {
+                let fmt = |xs: &[&str]| {
                     xs.iter()
                         .map(|s| format!("`{s}`"))
                         .collect::<Vec<_>>()
                         .join(", ")
                 };
+                let (name_a, name_b) = (a.name, b.name);
                 diags.push(Diagnostic::new(
                     A302,
                     Severity::Warning,

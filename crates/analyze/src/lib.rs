@@ -36,14 +36,12 @@ mod ddl;
 pub mod footprint;
 mod infer;
 pub mod interfere;
-mod sat;
 
 use std::collections::HashSet;
 use std::fmt;
 
-use ode_model::{
-    extract_field_ranges, probe_range, Binding, ClassId, Expr, QueryStmt, Schema, Statement,
-};
+use ode_model::range::comparisons;
+use ode_model::{BinOp, ClassId, Expr, FieldRange, QueryStmt, Schema, Statement, ValueRange};
 
 pub use ddl::{analyze_class, check_fixpoint_body};
 pub use footprint::{footprint_of, ClusterAccess, Footprint};
@@ -308,11 +306,12 @@ fn analyze_query(
                 ),
             ));
         }
-        sat::check_satisfiable(src, pred, diags);
-        if lint_index {
-            if let Some(cat) = catalog {
-                lint_unindexed(schema, cat, src, bindings, pred, diags);
-            }
+        // The footprint pass's per-binding accesses carry the ranges A101
+        // reads and the index choice A102 reads.
+        let accesses = footprint::read_accesses(schema, catalog, query);
+        check_satisfiable(src, query, pred, &accesses, diags);
+        if lint_index && catalog.is_some() {
+            lint_unindexed(schema, src, &accesses, diags);
         }
     }
     if let Some((key, _)) = &query.by {
@@ -405,39 +404,99 @@ fn check_assignment(
     }
 }
 
+/// The field whose extracted `ranges` prove `pred` contradictory, if
+/// any: a range came out empty (`q > 10 && q < 5`), or a `q != v`
+/// conjunct excludes the one value an equality pinned (`q == 5 && q !=
+/// 5`). `ranges` must have been extracted from `pred` with the same `var`
+/// and `bare` reading.
+pub(crate) fn contradiction<'a>(
+    pred: &'a Expr,
+    var: Option<&str>,
+    bare: bool,
+    ranges: &'a [FieldRange],
+) -> Option<&'a str> {
+    if let Some(r) = ranges.iter().find(|r| r.range.is_empty()) {
+        return Some(&r.field);
+    }
+    let mut excluded = None;
+    if !ranges.is_empty() {
+        comparisons(pred, var, bare, &mut |field, op, v| {
+            if op == BinOp::Ne
+                && excluded.is_none()
+                && ranges
+                    .iter()
+                    .find(|r| r.field == field)
+                    .is_some_and(|r| r.range == ValueRange::point(v))
+            {
+                excluded = Some(field);
+            }
+        });
+    }
+    excluded
+}
+
+/// A101: the `suchthat` predicate can never hold, because the ranges a
+/// binding's access pins are contradictory.
+fn check_satisfiable(
+    src: &str,
+    query: &QueryStmt,
+    pred: &Expr,
+    accesses: &[ClusterAccess],
+    diags: &mut Vec<Diagnostic>,
+) {
+    // The footprint reads bare identifiers for a single binding only.
+    let bare = accesses.len() == 1;
+    for (b, acc) in query.bindings.iter().zip(accesses) {
+        if let Some(field) = contradiction(pred, Some(&b.var), bare, &acc.ranges) {
+            diags.push(
+                Diagnostic::new(
+                    A101,
+                    Severity::Warning,
+                    format!(
+                        "suchthat is provably unsatisfiable: contradictory \
+                         constraints on `{}.{field}` select no objects",
+                        b.var
+                    ),
+                )
+                .locate(src, field),
+            );
+            return;
+        }
+    }
+}
+
 /// A102: a single-binding query with an equality conjunct on a member
 /// whose plan is an extent scan: the binding is `only` (an index covers
 /// the deep extent, so a shallow query never probes one), or no extracted
-/// range is on an indexed member. The rule is the planner's own
-/// ([`probe_range`] over [`extract_field_ranges`]), so the lint fires
-/// exactly when `explain` shows an extent scan. A join is not flagged: it
-/// hash-builds an inner binding on an equality key, index or not.
+/// range is on an indexed member. The access's index is the planner's own
+/// choice ([`ode_model::probe_range`] over the extracted ranges), so the
+/// lint fires exactly when `explain` shows an extent scan. A join is not
+/// flagged: it hash-builds an inner binding on an equality key, index or
+/// not.
 fn lint_unindexed(
     schema: &Schema,
-    catalog: &CatalogView,
     src: &str,
-    bindings: &[Binding],
-    pred: &Expr,
+    accesses: &[ClusterAccess],
     diags: &mut Vec<Diagnostic>,
 ) {
-    let [b] = bindings else {
+    let [acc] = accesses else {
         return;
     };
-    let Ok(def) = schema.class_by_name(&b.cluster) else {
+    let Ok(def) = schema.class_by_name(&acc.class) else {
         return;
     };
-    let ranges = extract_field_ranges(pred, Some(&b.var));
-    let Some(eq) = ranges
+    let Some(eq) = acc
+        .ranges
         .iter()
         .find(|r| r.range.is_probe_point() && def.field(&r.field).is_ok())
     else {
         return;
     };
-    if b.deep && probe_range(&ranges, |f| catalog.is_indexed(def.id, f)).is_some() {
+    if acc.index.is_some() {
         return;
     }
-    let (class, field) = (&b.cluster, &eq.field);
-    let message = if b.deep {
+    let (class, field) = (&acc.class, &eq.field);
+    let message = if acc.deep {
         format!(
             "equality on `{class}.{field}` has no index; the query will scan the extent \
              (`explain` shows the plan, `create index {class} {field}` would probe)"

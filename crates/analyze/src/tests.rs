@@ -1,4 +1,4 @@
-use ode_model::{parse_expr, ClassBuilder, Schema, Type};
+use ode_model::{parse_expr, Binding, ClassBuilder, Schema, Type};
 
 use super::*;
 
@@ -274,6 +274,10 @@ fn unsatisfiable_suchthat_is_a101() {
         "quantity == 5 && quantity != 5",
         "quantity >= 10 && quantity < 10",
         "name == \"a\" && name == \"b\"",
+        // A bare member and its `s.` path are one member.
+        "quantity < 10 && s.quantity > 20",
+        // Negative literals read through unary minus.
+        "quantity > -5 && quantity < -10",
     ] {
         let diags = check_query(&s, &[("s", "stockitem")], pred);
         assert_eq!(codes(&diags), vec![A101], "{pred}: {diags:?}");
@@ -347,6 +351,18 @@ fn contradictory_constraints_are_a008() {
     // The base class alone is consistent.
     let base = s.id_of("stockitem").unwrap();
     assert!(analyze_class(&s, base).is_empty());
+
+    // An equality pin against an excluded value.
+    let id = s
+        .define(
+            ClassBuilder::new("pinned")
+                .base("stockitem")
+                .constraint("quantity == 5")
+                .constraint("quantity != 5"),
+        )
+        .unwrap();
+    let diags = analyze_class(&s, id);
+    assert_eq!(codes(&diags), vec![A008], "{diags:?}");
 }
 
 #[test]

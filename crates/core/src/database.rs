@@ -40,9 +40,9 @@ use ode_model::{
 };
 use ode_obs::{
     EngineTelemetry, FlightRecorder, PlanStrategy, QueryProfile, SlowQueryLog, SpanStage,
-    StorageSnapshot, TelemetrySnapshot, DEFAULT_FLIGHT_CAPACITY, DEFAULT_SLOW_THRESHOLD_NS,
+    StorageSnapshot, TelemetrySnapshot,
 };
-use ode_storage::{CommitTicket, FileStore, MemStore, RecordId, Store, StoreOp, StoreStats};
+use ode_storage::{CommitTicket, FileStore, MemStore, RecordId, Store, StoreOp};
 
 use crate::catalog::{CatalogRecord, CatalogState, CATALOG_HEAP};
 use crate::error::{OdeError, Result};
@@ -97,27 +97,20 @@ pub struct DbConfig {
     /// failed group append back to a clean tail (DESIGN.md §10); nothing
     /// after the append is retried. 0 disables retries.
     pub commit_retries: usize,
-    /// How many times [`Database::transaction`] re-runs a closure whose
-    /// commit lost optimistic validation ([`OdeError::WriteConflict`],
-    /// DESIGN.md §13) before surfacing the conflict. Retries back off
-    /// exponentially (capped in the low milliseconds), so extent-scanning
-    /// transactions make progress against streams of small writers.
-    /// 0 disables conflict retries.
-    pub conflict_retries: usize,
-    /// Capacity (in spans) of the always-on flight recorder ring.
-    pub flight_capacity: usize,
-    /// Statements slower than this land in the slow-query log.
-    pub slow_query_threshold_ns: u64,
 }
+
+/// How many times [`Database::transaction`] re-runs a closure whose
+/// commit lost optimistic validation ([`OdeError::WriteConflict`],
+/// DESIGN.md §13) before surfacing the conflict. Retries back off
+/// exponentially (capped in the low milliseconds), so extent-scanning
+/// transactions make progress against streams of small writers.
+const CONFLICT_RETRIES: u32 = 32;
 
 impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
             trigger_cascade_limit: 64,
             commit_retries: 2,
-            conflict_retries: 32,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
-            slow_query_threshold_ns: DEFAULT_SLOW_THRESHOLD_NS,
         }
     }
 }
@@ -458,7 +451,7 @@ impl Database {
 
     /// Build a database over any store implementation.
     pub fn from_store(store: Arc<dyn Store>, config: DbConfig) -> Result<Database> {
-        let flight = Arc::new(FlightRecorder::with_capacity(config.flight_capacity));
+        let flight = Arc::new(FlightRecorder::default());
         // Recovery runs before any request exists, so its span belongs to
         // the background (zero) trace.
         let mut recovery_span = flight.span(SpanStage::Recovery, "catalog replay");
@@ -578,7 +571,7 @@ impl Database {
             backlog: Mutex::ranked(rank::BACKLOG, backlog),
             commit_observer: RwLock::ranked(rank::HOOKS, None),
             sched_hook: RwLock::ranked(rank::HOOKS, None),
-            slowlog: SlowQueryLog::with_threshold_ns(config.slow_query_threshold_ns),
+            slowlog: SlowQueryLog::default(),
             config,
             tel,
             flight,
@@ -1129,7 +1122,7 @@ impl Database {
 
     /// Run `f` in a transaction: commit on `Ok`, abort on `Err`. A commit
     /// that loses optimistic validation ([`OdeError::WriteConflict`]) is
-    /// retried from scratch up to `DbConfig::conflict_retries` times with
+    /// retried from scratch up to `CONFLICT_RETRIES` (32) times with
     /// exponential backoff — `f` must therefore be safe to re-run (it sees
     /// a fresh transaction each attempt).
     pub fn transaction<R>(
@@ -1142,9 +1135,7 @@ impl Database {
             match f(&mut tx) {
                 Ok(r) => match tx.commit() {
                     Ok(_) => return Ok(r),
-                    Err(OdeError::WriteConflict { .. })
-                        if (attempt as usize) < self.config.conflict_retries =>
-                    {
+                    Err(OdeError::WriteConflict { .. }) if attempt < CONFLICT_RETRIES => {
                         attempt += 1;
                         self.tel.txn.commit_retries.inc();
                         // Exponential backoff, capped low: losers yield so
@@ -1229,16 +1220,6 @@ impl Database {
             })?;
         }
         Ok(n)
-    }
-
-    /// Substrate counters (buffer pool, WAL, commits).
-    pub fn store_stats(&self) -> StoreStats {
-        self.store.stats()
-    }
-
-    /// Reset substrate counters.
-    pub fn reset_store_stats(&self) {
-        self.store.reset_stats()
     }
 
     // ------------------------------------------------------- telemetry

@@ -1,12 +1,14 @@
 //! Static value-range extraction: turn a predicate's top-level `&&`
 //! conjuncts of the shape `member op literal` into per-field intervals.
 //!
-//! This is the abstract domain the footprint analyzer (ode-analyze), the
-//! query planner and the commit validator (ode-core) share, and
-//! [`probe_range`] is the one place an index probe is chosen from it: a
-//! predicate `P` over a loop
-//! variable implies, for every extracted [`FieldRange`] `f ∈ R`, that any
-//! object satisfying `P` has `f ∈ R`. The extraction is a sound
+//! This is the abstract domain the footprint pass and the analyzer's
+//! range lints (ode-analyze: A101 unsatisfiable `suchthat`, A008
+//! contradictory constraints, A102 unindexed equality), the query planner
+//! and the commit validator (ode-core) share. [`comparisons`] is the one
+//! reader of `member op literal` conjuncts, and [`probe_range`] the one
+//! place an index probe is chosen from the ranges: a predicate `P` over a
+//! loop variable implies, for every extracted [`FieldRange`] `f ∈ R`,
+//! that any object satisfying `P` has `f ∈ R`. The extraction is a sound
 //! over-approximation — conjuncts it cannot read (disjunctions, method
 //! calls, cross-variable comparisons) simply widen the result toward
 //! "whole extent"; it never narrows beyond what the predicate implies.
@@ -198,13 +200,13 @@ impl std::fmt::Display for FieldRange {
 }
 
 /// A field reference a range conjunct can attach to: a bare identifier
-/// (resolved as a field of the current object) or `var.field` where
-/// `var` is the loop variable. Returns the field name.
-fn member_of<'a>(e: &'a Expr, var: Option<&str>) -> Option<&'a str> {
+/// (resolved as a field of the current object, when `bare` allows it) or
+/// `var.field` where `var` is the loop variable. Returns the field name.
+fn member_of<'a>(e: &'a Expr, var: Option<&str>, bare: bool) -> Option<&'a str> {
     match e {
         // A bare identifier that *is* the loop variable names the object,
         // not a field of it.
-        Expr::Ident(name) => (Some(name.as_str()) != var).then_some(name.as_str()),
+        Expr::Ident(name) => (bare && Some(name.as_str()) != var).then_some(name.as_str()),
         Expr::Path(base, field) => match base.as_ref() {
             Expr::Ident(v) => (Some(v.as_str()) == var).then_some(field.as_str()),
             _ => None,
@@ -237,13 +239,46 @@ fn flip(op: BinOp) -> BinOp {
     }
 }
 
+/// The one reader of range conjuncts: call `visit(field, op, v)` for each
+/// top-level `&&` conjunct of `pred`, left to right, of the shape
+/// `field op literal` in either orientation (mirrored so the field reads
+/// on the left), where `op` is `==`, `!=`, `<`, `<=`, `>` or `>=`. A
+/// field is `var.field`, or a bare identifier when `bare` holds (a join
+/// passes `false`: there a bare identifier could resolve against any
+/// binding). Every other conjunct is skipped.
+pub fn comparisons<'a>(
+    pred: &'a Expr,
+    var: Option<&str>,
+    bare: bool,
+    visit: &mut impl FnMut(&'a str, BinOp, Value),
+) {
+    let Expr::Binary(op, l, r) = pred else { return };
+    if *op == BinOp::And {
+        comparisons(l, var, bare, visit);
+        comparisons(r, var, bare, visit);
+        return;
+    }
+    if !matches!(
+        op,
+        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
+    ) {
+        return;
+    }
+    if let (Some(f), Some(v)) = (member_of(l, var, bare), literal_of(r)) {
+        visit(f, *op, v);
+    } else if let (Some(v), Some(f)) = (literal_of(l), member_of(r, var, bare)) {
+        visit(f, flip(*op), v);
+    }
+}
+
 /// Extract the per-field intervals a predicate implies for objects bound
 /// to `var` (or, with `var: None`, for the implicit current object).
 ///
-/// Only top-level `&&` conjuncts of the shape `field op literal` (either
-/// orientation) narrow a range; everything else is ignored, keeping the
-/// result a sound over-approximation: `P(obj) ⇒ obj.f ∈ R_f` for every
-/// returned range. Fields are returned in name order (deterministic).
+/// Only the [`comparisons`] narrow a range (`!=` excludes one value, not
+/// an interval, so it narrows nothing); everything else is ignored,
+/// keeping the result a sound over-approximation: `P(obj) ⇒ obj.f ∈ R_f`
+/// for every returned range. Fields are returned in name order
+/// (deterministic).
 pub fn extract_field_ranges(pred: &Expr, var: Option<&str>) -> Vec<FieldRange> {
     extract_ranges(pred, var, true)
 }
@@ -255,36 +290,13 @@ pub fn extract_qualified_ranges(pred: &Expr, var: &str) -> Vec<FieldRange> {
     extract_ranges(pred, Some(var), false)
 }
 
-fn extract_ranges(pred: &Expr, var: Option<&str>, allow_bare: bool) -> Vec<FieldRange> {
-    fn member<'a>(e: &'a Expr, var: Option<&str>, allow_bare: bool) -> Option<&'a str> {
-        match member_of(e, var) {
-            Some(f) if allow_bare || matches!(e, Expr::Path(..)) => Some(f),
-            _ => None,
-        }
-    }
-    /// Narrow `ranges` (sorted by field) by each top-level `&&` conjunct
-    /// of `e`, left to right.
-    fn narrow(e: &Expr, var: Option<&str>, allow_bare: bool, ranges: &mut Vec<FieldRange>) {
-        let Expr::Binary(op, l, r) = e else { return };
-        if *op == BinOp::And {
-            narrow(l, var, allow_bare, ranges);
-            narrow(r, var, allow_bare, ranges);
+fn extract_ranges(pred: &Expr, var: Option<&str>, bare: bool) -> Vec<FieldRange> {
+    // Sorted by field.
+    let mut ranges: Vec<FieldRange> = Vec::new();
+    comparisons(pred, var, bare, &mut |field, op, v| {
+        if op == BinOp::Ne {
             return;
         }
-        if !matches!(
-            op,
-            BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        ) {
-            return;
-        }
-        let (field, op, v) = if let (Some(f), Some(v)) = (member(l, var, allow_bare), literal_of(r))
-        {
-            (f, *op, v)
-        } else if let (Some(v), Some(f)) = (literal_of(l), member(r, var, allow_bare)) {
-            (f, flip(*op), v)
-        } else {
-            return;
-        };
         let at = match ranges.binary_search_by(|r| r.field.as_str().cmp(field)) {
             Ok(at) => at,
             Err(at) => {
@@ -295,9 +307,7 @@ fn extract_ranges(pred: &Expr, var: Option<&str>, allow_bare: bool) -> Vec<Field
             }
         };
         ranges[at].range.narrow(op, &v);
-    }
-    let mut ranges = Vec::new();
-    narrow(pred, var, allow_bare, &mut ranges);
+    });
     ranges.retain(|r| !r.range.is_full());
     ranges
 }

@@ -615,6 +615,8 @@ impl Store for FileStore {
         self.pager.reset_stats();
         self.record_reads.store(0, Ordering::Relaxed);
         self.record_writes.store(0, Ordering::Relaxed);
+        self.commits.store(0, Ordering::Relaxed);
+        self.checkpoint_failures.store(0, Ordering::Relaxed);
         self.commit_groups.store(0, Ordering::Relaxed);
         self.commit_group_members.store(0, Ordering::Relaxed);
         g.wal.reset_counters();

@@ -244,11 +244,6 @@ impl HeapManager {
         self.heaps.contains_key(&heap)
     }
 
-    /// Ids of all live heaps.
-    pub fn heap_ids(&self) -> BTreeSet<u32> {
-        self.heaps.keys().copied().collect()
-    }
-
     /// Release every page of `heap` to the free list.
     pub fn drop_heap(&mut self, pager: &Pager, heap: u32) -> Result<()> {
         let st = self

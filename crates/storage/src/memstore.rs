@@ -239,6 +239,7 @@ impl Store for MemStore {
     }
 
     fn reset_stats(&self) {
+        self.commits.store(0, Ordering::Relaxed);
         self.record_reads.store(0, Ordering::Relaxed);
         self.record_writes.store(0, Ordering::Relaxed);
     }

@@ -149,19 +149,9 @@ impl Page {
         PageType::from_u8(self.buf[2]).expect("validated at construction")
     }
 
-    /// Change the page's role (used when recycling free pages).
-    pub fn set_page_type(&mut self, ty: PageType) {
-        self.buf[2] = ty.to_u8();
-    }
-
     /// Owning heap id (meaningful for heap pages).
     pub fn heap_id(&self) -> u32 {
         read_u32(&self.buf[..], 4)
-    }
-
-    /// Set the owning heap id.
-    pub fn set_heap_id(&mut self, heap: u32) {
-        write_u32(&mut self.buf[..], 4, heap);
     }
 
     /// Next page in this heap's chain ([`NO_PAGE`] if last).

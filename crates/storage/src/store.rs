@@ -46,7 +46,7 @@ pub struct StoreStats {
     pub wal_bytes: u64,
     /// Pages in the data file.
     pub page_count: u32,
-    /// Committed batches since open.
+    /// Committed batches since open or the last reset.
     pub commits: u64,
     /// Record reads served.
     pub record_reads: u64,

@@ -157,9 +157,6 @@ pub struct Client {
     /// Pushes that arrived interleaved with request/response traffic,
     /// buffered for [`Client::next_push`].
     pending_pushes: VecDeque<PushEvent>,
-    /// The caller-requested I/O timeout, restored after the temporary
-    /// read timeout [`Client::next_push`] installs.
-    io_timeout: Option<Duration>,
 }
 
 impl Client {
@@ -183,7 +180,6 @@ impl Client {
             next_trace: seed | 1,
             last_trace: 0,
             pending_pushes: VecDeque::new(),
-            io_timeout: None,
         };
         client.send(
             Request::Hello {
@@ -209,16 +205,6 @@ impl Client {
     /// the first line).
     pub fn last_trace(&self) -> u64 {
         self.last_trace
-    }
-
-    /// Bound every subsequent socket read/write (`None` removes the
-    /// bound). Expired bounds surface as [`ClientError::Transport`].
-    pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        self.io_timeout = timeout;
-        self.stream
-            .set_read_timeout(timeout)
-            .and_then(|()| self.stream.set_write_timeout(timeout))
-            .map_err(ClientError::from_io)
     }
 
     /// Send one shell input line and read its response. The line carries
@@ -333,7 +319,7 @@ impl Client {
             .map_err(ClientError::from_io)?;
         let result = self.reader.read_frame(&mut self.stream, MAX_FRAME_BYTES);
         self.stream
-            .set_read_timeout(self.io_timeout)
+            .set_read_timeout(None)
             .map_err(ClientError::from_io)?;
         let payload = match result {
             Err(e)

@@ -332,6 +332,7 @@ fn snapshot_delta_reset_and_json() {
     assert_eq!(zero.txn.committed, 0);
     assert_eq!(zero.versions.newversions, 0);
     assert_eq!(zero.storage.wal_appends, 0);
+    assert_eq!(zero.storage.commits, 0);
 
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
