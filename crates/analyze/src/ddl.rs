@@ -7,10 +7,11 @@
 use std::collections::HashMap;
 
 use ode_model::{
-    extract_field_ranges, BinOp, Binding, ClassId, Expr, Schema, Statement, TriggerAction,
+    bind, extract_field_ranges, BinOp, Binding, ClassId, Expr, Schema, Scope, Statement,
+    TriggerAction,
 };
 
-use crate::infer::{self, Scope};
+use crate::infer::{self, SType, Statics};
 use crate::interfere::TriggerMembers;
 use crate::{
     contradiction, dedup, interfere, Diagnostic, Severity, A002, A003, A005, A007, A008, A009,
@@ -34,19 +35,8 @@ pub fn analyze_class(schema: &Schema, class: ClassId) -> Vec<Diagnostic> {
         return diags;
     };
     for (_, cons) in &constraints {
-        let scope = Scope::for_this(class, None);
-        let ty = infer::infer(schema, &scope, &cons.src, &cons.expr, &mut diags);
-        if !ty.is_boolish() {
-            diags.push(Diagnostic::new(
-                A005,
-                Severity::Error,
-                format!(
-                    "constraint `{}` on class `{name}` has type {}, expected bool",
-                    cons.name,
-                    ty.describe(schema)
-                ),
-            ));
-        }
+        let what = format!("constraint `{}`", cons.name);
+        diags.extend(check_predicate(schema, class, &what, &cons.src, &cons.expr));
     }
     let all = constraints
         .iter()
@@ -73,14 +63,11 @@ pub fn analyze_class(schema: &Schema, class: ClassId) -> Vec<Diagnostic> {
         return diags;
     };
     for (_, trig) in &triggers {
-        let scope = Scope::for_this(class, Some(&trig.params));
-        let ty = infer::infer(
-            schema,
-            &scope,
-            &trig.condition_src,
-            &trig.condition,
-            &mut diags,
-        );
+        let params: Vec<&str> = trig.params.iter().map(String::as_str).collect();
+        let type_of = |src: &str, expr: &Expr, diags: &mut Vec<Diagnostic>| {
+            infer_object(schema, class, Some(&params), src, expr, diags)
+        };
+        let ty = type_of(&trig.condition_src, &trig.condition, &mut diags);
         if !ty.is_boolish() {
             diags.push(Diagnostic::new(
                 A005,
@@ -94,7 +81,7 @@ pub fn analyze_class(schema: &Schema, class: ClassId) -> Vec<Diagnostic> {
         }
         for action in &trig.actions {
             if let TriggerAction::Assign { field, src, expr } = action {
-                let value_ty = infer::infer(schema, &scope, src, expr, &mut diags);
+                let value_ty = type_of(src, expr, &mut diags);
                 match def.field(field) {
                     Ok(layout) => {
                         if !value_ty.assignable_to(schema, &layout.ty) {
@@ -155,6 +142,51 @@ pub fn analyze_class(schema: &Schema, class: ClassId) -> Vec<Diagnostic> {
     // settled and every method the program uses is registered.
     diags.retain(|d| d.code != A003);
     dedup(diags)
+}
+
+/// Type `expr` (`src` its text), a predicate over one object of `class`:
+/// a constraint, or a subscription predicate checked when it is
+/// registered. `what` names it in the finding for a non-boolean type.
+pub fn check_predicate(
+    schema: &Schema,
+    class: ClassId,
+    what: &str,
+    src: &str,
+    expr: &Expr,
+) -> Vec<Diagnostic> {
+    let mut diags = Vec::new();
+    let ty = infer_object(schema, class, None, src, expr, &mut diags);
+    if !ty.is_boolish() {
+        let name = schema.class(class).map_or("", |d| d.name.as_str());
+        diags.push(Diagnostic::new(
+            A005,
+            Severity::Error,
+            format!(
+                "{what} on class `{name}` has type {}, expected bool",
+                ty.describe(schema)
+            ),
+        ));
+    }
+    diags
+}
+
+/// Type `expr` in the object scope of `class`; `params` are a trigger's
+/// parameters, `None` outside a trigger body.
+fn infer_object(
+    schema: &Schema,
+    class: ClassId,
+    params: Option<&[&str]>,
+    src: &str,
+    expr: &Expr,
+    diags: &mut Vec<Diagnostic>,
+) -> SType {
+    let scope = Scope::object(params.unwrap_or_default());
+    let statics = Statics {
+        vars: &[],
+        this: Some(class),
+        trigger: params.is_some(),
+    };
+    infer::infer(schema, &statics, src, &bind(schema, &scope, expr), diags)
 }
 
 /// A201 and A009: perpetual triggers that can re-arm themselves or each

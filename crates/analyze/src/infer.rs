@@ -1,17 +1,20 @@
-//! Static type inference over [`Expr`] trees.
+//! Static type inference over bound expressions.
 //!
 //! Name resolution has one home, `ode-model`'s binder (`bind.rs`): a
 //! bare identifier names the innermost loop variable of that name, else a
-//! member of the current object. This pass walks the same names with
-//! static types and touches no objects; it does not yet run on the
-//! binder's output. Arithmetic works on numbers (ints coerce to doubles,
+//! member of the current object. This pass types the binder's output with
+//! the static classes of its loop variables and of `this`, and touches no
+//! objects: a name the binder could not resolve is A004, a member with no
+//! slot in its static class A002, and an `is` test of an unknown class
+//! A001. Arithmetic works on numbers (ints coerce to doubles,
 //! `+` also concatenates strings); ordering compares numbers with numbers
 //! and strings with strings; `==`/`!=` accept any pair of *compatible*
 //! types. `Any`/`Null` absorb — inference is deliberately lenient where
 //! the evaluator is dynamic, so the analyzer only reports what is
 //! provably wrong.
 
-use ode_model::{BinOp, Binding, ClassId, Expr, Schema, Type, UnOp, Value};
+use ode_model::bind::{Classes, Field, Node, Recv};
+use ode_model::{BinOp, BoundExpr, ClassId, Schema, Type, UnOp, Value};
 
 use crate::{Diagnostic, Severity, A001, A002, A003, A004, A005, A103};
 
@@ -137,397 +140,245 @@ impl SType {
     }
 }
 
-/// Name-resolution context for one expression: the loop variables in
-/// scope, the implicit `this` class (single-binding queries, constraint
-/// and trigger bodies), and the `$param`s declared here (`None` outside
-/// a trigger body).
-pub(crate) struct Scope<'a> {
-    vars: Vec<(&'a str, ClassId)>,
-    this_class: Option<ClassId>,
-    params: Option<&'a [String]>,
+/// The static classes behind the names of one bound expression: loop
+/// variable `i` ranges over `vars[i]` (and its subclasses, §3.1.1), and
+/// `this`, where the scope binds one, is an object of class `this`.
+pub(crate) struct Statics<'a> {
+    pub(crate) vars: &'a [ClassId],
+    pub(crate) this: Option<ClassId>,
+    /// Is the expression a trigger body? Only the wording of the finding
+    /// for an undeclared `$param` depends on it.
+    pub(crate) trigger: bool,
 }
 
-impl<'a> Scope<'a> {
-    /// Scope of a query's bindings. `None` if any binding's class is
-    /// unknown (already reported as A001 by the caller).
-    ///
-    /// A single-binding query evaluates its predicate with the candidate
-    /// as `this`, so bare names may also be members; join predicates run
-    /// without `this` — bare names must be loop variables.
-    pub(crate) fn for_bindings(schema: &Schema, bindings: &'a [Binding]) -> Option<Scope<'a>> {
-        let mut vars = Vec::with_capacity(bindings.len());
-        for b in bindings {
-            vars.push((b.var.as_str(), schema.id_of(&b.cluster).ok()?));
-        }
-        let this_class = (bindings.len() == 1).then(|| vars[0].1);
-        Some(Scope {
-            vars,
-            this_class,
-            params: None,
-        })
-    }
-
-    /// Scope with an implicit `this` of `class`: constraint expressions
-    /// (`params` is `None`), trigger conditions/actions (`params` names
-    /// the trigger's declared `$arg`s).
-    pub(crate) fn for_this(class: ClassId, params: Option<&'a [String]>) -> Scope<'a> {
-        Scope {
-            vars: Vec::new(),
-            this_class: Some(class),
-            params,
-        }
-    }
-
-    /// No variables, no `this`: `pnew` initializer expressions.
-    pub(crate) fn free(_schema: &Schema) -> Scope<'a> {
-        Scope {
-            vars: Vec::new(),
-            this_class: None,
-            params: None,
-        }
-    }
-
-    fn lookup_var(&self, name: &str) -> Option<ClassId> {
-        self.vars
-            .iter()
-            .find(|(v, _)| *v == name)
-            .map(|(_, id)| *id)
-    }
-}
-
-/// Infer the static type of `expr`, pushing diagnostics for everything
-/// provably wrong. Returns [`SType::Any`] after reporting an error so
-/// one mistake does not cascade.
+/// Infer the static type of `expr`, as the binder resolved it, pushing
+/// diagnostics for everything provably wrong. Returns [`SType::Any`]
+/// after reporting an error so one mistake does not cascade.
 pub(crate) fn infer(
     schema: &Schema,
-    scope: &Scope<'_>,
+    statics: &Statics<'_>,
     src: &str,
-    expr: &Expr,
+    expr: &BoundExpr,
     diags: &mut Vec<Diagnostic>,
 ) -> SType {
-    match expr {
-        Expr::Lit(v) => SType::from_value(v),
-        Expr::Ident(name) => {
-            if let Some(class) = scope.lookup_var(name) {
-                return SType::Obj(class);
-            }
-            if let Some(this) = scope.this_class {
-                if let Ok(def) = schema.class(this) {
-                    if let Ok(field) = def.field(name) {
-                        return SType::from_decl(schema, &field.ty);
-                    }
-                    diags.push(
-                        Diagnostic::new(
-                            A002,
-                            Severity::Error,
-                            format!("class `{}` has no member `{name}`", def.name),
-                        )
-                        .locate(src, name),
-                    );
-                    return SType::Any;
-                }
-            }
-            diags.push(
-                Diagnostic::new(
-                    A004,
-                    Severity::Error,
-                    format!(
-                        "unresolved identifier `{name}`: not a loop variable \
-                         (join predicates must qualify members as `var.member`)"
-                    ),
-                )
-                .locate(src, name),
-            );
-            SType::Any
-        }
-        Expr::Param(name) => {
-            let message = match scope.params {
-                Some(params) if params.contains(name) => return SType::Any,
-                Some(_) => format!("`${name}` is not a parameter of this trigger"),
-                None => format!(
-                    "activation parameter `${name}` is only available \
-                     in trigger bodies, not in queries"
-                ),
-            };
-            diags.push(Diagnostic::new(A004, Severity::Error, message).locate(src, name));
-            SType::Any
-        }
-        Expr::Path(base, member) => {
-            let base_ty = infer(schema, scope, src, base, diags);
-            match base_ty {
-                SType::Obj(class) => {
-                    let Ok(def) = schema.class(class) else {
-                        return SType::Any;
-                    };
-                    match def.field(member) {
-                        Ok(field) => SType::from_decl(schema, &field.ty),
-                        Err(_) => {
-                            diags.push(
-                                Diagnostic::new(
-                                    A002,
-                                    Severity::Error,
-                                    format!("class `{}` has no member `{member}`", def.name),
-                                )
-                                .locate(src, member),
-                            );
-                            SType::Any
-                        }
-                    }
-                }
-                ref t if t.is_wild() => SType::Any,
-                other => {
-                    diags.push(
-                        Diagnostic::new(
-                            A005,
-                            Severity::Error,
-                            format!(
-                                "member access `.{member}` on a value of type {}",
-                                other.describe(schema)
-                            ),
-                        )
-                        .locate(src, member),
-                    );
-                    SType::Any
-                }
-            }
-        }
-        Expr::Unary(op, e) => {
-            let t = infer(schema, scope, src, e, diags);
-            match op {
-                UnOp::Neg => {
-                    if !t.is_numeric() {
-                        diags.push(Diagnostic::new(
-                            A005,
-                            Severity::Error,
-                            format!("cannot negate a value of type {}", t.describe(schema)),
-                        ));
-                        SType::Any
-                    } else {
-                        t
-                    }
-                }
-                UnOp::Not => {
-                    if !t.is_boolish() {
-                        diags.push(Diagnostic::new(
-                            A005,
-                            Severity::Error,
-                            format!("`!` applies to bool, got {}", t.describe(schema)),
-                        ));
-                    }
-                    SType::Bool
-                }
-            }
-        }
-        Expr::Binary(op, l, r) => {
-            let lt = infer(schema, scope, src, l, diags);
-            let rt = infer(schema, scope, src, r, diags);
-            infer_binary(schema, src, *op, &lt, &rt, diags)
-        }
-        Expr::Call { recv, name, args } => {
-            for a in args {
-                infer(schema, scope, src, a, diags);
-            }
-            let recv_class = match recv {
-                Some(r) => match infer(schema, scope, src, r, diags) {
-                    SType::Obj(c) => Some(c),
-                    ref t if t.is_wild() => return SType::Any,
-                    other => {
-                        diags.push(
-                            Diagnostic::new(
-                                A005,
-                                Severity::Error,
-                                format!(
-                                    "method call `.{name}()` on a value of type {}",
-                                    other.describe(schema)
-                                ),
-                            )
-                            .locate(src, name),
-                        );
-                        return SType::Any;
-                    }
-                },
-                None => scope.this_class,
-            };
-            let Some(class) = recv_class else {
-                diags.push(
-                    Diagnostic::new(
-                        A004,
-                        Severity::Error,
-                        format!("method `{name}()` called without a receiver object"),
-                    )
-                    .locate(src, name),
-                );
-                return SType::Any;
-            };
-            // Methods are registered at run time; the dynamic class may
-            // be any subclass of the static one, so only report when no
-            // class in the hierarchy knows the method.
-            let known_here = schema.lookup_method(class, name).is_ok();
-            let known_below = schema
-                .descendants(class)
-                .into_iter()
-                .any(|d| schema.lookup_method(d, name).is_ok());
-            if !known_here && !known_below {
-                let cname = schema
-                    .class(class)
-                    .map(|d| d.name.clone())
-                    .unwrap_or_default();
-                diags.push(
-                    Diagnostic::new(
-                        A003,
-                        Severity::Error,
-                        format!(
-                            "no method `{name}` registered on class `{cname}` or its subclasses"
-                        ),
-                    )
-                    .locate(src, name),
-                );
-            }
-            SType::Any
-        }
-        Expr::Is(base, class_name) => {
-            let base_ty = infer(schema, scope, src, base, diags);
-            let Ok(target) = schema.id_of(class_name) else {
-                diags.push(
-                    Diagnostic::new(
-                        A001,
-                        Severity::Error,
-                        format!("unknown class `{class_name}` in `is` test"),
-                    )
-                    .locate(src, class_name),
-                );
-                return SType::Bool;
-            };
-            match base_ty {
-                SType::Obj(static_class) => {
-                    // `x is C` can only be true if some class is at once
-                    // a subclass of x's static class (a possible dynamic
-                    // class) and of C.
-                    let overlaps = schema.classes().iter().any(|d| {
-                        schema.is_subclass(d.id, static_class) && schema.is_subclass(d.id, target)
-                    });
-                    if !overlaps {
-                        let sname = schema
-                            .class(static_class)
-                            .map(|d| d.name.clone())
-                            .unwrap_or_default();
-                        diags.push(
-                            Diagnostic::new(
-                                A103,
-                                Severity::Warning,
-                                format!(
-                                    "`is {class_name}` is never true here: `{class_name}` is \
-                                     outside `{sname}`'s cluster hierarchy"
-                                ),
-                            )
-                            .locate(src, class_name),
-                        );
-                    }
-                }
-                ref t if t.is_wild() => {}
-                other => {
-                    diags.push(
-                        Diagnostic::new(
-                            A005,
-                            Severity::Error,
-                            format!(
-                                "`is` tests an object, got a value of type {}",
-                                other.describe(schema)
-                            ),
-                        )
-                        .locate(src, class_name),
-                    );
-                }
-            }
-            SType::Bool
-        }
-        Expr::Cond(c, a, b) => {
-            let ct = infer(schema, scope, src, c, diags);
-            if !ct.is_boolish() {
-                diags.push(Diagnostic::new(
-                    A005,
-                    Severity::Error,
-                    format!("condition has type {}, expected bool", ct.describe(schema)),
-                ));
-            }
-            let at = infer(schema, scope, src, a, diags);
-            let bt = infer(schema, scope, src, b, diags);
-            if at == bt {
-                at
-            } else {
+    Typer {
+        schema,
+        statics,
+        src,
+        diags,
+    }
+    .node(expr.root())
+}
+
+struct Typer<'t> {
+    schema: &'t Schema,
+    statics: &'t Statics<'t>,
+    src: &'t str,
+    diags: &'t mut Vec<Diagnostic>,
+}
+
+impl Typer<'_> {
+    /// Report error `code`, located at `token` in the source.
+    fn error(&mut self, code: &'static str, message: String, token: &str) {
+        self.diags
+            .push(Diagnostic::new(code, Severity::Error, message).locate(self.src, token));
+    }
+
+    /// The declared type of `field` in `class`, or A002 when the binder
+    /// found no slot for it there.
+    fn field(&mut self, class: ClassId, field: &Field) -> SType {
+        let Ok(def) = self.schema.class(class) else {
+            return SType::Any;
+        };
+        match field.slot(class) {
+            Some(slot) => SType::from_decl(self.schema, &def.layout[slot].ty),
+            None => {
+                let message = format!("class `{}` has no member `{}`", def.name, field.name());
+                self.error(A002, message, field.name());
                 SType::Any
             }
         }
-        Expr::Index(base, ix) => {
-            let bt = infer(schema, scope, src, base, diags);
-            let it = infer(schema, scope, src, ix, diags);
-            if !matches!(it, SType::Int) && !it.is_wild() {
-                diags.push(Diagnostic::new(
-                    A005,
-                    Severity::Error,
-                    format!("index has type {}, expected int", it.describe(schema)),
-                ));
-            }
-            match bt {
-                SType::Array(e) => *e,
-                SType::Str => SType::Str,
+    }
+
+    fn node(&mut self, node: &Node) -> SType {
+        let schema = self.schema;
+        match node {
+            Node::Lit(v) => SType::from_value(v),
+            Node::Var(i) => SType::Obj(self.statics.vars[*i]),
+            Node::ThisField(f) => match self.statics.this {
+                Some(this) => self.field(this, f),
+                None => SType::Any,
+            },
+            Node::VarField(i, f) => self.field(self.statics.vars[*i], f),
+            Node::Path(base, member) => match self.node(base) {
+                SType::Obj(class) => self.field(class, member),
                 ref t if t.is_wild() => SType::Any,
                 other => {
-                    diags.push(Diagnostic::new(
-                        A005,
-                        Severity::Error,
-                        format!("cannot index a value of type {}", other.describe(schema)),
-                    ));
+                    let message = format!(
+                        "member access `.{}` on a value of type {}",
+                        member.name(),
+                        other.describe(schema)
+                    );
+                    self.error(A005, message, member.name());
                     SType::Any
+                }
+            },
+            Node::Param(..) => SType::Any,
+            Node::Fail(name) => {
+                let (message, token) = match name.strip_prefix('$') {
+                    Some(param) if self.statics.trigger => (
+                        format!("`{name}` is not a parameter of this trigger"),
+                        param,
+                    ),
+                    Some(param) => (
+                        format!(
+                            "activation parameter `{name}` is only available \
+                             in trigger bodies, not in queries"
+                        ),
+                        param,
+                    ),
+                    None => (
+                        format!(
+                            "unresolved identifier `{name}`: not a loop variable \
+                             (join predicates must qualify members as `var.member`)"
+                        ),
+                        name.as_str(),
+                    ),
+                };
+                self.error(A004, message, token);
+                SType::Any
+            }
+            Node::Unary(op, e) => {
+                let t = self.node(e);
+                match op {
+                    UnOp::Neg => {
+                        if !t.is_numeric() {
+                            let message =
+                                format!("cannot negate a value of type {}", t.describe(schema));
+                            self.error(A005, message, "");
+                            SType::Any
+                        } else {
+                            t
+                        }
+                    }
+                    UnOp::Not => {
+                        if !t.is_boolish() {
+                            let message =
+                                format!("`!` applies to bool, got {}", t.describe(schema));
+                            self.error(A005, message, "");
+                        }
+                        SType::Bool
+                    }
+                }
+            }
+            Node::Binary(op, l, r) => {
+                let lt = self.node(l);
+                let rt = self.node(r);
+                self.binary(*op, &lt, &rt)
+            }
+            Node::Call { recv, name, args } => {
+                for a in args {
+                    self.node(a);
+                }
+                let recv_class = match recv {
+                    Recv::This => self.statics.this,
+                    Recv::Var(i) => Some(self.statics.vars[*i]),
+                    Recv::Expr(r) => match self.node(r) {
+                        SType::Obj(c) => Some(c),
+                        ref t if t.is_wild() => return SType::Any,
+                        other => {
+                            let message = format!(
+                                "method call `.{name}()` on a value of type {}",
+                                other.describe(schema)
+                            );
+                            self.error(A005, message, name);
+                            return SType::Any;
+                        }
+                    },
+                };
+                let Some(class) = recv_class else {
+                    let message = format!("method `{name}()` called without a receiver object");
+                    self.error(A004, message, name);
+                    return SType::Any;
+                };
+                // Methods are registered at run time; the dynamic class may
+                // be any subclass of the static one, so only report when no
+                // class in the hierarchy knows the method.
+                let known_here = schema.lookup_method(class, name).is_ok();
+                let known_below = schema
+                    .descendants(class)
+                    .into_iter()
+                    .any(|d| schema.lookup_method(d, name).is_ok());
+                if !known_here && !known_below {
+                    let cname = schema
+                        .class(class)
+                        .map(|d| d.name.clone())
+                        .unwrap_or_default();
+                    let message = format!(
+                        "no method `{name}` registered on class `{cname}` or its subclasses"
+                    );
+                    self.error(A003, message, name);
+                }
+                SType::Any
+            }
+            Node::VarIs(i, classes) => {
+                let base = SType::Obj(self.statics.vars[*i]);
+                self.is(base, classes)
+            }
+            Node::Is(base, classes) => {
+                let base = self.node(base);
+                self.is(base, classes)
+            }
+            Node::Cond(c, a, b) => {
+                let ct = self.node(c);
+                if !ct.is_boolish() {
+                    let message =
+                        format!("condition has type {}, expected bool", ct.describe(schema));
+                    self.error(A005, message, "");
+                }
+                let at = self.node(a);
+                let bt = self.node(b);
+                if at == bt {
+                    at
+                } else {
+                    SType::Any
+                }
+            }
+            Node::Index(base, ix) => {
+                let bt = self.node(base);
+                let it = self.node(ix);
+                if !matches!(it, SType::Int) && !it.is_wild() {
+                    let message = format!("index has type {}, expected int", it.describe(schema));
+                    self.error(A005, message, "");
+                }
+                match bt {
+                    SType::Array(e) => *e,
+                    SType::Str => SType::Str,
+                    ref t if t.is_wild() => SType::Any,
+                    other => {
+                        let message =
+                            format!("cannot index a value of type {}", other.describe(schema));
+                        self.error(A005, message, "");
+                        SType::Any
+                    }
                 }
             }
         }
     }
-}
 
-fn infer_binary(
-    schema: &Schema,
-    _src: &str,
-    op: BinOp,
-    lt: &SType,
-    rt: &SType,
-    diags: &mut Vec<Diagnostic>,
-) -> SType {
-    let mismatch = |diags: &mut Vec<Diagnostic>| {
-        diags.push(Diagnostic::new(
-            A005,
-            Severity::Error,
-            format!(
-                "`{}` cannot combine {} with {}",
-                op.symbol(),
-                lt.describe(schema),
-                rt.describe(schema)
-            ),
-        ));
-    };
-    match op {
-        BinOp::Add => {
-            if matches!(lt, SType::Str) && matches!(rt, SType::Str) {
-                SType::Str
-            } else if lt.is_numeric() && rt.is_numeric() {
-                if matches!(lt, SType::Float) || matches!(rt, SType::Float) {
-                    SType::Float
-                } else if lt.is_wild() || rt.is_wild() {
-                    SType::Any
-                } else {
-                    SType::Int
-                }
-            } else if (matches!(lt, SType::Str) && rt.is_wild())
-                || (lt.is_wild() && matches!(rt, SType::Str))
+    fn binary(&mut self, op: BinOp, lt: &SType, rt: &SType) -> SType {
+        let (schema, sym) = (self.schema, op.symbol());
+        let mismatch = |t: &mut Self| {
+            let (l, r) = (lt.describe(schema), rt.describe(schema));
+            t.error(A005, format!("`{sym}` cannot combine {l} with {r}"), "");
+            SType::Any
+        };
+        let is_str = |t: &SType| matches!(t, SType::Str);
+        match op {
+            BinOp::Add if is_str(lt) && is_str(rt) => SType::Str,
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div
+                if lt.is_numeric() && rt.is_numeric() =>
             {
-                SType::Str
-            } else {
-                mismatch(diags);
-                SType::Any
-            }
-        }
-        BinOp::Sub | BinOp::Mul | BinOp::Div => {
-            if lt.is_numeric() && rt.is_numeric() {
                 if matches!(lt, SType::Float) || matches!(rt, SType::Float) {
                     SType::Float
                 } else if lt.is_wild() || rt.is_wild() {
@@ -535,83 +386,111 @@ fn infer_binary(
                 } else {
                     SType::Int
                 }
-            } else {
-                mismatch(diags);
-                SType::Any
             }
-        }
-        BinOp::Mod => {
-            let int_ok = |t: &SType| matches!(t, SType::Int) || t.is_wild();
-            if int_ok(lt) && int_ok(rt) {
-                SType::Int
-            } else {
-                mismatch(diags);
-                SType::Any
+            BinOp::Add if (is_str(lt) && rt.is_wild()) || (lt.is_wild() && is_str(rt)) => {
+                SType::Str
             }
-        }
-        BinOp::Eq | BinOp::Ne => {
-            if !lt.comparable(rt) {
-                diags.push(Diagnostic::new(
-                    A005,
-                    Severity::Error,
-                    format!(
-                        "`{}` compares {} with {}: these types are never equal",
-                        op.symbol(),
-                        lt.describe(schema),
-                        rt.describe(schema)
-                    ),
-                ));
-            }
-            SType::Bool
-        }
-        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let ordered = (lt.is_numeric() && rt.is_numeric())
-                || (matches!(lt, SType::Str) && matches!(rt, SType::Str))
-                || lt.is_wild()
-                || rt.is_wild();
-            if !ordered {
-                diags.push(Diagnostic::new(
-                    A005,
-                    Severity::Error,
-                    format!(
-                        "`{}` orders numbers or strings, got {} and {}",
-                        op.symbol(),
-                        lt.describe(schema),
-                        rt.describe(schema)
-                    ),
-                ));
-            }
-            SType::Bool
-        }
-        BinOp::And | BinOp::Or => {
-            for t in [lt, rt] {
-                if !t.is_boolish() {
-                    diags.push(Diagnostic::new(
-                        A005,
-                        Severity::Error,
-                        format!(
-                            "`{}` takes bool operands, got {}",
-                            op.symbol(),
-                            t.describe(schema)
-                        ),
-                    ));
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => mismatch(self),
+            BinOp::Mod => {
+                let int_ok = |t: &SType| matches!(t, SType::Int) || t.is_wild();
+                if int_ok(lt) && int_ok(rt) {
+                    SType::Int
+                } else {
+                    mismatch(self)
                 }
             }
-            SType::Bool
-        }
-        BinOp::In => {
-            let elem_ok = match rt {
-                SType::Set(e) | SType::Array(e) => lt.comparable(e),
-                t if t.is_wild() => true,
-                _ => {
-                    mismatch(diags);
-                    true
+            BinOp::Eq | BinOp::Ne => {
+                if !lt.comparable(rt) {
+                    let (l, r) = (lt.describe(schema), rt.describe(schema));
+                    let message =
+                        format!("`{sym}` compares {l} with {r}: these types are never equal");
+                    self.error(A005, message, "");
                 }
-            };
-            if !elem_ok {
-                mismatch(diags);
+                SType::Bool
             }
-            SType::Bool
+            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                let ordered = (lt.is_numeric() && rt.is_numeric())
+                    || (is_str(lt) && is_str(rt))
+                    || lt.is_wild()
+                    || rt.is_wild();
+                if !ordered {
+                    let (l, r) = (lt.describe(schema), rt.describe(schema));
+                    let message = format!("`{sym}` orders numbers or strings, got {l} and {r}");
+                    self.error(A005, message, "");
+                }
+                SType::Bool
+            }
+            BinOp::And | BinOp::Or => {
+                for t in [lt, rt] {
+                    if !t.is_boolish() {
+                        let message =
+                            format!("`{sym}` takes bool operands, got {}", t.describe(schema));
+                        self.error(A005, message, "");
+                    }
+                }
+                SType::Bool
+            }
+            BinOp::In => {
+                let elem_ok = match rt {
+                    SType::Set(e) | SType::Array(e) => lt.comparable(e),
+                    t => t.is_wild(),
+                };
+                if !elem_ok {
+                    mismatch(self);
+                }
+                SType::Bool
+            }
         }
+    }
+
+    /// `base is C`, for a `base` of static type `base`.
+    fn is(&mut self, base: SType, classes: &Classes) -> SType {
+        let schema = self.schema;
+        let (target, set) = match classes {
+            Classes::Known { class, set } => (*class, set),
+            Classes::Unknown(name) => {
+                let message = format!("unknown class `{name}` in `is` test");
+                self.error(A001, message, name);
+                return SType::Bool;
+            }
+        };
+        let class_name = schema.class(target).map(|d| d.name.as_str()).unwrap_or("");
+        match base {
+            SType::Obj(static_class) => {
+                // `x is C` can only be true if some class is at once a
+                // subclass of x's static class (a possible dynamic class)
+                // and of C.
+                let overlaps = schema
+                    .classes()
+                    .iter()
+                    .any(|d| set[d.id.0 as usize] && schema.is_subclass(d.id, static_class));
+                if !overlaps {
+                    let sname = schema
+                        .class(static_class)
+                        .map(|d| d.name.clone())
+                        .unwrap_or_default();
+                    self.diags.push(
+                        Diagnostic::new(
+                            A103,
+                            Severity::Warning,
+                            format!(
+                                "`is {class_name}` is never true here: `{class_name}` is \
+                                 outside `{sname}`'s cluster hierarchy"
+                            ),
+                        )
+                        .locate(self.src, class_name),
+                    );
+                }
+            }
+            ref t if t.is_wild() => {}
+            other => {
+                let message = format!(
+                    "`is` tests an object, got a value of type {}",
+                    other.describe(schema)
+                );
+                self.error(A005, message, class_name);
+            }
+        }
+        SType::Bool
     }
 }

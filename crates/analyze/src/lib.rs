@@ -19,11 +19,11 @@
 //! Three families of passes, each producing [`Diagnostic`]s with stable
 //! codes (see DESIGN.md §9 for the full table):
 //!
-//! * **statement analysis** ([`analyze_stmt`]) — name/type resolution of
-//!   every member access, method call, and loop variable; per-binding
-//!   checks for multi-variable joins; lints for provably unsatisfiable
-//!   `suchthat` ranges, non-orderable `by` keys, unindexed equality
-//!   predicates, and `is`-tests outside the cluster hierarchy.
+//! * **statement analysis** ([`analyze_stmt`]) — typing of every member
+//!   access, method call, and loop variable as `ode_model::bind` resolves
+//!   them; lints for provably unsatisfiable `suchthat` ranges,
+//!   non-orderable `by` keys, unindexed equality predicates, and
+//!   `is`-tests outside the cluster hierarchy.
 //! * **schema analysis** ([`analyze_class`]) — at DDL time: constraint
 //!   contradictions across a class and its superclasses (§5
 //!   constraint-based specialization), perpetual-trigger dependency
@@ -41,9 +41,13 @@ use std::collections::HashSet;
 use std::fmt;
 
 use ode_model::range::comparisons;
-use ode_model::{BinOp, ClassId, Expr, FieldRange, QueryStmt, Schema, Statement, ValueRange};
+use ode_model::{
+    bind, BinOp, ClassId, Expr, FieldRange, QueryStmt, Schema, Scope, Statement, ValueRange,
+};
 
-pub use ddl::{analyze_class, check_fixpoint_body};
+use infer::{SType, Statics};
+
+pub use ddl::{analyze_class, check_fixpoint_body, check_predicate};
 pub use footprint::{footprint_of, ClusterAccess, Footprint};
 pub use interfere::batch_interference;
 
@@ -221,22 +225,16 @@ pub fn analyze_stmt(
     let mut diags = Vec::new();
     match stmt {
         Statement::Forall(q) | Statement::Explain(q) => {
-            analyze_query(schema, catalog, src, q, &mut diags, true);
+            analyze_query(schema, catalog, src, q, &[], &mut diags, true);
         }
         Statement::Pnew { class, inits } => {
             analyze_pnew(schema, src, class, inits, &mut diags);
         }
         Statement::Update { target, assigns } => {
-            analyze_query(schema, catalog, src, target, &mut diags, false);
-            if let Some(scope) = infer::Scope::for_bindings(schema, &target.bindings) {
-                let class = &target.bindings[0].cluster;
-                for (field, expr) in assigns {
-                    check_assignment(schema, src, &scope, class, field, expr, &mut diags);
-                }
-            }
+            analyze_query(schema, catalog, src, target, assigns, &mut diags, false);
         }
         Statement::Delete(target) => {
-            analyze_query(schema, catalog, src, target, &mut diags, false);
+            analyze_query(schema, catalog, src, target, &[], &mut diags, false);
         }
         // DDL-time analysis (§5 constraints, §6 triggers): apply the
         // definitions to a scratch copy of the schema, then run the
@@ -274,12 +272,14 @@ pub fn analyze_stmt(
 
 /// Shared analysis for the query-shaped statements (`forall`, `update`,
 /// `delete`): binding resolution, predicate typing, satisfiability,
-/// `by`-key orderability, and the unindexed-predicate lint.
+/// `by`-key orderability, the unindexed-predicate lint, and an update's
+/// `assigns`, which see the same names as its `suchthat`.
 fn analyze_query(
     schema: &Schema,
     catalog: Option<&CatalogView>,
     src: &str,
     query: &QueryStmt,
+    assigns: &[(String, Expr)],
     diags: &mut Vec<Diagnostic>,
     lint_index: bool,
 ) {
@@ -291,11 +291,25 @@ fn analyze_query(
     }
     // Name/type resolution needs every binding resolved; bail out of the
     // deeper passes when a class is unknown rather than cascade.
-    let Some(scope) = infer::Scope::for_bindings(schema, bindings) else {
+    let Ok(classes) = bindings
+        .iter()
+        .map(|b| schema.id_of(&b.cluster))
+        .collect::<Result<Vec<_>, _>>()
+    else {
         return;
     };
+    let names: Vec<&str> = bindings.iter().map(|b| b.var.as_str()).collect();
+    let scope = Scope::query(&names);
+    let statics = Statics {
+        vars: &classes,
+        this: classes.first().copied().filter(|_| scope.has_this()),
+        trigger: false,
+    };
+    let type_of = |expr: &Expr, diags: &mut Vec<Diagnostic>| {
+        infer::infer(schema, &statics, src, &bind(schema, &scope, expr), diags)
+    };
     if let Some(pred) = &query.suchthat {
-        let ty = infer::infer(schema, &scope, src, pred, diags);
+        let ty = type_of(pred, diags);
         if !ty.is_boolish() {
             diags.push(Diagnostic::new(
                 A005,
@@ -315,7 +329,7 @@ fn analyze_query(
         }
     }
     if let Some((key, _)) = &query.by {
-        let ty = infer::infer(schema, &scope, src, key, diags);
+        let ty = type_of(key, diags);
         if !ty.is_orderable() {
             diags.push(Diagnostic::new(
                 A006,
@@ -328,6 +342,11 @@ fn analyze_query(
             ));
         }
     }
+    let class = &bindings[0].cluster;
+    for (field, expr) in assigns {
+        let value_ty = type_of(expr, diags);
+        check_store(schema, src, class, field, &value_ty, false, diags);
+    }
 }
 
 fn analyze_pnew(
@@ -337,70 +356,51 @@ fn analyze_pnew(
     inits: &[(String, Expr)],
     diags: &mut Vec<Diagnostic>,
 ) {
-    let Ok(def) = schema.class_by_name(class) else {
+    if schema.class_by_name(class).is_err() {
         diags.push(Diagnostic::unknown_class(class, src));
         return;
-    };
+    }
     // Initializers evaluate with no object in scope: bare identifiers
     // would be unresolved at run time, so only literal-ish expressions
     // and parameters of already-checked shape appear here.
-    let scope = infer::Scope::free(schema);
+    let statics = Statics {
+        vars: &[],
+        this: None,
+        trigger: false,
+    };
     for (field, expr) in inits {
-        let value_ty = infer::infer(schema, &scope, src, expr, diags);
-        match def.field(field) {
-            Ok(layout) => {
-                if !value_ty.assignable_to(schema, &layout.ty) {
-                    diags.push(
-                        Diagnostic::new(
-                            A007,
-                            Severity::Error,
-                            format!(
-                                "cannot initialize `{class}.{field}` ({}) with a value of type {}",
-                                layout.ty.name(),
-                                value_ty.describe(schema)
-                            ),
-                        )
-                        .locate(src, field),
-                    );
-                }
-            }
-            Err(_) => diags.push(Diagnostic::unknown_member(class, field, src)),
-        }
+        let bound = bind(schema, &Scope::FREE, expr);
+        let value_ty = infer::infer(schema, &statics, src, &bound, diags);
+        check_store(schema, src, class, field, &value_ty, true, diags);
     }
 }
 
-/// Check one `set field = expr` assignment of an `update` statement.
-fn check_assignment(
+/// Check storing a value of type `value_ty` in `class.field`: a `pnew`
+/// initializer (`init`) or an `update`'s `set`.
+fn check_store(
     schema: &Schema,
     src: &str,
-    scope: &infer::Scope<'_>,
     class: &str,
     field: &str,
-    expr: &Expr,
+    value_ty: &SType,
+    init: bool,
     diags: &mut Vec<Diagnostic>,
 ) {
     let Ok(def) = schema.class_by_name(class) else {
         return;
     };
-    let value_ty = infer::infer(schema, scope, src, expr, diags);
-    match def.field(field) {
-        Ok(layout) => {
-            if !value_ty.assignable_to(schema, &layout.ty) {
-                diags.push(
-                    Diagnostic::new(
-                        A007,
-                        Severity::Error,
-                        format!(
-                            "cannot assign a value of type {} to `{class}.{field}` ({})",
-                            value_ty.describe(schema),
-                            layout.ty.name()
-                        ),
-                    )
-                    .locate(src, field),
-                );
-            }
-        }
-        Err(_) => diags.push(Diagnostic::unknown_member(class, field, src)),
+    let Ok(layout) = def.field(field) else {
+        diags.push(Diagnostic::unknown_member(class, field, src));
+        return;
+    };
+    if !value_ty.assignable_to(schema, &layout.ty) {
+        let (decl, ty) = (layout.ty.name(), value_ty.describe(schema));
+        let message = if init {
+            format!("cannot initialize `{class}.{field}` ({decl}) with a value of type {ty}")
+        } else {
+            format!("cannot assign a value of type {ty} to `{class}.{field}` ({decl})")
+        };
+        diags.push(Diagnostic::new(A007, Severity::Error, message).locate(src, field));
     }
 }
 

@@ -13,8 +13,10 @@
 
 use std::time::Instant;
 
-use ode_analyze::{analyze_stmt, footprint_of, has_errors, CatalogView, Diagnostic, Footprint};
-use ode_model::{parse_statement, Statement};
+use ode_analyze::{
+    analyze_stmt, check_predicate, footprint_of, has_errors, CatalogView, Diagnostic, Footprint,
+};
+use ode_model::{parse_expr, parse_statement, ClassId, Expr, Statement};
 
 use crate::database::Database;
 use crate::error::{OdeError, Result};
@@ -97,6 +99,22 @@ impl Database {
             self.tel.analyze.read_only_proofs.inc();
         }
         Some(fp)
+    }
+
+    /// Parse `src`, a subscription predicate over the objects of `class`,
+    /// and type it as DDL types a constraint. A predicate with an
+    /// error-severity finding (a misspelled member, a non-boolean type) is
+    /// refused here: evaluated, it would raise on every check and never
+    /// match.
+    pub fn subscription_predicate(&self, class: &str, src: &str) -> Result<(ClassId, Expr)> {
+        let schema = &self.layout().schema;
+        let id = schema.id_of(class)?;
+        let expr = parse_expr(src)?;
+        let diags = check_predicate(schema, id, "subscription predicate", src, &expr);
+        if has_errors(&diags) {
+            return Err(OdeError::Analysis(diags));
+        }
+        Ok((id, expr))
     }
 
     /// The catalog facts the analyzer wants: which `(class, field)` pairs

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 
 use ode_analyze::{Diagnostic, Footprint};
 use ode_model::{
-    bind, extract_field_ranges, parse_statement, BoundExpr, EvalCtx, Expr, FieldRange, Frame,
+    bind, extract_field_ranges, parse_statement, BoundExpr, BoundVar, Expr, FieldRange, Frame,
     ModelError, Oid, Scope, Statement, Value,
 };
 use ode_obs::QueryProfile;
@@ -173,14 +173,12 @@ impl<'db> Transaction<'db> {
             Statement::Update { target, assigns } => {
                 let oids = self.dml_targets(target)?;
                 let n = oids.len();
-                // The assigned values are bound once, over the object.
+                // The assigned values are bound once, in the scope of the
+                // `suchthat`: the object is `this` and the loop variable.
                 let layout = self.db.layout();
                 let schema = &layout.schema;
-                let scope = Scope {
-                    vars: &[],
-                    this: true,
-                    params: &[],
-                };
+                let names: Vec<&str> = target.bindings.iter().map(|b| b.var.as_str()).collect();
+                let scope = Scope::query(&names);
                 let assigns: Vec<(&str, BoundExpr)> = assigns
                     .iter()
                     .map(|(field, expr)| (field.as_str(), bind(schema, &scope, expr)))
@@ -193,8 +191,14 @@ impl<'db> Transaction<'db> {
                             // (left-to-right within one object, as in a
                             // C++ body).
                             let (_, state) = w.parts();
+                            let var = BoundVar {
+                                name: names[0],
+                                oid,
+                                state,
+                            };
                             let v = value.eval(&Frame {
                                 this: Some(state),
+                                vars: std::slice::from_ref(&var),
                                 ..Frame::new(schema)
                             })?;
                             w.set(field, v)?;
@@ -231,9 +235,11 @@ impl<'db> Transaction<'db> {
     /// Evaluate expressions with no object in scope (`pnew` initializers,
     /// `activate` arguments).
     fn eval_free<'e>(&self, exprs: impl Iterator<Item = &'e Expr>) -> Result<Vec<Value>> {
-        let layout = self.db.layout();
-        let ctx = EvalCtx::new(&layout.schema);
-        exprs.map(|e| Ok(ctx.eval(e)?)).collect()
+        let schema = &self.db.layout().schema;
+        let frame = Frame::new(schema);
+        exprs
+            .map(|e| Ok(bind(schema, &Scope::FREE, e).eval(&frame)?))
+            .collect()
     }
 
     /// The objects an `update`/`delete` touches, noted as a ranged write.
@@ -319,18 +325,7 @@ fn run_query<C: ReadContext>(
             rows: oids.into_iter().map(|o| vec![o]).collect(),
         });
     }
-    // Join form. `by` over joins is not defined by the paper's grammar.
-    if stmt.by.is_some() {
-        return Err(OdeError::Usage(
-            "`by` is only supported on single-variable queries".into(),
-        ));
-    }
-    if let Some(b) = stmt.bindings.iter().find(|b| !b.deep) {
-        return Err(OdeError::Usage(format!(
-            "`only` on join variable `{}` is not supported",
-            b.var
-        )));
-    }
+    // Join form: the parser refuses `by` and `only` on a join.
     let pairs: Vec<(&str, &str)> = stmt
         .bindings
         .iter()

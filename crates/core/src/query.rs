@@ -646,7 +646,10 @@ impl<'q, 't> Predicate<'q, 't> {
         filter: Option<FilterFn<'t>>,
     ) -> Self {
         let var = var.as_deref();
-        let bind = |e| bind_object(schema, var, e);
+        // The object is `this`, and the loop variable too when the query
+        // names one.
+        let scope = Scope::query(var.as_slice());
+        let bind = |e| bind(schema, &scope, e);
         Predicate {
             source: suchthat.as_ref(),
             var,
@@ -696,7 +699,7 @@ impl<'q, 't> Predicate<'q, 't> {
         Ok(self.filter.as_ref().is_none_or(|f| (f.borrow_mut())(state)))
     }
 
-    /// Evaluate `expr`, bound by [`bind_object`], over the object.
+    /// Evaluate `expr`, bound in the query's scope, over the object.
     fn eval(
         &self,
         expr: &BoundExpr,
@@ -735,17 +738,6 @@ impl<'q, 't> Predicate<'q, 't> {
             ..Frame::new(schema)
         })?)
     }
-}
-
-/// Bind an expression over one object: its fields are bare identifiers,
-/// and `var`, if the query names its loop variable, is bound to it.
-fn bind_object(schema: &Schema, var: Option<&str>, expr: &Expr) -> BoundExpr {
-    let scope = Scope {
-        vars: var.as_slice(),
-        this: true,
-        params: &[],
-    };
-    bind(schema, &scope, expr)
 }
 
 /// Publish one pass's profile into the database's global query counters
@@ -1164,11 +1156,7 @@ fn plan_join(
 ) -> Result<JoinPlan> {
     let schema = &layout.schema;
     let names: Vec<&str> = vars.iter().map(|(v, _)| v.as_str()).collect();
-    let scope = Scope {
-        vars: &names,
-        this: false,
-        params: &[],
-    };
+    let scope = Scope::query(&names);
     let bind_join = |e: &Expr| bind(schema, &scope, e);
     let classes = vars
         .iter()

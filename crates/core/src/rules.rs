@@ -96,12 +96,7 @@ impl Rules {
 
 /// Bind an expression over the subject object, with trigger `params`.
 fn bind_this(schema: &Schema, params: &[&str], expr: &Expr) -> BoundExpr {
-    let scope = Scope {
-        vars: &[],
-        this: true,
-        params,
-    };
-    bind(schema, &scope, expr)
+    bind(schema, &Scope::object(params), expr)
 }
 
 /// [`Rules`] bound on first use. A clone starts empty: a layout is cloned

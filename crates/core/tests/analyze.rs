@@ -6,7 +6,7 @@
 
 use ode_core::oql::ExecResult;
 use ode_core::prelude::*;
-use ode_core::PlanStrategy;
+use ode_core::{parse_statement, PlanStrategy};
 
 fn db() -> Database {
     let db = Database::in_memory();
@@ -177,4 +177,79 @@ fn unindexed_lint_follows_the_plan() {
     }
     // Both outcomes occur, so the agreement above is not vacuous.
     assert!(warned[0] > 0 && warned[1] > 0, "{warned:?}");
+}
+
+/// Did evaluation fail on a name that resolves to nothing: an unbound
+/// variable or parameter, or a member the object's class lacks?
+fn unresolved_name(e: &OdeError) -> bool {
+    use ode_model::ModelError;
+    match e {
+        OdeError::InStatement { source, .. } => unresolved_name(source),
+        OdeError::Model(ModelError::UnknownVar(_) | ModelError::UnknownField { .. }) => true,
+        _ => false,
+    }
+}
+
+/// The analyzer and the engine resolve names by one rule: at every
+/// expression site, `Database::analyze` reports an unresolved name (A002,
+/// A004) exactly when running the statement ungated (`Database::run`, the
+/// half of `Database::execute` after the gate) raises an unresolved-name
+/// error. In a trigger body a bare name that is no member never reaches
+/// either: the schema refuses it when the class is defined.
+#[test]
+fn analyzer_and_engine_resolve_names_alike() {
+    // (site, statement with `{}` for the expression).
+    let sites: [(&str, &str); 5] = [
+        ("update assignment", "update s in item set val = {}"),
+        (
+            "query predicate",
+            "forall s in item suchthat (({}) != null)",
+        ),
+        (
+            "join predicate",
+            "forall s in item, t in item suchthat (({}) != null)",
+        ),
+        ("pnew initializer", "pnew item (val = {})"),
+        (
+            "trigger body",
+            "class watch { int qty = 0; any val; trigger t(p) : ({}) != null { val = {}; } }",
+        ),
+    ];
+    let exprs = ["s", "qty", "ghost", "s.ghost", "s.qty", "$p", "$q"];
+    let mut outcomes = [0usize; 2];
+    for (site, template) in sites {
+        for expr in exprs {
+            let db = Database::in_memory();
+            db.define_from_source("class item { int qty = 0; any val; }")
+                .unwrap();
+            db.create_cluster("item").unwrap();
+            db.execute("pnew item (qty = 1)").unwrap();
+            let src = template.replace("{}", expr);
+            let stmt = parse_statement(&src).unwrap();
+            let flagged = db
+                .analyze(&stmt, &src)
+                .iter()
+                .any(|d| matches!(d.code, "A002" | "A004"));
+            let mut outcome = db.run(&stmt).map(|_| ());
+            if site == "trigger body" && outcome.is_ok() {
+                // The condition runs when an activated object commits.
+                db.create_cluster("watch").unwrap();
+                outcome = db
+                    .transaction(|tx| {
+                        let oid = tx.pnew("watch", &[])?;
+                        tx.activate_trigger(oid, "t", vec![Value::Int(1)])?;
+                        Ok(())
+                    })
+                    .map(|_| ());
+            }
+            let raised = outcome.as_ref().is_err_and(unresolved_name);
+            assert_eq!(
+                flagged, raised,
+                "{site}: `{src}`: analyzer flags {flagged}, engine gives {outcome:?}"
+            );
+            outcomes[usize::from(raised)] += 1;
+        }
+    }
+    // Both outcomes occur, so the agreement above is not vacuous.
+    assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
 }

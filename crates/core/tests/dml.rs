@@ -234,3 +234,28 @@ fn dml_with_string_literals_containing_delimiters() {
     })
     .unwrap();
 }
+
+/// An assignment sees the names its `suchthat` sees: the loop variable as
+/// well as the object's bare members.
+#[test]
+fn update_assignment_reads_the_loop_variable() {
+    let db = db();
+    let oid = db
+        .transaction(|tx| tx.pnew("stockitem", &[("quantity", Value::Int(3))]))
+        .unwrap();
+    let n = db
+        .transaction(|tx| {
+            tx.execute(
+                "update s in stockitem suchthat (quantity < 10) \
+                 set quantity = s.quantity + 1, on_order = quantity + s.quantity",
+            )
+        })
+        .unwrap();
+    assert!(matches!(n, ExecResult::Updated(1)), "{n:?}");
+    db.transaction(|tx| {
+        assert_eq!(tx.get(oid, "quantity")?, Value::Int(4));
+        assert_eq!(tx.get(oid, "on_order")?, Value::Int(8));
+        Ok(())
+    })
+    .unwrap();
+}

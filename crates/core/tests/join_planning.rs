@@ -261,12 +261,7 @@ fn nested_loop<C: ReadContext>(tx: &C, vars: &[(&str, &str)], src: &str) -> Outc
         .map_err(|e| e.to_string())?;
     tx.db().with_schema(|schema| {
         let names: Vec<&str> = vars.iter().map(|(v, _)| *v).collect();
-        let scope = Scope {
-            vars: &names,
-            this: false,
-            params: &[],
-        };
-        let pred = bind(schema, &scope, &pred);
+        let pred = bind(schema, &Scope::query(&names), &pred);
         let mut rows = Vec::new();
         let mut at = vec![0usize; vars.len()];
         if extents.iter().any(Vec::is_empty) {

@@ -14,6 +14,9 @@
 //! * `$param` to its position in the activation's arguments,
 //! * `is C` to the set of classes that are `C` or derive from it.
 //!
+//! Which names are in scope at all is decided here too: every site takes
+//! its [`Scope`] from one of its constructors.
+//!
 //! A name or class that resolves to nothing binds to a node that raises
 //! the error evaluation has always raised for it, and only when it is
 //! evaluated, so `false && ghost` is still `false`.
@@ -32,29 +35,71 @@ use crate::schema::{Schema, NO_SLOT};
 use crate::value::Value;
 
 /// The names an expression may mention besides the members of classes.
-#[derive(Debug, Clone, Copy, Default)]
+/// Every site that binds an expression takes its scope from one of the
+/// constructors, so the rule for which names are in scope lives here.
+#[derive(Debug, Clone, Copy)]
 pub struct Scope<'s> {
     /// Loop variables, outermost first. At run time the frame binds the
     /// variable at index `i` to the `i`th object of its `vars`.
-    pub vars: &'s [&'s str],
+    pub(crate) vars: &'s [&'s str],
     /// Does the frame hold a current object (`this`) whose fields bare
     /// identifiers name?
-    pub this: bool,
+    pub(crate) this: bool,
     /// Trigger parameter names, in the order of the activation's
     /// arguments.
-    pub params: &'s [&'s str],
+    pub(crate) params: &'s [&'s str],
+}
+
+impl<'s> Scope<'s> {
+    /// The scope of a statement over loop variables `vars`: a query's
+    /// `suchthat` and `by`, and an update's assignments. `this` is in
+    /// scope iff the statement binds at most one variable: a
+    /// single-variable statement runs with the object in hand as `this`,
+    /// a join with none.
+    pub fn query(vars: &'s [&'s str]) -> Scope<'s> {
+        Scope {
+            vars,
+            this: vars.len() <= 1,
+            params: &[],
+        }
+    }
+
+    /// The scope of an expression over one object: a constraint, a
+    /// subscription predicate, or a trigger's condition and actions, which
+    /// also see the trigger's `params`.
+    pub fn object(params: &'s [&'s str]) -> Scope<'s> {
+        Scope {
+            vars: &[],
+            this: true,
+            params,
+        }
+    }
+
+    /// The scope with no names: `pnew` initializers and `activate`
+    /// arguments.
+    pub const FREE: Scope<'static> = Scope {
+        vars: &[],
+        this: false,
+        params: &[],
+    };
+
+    /// Is there a current object whose fields bare identifiers name?
+    pub fn has_this(&self) -> bool {
+        self.this
+    }
 }
 
 /// An expression with every name resolved. Build with [`bind`]; run with
-/// [`BoundExpr::eval`].
+/// [`BoundExpr::eval`]; read with [`BoundExpr::root`].
 #[derive(Debug, Clone)]
 pub struct BoundExpr {
     pub(crate) root: Node,
 }
 
-/// One node of a bound expression.
+/// One node of a bound expression. The tree is public to read (the
+/// analyzer types it); only [`bind`] builds a [`BoundExpr`].
 #[derive(Debug, Clone)]
-pub(crate) enum Node {
+pub enum Node {
     Lit(Value),
     /// A loop variable: a reference to the object it is bound to.
     Var(usize),
@@ -79,15 +124,19 @@ pub(crate) enum Node {
     VarIs(usize, Classes),
     /// `e is C` on any other expression.
     Is(Box<Node>, Classes),
-    /// A name that resolves to nothing: evaluating it raises this error.
-    Fail(ModelError),
+    /// A name that resolves to nothing (`$p` for a parameter): evaluating
+    /// it raises [`ModelError::UnknownVar`] of the name.
+    Fail(String),
 }
 
 /// The receiver of a method call.
 #[derive(Debug, Clone)]
-pub(crate) enum Recv {
+pub enum Recv {
+    /// No receiver written: the current object.
     This,
+    /// A loop variable.
     Var(usize),
+    /// Any other object expression.
     Expr(Box<Node>),
 }
 
@@ -95,7 +144,7 @@ pub(crate) enum Recv {
 /// schema keeps the table of every member its classes have, so binding
 /// one shares it.
 #[derive(Debug, Clone)]
-pub(crate) struct Field {
+pub struct Field {
     pub(crate) name: Arc<str>,
     /// Indexed by class id; [`NO_SLOT`] where the class lacks the member.
     slots: Arc<[u32]>,
@@ -115,10 +164,15 @@ impl Field {
         }
     }
 
+    /// The member's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
     /// The member's slot in `class`; `None` if `class` has no such member
     /// or is not in the schema.
     #[inline]
-    pub(crate) fn slot(&self, class: ClassId) -> Option<usize> {
+    pub fn slot(&self, class: ClassId) -> Option<usize> {
         match self.slots.get(class.0 as usize) {
             Some(&s) if s != NO_SLOT => Some(s as usize),
             _ => None,
@@ -137,9 +191,14 @@ impl Field {
 
 /// The right side of `is C`.
 #[derive(Debug, Clone)]
-pub(crate) enum Classes {
-    /// Indexed by class id: is the class `C` or derived from it?
-    Known(Box<[bool]>),
+pub enum Classes {
+    /// `C` names a class.
+    Known {
+        /// `C`.
+        class: ClassId,
+        /// Is the class at this index `C` or derived from it?
+        set: Box<[bool]>,
+    },
     /// `C` names no class.
     Unknown(String),
 }
@@ -147,11 +206,12 @@ pub(crate) enum Classes {
 impl Classes {
     fn new(schema: &Schema, name: &str) -> Classes {
         match schema.id_of(name) {
-            Ok(target) => Classes::Known(
-                (0..schema.len())
-                    .map(|c| schema.is_subclass(ClassId(c as u32), target))
+            Ok(class) => Classes::Known {
+                class,
+                set: (0..schema.len())
+                    .map(|c| schema.is_subclass(ClassId(c as u32), class))
                     .collect(),
-            ),
+            },
             Err(_) => Classes::Unknown(name.to_string()),
         }
     }
@@ -160,7 +220,7 @@ impl Classes {
     /// the operand.
     pub(crate) fn set(&self) -> Result<&[bool], ModelError> {
         match self {
-            Classes::Known(set) => Ok(set),
+            Classes::Known { set, .. } => Ok(set),
             Classes::Unknown(name) => Err(ModelError::UnknownClass(name.clone())),
         }
     }
@@ -207,13 +267,13 @@ impl Binder<'_> {
             Expr::Ident(name) => match self.var(name) {
                 Some(i) => Node::Var(i),
                 None if self.scope.this => Node::ThisField(Field::new(self.schema, name)),
-                None => Node::Fail(ModelError::UnknownVar(name.clone())),
+                None => Node::Fail(name.clone()),
             },
             // A later parameter of the same name wins, as it did when the
             // arguments were collected into a map.
             Expr::Param(name) => match self.scope.params.iter().rposition(|p| p == name) {
                 Some(i) => Node::Param(i, name.clone()),
-                None => Node::Fail(ModelError::UnknownVar(format!("${name}"))),
+                None => Node::Fail(format!("${name}")),
             },
             Expr::Path(base, field) => {
                 let field = Field::new(self.schema, field);
@@ -249,6 +309,11 @@ impl Binder<'_> {
 }
 
 impl BoundExpr {
+    /// The root of the bound tree.
+    pub fn root(&self) -> &Node {
+        &self.root
+    }
+
     /// Add to `mask` the slots this expression reads of one object: the
     /// frame's `this` when `this` is set, and loop variable `var` when
     /// given (a single-variable query binds both to the scanned object). A
@@ -352,7 +417,7 @@ impl BoundExpr {
 /// [`BoundExpr::is_total`] for a node tested as a boolean.
 fn total_test(node: &Node, classes: &[Vec<ClassId>]) -> bool {
     match node {
-        Node::Lit(Value::Bool(_)) | Node::VarIs(_, Classes::Known(_)) => true,
+        Node::Lit(Value::Bool(_)) | Node::VarIs(_, Classes::Known { .. }) => true,
         Node::Binary(BinOp::Eq | BinOp::Ne, l, r) => {
             total_operand(l, classes) && total_operand(r, classes)
         }
@@ -580,11 +645,7 @@ mod tests {
     #[test]
     fn var_spans_and_totality() {
         let s = schema();
-        let scope = Scope {
-            vars: &["p", "q"],
-            this: false,
-            params: &[],
-        };
+        let scope = Scope::query(&["p", "q"]);
         let bound = |src: &str| bind(&s, &scope, &parse_expr(src).unwrap());
         assert_eq!(bound("p.income == 1").var_span(), Some((0, 0)));
         assert_eq!(bound("p.name == q.name").var_span(), Some((0, 1)));

@@ -165,16 +165,17 @@ impl<'a> EvalCtx<'a> {
 
     /// Bind `expr` against this context's names and evaluate it.
     pub fn eval(&self, expr: &Expr) -> Result<Value> {
-        self.run(expr, BoundExpr::eval)
+        self.with_bound(expr, BoundExpr::eval)
     }
 
     /// Evaluate and require a boolean (suchthat / constraint / trigger).
     pub fn eval_bool(&self, expr: &Expr) -> Result<bool> {
-        self.run(expr, BoundExpr::eval_bool)
+        self.with_bound(expr, BoundExpr::eval_bool)
     }
 
-    /// Bind `expr` against this context's names and run `f` on it.
-    fn run<R>(
+    /// Bind `expr` against this context's names and run `f` on it with the
+    /// frame it runs against.
+    pub fn with_bound<R>(
         &self,
         expr: &Expr,
         f: impl FnOnce(&BoundExpr, &Frame<'_>) -> Result<R>,
@@ -307,7 +308,7 @@ impl<'a> Frame<'a> {
                 };
                 Ok(Value::Bool(classes.contains(class)?))
             }
-            Node::Fail(e) => Err(Box::new(e.clone())),
+            Node::Fail(name) => Err(ModelError::UnknownVar(name.clone()).into()),
         }
     }
 

@@ -144,8 +144,9 @@ impl Expr {
     }
 
     /// All identifiers this expression reads at the *top level* (not through
-    /// paths) — used by the engine to detect which loop variables a join
-    /// predicate mentions.
+    /// paths): `Schema::check_field_refs` requires each bare name of a
+    /// constraint or trigger body to be a member, and the analyzer reads a
+    /// trigger condition's read set from them.
     pub fn free_idents(&self) -> Vec<&str> {
         let mut out = Vec::new();
         self.collect_idents(&mut out);

@@ -320,9 +320,22 @@ impl<'a> Lex<'a> {
             }
             bindings.push(b);
         }
+        // A join streams every variable's deep extent, unordered: the
+        // paper's grammar gives `only` and `by` to one variable.
+        if bindings.len() > 1 {
+            if let Some(b) = bindings.iter().find(|b| !b.deep) {
+                return Err(self.err(format!(
+                    "`only` on join variable `{}` is not supported",
+                    b.var
+                )));
+            }
+        }
         let suchthat = self.suchthat()?;
         let mut by = None;
         if self.eat_kw("by") {
+            if bindings.len() > 1 {
+                return Err(self.err("`by` is only supported on single-variable queries"));
+            }
             let key = self.paren_expr()?;
             by = Some((key, self.eat_kw("desc")));
         }

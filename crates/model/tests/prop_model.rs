@@ -620,7 +620,7 @@ proptest! {
         param in prop::collection::vec(small_value(), 0..2),
         srcs in prop::collection::vec(expr_src(), 1..8),
     ) {
-        use ode_model::{bind, BoundVar, EvalCtx, Frame, Scope};
+        use ode_model::{BoundVar, EvalCtx, Frame};
         use std::collections::HashMap;
 
         let states: Vec<ObjState> = objects
@@ -655,10 +655,6 @@ proptest! {
             Some(t) => ctx.with_this(t),
             None => ctx,
         };
-        let names: Vec<&str> = vars.iter().map(|b| b.name).collect();
-        let (pnames, args): (Vec<&str>, Vec<Value>) =
-            params.iter().map(|(k, v)| (k.as_str(), v.clone())).unzip();
-        let scope = Scope { vars: &names, this: this.is_some(), params: &pnames };
         for src in srcs {
             let expr = parse_expr(&src).unwrap();
             let want = reference.eval(&expr);
@@ -666,32 +662,31 @@ proptest! {
 
             // The objects in hand decoded through the bound expression's
             // read mask: the object that is `this`, and each variable's.
-            let bound = bind(&schema, &scope, &expr);
-            let mut this_mask = SlotMask::default();
-            bound.read_slots(true, None, &mut this_mask);
-            let this_masked = this.map(|t| masked(t, &this_mask));
-            let var_masked: Vec<ObjState> = vars
-                .iter()
-                .enumerate()
-                .map(|(i, b)| {
-                    let mut mask = SlotMask::default();
-                    bound.read_slots(false, Some(i), &mut mask);
-                    masked(b.state, &mask)
-                })
-                .collect();
-            let masked_vars: Vec<BoundVar> = vars
-                .iter()
-                .zip(&var_masked)
-                .map(|(b, state)| BoundVar { state, ..*b })
-                .collect();
-            let frame = Frame {
-                this: this_masked.as_ref(),
-                vars: &masked_vars,
-                args: &args,
-                resolver: &resolver,
-                ..Frame::new(&schema)
-            };
-            prop_assert_eq!(&bound.eval(&frame), &want, "{} (masked)", src);
+            let masked_eval = ctx.with_bound(&expr, |bound, frame| {
+                let mut this_mask = SlotMask::default();
+                bound.read_slots(true, None, &mut this_mask);
+                let this_masked = this.map(|t| masked(t, &this_mask));
+                let var_masked: Vec<ObjState> = vars
+                    .iter()
+                    .enumerate()
+                    .map(|(i, b)| {
+                        let mut mask = SlotMask::default();
+                        bound.read_slots(false, Some(i), &mut mask);
+                        masked(b.state, &mask)
+                    })
+                    .collect();
+                let masked_vars: Vec<BoundVar> = vars
+                    .iter()
+                    .zip(&var_masked)
+                    .map(|(b, state)| BoundVar { state, ..*b })
+                    .collect();
+                Ok(bound.eval(&Frame {
+                    this: this_masked.as_ref(),
+                    vars: &masked_vars,
+                    ..*frame
+                }))
+            });
+            prop_assert_eq!(&masked_eval.unwrap(), &want, "{} (masked)", src);
         }
     }
 }

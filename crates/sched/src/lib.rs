@@ -44,7 +44,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use ode_core::{Database, OdeError, PendingEvent, Result};
 use ode_model::eval::EvalCtx;
-use ode_model::{parse_expr, ClassId, Expr, Oid};
+use ode_model::{ClassId, Expr, Oid};
 use ode_obs::SpanStage;
 
 /// Subscription checks queued past this many are dropped (counted in
@@ -507,13 +507,14 @@ impl Scheduler {
     /// Register a live subscription: `predicate` (an O++ boolean
     /// expression over the object's fields) is evaluated against every
     /// object of `class_name` (deep extent) written by any commit, and
-    /// matches are delivered to `sink` asynchronously.
+    /// matches are delivered to `sink` asynchronously. A predicate the
+    /// analyzer finds an error in is refused
+    /// ([`Database::subscription_predicate`]).
     pub fn subscribe(&self, class_name: &str, predicate: &str, sink: PushSink) -> Result<SubId> {
-        let class = self
+        let (class, predicate) = self
             .inner
             .db
-            .with_schema(|schema| schema.id_of(class_name))?;
-        let predicate = parse_expr(predicate)?;
+            .subscription_predicate(class_name, predicate)?;
         let id = self.inner.next_sub.fetch_add(1, Ordering::Relaxed);
         self.inner.subs.write().insert(
             id,

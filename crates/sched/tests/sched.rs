@@ -420,6 +420,41 @@ fn subscription_pushes_matching_commits() {
     assert_eq!(matches.lock().unwrap().len(), 1);
 }
 
+/// A predicate that can never evaluate — here a misspelled member — is
+/// refused when it is registered, not dropped on every check after; a
+/// valid one registers and pushes.
+#[test]
+fn subscribe_refuses_a_misspelled_member() {
+    let db = Arc::new(Database::in_memory());
+    inventory(&db);
+    let oid = db
+        .transaction(|tx| tx.pnew("stockitem", &[("name", Value::from("dram"))]))
+        .unwrap();
+    let sched = Scheduler::attach(Arc::clone(&db), SchedConfig::default());
+    let hits = Arc::new(AtomicUsize::new(0));
+    let sink = |hits: &Arc<AtomicUsize>| -> ode_sched::PushSink {
+        let hits = Arc::clone(hits);
+        Arc::new(move |_m| {
+            hits.fetch_add(1, Ordering::SeqCst);
+        })
+    };
+    match sched.subscribe("stockitem", "qty < 5", sink(&hits)) {
+        Err(OdeError::Analysis(diags)) => {
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].code, "A002", "{diags:?}");
+        }
+        other => panic!("expected an analysis refusal, got {other:?}"),
+    }
+    sched
+        .subscribe("stockitem", "quantity < 5", sink(&hits))
+        .unwrap();
+    let mut tx = db.begin();
+    tx.set(oid, "quantity", 1i64).unwrap();
+    tx.commit().unwrap();
+    assert!(sched.wait_idle(Duration::from_secs(10)));
+    assert_eq!(hits.load(Ordering::SeqCst), 1);
+}
+
 #[test]
 fn subscription_respects_subclass_extent() {
     let db = Arc::new(Database::in_memory());

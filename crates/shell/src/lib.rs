@@ -1549,6 +1549,32 @@ mod tests {
         );
     }
 
+    /// Join shapes the engine cannot run are refused by the parser, so
+    /// `--check` reports them (A000) instead of passing them clean.
+    #[test]
+    fn check_refuses_unsupported_join_shapes() {
+        let mut report = CheckReport::default();
+        check_source(
+            "inline.ode",
+            "class item { string name; int q = 0; }\n\
+             create cluster item\n\
+             forall a in item, b in only item suchthat (a.q == b.q)\n\
+             forall a in item, b in item suchthat (a.q == b.q) by (a.name)\n",
+            &mut report,
+        );
+        let got: Vec<(usize, &str)> = report
+            .findings
+            .iter()
+            .map(|f| (f.line, f.diag.code))
+            .collect();
+        assert_eq!(
+            got,
+            vec![(3, "A000"), (4, "A000")],
+            "{}",
+            report.render_text()
+        );
+    }
+
     fn corpus_path() -> String {
         concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/negative.ode").to_string()
     }
