@@ -42,7 +42,8 @@ use std::fmt;
 
 use ode_model::range::comparisons;
 use ode_model::{
-    bind, BinOp, ClassId, Expr, FieldRange, QueryStmt, Schema, Scope, Statement, ValueRange,
+    bind, BinOp, ClassId, Expr, FieldRange, ModelError, QueryStmt, Schema, Scope, Statement,
+    ValueRange,
 };
 
 use infer::{SType, Statics};
@@ -238,14 +239,24 @@ pub fn analyze_stmt(
         }
         // DDL-time analysis (§5 constraints, §6 triggers): apply the
         // definitions to a scratch copy of the schema, then run the
-        // schema-level passes on each new class. Definition errors (dup
-        // class, unknown base, bad field refs) are left for the real
-        // `define` to report with their original error type.
+        // schema-level passes on each new class. A bare name in a body
+        // that is no member is A004, as the binder reports it elsewhere;
+        // other definition errors (dup class, unknown base) are left for
+        // the real `define` to report with their original error type.
         Statement::Class(builders) => {
             let mut scratch = schema.clone();
             for b in builders {
                 match scratch.define(b.clone()) {
                     Ok(id) => diags.extend(analyze_class(&scratch, id)),
+                    Err(ModelError::UnknownField { class, field }) => {
+                        let message = format!(
+                            "unresolved identifier `{field}`: not a member of class `{class}`"
+                        );
+                        diags.push(
+                            Diagnostic::new(A004, Severity::Error, message).locate(src, &field),
+                        );
+                        break;
+                    }
                     Err(_) => break,
                 }
             }

@@ -3,8 +3,10 @@
 //! Drives the full engine — transactions, bounded commit retry, catalog
 //! recovery — over a [`FailpointStore`]-wrapped [`FileStore`] through
 //! randomized commit/crash/reopen cycles, checking after every reopen
-//! that acknowledged objects are readable, that ack-lost transactions
-//! landed all-or-nothing, and that recovery itself never fails.
+//! that acknowledged objects are readable, that in-doubt transactions
+//! (ack lost, or group fsync failed) landed all-or-nothing, and that
+//! recovery itself never fails. A failed group fsync stops the store, so
+//! the cycle checks that the next transaction is refused and crashes.
 //!
 //! ```text
 //! cargo run --release -p ode-bench --bin torture -- \
@@ -89,6 +91,7 @@ fn main() {
     let mut in_doubt: Vec<(Oid, i64)> = Vec::new();
     let mut serial = 0i64;
     let (mut faults, mut retries, mut replayed, mut aborted) = (0u64, 0u64, 0u64, 0u64);
+    let mut sync_failures = 0u64;
 
     for cycle in 0..args.cycles {
         let (db, fp) = open_db(
@@ -118,6 +121,7 @@ fn main() {
         in_doubt.clear();
 
         // ---------------------------------------- workload
+        let mut sync_failed = false;
         for _ in 0..args.txns {
             serial += 1;
             let n = serial;
@@ -129,34 +133,39 @@ fn main() {
             });
             match outcome {
                 Ok(oid) => acked.push((oid, n)),
-                Err(e) if e.is_unavailable() => {
+                Err(e) if e.is_unavailable() || e.is_store_failed() => {
                     aborted += 1;
                     match fp.take_last_fault() {
-                        // No claim to check. `CommitPre` failed at prepare,
-                        // before anything was logged. A failed group-commit
-                        // fsync left its batch logged but never applied, and
-                        // abandoned: its heap slot may be reused by a later
-                        // acked commit (whose replay wins by WAL order), so no
-                        // presence/value claim survives the abandonment, only
-                        // "the acked reuser is intact", which invariant 1
-                        // already checks.
-                        Some(FaultKind::CommitPre)
-                        | Some(FaultKind::Release)
-                        | Some(FaultKind::GroupSync)
-                        | None => {}
+                        // No claim to check: `CommitPre` failed at
+                        // prepare, before anything was logged.
+                        Some(FaultKind::CommitPre) | Some(FaultKind::Release) | None => {}
                         // Ack loss fires after `commit_apply` fully applied
-                        // the durable batch, and an apply is never retried:
-                        // the next reopen must see it either fully present
-                        // with our value or fully absent.
-                        Some(FaultKind::CommitAckLoss) => {
-                            let oid = created.expect("ack loss happens after pnew");
+                        // the durable batch; a failed group fsync leaves
+                        // the batch logged and the store stopped. Neither
+                        // is retried: the next reopen must see the batch
+                        // either fully present with our value or fully
+                        // absent.
+                        Some(kind @ (FaultKind::CommitAckLoss | FaultKind::GroupSync)) => {
+                            let oid = created.expect("the commit fault follows pnew");
                             in_doubt.push((oid, n));
+                            if kind == FaultKind::GroupSync {
+                                sync_failed = true;
+                                break;
+                            }
                         }
                         Some(other) => panic!("unexpected fault class {other:?}"),
                     }
                 }
                 Err(e) => panic!("cycle {cycle}: non-transient abort: {e}"),
             }
+        }
+        if sync_failed {
+            // The store failed: nothing commits until the reopen below.
+            let err = db
+                .transaction(|tx| tx.pnew("item", &[("n", 0.into())]))
+                .expect_err("a failed store took a commit");
+            assert!(err.is_store_failed(), "cycle {cycle}: {err}");
+            sync_failures += 1;
         }
 
         let t = db.telemetry();
@@ -177,13 +186,14 @@ fn main() {
     .unwrap();
 
     println!(
-        "engine crash-torture: {} cycles, {} committed objects, {aborted} transient aborts",
+        "engine crash-torture: {} cycles, {} committed objects, {aborted} aborts",
         args.cycles,
         acked.len()
     );
     println!("faults injected     {faults}");
     println!("commit retries      {retries}");
     println!("groups replayed     {replayed}");
+    println!("group fsyncs failed {sync_failures}");
     println!("--- final .stats rows ---");
     for (k, v) in db.telemetry().rows() {
         if ["storage.", "recovery.", "txn.", "commit."]

@@ -1324,19 +1324,10 @@ impl Database {
         Ok(self.store.clear_cache()?)
     }
 
-    /// Flush everything and truncate the WAL.
-    ///
-    /// Safe to call concurrently with committing writers: the single-writer
-    /// era skipped the transaction gate here, and the multi-writer pipeline
-    /// needs no gate either. The invariant that replaces it lives in the
-    /// store — a checkpoint must never truncate WAL groups that are
-    /// prepared (logged, possibly durable) but not yet applied to the
-    /// pages, or a crash right after the truncate would lose them. The
-    /// [`FileStore`] enforces this with a prepared-commit barrier
-    /// (`pending_applies`): checkpoints wait until every claimed commit
-    /// has applied, and opportunistic checkpoints skip while one is in
-    /// flight (DESIGN.md §13; tested in
-    /// `crates/storage/tests/group_commit.rs`).
+    /// Flush everything and truncate the WAL. Safe beside committing
+    /// writers: a checkpoint never truncates a group that is logged but
+    /// not yet applied (the [`FileStore`]'s prepared-commit barrier), and
+    /// a failed store refuses it (DESIGN.md §13).
     ///
     /// [`FileStore`]: ode_storage::FileStore
     pub fn checkpoint(&self) -> Result<()> {

@@ -139,6 +139,16 @@ impl OdeError {
             _ => false,
         }
     }
+
+    /// Has the store failed ([`StorageError::Failed`])? Nothing commits
+    /// until the database is reopened (DESIGN.md §13).
+    pub fn is_store_failed(&self) -> bool {
+        match self {
+            OdeError::Storage(StorageError::Failed) => true,
+            OdeError::InStatement { source, .. } => source.is_store_failed(),
+            _ => false,
+        }
+    }
 }
 
 impl From<StorageError> for OdeError {

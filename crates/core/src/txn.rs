@@ -1523,13 +1523,10 @@ impl<'db> Transaction<'db> {
         // Phase 2: durability, outside every lock — concurrent committers
         // share one fsync (group commit). A failure here is *in-doubt*:
         // the batch is in the WAL and may survive a crash even though this
-        // process cannot confirm it. Abandon the ticket and surface the
-        // storage error (transient → wire `Unavailable`); the claim
+        // process cannot confirm it. The store has failed (DESIGN.md §13):
+        // surface its non-transient error and drop the ticket; the claim
         // publishes its epoch as a no-op, so the sequence cannot stall.
-        if let Err(e) = self.db.store.commit_durable(&ticket) {
-            self.db.store.commit_abandon(ticket);
-            return Err(e.into());
-        }
+        self.db.store.commit_durable(&ticket)?;
 
         // Phase 3: apply in epoch order under the publish window. The
         // validation/turn wait is surfaced in the commit span so the

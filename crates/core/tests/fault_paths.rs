@@ -1,6 +1,6 @@
 //! Engine behavior under injected storage faults: bounded commit retry,
-//! release-error accounting, and the permanent-vs-transient split
-//! (DESIGN.md §10).
+//! release-error accounting, the permanent-vs-transient split
+//! (DESIGN.md §10), and a failed store (§13).
 
 use std::sync::Arc;
 
@@ -68,6 +68,40 @@ fn failed_release_on_abort_is_counted_not_swallowed() {
         "usage errors are not retryable: {err}"
     );
     assert_eq!(db.telemetry().txn.release_errors, 1);
+}
+
+/// A failed group fsync fails the store: that transaction and every later
+/// one fail with a non-transient error (the wire's `Engine` kind, so a
+/// client does not resubmit an in-doubt batch), and reads keep answering.
+#[test]
+fn failed_group_sync_stops_commits_but_not_reads() {
+    let (db, fp) = faulty_db(2);
+    let kept = db
+        .transaction(|tx| tx.pnew("item", &[("n", 1.into())]))
+        .unwrap();
+    fp.force(FaultKind::GroupSync);
+    for _ in 0..2 {
+        let err = db
+            .transaction(|tx| tx.pnew("item", &[("n", 2.into())]))
+            .expect_err("a failed store takes no commit");
+        assert!(!err.is_unavailable(), "{err}");
+        assert!(err.is_store_failed(), "{err}");
+    }
+    assert_eq!(fp.faults_injected(), 1);
+    assert_eq!(
+        db.telemetry().txn.commit_retries,
+        0,
+        "prepare retry skips it"
+    );
+    let n = db.begin_read().get(kept, "n").unwrap().as_int().unwrap();
+    assert_eq!(n, 1);
+    let all = db
+        .begin_read()
+        .forall("item")
+        .unwrap()
+        .collect_oids()
+        .unwrap();
+    assert_eq!(all, vec![kept]);
 }
 
 #[test]

@@ -203,19 +203,19 @@ impl Schema {
         // Validate that constraint/trigger-action field references resolve
         // against the layout (catches typos at definition time).
         for c in &constraints {
-            self.check_field_refs(&c.expr, &layout, &builder.name, &c.src)?;
+            self.check_field_refs(&c.expr, &layout, &builder.name)?;
         }
         for t in &triggers {
-            self.check_field_refs(&t.condition, &layout, &builder.name, &t.condition_src)?;
+            self.check_field_refs(&t.condition, &layout, &builder.name)?;
             for a in &t.actions {
-                if let TriggerAction::Assign { field, expr, src } = a {
+                if let TriggerAction::Assign { field, expr, .. } = a {
                     if !layout.iter().any(|f| &f.name == field) {
                         return Err(ModelError::UnknownField {
                             class: builder.name.clone(),
                             field: field.clone(),
                         });
                     }
-                    self.check_field_refs(expr, &layout, &builder.name, src)?;
+                    self.check_field_refs(expr, &layout, &builder.name)?;
                 }
             }
         }
@@ -274,13 +274,12 @@ impl Schema {
         expr: &crate::expr::Expr,
         layout: &[LayoutField],
         class_name: &str,
-        src: &str,
     ) -> Result<()> {
         for ident in expr.free_idents() {
             if !layout.iter().any(|f| f.name == ident) {
-                return Err(ModelError::Parse {
-                    message: format!("`{ident}` in `{src}` is not a field of class `{class_name}`"),
-                    at: 0,
+                return Err(ModelError::UnknownField {
+                    class: class_name.to_string(),
+                    field: ident.to_string(),
                 });
             }
         }

@@ -125,7 +125,8 @@ struct QueueState {
     queue: VecDeque<Job>,
     /// Timer heap: jobs keyed by (due, sequence number).
     timed: BTreeMap<(Instant, u64), Job>,
-    /// Actions parked because their trigger is suspended.
+    /// Actions parked because their trigger is suspended or the store
+    /// failed (they stay pending and run after a reopen).
     parked: Vec<PendingEvent>,
     in_flight: usize,
     shutdown: bool,
@@ -238,7 +239,8 @@ impl SchedInner {
     }
 
     /// Is there nothing left to run now or later, here or in the engine's
-    /// ready list? (Parked events wait for `resume` and do not count.)
+    /// ready list? (Parked events wait for `resume` or a reopen and do not
+    /// count.)
     fn is_idle(&self, st: &QueueState) -> bool {
         st.queue.is_empty()
             && st.timed.is_empty()
@@ -303,6 +305,12 @@ impl SchedInner {
                 let ids: Vec<u64> = next.iter().map(|e| e.id).collect();
                 self.db.release_events(&ids);
             }
+            // A failed store commits nothing until it is reopened: park
+            // the event, still pending in the durable backlog.
+            Err(e) if e.is_store_failed() => {
+                span.set_detail(format!("{} parked: {e}", event.trigger));
+                self.state.lock().parked.push(event);
+            }
             Err(e) if e.is_unavailable() && attempts < MAX_RETRIES => {
                 self.db.sched_telemetry().retries.inc();
                 span.set_detail(format!("{} retry #{}", event.trigger, attempts + 1));
@@ -330,6 +338,10 @@ impl SchedInner {
     /// acknowledged) and record why.
     fn dead_letter(self: &Arc<Self>, event: PendingEvent, attempts: u32, error: OdeError) {
         if let Err(ack_err) = self.db.ack_pending(&[event.id]) {
+            if ack_err.is_store_failed() {
+                self.state.lock().parked.push(event);
+                return;
+            }
             // The event stays pending and claimed: run it again after the
             // backoff rather than spinning on a failing store. Record both
             // errors so the operator sees the whole story.

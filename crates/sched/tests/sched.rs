@@ -704,3 +704,34 @@ fn dead_letter_whose_ack_fails_retries_after_the_backoff() {
     assert_eq!(db.sched_telemetry().dead_letters.get(), 1);
     assert_counted_once(&db);
 }
+
+#[test]
+fn failed_store_parks_the_action_instead_of_dead_lettering() {
+    use ode_storage::{FailpointConfig, FailpointStore, FaultKind, MemStore};
+
+    let store = Arc::new(FailpointStore::new(
+        Arc::new(MemStore::new()),
+        FailpointConfig::disabled(7),
+    ));
+    let db = Arc::new(Database::from_store(store.clone(), DbConfig::default()).unwrap());
+    inventory(&db);
+    let oid = new_item(&db, "dram");
+    let sched = manual_sched(&db);
+    db.transaction(|tx| tx.set(oid, "quantity", 5i64)).unwrap();
+    // The action's own commit hits the failed group fsync.
+    store.force(FaultKind::GroupSync);
+    sched.drain_now();
+    assert_eq!(store.faults_injected(), 1);
+    assert!(
+        sched.dead_letters().is_empty(),
+        "{:?}",
+        sched.dead_letters()
+    );
+    let retries = db.sched_telemetry().retries.get();
+    std::thread::sleep(ode_sched::RETRY_BACKOFF * 3);
+    sched.drain_now();
+    assert_eq!(db.sched_telemetry().retries.get(), retries, "no re-queue");
+    assert_eq!(db.sched_telemetry().dead_letters.get(), 0);
+    // Still pending in the durable backlog: it runs after the reopen.
+    assert_eq!(db.pending_events().len(), 1);
+}

@@ -1636,9 +1636,10 @@ mod tests {
             (43, "A102"), // unindexed equality (warning)
             (44, "A103"), // is-test outside hierarchy (warning)
             (47, "A000"), // statement does not parse
+            (49, "A004"), // trigger condition reads a non-member
         ];
         assert_eq!(got, expected, "{}", report.render_text());
-        assert_eq!(report.errors(), 20);
+        assert_eq!(report.errors(), 21);
         assert_eq!(report.warnings(), 5);
     }
 

@@ -26,6 +26,10 @@ pub enum StorageError {
     UnsupportedVersion(u32),
     /// An internal invariant was violated; indicates a bug, not user error.
     Internal(String),
+    /// An fsync failed, so nothing later proves the log intact: the store
+    /// refuses every write until it is reopened and recovers from the log
+    /// (DESIGN.md §13). Reads keep working.
+    Failed,
 }
 
 impl fmt::Display for StorageError {
@@ -47,6 +51,7 @@ impl fmt::Display for StorageError {
                 write!(f, "on-disk format version {v} is not supported")
             }
             StorageError::Internal(msg) => write!(f, "internal storage invariant violated: {msg}"),
+            StorageError::Failed => write!(f, "store failed; reopen"),
         }
     }
 }
@@ -67,10 +72,10 @@ impl StorageError {
     }
 
     /// Is this failure worth retrying? Operating-system I/O errors
-    /// (ENOSPC, a flaky disk) can clear up; after a failed commit the WAL
-    /// rolls its tail back to the last complete group, so re-issuing the
-    /// identical batch is safe (DESIGN.md §10). Corruption, missing
-    /// records, and format errors are permanent.
+    /// (ENOSPC, a flaky disk) can clear up; after a failed WAL write the
+    /// log rolls its tail back to the last complete group, so re-issuing
+    /// the identical batch is safe (DESIGN.md §10). A failed store,
+    /// corruption, missing records, and format errors are permanent.
     pub fn is_transient(&self) -> bool {
         matches!(self, StorageError::Io { .. })
     }

@@ -3,18 +3,19 @@
 //! [`FailpointStore`] wraps any store and injects typed, seed-driven
 //! faults at every I/O-shaped operation, one site per commit phase —
 //! prepare failures before the WAL append (ENOSPC, a dying disk), group
-//! fsync failures, and acknowledgement loss *after* a durable apply (the
-//! in-doubt window every durable system has) — plus checkpoint failures,
-//! release failures on the abort path, and read failures. Every commit
-//! runs the phases, so [`Store::commit`] meets all three commit sites. The
-//! schedule is a pure function of the seed, so a failing torture run
-//! replays exactly from its seed (DESIGN.md §10).
+//! fsync failures (which fail the wrapper as a failed fsync fails a
+//! [`crate::FileStore`]), and acknowledgement loss *after* a durable
+//! apply (the in-doubt window every durable system has) — plus
+//! checkpoint failures, release failures on the abort path, and read
+//! failures. Every commit runs the phases, so [`Store::commit`] meets all
+//! three commit sites. The schedule is a pure function of the seed, so a
+//! failing torture run replays exactly from its seed (DESIGN.md §10).
 //!
 //! Faults injected here model the *error-return* half of the failure
 //! model; torn WAL tails and bit flips are file-level damage that the
 //! crash-torture harness inflicts directly between crash and reopen.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -33,9 +34,12 @@ pub enum FaultKind {
     /// applied — but the acknowledgement was "lost" and an error returned
     /// instead. The batch is in doubt from the caller's point of view.
     CommitAckLoss,
-    /// The group-commit fsync window failed (`commit_durable`): the batch
-    /// is appended to the WAL but its durability was never confirmed, and
-    /// the whole cohort sharing the fsync fails with it. In doubt.
+    /// The group-commit fsync failed (`commit_durable`): the batch is
+    /// appended to the WAL but its durability was never confirmed, so it
+    /// is in doubt until a reopen replays it whole or not at all. The
+    /// commit gets [`StorageError::Failed`], and so does every later log
+    /// append, heap create/drop and checkpoint through the wrapper
+    /// (DESIGN.md §13).
     GroupSync,
     /// `checkpoint` failed. The WAL is left intact, so no data is lost.
     Checkpoint,
@@ -47,19 +51,16 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    fn context(self) -> &'static str {
-        match self {
+    fn error(self) -> StorageError {
+        let context = match self {
+            FaultKind::GroupSync => return StorageError::Failed,
             FaultKind::CommitPre => "append wal group (injected: no space left on device)",
             FaultKind::CommitAckLoss => "acknowledge commit (injected: ack lost after append)",
-            FaultKind::GroupSync => "group-commit fsync (injected: cohort sync failed)",
             FaultKind::Checkpoint => "checkpoint (injected)",
             FaultKind::Release => "release reservation (injected)",
             FaultKind::Read => "read record (injected)",
-        }
-    }
-
-    fn error(self) -> StorageError {
-        StorageError::io(self.context(), std::io::Error::other("injected fault"))
+        };
+        StorageError::io(context, std::io::Error::other("injected fault"))
     }
 }
 
@@ -141,6 +142,8 @@ pub struct FailpointStore {
     /// received (the torture harness's durable/in-doubt split).
     last: Mutex<Option<FaultKind>>,
     faults: AtomicU64,
+    /// Set by an injected [`FaultKind::GroupSync`]: writes are refused.
+    failed: AtomicBool,
 }
 
 impl FailpointStore {
@@ -154,6 +157,7 @@ impl FailpointStore {
             forced: Mutex::new(None),
             last: Mutex::new(None),
             faults: AtomicU64::new(0),
+            failed: AtomicBool::new(false),
         }
     }
 
@@ -199,14 +203,24 @@ impl FailpointStore {
         *self.last.lock() = Some(kind);
         kind.error()
     }
+
+    /// [`StorageError::Failed`] once a group sync fault has fired.
+    fn live(&self) -> Result<()> {
+        if self.failed.load(Ordering::Acquire) {
+            return Err(StorageError::Failed);
+        }
+        Ok(())
+    }
 }
 
 impl Store for FailpointStore {
     fn create_heap(&self) -> Result<HeapId> {
+        self.live()?;
         self.inner.create_heap()
     }
 
     fn drop_heap(&self, heap: HeapId) -> Result<()> {
+        self.live()?;
         self.inner.drop_heap(heap)
     }
 
@@ -235,6 +249,7 @@ impl Store for FailpointStore {
     fn commit_prepare(&self, ops: Vec<StoreOp>) -> Result<CommitTicket> {
         // A pre-append failure: nothing was logged, the batch is
         // definitely absent, the caller may retry.
+        self.live()?;
         if self.fires(FaultKind::CommitPre, self.cfg.commit_pre) {
             return Err(self.inject(FaultKind::CommitPre));
         }
@@ -243,8 +258,10 @@ impl Store for FailpointStore {
 
     fn commit_durable(&self, ticket: &CommitTicket) -> Result<()> {
         // The cohort fsync "fails": the group sits in the WAL unsynced, so
-        // recovery may or may not replay it — the in-doubt window.
+        // recovery may or may not replay it — the in-doubt window — and
+        // the wrapper fails as the store would.
         if self.fires(FaultKind::GroupSync, self.cfg.group_sync) {
+            self.failed.store(true, Ordering::Release);
             return Err(self.inject(FaultKind::GroupSync));
         }
         self.inner.commit_durable(ticket)
@@ -262,10 +279,6 @@ impl Store for FailpointStore {
         Ok(())
     }
 
-    fn commit_abandon(&self, ticket: CommitTicket) {
-        self.inner.commit_abandon(ticket);
-    }
-
     fn scan(
         &self,
         heap: HeapId,
@@ -275,6 +288,7 @@ impl Store for FailpointStore {
     }
 
     fn checkpoint(&self) -> Result<()> {
+        self.live()?;
         if self.fires(FaultKind::Checkpoint, self.cfg.checkpoint) {
             return Err(self.inject(FaultKind::Checkpoint));
         }

@@ -11,8 +11,8 @@
 
 use std::collections::BTreeSet;
 use std::fs::OpenOptions;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -87,8 +87,8 @@ struct StoreState {
     meta: Meta,
     sync: bool,
     checkpoint_bytes: u64,
-    /// Commits prepared ([`Store::commit_prepare`]) but not yet applied or
-    /// abandoned. While nonzero the WAL holds groups whose effects are not
+    /// Commits prepared ([`Store::commit_prepare`]) but not yet applied.
+    /// While nonzero the WAL holds groups whose effects are not
     /// in the pages yet, so checkpoints must not truncate it (DESIGN.md
     /// §13 — the invariant replacing the old single-writer `txn_gate`).
     pending_applies: u64,
@@ -143,22 +143,6 @@ impl StoreState {
         }
         Ok(())
     }
-
-    fn checkpoint(&mut self, pager: &Pager) -> Result<()> {
-        pager.sync()?;
-        self.wal.checkpoint()
-    }
-
-    fn maybe_checkpoint(&mut self, pager: &Pager) -> Result<()> {
-        // Never truncate while prepared-but-unapplied groups exist: their
-        // effects are only in the WAL, and a crash after truncation would
-        // lose fsynced commits. The next commit to bring `pending_applies`
-        // to zero picks the checkpoint up.
-        if self.pending_applies == 0 && self.wal.len() > self.checkpoint_bytes {
-            self.checkpoint(pager)?;
-        }
-        Ok(())
-    }
 }
 
 /// Leader/follower fsync handoff for WAL group commit (DESIGN.md §13).
@@ -167,15 +151,10 @@ impl StoreState {
 /// every group appended so far; the others wait on the condvar and find
 /// their sequence already durable when they wake.
 struct SyncShared {
-    /// Highest WAL group sequence appended by `commit_prepare`.
+    /// Highest WAL group sequence appended (commits and heap DDL).
     appended_seq: u64,
     /// Highest sequence known durable (covered by a successful fsync).
     synced_seq: u64,
-    /// Sequences at or below this failed their cohort fsync and must not
-    /// be reported durable, even if a later fsync succeeds — after a
-    /// failed fsync the kernel may have dropped the dirty pages, so a
-    /// later success proves nothing about the earlier bytes.
-    failed_upto: u64,
     /// A leader is currently in the fsync window.
     flushing: bool,
 }
@@ -199,6 +178,9 @@ pub struct FileStore {
     sync_shared: Mutex<SyncShared>,
     sync_cv: Condvar,
     wal_sync_handle: std::fs::File,
+    /// Set by the first failed `sync_data`: the store refuses every write
+    /// until it is reopened (DESIGN.md §13).
+    failed: AtomicBool,
     /// Successful cohort fsyncs / commits covered by one.
     commit_groups: AtomicU64,
     commit_group_members: AtomicU64,
@@ -207,9 +189,8 @@ pub struct FileStore {
     record_writes: AtomicU64,
     /// WAL commit groups replayed when this store was opened.
     replayed_groups: u64,
-    /// Checkpoint attempts that failed (the WAL stays intact each time).
+    /// Checkpoint attempts that failed.
     checkpoint_failures: AtomicU64,
-    dir: PathBuf,
 }
 
 /// Tuning knobs for [`FileStore::open_with`].
@@ -256,7 +237,8 @@ impl FileStore {
 
         let (wal, replay) = Wal::open(&wal_path)?;
         let replayed_groups = replay.len() as u64;
-        let mut state = if fresh || pager.page_count() == 0 {
+        let recovering = !fresh && pager.page_count() > 0;
+        let mut state = if !recovering {
             let mut meta_page = Page::new(PageType::Meta, 0);
             let meta = Meta {
                 next_heap_id: 1,
@@ -321,26 +303,22 @@ impl FileStore {
                 }
             }
             state.heaps.clear_replay_pins();
-            // Everything replayed is now in buffer-pool pages; checkpoint so
-            // the WAL does not grow across repeated crashes.
-            state.write_meta(&pager)?;
-            state.checkpoint(&pager)?;
             state
         };
         state.write_meta(&pager)?;
         let wal_sync_handle = state.wal.try_clone_file()?;
-        Ok(FileStore {
+        let store = FileStore {
             pager,
             state: Mutex::new(state),
             apply_cv: Condvar::new(),
             sync_shared: Mutex::new(SyncShared {
                 appended_seq: 0,
                 synced_seq: 0,
-                failed_upto: 0,
                 flushing: false,
             }),
             sync_cv: Condvar::new(),
             wal_sync_handle,
+            failed: AtomicBool::new(false),
             commit_groups: AtomicU64::new(0),
             commit_group_members: AtomicU64::new(0),
             commits: AtomicU64::new(0),
@@ -348,47 +326,38 @@ impl FileStore {
             record_writes: AtomicU64::new(0),
             replayed_groups,
             checkpoint_failures: AtomicU64::new(0),
-            dir: dir.to_path_buf(),
-        })
-    }
-
-    /// Directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Flush everything and truncate the WAL. Called on drop as well.
-    pub fn close(&self) -> Result<()> {
-        self.run_checkpoint()
-    }
-
-    /// WAL commit groups replayed when this store was opened.
-    pub fn replayed_groups(&self) -> u64 {
-        self.replayed_groups
+        };
+        if recovering {
+            // Everything replayed is now in buffer-pool pages; checkpoint so
+            // the WAL does not grow across repeated crashes.
+            store.checkpoint_locked(&mut store.state.lock())?;
+        }
+        Ok(store)
     }
 
     fn run_checkpoint(&self) -> Result<()> {
-        // Barrier: wait until every prepared commit has been applied (or
-        // abandoned) before truncating the WAL — a group whose effects are
-        // only in the log must survive the checkpoint. The wait releases
-        // the structural lock, so appliers can drain. Bounded so a leaked
+        // Barrier: wait until every prepared commit has been applied
+        // before truncating the WAL — a group whose effects are only in
+        // the log must survive the checkpoint. The wait releases the
+        // structural lock, so appliers can drain. Bounded so a leaked
         // ticket (crash-torture's `mem::forget`) degrades to a checkpoint
-        // failure instead of a hang; the WAL stays intact either way.
+        // failure instead of a hang; the WAL stays intact either way. A
+        // failed store's tickets never apply, so it refuses at once.
         let r = {
             let mut g = self.state.lock();
             let mut timed_out = false;
-            while g.pending_applies > 0 && !timed_out {
+            while g.pending_applies > 0 && !timed_out && self.live().is_ok() {
                 timed_out = self
                     .apply_cv
                     .wait_for(&mut g, std::time::Duration::from_secs(5))
                     .timed_out();
             }
-            if g.pending_applies > 0 {
+            if g.pending_applies > 0 && self.live().is_ok() {
                 Err(StorageError::Internal(
                     "checkpoint barrier: prepared commits never applied".into(),
                 ))
             } else {
-                g.checkpoint(&self.pager)
+                self.checkpoint_locked(&mut g)
             }
         };
         if r.is_err() {
@@ -397,10 +366,90 @@ impl FileStore {
         r
     }
 
-    fn finish_apply(&self, g: &mut StoreState) {
-        g.pending_applies -= 1;
-        if g.pending_applies == 0 {
+    /// Write every page back and fsync the data file, then truncate the
+    /// WAL and fsync it. Refused once the store has failed.
+    fn checkpoint_locked(&self, g: &mut StoreState) -> Result<()> {
+        self.live()?;
+        self.pager.flush_all()?;
+        self.synced(self.pager.sync_data())?;
+        g.wal.checkpoint()?;
+        self.synced(self.wal_sync_handle.sync_data())
+    }
+
+    /// [`StorageError::Failed`] once an fsync has failed.
+    fn live(&self) -> Result<()> {
+        if self.failed.load(Ordering::Acquire) {
+            return Err(StorageError::Failed);
+        }
+        Ok(())
+    }
+
+    /// The fail-stop rule (DESIGN.md §13): a failed `sync_data` fails the
+    /// store. The kernel may have dropped the dirty pages it could not
+    /// write, so no later fsync proves the log intact; every later write
+    /// returns [`StorageError::Failed`] until a reopen recovers from the
+    /// log as written.
+    fn synced(&self, r: std::io::Result<()>) -> Result<()> {
+        r.map_err(|e| {
+            if !self.failed.swap(true, Ordering::AcqRel) {
+                eprintln!("ode-storage: fsync failed, store stopped until reopened: {e}");
+            }
+            // Wake a checkpoint parked on the barrier: it refuses now.
             self.apply_cv.notify_all();
+            StorageError::Failed
+        })
+    }
+
+    /// Log one group under the structural lock, without fsync. Returns
+    /// the sequence [`FileStore::durable`] waits for (0 when commits are
+    /// not synced).
+    fn append(&self, g: &mut StoreState, ops: &[WalOp]) -> Result<u64> {
+        self.live()?;
+        let seq = g.wal.append_commit(ops)?;
+        if !g.sync {
+            return Ok(0);
+        }
+        let mut s = self.sync_shared.lock();
+        s.appended_seq = s.appended_seq.max(seq);
+        Ok(seq)
+    }
+
+    /// Wait until group `seq` is durable (DESIGN.md §13): the first waiter
+    /// becomes the leader and one `sync_data` covers every group appended
+    /// so far; the others find their sequence covered when they wake. A
+    /// group that a successful fsync covered stays durable after a later
+    /// failure; the rest fail with the store.
+    fn durable(&self, seq: u64) -> Result<()> {
+        if seq == 0 {
+            return Ok(()); // sync disabled when this group was appended
+        }
+        let mut s = self.sync_shared.lock();
+        loop {
+            if s.synced_seq >= seq {
+                // A leader's fsync covered us: one cohort member, no fsync
+                // of our own.
+                self.commit_group_members.fetch_add(1, Ordering::Relaxed);
+                return Ok(());
+            }
+            self.live()?;
+            if !s.flushing {
+                // Become the leader: fsync everything appended so far.
+                s.flushing = true;
+                let target = s.appended_seq;
+                drop(s);
+                let res = self.wal_sync_handle.sync_data();
+                s = self.sync_shared.lock();
+                s.flushing = false;
+                let res = self.synced(res);
+                if res.is_ok() {
+                    s.synced_seq = s.synced_seq.max(target);
+                    self.commit_groups.fetch_add(1, Ordering::Relaxed);
+                    self.commit_group_members.fetch_add(1, Ordering::Relaxed);
+                }
+                self.sync_cv.notify_all();
+                return res;
+            }
+            self.sync_cv.wait(&mut s);
         }
     }
 }
@@ -409,6 +458,10 @@ impl Drop for FileStore {
     fn drop(&mut self) {
         // Best-effort clean shutdown; recovery handles the rest — but the
         // failure must not vanish: count it and say why the WAL remains.
+        // A failed store leaves the WAL as written for the next open.
+        if self.live().is_err() {
+            return;
+        }
         if let Err(e) = self.run_checkpoint() {
             eprintln!("ode-storage: checkpoint on close failed (WAL retained for recovery): {e}");
         }
@@ -417,10 +470,12 @@ impl Drop for FileStore {
 
 impl Store for FileStore {
     fn create_heap(&self) -> Result<HeapId> {
+        // Heap DDL is rare: it holds the structural lock through its fsync,
+        // so the meta page never runs ahead of the log.
         let mut g = self.state.lock();
         let id = g.meta.next_heap_id;
-        let sync = g.sync;
-        g.wal.append_commit(&[WalOp::EnsureHeap(id)], sync)?;
+        let seq = self.append(&mut g, &[WalOp::EnsureHeap(id)])?;
+        self.durable(seq)?;
         g.meta.next_heap_id += 1;
         g.meta.heaps.insert(id);
         g.heaps.create_heap(id);
@@ -433,8 +488,8 @@ impl Store for FileStore {
         if !g.heaps.has_heap(heap) {
             return Err(StorageError::NoSuchHeap(heap));
         }
-        let sync = g.sync;
-        g.wal.append_commit(&[WalOp::DropHeap(heap)], sync)?;
+        let seq = self.append(&mut g, &[WalOp::DropHeap(heap)])?;
+        self.durable(seq)?;
         g.heaps.drop_heap(&self.pager, heap)?;
         g.meta.heaps.remove(&heap);
         g.write_meta(&self.pager)?;
@@ -484,67 +539,15 @@ impl Store for FileStore {
             })
             .collect();
         // Append without syncing: durability is phase 2's job, shared
-        // across the cohort. On error nothing was logged (append_commit
-        // rolls the tail back), so the caller may retry.
-        let seq = g.wal.append_commit(&wal_ops, false)?;
-        let sync = g.sync;
+        // across the cohort. On a failed write nothing was logged
+        // (append_commit rolls the tail back), so the caller may retry.
+        let seq = self.append(&mut g, &wal_ops)?;
         g.pending_applies += 1;
-        drop(g);
-        if sync {
-            let mut s = self.sync_shared.lock();
-            s.appended_seq = s.appended_seq.max(seq);
-        }
-        Ok(CommitTicket {
-            // seq 0 means "no durability wait" (WAL sequences start at 1).
-            seq: if sync { seq } else { 0 },
-            ops,
-        })
+        Ok(CommitTicket { seq, ops })
     }
 
     fn commit_durable(&self, ticket: &CommitTicket) -> Result<()> {
-        if ticket.seq == 0 {
-            return Ok(()); // sync disabled when this commit was prepared
-        }
-        let seq = ticket.seq;
-        let mut s = self.sync_shared.lock();
-        loop {
-            if s.failed_upto >= seq {
-                return Err(StorageError::io(
-                    "group-commit fsync",
-                    std::io::Error::other("cohort leader fsync failed"),
-                ));
-            }
-            if s.synced_seq >= seq {
-                // A leader's fsync covered us: one cohort member, no fsync
-                // of our own.
-                self.commit_group_members.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            if !s.flushing {
-                // Become the leader: fsync everything appended so far.
-                s.flushing = true;
-                let target = s.appended_seq;
-                drop(s);
-                let res = self.wal_sync_handle.sync_data();
-                s = self.sync_shared.lock();
-                s.flushing = false;
-                match res {
-                    Ok(()) => {
-                        s.synced_seq = s.synced_seq.max(target);
-                        self.commit_groups.fetch_add(1, Ordering::Relaxed);
-                        self.commit_group_members.fetch_add(1, Ordering::Relaxed);
-                        self.sync_cv.notify_all();
-                        return Ok(());
-                    }
-                    Err(e) => {
-                        s.failed_upto = s.failed_upto.max(target);
-                        self.sync_cv.notify_all();
-                        return Err(StorageError::io("group-commit fsync", e));
-                    }
-                }
-            }
-            self.sync_cv.wait(&mut s);
-        }
+        self.durable(ticket.seq)
     }
 
     fn commit_apply(&self, ticket: CommitTicket) -> Result<()> {
@@ -559,17 +562,22 @@ impl Store for FileStore {
                 break;
             }
         }
-        self.finish_apply(&mut g);
+        g.pending_applies -= 1;
         self.commits.fetch_add(1, Ordering::Relaxed);
-        if result.is_ok() && g.maybe_checkpoint(&self.pager).is_err() {
-            self.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
+        // Never truncate while prepared-but-unapplied groups exist: their
+        // effects are only in the WAL, and a crash after truncation would
+        // lose fsynced commits. The next commit to bring `pending_applies`
+        // to zero picks the checkpoint up.
+        if g.pending_applies == 0 {
+            self.apply_cv.notify_all();
+            if result.is_ok()
+                && g.wal.len() > g.checkpoint_bytes
+                && self.checkpoint_locked(&mut g).is_err()
+            {
+                self.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
+            }
         }
         result
-    }
-
-    fn commit_abandon(&self, _ticket: CommitTicket) {
-        let mut g = self.state.lock();
-        self.finish_apply(&mut g);
     }
 
     fn scan(
@@ -599,9 +607,8 @@ impl Store for FileStore {
             record_reads: self.record_reads.load(Ordering::Relaxed),
             record_writes: self.record_writes.load(Ordering::Relaxed),
             wal_appends: g.wal.appends(),
-            // Cohort fsyncs happen on a cloned handle outside the Wal's
-            // own counter; fold them in so fsyncs-per-commit is honest.
-            wal_fsyncs: g.wal.fsyncs() + self.commit_groups.load(Ordering::Relaxed),
+            // Every WAL fsync outside checkpoint is a cohort fsync.
+            wal_fsyncs: self.commit_groups.load(Ordering::Relaxed),
             replayed_groups: self.replayed_groups,
             faults_injected: 0,
             checkpoint_failures: self.checkpoint_failures.load(Ordering::Relaxed),
@@ -630,6 +637,7 @@ impl Store for FileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ode-filestore-{}-{name}", std::process::id()));
@@ -700,7 +708,7 @@ mod tests {
             orphan = store.reserve(heap, 64).unwrap();
             // Push the reservation to the data file, then "crash" without
             // committing it.
-            store.pager.sync().unwrap();
+            store.pager.flush_all().unwrap();
             std::mem::forget(store);
         }
         let store = FileStore::open(&dir).unwrap();
@@ -838,6 +846,52 @@ mod tests {
             .unwrap();
         assert_eq!(seen, expected);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The leader's own fsync fails (`fdatasync` on `/dev/null` is EINVAL):
+    /// that commit and every later write fail at once, reads keep working,
+    /// and a reopen replays the logged group whole.
+    #[test]
+    fn failed_leader_fsync_stops_the_store_until_reopen() {
+        let dir = temp_dir("failed-fsync");
+        let (heap, acked, rid);
+        {
+            let mut store = FileStore::open(&dir).unwrap();
+            heap = store.create_heap().unwrap();
+            acked = store.reserve(heap, 16).unwrap();
+            store.commit(vec![put(heap, acked, b"acked")]).unwrap();
+            rid = store.reserve(heap, 16).unwrap();
+            store.wal_sync_handle = std::fs::File::open("/dev/null").unwrap();
+
+            let failed = |r: Result<()>| matches!(r, Err(StorageError::Failed));
+            assert!(failed(store.commit(vec![put(heap, rid, b"in doubt")])));
+            assert!(failed(store.commit_prepare(vec![]).map(drop)));
+            assert!(failed(store.create_heap().map(drop)));
+            let started = std::time::Instant::now();
+            assert!(failed(store.checkpoint()));
+            assert!(
+                started.elapsed() < std::time::Duration::from_secs(1),
+                "a failed store refuses its checkpoint without the barrier wait"
+            );
+            assert_eq!(store.read(heap, acked).unwrap(), b"acked");
+            std::mem::forget(store);
+        }
+        let store = FileStore::open(&dir).unwrap();
+        assert_eq!(store.read(heap, acked).unwrap(), b"acked");
+        assert_eq!(
+            store.read(heap, rid).unwrap(),
+            b"in doubt",
+            "replayed whole"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn put(heap: HeapId, rid: RecordId, data: &[u8]) -> StoreOp {
+        StoreOp::Put {
+            heap,
+            rid,
+            data: data.to_vec(),
+        }
     }
 
     #[test]

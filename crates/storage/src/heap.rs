@@ -837,7 +837,7 @@ mod tests {
         let a = mgr.insert(&pager, 1, b"heap one").unwrap();
         let b = mgr.insert(&pager, 2, b"heap two").unwrap();
         let r = mgr.reserve(&pager, 1, 16).unwrap();
-        pager.sync().unwrap();
+        pager.flush_all().unwrap();
         drop(pager);
         drop(mgr);
 

@@ -257,12 +257,11 @@ impl Pager {
         Ok(())
     }
 
-    /// Flush and fsync the data file.
-    pub fn sync(&self) -> Result<()> {
-        self.flush_all()?;
-        self.file
-            .sync_data()
-            .map_err(|e| StorageError::io("fsync data file", e))
+    /// fsync the data file; [`Pager::flush_all`] first writes the dirty
+    /// frames back. The bare OS error comes back: a failed fsync fails a
+    /// [`crate::FileStore`] (DESIGN.md §13).
+    pub fn sync_data(&self) -> std::io::Result<()> {
+        self.file.sync_data()
     }
 
     /// Drop every cached frame (after flushing). Used by tests to force
@@ -414,7 +413,7 @@ mod tests {
                 p.insert(b"second").unwrap();
             })
             .unwrap();
-        pager.sync().unwrap();
+        pager.flush_all().unwrap();
         drop(pager);
 
         let file = std::fs::OpenOptions::new()

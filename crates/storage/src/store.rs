@@ -10,10 +10,15 @@
 //! A batch commits through one protocol, in three phases:
 //! [`Store::commit_prepare`] checks the batch and logs it,
 //! [`Store::commit_durable`] makes it durable, and [`Store::commit_apply`]
-//! makes it visible ([`Store::commit_abandon`] instead, if durability
-//! failed). A batch the store would refuse is refused at prepare, before
-//! anything is logged. [`Store::commit`] runs the three phases back to
-//! back for callers outside the engine's commit pipeline.
+//! makes it visible. A batch the store would refuse is refused at prepare,
+//! before anything is logged. [`Store::commit`] runs the three phases back
+//! to back for callers outside the engine's commit pipeline.
+//!
+//! A failed fsync fails the store (DESIGN.md §13): that commit, its
+//! cohort, and every later log append, heap create/drop and checkpoint
+//! return [`StorageError::Failed`], while reads keep working. The next
+//! open replays the log as written, so the failed group lands whole or
+//! not at all, like a commit whose acknowledgement was lost.
 
 use crate::error::{Result, StorageError};
 use crate::heap::{RecordId, MAX_PAYLOAD};
@@ -61,8 +66,9 @@ pub struct StoreStats {
     /// Faults injected by a wrapping [`crate::FailpointStore`] (always
     /// zero for the concrete stores themselves).
     pub faults_injected: u64,
-    /// Checkpoint attempts that failed; each leaves the WAL intact, so
-    /// durability is unharmed (DESIGN.md §10).
+    /// Checkpoint attempts that failed. A failed write leaves the WAL
+    /// intact, so durability is unharmed (DESIGN.md §10); a failed fsync
+    /// fails the store, and every later attempt is refused (§13).
     pub checkpoint_failures: u64,
     /// Group-commit fsync cohorts: each counts one `sync_data` that made
     /// one *or more* prepared commits durable (DESIGN.md §13).
@@ -74,14 +80,15 @@ pub struct StoreStats {
 }
 
 /// A prepared-but-not-yet-applied commit, returned by
-/// [`Store::commit_prepare`] and consumed by [`Store::commit_apply`] (or
-/// [`Store::commit_abandon`] on failure). For stores without a WAL the
-/// ticket just carries the ops; [`crate::FileStore`] stamps `seq` with the
-/// WAL group sequence so followers can wait for a leader's fsync to cover
-/// them.
+/// [`Store::commit_prepare`] and consumed by [`Store::commit_apply`]; a
+/// ticket whose durability failed is simply dropped. For stores without a
+/// WAL the ticket just carries the ops; [`crate::FileStore`] stamps `seq`
+/// with the WAL group sequence so followers can wait for a leader's fsync
+/// to cover them.
 #[derive(Debug)]
 pub struct CommitTicket {
-    /// WAL group sequence (0 for stores without a WAL).
+    /// WAL group sequence; 0 means no durability wait (no WAL, or
+    /// commits not synced).
     pub seq: u64,
     /// The batch, carried from prepare to apply.
     pub ops: Vec<StoreOp>,
@@ -124,10 +131,7 @@ pub trait Store: Send + Sync {
     /// engine's pipeline (DESIGN.md §10).
     fn commit(&self, ops: Vec<StoreOp>) -> Result<()> {
         let ticket = self.commit_prepare(ops)?;
-        if let Err(e) = self.commit_durable(&ticket) {
-            self.commit_abandon(ticket);
-            return Err(e);
-        }
+        self.commit_durable(&ticket)?;
         self.commit_apply(ticket)
     }
 
@@ -141,8 +145,9 @@ pub trait Store: Send + Sync {
 
     /// Phase 2: make the prepared batch durable. Runs *outside* the
     /// engine's locks; concurrent callers share one fsync via leader/
-    /// follower handoff in [`crate::FileStore`]. On error the batch is not
-    /// durable and must be abandoned ([`Store::commit_abandon`]).
+    /// follower handoff in [`crate::FileStore`]. An error is
+    /// [`StorageError::Failed`]: the batch is in doubt, and the store
+    /// takes no write until it is reopened.
     fn commit_durable(&self, _ticket: &CommitTicket) -> Result<()> {
         Ok(())
     }
@@ -151,12 +156,6 @@ pub trait Store: Send + Sync {
     /// engine's apply gate so snapshot readers never observe a torn batch.
     /// An error here comes after the batch is durable: it is in doubt.
     fn commit_apply(&self, ticket: CommitTicket) -> Result<()>;
-
-    /// Abandon a prepared batch whose durability failed: releases any
-    /// bookkeeping (e.g. the checkpoint barrier) without applying. The
-    /// logged group stays in the WAL; recovery may still replay it, which
-    /// is the same in-doubt window as a lost commit ack (DESIGN.md §10).
-    fn commit_abandon(&self, _ticket: CommitTicket) {}
 
     /// Visit every record of `heap` in stable (record-id) order; the
     /// callback returns `false` to stop early.

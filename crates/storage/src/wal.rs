@@ -13,7 +13,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::crc::crc32;
 use crate::error::{Result, StorageError};
@@ -158,15 +158,12 @@ fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
 
 /// The write-ahead log file.
 pub struct Wal {
-    path: PathBuf,
     writer: BufWriter<File>,
     /// Bytes appended since open/truncate (drives checkpoint policy).
     len: u64,
     next_tx: u64,
     /// Commit groups appended since open (telemetry).
     appends: u64,
-    /// fsyncs issued since open (telemetry).
-    fsyncs: u64,
 }
 
 impl Wal {
@@ -192,12 +189,10 @@ impl Wal {
         file.seek(SeekFrom::End(0))
             .map_err(|e| StorageError::io("seek wal", e))?;
         let wal = Wal {
-            path: path.to_path_buf(),
             writer: BufWriter::new(file),
             len: valid_len as u64,
             next_tx: max_tx + 1,
             appends: 0,
-            fsyncs: 0,
         };
         Ok((wal, batches))
     }
@@ -274,15 +269,16 @@ impl Wal {
         Ok(())
     }
 
-    /// Append one committed group. With `sync`, the group is fsynced before
-    /// returning — the durability point of the whole store.
+    /// Append one committed group, without fsync: the owner makes it
+    /// durable ([`crate::FileStore`] shares one fsync per cohort).
     ///
     /// The whole group is assembled in memory and written with one
-    /// `write_all`, and on any failure (short write, ENOSPC, fsync) the
-    /// file is truncated back to its pre-append length. Either way the log
-    /// tail stays clean, so the caller may re-issue the identical batch —
-    /// this is what makes a failed commit *retryable* (DESIGN.md §10).
-    pub fn append_commit(&mut self, ops: &[WalOp], sync: bool) -> Result<u64> {
+    /// `write_all`, and on a failed write (short write, ENOSPC) the file
+    /// is truncated back to its pre-append length. The log tail stays
+    /// clean, so the caller may re-issue the identical batch: this is what
+    /// makes a failed prepare *retryable* (DESIGN.md §10). A failed fsync
+    /// is not retryable; it fails the store (DESIGN.md §13).
+    pub fn append_commit(&mut self, ops: &[WalOp]) -> Result<u64> {
         let tx = self.next_tx;
         self.next_tx += 1;
         let mut group = Vec::with_capacity(64);
@@ -305,17 +301,7 @@ impl Wal {
             .writer
             .flush()
             .and_then(|()| self.writer.get_mut().write_all(&group))
-            .map_err(|e| StorageError::io("append wal group", e))
-            .and_then(|()| {
-                if sync {
-                    self.writer
-                        .get_ref()
-                        .sync_data()
-                        .map_err(|e| StorageError::io("fsync wal", e))?;
-                    self.fsyncs += 1;
-                }
-                Ok(())
-            });
+            .map_err(|e| StorageError::io("append wal group", e));
         if let Err(e) = result {
             // Best-effort rollback to the last complete group. If even
             // this fails, the torn tail is truncated at the next open.
@@ -347,55 +333,36 @@ impl Wal {
         self.appends
     }
 
-    /// fsyncs issued since open.
-    pub fn fsyncs(&self) -> u64 {
-        self.fsyncs
-    }
-
-    /// Zero the append/fsync counters (benches measure deltas).
+    /// Zero the append counter (benches measure deltas).
     pub fn reset_counters(&mut self) {
         self.appends = 0;
-        self.fsyncs = 0;
     }
 
-    /// Record a checkpoint and truncate the log: caller guarantees all
-    /// earlier groups are durably in the data file.
+    /// Truncate the log: the caller guarantees every earlier group is
+    /// durably in the data file, and fsyncs the log file afterwards.
     pub fn checkpoint(&mut self) -> Result<()> {
         self.writer
             .flush()
             .map_err(|e| StorageError::io("flush wal", e))?;
-        let file = self.writer.get_ref();
+        let file = self.writer.get_mut();
         file.set_len(0)
             .map_err(|e| StorageError::io("truncate wal", e))?;
-        file.sync_data()
-            .map_err(|e| StorageError::io("fsync wal", e))?;
-        self.writer
-            .get_mut()
-            .seek(SeekFrom::Start(0))
+        file.seek(SeekFrom::Start(0))
             .map_err(|e| StorageError::io("rewind wal", e))?;
         self.len = 0;
         Ok(())
     }
 
     /// Bytes accumulated since the last checkpoint.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.len
-    }
-
-    /// True when no groups have been appended since the last checkpoint.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Path of the log file.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_wal(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ode-wal-test-{}", std::process::id()));
@@ -419,9 +386,9 @@ mod tests {
         {
             let (mut wal, replay) = Wal::open(&path).unwrap();
             assert!(replay.is_empty());
-            wal.append_commit(&[WalOp::EnsureHeap(1), put(1, 1, 0, b"first")], true)
+            wal.append_commit(&[WalOp::EnsureHeap(1), put(1, 1, 0, b"first")])
                 .unwrap();
-            wal.append_commit(&[put(1, 1, 1, b"second")], true).unwrap();
+            wal.append_commit(&[put(1, 1, 1, b"second")]).unwrap();
         }
         let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.len(), 2);
@@ -435,7 +402,7 @@ mod tests {
         let path = temp_wal("torn");
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
-            wal.append_commit(&[put(1, 1, 0, b"ok")], true).unwrap();
+            wal.append_commit(&[put(1, 1, 0, b"ok")]).unwrap();
         }
         // Simulate a crash mid-append: garbage tail.
         {
@@ -446,8 +413,7 @@ mod tests {
         let (mut wal, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.len(), 1);
         // The log is usable again after truncation.
-        wal.append_commit(&[put(1, 1, 1, b"post-crash")], true)
-            .unwrap();
+        wal.append_commit(&[put(1, 1, 1, b"post-crash")]).unwrap();
         drop(wal);
         let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.len(), 2);
@@ -458,8 +424,7 @@ mod tests {
         let path = temp_wal("uncommitted");
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
-            wal.append_commit(&[put(1, 1, 0, b"committed")], true)
-                .unwrap();
+            wal.append_commit(&[put(1, 1, 0, b"committed")]).unwrap();
             // Hand-write a Begin + op without a Commit.
             let mut payload = vec![TAG_BEGIN];
             payload.extend_from_slice(&99u64.to_le_bytes());
@@ -479,9 +444,9 @@ mod tests {
         let path = temp_wal("checkpoint");
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
-            wal.append_commit(&[put(1, 1, 0, b"old")], true).unwrap();
+            wal.append_commit(&[put(1, 1, 0, b"old")]).unwrap();
             wal.checkpoint().unwrap();
-            wal.append_commit(&[put(1, 2, 0, b"new")], true).unwrap();
+            wal.append_commit(&[put(1, 2, 0, b"new")]).unwrap();
         }
         let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.len(), 1);
@@ -493,9 +458,8 @@ mod tests {
         let path = temp_wal("corrupt-mid");
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
-            wal.append_commit(&[put(1, 1, 0, b"good")], true).unwrap();
-            wal.append_commit(&[put(1, 1, 1, b"also good")], true)
-                .unwrap();
+            wal.append_commit(&[put(1, 1, 0, b"good")]).unwrap();
+            wal.append_commit(&[put(1, 1, 1, b"also good")]).unwrap();
         }
         // Flip one byte inside the second group's payload.
         {
@@ -522,7 +486,7 @@ mod tests {
         ];
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
-            wal.append_commit(&ops, true).unwrap();
+            wal.append_commit(&ops).unwrap();
         }
         let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay, vec![ops]);
@@ -533,11 +497,11 @@ mod tests {
         let path = temp_wal("txids");
         let first = {
             let (mut wal, _) = Wal::open(&path).unwrap();
-            wal.append_commit(&[put(1, 1, 0, b"a")], true).unwrap()
+            wal.append_commit(&[put(1, 1, 0, b"a")]).unwrap()
         };
         let second = {
             let (mut wal, _) = Wal::open(&path).unwrap();
-            wal.append_commit(&[put(1, 1, 1, b"b")], true).unwrap()
+            wal.append_commit(&[put(1, 1, 1, b"b")]).unwrap()
         };
         assert!(second > first);
     }
@@ -547,7 +511,7 @@ mod tests {
         let path = temp_wal("empty-group");
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
-            wal.append_commit(&[], true).unwrap();
+            wal.append_commit(&[]).unwrap();
         }
         let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay, vec![vec![]]);

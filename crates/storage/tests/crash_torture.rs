@@ -9,8 +9,9 @@
 //!
 //! 1. every acknowledged commit is readable with its exact bytes,
 //! 2. no unacknowledged write is visible (ack-lost batches are in doubt,
-//!    but must land all-or-nothing; a batch abandoned after a failed
-//!    group fsync leaves its keys unclaimed, DESIGN.md §13),
+//!    but must land all-or-nothing; so must a batch whose group fsync
+//!    failed, after which the store refuses every write and the cycle
+//!    crashes, DESIGN.md §13),
 //! 3. replay and a full scan never panic — a corrupt tail stops replay
 //!    cleanly.
 //!
@@ -24,7 +25,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ode_storage::filestore::{FileStore, FileStoreOptions};
-use ode_storage::{FailpointConfig, FailpointStore, FaultKind, HeapId, RecordId, Store, StoreOp};
+use ode_storage::{
+    FailpointConfig, FailpointStore, FaultKind, HeapId, RecordId, StorageError, Store, StoreOp,
+};
 
 /// SplitMix64 for the harness's own choices (op mix, payload sizes,
 /// tail-mutilation mode). Independent of the failpoint schedule.
@@ -46,7 +49,7 @@ impl Rng {
 
 type Key = (HeapId, RecordId);
 
-/// One write of an ack-lost batch: the key, what it held before (None =
+/// One write of an in-doubt batch: the key, what it held before (None =
 /// the key did not exist), and what the batch tried to write.
 struct DoubtOp {
     key: Key,
@@ -59,21 +62,10 @@ struct DoubtOp {
 struct Model {
     /// Acknowledged state: exactly the records a reopened store must show.
     acked: HashMap<Key, Vec<u8>>,
-    /// Batches whose commit returned an error *after* the durable append
-    /// (ack loss). Each must resolve all-or-nothing at the next reopen.
+    /// Batches whose commit returned an error *after* the WAL append (ack
+    /// loss, a failed group fsync). Each must resolve all-or-nothing at
+    /// the next reopen.
     in_doubt: Vec<Vec<DoubtOp>>,
-    /// Keys of batches abandoned after a failed group fsync. The batch
-    /// sits in the WAL unapplied, so recovery may or may not replay it:
-    /// its keys carry no claim, and invariant 2 skips them until a later
-    /// acknowledged write reuses them.
-    abandoned: HashSet<Key>,
-}
-
-impl Model {
-    fn ack(&mut self, key: Key, bytes: Vec<u8>) {
-        self.abandoned.remove(&key);
-        self.acked.insert(key, bytes);
-    }
 }
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -170,21 +162,21 @@ fn resolve_in_doubt(store: &FailpointStore, model: &mut Model) {
             assert_eq!(
                 got.as_ref(),
                 want,
-                "ack-lost batch split: key {:?} disagrees with its batch \
+                "in-doubt batch split: key {:?} disagrees with its batch \
                  (landed = {landed})",
                 op.key
             );
         }
         if landed {
             for op in batch {
-                model.ack(op.key, op.new);
+                model.acked.insert(op.key, op.new);
             }
         }
     }
 }
 
 /// Invariants 1 and 2: the reopened store holds exactly the acknowledged
-/// records — nothing lost, nothing extra — apart from abandoned keys.
+/// records — nothing lost, nothing extra.
 fn check_state(store: &FailpointStore, heaps: &[HeapId], model: &Model) {
     for (key, want) in &model.acked {
         let got = store
@@ -203,7 +195,6 @@ fn check_state(store: &FailpointStore, heaps: &[HeapId], model: &Model) {
             })
             .expect("invariant 3: post-recovery scan failed");
     }
-    seen.retain(|key, _| !model.abandoned.contains(key));
     for (key, bytes) in &seen {
         assert_eq!(
             model.acked.get(key),
@@ -236,7 +227,7 @@ fn randomized_crash_reopen_cycles_preserve_invariants() {
     let mut model = Model::default();
     let mut total_faults = 0u64;
     let mut total_replayed = 0u64;
-    let mut total_abandoned = 0u64;
+    let mut total_sync_failures = 0u64;
 
     // Cycle 0 creates the heaps; they persist in the meta page after that.
     let mut heaps: Vec<HeapId> = Vec::new();
@@ -303,7 +294,7 @@ fn randomized_crash_reopen_cycles_preserve_invariants() {
             match store.commit(ops) {
                 Ok(()) => {
                     for op in doubt {
-                        model.ack(op.key, op.new);
+                        model.acked.insert(op.key, op.new);
                     }
                 }
                 Err(_) => match store.take_last_fault() {
@@ -316,11 +307,17 @@ fn randomized_crash_reopen_cycles_preserve_invariants() {
                         model.in_doubt.push(doubt);
                     }
                     Some(FaultKind::GroupSync) => {
-                        for op in doubt {
-                            model.acked.remove(&op.key);
-                            model.abandoned.insert(op.key);
-                        }
-                        total_abandoned += 1;
+                        // The store failed: the batch is in doubt exactly
+                        // like an ack-lost one, every later write is
+                        // refused, and the cycle crashes here.
+                        model.in_doubt.push(doubt);
+                        total_sync_failures += 1;
+                        let next = store.commit(Vec::new());
+                        assert!(
+                            matches!(next, Err(StorageError::Failed)),
+                            "a failed store took a commit: {next:?}"
+                        );
+                        break;
                     }
                     other => panic!("commit failed without a commit fault: {other:?}"),
                 },
@@ -360,12 +357,12 @@ fn randomized_crash_reopen_cycles_preserve_invariants() {
         "no WAL group was ever replayed — crashes were not crashes"
     );
     assert!(
-        total_abandoned > 0,
-        "no group fsync ever failed — the abandoned-batch path went untested"
+        total_sync_failures > 0,
+        "no group fsync ever failed — the fail-stop path went untested"
     );
     println!(
         "crash-torture: {cycles} cycles, {} acked records, {total_faults} faults injected, \
-         {total_abandoned} batches abandoned, {total_replayed} groups replayed",
+         {total_sync_failures} group fsyncs failed, {total_replayed} groups replayed",
         model.acked.len()
     );
     drop(store);

@@ -2,9 +2,9 @@
 //! §13): one leader fsync covers a whole cohort of prepared commits;
 //! checkpoints wait for prepared-but-unapplied groups instead of
 //! truncating them away (the invariant that replaced the old
-//! single-writer `txn_gate` skip); an abandoned group is resolved as
-//! *lost* by the next checkpoint; and a crash mid-group-commit leaves
-//! every cohort member all-or-nothing on disk.
+//! single-writer `txn_gate` skip); a failed group fsync stops the store
+//! until a reopen replays the group whole; and a crash mid-group-commit
+//! leaves every cohort member all-or-nothing on disk.
 
 use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use ode_storage::failpoint::{FailpointConfig, FailpointStore, FaultKind};
 use ode_storage::filestore::{FileStore, FileStoreOptions};
-use ode_storage::{RecordId, Store, StoreOp};
+use ode_storage::{RecordId, StorageError, Store, StoreOp};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ode-group-commit-{}-{name}", std::process::id()));
@@ -90,8 +90,8 @@ fn leader_fsync_covers_the_whole_cohort() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The checkpoint barrier: while a prepared commit has not been applied
-/// (or abandoned), its effects exist only in the WAL, so `checkpoint`
+/// The checkpoint barrier: while a prepared commit has not been applied,
+/// its effects exist only in the WAL, so `checkpoint`
 /// must wait rather than truncate. This is the invariant that replaced
 /// the old single-writer gate's "no checkpoint while a txn holds the
 /// gate" rule — see `Database::checkpoint`.
@@ -133,47 +133,52 @@ fn checkpoint_waits_for_prepared_commits() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A cohort whose fsync fails is in doubt: the group sits in the WAL
-/// unsynced. The engine abandons the ticket; the next checkpoint then
-/// resolves the in-doubt group as *lost* (pages without the group are
-/// flushed, the WAL is truncated) — the same contract as ack-loss on
-/// the legacy path, and the store stays healthy across reopen.
+/// A cohort whose fsync fails is in doubt, and the store stops: that
+/// commit and every later write fail with `StorageError::Failed` until a
+/// reopen, while reads keep working. The group sits in the WAL, so the
+/// reopen replays it whole — the same contract as an ack-lost commit.
 #[test]
-fn failed_group_sync_is_resolved_as_lost_by_checkpoint() {
+fn failed_group_sync_stops_the_store_until_reopen() {
     let dir = temp_dir("group-sync-fault");
     let inner: Arc<dyn Store> = Arc::new(open_sync(&dir));
     let fp = FailpointStore::new(Arc::clone(&inner), FailpointConfig::disabled(1));
     let heap = fp.create_heap().unwrap();
+    let acked = fp.reserve(heap, 16).unwrap();
+    fp.commit(vec![put(heap, acked, b"acknowledged")]).unwrap();
     let rid = fp.reserve(heap, 16).unwrap();
 
-    let ticket = fp
-        .commit_prepare(vec![put(heap, rid, b"never confirmed durable")])
-        .unwrap();
     fp.force(FaultKind::GroupSync);
-    let err = fp.commit_durable(&ticket).unwrap_err();
-    assert!(err.is_transient(), "{err}");
+    let err = fp
+        .commit(vec![put(heap, rid, b"never confirmed durable")])
+        .unwrap_err();
+    assert!(matches!(err, StorageError::Failed), "{err}");
+    assert!(!err.is_transient(), "a failed store is not retried");
     assert_eq!(fp.take_last_fault(), Some(FaultKind::GroupSync));
-    fp.commit_abandon(ticket);
 
-    // The abandon released the barrier, so the checkpoint may truncate
-    // the unconfirmed group: in-doubt resolves to lost.
-    fp.checkpoint().unwrap();
-    assert_eq!(wal_len(&dir), 0);
-    drop(fp);
+    let refused = |r: ode_storage::Result<()>| matches!(r, Err(StorageError::Failed));
+    let rid2 = fp.reserve(heap, 16).unwrap();
+    assert!(refused(fp.commit(vec![put(heap, rid2, b"after")])));
+    assert!(refused(fp.create_heap().map(drop)));
+    assert!(refused(fp.drop_heap(heap)));
+    assert!(refused(fp.checkpoint()));
+    assert_eq!(fp.read(heap, acked).unwrap(), b"acknowledged");
+    assert!(wal_len(&dir) > 0, "the failed group is still logged");
+    // Crash: leak the wrapper, and with it the store, so nothing
+    // checkpoints before the reopen.
+    std::mem::forget(fp);
     drop(inner);
 
     let store = open_sync(&dir);
-    assert_eq!(store.replayed_groups(), 0);
-    assert!(
-        store.read(heap, rid).is_err(),
-        "an unacknowledged commit must not resurrect"
+    assert_eq!(store.read(heap, acked).unwrap(), b"acknowledged");
+    assert_eq!(
+        store.read(heap, rid).unwrap(),
+        b"never confirmed durable",
+        "the logged group replays whole"
     );
-    // The slot is reusable and the store fully functional.
-    let rid2 = store.reserve(heap, 16).unwrap();
-    store
-        .commit(vec![put(heap, rid2, b"life goes on")])
-        .unwrap();
-    assert_eq!(store.read(heap, rid2).unwrap(), b"life goes on");
+    assert!(
+        store.read(heap, rid2).is_err(),
+        "the refused commit never logged"
+    );
     drop(store);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -221,7 +226,7 @@ fn kill_during_group_commit_keeps_members_all_or_nothing() {
 
     let store = open_sync(&dir);
     assert_eq!(
-        store.replayed_groups(),
+        store.stats().replayed_groups,
         3,
         "heap creation + members 0 and 1; the torn member 2 must not replay"
     );
@@ -243,8 +248,8 @@ fn kill_during_group_commit_keeps_members_all_or_nothing() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A leaked ticket (a committer that died between prepare and apply
-/// without even abandoning) must degrade the checkpoint to a bounded
+/// A leaked ticket (a committer that died between prepare and apply)
+/// must degrade the checkpoint to a bounded
 /// failure — WAL intact — never a hang or a silent truncation.
 #[test]
 fn leaked_ticket_fails_the_checkpoint_but_keeps_the_wal() {

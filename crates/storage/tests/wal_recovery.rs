@@ -74,7 +74,7 @@ fn torn_tail_replays_up_to_the_tear() {
 
     let store = open(&dir);
     assert_eq!(
-        store.replayed_groups(),
+        store.stats().replayed_groups,
         2,
         "heap creation and group A replay; the torn group B must not"
     );
@@ -108,7 +108,7 @@ fn bit_flipped_crc_stops_replay_cleanly() {
     drop(f);
 
     let store = open(&dir);
-    assert_eq!(store.replayed_groups(), 2);
+    assert_eq!(store.stats().replayed_groups, 2);
     assert_eq!(
         store.read(heap, rid_a).unwrap(),
         b"group A: survives any tail damage"
@@ -132,7 +132,7 @@ fn trailing_garbage_after_valid_groups_is_ignored() {
 
     let store = open(&dir);
     assert_eq!(
-        store.replayed_groups(),
+        store.stats().replayed_groups,
         3,
         "every complete group before the garbage replays"
     );
@@ -165,7 +165,7 @@ fn recovery_truncates_the_damaged_wal() {
     drop(store); // clean close checkpoints
     assert_eq!(wal_len(&dir), 0, "recovery + close must truncate the WAL");
     let store = open(&dir);
-    assert_eq!(store.replayed_groups(), 0);
+    assert_eq!(store.stats().replayed_groups, 0);
     drop(store);
     std::fs::remove_dir_all(&dir).ok();
 }

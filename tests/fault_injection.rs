@@ -2,88 +2,21 @@
 //! the engine turns storage failures into clean aborts — no partial
 //! commits, no corrupted in-memory catalogs, usable afterwards.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ode::core::{Database, DbConfig};
 use ode::prelude::*;
-use ode::storage::{CommitTicket, HeapId, MemStore, Store, StoreOp, StoreStats};
-use ode_storage::{RecordId, StorageError};
+use ode::storage::{FailpointConfig, FailpointStore, FaultKind, MemStore, Store};
 
-/// Wraps a store; when armed, the next `commit_prepare` fails (before
-/// reaching the inner store, like a full disk or an I/O error at the WAL
-/// append). `commits` counts the batches applied.
-struct FaultStore {
-    inner: MemStore,
-    fail_next_commit: AtomicBool,
-    commits: AtomicUsize,
-}
-
-impl FaultStore {
-    fn new() -> Arc<FaultStore> {
-        Arc::new(FaultStore {
-            inner: MemStore::new(),
-            fail_next_commit: AtomicBool::new(false),
-            commits: AtomicUsize::new(0),
-        })
-    }
-
-    fn arm(&self) {
-        self.fail_next_commit.store(true, Ordering::SeqCst);
-    }
-}
-
-impl Store for FaultStore {
-    fn create_heap(&self) -> ode_storage::Result<HeapId> {
-        self.inner.create_heap()
-    }
-    fn drop_heap(&self, heap: HeapId) -> ode_storage::Result<()> {
-        self.inner.drop_heap(heap)
-    }
-    fn has_heap(&self, heap: HeapId) -> bool {
-        self.inner.has_heap(heap)
-    }
-    fn reserve(&self, heap: HeapId, size_hint: usize) -> ode_storage::Result<RecordId> {
-        self.inner.reserve(heap, size_hint)
-    }
-    fn release(&self, heap: HeapId, rid: RecordId) -> ode_storage::Result<()> {
-        self.inner.release(heap, rid)
-    }
-    fn read(&self, heap: HeapId, rid: RecordId) -> ode_storage::Result<Vec<u8>> {
-        self.inner.read(heap, rid)
-    }
-    fn commit_prepare(&self, ops: Vec<StoreOp>) -> ode_storage::Result<CommitTicket> {
-        if self.fail_next_commit.swap(false, Ordering::SeqCst) {
-            return Err(StorageError::io(
-                "append wal record",
-                std::io::Error::new(std::io::ErrorKind::StorageFull, "disk full (injected)"),
-            ));
-        }
-        self.inner.commit_prepare(ops)
-    }
-    fn commit_apply(&self, ticket: CommitTicket) -> ode_storage::Result<()> {
-        self.commits.fetch_add(1, Ordering::SeqCst);
-        self.inner.commit_apply(ticket)
-    }
-    fn scan(
-        &self,
-        heap: HeapId,
-        visit: &mut dyn FnMut(RecordId, &[u8]) -> ode_storage::Result<bool>,
-    ) -> ode_storage::Result<()> {
-        self.inner.scan(heap, visit)
-    }
-    fn checkpoint(&self) -> ode_storage::Result<()> {
-        self.inner.checkpoint()
-    }
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
-    fn clear_cache(&self) -> ode_storage::Result<()> {
-        self.inner.clear_cache()
-    }
+/// A [`MemStore`] behind a [`FailpointStore`] with no scheduled faults:
+/// each test forces [`FaultKind::CommitPre`], so the next `commit_prepare`
+/// fails before reaching the inner store, like a full disk or an I/O
+/// error at the WAL append.
+fn fault_store() -> Arc<FailpointStore> {
+    Arc::new(FailpointStore::new(
+        Arc::new(MemStore::new()),
+        FailpointConfig::disabled(1),
+    ))
 }
 
 /// Retries off: these tests pin the *abort* path, and the injected fault
@@ -95,7 +28,7 @@ fn no_retry() -> DbConfig {
     }
 }
 
-fn setup(store: Arc<FaultStore>) -> Database {
+fn setup(store: Arc<FailpointStore>) -> Database {
     let db = Database::from_store(store, no_retry()).unwrap();
     db.define_from_source("class item { string name; int qty = 0; }")
         .unwrap();
@@ -106,7 +39,7 @@ fn setup(store: Arc<FaultStore>) -> Database {
 
 #[test]
 fn failed_commit_aborts_cleanly_and_database_stays_usable() {
-    let store = FaultStore::new();
+    let store = fault_store();
     let db = setup(store.clone());
     let keeper = db
         .transaction(|tx| {
@@ -118,7 +51,7 @@ fn failed_commit_aborts_cleanly_and_database_stays_usable() {
         .unwrap();
 
     // Inject a failure into the next commit.
-    store.arm();
+    store.force(FaultKind::CommitPre);
     let mut tx = db.begin();
     let doomed = tx
         .pnew(
@@ -167,7 +100,7 @@ fn failed_commit_aborts_cleanly_and_database_stays_usable() {
 
 #[test]
 fn failed_commit_fires_no_triggers() {
-    let store = FaultStore::new();
+    let store = fault_store();
     let db = Database::from_store(store.clone(), no_retry()).unwrap();
     db.define_from_source(
         "class item { int qty = 100; int hits = 0; perpetual trigger low() : qty < 10 { hits = hits + 1; qty = 100; } }",
@@ -182,7 +115,7 @@ fn failed_commit_fires_no_triggers() {
         })
         .unwrap();
 
-    store.arm();
+    store.force(FaultKind::CommitPre);
     let mut tx = db.begin();
     tx.set(oid, "qty", 1i64).unwrap();
     assert!(tx.commit().is_err());
@@ -211,7 +144,7 @@ fn failed_commit_fires_no_triggers() {
 
 #[test]
 fn failure_during_trigger_action_commit_is_reported_not_propagated() {
-    let store = FaultStore::new();
+    let store = fault_store();
     let db = Database::from_store(store.clone(), no_retry()).unwrap();
     // The action runs a callback (which arms the fault) and then assigns a
     // marker; the action transaction's own commit then fails.
@@ -222,7 +155,7 @@ fn failure_during_trigger_action_commit_is_reported_not_propagated() {
     db.create_cluster("item").unwrap();
     let armer = store.clone();
     db.register_callback("sabotage", move |_tx, _oid, _args| {
-        armer.arm(); // makes the *action* transaction's commit fail
+        armer.force(FaultKind::CommitPre); // makes the *action* transaction's commit fail
         Ok(())
     });
     let oid = db
@@ -258,19 +191,19 @@ fn transient_commit_failure_is_retried_transparently() {
     // commit failure is absorbed by the engine's bounded retry: the
     // caller sees a successful commit, and the retry shows up in
     // telemetry rather than as an error.
-    let store = FaultStore::new();
+    let store = fault_store();
     let db = Database::from_store(store.clone(), DbConfig::default()).unwrap();
     db.define_from_source("class item { int qty = 0; }")
         .unwrap();
     db.create_cluster("item").unwrap();
 
-    let commits_before = store.commits.load(Ordering::SeqCst);
-    store.arm();
+    let commits_before = store.stats().commits;
+    store.force(FaultKind::CommitPre);
     let oid = db
         .transaction(|tx| tx.pnew("item", &[("qty", Value::Int(7))]))
         .expect("a transient failure within the retry budget must not surface");
     assert_eq!(
-        store.commits.load(Ordering::SeqCst),
+        store.stats().commits,
         commits_before + 1,
         "the retry reached the store exactly once"
     );
