@@ -23,6 +23,7 @@ use std::time::Instant;
 use ode_bench::{median, workload};
 use ode_core::prelude::*;
 use ode_storage::filestore::FileStoreOptions;
+use ode_storage::page::{Page, PageType, PAGE_SIZE};
 
 /// Median wall time of `trials` runs of `f`, in microseconds.
 fn time_us<T>(trials: usize, mut f: impl FnMut() -> T) -> f64 {
@@ -588,6 +589,15 @@ fn f9_bufpool() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     println!();
+    let (verify, stamp) = page_checksum_us();
+    println!("| one 8 KiB page | verify (pool miss) | stamp (writeback) |");
+    println!("|---|---|---|");
+    println!(
+        "| CRC-32, slice-by-16 | {} | {} |",
+        fmt_us(verify),
+        fmt_us(stamp)
+    );
+    println!();
     let (fits, fits_rate, _) = pools[0];
     check(
         "F9",
@@ -600,6 +610,36 @@ fn f9_bufpool() {
         evictions > 0,
         format!("{thrash}: scans evict ({evictions} evictions)"),
     );
+}
+
+/// Median µs to verify and to stamp one full page: the checksum work of
+/// a pool miss ([`Page::from_image`]) and of a writeback ([`Page::seal`]),
+/// timed over batches of 64 pages so the clock's granularity drops out.
+fn page_checksum_us() -> (f64, f64) {
+    const BATCH: usize = 64;
+    const TRIALS: usize = 15;
+    let mut full = Page::new(PageType::Heap, 1);
+    let mut i = 0u32;
+    while full.insert(&i.to_le_bytes().repeat(25)).is_some() {
+        i += 1;
+    }
+    let image = *full.seal();
+    let (mut verify, mut stamp) = (Vec::new(), Vec::new());
+    for _ in 0..TRIALS {
+        let images: Vec<Box<[u8; PAGE_SIZE]>> = (0..BATCH).map(|_| Box::new(image)).collect();
+        let mut pages = Vec::with_capacity(BATCH);
+        let t = Instant::now();
+        for image in images {
+            pages.push(Page::from_image(image).expect("a sealed page verifies"));
+        }
+        verify.push(t.elapsed().as_secs_f64() * 1e6 / BATCH as f64);
+        let t = Instant::now();
+        for page in &mut pages {
+            black_box(page.seal());
+        }
+        stamp.push(t.elapsed().as_secs_f64() * 1e6 / BATCH as f64);
+    }
+    (median(&mut verify), median(&mut stamp))
 }
 
 fn f10_sets() {

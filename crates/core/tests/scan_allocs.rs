@@ -4,45 +4,57 @@
 //! except that a versioned object costs the store read of its current
 //! version record.
 //!
+//! The disk path is pinned beside them: a `FileStore` page image lives in
+//! one buffer, so a pool miss allocates only the frame's own page and a
+//! checkpoint writes dirty frames back without copying them.
+//!
 //! A counting global allocator tallies allocations per thread, so tests
-//! running in parallel do not see each other's.
+//! running in parallel do not see each other's. It counts page-sized
+//! allocations apart as well.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ode_core::prelude::*;
+use ode_storage::filestore::FileStoreOptions;
+use ode_storage::page::PAGE_SIZE;
 
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Allocations of exactly one page.
+    static PAGE_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
-    // During thread teardown the counter may be gone; those allocations
+fn count(size: usize) {
+    // During thread teardown the counters may be gone; those allocations
     // belong to no measured section.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    if size == PAGE_SIZE {
+        let _ = PAGE_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees are this allocator's; the counter is
 // a const-initialized thread-local `Cell` with no destructor, which does
-// not allocate.
+// not allocate. `count` only reads the size it is given.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: forwarded unchanged; see the impl comment.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: forwarded unchanged; see the impl comment.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: forwarded unchanged; see the impl comment.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -61,6 +73,14 @@ fn allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Page-sized allocations this thread made while `f` ran, and `f`'s
+/// result.
+fn page_allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = PAGE_ALLOCS.with(Cell::get);
+    let out = f();
+    (PAGE_ALLOCS.with(Cell::get) - before, out)
 }
 
 /// Run `src` against a snapshot; the allocations it made, its row count
@@ -348,4 +368,79 @@ fn an_unindexed_point_count_reads_its_bucket() {
     let (n, rows, scanned) = count(&mut tx, 42);
     assert_eq!((rows, scanned), (10, 10));
     assert!(n <= 12, "{n} allocations counting a bucket of 10");
+}
+
+/// A `FileStore` whose 16-page pool (one frame per shard) is smaller than
+/// its heap: point reads miss and evict, and a checkpoint finds dirty
+/// frames. A miss allocates the frame's page and nothing else page-sized;
+/// a checkpoint allocates no page.
+#[test]
+fn a_pool_miss_allocates_one_page_and_a_checkpoint_none() {
+    const ITEMS: i64 = 5_000;
+    let dir = std::env::temp_dir().join(format!("ode-scan-allocs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Database::open_with(
+        &dir,
+        FileStoreOptions {
+            pool_pages: 16,
+            sync_commits: false,
+            ..FileStoreOptions::default()
+        },
+        DbConfig::default(),
+    )
+    .unwrap();
+    db.define_from_source("class stockitem { string name; int quantity = 0; }")
+        .unwrap();
+    db.create_cluster("stockitem").unwrap();
+    let oids = db
+        .transaction(|tx| {
+            (0..ITEMS)
+                .map(|i| {
+                    tx.pnew(
+                        "stockitem",
+                        &[("name", Value::from(format!("part-{i:07}")))],
+                    )
+                })
+                .collect::<Result<Vec<Oid>>>()
+        })
+        .unwrap();
+    db.checkpoint().unwrap();
+
+    // Point reads striding across the heap miss on each page they enter.
+    let storage = |db: &Database| db.telemetry().storage;
+    let before = storage(&db);
+    let mut page_sized = 0;
+    for &oid in oids.iter().step_by(37) {
+        let rtx = db.begin_read();
+        let (n, name) = page_allocs(|| rtx.get(oid, "name").unwrap());
+        assert!(matches!(name, Value::Str(_)));
+        page_sized += n;
+    }
+    let after = storage(&db);
+    let misses = after.pager_misses - before.pager_misses;
+    assert!(misses >= 10 && after.pager_evictions > before.pager_evictions);
+    assert_eq!(
+        page_sized, misses,
+        "page-sized allocations for {misses} misses"
+    );
+
+    // Dirty frames, then a checkpoint that writes them back.
+    db.transaction(|tx| {
+        for &oid in oids.iter().step_by(101) {
+            tx.set(oid, "quantity", Value::Int(7))?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    let before = storage(&db);
+    let (n, done) = page_allocs(|| db.checkpoint());
+    done.unwrap();
+    let writebacks = storage(&db).pager_writebacks - before.pager_writebacks;
+    assert!(writebacks > 0, "the checkpoint found no dirty frame");
+    assert_eq!(
+        n, 0,
+        "page-sized allocations writing back {writebacks} frames"
+    );
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,7 +4,13 @@
 //! directory growing *up* and record data growing *down*; this is the classic
 //! slotted-page organization, which lets variable-length records be added,
 //! resized, and removed while slot numbers (and therefore record ids) stay
-//! stable. Pages are checksummed with CRC-32 when written to disk.
+//! stable.
+//!
+//! Header bytes 16..20 hold the page's CRC-32, taken over the whole image
+//! with that word read as zero. A page image exists once in memory: a page
+//! read from disk is verified in the buffer the file was read into
+//! ([`Page::from_image`]), and a page written back is stamped in its own
+//! buffer ([`Page::seal`]), so neither direction copies the 8 KiB.
 //!
 //! ```text
 //! +------------------+-----------------------+ ..free.. +---------------+
@@ -13,7 +19,7 @@
 //! 0                 24                    data grows down        PAGE_SIZE
 //! ```
 
-use crate::crc::crc32;
+use crate::crc::Hasher;
 use crate::error::{Result, StorageError};
 
 /// Size of every page in the data file, in bytes.
@@ -32,6 +38,8 @@ pub const MAX_RECORD: usize = PAGE_SIZE - HEADER_SIZE - SLOT_SIZE;
 pub type PageId = u32;
 /// Sentinel for "no page" in chains.
 pub const NO_PAGE: PageId = 0;
+/// Offset of the header's checksum word.
+const CRC_AT: usize = 16;
 
 /// Role of a page, stored in the header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +72,6 @@ impl PageType {
 }
 
 /// An in-memory page image plus typed accessors over its layout.
-#[derive(Clone)]
 pub struct Page {
     buf: Box<[u8; PAGE_SIZE]>,
 }
@@ -96,11 +103,21 @@ fn write_u32(buf: &mut [u8], at: usize, v: u32) {
     buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
 }
 
+/// CRC-32 of a page image with its checksum word read as zero, computed
+/// without writing to the image.
+fn checksum(image: &[u8; PAGE_SIZE]) -> u32 {
+    let mut h = Hasher::new();
+    h.update(&image[..CRC_AT]);
+    h.update(&[0; 4]);
+    h.update(&image[CRC_AT + 4..]);
+    h.finish()
+}
+
 impl Page {
     /// Create a freshly-initialized page of the given type and owner.
     pub fn new(ty: PageType, heap_id: u32) -> Self {
         let mut page = Page {
-            buf: vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().unwrap(),
+            buf: Self::blank_image(),
         };
         write_u16(&mut page.buf[..], 0, PAGE_MAGIC);
         page.buf[2] = ty.to_u8();
@@ -111,21 +128,24 @@ impl Page {
         page
     }
 
-    /// Wrap raw bytes read from disk, verifying magic and checksum.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() != PAGE_SIZE {
-            return Err(StorageError::Corrupt(format!(
-                "page image of {} bytes, expected {PAGE_SIZE}",
-                bytes.len()
-            )));
-        }
-        let mut buf: Box<[u8; PAGE_SIZE]> = bytes.to_vec().into_boxed_slice().try_into().unwrap();
+    /// A zeroed page-sized buffer: what a pool miss reads the file into
+    /// before handing it to [`Page::from_image`].
+    pub(crate) fn blank_image() -> Box<[u8; PAGE_SIZE]> {
+        vec![0u8; PAGE_SIZE]
+            .into_boxed_slice()
+            .try_into()
+            .expect("a PAGE_SIZE vector")
+    }
+
+    /// Adopt an image read from disk as a page, verifying magic, checksum
+    /// and page type in place: the buffer becomes the page's own, and
+    /// nothing is copied or written.
+    pub fn from_image(buf: Box<[u8; PAGE_SIZE]>) -> Result<Self> {
         if read_u16(&buf[..], 0) != PAGE_MAGIC {
             return Err(StorageError::Corrupt("page magic mismatch".into()));
         }
-        let stored_crc = read_u32(&buf[..], 16);
-        write_u32(&mut buf[..], 16, 0);
-        let computed = crc32(&buf[..]);
+        let stored_crc = read_u32(&buf[..], CRC_AT);
+        let computed = checksum(&buf);
         if stored_crc != computed {
             return Err(StorageError::Corrupt(format!(
                 "page checksum mismatch: stored {stored_crc:#x}, computed {computed:#x}"
@@ -135,13 +155,13 @@ impl Page {
         Ok(Page { buf })
     }
 
-    /// Serialize the page for disk, stamping the checksum.
-    pub fn to_bytes(&self) -> [u8; PAGE_SIZE] {
-        let mut out = *self.buf;
-        write_u32(&mut out, 16, 0);
-        let crc = crc32(&out);
-        write_u32(&mut out, 16, crc);
-        out
+    /// Stamp the checksum into the page's own header and return the image
+    /// to write to disk. Only the checksum word changes, and no accessor
+    /// reads it, so the page stays usable (and mutable) afterwards.
+    pub fn seal(&mut self) -> &[u8; PAGE_SIZE] {
+        let crc = checksum(&self.buf);
+        write_u32(&mut self.buf[..], CRC_AT, crc);
+        &self.buf
     }
 
     /// The page's role.
@@ -385,14 +405,19 @@ impl Page {
 mod tests {
     use super::*;
 
+    /// Seal `p` and adopt a copy of its image, as a write and a later
+    /// pool miss would.
+    fn reread(p: &mut Page) -> Result<Page> {
+        Page::from_image(Box::new(*p.seal()))
+    }
+
     #[test]
     fn roundtrip_through_bytes() {
         let mut p = Page::new(PageType::Heap, 7);
         p.set_next_page(42);
         let s0 = p.insert(b"hello").unwrap();
         let s1 = p.insert(b"world!").unwrap();
-        let bytes = p.to_bytes();
-        let q = Page::from_bytes(&bytes).unwrap();
+        let q = reread(&mut p).unwrap();
         assert_eq!(q.heap_id(), 7);
         assert_eq!(q.next_page(), 42);
         assert_eq!(q.record(s0).unwrap(), b"hello");
@@ -401,13 +426,49 @@ mod tests {
 
     #[test]
     fn corruption_is_detected() {
-        let p = Page::new(PageType::Heap, 1);
-        let mut bytes = p.to_bytes();
-        bytes[100] ^= 0xFF;
-        assert!(matches!(
-            Page::from_bytes(&bytes),
-            Err(StorageError::Corrupt(_))
-        ));
+        let mut p = Page::new(PageType::Heap, 1);
+        let sealed = *p.seal();
+        // A flipped record byte, checksum word, magic or page type is
+        // refused; the untouched image is accepted.
+        for (at, flip) in [(100, 0xFF), (CRC_AT, 0x01), (0, 0x10), (2, 0x07)] {
+            let mut image = Box::new(sealed);
+            image[at] ^= flip;
+            assert!(
+                matches!(Page::from_image(image), Err(StorageError::Corrupt(_))),
+                "byte {at} flipped"
+            );
+        }
+        assert!(Page::from_image(Box::new(sealed)).is_ok());
+    }
+
+    /// A heap page with a fixed owner, chain link and records, one record
+    /// shrunk in place and one slot deleted and reused.
+    fn golden_page() -> Page {
+        let mut p = Page::new(PageType::Heap, 0x0DE5);
+        p.set_next_page(77);
+        let a = p.insert(b"alpha").unwrap();
+        let b = p.insert(b"bravo, a record that shrinks").unwrap();
+        p.insert(&(0..=255u8).collect::<Vec<u8>>()).unwrap();
+        assert!(p.update(b, b"bravo"));
+        p.delete(a);
+        p.insert(b"charlie").unwrap();
+        p
+    }
+
+    /// The on-disk format: the stamped checksum word and the CRC-32 of
+    /// the whole sealed image, both as the bytewise CRC-32 wrote them
+    /// before the slice-by-16 kernel. A change here makes existing data
+    /// files unreadable.
+    #[test]
+    fn sealed_image_matches_the_recorded_format() {
+        let mut p = golden_page();
+        let image = *p.seal();
+        assert_eq!(read_u32(&image, CRC_AT), 0xFB4E_0A4D);
+        assert_eq!(crate::crc::crc32(&image), 0x74EE_3303);
+        let mut meta = Page::new(PageType::Meta, 0);
+        assert_eq!(read_u32(meta.seal(), CRC_AT), 0x12A0_F268);
+        // Sealing twice stamps the same word: the old one is not hashed.
+        assert_eq!(read_u32(p.seal(), CRC_AT), 0xFB4E_0A4D);
     }
 
     #[test]
@@ -538,7 +599,7 @@ mod tests {
         assert_eq!(p.record(c).unwrap(), &[0xCC; 64][..]);
         assert_eq!(p.record(d).unwrap(), &[0xDD; 64][..]);
         // And the page still round-trips its checksum.
-        let q = Page::from_bytes(&p.to_bytes()).unwrap();
+        let q = reread(&mut p).unwrap();
         assert_eq!(q.record(b).unwrap(), &vec![0xBB; half][..]);
     }
 

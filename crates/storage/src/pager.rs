@@ -1,8 +1,12 @@
 //! File-backed pager with a lock-striped LRU buffer pool.
 //!
-//! The pager owns the data file and a bounded cache of decoded [`Page`]s.
-//! Pages are fetched on demand, verified against their checksum, and written
-//! back when dirty frames are evicted or on [`Pager::flush_all`].
+//! The pager owns the data file and a bounded cache of [`Page`]s. Pages are
+//! fetched on demand and written back when dirty frames are evicted or on
+//! [`Pager::flush_all`]. Each frame's page image is one buffer: a miss reads
+//! the file straight into the buffer the frame will own and verifies it
+//! there ([`Page::from_image`]), and a writeback stamps the checksum into
+//! the frame's own bytes and writes those ([`Page::seal`]). Neither
+//! direction copies a page.
 //!
 //! The pool is split into [`STRIPES`] shards, each guarded by its own mutex
 //! and holding its own strict-LRU eviction order. A page id maps to exactly
@@ -154,6 +158,8 @@ impl Pager {
         }
     }
 
+    /// Read page `pid` into a fresh buffer that becomes the frame's own,
+    /// verified where it lies ([`Page::from_image`]).
     fn read_from_disk(&self, pid: PageId) -> Result<Page> {
         let count = self.page_count();
         if pid >= count {
@@ -161,17 +167,17 @@ impl Pager {
                 "page {pid} beyond end of file ({count} pages)"
             )));
         }
-        let mut buf = vec![0u8; PAGE_SIZE];
+        let mut image = Page::blank_image();
         self.file
-            .read_exact_at(&mut buf, pid as u64 * PAGE_SIZE as u64)
+            .read_exact_at(&mut image[..], pid as u64 * PAGE_SIZE as u64)
             .map_err(|e| StorageError::io("read page", e))?;
-        Page::from_bytes(&buf)
+        Page::from_image(image)
     }
 
-    fn write_to_disk(&self, pid: PageId, page: &Page) -> Result<()> {
-        let bytes = page.to_bytes();
+    /// Stamp `page`'s checksum into its own bytes and write them.
+    fn write_to_disk(&self, pid: PageId, page: &mut Page) -> Result<()> {
         self.file
-            .write_all_at(&bytes, pid as u64 * PAGE_SIZE as u64)
+            .write_all_at(page.seal(), pid as u64 * PAGE_SIZE as u64)
             .map_err(|e| StorageError::io("write page", e))?;
         Ok(())
     }
@@ -184,11 +190,11 @@ impl Pager {
                 .next()
                 .expect("order map tracks every frame");
             shard.order.remove(&tick);
-            let frame = shard.frames.remove(&victim).expect("frame exists");
+            let mut frame = shard.frames.remove(&victim).expect("frame exists");
             shard.stats.evictions += 1;
             if frame.dirty {
                 shard.stats.writebacks += 1;
-                self.write_to_disk(victim, &frame.page)?;
+                self.write_to_disk(victim, &mut frame.page)?;
             }
         }
         Ok(())
@@ -226,32 +232,27 @@ impl Pager {
 
     /// Append a fresh page to the file and cache it clean. Returns its id.
     /// Callers serialize allocation behind the store's structural lock.
-    pub fn allocate(&self, page: Page) -> Result<PageId> {
+    pub fn allocate(&self, mut page: Page) -> Result<PageId> {
         let pid = self.page_count.fetch_add(1, Ordering::AcqRel);
         // Extend the file eagerly so page_count always matches file length
         // (recovery derives the page count from the length).
-        self.write_to_disk(pid, &page)?;
+        self.write_to_disk(pid, &mut page)?;
         let mut shard = self.shard_of(pid).lock();
         self.evict_if_full(&mut shard)?;
         shard.insert(pid, page, false);
         Ok(pid)
     }
 
-    /// Write back every dirty frame (without dropping the cache).
+    /// Write back every dirty frame (without dropping the cache), each
+    /// stamped and written from the frame's own buffer.
     pub fn flush_all(&self) -> Result<()> {
         for shard in &self.shards {
             let mut shard = shard.lock();
-            let dirty: Vec<PageId> = shard
-                .frames
-                .iter()
-                .filter(|(_, f)| f.dirty)
-                .map(|(&pid, _)| pid)
-                .collect();
-            for pid in dirty {
-                let page = shard.frames[&pid].page.clone();
-                self.write_to_disk(pid, &page)?;
-                shard.frames.get_mut(&pid).expect("exists").dirty = false;
-                shard.stats.writebacks += 1;
+            let Shard { frames, stats, .. } = &mut *shard;
+            for (&pid, frame) in frames.iter_mut().filter(|(_, f)| f.dirty) {
+                self.write_to_disk(pid, &mut frame.page)?;
+                frame.dirty = false;
+                stats.writebacks += 1;
             }
         }
         Ok(())
@@ -392,6 +393,39 @@ mod tests {
         let total = pager.stats();
         assert_eq!(total.hits, 64);
         assert_eq!(total.misses, 0);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_damaged_page_is_refused_where_it_was_read() {
+        let (pager, path) = temp_pager(8);
+        let mut p = Page::new(PageType::Heap, 4);
+        let slot = p.insert(b"checked in place").unwrap();
+        let pid = pager.allocate(p).unwrap();
+        pager.clear_cache().unwrap();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .read(true)
+            .open(&path)
+            .unwrap();
+        let base = pid as u64 * PAGE_SIZE as u64;
+        // The record's last byte (records fill the page from its end), the
+        // stored checksum word, then the magic.
+        for at in [PAGE_SIZE as u64 - 1, 16, 0] {
+            let mut byte = [0u8];
+            file.read_exact_at(&mut byte, base + at).unwrap();
+            file.write_all_at(&[byte[0] ^ 0x20], base + at).unwrap();
+            let read = pager.with_page(pid, |p| p.record(slot).map(<[u8]>::to_vec));
+            assert!(
+                matches!(read, Err(StorageError::Corrupt(_))),
+                "byte {at} flipped: {read:?}"
+            );
+            file.write_all_at(&byte, base + at).unwrap();
+        }
+        let v = pager
+            .with_page(pid, |p| p.record(slot).unwrap().to_vec())
+            .unwrap();
+        assert_eq!(v, b"checked in place");
         std::fs::remove_file(path).ok();
     }
 

@@ -71,7 +71,7 @@ proptest! {
             let live = page.iter_records().count();
             prop_assert_eq!(live, model.len());
             // Serialization round-trips.
-            let back = Page::from_bytes(&page.to_bytes()).unwrap();
+            let back = Page::from_image(Box::new(*page.seal())).unwrap();
             for (&slot, data) in &model {
                 prop_assert_eq!(back.record(slot).unwrap(), &data[..]);
             }
